@@ -17,6 +17,10 @@ class FeatureRowMismatchError(GraphainError):
     """Feature matrix row count does not match the node count."""
 
 
+class NonFiniteFeatureError(GraphainError):
+    """A feature value is NaN or infinite."""
+
+
 class DimensionMismatchError(GraphainError):
     """Operand shapes are incompatible."""
 
@@ -26,7 +30,7 @@ class NotSymmetricError(GraphainError):
 
 
 class NoConvergenceError(GraphainError):
-    """The rotation eigensolver hit its sweep cap."""
+    """The symmetric eigensolver failed: non-finite input, or LAPACK did not converge."""
 
 
 class RankDeficientError(GraphainError):

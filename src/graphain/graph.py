@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     FeatureRowMismatchError,
     IndexOutOfRangeError,
+    NonFiniteFeatureError,
 )
 
 OPERATOR_MODES = ("symmetric", "random_walk")
@@ -82,6 +83,12 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
     if x.shape[0] != n:
         raise FeatureRowMismatchError(
             f"features have {x.shape[0]} rows for {n} nodes"
+        )
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        row, col = bad[0]
+        raise NonFiniteFeatureError(
+            f"features[{row}, {col}] is {x[row, col]}; features must be finite"
         )
 
     edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)

@@ -51,6 +51,7 @@ def _load_edges(path: Path):
 
 def _load_features(path: Path) -> np.ndarray:
     rows = []
+    line_nos = []
     width = None
     for no, line in _read_lines(path):
         toks = line.split(",")
@@ -62,9 +63,17 @@ def _load_features(path: Path) -> np.ndarray:
             rows.append([float(t) for t in toks])
         except ValueError as err:
             raise ParseError(path, no, f"bad float: {err}") from err
+        line_nos.append(no)
     if not rows:
         raise ParseError(path, 1, "empty feature file")
-    return np.asarray(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise ParseError(
+            path, line_nos[row], f"column {col + 1} is {features[row, col]}, not finite"
+        )
+    return features
 
 
 def _load_pairs(path: Path, header: str):

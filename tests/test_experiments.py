@@ -132,6 +132,15 @@ class TestDatasetIo:
             load_dataset(tmp_path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_names_line_and_column(self, tmp_path, bad):
+        (tmp_path / "features.csv").write_text(f"# header\n0.0,1.0\n\n2.0,{bad}\n")
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        with pytest.raises(ParseError, match="column 2") as err:
+            load_dataset(tmp_path)
+        assert err.value.line_no == 4
+        assert err.value.path == str(tmp_path / "features.csv")
+
     def test_label_out_of_range(self, tmp_path):
         (tmp_path / "features.csv").write_text("0.0\n0.0\n")
         (tmp_path / "edges.tsv").write_text("0\t1\n")
@@ -254,6 +263,21 @@ class TestRunExperiment:
         assert (out / "diagnostics_seed1.csv").exists()
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "seed,config_hash,task,split,accuracy,loss,wall_ms"
+
+    def test_non_finite_dataset_fails_at_boundary(self, tmp_path):
+        data = tmp_path / "data"
+        g = gen_gaussian_cluster_graph(_spec(nodes_per_cluster=10))
+        save_dataset(with_masks(g, 0.2, 0.2, seed=0), data)
+        lines = (data / "features.csv").read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",", 1)[1]
+        (data / "features.csv").write_text("\n".join(lines) + "\n")
+        kv = {k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")}
+        cfg = build_experiment_config(
+            {**kv, "dataset.path": str(data), "output_dir": str(tmp_path / "out")}
+        )
+        with pytest.raises(ParseError, match=r"stage dataset.*features\.csv:5: column 1") as err:
+            run_experiment(cfg)
+        assert err.value.line_no == 5
 
     def test_stage_labels_on_errors(self, tmp_path):
         kv = {k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")}

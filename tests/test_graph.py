@@ -7,6 +7,7 @@ from graphain.errors import (
     DimensionMismatchError,
     FeatureRowMismatchError,
     IndexOutOfRangeError,
+    NonFiniteFeatureError,
 )
 from graphain.graph import (
     apply_centering,
@@ -42,6 +43,14 @@ class TestBuildGraph:
     def test_feature_row_mismatch(self):
         with pytest.raises(FeatureRowMismatchError):
             build_graph([], 3, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.zeros((3, 2))
+        x[2, 0] = bad
+        x[1, 1] = bad
+        with pytest.raises(NonFiniteFeatureError, match=r"features\[1, 1\]"):
+            build_graph([(0, 1)], 3, x)
 
     def test_self_loops_dropped(self):
         g = build_graph([(0, 0), (0, 1)], 2, np.zeros((2, 1)))

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphain.errors import (
+    NoConvergenceError,
     NotOrthonormalError,
     NotSymmetricError,
     RankDeficientError,
@@ -73,6 +74,21 @@ class TestSymEig:
     def test_zero_matrix(self):
         pair = sym_eig(np.zeros((3, 3)))
         assert pair.values == pytest.approx([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_no_convergence(self, bad):
+        # NaN compares false, so it would pass the symmetry check unnoticed
+        for s in (np.full((3, 3), bad), np.diag([1.0, bad, 2.0])):
+            with pytest.raises(NoConvergenceError, match="non-finite"):
+                sym_eig(s)
+
+    def test_lapack_failure_is_wrapped(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            sym_eig(np.eye(2))
 
 
 class TestInvSqrt:
@@ -148,6 +164,20 @@ class TestSoftSpectralFilter:
         out = soft_spectral_filter(b, SpectralFilterParams(a=0.5, b=1.0, d0=1))
         sv = np.sort(np.linalg.svd(out, compute_uv=False))[::-1]
         assert sv == pytest.approx([1.5, 0.5], abs=1e-9)
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("bexp", [0.0, 0.5, 1.0])
+    def test_matches_svd_formula(self, a, bexp):
+        # independent route: with b = P S V^T from the SVD, the filter is
+        # (1 - a) b + a P_k S_k^(1-bexp) V_k^T on the top k = d0 channels
+        for seed in range(4):
+            b = np.random.default_rng(seed).standard_normal((12, 6))
+            p, svals, vt = np.linalg.svd(b, full_matrices=False)
+            for d0 in (1, 3, 5):
+                out = soft_spectral_filter(b, SpectralFilterParams(a=a, b=bexp, d0=d0))
+                kept = (p[:, :d0] * svals[:d0] ** (1.0 - bexp)) @ vt[:d0]
+                expect = (1.0 - a) * b + a * kept
+                assert np.abs(out - expect).max() <= 1e-10 * np.abs(b).max()
 
     def test_degenerate_zero_input(self):
         with pytest.raises(RankDeficientError):
