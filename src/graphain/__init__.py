@@ -27,7 +27,7 @@ from .curriculum import (
     smooth_labels,
     supervised_schedule,
 )
-from .diagnostics import DiagnosticsRecord, layer_sweep, pairwise_stats, spectral_alignment
+from .diagnostics import DiagnosticsRecord, LayerRecorder, pairwise_stats, spectral_alignment
 from .errors import GraphainError
 from .experiment import ResultRow, run_experiment, run_seed
 from .graph import (
@@ -64,7 +64,6 @@ from .oracles import (
 from .propagation import (
     LayerTrace,
     PropagationConfig,
-    PropagationResult,
     fuzzy_update,
     graphain_step,
     init_trace,
@@ -72,7 +71,6 @@ from .propagation import (
     residual_combine,
     run_fuzzy_r_softgraphain,
     sgc_propagate,
-    softgraphain_step,
 )
 from .synthetic import (
     SyntheticSpec,

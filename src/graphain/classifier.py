@@ -16,17 +16,15 @@ from .errors import (
     DimensionMismatchError,
     EmptyIncludeError,
     NonFiniteLossError,
-    ParseError,
 )
 from .labels import SoftLabelMatrix
 
 
 @dataclass(frozen=True)
 class LinearClassifier:
-    """Projection to class logits, plus the optional input-width reducer."""
+    """Projection from embeddings to class logits."""
 
     w: np.ndarray  # (d, C)
-    reducer: np.ndarray | None = None  # (f, d), applied to raw features
 
 
 @dataclass(frozen=True)
@@ -157,35 +155,3 @@ def make_reducer(f: int, d: int, seed: int) -> np.ndarray:
         return q * signs
     return gauss / math.sqrt(f)
 
-
-def save_classifier(clf: LinearClassifier, path) -> None:
-    """Write the logit matrix as CSV with a `d,C` header line."""
-    d, c = clf.w.shape
-    lines = [f"{d},{c}"]
-    for row in clf.w:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_classifier(path) -> LinearClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ParseError(path, 1, "empty classifier file")
-    try:
-        d, c = (int(tok) for tok in lines[0].split(","))
-    except ValueError as err:
-        raise ParseError(path, 1, f"bad header: {err}") from err
-    if len(lines) != d + 1:
-        raise ParseError(path, len(lines), f"expected {d} weight rows")
-    w = np.zeros((d, c))
-    for i, line in enumerate(lines[1:], start=2):
-        toks = line.split(",")
-        if len(toks) != c:
-            raise ParseError(path, i, f"expected {c} columns")
-        try:
-            w[i - 2] = [float(t) for t in toks]
-        except ValueError as err:
-            raise ParseError(path, i, f"bad float: {err}") from err
-    return LinearClassifier(w=w)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config, render_config
-from .diagnostics import layer_sweep, records_to_csv
+from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError
 from .experiment import compute_embedding, rows_to_csv, run_experiment
 from .io import load_dataset, save_dataset
@@ -48,11 +48,10 @@ def _cmd_propagate(args) -> int:
     g = load_dataset(args.graph)
     out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    h, reducer = compute_embedding(cfg, g, seed=cfg.seeds[0])
+    recorder = LayerRecorder(g)
+    h, _ = compute_embedding(cfg, g, seed=cfg.seeds[0], observe=recorder)
     _write_embeddings(h, out / "embeddings.csv")
-    records = layer_sweep(g, cfg.propagation, variant=cfg.variant, reducer=reducer)
-    if not args.trace:
-        records = records[-1:]
+    records = recorder.records if args.trace else recorder.records[-1:]
     records_to_csv(records, out / "diagnostics.csv")
     print(f"wrote embeddings and {len(records)} diagnostic rows to {out}")
     return 0
@@ -64,16 +63,10 @@ def _run_pipeline(args, with_curriculum: bool) -> int:
         cfg = replace(cfg, dataset_path=str(args.graph), synthetic=None)
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))
-    rows = run_experiment(cfg, with_curriculum=with_curriculum)
+    rows = run_experiment(
+        cfg, with_curriculum=with_curriculum, export_snapshots=args.export_snapshots
+    )
     sys.stdout.write(rows_to_csv(rows))
-    if with_curriculum and args.export_snapshots:
-        from .experiment import run_seed
-
-        _, _, _, snapshots = run_seed(cfg, cfg.seeds[0], with_curriculum=True)
-        if snapshots is not None:
-            from .curriculum import export_snapshots
-
-            export_snapshots(snapshots, Path(cfg.output_dir) / "snapshots")
     return 0
 
 

@@ -57,10 +57,8 @@ from .classifier import TrainConfig
 from .curriculum import AUX_MODES
 from .errors import ConfigError
 from .linalg import SpectralFilterParams
-from .propagation import PropagationConfig
+from .propagation import VARIANTS, PropagationConfig
 from .synthetic import SyntheticSpec
-
-VARIANTS = ("rsoft", "sgc", "pairnorm")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .graph import Graph
 from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
-from .propagation import PropagationConfig, run_fuzzy_r_softgraphain
 
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
 
@@ -321,23 +320,19 @@ def supervised_schedule(labeled_set, labels) -> CurriculumSchedule:
 
 def run_curriculum(
     g: Graph,
-    cfg: PropagationConfig,
+    h: np.ndarray,
     schedule: CurriculumSchedule,
     train_cfg: TrainConfig,
-    reducer: np.ndarray | None = None,
-    embeddings: np.ndarray | None = None,
     reset_on_finetune: bool = False,
 ) -> CurriculumResult:
-    """Train one classifier through the schedule with warm starts.
+    """Train one classifier on the embedding ``h`` through the schedule with
+    warm starts.
 
-    The propagation embedding is label-independent, so it is computed once
-    (or passed in) and shared by every task.  Each smoothing task runs its
-    pacing budget on the unmasked rows of its snapshot; the fine-tune stage
-    runs the full train budget on the ground-truth labels.
+    The propagation embedding is label-independent, so one is shared by
+    every task.  Each smoothing task runs its pacing budget on the unmasked
+    rows of its snapshot; the fine-tune stage runs the full train budget on
+    the ground-truth labels.
     """
-    if embeddings is None:
-        embeddings = run_fuzzy_r_softgraphain(g, cfg, reducer=reducer).embedding
-    h = embeddings
     num_classes = max(
         (t.labels.num_classes for t in schedule.tasks),
         default=int(schedule.final_labels.max()) + 1 if schedule.final_labels.size else 2,

@@ -1,5 +1,10 @@
 """Per-layer over-smoothing measurements.
 
+``LayerRecorder`` is an observer for the forward pass
+(``propagation.run_fuzzy_r_softgraphain(..., observe=recorder)``): it turns
+each layer into a DiagnosticsRecord as the layer is made, so a sweep of any
+depth holds one layer at a time.
+
 The pairwise-distance statistic uses the O(n d) moment identity
 sum_ij ||H_i - H_j||^2 = 2 n sum_i ||H_i||^2 - 2 ||sum_i H_i||^2
 over ordered pairs (both directions, i = j contributing zero); the test
@@ -16,22 +21,13 @@ import numpy as np
 from .classifier import LinearClassifier, accuracy, predict
 from .errors import (
     DegenerateGapError,
-    GraphainError,
     NotOrthonormalError,
     ParseError,
     TooLargeError,
 )
-from .graph import Graph, normalized_adjacency
+from .graph import Graph
 from .linalg import principal_subspace_distance
 from .oracles import dense_abar, top_d_eigvectors
-from .propagation import (
-    PropagationConfig,
-    pairnorm_step,
-    run_fuzzy_r_softgraphain,
-    sgc_propagate,
-)
-
-SWEEP_VARIANTS = ("rsoft", "sgc", "pairnorm")
 
 CSV_HEADER = (
     "layer,mean_pairwise_sq_dist,frob_sq,column_gram_dev,"
@@ -93,55 +89,35 @@ def _record(h, layer, g, reference, clf, eval_set):
     )
 
 
-def layer_sweep(
-    g: Graph,
-    cfg: PropagationConfig,
-    classifier: LinearClassifier | None = None,
-    variant: str = "rsoft",
-    reducer: np.ndarray | None = None,
-    pairnorm_scale: float = 1.0,
-) -> list:
-    """One DiagnosticsRecord per layer.
+class LayerRecorder:
+    """Per-layer observer: ``recorder(t, H_t)`` appends layer t's record.
 
-    ``variant`` selects the dynamics: the full model (from its layer trace),
-    plain repeated aggregation, or the centering-and-rescaling baseline.  The
-    plain SGC baseline is not expressible as a PropagationConfig because it
-    skips centering, hence the explicit switch.
+    At the first layer, on graphs with n <= 2000, it builds the top-d
+    eigenvectors of the doubly centered aggregator as the reference for the
+    subspace distance; only that n x d reference is kept.  With a classifier,
+    each record also carries the accuracy on the validation set, or on every
+    labeled node when there is none.
     """
-    if variant not in SWEEP_VARIANTS:
-        raise GraphainError(f"unknown sweep variant {variant!r}")
-    x = g.features if reducer is None else g.features @ np.asarray(reducer, float)
-    if variant == "rsoft":
-        result = run_fuzzy_r_softgraphain(g, cfg, reducer=reducer, keep_trace=True)
-        snapshots = list(result.trace.layers)
-    elif variant == "sgc":
-        op = normalized_adjacency(g, cfg.operator_mode)
-        snapshots = []
-        h = x
-        for _ in range(cfg.layers):
-            h = sgc_propagate(h, op, 1)
-            snapshots.append(h)
-    else:
-        op = normalized_adjacency(g, cfg.operator_mode)
-        snapshots = []
-        h = x
-        for _ in range(cfg.layers):
-            h = pairnorm_step(h, op, pairnorm_scale)
-            snapshots.append(h)
 
-    reference = None
-    if g.n <= 2000 and snapshots and snapshots[0].shape[1] <= g.n:
-        try:
-            reference = top_d_eigvectors(dense_abar(g), snapshots[0].shape[1])
-        except (DegenerateGapError, TooLargeError):
-            reference = None
-    eval_set = None
-    if classifier is not None:
-        eval_set = g.val_mask if g.val_mask.size else np.flatnonzero(g.labels >= 0)
-    return [
-        _record(h, layer, g, reference, classifier, eval_set)
-        for layer, h in enumerate(snapshots, start=1)
-    ]
+    def __init__(self, g: Graph, classifier: LinearClassifier | None = None):
+        self.g = g
+        self.classifier = classifier
+        self.eval_set = None
+        if classifier is not None:
+            self.eval_set = g.val_mask if g.val_mask.size else np.flatnonzero(g.labels >= 0)
+        self.reference = None
+        self.records = []
+
+    def __call__(self, t: int, h: np.ndarray) -> None:
+        d = h.shape[1]
+        if not self.records and self.g.n <= 2000 and d <= self.g.n:
+            try:
+                self.reference = top_d_eigvectors(dense_abar(self.g), d)
+            except (DegenerateGapError, TooLargeError):
+                self.reference = None
+        self.records.append(
+            _record(h, t, self.g, self.reference, self.classifier, self.eval_set)
+        )
 
 
 def _fmt_opt(value) -> str:

@@ -2,9 +2,11 @@
 
 Per seed: build or load the graph, propagate once (the embedding is
 label-independent), train the teacher, run the curriculum pipeline, and
-evaluate.  The run seed drives the synthetic generation, split, feature
-noise, and reducer through independent child streams, so seed lists compose
-without interaction.
+evaluate.  The per-layer diagnostics are recorded during that one forward
+pass, and the smoothing snapshots are exported from the run that built them.
+The run seed drives the synthetic generation, split, feature noise, and
+reducer through independent child streams, so seed lists compose without
+interaction.
 """
 
 from __future__ import annotations
@@ -24,16 +26,17 @@ from .curriculum import (
     build_knn_aux_graph,
     entropy_filter,
     estimate_labels_teacher,
+    export_snapshots as write_snapshots,
     run_curriculum,
     smooth_labels,
     supervised_schedule,
 )
-from .diagnostics import layer_sweep, records_to_csv
+from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError, MissingMaskError
-from .graph import Graph, normalized_adjacency
+from .graph import Graph
 from .io import load_dataset
 from .labels import one_hot_matrix
-from .propagation import pairnorm_step, run_fuzzy_r_softgraphain, sgc_propagate
+from .propagation import run_fuzzy_r_softgraphain
 from .synthetic import add_feature_noise, gen_gaussian_cluster_graph, with_masks
 
 RESULTS_HEADER = "seed,config_hash,task,split,accuracy,loss,wall_ms"
@@ -105,20 +108,15 @@ def _make_reducer(cfg: ExperimentConfig, g: Graph, seed: int):
     return make_reducer(g.feature_dim, cfg.embedding_dim, int(_child_seeds(seed)["reducer"]))
 
 
-def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int):
-    """Embedding of the configured variant; returns (embedding, reducer)."""
+def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int, observe=None):
+    """Embedding of the configured variant; returns (embedding, reducer).
+
+    ``observe`` is passed to the forward pass, which calls it once per layer.
+    """
     reducer = _make_reducer(cfg, g, seed)
-    x = g.features if reducer is None else g.features @ reducer
-    if cfg.variant == "rsoft":
-        h = run_fuzzy_r_softgraphain(g, cfg.propagation, reducer=reducer).embedding
-    elif cfg.variant == "sgc":
-        op = normalized_adjacency(g, cfg.propagation.operator_mode)
-        h = sgc_propagate(x, op, cfg.propagation.layers)
-    else:
-        op = normalized_adjacency(g, cfg.propagation.operator_mode)
-        h = x
-        for _ in range(cfg.propagation.layers):
-            h = pairnorm_step(h, op, 1.0)
+    h = run_fuzzy_r_softgraphain(
+        g, cfg.propagation, reducer=reducer, variant=cfg.variant, observe=observe
+    )
     return h, reducer
 
 
@@ -135,8 +133,18 @@ def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray):
     )
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, with_curriculum: bool = True):
-    """One seed of the pipeline; returns (rows, curriculum result, embedding)."""
+def run_seed(
+    cfg: ExperimentConfig,
+    seed: int,
+    with_curriculum: bool = True,
+    diagnostics_path=None,
+):
+    """One seed of the pipeline; returns (rows, curriculum result, graph,
+    smoothing snapshots), the snapshots None without the curriculum.
+
+    With ``diagnostics_path``, the per-layer diagnostics of the seed's one
+    forward pass are written there as CSV.
+    """
     digest = config_hash(cfg)
     with _stage("dataset"):
         g = prepare_graph(cfg, seed)
@@ -145,7 +153,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, with_curriculum: bool = True):
         if (g.labels[g.train_mask] < 0).any():
             raise MissingMaskError("train mask contains unlabeled nodes")
     with _stage("propagation"):
-        h, _ = compute_embedding(cfg, g, seed)
+        recorder = None if diagnostics_path is None else LayerRecorder(g)
+        h, _ = compute_embedding(cfg, g, seed, observe=recorder)
+    if recorder is not None:
+        records_to_csv(recorder.records, diagnostics_path)
     num_classes = g.num_classes
 
     if with_curriculum:
@@ -179,10 +190,9 @@ def run_seed(cfg: ExperimentConfig, seed: int, with_curriculum: bool = True):
     with _stage("curriculum"):
         result = run_curriculum(
             g,
-            cfg.propagation,
+            h,
             schedule,
             cfg.train,
-            embeddings=h,
             reset_on_finetune=cfg.curriculum.reset_on_finetune,
         )
 
@@ -216,24 +226,28 @@ def run_seed(cfg: ExperimentConfig, seed: int, with_curriculum: bool = True):
     return rows, result, g, snapshots
 
 
-def run_experiment(cfg: ExperimentConfig, with_curriculum: bool = True, write_files: bool = True):
+def run_experiment(
+    cfg: ExperimentConfig,
+    with_curriculum: bool = True,
+    write_files: bool = True,
+    export_snapshots: bool = False,
+):
     """All seeds in order; optionally writes results, diagnostics, and the
-    config echo under cfg.output_dir."""
+    config echo under cfg.output_dir.  ``export_snapshots`` writes the first
+    seed's smoothing snapshots to cfg.output_dir/snapshots."""
+    out = Path(cfg.output_dir)
+    if write_files:
+        out.mkdir(parents=True, exist_ok=True)
     all_rows = []
     for seed in cfg.seeds:
-        rows, _, g, _ = run_seed(cfg, seed, with_curriculum=with_curriculum)
+        diagnostics_path = out / f"diagnostics_seed{seed}.csv" if write_files else None
+        rows, _, _, snapshots = run_seed(
+            cfg, seed, with_curriculum=with_curriculum, diagnostics_path=diagnostics_path
+        )
         all_rows.extend(rows)
-        if write_files:
-            out = Path(cfg.output_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            reducer = _make_reducer(cfg, g, seed)
-            records = layer_sweep(
-                g, cfg.propagation, variant=cfg.variant, reducer=reducer
-            )
-            records_to_csv(records, out / f"diagnostics_seed{seed}.csv")
+        if export_snapshots and seed == cfg.seeds[0] and snapshots is not None:
+            write_snapshots(snapshots, out / "snapshots")
     if write_files:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "results.csv").write_text(rows_to_csv(all_rows), encoding="utf-8")
         (out / "config_echo.txt").write_text(render_config(cfg), encoding="utf-8")
     return all_rows

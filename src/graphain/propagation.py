@@ -1,14 +1,18 @@
-"""Layer dynamics: the whitening step, its soft variant, residual and fuzzy
-connections, the full deep forward pass, and the SGC / Pairnorm baselines.
+"""Layer dynamics: the whitening step, residual and fuzzy connections, the
+SGC / Pairnorm baseline steps, and the one deep forward pass that runs all
+three variants.
 
 The forward pass is non-parametric by default (per-layer weights fixed to the
-identity), which keeps arbitrarily deep runs cheap and exactly analyzable.
+identity), which keeps arbitrarily deep runs cheap and exactly analyzable.  It
+keeps no layers: per-layer measurements observe each layer as it is made, so
+memory stays O(n d) at any depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -16,7 +20,6 @@ from .errors import (
     DimensionMismatchError,
     GraphainError,
     InvalidCoefficientsError,
-    RankDeficientError,
     ZeroActivationError,
 )
 from .graph import (
@@ -30,6 +33,7 @@ from .graph import (
 from .linalg import SpectralFilterParams, inv_sqrt, soft_spectral_filter
 
 ACTIVATIONS = ("identity", "relu")
+VARIANTS = ("rsoft", "sgc", "pairnorm")
 
 
 @dataclass(frozen=True)
@@ -83,25 +87,16 @@ class PropagationConfig:
 
 @dataclass(frozen=True)
 class LayerTrace:
-    """Running skip-connection accumulators, plus optional layer snapshots."""
+    """Running skip-connection accumulators."""
 
     s_last: np.ndarray
     s_init: np.ndarray
     q_pow: float
-    layers: tuple | None = None  # (H_1, ..., H_t) when snapshotting
 
 
-@dataclass(frozen=True)
-class PropagationResult:
-    embedding: np.ndarray
-    trace: LayerTrace
-
-
-def init_trace(h1: np.ndarray, keep_layers: bool = False) -> LayerTrace:
+def init_trace(h1: np.ndarray) -> LayerTrace:
     """Both fuzzy accumulators start at the first layer, with unit decay power."""
-    return LayerTrace(
-        s_last=h1, s_init=h1, q_pow=1.0, layers=(h1,) if keep_layers else None
-    )
+    return LayerTrace(s_last=h1, s_init=h1, q_pow=1.0)
 
 
 def fuzzy_update(trace: LayerTrace, h_t: np.ndarray, p: float, q: float) -> LayerTrace:
@@ -120,8 +115,7 @@ def fuzzy_update(trace: LayerTrace, h_t: np.ndarray, p: float, q: float) -> Laye
         s_init = trace.s_init
     else:
         s_init = trace.s_init + q_pow * h_t
-    layers = None if trace.layers is None else trace.layers + (h_t,)
-    return LayerTrace(s_last=s_last, s_init=s_init, q_pow=q_pow, layers=layers)
+    return LayerTrace(s_last=s_last, s_init=s_init, q_pow=q_pow)
 
 
 def graphain_step(h: np.ndarray, op: NormalizedOperator) -> np.ndarray:
@@ -133,14 +127,6 @@ def graphain_step(h: np.ndarray, op: NormalizedOperator) -> np.ndarray:
     """
     b = apply_centering(apply_operator(op, h))
     return b @ inv_sqrt(b.T @ b)
-
-
-def softgraphain_step(
-    h: np.ndarray, op: NormalizedOperator, params: SpectralFilterParams
-) -> np.ndarray:
-    """Soft variant: center the aggregate and temper its singular values."""
-    b = apply_centering(apply_operator(op, h))
-    return soft_spectral_filter(b, params)
 
 
 def residual_combine(
@@ -182,39 +168,57 @@ def run_fuzzy_r_softgraphain(
     g: Graph,
     cfg: PropagationConfig,
     reducer: np.ndarray | None = None,
-    keep_trace: bool = False,
-) -> PropagationResult:
-    """Full deep forward pass.
+    variant: str = "rsoft",
+    observe: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """The deep forward pass of every variant; returns the last layer.
 
-    The first layer runs without skip connections; later layers mix the
-    centered aggregate with the fuzzy accumulators, apply the soft filter and
-    the activation, then advance the accumulators.  ``reducer`` maps raw
-    features to the working width; without it the feature width is used
-    as-is.  Rank failures carry the failing layer index.
+    ``variant`` selects the dynamics.  "rsoft" is the full model: the first
+    layer runs without skip connections; later layers mix the centered
+    aggregate with the fuzzy accumulators, apply the soft filter and the
+    activation, then advance the accumulators.  "sgc" is plain repeated
+    aggregation and "pairnorm" the unit-scale centering-and-rescaling step.
+    ``reducer`` maps raw features to the working width; without it the
+    feature width is used as-is.  ``observe(t, H_t)`` is called once per
+    layer t = 1..L.  A GraphainError raised in a step carries the failing
+    layer index.
     """
+    if variant not in VARIANTS:
+        raise GraphainError(f"unknown variant {variant!r}")
     op = normalized_adjacency(g, cfg.operator_mode)
     x = g.features if reducer is None else g.features @ np.asarray(reducer, float)
-    d = x.shape[1]
-    if cfg.filter.d0 > d:
+    if variant == "rsoft" and cfg.filter.d0 > x.shape[1]:
         raise DimensionMismatchError(
-            f"filter d0={cfg.filter.d0} exceeds working width {d}"
+            f"filter d0={cfg.filter.d0} exceeds working width {x.shape[1]}"
         )
     act = _activation_fn(cfg.activation)
+    trace = None
 
-    def _step(m: np.ndarray, layer: int) -> np.ndarray:
+    def rsoft(h: np.ndarray, t: int) -> np.ndarray:
+        nonlocal trace
+        if t == 1:
+            b = apply_centering(apply_operator(op, h))
+        else:
+            b = residual_combine(h, trace.s_last, trace.s_init, cfg, op)
+        h = act(soft_spectral_filter(b, cfg.filter))
+        trace = init_trace(h) if t == 1 else fuzzy_update(trace, h, cfg.p, cfg.q)
+        return h
+
+    step = {
+        "rsoft": rsoft,
+        "sgc": lambda h, t: apply_operator(op, h),
+        "pairnorm": lambda h, t: pairnorm_step(h, op, 1.0),
+    }[variant]
+    h = x
+    for t in range(1, cfg.layers + 1):
         try:
-            return act(soft_spectral_filter(m, cfg.filter))
-        except RankDeficientError as err:
-            err.args = (f"layer {layer}: {err.args[0] if err.args else ''}",)
+            h = step(h, t)
+        except GraphainError as err:
+            err.args = (f"layer {t}: {err.args[0] if err.args else ''}",)
             raise
-
-    h = _step(apply_centering(apply_operator(op, x)), 1)
-    trace = init_trace(h, keep_layers=keep_trace)
-    for t in range(2, cfg.layers + 1):
-        b = residual_combine(h, trace.s_last, trace.s_init, cfg, op)
-        h = _step(b, t)
-        trace = fuzzy_update(trace, h, cfg.p, cfg.q)
-    return PropagationResult(embedding=h, trace=trace)
+        if observe is not None:
+            observe(t, h)
+    return h
 
 
 def sgc_propagate(x: np.ndarray, op: NormalizedOperator, layers: int) -> np.ndarray:

@@ -10,10 +10,8 @@ from graphain.classifier import (
     TrainConfig,
     accuracy,
     grad_wcls,
-    load_classifier,
     make_reducer,
     predict,
-    save_classifier,
     softmax_cross_entropy,
     softmax_with_log,
     train_linear,
@@ -223,13 +221,3 @@ class TestReducer:
         r = make_reducer(2, 5, seed=0)
         assert r.shape == (2, 5)
         assert np.isfinite(r).all()
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path, rng):
-        clf = LinearClassifier(w=rng.standard_normal((4, 3)))
-        path = tmp_path / "w.csv"
-        save_classifier(clf, path)
-        loaded = load_classifier(path)
-        assert np.array_equal(loaded.w, clf.w)
-        assert path.read_text().splitlines()[0] == "4,3"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,38 @@ class TestCli:
         assert len(cur_out.splitlines()) > len(sup_out.splitlines())
         snaps = sorted((tmp / "cur" / "snapshots").glob("snapshot_*.csv"))
         assert len(snaps) == 3
+
+    def test_export_snapshots_reuses_the_run(self, workspace, monkeypatch):
+        import graphain.experiment as experiment
+        from graphain.config import load_config
+        from graphain.curriculum import export_snapshots
+
+        tmp, cfg, data = workspace
+        calls = []
+        real = experiment.smooth_labels
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "smooth_labels", counting)
+        out = tmp / "cur"
+        assert main(
+            ["curriculum", "--graph", str(data), "--config", str(cfg),
+             "--out", str(out), "--export-snapshots"]
+        ) == 0
+        assert len(calls) == 1  # one seed
+
+        # the snapshots an independent run of the first seed exports
+        run_cfg = replace(
+            load_config(cfg), dataset_path=str(data), synthetic=None, output_dir=str(out)
+        )
+        _, _, _, snapshots = experiment.run_seed(run_cfg, run_cfg.seeds[0])
+        want = export_snapshots(snapshots, tmp / "expected")
+        got = sorted((out / "snapshots").glob("snapshot_*.csv"))
+        assert [p.name for p in got] == [p.name for p in want]
+        for g_path, w_path in zip(got, want):
+            assert g_path.read_bytes() == w_path.read_bytes()
 
     def test_verify_suite_exit_code(self, capsys):
         assert main(["verify", "--suite", "theorem3"]) == 0

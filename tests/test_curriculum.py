@@ -28,7 +28,7 @@ from graphain.errors import (
 from graphain.labels import SoftLabelMatrix, one_hot
 from graphain.linalg import SpectralFilterParams
 from graphain.oracles import label_prop_closed_form
-from graphain.propagation import PropagationConfig
+from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph, with_masks
 
 
@@ -279,34 +279,34 @@ class TestRunCurriculum:
             filter=SpectralFilterParams(a=0.5, b=1.0, d0=4),
             layers=4,
         )
-        return g, cfg
+        return g, run_fuzzy_r_softgraphain(g, cfg)
 
     def test_supervised_only_schedule(self):
-        g, cfg = self._setup()
+        g, h = self._setup()
         sched = supervised_schedule(g.train_mask, g.labels[g.train_mask])
-        out = run_curriculum(g, cfg, sched, TrainConfig(lr=0.2, epochs=30))
+        out = run_curriculum(g, h, sched, TrainConfig(lr=0.2, epochs=30))
         assert len(out.metrics) == 1
         assert out.metrics[0].name == "finetune"
 
     def test_zero_pacing_equals_finetune_only(self, rng):
-        g, cfg = self._setup()
+        g, h = self._setup()
         snaps = [_soft(rng.dirichlet(np.ones(2), size=24)) for _ in range(3)]
         sched = build_curriculum(snaps, 0, (g.train_mask, g.labels[g.train_mask]))
         train_cfg = TrainConfig(lr=0.2, epochs=30)
-        full = run_curriculum(g, cfg, sched, train_cfg)
+        full = run_curriculum(g, h, sched, train_cfg)
         only = run_curriculum(
             g,
-            cfg,
+            h,
             supervised_schedule(g.train_mask, g.labels[g.train_mask]),
             train_cfg,
         )
         assert np.array_equal(full.classifier.w, only.classifier.w)
 
     def test_warm_start_carries_over(self, rng):
-        g, cfg = self._setup()
+        g, h = self._setup()
         snaps = [_soft(rng.dirichlet(np.ones(2), size=24)) for _ in range(2)]
         sched = build_curriculum(snaps, 10, (g.train_mask, g.labels[g.train_mask]))
-        out = run_curriculum(g, cfg, sched, TrainConfig(lr=0.2, epochs=0))
+        out = run_curriculum(g, h, sched, TrainConfig(lr=0.2, epochs=0))
         # zero fine-tune epochs: final weights come from the last task
         assert np.abs(out.classifier.w).max() > 0.0
 

@@ -4,7 +4,7 @@ import pytest
 from graphain.classifier import LinearClassifier
 from graphain.diagnostics import (
     DiagnosticsRecord,
-    layer_sweep,
+    LayerRecorder,
     pairwise_stats,
     records_from_csv,
     records_to_csv,
@@ -13,8 +13,18 @@ from graphain.diagnostics import (
 from graphain.graph import build_graph, normalized_adjacency
 from graphain.linalg import SpectralFilterParams, orthonormal_projection
 from graphain.oracles import dense_abar, top_d_eigvectors
-from graphain.propagation import PropagationConfig, graphain_step
+from graphain.propagation import (
+    PropagationConfig,
+    graphain_step,
+    run_fuzzy_r_softgraphain,
+)
 from graphain.synthetic import random_connected_graph, with_masks
+
+
+def _sweep(g, cfg, classifier=None, variant="rsoft"):
+    recorder = LayerRecorder(g, classifier)
+    run_fuzzy_r_softgraphain(g, cfg, variant=variant, observe=recorder)
+    return recorder.records
 
 
 def _brute_force_pairwise(h):
@@ -91,7 +101,7 @@ class TestLayerSweep:
             alpha=1.0, beta=0.0, gamma=0.0,
             filter=SpectralFilterParams(a=0.5, b=1.0, d0=3), layers=1,
         )
-        records = layer_sweep(self._graph(), cfg)
+        records = _sweep(self._graph(), cfg)
         assert len(records) == 1
         assert records[0].layer == 1
 
@@ -100,7 +110,7 @@ class TestLayerSweep:
             alpha=1.0, beta=0.0, gamma=0.0,
             filter=SpectralFilterParams(a=0.0, b=0.0, d0=3), layers=60,
         )
-        records = layer_sweep(self._graph(), cfg, variant="sgc")
+        records = _sweep(self._graph(), cfg, variant="sgc")
         first = records[0].mean_pairwise_sq_dist
         last = records[-1].mean_pairwise_sq_dist
         assert last < 0.05 * first
@@ -111,7 +121,7 @@ class TestLayerSweep:
             alpha=1.0, beta=0.0, gamma=0.0,
             filter=SpectralFilterParams(a=1.0, b=1.0, d0=3), layers=12,
         )
-        records = layer_sweep(g, cfg)
+        records = _sweep(g, cfg)
         for r in records:
             assert r.mean_pairwise_sq_dist == pytest.approx(2 * 3, rel=1e-6)
             assert r.subspace_dist is not None
@@ -123,7 +133,7 @@ class TestLayerSweep:
             filter=SpectralFilterParams(a=0.5, b=1.0, d0=3), layers=2,
         )
         clf = LinearClassifier(w=np.zeros((3, 2)))
-        records = layer_sweep(g, cfg, classifier=clf)
+        records = _sweep(g, cfg, classifier=clf)
         assert all(r.accuracy is not None for r in records)
 
     def test_pairnorm_variant_norm_is_constant(self):
@@ -132,7 +142,7 @@ class TestLayerSweep:
             alpha=1.0, beta=0.0, gamma=0.0,
             filter=SpectralFilterParams(a=0.0, b=0.0, d0=3), layers=5,
         )
-        records = layer_sweep(g, cfg, variant="pairnorm")
+        records = _sweep(g, cfg, variant="pairnorm")
         for r in records:
             assert r.frob_sq == pytest.approx(g.n, rel=1e-9)
 

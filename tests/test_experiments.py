@@ -264,6 +264,24 @@ class TestRunExperiment:
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "seed,config_hash,task,split,accuracy,loss,wall_ms"
 
+    def test_write_mode_filters_each_layer_once(self, tmp_path, monkeypatch):
+        import graphain.propagation as propagation
+
+        calls = []
+        real = propagation.soft_spectral_filter
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "soft_spectral_filter", counting)
+        cfg = build_experiment_config(
+            {**BASE_KV, "seeds": "1,2", "output_dir": str(tmp_path / "out")}
+        )
+        run_experiment(cfg, write_files=True)
+        assert len(calls) == 2 * cfg.propagation.layers
+        assert (tmp_path / "out" / "diagnostics_seed2.csv").exists()
+
     def test_non_finite_dataset_fails_at_boundary(self, tmp_path):
         data = tmp_path / "data"
         g = gen_gaussian_cluster_graph(_spec(nodes_per_cluster=10))

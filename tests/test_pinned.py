@@ -2,8 +2,11 @@
 
 ``tests/pinned/`` holds ``config.txt`` and the ``results.csv`` and
 ``diagnostics_seed*.csv`` it produced with the cyclic Jacobi eigensolver,
-before production whitening moved to LAPACK.  Kernel swaps that
-claim to keep behaviour are checked here.  The references are never
+before production whitening moved to LAPACK.  ``tests/pinned/sgc/`` and
+``tests/pinned/pairnorm/`` hold the same files for that config with
+``propagation.variant`` set to each baseline, produced with the LAPACK kernel
+while the two baselines still had their own propagation loops.  Kernel swaps
+and refactors that claim to keep behaviour are checked here.  The references are never
 regenerated to make this test pass; a change that moves a value past the
 tolerances below has to explain why.
 
@@ -18,6 +21,8 @@ floor covers values of that kind.
 
 import csv
 from pathlib import Path
+
+import pytest
 
 from graphain.config import build_experiment_config, parse_config_text
 from graphain.experiment import run_experiment
@@ -47,21 +52,31 @@ def _assert_rows_match(new_rows, ref_rows, exact, name):
             )
 
 
-def test_run_matches_pinned_outputs(tmp_path):
+def _run_and_compare(tmp_path, ref_dir, overrides):
     raw = parse_config_text((PINNED / "config.txt").read_text(encoding="utf-8"))
+    raw.update(overrides)
     raw["output_dir"] = str(tmp_path)
     cfg = build_experiment_config(raw)
     run_experiment(cfg)
 
     _assert_rows_match(
         _read(tmp_path / "results.csv"),
-        _read(PINNED / "results.csv"),
+        _read(ref_dir / "results.csv"),
         exact={"seed", "config_hash", "task", "split", "accuracy", "wall_ms"},
         name="results.csv",
     )
     for seed in cfg.seeds:
         name = f"diagnostics_seed{seed}.csv"
         _assert_rows_match(
-            _read(tmp_path / name), _read(PINNED / name), exact={"layer"}, name=name
+            _read(tmp_path / name), _read(ref_dir / name), exact={"layer"}, name=name
         )
+
+
+def test_run_matches_pinned_outputs(tmp_path):
+    _run_and_compare(tmp_path, PINNED, {})
+
+
+@pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
+def test_baseline_variant_matches_pinned_outputs(tmp_path, variant):
+    _run_and_compare(tmp_path, PINNED / variant, {"propagation.variant": variant})
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphain.errors import (
+    GraphainError,
     InvalidCoefficientsError,
     RankDeficientError,
     ZeroActivationError,
@@ -12,7 +13,12 @@ from graphain.graph import (
     build_graph,
     normalized_adjacency,
 )
-from graphain.linalg import SpectralFilterParams, inv_sqrt, orthonormal_projection
+from graphain.linalg import (
+    SpectralFilterParams,
+    inv_sqrt,
+    orthonormal_projection,
+    soft_spectral_filter,
+)
 from graphain.oracles import dense_abar, top_d_eigvectors
 from graphain.propagation import (
     PropagationConfig,
@@ -23,7 +29,6 @@ from graphain.propagation import (
     residual_combine,
     run_fuzzy_r_softgraphain,
     sgc_propagate,
-    softgraphain_step,
 )
 from graphain.synthetic import random_connected_graph
 
@@ -103,16 +108,18 @@ class TestSoftStep:
         g = _path_graph(6, 3, seed=2)
         op = normalized_adjacency(g)
         hard = graphain_step(g.features, op)
-        soft = softgraphain_step(
-            g.features, op, SpectralFilterParams(a=1.0, b=1.0, d0=3)
+        soft = soft_spectral_filter(
+            apply_centering(apply_operator(op, g.features)),
+            SpectralFilterParams(a=1.0, b=1.0, d0=3),
         )
         assert np.abs(hard - soft).max() <= 1e-9
 
     def test_a_zero_is_centered_aggregation(self):
         g = _path_graph(6, 3, seed=2)
         op = normalized_adjacency(g)
-        soft = softgraphain_step(
-            g.features, op, SpectralFilterParams(a=0.0, b=1.0, d0=3)
+        soft = soft_spectral_filter(
+            apply_centering(apply_operator(op, g.features)),
+            SpectralFilterParams(a=0.0, b=1.0, d0=3),
         )
         assert np.array_equal(soft, apply_centering(apply_operator(op, g.features)))
 
@@ -190,13 +197,11 @@ class TestRunner:
         g = _path_graph(6, 3, seed=4)
         cfg = _cfg(layers=1, filter=SpectralFilterParams(a=0.5, b=1.0, d0=3))
         out = run_fuzzy_r_softgraphain(g, cfg)
-        from graphain.linalg import soft_spectral_filter
-
         op = normalized_adjacency(g)
         expect = soft_spectral_filter(
             apply_centering(apply_operator(op, g.features)), cfg.filter
         )
-        assert np.array_equal(out.embedding, expect)
+        assert np.array_equal(out, expect)
 
     def test_reduces_to_iterated_hard_step(self):
         g = random_connected_graph(12, 0.3, seed=6, feature_dim=3)
@@ -206,14 +211,15 @@ class TestRunner:
         h = g.features
         for _ in range(5):
             h = graphain_step(h, op)
-        assert np.abs(out.embedding - h).max() <= 1e-9
+        assert np.abs(out - h).max() <= 1e-9
 
     def test_trace_sweep_stays_orthonormal(self):
         g = random_connected_graph(30, 0.25, seed=8, feature_dim=4)
         cfg = _cfg(layers=64, filter=SpectralFilterParams(a=1.0, b=1.0, d0=4))
-        out = run_fuzzy_r_softgraphain(g, cfg, keep_trace=True)
-        assert len(out.trace.layers) == 64
-        for h in out.trace.layers:
+        layers = []
+        run_fuzzy_r_softgraphain(g, cfg, observe=lambda t, h: layers.append(h))
+        assert len(layers) == 64
+        for h in layers:
             assert np.abs(h.T @ h - np.eye(4)).max() <= 1e-8
             assert np.abs(h.sum(axis=0)).max() <= 1e-9
 
@@ -231,8 +237,6 @@ class TestRunner:
         out = run_fuzzy_r_softgraphain(g, cfg)
 
         # hand-rolled vanilla recursion: residual = last layer, initial = H1
-        from graphain.linalg import soft_spectral_filter
-
         op = normalized_adjacency(g)
         h = soft_spectral_filter(
             apply_centering(apply_operator(op, g.features)), cfg.filter
@@ -241,7 +245,7 @@ class TestRunner:
         for _ in range(2, cfg.layers + 1):
             b = residual_combine(h, h, h1, cfg, op)
             h = soft_spectral_filter(b, cfg.filter)
-        assert np.array_equal(out.embedding, h)
+        assert np.array_equal(out, h)
 
     def test_rank_failure_reports_layer(self):
         g = build_graph([(0, 1)], 2, np.random.default_rng(3).standard_normal((2, 2)))
@@ -254,7 +258,39 @@ class TestRunner:
         reducer = np.random.default_rng(0).standard_normal((7, 3)) / np.sqrt(7)
         cfg = _cfg(layers=2)
         out = run_fuzzy_r_softgraphain(g, cfg, reducer=reducer)
-        assert out.embedding.shape == (10, 3)
+        assert out.shape == (10, 3)
+
+    @pytest.mark.parametrize(
+        "variant, error",
+        [("rsoft", RankDeficientError), ("pairnorm", ZeroActivationError)],
+    )
+    def test_step_errors_name_the_layer(self, variant, error):
+        # regular graph with constant features: the centered aggregate is zero
+        iu, ju = np.triu_indices(4, k=1)
+        g = build_graph(np.column_stack([iu, ju]), 4, np.tile([1.0, -2.0], (4, 1)))
+        cfg = _cfg(layers=3, filter=SpectralFilterParams(a=1.0, b=1.0, d0=2))
+        with pytest.raises(error, match="^layer 1: "):
+            run_fuzzy_r_softgraphain(g, cfg, variant=variant)
+
+    @pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
+    def test_baselines_observe_each_step(self, variant):
+        g = random_connected_graph(12, 0.3, seed=6, feature_dim=3)
+        op = normalized_adjacency(g)
+        seen = []
+        out = run_fuzzy_r_softgraphain(
+            g, _cfg(layers=5), variant=variant, observe=lambda t, h: seen.append((t, h))
+        )
+        h = g.features
+        for t, layer_h in seen:
+            h = sgc_propagate(h, op, 1) if variant == "sgc" else pairnorm_step(h, op, 1.0)
+            assert np.array_equal(layer_h, h)
+        assert [t for t, _ in seen] == [1, 2, 3, 4, 5]
+        assert out is seen[-1][1]
+
+    def test_unknown_variant_rejected(self):
+        g = _path_graph(4, 2)
+        with pytest.raises(GraphainError, match="unknown variant"):
+            run_fuzzy_r_softgraphain(g, _cfg(layers=1), variant="gcn")
 
 
 class TestSgc:
