@@ -26,6 +26,7 @@ from .classifier import (
 )
 from .errors import (
     EmptyScheduleError,
+    NonFiniteFeatureError,
     NotADistributionError,
     RowNotStochasticError,
 )
@@ -35,6 +36,7 @@ from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
 
 _DEAD_ROW = 1e-12  # row mass below this counts as zero
+_KNN_BLOCK = 1 << 20  # distance entries per row block of the kNN selection
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,15 @@ def build_knn_aux_graph(
     index); each kept edge (i, j) weighs max(0, h_i . h_j) ** gamma_prime, so
     an edge between orthogonal or opposed vectors survives structurally with
     zero weight.
+
+    Cost: one dense n x n Gram matrix (O(n^2 d) time, n^2 floats held),
+    then O(n^2) selection in row blocks of about ``_KNN_BLOCK`` entries,
+    with no per-row sort: each row's k-th smallest distance by
+    ``np.partition``, every closer node, and as many nodes at exactly that
+    distance as fit, lowest index first.  ``oracles.knn_edges_dense``, which
+    sorts each row, is the reference it matches exactly.  Raises
+    NonFiniteFeatureError when a squared distance is not finite, where no
+    nearest-neighbor order exists.
     """
     if gamma_prime <= 0.0:
         raise ValueError("gamma_prime must be positive")
@@ -143,20 +154,29 @@ def build_knn_aux_graph(
 
     gram = vectors @ vectors.T
     sq_norms = np.diag(gram).copy()
-    dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
-    pairs = set()
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        picked = 0
-        for j in order:
-            j = int(j)
-            if j == i:
-                continue
-            pairs.add((min(i, j), max(i, j)))
-            picked += 1
-            if picked == k:
-                break
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    rows_per_block = max(1, _KNN_BLOCK // n)
+    codes = []
+    for start in range(0, n, rows_per_block):
+        stop = min(start + rows_per_block, n)
+        dist = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * gram[start:stop]
+        if not np.isfinite(dist).all():
+            raise NonFiniteFeatureError(
+                "kNN auxiliary graph: a squared distance is not finite"
+            )
+        np.fill_diagonal(dist[:, start:], np.inf)  # a node is not its own neighbor
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        take = dist <= kth
+        # Rows with more than k candidates tie at the k-th distance.
+        tied = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
+        if tied.size:
+            at_kth = dist[tied] == kth[tied]
+            room = k - (take[tied] & ~at_kth).sum(axis=1, keepdims=True)
+            take[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
+        i, j = np.nonzero(take)
+        i += start
+        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
+    pairs = np.unique(np.concatenate(codes))
+    edges = np.stack(np.divmod(pairs, n), axis=1)
     weights = np.power(
         np.maximum(gram[edges[:, 0], edges[:, 1]], 0.0), gamma_prime
     )

@@ -3,7 +3,10 @@
 ``LayerRecorder`` is an observer for the forward pass
 (``propagation.run_fuzzy_r_softgraphain(..., observe=recorder)``): it turns
 each layer into a DiagnosticsRecord as the layer is made, so a sweep of any
-depth holds one layer at a time.
+depth holds one layer at a time.  The subspace distance needs the dense
+reference spectrum (n <= 2000), an O(n^3) eigendecomposition; it is built
+only when a layer has orthonormal columns, the one case in which it is
+measured, so runs whose layers never get there never pay for it.
 
 The pairwise-distance statistic uses the O(n d) moment identity
 sum_ij ||H_i - H_j||^2 = 2 n sum_i ||H_i||^2 - 2 ||sum_i H_i||^2
@@ -63,15 +66,18 @@ def spectral_alignment(h: np.ndarray, g: Graph, d: int) -> float:
 
 
 def _record(h, layer, g, reference, clf, eval_set):
+    """``reference(d)`` returns the n x d reference, or None; it is called
+    only for a layer with orthonormal columns."""
     h = np.asarray(h, dtype=np.float64)
     d = h.shape[1]
     _, mean = pairwise_stats(h)
     gram_dev = float(np.abs(h.T @ h - np.eye(d)).max())
     col_dev = float(np.abs(h.sum(axis=0)).max())
     sub = None
-    if reference is not None and gram_dev <= 1e-6:
+    ref = reference(d) if gram_dev <= 1e-6 else None
+    if ref is not None:
         try:
-            sub = principal_subspace_distance(h, reference)
+            sub = principal_subspace_distance(h, ref)
         except (NotOrthonormalError, TooLargeError):
             sub = None
     acc = None
@@ -92,11 +98,15 @@ def _record(h, layer, g, reference, clf, eval_set):
 class LayerRecorder:
     """Per-layer observer: ``recorder(t, H_t)`` appends layer t's record.
 
-    At the first layer, on graphs with n <= 2000, it builds the top-d
+    The first time a layer's columns are orthonormal (Gram deviation
+    <= 1e-6), on graphs with n <= 2000 and d <= n, it builds the top-d
     eigenvectors of the doubly centered aggregator as the reference for the
-    subspace distance; only that n x d reference is kept.  With a classifier,
-    each record also carries the accuracy on the validation set, or on every
-    labeled node when there is none.
+    subspace distance, and keeps that n x d reference (or None, when the
+    build raises DegenerateGapError or TooLargeError) for the later layers;
+    it never tries twice.  Layers that are not orthonormal get no subspace
+    distance, so a run without such a layer never builds the reference.
+    With a classifier, each record also carries the accuracy on the
+    validation set, or on every labeled node when there is none.
     """
 
     def __init__(self, g: Graph, classifier: LinearClassifier | None = None):
@@ -106,17 +116,22 @@ class LayerRecorder:
         if classifier is not None:
             self.eval_set = g.val_mask if g.val_mask.size else np.flatnonzero(g.labels >= 0)
         self.reference = None
+        self._reference_tried = False
         self.records = []
 
+    def _reference(self, d: int):
+        if not self._reference_tried:
+            self._reference_tried = True
+            if self.g.n <= 2000 and d <= self.g.n:
+                try:
+                    self.reference = top_d_eigvectors(dense_abar(self.g), d)
+                except (DegenerateGapError, TooLargeError):
+                    self.reference = None
+        return self.reference
+
     def __call__(self, t: int, h: np.ndarray) -> None:
-        d = h.shape[1]
-        if not self.records and self.g.n <= 2000 and d <= self.g.n:
-            try:
-                self.reference = top_d_eigvectors(dense_abar(self.g), d)
-            except (DegenerateGapError, TooLargeError):
-                self.reference = None
         self.records.append(
-            _record(h, t, self.g, self.reference, self.classifier, self.eval_set)
+            _record(h, t, self.g, self._reference, self.classifier, self.eval_set)
         )
 
 

@@ -91,6 +91,40 @@ def top_d_eigvectors(m: np.ndarray, d: int) -> np.ndarray:
     return spec.u[:, :d].copy()
 
 
+def knn_edges_dense(vectors: np.ndarray, k: int, gamma_prime: float):
+    """(edges, weights) of the symmetrized kNN graph by a stable sort per row.
+
+    The reference for ``curriculum.build_knn_aux_graph``: each node keeps the
+    first k other nodes in stable ascending-distance order, so ties go to the
+    lower index; k is clamped to n - 1.  Edges are sorted (i, j) pairs with
+    i < j, weighted max(0, h_i . h_j) ** gamma_prime.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = vectors.shape[0]
+    _check_cap(n)
+    k = min(k, n - 1)
+    gram = vectors @ vectors.T
+    sq_norms = np.diag(gram).copy()
+    dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
+    pairs = set()
+    for i in range(n):
+        order = np.argsort(dist[i], kind="stable")
+        picked = 0
+        for j in order:
+            j = int(j)
+            if j == i:
+                continue
+            pairs.add((min(i, j), max(i, j)))
+            picked += 1
+            if picked == k:
+                break
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    weights = np.power(
+        np.maximum(gram[edges[:, 0], edges[:, 1]], 0.0), gamma_prime
+    )
+    return edges, weights
+
+
 def pga_oracle_hard(x: np.ndarray, g: Graph, steps: int) -> np.ndarray:
     """Projected gradient ascent with unit step on the trace objective.
 

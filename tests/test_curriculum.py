@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain.classifier import TrainConfig
@@ -22,12 +23,13 @@ from graphain.curriculum import (
 )
 from graphain.errors import (
     EmptyScheduleError,
+    NonFiniteFeatureError,
     NotADistributionError,
     RowNotStochasticError,
 )
 from graphain.labels import SoftLabelMatrix, one_hot
 from graphain.linalg import SpectralFilterParams
-from graphain.oracles import label_prop_closed_form
+from graphain.oracles import knn_edges_dense, label_prop_closed_form
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph, with_masks
 
@@ -100,6 +102,42 @@ class TestKnnAuxGraph:
         aux = build_knn_aux_graph(vecs, 1, 1.0)
         p = aux_transition_matrix(aux).toarray()
         assert np.abs(p - np.eye(3)).max() == 0.0
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_dense_oracle(self, data):
+        # Entries in {-2..2} make exact distance ties and duplicate points.
+        n = data.draw(st.integers(2, 40), label="n")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        k = data.draw(st.integers(1, n + 2), label="k")
+        gamma_prime = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="gamma_prime")
+        flat = data.draw(st.lists(st.integers(-2, 2), min_size=n * dim, max_size=n * dim))
+        vecs = np.array(flat, dtype=np.float64).reshape(n, dim)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            aux = build_knn_aux_graph(vecs, k, gamma_prime)
+        assert any("clamping" in str(w.message) for w in caught) == (k >= n)
+        edges, weights = knn_edges_dense(vecs, k, gamma_prime)
+        assert aux.edges.dtype == edges.dtype
+        assert np.array_equal(aux.edges, edges)
+        assert np.array_equal(aux.weights, weights)
+
+    def test_matches_dense_oracle_across_row_blocks(self, monkeypatch):
+        import graphain.curriculum as curriculum
+
+        vecs = np.random.default_rng(5).integers(-1, 2, size=(37, 2)).astype(float)
+        monkeypatch.setattr(curriculum, "_KNN_BLOCK", 100)  # two rows a block
+        aux = build_knn_aux_graph(vecs, 5, 1.0)
+        edges, weights = knn_edges_dense(vecs, 5, 1.0)
+        assert np.array_equal(aux.edges, edges)
+        assert np.array_equal(aux.weights, weights)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_distance_rejected(self):
+        vecs = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NonFiniteFeatureError, match="kNN"):
+            build_knn_aux_graph(vecs, 1, 1.0)
 
 
 class TestNormalizedEntropy:

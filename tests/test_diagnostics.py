@@ -11,6 +11,7 @@ from graphain.diagnostics import (
     spectral_alignment,
 )
 from graphain.graph import build_graph, normalized_adjacency
+from graphain.errors import DegenerateGapError
 from graphain.linalg import SpectralFilterParams, orthonormal_projection
 from graphain.oracles import dense_abar, top_d_eigvectors
 from graphain.propagation import (
@@ -156,3 +157,45 @@ class TestRecordCsv:
         path = tmp_path / "diag.csv"
         records_to_csv(records, path)
         assert records_from_csv(path) == records
+
+
+class TestReferenceOnDemand:
+    """The dense reference spectrum is built at the first orthonormal layer,
+    at most once per recorder."""
+
+    def _hard(self, layers, d0):
+        return PropagationConfig(
+            alpha=1.0, beta=0.0, gamma=0.0,
+            filter=SpectralFilterParams(a=1.0, b=1.0, d0=d0), layers=layers,
+        )
+
+    def test_built_once_for_a_hard_sweep(self, reference_builds):
+        g = random_connected_graph(16, 0.3, seed=6, feature_dim=3)
+        records = _sweep(g, self._hard(12, 3))
+        assert reference_builds == [3]
+        assert all(r.subspace_dist is not None for r in records)
+
+    def test_not_built_without_an_orthonormal_layer(self, reference_builds):
+        g = random_connected_graph(16, 0.3, seed=6, feature_dim=3)
+        cfg = PropagationConfig(
+            alpha=1.0, beta=0.0, gamma=0.0,
+            filter=SpectralFilterParams(a=0.0, b=0.0, d0=3), layers=12,
+        )
+        records = _sweep(g, cfg, variant="sgc")
+        assert reference_builds == []
+        assert all(r.subspace_dist is None for r in records)
+
+    def test_degenerate_gap_tried_once(self, reference_builds):
+        # On a cycle the top eigenvalue of the doubly centred aggregator is
+        # double, so the d = 1 reference is ill-defined.
+        n = 12
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        x = np.random.default_rng(3).standard_normal((n, 1))
+        g = build_graph(edges, n, x)
+        with pytest.raises(DegenerateGapError):
+            top_d_eigvectors(dense_abar(g), 1)
+        records = _sweep(g, self._hard(10, 1))
+        assert reference_builds == [1]
+        assert len(records) == 10
+        assert all(r.column_gram_dev <= 1e-6 for r in records)
+        assert all(r.subspace_dist is None for r in records)

@@ -16,6 +16,7 @@ from graphain.oracles import (
     dense_abar,
     dense_ahat,
     dense_spectrum,
+    knn_edges_dense,
     label_prop_closed_form,
     oversmoothing_limit_check,
     pga_oracle_hard,
@@ -206,3 +207,17 @@ class TestLabelPropClosedForm:
             y_l = one_hot([i % 2 for i in range(len(labeled))], 2)
             y_u = label_prop_closed_form(p, y_l, labeled, unlabeled)
             assert np.isfinite(y_u).all()
+
+
+class TestKnnEdgesDense:
+    def test_ties_go_to_the_lower_index(self):
+        # Nodes 1, 2 and 3 are all at squared distance 1 from node 0, which
+        # keeps node 1; node 2 keeps node 0 over the farther nodes 1 and 3.
+        vecs = np.array([[0.0], [1.0], [-1.0], [1.0]])
+        edges, weights = knn_edges_dense(vecs, 1, 1.0)
+        assert edges.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert weights.tolist() == [0.0, 0.0, 1.0]
+
+    def test_size_cap(self):
+        with pytest.raises(TooLargeError):
+            knn_edges_dense(np.zeros((2001, 1)), 1, 1.0)

@@ -5,10 +5,15 @@
 before production whitening moved to LAPACK.  ``tests/pinned/sgc/`` and
 ``tests/pinned/pairnorm/`` hold the same files for that config with
 ``propagation.variant`` set to each baseline, produced with the LAPACK kernel
-while the two baselines still had their own propagation loops.  Kernel swaps
-and refactors that claim to keep behaviour are checked here.  The references are never
-regenerated to make this test pass; a change that moves a value past the
-tolerances below has to explain why.
+while the two baselines still had their own propagation loops.
+``tests/pinned/hard/`` holds the rsoft outputs of that config with the hard
+whitening step (``HARD_OVERRIDES``): every layer is orthonormal, so every
+``subspace_dist`` is filled, which pins the dense reference spectrum path;
+it was produced while ``LayerRecorder`` still built that reference at the
+first layer of every seed.  Kernel swaps and refactors that claim to keep
+behaviour are checked here.  The references are never regenerated to make
+this test pass; a change that moves a value past the tolerances below has
+to explain why.
 
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
@@ -28,6 +33,15 @@ from graphain.config import build_experiment_config, parse_config_text
 from graphain.experiment import run_experiment
 
 PINNED = Path(__file__).parent / "pinned"
+HARD_OVERRIDES = {
+    "propagation.alpha": "1",
+    "propagation.beta": "0",
+    "propagation.gamma": "0",
+    "propagation.a": "1",
+    "propagation.b": "1",
+    "propagation.d0": "3",
+    "propagation.embedding_dim": "3",
+}
 REL_TOL = 1e-12
 ABS_TOL = 1e-12
 
@@ -80,3 +94,23 @@ def test_run_matches_pinned_outputs(tmp_path):
 def test_baseline_variant_matches_pinned_outputs(tmp_path, variant):
     _run_and_compare(tmp_path, PINNED / variant, {"propagation.variant": variant})
 
+
+def test_hard_whitening_matches_pinned_outputs(tmp_path):
+    _run_and_compare(tmp_path, PINNED / "hard", HARD_OVERRIDES)
+    for seed in (0, 1):
+        rows = _read(PINNED / "hard" / f"diagnostics_seed{seed}.csv")
+        assert all(row["subspace_dist"] != "" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "ref_dir, overrides, builds",
+    [(PINNED, {}, []), (PINNED / "hard", HARD_OVERRIDES, [3, 3])],
+    ids=["rsoft", "hard"],
+)
+def test_reference_built_only_when_a_layer_needs_it(
+    tmp_path, reference_builds, ref_dir, overrides, builds
+):
+    # The default soft filter never makes a layer orthonormal; hard
+    # whitening does at layer 1, so each of the two seeds builds it once.
+    _run_and_compare(tmp_path, ref_dir, overrides)
+    assert reference_builds == builds
