@@ -46,9 +46,6 @@ class AuxGraph:
     n: int
     edges: np.ndarray    # (m, 2) int64, i < j
     weights: np.ndarray  # (m,) >= 0; zero-weight edges carry no mass
-    mode: str
-    k: int
-    gamma_prime: float
 
 
 @dataclass(frozen=True)
@@ -104,19 +101,10 @@ def estimate_labels_teacher(
 
 def aux_from_graph(g: Graph) -> AuxGraph:
     """The input graph as auxiliary graph, with unit edge weights."""
-    return AuxGraph(
-        n=g.n,
-        edges=g.edges.copy(),
-        weights=np.ones(g.num_edges),
-        mode="input_graph",
-        k=0,
-        gamma_prime=1.0,
-    )
+    return AuxGraph(n=g.n, edges=g.edges.copy(), weights=np.ones(g.num_edges))
 
 
-def build_knn_aux_graph(
-    vectors: np.ndarray, k: int, gamma_prime: float, mode: str = "feature_knn"
-) -> AuxGraph:
+def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxGraph:
     """Symmetrized k-nearest-neighbor graph with rectified inner-product weights.
 
     Neighbors are selected by squared Euclidean distance (ties to the lower
@@ -143,14 +131,7 @@ def build_knn_aux_graph(
         warnings.warn(f"k={k} >= n={n}; clamping to {n - 1}", stacklevel=2)
         k = n - 1
     if k == 0 or n < 2:
-        return AuxGraph(
-            n=n,
-            edges=np.empty((0, 2), dtype=np.int64),
-            weights=np.empty(0),
-            mode=mode,
-            k=k,
-            gamma_prime=gamma_prime,
-        )
+        return AuxGraph(n=n, edges=np.empty((0, 2), dtype=np.int64), weights=np.empty(0))
 
     gram = vectors @ vectors.T
     sq_norms = np.diag(gram).copy()
@@ -180,9 +161,7 @@ def build_knn_aux_graph(
     weights = np.power(
         np.maximum(gram[edges[:, 0], edges[:, 1]], 0.0), gamma_prime
     )
-    return AuxGraph(
-        n=n, edges=edges, weights=weights, mode=mode, k=k, gamma_prime=gamma_prime
-    )
+    return AuxGraph(n=n, edges=edges, weights=weights)
 
 
 def aux_transition_matrix(aux: AuxGraph) -> sp.csr_matrix:

@@ -124,13 +124,8 @@ def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray):
     mode = cfg.curriculum.aux_mode
     if mode == "input_graph":
         return aux_from_graph(g)
-    if mode == "feature_knn":
-        return build_knn_aux_graph(
-            g.features, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime, mode=mode
-        )
-    return build_knn_aux_graph(
-        h, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime, mode=mode
-    )
+    vectors = g.features if mode == "feature_knn" else h
+    return build_knn_aux_graph(vectors, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime)
 
 
 def run_seed(

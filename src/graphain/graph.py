@@ -56,7 +56,6 @@ class Graph:
 class NormalizedOperator:
     """Sparse normalized adjacency of A + I, symmetric or random-walk form."""
 
-    mode: str
     matrix: sp.csr_matrix
     degrees: np.ndarray  # degrees of A + I, all >= 1
 
@@ -161,7 +160,7 @@ def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperato
         vals = 1.0 / degrees[rows]
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     degrees.setflags(write=False)
-    return NormalizedOperator(mode=mode, matrix=matrix, degrees=degrees)
+    return NormalizedOperator(matrix=matrix, degrees=degrees)
 
 
 def apply_operator(op: NormalizedOperator, m: np.ndarray) -> np.ndarray:

@@ -25,16 +25,21 @@ SPLIT_NAMES = ("train", "val", "test")
 
 def _read_lines(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as err:
         raise ParseError(path, 0, f"cannot read file: {err}") from err
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8: {err.reason}") from err
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
 
 
-def _load_edges(path: Path):
+def _load_edges(path: Path, n: int):
     edges = []
     for no, line in _read_lines(path):
         toks = line.split("\t")
@@ -43,9 +48,12 @@ def _load_edges(path: Path):
         if len(toks) != 2:
             raise ParseError(path, no, f"expected `i<TAB>j`, got {line!r}")
         try:
-            edges.append((int(toks[0]), int(toks[1])))
+            i, j = int(toks[0]), int(toks[1])
         except ValueError as err:
             raise ParseError(path, no, f"bad node index: {err}") from err
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParseError(path, no, f"node index outside [0, {n}) in {line!r}")
+        edges.append((i, j))
     return edges
 
 
@@ -102,7 +110,7 @@ def load_dataset(directory, require_masks: bool = False) -> Graph:
     directory = Path(directory)
     features = _load_features(directory / FEATURES_FILE)
     n = features.shape[0]
-    edges = _load_edges(directory / EDGES_FILE)
+    edges = _load_edges(directory / EDGES_FILE, n)
 
     labels = None
     labels_path = directory / LABELS_FILE
@@ -115,7 +123,7 @@ def load_dataset(directory, require_masks: bool = False) -> Graph:
                 )
             try:
                 labels[node] = int(value)
-            except ValueError as err:
+            except (ValueError, OverflowError) as err:
                 raise ParseError(labels_path, no, f"bad label: {err}") from err
 
     masks = None

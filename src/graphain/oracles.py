@@ -31,7 +31,6 @@ class DenseSpectrum:
 
     u: np.ndarray
     values: np.ndarray
-    source: str
 
 
 def _check_cap(n: int):
@@ -60,7 +59,7 @@ def dense_abar(g: Graph) -> np.ndarray:
     return t @ dense_ahat(g) @ t
 
 
-def dense_spectrum(m: np.ndarray, source: str = "A_hat") -> DenseSpectrum:
+def dense_spectrum(m: np.ndarray) -> DenseSpectrum:
     """Eigendecomposition with a deterministic sign convention per column."""
     m = np.asarray(m, dtype=np.float64)
     _check_cap(m.shape[0])
@@ -74,12 +73,12 @@ def dense_spectrum(m: np.ndarray, source: str = "A_hat") -> DenseSpectrum:
     recon = float(np.linalg.norm((u * lam) @ u.T - m))
     if recon > 1e-8 * max(float(np.linalg.norm(m)), 1e-30):
         raise TooLargeError(f"spectrum reconstruction error {recon:.3e}")
-    return DenseSpectrum(u=u, values=lam, source=source)
+    return DenseSpectrum(u=u, values=lam)
 
 
 def top_d_eigvectors(m: np.ndarray, d: int) -> np.ndarray:
     """Eigenvectors of the d algebraically largest eigenvalues."""
-    spec = dense_spectrum(m, source="custom")
+    spec = dense_spectrum(m)
     n = spec.values.shape[0]
     if not 1 <= d <= n:
         raise DegenerateGapError(f"d must be in [1, {n}]")
@@ -170,7 +169,7 @@ def oversmoothing_limit_check(g: Graph, x: np.ndarray, layers: int) -> np.ndarra
     and aperiodic (smallest eigenvalue strictly above -1).
     """
     _check_cap(g.n)
-    spec = dense_spectrum(dense_ahat(g), source="A_hat")
+    spec = dense_spectrum(dense_ahat(g))
     if g.n > 1 and spec.values[1] > 1.0 - 1e-8:
         raise NotErgodicError("graph is disconnected; the limit does not apply")
     if spec.values[-1] < -1.0 + 1e-8:

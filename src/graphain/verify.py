@@ -314,12 +314,7 @@ def labelprop_suite(num_instances: int = 10, iters: int = 500) -> VerifyReport:
         rng = np.random.default_rng(950 + k)
         g = random_connected_graph(n, extra_p=0.3, seed=950 + k)
         aux = AuxGraph(
-            n=n,
-            edges=g.edges,
-            weights=rng.uniform(0.5, 1.5, size=g.num_edges),
-            mode="input_graph",
-            k=0,
-            gamma_prime=1.0,
+            n=n, edges=g.edges, weights=rng.uniform(0.5, 1.5, size=g.num_edges)
         )
         y0_raw = rng.dirichlet(np.ones(4), size=n)
         y0 = SoftLabelMatrix(

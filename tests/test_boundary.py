@@ -1,0 +1,91 @@
+"""Fuzzing of the input boundary: on any input, the config and dataset
+readers return or raise GraphainError, the one type the CLI reports as
+`error: ...` with exit code 2."""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphain.config import (
+    build_experiment_config,
+    load_config,
+    parse_config_text,
+    render_config,
+)
+from graphain.errors import GraphainError
+from graphain.io import EDGES_FILE, FEATURES_FILE, LABELS_FILE, load_dataset
+
+# every key: the echo of the defaults has all but the dataset key
+KEYS = ["dataset.path"] + [
+    line.split(" = ")[0]
+    for line in render_config(build_experiment_config({})).splitlines()
+]
+
+# small indices land inside a small graph; the wide range passes int64
+INDEX = st.one_of(st.integers(-1, 4), st.integers(-(2**70), 2**70)).map(str)
+NUMBER = st.one_of(INDEX, st.floats().map(repr))
+TOKEN = st.one_of(
+    NUMBER,
+    st.sampled_from(["true", "false", "relu", "random_walk", "pairnorm", "feature_knn"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _table(draw, separator, cell, width=None):
+    width = width or draw(st.integers(1, 3))
+    row = st.lists(cell, min_size=width, max_size=width).map(separator.join)
+    return "\n".join(draw(st.lists(row, min_size=1, max_size=6)))
+
+
+def _file(separator, cell, width=None, header=""):
+    """Mostly well-formed rows of ``cell``, so that a run gets past the
+    first file; otherwise rows of any token, or any text."""
+    return st.one_of(
+        _table(separator, cell, width).map(header.__add__),
+        _table(separator, TOKEN).map(header.__add__),
+        st.text(max_size=20),
+    )
+
+
+def _returns_or_raises_graphain_error(call):
+    try:
+        call()
+    except GraphainError:
+        pass
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.sampled_from(KEYS), TOKEN, max_size=6))
+def test_config_build_raises_only_graphain_errors(values):
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    _returns_or_raises_graphain_error(
+        lambda: build_experiment_config(parse_config_text(text))
+    )
+
+
+@settings(max_examples=100)
+@given(st.binary(max_size=64))
+def test_load_config_raises_only_graphain_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.txt"
+        path.write_bytes(data)
+        _returns_or_raises_graphain_error(lambda: load_config(path))
+
+
+@settings(max_examples=200)
+@given(
+    edges=_file("\t", INDEX, width=2),
+    features=_file(",", NUMBER),
+    labels=st.one_of(st.none(), _file(",", INDEX, width=2, header="node,label\n")),
+)
+def test_load_dataset_raises_only_graphain_errors(edges, features, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / EDGES_FILE).write_text(edges, encoding="utf-8")
+        (root / FEATURES_FILE).write_text(features, encoding="utf-8")
+        if labels is not None:
+            (root / LABELS_FILE).write_text(labels, encoding="utf-8")
+        _returns_or_raises_graphain_error(lambda: load_dataset(root))

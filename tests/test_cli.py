@@ -133,6 +133,25 @@ class TestCli:
         assert main(["echo-config", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, expect",
+        [
+            ("synthetic.clusters = 1", ["two clusters"]),
+            ("synthetic.inter_p = 0.3", ["inter_p < intra_p"]),
+            ("synthetic.train_frac = -0.1", ["synthetic.train_frac", "synthetic.val_frac"]),
+            ("synthetic.val_frac = 0.95", ["synthetic.train_frac", "synthetic.val_frac"]),
+            ("curriculum.gamma_prime = nan", ["curriculum.gamma_prime", "finite"]),
+        ],
+    )
+    def test_config_range_errors_exit_2(self, tmp_path, capsys, line, expect):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(line + "\n")
+        assert main(["echo-config", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ")
+        for fragment in expect:
+            assert fragment in err
+
     def test_echo_config_round_trips(self, workspace, capsys):
         tmp, cfg, _ = workspace
         assert main(["echo-config", "--config", str(cfg)]) == 0

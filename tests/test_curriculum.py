@@ -73,7 +73,7 @@ class TestKnnAuxGraph:
         vecs = rng.standard_normal((4, 2))
         with pytest.warns(UserWarning, match="clamping"):
             aux = build_knn_aux_graph(vecs, 10, 1.0)
-        assert aux.k == 3
+        assert aux.edges.shape == (6, 2)  # k clamped to 3: complete on 4 nodes
 
     def test_orthogonal_rows_zero_weights(self):
         vecs = np.eye(4)
@@ -358,9 +358,6 @@ class TestAuxTransition:
             n=14,
             edges=g.edges,
             weights=local.uniform(0.1, 2.0, size=g.num_edges),
-            mode="input_graph",
-            k=0,
-            gamma_prime=1.0,
         )
         p = aux_transition_matrix(aux)
         assert np.abs(p @ np.ones(14) - 1.0).max() <= 1e-12
@@ -370,9 +367,6 @@ class TestAuxTransition:
             n=3,
             edges=np.array([[0, 1], [1, 2]]),
             weights=np.array([1.0, 0.0]),
-            mode="input_graph",
-            k=0,
-            gamma_prime=1.0,
         )
         p = aux_transition_matrix(aux).toarray()
         assert p[1, 2] == 0.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,32 @@ class TestDatasetIo:
         assert err.value.line_no == 4
         assert err.value.path == str(tmp_path / "features.csv")
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("edges.tsv", "0\t1\n0\t99999999999999999999999\n"),
+            ("edges.tsv", "0\t1\n2\t0\n"),
+            ("edges.tsv", "0\t1\n-1\t0\n"),
+            ("labels.csv", "node,label\n0,99999999999999999999999\n"),
+        ],
+        ids=["edge_beyond_int64", "edge_past_n", "edge_negative", "label_beyond_int64"],
+    )
+    def test_bad_index_names_file_and_line(self, tmp_path, name, content):
+        (tmp_path / "features.csv").write_text("0.0\n0.0\n")
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        (tmp_path / name).write_text(content)
+        with pytest.raises(ParseError) as err:
+            load_dataset(tmp_path)
+        assert err.value.path == str(tmp_path / name)
+        assert err.value.line_no == 2
+
+    def test_non_utf8_file_names_line(self, tmp_path):
+        (tmp_path / "features.csv").write_bytes(b"0.0\n0.0\n\xff\n")
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            load_dataset(tmp_path)
+        assert err.value.line_no == 3
+
     def test_label_out_of_range(self, tmp_path):
         (tmp_path / "features.csv").write_text("0.0\n0.0\n")
         (tmp_path / "edges.tsv").write_text("0\t1\n")
@@ -219,6 +247,14 @@ class TestConfig:
             {**BASE_KV, "noisy_features": "true", "curriculum.aux_mode": "embedding_knn"}
         )
         assert cfg.curriculum.aux_mode == "input_graph"
+
+    @pytest.mark.parametrize("content", [None, b"\xfe\xff"], ids=["missing", "not_utf8"])
+    def test_unreadable_config_names_path(self, tmp_path, content):
+        path = tmp_path / "cfg.txt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: cannot read"):
+            load_config(path)
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "cfg.txt"

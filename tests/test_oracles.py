@@ -47,7 +47,7 @@ class TestDenseAbar:
 
     def test_spectrum_bounds_and_dominant_eigvector(self):
         g = random_connected_graph(15, 0.25, seed=5)
-        spec = dense_spectrum(dense_ahat(g), source="A_hat")
+        spec = dense_spectrum(dense_ahat(g))
         assert spec.values[0] == pytest.approx(1.0, abs=1e-10)
         assert spec.values.min() >= -1.0 - 1e-10
         op = normalized_adjacency(g)

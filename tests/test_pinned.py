@@ -15,6 +15,15 @@ behaviour are checked here.  The references are never regenerated to make
 this test pass; a change that moves a value past the tolerances below has
 to explain why.
 
+``config_all_keys.txt`` sets every config key but ``dataset.path`` to a
+distinct non-default value.  ``config_all_keys.echo.txt`` and
+``config_all_keys.dataset.echo.txt`` are its ``render_config`` output, and
+that of the same config with ``dataset.path`` in place of the
+``synthetic.*`` keys; ``config_default.echo.txt`` is the echo of the empty
+config.  They and the hashes in ``test_config_echo_and_hash_are_pinned``
+were produced before the config keys moved into one table, and must match
+byte for byte.
+
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
 ``|new - ref| <= 1e-12 * |ref| + 1e-12``.  Measured against the reference,
@@ -29,7 +38,12 @@ from pathlib import Path
 
 import pytest
 
-from graphain.config import build_experiment_config, parse_config_text
+from graphain.config import (
+    build_experiment_config,
+    config_hash,
+    parse_config_text,
+    render_config,
+)
 from graphain.experiment import run_experiment
 
 PINNED = Path(__file__).parent / "pinned"
@@ -114,3 +128,27 @@ def test_reference_built_only_when_a_layer_needs_it(
     # whitening does at layer 1, so each of the two seeds builds it once.
     _run_and_compare(tmp_path, ref_dir, overrides)
     assert reference_builds == builds
+
+
+def _all_keys():
+    return parse_config_text((PINNED / "config_all_keys.txt").read_text(encoding="utf-8"))
+
+
+def _all_keys_dataset():
+    raw = {k: v for k, v in _all_keys().items() if not k.startswith("synthetic.")}
+    return {**raw, "dataset.path": "data/all_keys"}
+
+
+@pytest.mark.parametrize(
+    "raw, echo, digest",
+    [
+        ({}, "config_default.echo.txt", "5d36c8d3cbe9"),
+        (_all_keys(), "config_all_keys.echo.txt", "6cd99044aef2"),
+        (_all_keys_dataset(), "config_all_keys.dataset.echo.txt", "b88db4013338"),
+    ],
+    ids=["default", "all_keys", "all_keys_dataset"],
+)
+def test_config_echo_and_hash_are_pinned(raw, echo, digest):
+    cfg = build_experiment_config(raw)
+    assert render_config(cfg).encode("utf-8") == (PINNED / echo).read_bytes()
+    assert config_hash(cfg) == digest
