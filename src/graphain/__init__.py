@@ -6,7 +6,7 @@ from .classifier import (
     LinearClassifier,
     TrainConfig,
     accuracy,
-    grad_wcls,
+    loss_and_grad,
     make_reducer,
     predict,
     softmax_cross_entropy,
@@ -27,7 +27,7 @@ from .curriculum import (
     smooth_labels,
     supervised_schedule,
 )
-from .diagnostics import DiagnosticsRecord, LayerRecorder, pairwise_stats, spectral_alignment
+from .diagnostics import DiagnosticsRecord, LayerRecorder, pairwise_stats
 from .errors import GraphainError
 from .experiment import ResultRow, run_experiment, run_seed
 from .graph import (
@@ -44,7 +44,6 @@ from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 from .linalg import (
     EigPair,
     SpectralFilterParams,
-    inv_sqrt,
     orthonormal_projection,
     principal_subspace_distance,
     soft_spectral_filter,
@@ -65,12 +64,10 @@ from .propagation import (
     LayerTrace,
     PropagationConfig,
     fuzzy_update,
-    graphain_step,
     init_trace,
     pairnorm_step,
     residual_combine,
     run_fuzzy_r_softgraphain,
-    sgc_propagate,
 )
 from .synthetic import (
     SyntheticSpec,

@@ -1,8 +1,9 @@
 """Linear softmax classifier on fixed embeddings.
 
 Training is deterministic full-batch gradient descent on the convex
-cross-entropy plus L2 objective; the analytic gradient is checked against
-finite differences in the test suite.
+cross-entropy plus L2 objective.  One kernel, ``loss_and_grad``, gives the
+objective and its analytic gradient to both training and evaluation, and the
+finite-difference checks in the test suite differentiate that same kernel.
 """
 
 from __future__ import annotations
@@ -61,25 +62,31 @@ def _included(h: np.ndarray, labels: SoftLabelMatrix, include) -> tuple:
         raise EmptyIncludeError("empty node subset")
     if labels.masked[include].any():
         raise ValueError("include contains masked label rows")
-    return h[include], labels.y[include], include.size
+    return h[include], labels.y[include]
+
+
+def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float):
+    """Objective and gradient with respect to w over the rows of h and y.
+
+    The objective is the mean soft-label cross-entropy plus
+    0.5 * weight_decay * ||w||^2; the loss is returned as a float.
+    """
+    count = h.shape[0]
+    probs, logp = softmax_with_log(h @ w)
+    loss = -(y * logp).sum() / count
+    grad = h.T @ (probs - y) / count
+    if weight_decay:
+        loss += 0.5 * weight_decay * float(np.sum(w * w))
+        grad = grad + weight_decay * w
+    return float(loss), grad
 
 
 def softmax_cross_entropy(
     h: np.ndarray, labels: SoftLabelMatrix, w: np.ndarray, include
 ) -> float:
     """Mean soft-label cross-entropy over the included nodes."""
-    h_inc, y_inc, count = _included(h, labels, include)
-    _, logp = softmax_with_log(h_inc @ w)
-    return float(-(y_inc * logp).sum() / count)
-
-
-def grad_wcls(
-    h: np.ndarray, labels: SoftLabelMatrix, w: np.ndarray, include
-) -> np.ndarray:
-    """Analytic gradient of the mean cross-entropy with respect to w."""
-    h_inc, y_inc, count = _included(h, labels, include)
-    probs, _ = softmax_with_log(h_inc @ w)
-    return h_inc.T @ (probs - y_inc) / count
+    h_inc, y_inc = _included(h, labels, include)
+    return loss_and_grad(h_inc, y_inc, w, 0.0)[0]
 
 
 def train_linear(
@@ -106,18 +113,12 @@ def train_linear(
     if cfg.epochs == 0:
         return LinearClassifier(w=w)
 
-    h_inc, y_inc, count = _included(h, labels, include)
+    h_inc, y_inc = _included(h, labels, include)
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (0.5 if epoch + epoch_offset >= cfg.lr_decay_epoch else 1.0)
-        probs, logp = softmax_with_log(h_inc @ w)
-        loss = -(y_inc * logp).sum() / count
-        if cfg.weight_decay:
-            loss += 0.5 * cfg.weight_decay * float(np.sum(w * w))
+        loss, grad = loss_and_grad(h_inc, y_inc, w, cfg.weight_decay)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-        grad = h_inc.T @ (probs - y_inc) / count
-        if cfg.weight_decay:
-            grad = grad + cfg.weight_decay * w
         w = w - lr * grad
     return LinearClassifier(w=w)
 

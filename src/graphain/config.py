@@ -71,6 +71,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
+        if self.variant == "rsoft" and self.propagation.filter.d0 > self.embedding_dim:
+            raise ConfigError(
+                f"{_KEY_OF['propagation.filter.d0']} = {self.propagation.filter.d0} "
+                f"exceeds {_KEY_OF['embedding_dim']} = {self.embedding_dim}"
+            )
         if not (
             0.0 <= self.train_frac
             and 0.0 <= self.val_frac

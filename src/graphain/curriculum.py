@@ -332,11 +332,6 @@ def run_curriculum(
     rows of its snapshot; the fine-tune stage runs the full train budget on
     the ground-truth labels.
     """
-    num_classes = max(
-        (t.labels.num_classes for t in schedule.tasks),
-        default=int(schedule.final_labels.max()) + 1 if schedule.final_labels.size else 2,
-    )
-
     w = None
     epoch_offset = 0
     metrics = []
@@ -349,7 +344,7 @@ def run_curriculum(
         train_acc = accuracy(pred, g.labels, include)
         if val_set.size:
             val_acc = accuracy(pred, g.labels, val_set)
-            val_truth = one_hot_matrix(g.labels[val_set], val_set, g.n, num_classes)
+            val_truth = one_hot_matrix(g.labels[val_set], val_set, g.n, g.num_classes)
             val_loss = softmax_cross_entropy(h, val_truth, clf.w, val_set)
         else:
             val_acc = float("nan")
@@ -385,7 +380,7 @@ def run_curriculum(
     if reset_on_finetune:
         epoch_offset = 0
     final_labels = one_hot_matrix(
-        schedule.final_labels, schedule.final_set, g.n, num_classes
+        schedule.final_labels, schedule.final_set, g.n, g.num_classes
     )
     start = time.perf_counter()
     clf = train_linear(

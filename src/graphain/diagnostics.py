@@ -59,12 +59,6 @@ def pairwise_stats(h: np.ndarray):
     return total, total / n
 
 
-def spectral_alignment(h: np.ndarray, g: Graph, d: int) -> float:
-    """Subspace distance between h and the top-d eigenvectors of the doubly
-    centered aggregator."""
-    return principal_subspace_distance(h, top_d_eigvectors(dense_abar(g), d))
-
-
 def _record(h, layer, g, reference, clf, eval_set):
     """``reference(d)`` returns the n x d reference, or None; it is called
     only for a layer with orthonormal columns."""

@@ -1,11 +1,12 @@
-"""Symmetric eigendecomposition and the spectral filters built on it.
+"""Symmetric eigendecomposition and the spectral filter built on it.
 
-Production whitening eigendecomposes the d x d Gram b^T b with LAPACK's
-symmetric solver.  The verification oracles reach the same quantities by
-other routes on other inputs: the SVD U V^T of the n x d matrix itself, and a
-dense eigendecomposition of the n x n doubly centred operator.  Agreement
-between the two sides is therefore a cross-check, not one kernel meeting
-itself.
+Production whitening is one kernel, ``soft_spectral_filter``: it
+eigendecomposes the d x d Gram b^T b with LAPACK's symmetric solver, and hard
+whitening b (b^T b)^{-1/2} is its a = b = 1, d0 = d case.  The verification
+oracles reach the same quantities by other routes on other inputs: the SVD
+U V^T of the n x d matrix itself (``orthonormal_projection``), and a dense
+eigendecomposition of the n x n doubly centred operator.  Agreement between
+the two sides is therefore a cross-check, not one kernel meeting itself.
 """
 
 from __future__ import annotations
@@ -86,18 +87,6 @@ def sym_eig(s: np.ndarray) -> EigPair:
     return EigPair(u=np.ascontiguousarray(v[:, ::-1]), values=lam[::-1])
 
 
-def inv_sqrt(s: np.ndarray, eps_rank: float = DEFAULT_EPS_RANK) -> np.ndarray:
-    """Inverse square root of a symmetric positive-definite matrix."""
-    pair = sym_eig(s)
-    lam = pair.values
-    if lam[0] <= 0.0 or lam[-1] <= eps_rank * lam[0]:
-        raise RankDeficientError(
-            f"eigenvalue range [{lam[-1]:.3e}, {lam[0]:.3e}] is rank deficient"
-        )
-    scaled = pair.u * (lam ** -0.5)
-    return scaled @ pair.u.T
-
-
 def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndarray:
     """Temper the singular values of b on its top eigenchannels.
 
@@ -139,7 +128,8 @@ def orthonormal_projection(m: np.ndarray, eps_rank: float = DEFAULT_EPS_RANK) ->
     """Nearest matrix with orthonormal columns, computed as U V^T from the SVD.
 
     This is the projection route used by the verification oracles; it is
-    mathematically equal to m (m^T m)^{-1/2} but shares no code with it.
+    mathematically equal to hard whitening m (m^T m)^{-1/2}, the filter at
+    a = b = 1, d0 = d, but shares no code with it.
     """
     m = np.asarray(m, dtype=np.float64)
     u, s, vt = np.linalg.svd(m, full_matrices=False)

@@ -18,9 +18,8 @@ from .errors import (
     SingularSystemError,
     TooLargeError,
 )
-from .graph import Graph, normalized_adjacency
+from .graph import Graph
 from .linalg import orthonormal_projection
-from .propagation import sgc_propagate
 
 DENSE_CAP = 2000
 
@@ -162,8 +161,10 @@ def pga_oracle_residual(
     return h
 
 
-def oversmoothing_limit_check(g: Graph, x: np.ndarray, layers: int) -> np.ndarray:
-    """Deep plain propagation, reported as per-column |cosine| to sqrt(degrees).
+def oversmoothing_limit_check(g: Graph, h: np.ndarray) -> np.ndarray:
+    """Per-column |cosine| of a deep plain-propagation embedding h to the
+    limit direction, the dominant eigenvector of the dense normalized
+    adjacency (proportional to sqrt(degrees)).
 
     Requires an ergodic graph: connected (second eigenvalue strictly below 1)
     and aperiodic (smallest eigenvalue strictly above -1).
@@ -174,15 +175,13 @@ def oversmoothing_limit_check(g: Graph, x: np.ndarray, layers: int) -> np.ndarra
         raise NotErgodicError("graph is disconnected; the limit does not apply")
     if spec.values[-1] < -1.0 + 1e-8:
         raise NotErgodicError("graph is bipartite-like; the limit does not apply")
-    op = normalized_adjacency(g, "symmetric")
-    h = sgc_propagate(np.asarray(x, dtype=np.float64), op, layers)
-    v = np.sqrt(op.degrees)
-    vnorm = float(np.linalg.norm(v))
+    h = np.asarray(h, dtype=np.float64)
+    v = spec.u[:, 0]
     cosines = np.zeros(h.shape[1])
     for j in range(h.shape[1]):
         cnorm = float(np.linalg.norm(h[:, j]))
         if cnorm > 0.0:
-            cosines[j] = abs(float(v @ h[:, j])) / (vnorm * cnorm)
+            cosines[j] = abs(float(v @ h[:, j])) / cnorm
     return cosines
 
 

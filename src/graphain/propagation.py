@@ -1,6 +1,6 @@
-"""Layer dynamics: the whitening step, residual and fuzzy connections, the
-SGC / Pairnorm baseline steps, and the one deep forward pass that runs all
-three variants.
+"""Layer dynamics: residual and fuzzy connections, the Pairnorm baseline
+step, and the one deep forward pass that runs all three variants.  Every
+whitening step, hard whitening included, is ``linalg.soft_spectral_filter``.
 
 The forward pass is non-parametric by default (per-layer weights fixed to the
 identity), which keeps arbitrarily deep runs cheap and exactly analyzable.  It
@@ -30,7 +30,7 @@ from .graph import (
     apply_operator,
     normalized_adjacency,
 )
-from .linalg import SpectralFilterParams, inv_sqrt, soft_spectral_filter
+from .linalg import SpectralFilterParams, soft_spectral_filter
 
 ACTIVATIONS = ("identity", "relu")
 VARIANTS = ("rsoft", "sgc", "pairnorm")
@@ -116,17 +116,6 @@ def fuzzy_update(trace: LayerTrace, h_t: np.ndarray, p: float, q: float) -> Laye
     else:
         s_init = trace.s_init + q_pow * h_t
     return LayerTrace(s_last=s_last, s_init=s_init, q_pow=q_pow)
-
-
-def graphain_step(h: np.ndarray, op: NormalizedOperator) -> np.ndarray:
-    """One hard whitening step: center the aggregate, then orthonormalize it.
-
-    The output has exactly orthonormal columns and zero column sums (up to
-    roundoff).  Raises RankDeficientError when the centered aggregate loses
-    column rank, e.g. on graphs whose aggregation collapses all rows.
-    """
-    b = apply_centering(apply_operator(op, h))
-    return b @ inv_sqrt(b.T @ b)
 
 
 def residual_combine(
@@ -218,16 +207,6 @@ def run_fuzzy_r_softgraphain(
             raise
         if observe is not None:
             observe(t, h)
-    return h
-
-
-def sgc_propagate(x: np.ndarray, op: NormalizedOperator, layers: int) -> np.ndarray:
-    """Plain repeated aggregation with no centering or normalization."""
-    if layers < 0:
-        raise GraphainError("layer count must be >= 0")
-    h = np.array(x, dtype=np.float64, copy=True)
-    for _ in range(layers):
-        h = apply_operator(op, h)
     return h
 
 

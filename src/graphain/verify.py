@@ -30,9 +30,9 @@ from .graph import apply_centering, apply_operator, build_graph, normalized_adja
 from .labels import SoftLabelMatrix, one_hot
 from .linalg import (
     SpectralFilterParams,
-    inv_sqrt,
     orthonormal_projection,
     principal_subspace_distance,
+    soft_spectral_filter,
 )
 from .oracles import (
     dense_abar,
@@ -42,7 +42,7 @@ from .oracles import (
     pga_oracle_residual,
     top_d_eigvectors,
 )
-from .propagation import PropagationConfig, graphain_step, residual_combine, sgc_propagate
+from .propagation import PropagationConfig, residual_combine, run_fuzzy_r_softgraphain
 from .synthetic import circulant_graph, random_connected_graph
 
 
@@ -77,6 +77,11 @@ class VerifyReport:
         return out
 
 
+def hard_whiten(b: np.ndarray) -> np.ndarray:
+    """b (b^T b)^{-1/2}: the production filter at a = b = 1 on all d channels."""
+    return soft_spectral_filter(b, SpectralFilterParams(a=1.0, b=1.0, d0=b.shape[1]))
+
+
 def _centered_orthonormal(rng, n: int, d: int) -> np.ndarray:
     return orthonormal_projection(apply_centering(rng.standard_normal((n, d))))
 
@@ -92,7 +97,7 @@ def _min_sigma_along_trajectory(g, x0, steps: int) -> float:
         smin = min(smin, float(s[-1]))
         if smin <= 1e-12:
             return 0.0
-        h = b @ inv_sqrt(b.T @ b)
+        h = hard_whiten(b)
     return smin
 
 
@@ -128,9 +133,10 @@ def well_conditioned_instances(
 def theorem1_suite(num_instances: int = 20, layers: int = 20) -> VerifyReport:
     """Structural facts of the hard whitening layer on seeded graphs.
 
-    Per layer: zero column sums, orthonormal columns, invariance under
-    centering, agreement of the centered aggregate with the dense doubly
-    centered product, and the constant pairwise-distance sum 2 n d.
+    Per layer of the production filter at a = b = 1: zero column sums,
+    orthonormal columns, invariance under centering, agreement of the
+    centered aggregate with the dense doubly centered product, and the
+    constant pairwise-distance sum 2 n d.
     """
     col_sum = gram = center = bt = pairwise = 0.0
     for g, x0 in well_conditioned_instances(num_instances, layers, base_seed=100):
@@ -139,7 +145,7 @@ def theorem1_suite(num_instances: int = 20, layers: int = 20) -> VerifyReport:
         n, d = x0.shape
         h = x0
         for _ in range(layers):
-            h = graphain_step(h, op)
+            h = hard_whiten(apply_centering(apply_operator(op, h)))
             col_sum = max(col_sum, float(np.abs(h.sum(axis=0)).max()))
             gram = max(gram, float(np.abs(h.T @ h - np.eye(d)).max()))
             center = max(center, float(np.abs(apply_centering(h) - h).max()))
@@ -171,7 +177,7 @@ def theorem2_suite(num_instances: int = 20, steps: int = 10) -> VerifyReport:
         op = normalized_adjacency(g, "symmetric")
         h = x0
         for k in range(1, steps + 1):
-            h = graphain_step(h, op)
+            h = hard_whiten(apply_centering(apply_operator(op, h)))
             oracle = pga_oracle_hard(x0, g, k)
             traj_dev = max(traj_dev, float(np.abs(h - oracle).max()))
 
@@ -213,7 +219,7 @@ def eigenvector_limit_distance(steps: int = 500) -> float:
     h = _centered_orthonormal(rng, g.n, d)
     dist = 1.0
     for _ in range(steps):
-        h = graphain_step(h, op)
+        h = hard_whiten(apply_centering(apply_operator(op, h)))
         dist = principal_subspace_distance(h, target)
         if dist < 1e-7:
             break
@@ -263,7 +269,7 @@ def theorem3_suite(num_instances: int = 20) -> VerifyReport:
             continue
         kept += 1
         for (alpha, beta, gamma), b in steps:
-            produced = b @ inv_sqrt(b.T @ b)
+            produced = hard_whiten(b)
             oracle = pga_oracle_residual(anchor, g, alpha, beta, gamma, steps=1)
             dev = max(dev, float(np.abs(produced - oracle).max()))
     return VerifyReport(
@@ -272,14 +278,20 @@ def theorem3_suite(num_instances: int = 20) -> VerifyReport:
 
 
 def oversmooth_suite(layers: int = 10_000) -> VerifyReport:
-    """Deep plain propagation on a regular circulant graph: every column
-    aligns with the degree vector and pairwise diversity collapses."""
+    """Deep plain propagation (the runner's sgc variant) on a regular
+    circulant graph: every column aligns with the degree vector and pairwise
+    diversity collapses."""
     g = circulant_graph(20, offsets=(1, 2), feature_dim=4, seed=3)
-    cosines = oversmoothing_limit_check(g, g.features, layers)
-    cos_dev = float((1.0 - cosines).max())
+    cfg = PropagationConfig(
+        alpha=1.0,
+        beta=0.0,
+        gamma=0.0,
+        filter=SpectralFilterParams(a=1.0, b=1.0, d0=1),
+        layers=layers,
+    )
+    deep = run_fuzzy_r_softgraphain(g, cfg, variant="sgc")
+    cos_dev = float((1.0 - oversmoothing_limit_check(g, deep)).max())
 
-    op = normalized_adjacency(g, "symmetric")
-    deep = sgc_propagate(g.features, op, layers)
     total0, _ = pairwise_stats(g.features)
     total_deep, _ = pairwise_stats(deep)
     ratio = total_deep / total0

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from graphain.classifier import grad_wcls, softmax_cross_entropy
+from graphain.classifier import loss_and_grad
 from graphain.config import build_experiment_config
 from graphain.experiment import run_experiment, run_seed
 from graphain.graph import (
@@ -19,11 +19,13 @@ from graphain.graph import (
     apply_operator,
     normalized_adjacency,
 )
-from graphain.labels import SoftLabelMatrix
-from graphain.linalg import SpectralFilterParams, soft_spectral_filter
+from graphain.linalg import (
+    SpectralFilterParams,
+    orthonormal_projection,
+    soft_spectral_filter,
+)
 from graphain.propagation import (
     PropagationConfig,
-    graphain_step,
     residual_combine,
     run_fuzzy_r_softgraphain,
 )
@@ -121,29 +123,30 @@ def test_criterion_08_smoothing_rank1(labelprop_report):
 
 
 def test_criterion_09_gradient_check():
+    # the kernel train_linear descends, with and without weight decay
     eps = 1e-5
     worst = 0.0
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        n, d, c = 15, 4, 3
-        h = rng.standard_normal((n, d))
-        y = rng.dirichlet(np.ones(c), size=n)
-        labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
-        w = rng.standard_normal((d, c))
-        include = np.arange(n)
-        grad = grad_wcls(h, labels, w, include)
-        num = np.zeros_like(w)
-        for i in range(d):
-            for j in range(c):
-                wp = w.copy()
-                wp[i, j] += eps
-                wm = w.copy()
-                wm[i, j] -= eps
-                num[i, j] = (
-                    softmax_cross_entropy(h, labels, wp, include)
-                    - softmax_cross_entropy(h, labels, wm, include)
-                ) / (2 * eps)
-        worst = max(worst, np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12))
+    for weight_decay in (0.0, 0.5):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n, d, c = 15, 4, 3
+            h = rng.standard_normal((n, d))
+            y = rng.dirichlet(np.ones(c), size=n)
+            w = rng.standard_normal((d, c))
+            _, grad = loss_and_grad(h, y, w, weight_decay)
+            num = np.zeros_like(w)
+            for i in range(d):
+                for j in range(c):
+                    wp = w.copy()
+                    wp[i, j] += eps
+                    wm = w.copy()
+                    wm[i, j] -= eps
+                    num[i, j] = (
+                        loss_and_grad(h, y, wp, weight_decay)[0]
+                        - loss_and_grad(h, y, wm, weight_decay)[0]
+                    ) / (2 * eps)
+            rel = np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12)
+            worst = max(worst, rel)
     assert worst < 1e-5, f"max relative gradient error {worst:.3e}"
     _report(9, "gradient-check", f"max rel err {worst:.1e}")
 
@@ -248,7 +251,7 @@ def test_criterion_12_reduction_identities():
     g = random_connected_graph(25, 0.25, seed=99, feature_dim=4)
     op = normalized_adjacency(g, "symmetric")
 
-    # soft filter at (a=1, b=1, d0=d) equals the hard step, per layer
+    # soft filter at (a=1, b=1, d0=d) equals the SVD projection, per layer
     hard_cfg = PropagationConfig(
         alpha=1.0, beta=0.0, gamma=0.0,
         filter=SpectralFilterParams(a=1.0, b=1.0, d0=4), layers=10,
@@ -259,7 +262,7 @@ def test_criterion_12_reduction_identities():
     )
     h = g.features
     for layer_h in soft_layers:
-        h = graphain_step(h, op)
+        h = orthonormal_projection(apply_centering(apply_operator(op, h)))
         assert np.abs(layer_h - h).max() <= 1e-9
 
     # fuzzy decay at p = q = 0 is bit-identical to the vanilla connections

@@ -9,7 +9,7 @@ from graphain.classifier import (
     LinearClassifier,
     TrainConfig,
     accuracy,
-    grad_wcls,
+    loss_and_grad,
     make_reducer,
     predict,
     softmax_cross_entropy,
@@ -79,36 +79,37 @@ class TestCrossEntropy:
 
 class TestGradient:
     def test_finite_differences(self):
+        # the kernel train_linear descends, with and without weight decay
         eps = 1e-5
-        worst = 0.0
-        for seed in range(10):
-            h, y, w, include = _seeded_problem(seed, n=12, d=3, c=3)
-            grad = grad_wcls(h, y, w, include)
-            num = np.zeros_like(w)
-            for i in range(w.shape[0]):
-                for j in range(w.shape[1]):
-                    wp = w.copy()
-                    wp[i, j] += eps
-                    wm = w.copy()
-                    wm[i, j] -= eps
-                    num[i, j] = (
-                        softmax_cross_entropy(h, y, wp, include)
-                        - softmax_cross_entropy(h, y, wm, include)
-                    ) / (2 * eps)
-            rel = np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12)
-            worst = max(worst, rel)
-        assert worst < 1e-5
+        for weight_decay in (0.0, 0.7):
+            worst = 0.0
+            for seed in range(10):
+                h, y, w, _ = _seeded_problem(seed, n=12, d=3, c=3)
+                _, grad = loss_and_grad(h, y.y, w, weight_decay)
+                num = np.zeros_like(w)
+                for i in range(w.shape[0]):
+                    for j in range(w.shape[1]):
+                        wp = w.copy()
+                        wp[i, j] += eps
+                        wm = w.copy()
+                        wm[i, j] -= eps
+                        num[i, j] = (
+                            loss_and_grad(h, y.y, wp, weight_decay)[0]
+                            - loss_and_grad(h, y.y, wm, weight_decay)[0]
+                        ) / (2 * eps)
+                rel = np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12)
+                worst = max(worst, rel)
+            assert worst < 1e-5, f"weight_decay {weight_decay}: {worst:.3e}"
 
     def test_zero_at_stationary_point(self):
-        h, _, w, include = _seeded_problem(5)
+        h, _, w, _ = _seeded_problem(5)
         probs, _ = softmax_with_log(h @ w)
-        y = _soft(probs)
-        grad = grad_wcls(h, y, w, include)
+        _, grad = loss_and_grad(h, probs, w, 0.0)
         assert np.abs(grad).max() <= 1e-10
 
     def test_zero_embeddings_zero_gradient(self):
-        y = _soft(one_hot([0, 1], 2))
-        grad = grad_wcls(np.zeros((2, 3)), y, np.zeros((3, 2)), [0, 1])
+        y = one_hot([0, 1], 2)
+        _, grad = loss_and_grad(np.zeros((2, 3)), y, np.zeros((3, 2)), 0.0)
         assert np.abs(grad).max() == 0.0
 
 
@@ -123,6 +124,15 @@ class TestTrainLinear:
         clf = train_linear(h, labels, np.arange(60), TrainConfig(lr=0.5, epochs=500))
         pred, _ = predict(h, clf)
         assert accuracy(pred, truth) == 1.0
+
+    def test_descends_the_checked_gradient(self):
+        # one epoch is exactly one step along loss_and_grad's gradient
+        h, y, w, include = _seeded_problem(7)
+        for weight_decay in (0.0, 0.3):
+            cfg = TrainConfig(lr=0.2, epochs=1, weight_decay=weight_decay)
+            stepped = train_linear(h, y, include, cfg, warm_start=w).w
+            _, grad = loss_and_grad(h, y.y, w, weight_decay)
+            assert np.array_equal(stepped, w - 0.2 * grad)
 
     def test_zero_epochs_returns_warm_start(self, rng):
         h, y, w, include = _seeded_problem(1)
@@ -175,7 +185,7 @@ class TestTrainLinear:
         rng = np.random.default_rng(9)
         h = rng.standard_normal((8, 2)) * 1e150
         y = _soft(one_hot(rng.integers(0, 2, 8), 2))
-        with pytest.raises(NonFiniteLossError):
+        with pytest.raises(NonFiniteLossError, match=r"epoch 1$"):
             train_linear(h, y, np.arange(8), TrainConfig(lr=1e200, epochs=50))
 
 

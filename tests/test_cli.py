@@ -79,6 +79,40 @@ class TestCli:
         snaps = sorted((tmp / "cur" / "snapshots").glob("snapshot_*.csv"))
         assert len(snaps) == 3
 
+    def test_train_split_without_the_highest_class(self, workspace, capsys):
+        from graphain.graph import build_graph
+        from graphain.io import load_dataset, save_dataset
+
+        tmp, cfg, data = workspace
+        g = load_dataset(data)
+        nodes = np.arange(g.n)
+        train = nodes[(g.labels < g.num_classes - 1) & (nodes % 3 == 0)]
+        masks = (train, nodes[nodes % 3 == 1], nodes[nodes % 3 == 2])
+        assert (g.labels[masks[1]] == g.num_classes - 1).any()
+        partial = tmp / "partial"
+        save_dataset(build_graph(g.edges, g.n, g.features, y=g.labels, masks=masks), partial)
+        for command in ("train", "curriculum"):
+            assert main(
+                [command, "--graph", str(partial), "--config", str(cfg),
+                 "--out", str(tmp / command)]
+            ) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_d0_above_embedding_dim_exits_2(self, workspace, capsys):
+        tmp, cfg, data = workspace
+        bad = tmp / "wide_d0.txt"
+        bad.write_text(CFG.replace("propagation.d0 = 4", "propagation.d0 = 10"))
+        for command in (["echo-config"], ["curriculum", "--graph", str(data)]):
+            assert main(command + ["--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ")
+            assert "propagation.d0 = 10" in err
+            assert "propagation.embedding_dim = 4" in err
+        # d0 only bounds the rsoft filter
+        sgc = tmp / "sgc.txt"
+        sgc.write_text(bad.read_text() + "propagation.variant = sgc\n")
+        assert main(["echo-config", "--config", str(sgc)]) == 0
+
     def test_export_snapshots_reuses_the_run(self, workspace, monkeypatch):
         import graphain.experiment as experiment
         from graphain.config import load_config

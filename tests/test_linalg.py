@@ -11,7 +11,6 @@ from graphain.errors import (
 )
 from graphain.linalg import (
     SpectralFilterParams,
-    inv_sqrt,
     orthonormal_projection,
     principal_subspace_distance,
     soft_spectral_filter,
@@ -91,36 +90,12 @@ class TestSymEig:
             sym_eig(np.eye(2))
 
 
-class TestInvSqrt:
-    def test_identity(self):
-        assert np.abs(inv_sqrt(np.eye(4)) - np.eye(4)).max() <= 1e-12
-
-    def test_diagonal(self):
-        out = inv_sqrt(np.diag([4.0, 9.0]))
-        assert out == pytest.approx(np.diag([0.5, 1.0 / 3.0]))
-
-    def test_isotropic_rotation_invariance(self):
-        q = _random_rotation(2, 3)
-        s = q @ (4.0 * np.eye(2)) @ q.T
-        assert np.abs(inv_sqrt(s) - 0.5 * np.eye(2)).max() <= 1e-10
-
-    def test_inverse_property(self, rng):
-        m = rng.standard_normal((6, 4))
-        s = m.T @ m + 0.5 * np.eye(4)
-        r = inv_sqrt(s)
-        assert np.abs(r @ s @ r - np.eye(4)).max() <= 1e-8
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficientError):
-            inv_sqrt(np.diag([1.0, 0.0]))
-
-
 class TestSoftSpectralFilter:
     def test_hard_reduction(self, rng):
         b = rng.standard_normal((10, 4))
         params = SpectralFilterParams(a=1.0, b=1.0, d0=4)
         out = soft_spectral_filter(b, params)
-        hard = b @ inv_sqrt(b.T @ b)
+        hard = orthonormal_projection(b)
         assert np.abs(out - hard).max() <= 1e-9
         assert np.abs(out.T @ out - np.eye(4)).max() <= 1e-8
 
@@ -207,7 +182,7 @@ class TestOrthonormalProjection:
         for seed in range(10):
             m = np.random.default_rng(seed).standard_normal((9, 4))
             via_svd = orthonormal_projection(m)
-            via_gram = m @ inv_sqrt(m.T @ m)
+            via_gram = soft_spectral_filter(m, SpectralFilterParams(a=1.0, b=1.0, d0=4))
             assert np.abs(via_svd - via_gram).max() <= 1e-8
 
     def test_idempotent(self, rng):

@@ -15,7 +15,6 @@ from graphain.graph import (
 )
 from graphain.linalg import (
     SpectralFilterParams,
-    inv_sqrt,
     orthonormal_projection,
     soft_spectral_filter,
 )
@@ -23,14 +22,13 @@ from graphain.oracles import dense_abar, top_d_eigvectors
 from graphain.propagation import (
     PropagationConfig,
     fuzzy_update,
-    graphain_step,
     init_trace,
     pairnorm_step,
     residual_combine,
     run_fuzzy_r_softgraphain,
-    sgc_propagate,
 )
 from graphain.synthetic import random_connected_graph
+from graphain.verify import hard_whiten
 
 
 def _cfg(**kw):
@@ -77,10 +75,12 @@ class TestPropagationConfig:
 
 
 class TestGraphainStep:
+    """The hard step: the soft filter at a = b = 1 on the centered aggregate."""
+
     def test_orthonormal_and_centered_on_path(self):
         g = _path_graph(4, 2, seed=5)
         op = normalized_adjacency(g)
-        h = graphain_step(g.features, op)
+        h = hard_whiten(apply_centering(apply_operator(op, g.features)))
         assert np.abs(h.T @ h - np.eye(2)).max() <= 1e-9
         assert np.abs(h.sum(axis=0)).max() <= 1e-9
 
@@ -91,7 +91,7 @@ class TestGraphainStep:
         assert lam[1] - lam[2] > 1e-6  # gapped instance, fixed seed
         u = top_d_eigvectors(abar, 2)
         op = normalized_adjacency(g)
-        out = graphain_step(u, op)
+        out = hard_whiten(apply_centering(apply_operator(op, u)))
         from graphain.linalg import principal_subspace_distance
 
         assert principal_subspace_distance(out, u) <= 1e-8
@@ -99,20 +99,18 @@ class TestGraphainStep:
     def test_two_clique_degenerate(self):
         g = build_graph([(0, 1)], 2, np.ones((2, 2)))
         op = normalized_adjacency(g)
+        x = np.random.default_rng(0).standard_normal((2, 2))
         with pytest.raises(RankDeficientError):
-            graphain_step(np.random.default_rng(0).standard_normal((2, 2)), op)
+            hard_whiten(apply_centering(apply_operator(op, x)))
 
 
 class TestSoftStep:
     def test_hard_reduction(self):
         g = _path_graph(6, 3, seed=2)
         op = normalized_adjacency(g)
-        hard = graphain_step(g.features, op)
-        soft = soft_spectral_filter(
-            apply_centering(apply_operator(op, g.features)),
-            SpectralFilterParams(a=1.0, b=1.0, d0=3),
-        )
-        assert np.abs(hard - soft).max() <= 1e-9
+        b = apply_centering(apply_operator(op, g.features))
+        soft = soft_spectral_filter(b, SpectralFilterParams(a=1.0, b=1.0, d0=3))
+        assert np.abs(orthonormal_projection(b) - soft).max() <= 1e-9
 
     def test_a_zero_is_centered_aggregation(self):
         g = _path_graph(6, 3, seed=2)
@@ -210,7 +208,7 @@ class TestRunner:
         op = normalized_adjacency(g)
         h = g.features
         for _ in range(5):
-            h = graphain_step(h, op)
+            h = orthonormal_projection(apply_centering(apply_operator(op, h)))
         assert np.abs(out - h).max() <= 1e-9
 
     def test_trace_sweep_stays_orthonormal(self):
@@ -282,7 +280,7 @@ class TestRunner:
         )
         h = g.features
         for t, layer_h in seen:
-            h = sgc_propagate(h, op, 1) if variant == "sgc" else pairnorm_step(h, op, 1.0)
+            h = apply_operator(op, h) if variant == "sgc" else pairnorm_step(h, op, 1.0)
             assert np.array_equal(layer_h, h)
         assert [t for t, _ in seen] == [1, 2, 3, 4, 5]
         assert out is seen[-1][1]
@@ -294,20 +292,14 @@ class TestRunner:
 
 
 class TestSgc:
-    def test_zero_layers(self, rng):
-        g = _path_graph(4, 2)
-        op = normalized_adjacency(g)
-        x = rng.standard_normal((4, 2))
-        assert np.array_equal(sgc_propagate(x, op, 0), x)
-
     def test_triangle_one_step_fixed_point(self):
         iu, ju = np.triu_indices(3, k=1)
-        g = build_graph(np.column_stack([iu, ju]), 3, np.zeros((3, 1)))
-        op = normalized_adjacency(g)
         e1 = np.array([[1.0], [0.0], [0.0]])
-        one = sgc_propagate(e1, op, 1)
+        g = build_graph(np.column_stack([iu, ju]), 3, e1)
+        one = run_fuzzy_r_softgraphain(g, _cfg(layers=1), variant="sgc")
         assert one == pytest.approx(np.full((3, 1), 1 / 3))
-        assert sgc_propagate(e1, op, 7) == pytest.approx(one)
+        seven = run_fuzzy_r_softgraphain(g, _cfg(layers=7), variant="sgc")
+        assert seven == pytest.approx(one)
 
 
 class TestPairnorm:
@@ -358,7 +350,7 @@ class TestTheoremOneProperties:
         h = g.features
         n, d = h.shape
         for _ in range(10):
-            h = graphain_step(h, op)
+            h = hard_whiten(apply_centering(apply_operator(op, h)))
             assert np.abs(h.sum(axis=0)).max() <= 1e-9
             assert np.abs(h.T @ h - np.eye(d)).max() <= 1e-8
             assert np.abs(apply_centering(h) - h).max() <= 1e-10
@@ -375,7 +367,7 @@ class TestTheoremOneProperties:
         h = x0
         oracle = x0
         for _ in range(10):
-            h = graphain_step(h, op)
+            h = hard_whiten(apply_centering(apply_operator(op, h)))
             oracle = orthonormal_projection(abar @ oracle)
             assert np.abs(h - oracle).max() <= 1e-8
 
@@ -389,7 +381,7 @@ class TestTheoremOneProperties:
         for alpha, beta, gamma in ((0.5, 0.3, 0.2), (0.8, 0.1, 0.1), (1.0, 0.0, 0.0)):
             cfg = _cfg(alpha=alpha, beta=beta, gamma=gamma)
             b = residual_combine(h0, h0, anchor, cfg, op)
-            produced = b @ inv_sqrt(b.T @ b)
+            produced = hard_whiten(b)
             grad = abar @ h0 - h0 - (gamma / alpha) * (h0 - anchor)
             oracle = orthonormal_projection(h0 + alpha * grad)
             assert np.abs(produced - oracle).max() <= 1e-8
