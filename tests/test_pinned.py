@@ -24,6 +24,12 @@ config.  They and the hashes in ``test_config_echo_and_hash_are_pinned``
 were produced before the config keys moved into one table, and must match
 byte for byte.
 
+``generator_digests.txt`` holds the sha256 of the ``edges``, ``features`` and
+``labels`` bytes that ``gen_gaussian_cluster_graph`` returns for the specs in
+``GENERATOR_SPECS`` (the benchmark's ``wide`` and ``files`` graphs) at three
+seeds each.  It was written by the dense n x n edge draw, before the draw
+moved to row blocks, and must match exactly.
+
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
 ``|new - ref| <= 1e-12 * |ref| + 1e-12``.  Measured against the reference,
@@ -34,6 +40,7 @@ floor covers values of that kind.
 """
 
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -45,6 +52,7 @@ from graphain.config import (
     render_config,
 )
 from graphain.experiment import run_experiment
+from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph
 
 PINNED = Path(__file__).parent / "pinned"
 HARD_OVERRIDES = {
@@ -55,6 +63,12 @@ HARD_OVERRIDES = {
     "propagation.b": "1",
     "propagation.d0": "3",
     "propagation.embedding_dim": "3",
+}
+GENERATOR_SPECS = {
+    "wide": dict(clusters=3, nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005),
+    "files": dict(
+        clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32
+    ),
 }
 REL_TOL = 1e-12
 ABS_TOL = 1e-12
@@ -152,3 +166,21 @@ def test_config_echo_and_hash_are_pinned(raw, echo, digest):
     cfg = build_experiment_config(raw)
     assert render_config(cfg).encode("utf-8") == (PINNED / echo).read_bytes()
     assert config_hash(cfg) == digest
+
+
+def generator_digests() -> str:
+    """One line per spec, seed and array: dtype, shape and sha256 of the bytes."""
+    lines = []
+    for name, fields in GENERATOR_SPECS.items():
+        for seed in (0, 1, 2):
+            g = gen_gaussian_cluster_graph(SyntheticSpec(**fields, seed=seed))
+            for field in ("edges", "features", "labels"):
+                arr = getattr(g, field)
+                digest = hashlib.sha256(arr.tobytes()).hexdigest()
+                lines.append(f"{name} {seed} {field} {arr.dtype} {arr.shape} {digest}")
+    return "\n".join(lines) + "\n"
+
+
+def test_generator_digests_are_pinned():
+    pinned = (PINNED / "generator_digests.txt").read_text(encoding="utf-8")
+    assert generator_digests() == pinned
