@@ -25,7 +25,6 @@ from .classifier import LinearClassifier, accuracy, predict
 from .errors import (
     DegenerateGapError,
     NotOrthonormalError,
-    ParseError,
     TooLargeError,
 )
 from .graph import Graph
@@ -151,29 +150,3 @@ def records_to_csv(records, path) -> None:
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def records_from_csv(path) -> list:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(path, 1, "missing or wrong diagnostics header")
-    records = []
-    for no, line in enumerate(lines[1:], start=2):
-        toks = line.split(",")
-        if len(toks) != 7:
-            raise ParseError(path, no, f"expected 7 columns, got {len(toks)}")
-        try:
-            records.append(
-                DiagnosticsRecord(
-                    layer=int(toks[0]),
-                    mean_pairwise_sq_dist=float(toks[1]),
-                    frob_sq=float(toks[2]),
-                    column_gram_dev=float(toks[3]),
-                    column_sum_dev=float(toks[4]),
-                    subspace_dist=None if toks[5] == "" else float(toks[5]),
-                    accuracy=None if toks[6] == "" else float(toks[6]),
-                )
-            )
-        except ValueError as err:
-            raise ParseError(path, no, str(err)) from err
-    return records

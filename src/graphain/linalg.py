@@ -94,6 +94,8 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
     (1 - a); kept channels map singular values s to (1-a) s + a s^(1-b).
     Kept eigenvalues under the relative cutoff are dropped; if every channel
     underflows while a whitening exponent is active, the input is degenerate.
+    Hard whitening (a = b = 1) drops none: a channel under the cutoff would
+    leave the output short of orthonormal, so it raises instead.
     """
     b = np.asarray(b, dtype=np.float64)
     d = b.shape[1]
@@ -116,6 +118,11 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
             raise RankDeficientError(
                 "all eigenchannels underflow the rank cutoff; "
                 "input is degenerate (reduce width or lower a)"
+            )
+        if params.a == 1.0 and params.b == 1.0 and kept.size < d0:
+            raise RankDeficientError(
+                f"hard whitening keeps {kept.size} of {d0} eigenchannels above "
+                "the rank cutoff; the output would not be orthonormal"
             )
         scale = lam[kept] ** (-0.5 * params.b)
     uk = pair.u[:, kept]

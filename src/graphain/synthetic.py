@@ -1,5 +1,11 @@
 """Synthetic data: Gaussian cluster graphs, feature noising, splits, and the
-seeded random connected graphs the verification suites run on."""
+seeded random connected graphs the verification suites run on.
+
+The cluster graph's Bernoulli edge draw runs in blocks of
+block = max(1, _DRAW_BLOCK // n) rows, so its working memory is O(block * n)
+(about 2^20 entries, or one row once n exceeds that) plus the edge list,
+not O(n^2).  It still makes all n^2 uniform draws, so time stays quadratic.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Graph, build_graph
+
+_DRAW_BLOCK = 1 << 20  # uniform draws per row block of the cluster graph's edges
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,14 @@ class SyntheticSpec:
 
 
 def gen_gaussian_cluster_graph(spec: SyntheticSpec) -> Graph:
-    """Deterministic per seed; labels are the cluster ids, masks stay empty."""
+    """Deterministic per seed; labels are the cluster ids, masks stay empty.
+
+    Node pair (i, j), i < j, is an edge when the (i, j) entry of an n x n
+    uniform draw falls under its probability.  The draw is taken in row
+    blocks, in row-major order, so the PCG64 stream is consumed exactly as
+    by one n x n draw and the edges come out in the same order:
+    O(block * n) working memory, O(n^2) draws.
+    """
     rng = np.random.default_rng(spec.seed)
     n = spec.clusters * spec.nodes_per_cluster
     centers = spec.center_spread * rng.standard_normal(
@@ -44,12 +59,17 @@ def gen_gaussian_cluster_graph(spec: SyntheticSpec) -> Graph:
     features = centers[labels] + spec.feature_sigma * rng.standard_normal(
         (n, spec.centers_dim)
     )
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, spec.intra_p, spec.inter_p)
-    draw = rng.random((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    keep = draw[iu, ju] < prob[iu, ju]
-    edges = np.column_stack([iu[keep], ju[keep]])
+    rows_per_block = max(1, _DRAW_BLOCK // n)
+    heads, tails = [], []
+    for start in range(0, n, rows_per_block):
+        stop = min(n, start + rows_per_block)
+        draw = rng.random((stop - start, n))
+        same = labels[start:stop, None] == labels[None, :]
+        keep = draw < np.where(same, spec.intra_p, spec.inter_p)
+        rows, cols = np.nonzero(np.triu(keep, k=start + 1))  # j > i, row-major
+        heads.append(rows + start)
+        tails.append(cols)
+    edges = np.column_stack([np.concatenate(heads), np.concatenate(tails)])
     return build_graph(edges, n, features, y=labels)
 
 

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diagnostics_csv import records_from_csv
 from graphain.cli import main
-from graphain.diagnostics import records_from_csv
 
 CFG = """
 synthetic.clusters = 3

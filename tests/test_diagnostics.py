@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from diagnostics_csv import records_from_csv
 from graphain.classifier import LinearClassifier
 from graphain.diagnostics import (
     DiagnosticsRecord,
     LayerRecorder,
     pairwise_stats,
-    records_from_csv,
     records_to_csv,
 )
 from graphain.graph import (

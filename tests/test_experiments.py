@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from graphain.errors import (
 )
 from graphain.experiment import run_experiment, run_seed, rows_to_csv
 from graphain.io import load_dataset, save_dataset
+import graphain.synthetic as synthetic
 from graphain.synthetic import (
     SyntheticSpec,
     add_feature_noise,
@@ -40,7 +42,78 @@ def _edge_homophily(g):
     return float(same.mean())
 
 
+def _dense_cluster_graph(spec):
+    """The cluster graph drawn as one n x n uniform matrix, as before the
+    draw moved to row blocks: (raw edge array, features, labels)."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.clusters * spec.nodes_per_cluster
+    centers = spec.center_spread * rng.standard_normal(
+        (spec.clusters, spec.centers_dim)
+    )
+    labels = np.repeat(np.arange(spec.clusters, dtype=np.int64), spec.nodes_per_cluster)
+    features = centers[labels] + spec.feature_sigma * rng.standard_normal(
+        (n, spec.centers_dim)
+    )
+    same = labels[:, None] == labels[None, :]
+    prob = np.where(same, spec.intra_p, spec.inter_p)
+    draw = rng.random((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = draw[iu, ju] < prob[iu, ju]
+    return np.column_stack([iu[keep], ju[keep]]), features, labels
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("probs", [(1.0, 0.0), (0.3, 0.02)], ids=["full", "sparse"])
+    @pytest.mark.parametrize(
+        "clusters, per_cluster, block",
+        [
+            (2, 3, 64),  # the whole draw in one block
+            (2, 10, 64),  # three rows a block, a two-row remainder
+            (2, 32, 64),  # n = block: one row a block
+            (3, 21, 64),  # n = block - 1
+            (5, 13, 64),  # n = block + 1
+            (3, 40, None),  # production block size
+        ],
+    )
+    def test_row_blocks_match_dense_draw(
+        self, monkeypatch, probs, clusters, per_cluster, block
+    ):
+        if block is not None:
+            monkeypatch.setattr(synthetic, "_DRAW_BLOCK", block)
+        raw = []
+        real_build = synthetic.build_graph
+
+        def capture(edges, *args, **kwargs):
+            raw.append(edges)
+            return real_build(edges, *args, **kwargs)
+
+        monkeypatch.setattr(synthetic, "build_graph", capture)
+        for seed in (0, 1, 2):
+            spec = _spec(
+                clusters=clusters,
+                nodes_per_cluster=per_cluster,
+                intra_p=probs[0],
+                inter_p=probs[1],
+                seed=seed,
+            )
+            g = gen_gaussian_cluster_graph(spec)
+            edges, features, labels = _dense_cluster_graph(spec)
+            assert raw[-1].dtype == edges.dtype
+            assert np.array_equal(raw[-1], edges)
+            assert np.array_equal(g.features, features)
+            assert np.array_equal(g.labels, labels)
+
+    def test_wide_generation_peak_memory(self):
+        # The dense n x n draw peaked near 300 MB here; row blocks need ~20 MB.
+        spec = _spec(nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005, seed=0)
+        tracemalloc.start()
+        try:
+            gen_gaussian_cluster_graph(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_deterministic_per_seed(self):
         a = gen_gaussian_cluster_graph(_spec())
         b = gen_gaussian_cluster_graph(_spec())

@@ -160,6 +160,16 @@ class TestSoftSpectralFilter:
                 np.zeros((4, 2)), SpectralFilterParams(a=1.0, b=1.0, d0=2)
             )
 
+    def test_hard_whitening_rejects_rank_deficient_input(self):
+        # centred and rank 1 but not zero: dropping the null channel would
+        # return a layer whose Gram is 0.8 away from the identity
+        v = np.arange(10.0) - 4.5
+        b = np.column_stack([v, 2.0 * v])
+        with pytest.raises(RankDeficientError, match="keeps 1 of 2 eigenchannels"):
+            soft_spectral_filter(b, SpectralFilterParams(a=1.0, b=1.0, d0=2))
+        soft = soft_spectral_filter(b, SpectralFilterParams(a=1.0, b=0.5, d0=2))
+        assert np.isfinite(soft).all()
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             SpectralFilterParams(a=1.5, b=0.0, d0=1)

@@ -251,6 +251,15 @@ class TestRunner:
         with pytest.raises(RankDeficientError, match="layer 1"):
             run_fuzzy_r_softgraphain(g, cfg)
 
+    def test_rank_deficient_hard_layer_names_the_layer(self):
+        # proportional feature columns: every centred aggregate is rank 1
+        v = np.random.default_rng(4).standard_normal(10)
+        g = random_connected_graph(10, 0.3, seed=5)
+        g = build_graph(g.edges, g.n, np.column_stack([v, 2.0 * v]))
+        cfg = _cfg(layers=3, filter=SpectralFilterParams(a=1.0, b=1.0, d0=2))
+        with pytest.raises(RankDeficientError, match="^layer 1: hard whitening keeps 1 of 2"):
+            run_fuzzy_r_softgraphain(g, cfg)
+
     def test_reducer_maps_width(self):
         g = random_connected_graph(10, 0.3, seed=5, feature_dim=7)
         reducer = np.random.default_rng(0).standard_normal((7, 3)) / np.sqrt(7)
