@@ -30,6 +30,15 @@ byte for byte.
 seeds each.  It was written by the dense n x n edge draw, before the draw
 moved to row blocks, and must match exactly.
 
+``train_linear_digests.txt`` holds, for each problem in
+``TRAIN_LINEAR_PROBLEMS`` (rows, classes, weight decay), the sha256 of the
+weights ``train_linear`` returns after 300 epochs, or for ten classes the
+weights themselves.  It was written while ``softmax_with_log`` still reduced
+each row with ``max(axis=1)`` and ``sum(axis=1)``.  Up to seven classes the
+weights must match bit for bit.  From eight classes on numpy sums a row
+pairwise, so a kernel that adds the class columns in order may differ in the
+last bit there; the ten-class weights are held to the float tolerance below.
+
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
 ``|new - ref| <= 1e-12 * |ref| + 1e-12``.  Measured against the reference,
@@ -45,6 +54,9 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+from graphain.classifier import TrainConfig, train_linear
 from graphain.config import (
     build_experiment_config,
     config_hash,
@@ -52,6 +64,7 @@ from graphain.config import (
     render_config,
 )
 from graphain.experiment import run_experiment
+from graphain.labels import SoftLabelMatrix
 from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph
 
 PINNED = Path(__file__).parent / "pinned"
@@ -70,6 +83,12 @@ GENERATOR_SPECS = {
         clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32
     ),
 }
+TRAIN_LINEAR_PROBLEMS = [
+    (rows, classes, weight_decay)
+    for rows in (30, 300, 3000)
+    for classes in (2, 3, 5, 7, 10)
+    for weight_decay in (0.0, 5e-4)
+]
 REL_TOL = 1e-12
 ABS_TOL = 1e-12
 
@@ -184,3 +203,46 @@ def generator_digests() -> str:
 def test_generator_digests_are_pinned():
     pinned = (PINNED / "generator_digests.txt").read_text(encoding="utf-8")
     assert generator_digests() == pinned
+
+
+def _train_linear_weights(rows, classes, weight_decay):
+    """Weights after 300 epochs on a seeded soft-label problem, d = 8, with
+    every fifth row masked and left out of the included subset."""
+    rng = np.random.default_rng([rows, classes])
+    h = rng.standard_normal((rows, 8))
+    y = rng.dirichlet(np.full(classes, 0.3), size=rows)
+    masked = np.arange(rows) % 5 == 4
+    y[masked] = 0.0
+    labels = SoftLabelMatrix(y=y, masked=masked)
+    cfg = TrainConfig(lr=0.5, epochs=300, weight_decay=weight_decay, lr_decay_epoch=200)
+    return train_linear(h, labels, labels.unmasked_indices(), cfg).w
+
+
+def train_linear_digests() -> str:
+    """One line per problem: rows, classes, weight decay, then the sha256 of
+    the weight bytes, or for ten classes every weight."""
+    lines = []
+    for rows, classes, weight_decay in TRAIN_LINEAR_PROBLEMS:
+        w = _train_linear_weights(rows, classes, weight_decay)
+        if classes <= 7:
+            value = hashlib.sha256(w.tobytes()).hexdigest()
+        else:
+            value = " ".join(repr(float(v)) for v in w.ravel())
+        lines.append(f"{rows} {classes} {weight_decay!r} {value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_train_linear_digests_are_pinned():
+    pinned = (PINNED / "train_linear_digests.txt").read_text(encoding="utf-8")
+    new = train_linear_digests()
+    for new_line, ref_line in zip(new.splitlines(), pinned.splitlines(), strict=True):
+        new_fields, ref_fields = new_line.split(), ref_line.split()
+        assert new_fields[:3] == ref_fields[:3]
+        if int(ref_fields[1]) <= 7:
+            assert new_fields == ref_fields, f"train_linear digest moved: {ref_line}"
+            continue
+        assert len(new_fields) == len(ref_fields), ref_line
+        for got, want in zip(map(float, new_fields[3:]), map(float, ref_fields[3:])):
+            assert abs(got - want) <= REL_TOL * abs(want) + ABS_TOL, (
+                f"{ref_fields[:3]}: weight {got!r} vs pinned {want!r}"
+            )
