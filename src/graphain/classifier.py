@@ -4,6 +4,12 @@ Training is deterministic full-batch gradient descent on the convex
 cross-entropy plus L2 objective.  One kernel, ``loss_and_grad``, gives the
 objective and its analytic gradient to both training and evaluation, and the
 finite-difference checks in the test suite differentiate that same kernel.
+
+Cost per epoch on n rows, width d and C classes: two GEMMs, ``h @ w`` and
+``h.T @ (probs - y)``, at O(n d C) each, plus O(n C) elementwise work in
+``softmax_with_log``, whose row max and normaliser are sweeps over the C
+class columns; no reduction runs along the class axis.  The loss, kept each
+epoch for the finiteness check, is one O(n C) sum.
 """
 
 from __future__ import annotations
@@ -48,11 +54,22 @@ class TrainConfig:
 def softmax_with_log(logits: np.ndarray):
     """Row-stabilized softmax; returns (probabilities, log-probabilities).
 
-    Single kernel shared by the loss, the gradient, and prediction.
+    Single kernel shared by the loss, the gradient, and prediction.  The row
+    max and the normaliser are sweeps over the C class columns, each step one
+    elementwise operation on n values: a numpy reduction along the short
+    class axis costs far more than its arithmetic.  The columns are added in
+    order, as numpy's row sum does below eight classes, so there the result
+    equals the row-reduction form bit for bit.
     """
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    top = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    shifted = logits - top[:, None]
     e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
+    z = e[:, 0].copy()
+    for j in range(1, e.shape[1]):
+        z += e[:, j]
+    z = z[:, None]
     return e / z, shifted - np.log(z)
 
 

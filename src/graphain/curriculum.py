@@ -89,6 +89,9 @@ def estimate_labels_teacher(
     probs = np.asarray(teacher_probs, dtype=np.float64)
     if probs.ndim != 2:
         raise RowNotStochasticError("teacher output must be an n x C matrix")
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise RowNotStochasticError(f"teacher row {bad[0]} is not finite")
     sums = probs.sum(axis=1)
     if probs.size and (float(probs.min()) < -1e-12 or float(np.abs(sums - 1.0).max()) > 1e-6):
         raise RowNotStochasticError("teacher rows are not probability distributions")

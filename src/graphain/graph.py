@@ -90,14 +90,15 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
             f"features[{row}, {col}] is {x[row, col]}; features must be finite"
         )
 
-    edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         if edges.min() < 0 or edges.max() >= n:
             raise IndexOutOfRangeError(f"edge endpoint outside [0, {n})")
         edges = edges[edges[:, 0] != edges[:, 1]]
-        lo = edges.min(axis=1)
-        hi = edges.max(axis=1)
-        edges = np.unique(np.column_stack([lo, hi]), axis=0)
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        # lo * n + hi sorts as the (lo, hi) rows do; it fits int64 while n < 3e9.
+        edges = np.column_stack(np.divmod(np.unique(lo * n + hi), n))
     else:
         edges = edges.reshape(0, 2)
 

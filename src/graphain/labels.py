@@ -23,6 +23,10 @@ class SoftLabelMatrix:
             raise ValueError("soft labels need at least two classes")
         if masked.shape != (y.shape[0],):
             raise ValueError("mask must have one flag per node")
+        bad = np.argwhere(~np.isfinite(y))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"soft labels must be finite; y[{row}, {col}] is {y[row, col]}")
         if y.size and float(y.min()) < 0.0:
             raise ValueError("soft labels must be nonnegative")
         if masked.any() and float(np.abs(y[masked]).max(initial=0.0)) != 0.0:

@@ -189,6 +189,36 @@ class TestTrainLinear:
             train_linear(h, y, np.arange(8), TrainConfig(lr=1e200, epochs=50))
 
 
+def _softmax_by_row_reductions(logits):
+    """The row-reduction form of the softmax kernel: ``max`` and ``sum``
+    along the class axis."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    return e / z, shifted - np.log(z)
+
+
+class TestSoftmaxKernel:
+    @pytest.mark.parametrize("c", range(1, 8))
+    def test_bit_equal_to_row_reductions(self, c):
+        local = np.random.default_rng(c)
+        scale = local.choice([1e-3, 1.0, 30.0, 700.0], size=(400, 1))
+        logits = local.standard_normal((400, c)) * scale
+        for got, want in zip(softmax_with_log(logits), _softmax_by_row_reductions(logits)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 7])
+    def test_non_finite_rows_match_row_reductions(self, c):
+        logits = np.random.default_rng(c).standard_normal((5, c))
+        logits[1, c // 2] = np.nan
+        logits[2, c - 1] = np.inf
+        logits[3] = -np.inf
+        logits[4, 0] = -np.inf
+        for got, want in zip(softmax_with_log(logits), _softmax_by_row_reductions(logits)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestPredict:
     def test_zero_weights_tie_to_class_zero(self, rng):
         h = rng.standard_normal((6, 3))

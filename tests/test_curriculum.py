@@ -62,6 +62,19 @@ class TestEstimateLabels:
         with pytest.raises(RowNotStochasticError):
             estimate_labels_teacher(np.array([[0.5, 0.2]]), [], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_teacher_rows(self, bad):
+        probs = np.array([[0.5, 0.5], [0.3, 0.7], [bad, 0.5], [bad, bad]])
+        with pytest.raises(RowNotStochasticError, match=r"teacher row 2 "):
+            estimate_labels_teacher(probs, [0], [0])
+
+
+class TestSoftLabelMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match=r"y\[0, 1\]"):
+            SoftLabelMatrix(y=[[0.5, bad], [0.2, 0.8]], masked=[False, False])
+
 
 class TestKnnAuxGraph:
     def test_k_at_least_n_minus_one_gives_complete(self, rng):

@@ -20,6 +20,16 @@ from graphain.oracles import dense_abar, dense_ahat
 from graphain.synthetic import random_connected_graph
 
 
+def _canonical_edges_by_rows(edge_list):
+    """Reference canonical edges by rows: drop self-loops, order each pair,
+    then ``np.unique`` over the (lo, hi) rows."""
+    edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+    if not edges.size:
+        return edges.reshape(0, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return np.unique(np.column_stack([edges.min(axis=1), edges.max(axis=1)]), axis=0)
+
+
 def _complete_graph(n, feature_dim=1):
     iu, ju = np.triu_indices(n, k=1)
     return build_graph(np.column_stack([iu, ju]), n, np.zeros((n, feature_dim)))
@@ -63,6 +73,37 @@ class TestBuildGraph:
     def test_num_classes(self):
         g = build_graph([], 3, np.zeros((3, 1)), y=[2, -1, 0])
         assert g.num_classes == 3
+
+    @pytest.mark.parametrize(
+        "edge_list, n",
+        [
+            ([], 1),
+            ([(0, 0)], 1),
+            ([], 4),
+            ([(2, 2), (1, 1)], 3),
+            ([(3, 1), (1, 3), (0, 2), (2, 0), (3, 1), (1, 1), (0, 3)], 4),
+            (np.array([[4, 0], [0, 4], [2, 3], [3, 2], [2, 3], [1, 4], [0, 1]]), 5),
+            (np.zeros((0, 2), dtype=np.int64), 2),
+        ],
+        ids=["n1-empty", "n1-self-loop", "empty", "only-self-loops", "list", "array",
+             "empty-array"],
+    )
+    def test_edges_match_row_unique(self, edge_list, n):
+        g = build_graph(edge_list, n, np.zeros((n, 1)))
+        assert g.edges.dtype == np.int64
+        assert np.array_equal(g.edges, _canonical_edges_by_rows(edge_list))
+
+    @given(st.integers(1, 40), st.integers(0, 200), st.integers(0, 2**32 - 1))
+    def test_shuffled_duplicated_reversed_edges_match_row_unique(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, size=(m, 2))
+        edges = np.concatenate([edges, edges[:, ::-1], edges[: m // 3]])
+        edges = edges[rng.permutation(edges.shape[0])]
+        g = build_graph(edges, n, np.zeros((n, 1)))
+        assert np.array_equal(g.edges, _canonical_edges_by_rows(edges))
+        assert np.array_equal(
+            build_graph(edges.tolist(), n, np.zeros((n, 1))).edges, g.edges
+        )
 
 
 class TestNormalizedAdjacency:

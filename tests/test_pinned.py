@@ -52,9 +52,8 @@ import csv
 import hashlib
 from pathlib import Path
 
-import pytest
-
 import numpy as np
+import pytest
 
 from graphain.classifier import TrainConfig, train_linear
 from graphain.config import (
