@@ -85,10 +85,11 @@ def _load_features(path: Path) -> np.ndarray:
 
 
 def _load_pairs(path: Path, header: str):
-    """Parse `node,value` lines, skipping an optional header."""
+    """Parse `node,value` lines, skipping an optional header on the first
+    content line (after any blank or comment lines)."""
     out = []
-    for no, line in _read_lines(path):
-        if no == 1 and line.replace(" ", "") == header:
+    for index, (no, line) in enumerate(_read_lines(path)):
+        if index == 0 and line.replace(" ", "") == header:
             continue
         toks = [t.strip() for t in line.split(",")]
         if len(toks) != 2:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,12 +139,44 @@ class TestKnnAuxGraph:
     def test_matches_dense_oracle_across_row_blocks(self, monkeypatch):
         import graphain.curriculum as curriculum
 
+        # 37 points on the 3 x 3 integer grid: exact ties and duplicates.
         vecs = np.random.default_rng(5).integers(-1, 2, size=(37, 2)).astype(float)
-        monkeypatch.setattr(curriculum, "_KNN_BLOCK", 100)  # two rows a block
-        aux = build_knn_aux_graph(vecs, 5, 1.0)
-        edges, weights = knn_edges_dense(vecs, 5, 1.0)
-        assert np.array_equal(aux.edges, edges)
-        assert np.array_equal(aux.weights, weights)
+        blocks = [
+            37,  # one row a block
+            36,  # n = block + 1
+            38,  # n = block - 1
+            100,  # two rows a block, a one-row last block
+            185,  # five rows a block, a two-row last block
+            36 * 37,  # 36 rows, then one row over the 36-row buffers
+            37 * 37,  # the whole selection in one block
+        ]
+        for block in blocks:
+            monkeypatch.setattr(curriculum, "_KNN_BLOCK", block)
+            for k in (1, 5):
+                aux = build_knn_aux_graph(vecs, k, 1.0)
+                edges, weights = knn_edges_dense(vecs, k, 1.0)
+                assert np.array_equal(aux.edges, edges), (block, k)
+                assert np.array_equal(aux.weights, weights), (block, k)
+
+    @pytest.mark.parametrize(
+        "n, bound",
+        [
+            # The n x n Gram is 8 n^2 bytes; the row blocks add two float and
+            # one bool buffer of about _KNN_BLOCK entries, allocated once.
+            (3000, 8 * 3000**2 + 24e6),
+            # One block: the buffers hold n rows, not _KNN_BLOCK entries.
+            (300, 5 * 8 * 300**2),
+        ],
+    )
+    def test_knn_peak_memory(self, n, bound):
+        vecs = np.random.default_rng(0).standard_normal((n, 8))
+        tracemalloc.start()
+        try:
+            build_knn_aux_graph(vecs, 7, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

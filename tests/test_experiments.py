@@ -105,14 +105,18 @@ class TestSynthetic:
 
     def test_wide_generation_peak_memory(self):
         # The dense n x n draw peaked near 300 MB here; row blocks need ~20 MB.
-        spec = _spec(nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005, seed=0)
-        tracemalloc.start()
-        try:
-            gen_gaussian_cluster_graph(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        # At 3 x 100 one block holds all n rows, so its buffers stay n x n.
+        for per_cluster, bound in ((1000, 40e6), (100, 4e6)):
+            spec = _spec(
+                nodes_per_cluster=per_cluster, intra_p=0.01, inter_p=0.0005, seed=0
+            )
+            tracemalloc.start()
+            try:
+                gen_gaussian_cluster_graph(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, per_cluster
 
     def test_deterministic_per_seed(self):
         a = gen_gaussian_cluster_graph(_spec())
@@ -256,6 +260,22 @@ class TestDatasetIo:
             load_dataset(tmp_path, require_masks=True)
         g = load_dataset(tmp_path)  # fine without the requirement
         assert g.train_mask.size == 0
+
+    @pytest.mark.parametrize("prefix", ["# written by hand\n", "\n"], ids=["comment", "blank"])
+    @pytest.mark.parametrize(
+        "name, content",
+        [("labels.csv", "node,label\n0,1\n1,0\n"), ("masks.csv", "node,split\n0,train\n1,test\n")],
+        ids=["labels", "masks"],
+    )
+    def test_header_after_comment_or_blank_line(self, tmp_path, prefix, name, content):
+        (tmp_path / "features.csv").write_text("0.0\n0.0\n")
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        (tmp_path / name).write_text(prefix + content)
+        g = load_dataset(tmp_path)
+        if name == "labels.csv":
+            assert g.labels.tolist() == [1, 0]
+        else:
+            assert g.train_mask.tolist() == [0] and g.test_mask.tolist() == [1]
 
     def test_comments_and_blank_lines(self, tmp_path):
         (tmp_path / "features.csv").write_text("0.0\n0.0\n0.0\n")
