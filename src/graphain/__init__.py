@@ -34,7 +34,6 @@ from .graph import (
     Graph,
     NormalizedOperator,
     apply_centering,
-    apply_doubly_centered,
     apply_operator,
     build_graph,
     normalized_adjacency,

@@ -40,7 +40,6 @@ class TrainConfig:
     epochs: int
     weight_decay: float = 0.0
     lr_decay_epoch: int = 10**9  # halve the lr once this epoch is reached
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr <= 0.0:

@@ -49,7 +49,7 @@ def _cmd_propagate(args) -> int:
     out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     recorder = LayerRecorder(g)
-    h, _ = compute_embedding(cfg, g, seed=cfg.seeds[0], observe=recorder)
+    h = compute_embedding(cfg, g, seed=cfg.seeds[0], observe=recorder)
     _write_embeddings(h, out / "embeddings.csv")
     records = recorder.records if args.trace else recorder.records[-1:]
     records_to_csv(records, out / "diagnostics.csv")

@@ -20,6 +20,7 @@ from typing import Callable
 from .classifier import TrainConfig
 from .curriculum import AUX_MODES
 from .errors import ConfigError
+from .io import dataset_digest
 from .linalg import SpectralFilterParams
 from .propagation import VARIANTS, PropagationConfig
 from .synthetic import SyntheticSpec
@@ -113,9 +114,9 @@ class _Key:
     """One config key.
 
     ``attr`` is the attribute path the key sets on ExperimentConfig, the key
-    itself when left empty.  ``hashed`` is false for the run manifest, which
-    ``config_hash`` leaves out so that per-seed rows stay stable across seed
-    lists and output directories.
+    itself when left empty.  ``hashed`` is false where ``config_hash`` must not
+    look: the run manifest, the dataset path (its files' bytes are hashed) and
+    ``synthetic.seed``, which only ``gen`` reads; runs draw from the run seed.
     """
 
     name: str
@@ -131,7 +132,7 @@ class _Key:
 
 # In echo order.  A None default means "not set": only dataset configs set it.
 _KEYS = (
-    _Key("dataset.path", str, None, "dataset directory", attr="dataset_path"),
+    _Key("dataset.path", str, None, "dataset directory", attr="dataset_path", hashed=False),
     _Key("synthetic.clusters", int, 3, "cluster count (>= 2)"),
     _Key("synthetic.nodes_per_cluster", int, 100, "nodes in each cluster"),
     _Key("synthetic.intra_p", _finite, 0.3, "within-cluster edge probability"),
@@ -139,7 +140,7 @@ _KEYS = (
     _Key("synthetic.center_spread", _finite, 6.0, "stddev of the cluster centers"),
     _Key("synthetic.centers_dim", int, 3, "feature dimension of the clusters"),
     _Key("synthetic.feature_sigma", _finite, 1.0, "per-point feature noise"),
-    _Key("synthetic.seed", int, 0, "generation seed used by `gen`"),
+    _Key("synthetic.seed", int, 0, "generation seed used by `gen`", hashed=False),
     _Key("synthetic.train_frac", _finite, 0.1, "stratified train fraction",
          attr="train_frac"),
     _Key("synthetic.val_frac", _finite, 0.2, "stratified val fraction (rest is test)",
@@ -161,7 +162,6 @@ _KEYS = (
     _Key("propagation.layers", int, 16, "depth L >= 1"),
     _Key("propagation.activation", str, "identity", "identity | relu"),
     _Key("propagation.operator_mode", str, "symmetric", "symmetric | random_walk"),
-    _Key("propagation.parametric", _parse_bool, False, "true unlocks relu"),
     _Key("propagation.variant", str, "rsoft", "rsoft | sgc | pairnorm",
          attr="variant"),
     _Key("propagation.embedding_dim", int, 8, "working width d (reducer output)",
@@ -179,7 +179,6 @@ _KEYS = (
     _Key("train.epochs", int, 300, "fine-tune / supervised epochs"),
     _Key("train.weight_decay", _finite, 5e-4, "L2 coefficient"),
     _Key("train.lr_decay_epoch", int, 10**9, "epoch at which the lr is halved"),
-    _Key("train.seed", int, 0, "classifier seed (reserved; init is deterministic)"),
     _Key("noisy_features", _parse_bool, False,
          "replace features by N(0, 1) noise; forces input_graph aux_mode"),
     _Key("seeds", _parse_seeds, (0,), "comma-separated run seeds", hashed=False),
@@ -298,6 +297,9 @@ def render_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Short digest of the scientific configuration (run manifest excluded)."""
+    """Short digest of what results depend on: the hashed keys and, for a
+    dataset config, its files' bytes, wherever they are."""
     lines = [line for key, line in _echo(cfg) if key.hashed]
+    if cfg.dataset_path is not None:
+        lines.append(f"dataset.sha256 = {dataset_digest(cfg.dataset_path)}")
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]

@@ -102,22 +102,20 @@ def prepare_graph(cfg: ExperimentConfig, seed: int) -> Graph:
     return g
 
 
-def _make_reducer(cfg: ExperimentConfig, g: Graph, seed: int):
-    if g.feature_dim == cfg.embedding_dim:
-        return None
-    return make_reducer(g.feature_dim, cfg.embedding_dim, int(_child_seeds(seed)["reducer"]))
-
-
 def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int, observe=None):
-    """Embedding of the configured variant; returns (embedding, reducer).
+    """Embedding of the configured variant.  Features not already
+    ``embedding_dim`` wide are first mapped by the seed's reducer.
 
     ``observe`` is passed to the forward pass, which calls it once per layer.
     """
-    reducer = _make_reducer(cfg, g, seed)
-    h = run_fuzzy_r_softgraphain(
+    reducer = None
+    if g.feature_dim != cfg.embedding_dim:
+        reducer = make_reducer(
+            g.feature_dim, cfg.embedding_dim, int(_child_seeds(seed)["reducer"])
+        )
+    return run_fuzzy_r_softgraphain(
         g, cfg.propagation, reducer=reducer, variant=cfg.variant, observe=observe
     )
-    return h, reducer
 
 
 def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray):
@@ -140,8 +138,8 @@ def run_seed(
     With ``diagnostics_path``, the per-layer diagnostics of the seed's one
     forward pass are written there as CSV.
     """
-    digest = config_hash(cfg)
     with _stage("dataset"):
+        digest = config_hash(cfg)
         g = prepare_graph(cfg, seed)
         if g.train_mask.size == 0:
             raise MissingMaskError("train mask is empty")
@@ -149,7 +147,7 @@ def run_seed(
             raise MissingMaskError("train mask contains unlabeled nodes")
     with _stage("propagation"):
         recorder = None if diagnostics_path is None else LayerRecorder(g)
-        h, _ = compute_embedding(cfg, g, seed, observe=recorder)
+        h = compute_embedding(cfg, g, seed, observe=recorder)
     if recorder is not None:
         records_to_csv(recorder.records, diagnostics_path)
     num_classes = g.num_classes

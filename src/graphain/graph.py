@@ -2,9 +2,9 @@
 
 A Graph stores a deduplicated undirected edge list with no self-loops; the
 self-loop of the augmented adjacency is injected when the operator is built,
-so graphs round-trip cleanly through file I/O.  Centering is implemented as
-"subtract column means" and the doubly centered aggregator is applied by
-composition, so the dense n x n centering matrix is never materialized.
+so graphs round-trip cleanly through file I/O.  Centering subtracts column
+means; ``apply_centering(apply_operator(op, m))`` applies the doubly centered
+aggregator to a column-centered m without the dense n x n centering matrix.
 """
 
 from __future__ import annotations
@@ -182,8 +182,3 @@ def apply_centering(m: np.ndarray) -> np.ndarray:
     """Subtract column means; output column sums are zero."""
     m = np.asarray(m, dtype=np.float64)
     return m - m.mean(axis=0, keepdims=True)
-
-
-def apply_doubly_centered(op: NormalizedOperator, m: np.ndarray) -> np.ndarray:
-    """Apply the doubly centered aggregator by composition, O(n d) extra space."""
-    return apply_centering(apply_operator(op, apply_centering(m)))

@@ -8,6 +8,7 @@ masks.csv      `node,split` with split in {train, val, test} (optional file)
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,26 @@ MASKS_FILE = "masks.csv"
 SPLIT_NAMES = ("train", "val", "test")
 
 
-def _read_lines(path: Path):
+def _read_bytes(path: Path) -> bytes:
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as err:
         raise ParseError(path, 0, f"cannot read file: {err}") from err
+
+
+def dataset_digest(directory) -> str:
+    """sha256 over the name, length and bytes of each dataset file present."""
+    digest = hashlib.sha256()
+    for name in (EDGES_FILE, FEATURES_FILE, LABELS_FILE, MASKS_FILE):
+        path = Path(directory) / name
+        if path.exists():
+            data = _read_bytes(path)
+            digest.update(f"{name} {len(data)}\n".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
+def _read_lines(path: Path):
+    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -84,10 +100,10 @@ def _load_features(path: Path) -> np.ndarray:
     return features
 
 
-def _load_pairs(path: Path, header: str):
-    """Parse `node,value` lines, skipping an optional header on the first
-    content line (after any blank or comment lines)."""
-    out = []
+def _load_pairs(path: Path, header: str, n: int):
+    """Yield (line number, node, value) for `node,value` lines with nodes in
+    [0, n), skipping an optional header on the first content line (after any
+    blank or comment lines)."""
     for index, (no, line) in enumerate(_read_lines(path)):
         if index == 0 and line.replace(" ", "") == header:
             continue
@@ -98,8 +114,9 @@ def _load_pairs(path: Path, header: str):
             node = int(toks[0])
         except ValueError as err:
             raise ParseError(path, no, f"bad node index: {err}") from err
-        out.append((no, node, toks[1]))
-    return out
+        if not 0 <= node < n:
+            raise IndexOutOfRangeError(f"{path}:{no}: node {node} outside [0, {n})")
+        yield no, node, toks[1]
 
 
 def load_dataset(directory, require_masks: bool = False) -> Graph:
@@ -117,25 +134,19 @@ def load_dataset(directory, require_masks: bool = False) -> Graph:
     labels_path = directory / LABELS_FILE
     if labels_path.exists():
         labels = np.full(n, -1, dtype=np.int64)
-        for no, node, value in _load_pairs(labels_path, "node,label"):
-            if not 0 <= node < n:
-                raise IndexOutOfRangeError(
-                    f"{labels_path}:{no}: node {node} outside [0, {n})"
-                )
+        for no, node, value in _load_pairs(labels_path, "node,label", n):
             try:
                 labels[node] = int(value)
             except (ValueError, OverflowError) as err:
                 raise ParseError(labels_path, no, f"bad label: {err}") from err
+            if labels[node] < -1:
+                raise ParseError(labels_path, no, f"label {value} is below -1")
 
     masks = None
     masks_path = directory / MASKS_FILE
     if masks_path.exists():
         split_sets = {name: [] for name in SPLIT_NAMES}
-        for no, node, value in _load_pairs(masks_path, "node,split"):
-            if not 0 <= node < n:
-                raise IndexOutOfRangeError(
-                    f"{masks_path}:{no}: node {node} outside [0, {n})"
-                )
+        for no, node, value in _load_pairs(masks_path, "node,split", n):
             if value not in SPLIT_NAMES:
                 raise ParseError(masks_path, no, f"unknown split {value!r}")
             split_sets[value].append(node)

@@ -2,10 +2,10 @@
 step, and the one deep forward pass that runs all three variants.  Every
 whitening step, hard whitening included, is ``linalg.soft_spectral_filter``.
 
-The forward pass is non-parametric by default (per-layer weights fixed to the
-identity), which keeps arbitrarily deep runs cheap and exactly analyzable.  It
-keeps no layers: per-layer measurements observe each layer as it is made, so
-memory stays O(n d) at any depth.
+The forward pass is non-parametric (no per-layer weights), which keeps
+arbitrarily deep runs cheap and exactly analyzable; relu, when chosen, follows
+the soft filter in the rsoft pass only.  It keeps no layers: each layer is
+observed as it is made, so memory stays O(n d) at any depth.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class PropagationConfig:
     q: float = 0.0
     activation: str = "identity"
     operator_mode: str = "symmetric"
-    parametric: bool = False
 
     def __post_init__(self):
         coeffs = (self.alpha, self.beta, self.gamma)
@@ -78,10 +77,6 @@ class PropagationConfig:
         if self.operator_mode not in OPERATOR_MODES:
             raise InvalidCoefficientsError(
                 f"unknown operator mode {self.operator_mode!r}"
-            )
-        if not self.parametric and self.activation != "identity":
-            raise InvalidCoefficientsError(
-                "non-parametric runs require the identity activation"
             )
 
 

@@ -227,8 +227,15 @@ class TestDatasetIo:
             ("edges.tsv", "0\t1\n2\t0\n"),
             ("edges.tsv", "0\t1\n-1\t0\n"),
             ("labels.csv", "node,label\n0,99999999999999999999999\n"),
+            ("labels.csv", "node,label\n0,-2\n"),
         ],
-        ids=["edge_beyond_int64", "edge_past_n", "edge_negative", "label_beyond_int64"],
+        ids=[
+            "edge_beyond_int64",
+            "edge_past_n",
+            "edge_negative",
+            "label_beyond_int64",
+            "label_below_minus_one",
+        ],
     )
     def test_bad_index_names_file_and_line(self, tmp_path, name, content):
         (tmp_path / "features.csv").write_text("0.0\n0.0\n")
@@ -300,6 +307,14 @@ BASE_KV = {
 }
 
 
+def _dataset_config(directory):
+    """A BASE_KV run on a fixed saved cluster graph written to ``directory``."""
+    g = gen_gaussian_cluster_graph(_spec(nodes_per_cluster=10))
+    save_dataset(with_masks(g, 0.2, 0.2, seed=0), directory)
+    kv = {k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")}
+    return build_experiment_config({**kv, "dataset.path": str(directory)})
+
+
 class TestConfig:
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -325,6 +340,40 @@ class TestConfig:
         a = build_experiment_config(dict(BASE_KV))
         b = build_experiment_config({**BASE_KV, "seeds": "1,2,3", "output_dir": "x"})
         assert config_hash(a) == config_hash(b)
+
+    def test_hash_ignores_synthetic_seed(self):
+        # a run draws each graph from its run seed, never from synthetic.seed
+        a = build_experiment_config({**BASE_KV, "synthetic.seed": "0"})
+        b = build_experiment_config({**BASE_KV, "synthetic.seed": "9"})
+        assert config_hash(a) == config_hash(b)
+
+    def test_dataset_hash_follows_bytes_not_path(self, tmp_path):
+        a, b = (_dataset_config(tmp_path / name) for name in ("a", "b"))
+        assert config_hash(a) == config_hash(b)
+
+    def test_dataset_hash_tracks_an_edited_byte(self, tmp_path):
+        cfg = _dataset_config(tmp_path / "data")
+        before = config_hash(cfg)
+        features = tmp_path / "data" / "features.csv"
+        data = bytearray(features.read_bytes())
+        first_digit = next(i for i, c in enumerate(data) if chr(c).isdigit())
+        data[first_digit] = ord("1") if data[first_digit] != ord("1") else ord("2")
+        features.write_bytes(bytes(data))
+        assert config_hash(cfg) != before
+
+    def test_unreadable_dataset_file_fails_hash_with_its_path(self, tmp_path):
+        cfg = _dataset_config(tmp_path / "data")
+        (tmp_path / "data" / "masks.csv").unlink()
+        (tmp_path / "data" / "masks.csv").mkdir()
+        with pytest.raises(ParseError, match=r"stage dataset.*masks\.csv:0: cannot read"):
+            run_seed(cfg, 1)
+
+    @pytest.mark.parametrize("line", ["train.seed = 13", "propagation.parametric = true"])
+    def test_removed_keys_are_unknown(self, tmp_path, line):
+        path = tmp_path / "old.txt"
+        path.write_text(f"seeds = 1\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: unknown key"):
+            load_config(path)
 
     def test_hash_tracks_science_keys(self):
         a = build_experiment_config(dict(BASE_KV))

@@ -11,7 +11,6 @@ from graphain.errors import (
 )
 from graphain.graph import (
     apply_centering,
-    apply_doubly_centered,
     apply_operator,
     build_graph,
     normalized_adjacency,
@@ -198,30 +197,11 @@ class TestCentering:
 
 
 class TestDoublyCentered:
-    def test_equal_rows_annihilated(self):
-        op = normalized_adjacency(_complete_graph(4))
-        m = np.tile([1.0, 2.0], (4, 1))
-        assert np.abs(apply_doubly_centered(op, m)).max() <= 1e-15
-
-    def test_column_centered_input_on_triangle(self, rng):
-        op = normalized_adjacency(_complete_graph(3))
-        m = apply_centering(rng.standard_normal((3, 2)))
-        via_composition = apply_doubly_centered(op, m)
-        via_post_center = apply_centering(apply_operator(op, m))
-        assert np.abs(via_composition - via_post_center).max() <= 1e-12
-
     def test_matches_dense_abar(self, rng):
+        # the runner's centered aggregate is the doubly centered operator
+        # on a column-centered layer
         g = random_connected_graph(11, 0.3, seed=21)
         op = normalized_adjacency(g)
-        m = rng.standard_normal((g.n, 3))
-        assert np.abs(apply_doubly_centered(op, m) - dense_abar(g) @ m).max() <= 1e-12
-
-    @given(st.integers(0, 500))
-    def test_composition_law(self, seed):
-        local = np.random.default_rng(seed)
-        g = random_connected_graph(9, 0.3, seed=seed)
-        op = normalized_adjacency(g)
-        m = local.standard_normal((g.n, 2))
-        lhs = apply_doubly_centered(op, m)
-        rhs = apply_centering(apply_operator(op, apply_centering(m)))
-        assert np.array_equal(lhs, rhs)
+        m = apply_centering(rng.standard_normal((g.n, 3)))
+        runner = apply_centering(apply_operator(op, m))
+        assert np.abs(runner - dense_abar(g) @ m).max() <= 1e-12

@@ -63,11 +63,13 @@ class TestPropagationConfig:
         with pytest.raises(InvalidCoefficientsError):
             _cfg(alpha=0.0, beta=0.0, gamma=0.0)
 
-    def test_relu_needs_parametric(self):
-        with pytest.raises(InvalidCoefficientsError):
-            _cfg(activation="relu")
-        cfg = _cfg(activation="relu", parametric=True)
-        assert cfg.activation == "relu"
+    def test_relu_run_keeps_every_layer_nonnegative(self):
+        g = random_connected_graph(15, 0.3, seed=3, feature_dim=3)
+        cfg = _cfg(activation="relu", filter=SpectralFilterParams(a=0.5, b=1.0, d0=3))
+        layers = []
+        h = run_fuzzy_r_softgraphain(g, cfg, observe=lambda t, h_t: layers.append(h_t))
+        assert len(layers) == cfg.layers and layers[-1] is h
+        assert all((h_t >= 0.0).all() and (h_t > 0.0).any() for h_t in layers)
 
     def test_bad_decay(self):
         with pytest.raises(InvalidCoefficientsError):
