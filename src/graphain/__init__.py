@@ -22,7 +22,6 @@ from .curriculum import (
     entropy_filter,
     estimate_labels_teacher,
     iterative_label_propagation,
-    normalized_entropy,
     run_curriculum,
     smooth_labels,
     supervised_schedule,

@@ -72,6 +72,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
+        if self.propagation.activation == "relu" and self.variant != "rsoft":
+            raise ConfigError(
+                f"{_KEY_OF['propagation.activation']} = relu applies only with "
+                f"{_KEY_OF['variant']} = rsoft, not {self.variant}"
+            )
         if self.variant == "rsoft" and self.propagation.filter.d0 > self.embedding_dim:
             raise ConfigError(
                 f"{_KEY_OF['propagation.filter.d0']} = {self.propagation.filter.d0} "
@@ -160,7 +165,7 @@ _KEYS = (
     _Key("propagation.p", _finite, 0.0, "fuzzy residual decay in [0, 1]"),
     _Key("propagation.q", _finite, 0.0, "fuzzy initial decay in [0, 1]"),
     _Key("propagation.layers", int, 16, "depth L >= 1"),
-    _Key("propagation.activation", str, "identity", "identity | relu"),
+    _Key("propagation.activation", str, "identity", "identity | relu (rsoft only)"),
     _Key("propagation.operator_mode", str, "symmetric", "symmetric | random_walk"),
     _Key("propagation.variant", str, "rsoft", "rsoft | sgc | pairnorm",
          attr="variant"),

@@ -27,7 +27,6 @@ from .classifier import (
 from .errors import (
     EmptyScheduleError,
     NonFiniteFeatureError,
-    NotADistributionError,
     RowNotStochasticError,
 )
 from .graph import Graph
@@ -221,18 +220,6 @@ def iterative_label_propagation(
     live = ~masked
     f[live] /= sums[live, None]
     return SoftLabelMatrix(y=f, masked=masked)
-
-
-def normalized_entropy(p) -> float:
-    """Entropy of a distribution scaled into [0, 1] by log of the class count."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if p.size < 2:
-        raise NotADistributionError("need at least two classes")
-    if float(p.min()) < -1e-12 or abs(float(p.sum()) - 1.0) > 1e-6:
-        raise NotADistributionError("input is not a probability distribution")
-    pos = p[p > 0.0]
-    h = float(-(pos * np.log(pos)).sum()) / math.log(p.size)
-    return min(max(h, 0.0), 1.0)
 
 
 def _row_entropies(y: np.ndarray) -> np.ndarray:

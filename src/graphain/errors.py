@@ -69,10 +69,6 @@ class RowNotStochasticError(GraphainError):
     """Rows expected to be probability distributions are not."""
 
 
-class NotADistributionError(GraphainError):
-    """A vector is not a probability distribution."""
-
-
 class EmptyIncludeError(GraphainError):
     """A loss was requested over an empty node subset."""
 

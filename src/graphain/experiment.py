@@ -88,15 +88,27 @@ def _stage(name: str):
         raise
 
 
-def prepare_graph(cfg: ExperimentConfig, seed: int) -> Graph:
-    """Build the seeded synthetic graph (with split) or load the dataset."""
+def load_inputs(cfg: ExperimentConfig):
+    """(config hash, dataset): what every seed of a run shares, read once.
+    The dataset is the loaded Graph for a dataset config, None otherwise."""
+    with _stage("dataset"):
+        digest = config_hash(cfg)
+        dataset = None
+        if cfg.dataset_path is not None:
+            dataset = load_dataset(cfg.dataset_path, require_masks=True)
+    return digest, dataset
+
+
+def prepare_graph(cfg: ExperimentConfig, seed: int, dataset: Graph | None) -> Graph:
+    """Build the seeded synthetic graph (with split) or take the loaded
+    ``dataset``."""
     kids = _child_seeds(seed)
     if cfg.synthetic is not None:
         spec = replace(cfg.synthetic, seed=int(kids["graph"]))
         g = gen_gaussian_cluster_graph(spec)
         g = with_masks(g, cfg.train_frac, cfg.val_frac, int(kids["split"]))
     else:
-        g = load_dataset(cfg.dataset_path, require_masks=True)
+        g = dataset
     if cfg.noisy_features:
         g = add_feature_noise(g, int(kids["noise"]))
     return g
@@ -131,16 +143,18 @@ def run_seed(
     seed: int,
     with_curriculum: bool = True,
     diagnostics_path=None,
+    inputs=None,
 ):
     """One seed of the pipeline; returns (rows, curriculum result, graph,
     smoothing snapshots), the snapshots None without the curriculum.
 
     With ``diagnostics_path``, the per-layer diagnostics of the seed's one
-    forward pass are written there as CSV.
+    forward pass are written there as CSV.  ``inputs`` is the run's
+    ``load_inputs(cfg)``, read here when not given.
     """
+    digest, dataset = inputs or load_inputs(cfg)
     with _stage("dataset"):
-        digest = config_hash(cfg)
-        g = prepare_graph(cfg, seed)
+        g = prepare_graph(cfg, seed, dataset)
         if g.train_mask.size == 0:
             raise MissingMaskError("train mask is empty")
         if (g.labels[g.train_mask] < 0).any():
@@ -227,15 +241,21 @@ def run_experiment(
 ):
     """All seeds in order; optionally writes results, diagnostics, and the
     config echo under cfg.output_dir.  ``export_snapshots`` writes the first
-    seed's smoothing snapshots to cfg.output_dir/snapshots."""
+    seed's smoothing snapshots to cfg.output_dir/snapshots.  A dataset is
+    read and hashed once for all seeds."""
     out = Path(cfg.output_dir)
     if write_files:
         out.mkdir(parents=True, exist_ok=True)
+    inputs = load_inputs(cfg)
     all_rows = []
     for seed in cfg.seeds:
         diagnostics_path = out / f"diagnostics_seed{seed}.csv" if write_files else None
         rows, _, _, snapshots = run_seed(
-            cfg, seed, with_curriculum=with_curriculum, diagnostics_path=diagnostics_path
+            cfg,
+            seed,
+            with_curriculum=with_curriculum,
+            diagnostics_path=diagnostics_path,
+            inputs=inputs,
         )
         all_rows.extend(rows)
         if export_snapshots and seed == cfg.seeds[0] and snapshots is not None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphain import curriculum
 from graphain.classifier import TrainConfig
 from graphain.curriculum import (
     AuxGraph,
@@ -17,7 +18,6 @@ from graphain.curriculum import (
     entropy_filter,
     estimate_labels_teacher,
     iterative_label_propagation,
-    normalized_entropy,
     run_curriculum,
     smooth_labels,
     supervised_schedule,
@@ -25,7 +25,6 @@ from graphain.curriculum import (
 from graphain.errors import (
     EmptyScheduleError,
     NonFiniteFeatureError,
-    NotADistributionError,
     RowNotStochasticError,
 )
 from graphain.labels import SoftLabelMatrix, one_hot
@@ -186,6 +185,19 @@ class TestKnnAuxGraph:
             build_knn_aux_graph(vecs, 1, 1.0)
 
 
+def normalized_entropy(p) -> float:
+    """Entropy of a distribution scaled into [0, 1] by log of the class count:
+    the per-row quantity ``entropy_filter`` ranks, for one distribution."""
+    p = np.asarray(p, dtype=np.float64).ravel()
+    if p.size < 2:
+        raise ValueError("need at least two classes")
+    if float(p.min()) < -1e-12 or abs(float(p.sum()) - 1.0) > 1e-6:
+        raise ValueError("input is not a probability distribution")
+    pos = p[p > 0.0]
+    h = float(-(pos * np.log(pos)).sum()) / math.log(p.size)
+    return min(max(h, 0.0), 1.0)
+
+
 class TestNormalizedEntropy:
     def test_one_hot_is_zero(self):
         assert normalized_entropy([1.0, 0.0, 0.0]) == 0.0
@@ -199,15 +211,21 @@ class TestNormalizedEntropy:
         assert val == pytest.approx(math.log(2) / math.log(3), abs=1e-12)
 
     def test_rejects_non_distribution(self):
-        with pytest.raises(NotADistributionError):
+        with pytest.raises(ValueError):
             normalized_entropy([0.5, 0.2])
-        with pytest.raises(NotADistributionError):
+        with pytest.raises(ValueError):
             normalized_entropy([1.2, -0.2])
 
     @given(st.integers(0, 1000))
     def test_range(self, seed):
         p = np.random.default_rng(seed).dirichlet(np.ones(4))
         assert 0.0 <= normalized_entropy(p) <= 1.0
+
+    def test_matches_the_filter_row_entropies(self):
+        y = np.random.default_rng(5).dirichlet(np.ones(4), size=20)
+        y[0] = [1.0, 0.0, 0.0, 0.0]
+        expected = [normalized_entropy(row) for row in y]
+        assert curriculum._row_entropies(y) == pytest.approx(expected, abs=1e-12)
 
 
 class TestEntropyFilter:

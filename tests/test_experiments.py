@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from graphain.errors import (
 )
 from graphain.experiment import run_experiment, run_seed, rows_to_csv
 from graphain.io import load_dataset, save_dataset
+import graphain.config as config
+import graphain.experiment as experiment
 import graphain.synthetic as synthetic
 from graphain.synthetic import (
     SyntheticSpec,
@@ -375,6 +378,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: unknown key"):
             load_config(path)
 
+    @pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
+    def test_relu_outside_rsoft_names_both_keys(self, variant):
+        with pytest.raises(
+            ConfigError,
+            match=f"propagation.activation = relu .*propagation.variant = rsoft, not {variant}",
+        ):
+            build_experiment_config(
+                {**BASE_KV, "propagation.activation": "relu", "propagation.variant": variant}
+            )
+
+    def test_relu_with_rsoft_builds(self):
+        cfg = build_experiment_config({**BASE_KV, "propagation.activation": "relu"})
+        assert cfg.propagation.activation == "relu" and cfg.variant == "rsoft"
+
     def test_hash_tracks_science_keys(self):
         a = build_experiment_config(dict(BASE_KV))
         b = build_experiment_config({**BASE_KV, "propagation.layers": "9"})
@@ -474,6 +491,24 @@ class TestRunExperiment:
         with pytest.raises(ParseError, match=r"stage dataset.*features\.csv:5: column 1") as err:
             run_experiment(cfg)
         assert err.value.line_no == 5
+
+    def test_dataset_read_and_hashed_once_per_run(self, tmp_path, monkeypatch):
+        cfg = replace(_dataset_config(tmp_path / "data"), seeds=(1, 2, 3))
+        per_seed = [row for seed in cfg.seeds for row in run_seed(cfg, seed)[0]]
+        loads, digests = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(experiment, "load_dataset", counted(loads, experiment.load_dataset))
+        monkeypatch.setattr(config, "dataset_digest", counted(digests, config.dataset_digest))
+        rows = run_experiment(cfg, write_files=False)
+        assert (len(loads), len(digests)) == (1, 1)
+        assert rows_to_csv(rows) == rows_to_csv(per_seed)
 
     def test_stage_labels_on_errors(self, tmp_path):
         kv = {k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")}

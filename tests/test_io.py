@@ -1,0 +1,183 @@
+"""The bulk readers of ``edges.tsv`` and ``features.csv`` against the per-line
+reader they fall back to, and ``save_dataset``'s bytes against the per-value
+formatter it replaced."""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphain import io
+from graphain.errors import GraphainError, ParseError
+from graphain.graph import build_graph
+from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every byte class on which the two readers could part: line breaks that only
+# str.splitlines honours, stripped whitespace, comments, and what float() reads
+PIECES = list("0123456789\t,.-+eE#_\r\x0b\x0c\x1c \n") + ["inf", "nan", "\n", "\n"]
+NOISE = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+FLOAT = st.one_of(
+    st.floats().map(lambda v: "%.17g" % v),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1.", ".5", "+1", "1e5", "1E-5", "007", "1e999", "-0"]),
+)
+INDEX = st.one_of(st.integers(0, 5).map(str), st.sampled_from(["007", "99999999999999999999"]))
+
+
+@st.composite
+def _table(draw, cell, separator):
+    """Rows of cells, one-row and one-column tables included, sometimes with
+    one piece spliced in anywhere."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 3))
+    text = "\n".join(
+        separator.join(draw(cell) for _ in range(cols)) for _ in range(rows)
+    ) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(PIECES)) + text[at:]
+    return text
+
+
+def _file(cell, separator):
+    return st.one_of(_table(cell, separator), NOISE, st.just(""))
+
+
+def _outcome(call):
+    """The arrays of the graph ``call`` returns, or its error's type and text."""
+    try:
+        g = call()
+    except GraphainError as err:
+        return type(err), str(err)
+    return g.n, g.edges.tobytes(), g.features.shape, g.features.tobytes(), g.labels.tobytes()
+
+
+def _per_line(root: Path):
+    """load_dataset with the per-line reader alone, in load_dataset's order."""
+    path = root / io.FEATURES_FILE
+    features = io._parse_features(path, path.read_bytes())
+    n = features.shape[0]
+    path = root / io.EDGES_FILE
+    edges = io._parse_edges(path, path.read_bytes(), n)
+    return build_graph(edges, n, features)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edges=_file(INDEX, "\t"), features=_file(FLOAT, ","))
+def test_bulk_and_per_line_readers_agree(edges, features):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / io.EDGES_FILE).write_text(edges, encoding="utf-8", newline="")
+        (root / io.FEATURES_FILE).write_text(features, encoding="utf-8", newline="")
+        assert _outcome(lambda: io.load_dataset(root)) == _outcome(lambda: _per_line(root))
+
+
+_ASTRAL_CHECK = """
+import sys, tempfile
+from pathlib import Path
+from graphain.errors import ParseError
+from graphain.io import load_dataset
+
+root = Path(tempfile.mkdtemp())
+good = {"features.csv": "0.0\\n0.0\\n", "edges.tsv": "0\\t1\\n"}
+for name in good:
+    for other, text in good.items():
+        (root / other).write_text(text, encoding="utf-8")
+    for _ in range(300):
+        (root / name).write_text(good[name] + "\\U0010b354\\n", encoding="utf-8")
+        try:
+            load_dataset(root)
+        except ParseError as err:
+            assert (Path(err.path).name, err.line_no) == (name, good[name].count("\\n") + 1), err
+        else:
+            sys.exit(f"{name}: no ParseError")
+print("ok")
+"""
+
+
+def test_astral_text_raises_parse_error_without_crashing():
+    # numpy 2.4's loadtxt can crash the interpreter on such text; a crash
+    # here fails this test instead of ending the test session
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ASTRAL_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+FILES_SPECS = {
+    "files": dict(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32),
+    "tiny": dict(clusters=3, nodes_per_cluster=15, intra_p=0.3, inter_p=0.02, centers_dim=16),
+}
+
+
+def _legacy_save(g, directory: Path):
+    """The per-value writer save_dataset replaced, for edges and features."""
+    edge_lines = [f"{i}\t{j}" for i, j in g.edges]
+    (directory / io.EDGES_FILE).write_text(
+        "\n".join(edge_lines) + ("\n" if edge_lines else ""), encoding="utf-8"
+    )
+    feat_lines = [",".join(format(v, ".17g") for v in row) for row in g.features]
+    (directory / io.FEATURES_FILE).write_text("\n".join(feat_lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(FILES_SPECS))
+def test_saved_files_are_written_as_before_and_read_in_bulk(tmp_path, monkeypatch, name):
+    g = gen_gaussian_cluster_graph(SyntheticSpec(**FILES_SPECS[name], seed=3))
+    g = with_masks(g, 0.1, 0.2, 3)
+    io.save_dataset(g, tmp_path / "new")
+    (tmp_path / "old").mkdir()
+    _legacy_save(g, tmp_path / "old")
+    for file in (io.EDGES_FILE, io.FEATURES_FILE):
+        assert (tmp_path / "new" / file).read_bytes() == (tmp_path / "old" / file).read_bytes()
+
+    def no_fallback(path, *args):
+        raise AssertionError(f"{path} left the bulk path")
+
+    monkeypatch.setattr(io, "_parse_edges", no_fallback)
+    monkeypatch.setattr(io, "_parse_features", no_fallback)
+    loaded = io.load_dataset(tmp_path / "new", require_masks=True)
+    for field in ("edges", "features", "labels", "train_mask", "val_mask", "test_mask"):
+        got, want = getattr(loaded, field), getattr(g, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+
+
+def test_extreme_floats_round_trip_bit_equal(tmp_path):
+    x = np.array(
+        [[-0.0, 5e-324, 1.7976931348623157e308], [1e16, -2.2250738585072014e-308, 0.1]]
+    )
+    g = build_graph([(0, 1)], 2, x)
+    io.save_dataset(g, tmp_path)
+    assert io.load_dataset(tmp_path).features.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, content, line",
+    [
+        (io.EDGES_FILE, "0\t1\n1\t7\n", 2),
+        (io.EDGES_FILE, "0\t1\n1\n", 2),
+        (io.FEATURES_FILE, "0.0\n1e999\n", 2),
+        (io.FEATURES_FILE, "0.0\n\n0.0,1.0\n", 3),
+    ],
+    ids=["edge_past_n", "edge_one_column", "feature_overflow", "feature_width"],
+)
+def test_whitelisted_bad_files_fail_at_their_line(tmp_path, name, content, line):
+    (tmp_path / io.FEATURES_FILE).write_text("0.0\n0.0\n")
+    (tmp_path / io.EDGES_FILE).write_text("0\t1\n")
+    (tmp_path / name).write_text(content)
+    with pytest.raises(ParseError) as err:
+        io.load_dataset(tmp_path)
+    assert (err.value.path, err.value.line_no) == (str(tmp_path / name), line)

@@ -18,16 +18,20 @@ the hash stopped covering ``synthetic.seed`` (a run draws its graphs from the
 run seed) and the keys ``train.seed`` and ``propagation.parametric`` were
 removed; every other byte is as first written.
 
-``config_all_keys.txt`` sets every config key but ``dataset.path`` to a
-distinct non-default value.  ``config_all_keys.echo.txt`` and
-``config_all_keys.dataset.echo.txt`` are its ``render_config`` output, and
-that of the same config with ``dataset.path`` in place of the
-``synthetic.*`` keys; ``config_default.echo.txt`` is the echo of the empty
-config.  They were produced before the config keys moved into one table and
-lost only the lines of the two removed keys since; they must match byte for
-byte.  The hashes in ``test_config_echo_and_hash_are_pinned`` are those of
-the key set without the removed keys, the dataset one over the bytes of the
-fixed dataset that ``_save_all_keys_dataset`` writes.
+``config_all_keys.txt`` sets every config key but ``dataset.path`` and
+``propagation.variant`` to a distinct non-default value.
+``config_all_keys.echo.txt`` and ``config_all_keys.dataset.echo.txt`` are
+its ``render_config`` output, and that of the same config with
+``dataset.path`` in place of the ``synthetic.*`` keys;
+``config_default.echo.txt`` is the echo of the empty config.  They were
+produced before the config keys moved into one table and lost only the
+lines of the two removed keys since; they must match byte for byte.  The
+hashes in ``test_config_echo_and_hash_are_pinned`` are those of the key set
+without the removed keys, the dataset one over the bytes of the fixed
+dataset that ``_save_all_keys_dataset`` writes.  The all-keys config and its
+two echoes and hashes were re-pinned once, when ``activation = relu`` became
+an error outside rsoft: its variant went from pairnorm to rsoft, and that
+one line is all that changed.
 
 ``generator_digests.txt`` holds the sha256 of the ``edges``, ``features`` and
 ``labels`` bytes that ``gen_gaussian_cluster_graph`` returns for the specs in
@@ -194,8 +198,8 @@ def _save_all_keys_dataset():
     "raw, echo, digest",
     [
         ({}, "config_default.echo.txt", "bd1d4370719c"),
-        (_all_keys(), "config_all_keys.echo.txt", "eb368520065f"),
-        (_all_keys_dataset(), "config_all_keys.dataset.echo.txt", "875f6d0175de"),
+        (_all_keys(), "config_all_keys.echo.txt", "301cabf83821"),
+        (_all_keys_dataset(), "config_all_keys.dataset.echo.txt", "8e530295b042"),
     ],
     ids=["default", "all_keys", "all_keys_dataset"],
 )
