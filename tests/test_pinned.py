@@ -48,6 +48,13 @@ weights must match bit for bit.  From eight classes on numpy sums a row
 pairwise, so a kernel that adds the class columns in order may differ in the
 last bit there; the ten-class weights are held to the float tolerance below.
 
+``export_digests.txt`` holds the sha256 of every file two CSV writers
+produce: the ``snapshot_*.csv`` files that ``run_experiment`` exports for
+seed 0 of ``config.txt``, and the ``embeddings.csv`` of ``graphain
+propagate`` with ``config.txt`` on the dataset ``graphain gen`` writes from
+it.  It was written while both writers still formatted one value at a time,
+and must match exactly.
+
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
 ``|new - ref| <= 1e-12 * |ref| + 1e-12``.  Measured against the reference,
@@ -65,6 +72,7 @@ import numpy as np
 import pytest
 
 from graphain.classifier import TrainConfig, train_linear
+from graphain.cli import main
 from graphain.config import (
     build_experiment_config,
     config_hash,
@@ -270,3 +278,27 @@ def test_train_linear_digests_are_pinned():
             assert abs(got - want) <= REL_TOL * abs(want) + ABS_TOL, (
                 f"{ref_fields[:3]}: weight {got!r} vs pinned {want!r}"
             )
+
+
+def export_digests(tmp_path) -> str:
+    """One line per exported file: its path under ``tmp_path`` and sha256."""
+    config = PINNED / "config.txt"
+    raw = parse_config_text(config.read_text(encoding="utf-8"))
+    raw["output_dir"] = str(tmp_path / "run")
+    run_experiment(build_experiment_config(raw), export_snapshots=True)
+    data, prop = tmp_path / "data", tmp_path / "prop"
+    assert main(["gen", "--spec", str(config), "--out", str(data)]) == 0
+    assert main(["propagate", "--graph", str(data), "--config", str(config),
+                 "--out", str(prop)]) == 0
+    paths = sorted((tmp_path / "run" / "snapshots").glob("snapshot_*.csv"))
+    paths.append(prop / "embeddings.csv")
+    return "".join(
+        f"{path.relative_to(tmp_path).as_posix()} "
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+        for path in paths
+    )
+
+
+def test_export_digests_are_pinned(tmp_path):
+    pinned = (PINNED / "export_digests.txt").read_text(encoding="utf-8")
+    assert export_digests(tmp_path) == pinned
