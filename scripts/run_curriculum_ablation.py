@@ -56,9 +56,9 @@ def main():
     print(f"{'seed':<6} {'with curriculum':<16} {'without':<16}")
     with_cl, without_cl = [], []
     for seed in seeds:
-        rows, _, _, _ = run_seed(cfg, seed, with_curriculum=True)
+        rows, _, _ = run_seed(cfg, seed, with_curriculum=True)
         acc_cl = [r for r in rows if r.split == "val"][-1].accuracy
-        rows, _, _, _ = run_seed(cfg, seed, with_curriculum=False)
+        rows, _, _ = run_seed(cfg, seed, with_curriculum=False)
         acc_sup = [r for r in rows if r.split == "val"][-1].accuracy
         with_cl.append(acc_cl)
         without_cl.append(acc_sup)

@@ -55,7 +55,7 @@ def main():
         cfg = build_experiment_config(build_kv(args.layers, seeds, variant))
         accs = []
         for seed in seeds:
-            rows, _, _, _ = run_seed(cfg, seed, with_curriculum=False)
+            rows, _, _ = run_seed(cfg, seed, with_curriculum=False)
             accs.append([r for r in rows if r.split == "test"][-1].accuracy)
         shown = " ".join(f"{a:.3f}" for a in accs)
         print(f"{variant:<10} {shown:<40} {np.median(accs):.3f}")

@@ -15,16 +15,13 @@ from .classifier import (
 from .config import CurriculumParams, ExperimentConfig, config_hash, load_config
 from .curriculum import (
     AuxGraph,
-    CurriculumSchedule,
     aux_from_graph,
-    build_curriculum,
     build_knn_aux_graph,
     entropy_filter,
     estimate_labels_teacher,
     iterative_label_propagation,
     run_curriculum,
     smooth_labels,
-    supervised_schedule,
 )
 from .diagnostics import DiagnosticsRecord, LayerRecorder, pairwise_stats
 from .errors import GraphainError
@@ -48,7 +45,6 @@ from .linalg import (
     sym_eig,
 )
 from .oracles import (
-    DenseSpectrum,
     dense_abar,
     dense_ahat,
     dense_spectrum,

@@ -21,14 +21,13 @@ from .config import load_config, render_config
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError
 from .experiment import compute_embedding, rows_to_csv, run_experiment
-from .io import load_dataset, save_dataset
+from .io import float_rows, load_dataset, save_dataset
 from .synthetic import gen_gaussian_cluster_graph, with_masks
 from .verify import SUITES
 
 
 def _write_embeddings(h: np.ndarray, path: Path) -> None:
-    lines = [",".join(format(v, ".17g") for v in row) for row in h]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(float_rows(h)) + "\n", encoding="utf-8")
 
 
 def _cmd_gen(args) -> int:

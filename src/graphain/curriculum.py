@@ -1,9 +1,10 @@
 """Label-smoothing curriculum: pseudo-label estimation, auxiliary graph
 construction, entropy filtering, iterative smoothing, and the easy-to-hard
-task schedule with a final fine-tune on the ground-truth labels.
+training walk with a final fine-tune on the ground-truth labels.
 
-Smoothing deliberately over-smooths the label signal; the task sequence then
-walks back from the smoothest snapshot to the raw pseudo-labels.
+Smoothing deliberately over-smooths the label signal; ``run_curriculum`` then
+walks back from the smoothest snapshot to the raw pseudo-labels, and
+``split_scores`` scores a split wherever a run reports one.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ from .classifier import (
     softmax_cross_entropy,
     train_linear,
 )
-from .errors import (
-    EmptyScheduleError,
-    NonFiniteFeatureError,
-    RowNotStochasticError,
-)
+from .errors import NonFiniteFeatureError, RowNotStochasticError
 from .graph import Graph
+from .io import float_rows
 from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
@@ -48,25 +46,8 @@ class AuxGraph:
 
 
 @dataclass(frozen=True)
-class CurriculumTask:
-    labels: SoftLabelMatrix
-    epochs: int
-
-
-@dataclass(frozen=True)
-class CurriculumSchedule:
-    """Smoothing tasks ordered easiest first, then the original labeled task."""
-
-    tasks: tuple
-    final_set: np.ndarray   # labeled node indices for the fine-tune stage
-    final_labels: np.ndarray
-    n_t: int
-
-
-@dataclass(frozen=True)
 class TaskMetrics:
     index: int
-    name: str
     train_loss: float
     train_accuracy: float
     val_accuracy: float
@@ -283,119 +264,63 @@ def smooth_labels(aux: AuxGraph, y0: SoftLabelMatrix, n_t: int) -> list:
     return snaps
 
 
-def build_curriculum(
-    snapshots, pacing_epochs: int, original
-) -> CurriculumSchedule:
-    """Order tasks smoothest first; task i trains on snapshot n_t - i.
-
-    ``original`` is the (labeled index set, integer labels) pair for the
-    final fine-tune stage.
-    """
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise EmptyScheduleError("no smoothing snapshots")
-    if pacing_epochs < 0:
-        raise ValueError("pacing_epochs must be >= 0")
-    n_t = len(snapshots) - 1
-    tasks = tuple(
-        CurriculumTask(labels=snapshots[n_t - i], epochs=pacing_epochs)
-        for i in range(n_t + 1)
-    )
-    labeled_set, labels = original
-    return CurriculumSchedule(
-        tasks=tasks,
-        final_set=np.asarray(labeled_set, dtype=np.int64),
-        final_labels=np.asarray(labels, dtype=np.int64),
-        n_t=n_t,
-    )
-
-
-def supervised_schedule(labeled_set, labels) -> CurriculumSchedule:
-    """Degenerate schedule with only the fine-tune stage (the ablated run)."""
-    return CurriculumSchedule(
-        tasks=(),
-        final_set=np.asarray(labeled_set, dtype=np.int64),
-        final_labels=np.asarray(labels, dtype=np.int64),
-        n_t=-1,
-    )
+def split_scores(h: np.ndarray, w: np.ndarray, pred: np.ndarray, g: Graph, mask) -> tuple:
+    """(accuracy, loss) of the weights ``w``, whose predictions on ``h`` are
+    ``pred``, over the labeled nodes of ``mask``; both NaN when it has none."""
+    labeled = mask[g.labels[mask] >= 0]
+    if not labeled.size:
+        return float("nan"), float("nan")
+    truth = one_hot_matrix(g.labels[labeled], labeled, g.n, g.num_classes)
+    return accuracy(pred, g.labels, labeled), softmax_cross_entropy(h, truth, w, labeled)
 
 
 def run_curriculum(
     g: Graph,
     h: np.ndarray,
-    schedule: CurriculumSchedule,
+    snapshots,
     train_cfg: TrainConfig,
+    pacing_epochs: int,
     reset_on_finetune: bool = False,
 ) -> CurriculumResult:
-    """Train one classifier on the embedding ``h`` through the schedule with
-    warm starts.
+    """Train one linear classifier on the embedding ``h``, warm-starting
+    each task from the last.
 
-    The propagation embedding is label-independent, so one is shared by
-    every task.  Each smoothing task runs its pacing budget on the unmasked
-    rows of its snapshot; the fine-tune stage runs the full train budget on
-    the ground-truth labels.
+    Task i runs ``pacing_epochs`` on the unmasked rows of snapshot n_t - i,
+    so the walk goes from the smoothest snapshot back to the raw
+    pseudo-labels; the last task fine-tunes on the ground truth of the train
+    mask for ``train_cfg.epochs``.  With no snapshots only the fine-tune
+    runs: the supervised baseline.  The learning-rate decay counts epochs
+    across tasks, restarting at the fine-tune under ``reset_on_finetune``.
+    The embedding is label-independent, so every task shares it.
     """
+    pacing = replace(train_cfg, epochs=pacing_epochs)
+    tasks = [(snap, snap.unmasked_indices(), pacing) for snap in reversed(snapshots)]
+    truth = one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, g.num_classes)
+    tasks.append((truth, g.train_mask, train_cfg))
+
     w = None
     epoch_offset = 0
     metrics = []
-
-    val_set = g.val_mask[g.labels[g.val_mask] >= 0] if g.val_mask.size else g.val_mask
-
-    def _evaluate(index, name, clf, task_labels, include, elapsed_ms):
-        train_loss = softmax_cross_entropy(h, task_labels, clf.w, include)
+    for index, (labels, include, cfg) in enumerate(tasks):
+        if reset_on_finetune and index == len(tasks) - 1:
+            epoch_offset = 0
+        start = time.perf_counter()
+        clf = train_linear(h, labels, include, cfg, warm_start=w, epoch_offset=epoch_offset)
+        elapsed = (time.perf_counter() - start) * 1e3
+        w = clf.w
+        epoch_offset += cfg.epochs
         pred, _ = predict(h, clf)
-        train_acc = accuracy(pred, g.labels, include)
-        if val_set.size:
-            val_acc = accuracy(pred, g.labels, val_set)
-            val_truth = one_hot_matrix(g.labels[val_set], val_set, g.n, g.num_classes)
-            val_loss = softmax_cross_entropy(h, val_truth, clf.w, val_set)
-        else:
-            val_acc = float("nan")
-            val_loss = float("nan")
+        val_accuracy, val_loss = split_scores(h, w, pred, g, g.val_mask)
         metrics.append(
             TaskMetrics(
                 index=index,
-                name=name,
-                train_loss=train_loss,
-                train_accuracy=train_acc,
-                val_accuracy=val_acc,
+                train_loss=softmax_cross_entropy(h, labels, w, include),
+                train_accuracy=accuracy(pred, g.labels, include),
+                val_accuracy=val_accuracy,
                 val_loss=val_loss,
-                wall_ms=elapsed_ms,
+                wall_ms=elapsed,
             )
         )
-
-    for i, task in enumerate(schedule.tasks):
-        include = task.labels.unmasked_indices()
-        start = time.perf_counter()
-        clf = train_linear(
-            h,
-            task.labels,
-            include,
-            replace(train_cfg, epochs=task.epochs),
-            warm_start=w,
-            epoch_offset=epoch_offset,
-        )
-        elapsed = (time.perf_counter() - start) * 1e3
-        w = clf.w
-        epoch_offset += task.epochs
-        _evaluate(i, f"smooth-{schedule.n_t - i}", clf, task.labels, include, elapsed)
-
-    if reset_on_finetune:
-        epoch_offset = 0
-    final_labels = one_hot_matrix(
-        schedule.final_labels, schedule.final_set, g.n, g.num_classes
-    )
-    start = time.perf_counter()
-    clf = train_linear(
-        h,
-        final_labels,
-        schedule.final_set,
-        train_cfg,
-        warm_start=w,
-        epoch_offset=epoch_offset,
-    )
-    elapsed = (time.perf_counter() - start) * 1e3
-    _evaluate(len(schedule.tasks), "finetune", clf, final_labels, schedule.final_set, elapsed)
     return CurriculumResult(classifier=clf, metrics=tuple(metrics))
 
 
@@ -410,9 +335,7 @@ def export_snapshots(snapshots, out_dir) -> list:
         path = out_dir / f"snapshot_{i:03d}.csv"
         header = "node," + ",".join(f"class_{c}" for c in range(snap.num_classes))
         lines = [header]
-        for node in range(snap.n):
-            row = ",".join(format(v, ".17g") for v in snap.y[node])
-            lines.append(f"{node},{row}")
+        lines.extend(f"{node},{row}" for node, row in enumerate(float_rows(snap.y)))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(path)
     return paths

@@ -77,10 +77,6 @@ class NonFiniteLossError(GraphainError):
     """Training loss became NaN or infinite."""
 
 
-class EmptyScheduleError(GraphainError):
-    """Curriculum schedule has no tasks."""
-
-
 class MissingMaskError(GraphainError):
     """Dataset has no train/val/test masks but the command needs them."""
 

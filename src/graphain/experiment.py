@@ -11,6 +11,7 @@ interaction.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -18,18 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import accuracy, make_reducer, predict, softmax_cross_entropy, train_linear
+from .classifier import make_reducer, predict, train_linear
 from .config import ExperimentConfig, config_hash, render_config
 from .curriculum import (
     aux_from_graph,
-    build_curriculum,
     build_knn_aux_graph,
     entropy_filter,
     estimate_labels_teacher,
     export_snapshots as write_snapshots,
     run_curriculum,
     smooth_labels,
-    supervised_schedule,
+    split_scores,
 )
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError, MissingMaskError
@@ -145,7 +145,7 @@ def run_seed(
     diagnostics_path=None,
     inputs=None,
 ):
-    """One seed of the pipeline; returns (rows, curriculum result, graph,
+    """One seed of the pipeline; returns (rows, curriculum result,
     smoothing snapshots), the snapshots None without the curriculum.
 
     With ``diagnostics_path``, the per-layer diagnostics of the seed's one
@@ -164,12 +164,12 @@ def run_seed(
         h = compute_embedding(cfg, g, seed, observe=recorder)
     if recorder is not None:
         records_to_csv(recorder.records, diagnostics_path)
-    num_classes = g.num_classes
 
+    snapshots = None
     if with_curriculum:
         with _stage("teacher"):
             teacher_labels = one_hot_matrix(
-                g.labels[g.train_mask], g.train_mask, g.n, num_classes
+                g.labels[g.train_mask], g.train_mask, g.n, g.num_classes
             )
             teacher = train_linear(h, teacher_labels, g.train_mask, cfg.train)
             _, teacher_probs = predict(h, teacher)
@@ -185,21 +185,14 @@ def run_seed(
             aux = _build_aux(cfg, g, h)
         with _stage("label-smoothing"):
             snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
-        schedule = build_curriculum(
-            snapshots,
-            cfg.curriculum.pacing_epochs,
-            (g.train_mask, g.labels[g.train_mask]),
-        )
-    else:
-        snapshots = None
-        schedule = supervised_schedule(g.train_mask, g.labels[g.train_mask])
 
     with _stage("curriculum"):
         result = run_curriculum(
             g,
             h,
-            schedule,
+            snapshots or [],
             cfg.train,
+            cfg.curriculum.pacing_epochs,
             reset_on_finetune=cfg.curriculum.reset_on_finetune,
         )
 
@@ -214,23 +207,14 @@ def run_seed(
         )
 
     with _stage("evaluation"):
-        final_index = result.metrics[-1].index
         pred, _ = predict(h, result.classifier)
         start = time.perf_counter()
-        test_set = (
-            g.test_mask[g.labels[g.test_mask] >= 0] if g.test_mask.size else g.test_mask
-        )
-        if test_set.size:
-            test_truth = one_hot_matrix(g.labels[test_set], test_set, g.n, num_classes)
-            test_acc = accuracy(pred, g.labels, test_set)
-            test_loss = softmax_cross_entropy(
-                h, test_truth, result.classifier.w, test_set
-            )
-            wall = 0.0 if cfg.deterministic_timing else (time.perf_counter() - start) * 1e3
-            rows.append(
-                ResultRow(seed, digest, final_index, "test", test_acc, test_loss, wall)
-            )
-    return rows, result, g, snapshots
+        test_acc, test_loss = split_scores(h, result.classifier.w, pred, g, g.test_mask)
+        wall = 0.0 if cfg.deterministic_timing else (time.perf_counter() - start) * 1e3
+        if not math.isnan(test_acc):  # NaN: no labeled test node, so no test row
+            index = result.metrics[-1].index
+            rows.append(ResultRow(seed, digest, index, "test", test_acc, test_loss, wall))
+    return rows, result, snapshots
 
 
 def run_experiment(
@@ -250,7 +234,7 @@ def run_experiment(
     all_rows = []
     for seed in cfg.seeds:
         diagnostics_path = out / f"diagnostics_seed{seed}.csv" if write_files else None
-        rows, _, _, snapshots = run_seed(
+        rows, _, snapshots = run_seed(
             cfg,
             seed,
             with_curriculum=with_curriculum,

@@ -219,6 +219,13 @@ def load_dataset(directory, require_masks: bool = False) -> Graph:
     return g
 
 
+def float_rows(values: np.ndarray) -> list:
+    """Each row of a 2-D float array as comma-separated ``%.17g`` values,
+    which read back bit-equal; formatted a row at a time from ``tolist``."""
+    row = ",".join(["%.17g"] * values.shape[1])
+    return [row % tuple(r) for r in values.tolist()]
+
+
 def save_dataset(g: Graph, directory) -> None:
     """Write a Graph as a dataset directory (labels/masks only when present)."""
     directory = Path(directory)
@@ -228,10 +235,8 @@ def save_dataset(g: Graph, directory) -> None:
         "".join(f"{i}\t{j}\n" for i, j in g.edges.tolist()), encoding="utf-8"
     )
 
-    row = ",".join(["%.17g"] * g.feature_dim) + "\n"
     (directory / FEATURES_FILE).write_text(
-        "".join(row % tuple(values) for values in g.features.tolist()),
-        encoding="utf-8",
+        "".join(line + "\n" for line in float_rows(g.features)), encoding="utf-8"
     )
 
     labeled = np.flatnonzero(g.labels >= 0)

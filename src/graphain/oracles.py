@@ -7,8 +7,6 @@ hard size cap keeps the O(n^3) work confined to verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -19,17 +17,9 @@ from .errors import (
     TooLargeError,
 )
 from .graph import Graph
-from .linalg import orthonormal_projection
+from .linalg import EigPair, orthonormal_projection
 
 DENSE_CAP = 2000
-
-
-@dataclass(frozen=True)
-class DenseSpectrum:
-    """Full dense eigendecomposition, eigenvalues nonincreasing."""
-
-    u: np.ndarray
-    values: np.ndarray
 
 
 def _check_cap(n: int):
@@ -58,7 +48,7 @@ def dense_abar(g: Graph) -> np.ndarray:
     return t @ dense_ahat(g) @ t
 
 
-def dense_spectrum(m: np.ndarray) -> DenseSpectrum:
+def dense_spectrum(m: np.ndarray) -> EigPair:
     """Eigendecomposition with a deterministic sign convention per column."""
     m = np.asarray(m, dtype=np.float64)
     _check_cap(m.shape[0])
@@ -72,7 +62,7 @@ def dense_spectrum(m: np.ndarray) -> DenseSpectrum:
     recon = float(np.linalg.norm((u * lam) @ u.T - m))
     if recon > 1e-8 * max(float(np.linalg.norm(m)), 1e-30):
         raise TooLargeError(f"spectrum reconstruction error {recon:.3e}")
-    return DenseSpectrum(u=u, values=lam)
+    return EigPair(u=u, values=lam)
 
 
 def top_d_eigvectors(m: np.ndarray, d: int) -> np.ndarray:

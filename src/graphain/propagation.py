@@ -191,7 +191,7 @@ def run_fuzzy_r_softgraphain(
     step = {
         "rsoft": rsoft,
         "sgc": lambda h, t: apply_operator(op, h),
-        "pairnorm": lambda h, t: pairnorm_step(h, op, 1.0),
+        "pairnorm": lambda h, t: pairnorm_step(h, op),
     }[variant]
     h = x
     for t in range(1, cfg.layers + 1):
@@ -205,13 +205,11 @@ def run_fuzzy_r_softgraphain(
     return h
 
 
-def pairnorm_step(h: np.ndarray, op: NormalizedOperator, c: float) -> np.ndarray:
-    """Center the aggregate and rescale it to Frobenius norm c * sqrt(n)."""
-    if c <= 0.0:
-        raise InvalidCoefficientsError("pairnorm scale must be positive")
+def pairnorm_step(h: np.ndarray, op: NormalizedOperator) -> np.ndarray:
+    """Center the aggregate and rescale it to Frobenius norm sqrt(n)."""
     hp = apply_centering(apply_operator(op, h))
     norm = float(np.linalg.norm(hp))
     if norm < 1e-300:
         raise ZeroActivationError("centered activation collapsed to zero")
     n = h.shape[0]
-    return (c * math.sqrt(n) / norm) * hp
+    return (math.sqrt(n) / norm) * hp

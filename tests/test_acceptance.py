@@ -182,7 +182,7 @@ def test_criterion_10_noisy_features_experiment():
         cfg = build_experiment_config({**_NOISY_KV, "propagation.variant": variant})
         accs = []
         for seed in cfg.seeds:
-            rows, _, _, _ = run_seed(cfg, seed, with_curriculum=False)
+            rows, _, _ = run_seed(cfg, seed, with_curriculum=False)
             accs.append([r for r in rows if r.split == "test"][-1].accuracy)
         medians[variant] = float(np.median(accs))
     elapsed = time.perf_counter() - start
@@ -229,9 +229,9 @@ def test_criterion_11_curriculum_ablation_direction():
     cfg = build_experiment_config(_ABLATION_KV)
     with_cl, without_cl = [], []
     for seed in cfg.seeds:
-        rows, _, _, _ = run_seed(cfg, seed, with_curriculum=True)
+        rows, _, _ = run_seed(cfg, seed, with_curriculum=True)
         with_cl.append([r for r in rows if r.split == "val"][-1].accuracy)
-        rows, _, _, _ = run_seed(cfg, seed, with_curriculum=False)
+        rows, _, _ = run_seed(cfg, seed, with_curriculum=False)
         without_cl.append([r for r in rows if r.split == "val"][-1].accuracy)
     med_with = float(np.median(with_cl))
     med_without = float(np.median(without_cl))

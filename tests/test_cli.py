@@ -138,7 +138,7 @@ class TestCli:
         run_cfg = replace(
             load_config(cfg), dataset_path=str(data), synthetic=None, output_dir=str(out)
         )
-        _, _, _, snapshots = experiment.run_seed(run_cfg, run_cfg.seeds[0])
+        _, _, snapshots = experiment.run_seed(run_cfg, run_cfg.seeds[0])
         want = export_snapshots(snapshots, tmp / "expected")
         got = sorted((out / "snapshots").glob("snapshot_*.csv"))
         assert [p.name for p in got] == [p.name for p in want]

@@ -8,26 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain import curriculum
-from graphain.classifier import TrainConfig
+from graphain.classifier import TrainConfig, predict, softmax_cross_entropy, train_linear
 from graphain.curriculum import (
     AuxGraph,
     aux_from_graph,
     aux_transition_matrix,
-    build_curriculum,
     build_knn_aux_graph,
     entropy_filter,
     estimate_labels_teacher,
     iterative_label_propagation,
     run_curriculum,
     smooth_labels,
-    supervised_schedule,
+    split_scores,
 )
-from graphain.errors import (
-    EmptyScheduleError,
-    NonFiniteFeatureError,
-    RowNotStochasticError,
-)
-from graphain.labels import SoftLabelMatrix, one_hot
+from graphain.errors import NonFiniteFeatureError, RowNotStochasticError
+from graphain.labels import SoftLabelMatrix, one_hot, one_hot_matrix
 from graphain.linalg import SpectralFilterParams
 from graphain.oracles import knn_edges_dense, label_prop_closed_form
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
@@ -347,70 +342,149 @@ class TestSmoothing:
         assert np.abs(snaps[-1].y[2] - y0_rows[2]).max() <= 1e-12
 
 
+def _recording(monkeypatch):
+    """Record every ``train_linear`` call that ``run_curriculum`` makes."""
+    calls = []
+    real = curriculum.train_linear
+
+    def record(h, labels, include, cfg, warm_start=None, epoch_offset=0):
+        calls.append(
+            dict(labels=labels, include=np.array(include), epochs=cfg.epochs,
+                 epoch_offset=epoch_offset)
+        )
+        return real(h, labels, include, cfg, warm_start=warm_start, epoch_offset=epoch_offset)
+
+    monkeypatch.setattr(curriculum, "train_linear", record)
+    return calls
+
+
+def _curriculum_setup():
+    g = random_connected_graph(24, 0.25, seed=20, feature_dim=4)
+    labels = (np.arange(24) % 2).astype(np.int64)
+    from graphain.graph import build_graph
+
+    g = build_graph(g.edges, g.n, g.features, y=labels)
+    g = with_masks(g, 0.25, 0.25, seed=1)
+    cfg = PropagationConfig(
+        alpha=0.8,
+        beta=0.1,
+        gamma=0.1,
+        filter=SpectralFilterParams(a=0.5, b=1.0, d0=4),
+        layers=4,
+    )
+    return g, run_fuzzy_r_softgraphain(g, cfg)
+
+
+def _masked_snapshots(rng, count):
+    """Soft two-class snapshots of 24 nodes, a different few rows masked in each."""
+    snaps = []
+    for i in range(count):
+        y = rng.dirichlet(np.ones(2), size=24)
+        masked = np.zeros(24, dtype=bool)
+        masked[i::5] = True
+        y[masked] = 0.0
+        snaps.append(_soft(y, masked))
+    return snaps
+
+
 class TestSchedule:
-    def test_reversal_indices(self, rng):
-        snaps = [_soft(rng.dirichlet(np.ones(3), size=5)) for _ in range(4)]
-        sched = build_curriculum(snaps, 7, ([0, 1], [0, 1]))
-        assert sched.n_t == 3
-        for i, task in enumerate(sched.tasks):
-            assert task.labels is snaps[3 - i]
-            assert task.epochs == 7
+    def test_reversal_indices(self, rng, monkeypatch):
+        g, h = _curriculum_setup()
+        snaps = _masked_snapshots(rng, 4)
+        calls = _recording(monkeypatch)
+        run_curriculum(g, h, snaps, TrainConfig(lr=0.2, epochs=9), 7)
+        for i, call in enumerate(calls[:-1]):
+            assert call["labels"] is snaps[3 - i]
+            assert np.array_equal(call["include"], snaps[3 - i].unmasked_indices())
+            assert call["epochs"] == 7
+        final = calls[-1]
+        assert np.array_equal(final["include"], g.train_mask)
+        assert final["epochs"] == 9
+        assert np.array_equal(
+            final["labels"].y,
+            one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, 2).y,
+        )
 
-    def test_total_length_includes_finetune(self, rng):
-        snaps = [_soft(rng.dirichlet(np.ones(3), size=5)) for _ in range(3)]
-        sched = build_curriculum(snaps, 1, ([0], [2]))
-        assert len(sched.tasks) + 1 == 3 + 1
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_epoch_offsets(self, rng, monkeypatch, reset):
+        g, h = _curriculum_setup()
+        calls = _recording(monkeypatch)
+        run_curriculum(
+            g, h, _masked_snapshots(rng, 3), TrainConfig(lr=0.2, epochs=9), 7,
+            reset_on_finetune=reset,
+        )
+        assert [c["epoch_offset"] for c in calls] == [0, 7, 14, 0 if reset else 21]
 
-    def test_empty_snapshots_rejected(self):
-        with pytest.raises(EmptyScheduleError):
-            build_curriculum([], 1, ([0], [0]))
+    def test_total_length_includes_finetune(self, rng, monkeypatch):
+        g, h = _curriculum_setup()
+        calls = _recording(monkeypatch)
+        out = run_curriculum(g, h, _masked_snapshots(rng, 3), TrainConfig(lr=0.2, epochs=5), 1)
+        assert len(calls) == len(out.metrics) == 3 + 1
+        assert [m.index for m in out.metrics] == [0, 1, 2, 3]
 
 
 class TestRunCurriculum:
-    def _setup(self):
-        g = random_connected_graph(24, 0.25, seed=20, feature_dim=4)
-        labels = (np.arange(24) % 2).astype(np.int64)
-        from graphain.graph import build_graph
-
-        g = build_graph(g.edges, g.n, g.features, y=labels)
-        g = with_masks(g, 0.25, 0.25, seed=1)
-        cfg = PropagationConfig(
-            alpha=0.8,
-            beta=0.1,
-            gamma=0.1,
-            filter=SpectralFilterParams(a=0.5, b=1.0, d0=4),
-            layers=4,
-        )
-        return g, run_fuzzy_r_softgraphain(g, cfg)
-
     def test_supervised_only_schedule(self):
-        g, h = self._setup()
-        sched = supervised_schedule(g.train_mask, g.labels[g.train_mask])
-        out = run_curriculum(g, h, sched, TrainConfig(lr=0.2, epochs=30))
+        g, h = _curriculum_setup()
+        cfg = TrainConfig(lr=0.2, epochs=30)
+        out = run_curriculum(g, h, [], cfg, 50)
         assert len(out.metrics) == 1
-        assert out.metrics[0].name == "finetune"
+        assert out.metrics[0].index == 0
+        # the fine-tune alone is the teacher: one train_linear on the train truth
+        truth = one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, 2)
+        teacher = train_linear(h, truth, g.train_mask, cfg)
+        assert np.array_equal(out.classifier.w, teacher.w)
 
     def test_zero_pacing_equals_finetune_only(self, rng):
-        g, h = self._setup()
+        g, h = _curriculum_setup()
         snaps = [_soft(rng.dirichlet(np.ones(2), size=24)) for _ in range(3)]
-        sched = build_curriculum(snaps, 0, (g.train_mask, g.labels[g.train_mask]))
         train_cfg = TrainConfig(lr=0.2, epochs=30)
-        full = run_curriculum(g, h, sched, train_cfg)
-        only = run_curriculum(
-            g,
-            h,
-            supervised_schedule(g.train_mask, g.labels[g.train_mask]),
-            train_cfg,
-        )
+        full = run_curriculum(g, h, snaps, train_cfg, 0)
+        only = run_curriculum(g, h, [], train_cfg, 0)
         assert np.array_equal(full.classifier.w, only.classifier.w)
 
     def test_warm_start_carries_over(self, rng):
-        g, h = self._setup()
+        g, h = _curriculum_setup()
         snaps = [_soft(rng.dirichlet(np.ones(2), size=24)) for _ in range(2)]
-        sched = build_curriculum(snaps, 10, (g.train_mask, g.labels[g.train_mask]))
-        out = run_curriculum(g, h, sched, TrainConfig(lr=0.2, epochs=0))
+        out = run_curriculum(g, h, snaps, TrainConfig(lr=0.2, epochs=0), 10)
         # zero fine-tune epochs: final weights come from the last task
         assert np.abs(out.classifier.w).max() > 0.0
+
+    @pytest.mark.parametrize("decay, changes", [(15, True), (10**9, False)])
+    def test_reset_on_finetune_restarts_the_lr_decay(self, rng, decay, changes):
+        # 2 tasks of 10 epochs, then 30 fine-tune epochs: a decay at epoch 15
+        # halves the whole fine-tune without the reset, its last 15 with it.
+        g, h = _curriculum_setup()
+        snaps = _masked_snapshots(rng, 2)
+        cfg = TrainConfig(lr=0.2, epochs=30, lr_decay_epoch=decay)
+        kept, reset = (
+            run_curriculum(g, h, snaps, cfg, 10, reset_on_finetune=flag).classifier.w
+            for flag in (False, True)
+        )
+        assert np.array_equal(kept, reset) != changes
+
+    def test_val_scores_skip_unlabeled_nodes(self):
+        g, h = _curriculum_setup()
+        out = run_curriculum(g, h, [], TrainConfig(lr=0.2, epochs=30), 0)
+        pred, _ = predict(h, out.classifier)
+        assert split_scores(h, out.classifier.w, pred, g, g.val_mask) == (
+            out.metrics[0].val_accuracy,
+            out.metrics[0].val_loss,
+        )
+        from graphain.graph import build_graph
+
+        unlabeled = build_graph(
+            g.edges, g.n, g.features, y=np.where(np.arange(24) < 12, g.labels, -1),
+            masks=(g.train_mask, g.val_mask, g.test_mask),
+        )
+        acc, loss = split_scores(h, out.classifier.w, pred, unlabeled, unlabeled.val_mask)
+        kept = g.val_mask[g.val_mask < 12]
+        assert 0 < kept.size < g.val_mask.size
+        assert acc == (pred[kept] == g.labels[kept]).mean()
+        truth = one_hot_matrix(g.labels[kept], kept, g.n, 2)
+        assert loss == softmax_cross_entropy(h, truth, out.classifier.w, kept)
+        empty = split_scores(h, out.classifier.w, pred, g, g.val_mask[:0])
+        assert all(math.isnan(v) for v in empty)
 
 
 class TestAuxTransition:

@@ -442,8 +442,8 @@ class TestRunExperiment:
         cfg = build_experiment_config(
             {**BASE_KV, "curriculum.n_t": "0", "curriculum.pacing_epochs": "0"}
         )
-        rows_cl, result_cl, _, _ = run_seed(cfg, 1, with_curriculum=True)
-        rows_sup, result_sup, _, _ = run_seed(cfg, 1, with_curriculum=False)
+        rows_cl, result_cl, _ = run_seed(cfg, 1, with_curriculum=True)
+        rows_sup, result_sup, _ = run_seed(cfg, 1, with_curriculum=False)
         assert np.array_equal(result_cl.classifier.w, result_sup.classifier.w)
         final_cl = [r for r in rows_cl if r.split == "test"][-1]
         final_sup = [r for r in rows_sup if r.split == "test"][-1]

@@ -291,7 +291,7 @@ class TestRunner:
         )
         h = g.features
         for t, layer_h in seen:
-            h = apply_operator(op, h) if variant == "sgc" else pairnorm_step(h, op, 1.0)
+            h = apply_operator(op, h) if variant == "sgc" else pairnorm_step(h, op)
             assert np.array_equal(layer_h, h)
         assert [t for t, _ in seen] == [1, 2, 3, 4, 5]
         assert out is seen[-1][1]
@@ -317,10 +317,9 @@ class TestPairnorm:
     def test_output_norm(self, rng):
         g = _path_graph(4, 3, seed=9)
         op = normalized_adjacency(g)
-        for c in (0.5, 1.0, 2.0):
-            out = pairnorm_step(rng.standard_normal((4, 3)), op, c)
-            assert np.linalg.norm(out) == pytest.approx(c * 2.0, abs=1e-10)
-            assert np.abs(out.sum(axis=0)).max() <= 1e-10
+        out = pairnorm_step(rng.standard_normal((4, 3)), op)
+        assert np.linalg.norm(out) == pytest.approx(2.0, abs=1e-10)
+        assert np.abs(out.sum(axis=0)).max() <= 1e-10
 
     def test_constant_rows_collapse(self):
         # regular graph: the normalized adjacency preserves constant columns,
@@ -329,19 +328,19 @@ class TestPairnorm:
         g = build_graph(np.column_stack([iu, ju]), 4, np.zeros((4, 2)))
         op = normalized_adjacency(g)
         with pytest.raises(ZeroActivationError):
-            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), op, 1.0)
+            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), op)
 
     def test_constant_rows_collapse_random_walk(self):
         g = _path_graph(4, 2)
         op = normalized_adjacency(g, "random_walk")
         with pytest.raises(ZeroActivationError):
-            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), op, 1.0)
+            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), op)
 
     def test_matches_straight_line_formula(self, rng):
         g = _path_graph(4, 3, seed=9)
         op = normalized_adjacency(g)
         h = rng.standard_normal((4, 3))
-        out = pairnorm_step(h, op, 1.0)
+        out = pairnorm_step(h, op)
 
         # independent re-evaluation from the dense definition
         from graphain.oracles import dense_ahat

@@ -1,8 +1,10 @@
-"""Every script under ``scripts/`` imports and parses its arguments.
+"""Every script under ``scripts/`` imports and parses its arguments, and the
+two experiment scripts run end to end on one seed.
 
-Each runs with ``--help`` in its own process, with ``src`` and ``scripts`` on
-``PYTHONPATH`` as its usage line says, so a program API change that breaks a
-script's imports fails here rather than at the script's next use.
+Each runs in its own process, with ``src`` and ``scripts`` on ``PYTHONPATH``
+as its usage line says, so a program API change that breaks a script's
+imports, or the way it reads ``run_seed``'s results, fails here rather than
+at the script's next use.
 """
 
 import os
@@ -20,18 +22,34 @@ def test_scripts_are_found():
     assert len(SCRIPTS) >= 4
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
-def test_script_help_exits_zero(script):
+def _run(script, *args):
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")]),
     }
     proc = subprocess.run(
-        [sys.executable, str(script), "--help"],
+        [sys.executable, str(script), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage:")
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_help_exits_zero(script):
+    assert _run(script, "--help").startswith("usage:")
+
+
+def test_curriculum_ablation_runs_one_seed():
+    out = _run(ROOT / "scripts" / "run_curriculum_ablation.py", "--seeds", "1")
+    assert out.splitlines()[-1].startswith("median with curriculum ")
+
+
+def test_noisy_features_runs_one_seed():
+    out = _run(ROOT / "scripts" / "run_noisy_features.py", "--layers", "4", "--seeds", "1")
+    lines = out.splitlines()
+    assert lines[1].endswith(" median")
+    assert [line.split()[0] for line in lines[2:]] == ["rsoft", "sgc", "pairnorm"]
