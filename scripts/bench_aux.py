@@ -3,11 +3,13 @@ kNN auxiliary graph.
 
 ``gen_gaussian_cluster_graph`` runs on the benchmark's ``wide`` (3x1000) and
 ``files`` (3x500, 32-wide features) specs; ``build_knn_aux_graph`` runs on
-seeded Gaussian vectors at n = 1500 and 3000, d = 8, k = 7.  Each case is
-warmed up once, then timed in 7 repeats of one call; the JSON gives the
+seeded Gaussian vectors at n = 1500, 3000 and 9000, d = 8, k = 7.  Each case
+is warmed up once, then timed in 7 repeats of one call; the JSON gives the
 median and the interquartile range of the repeats in milliseconds, with the
 numpy, scipy and BLAS versions, ``os.cpu_count()`` and the BLAS thread
-environment, which moves these numbers.  No timing is gated.
+environment, which moves these numbers.  Each kNN case also records the
+``tracemalloc`` peak of one more, untimed call, in MB (10^6 bytes): the
+memory the call allocates beyond its input.  No figure is gated.
 
 Usage: PYTHONPATH=src python scripts/bench_aux.py [--out BENCH_aux.json]
 """
@@ -15,6 +17,7 @@ Usage: PYTHONPATH=src python scripts/bench_aux.py [--out BENCH_aux.json]
 import argparse
 import json
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -28,7 +31,7 @@ GENERATOR_SPECS = {
         clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32
     ),
 }
-KNN_ROWS = (1500, 3000)
+KNN_ROWS = (1500, 3000, 9000)
 KNN_DIM = 8
 KNN_K = 7
 
@@ -45,6 +48,17 @@ def _timed(fn):
     return _stats(samples)
 
 
+def _peak_mb(fn):
+    """``tracemalloc`` peak of one call of ``fn()``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
+
+
 def bench_generator(name):
     spec = SyntheticSpec(**GENERATOR_SPECS[name], seed=0)
     return {
@@ -56,11 +70,16 @@ def bench_generator(name):
 
 def bench_knn(n):
     vectors = np.random.default_rng(n).standard_normal((n, KNN_DIM))
+
+    def call():
+        build_knn_aux_graph(vectors, KNN_K, 1.0)
+
     return {
         "n": n,
         "dim": KNN_DIM,
         "k": KNN_K,
-        "knn_ms_per_call": _timed(lambda: build_knn_aux_graph(vectors, KNN_K, 1.0)),
+        "knn_ms_per_call": _timed(call),
+        "knn_tracemalloc_peak_mb": _peak_mb(call),
     }
 
 
@@ -84,7 +103,8 @@ def main():
               f"{r['gen_ms_per_call']['median']:7.1f} ms/call")
     for r in report["knn"]:
         print(f"knn n {r['n']:>4}, d {r['dim']}, k {r['k']}: "
-              f"{r['knn_ms_per_call']['median']:7.1f} ms/call")
+              f"{r['knn_ms_per_call']['median']:7.1f} ms/call, "
+              f"tracemalloc peak {r['knn_tracemalloc_peak_mb']:6.1f} MB")
 
 
 if __name__ == "__main__":
