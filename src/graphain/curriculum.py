@@ -33,7 +33,7 @@ from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
 
 _DEAD_ROW = 1e-12  # row mass below this counts as zero
-_KNN_BLOCK = 1 << 20  # distance entries per row block of the kNN selection
+_KNN_BLOCK = 1 << 18  # Gram entries per row block of the kNN; four buffers, 25 B/entry
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,25 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     an edge between orthogonal or opposed vectors survives structurally with
     zero weight.
 
-    Cost: one dense n x n Gram matrix (O(n^2 d) time, n^2 floats held),
-    then O(n^2) selection in row blocks of about ``_KNN_BLOCK`` entries,
-    with no per-row sort: each row's k-th smallest distance by
-    ``np.partition``, every closer node, and as many nodes at exactly that
-    distance as fit, lowest index first.  The blocks' distances, their
-    partitioned copy and the kept mask live in three buffers allocated once
-    per call, so at n = 3000, d = 8 the ``tracemalloc`` peak is 91 MB, 72 MB
-    of it the Gram.  ``oracles.knn_edges_dense``, which sorts each row, is
-    the reference it matches exactly; both form the Gram as the one product
-    ``vectors @ vectors.T``, since another can move a weight's last bit.  Raises
-    NonFiniteFeatureError when a squared distance is not finite, where no
-    nearest-neighbor order exists.
+    Cost: O(n^2 d) time and O(block·n + n·k) memory; no n x n array is held.
+    The Gram ``vectors @ vectors.T`` is formed one row block of about
+    ``_KNN_BLOCK`` entries at a time, in two passes: the first takes the
+    squared norms from the blocks' diagonals, the second turns each block
+    into distances and selects from them with no per-row sort: each row's
+    k-th smallest distance by ``np.partition``, every closer node, and as
+    many nodes at exactly that distance as fit, lowest index first.  A kept
+    edge's weight is read from the Gram entry its block already holds, that
+    of its lower row when that row kept it.  The Gram block, the distances,
+    their partitioned copy and the kept mask live in four buffers allocated
+    once per call, so at n = 3000, d = 8 the ``tracemalloc`` peak is 8 MB.
+    When one block holds every row, the product is the one ``vectors @
+    vectors.T`` that ``oracles.knn_edges_dense`` forms, and the edges and
+    weights match that reference bit for bit.  With several blocks BLAS may
+    round a Gram entry differently, as its kernel depends on the operand
+    shapes, so a weight can move in its last bits and a near-tie in distance
+    can order differently.  Raises NonFiniteFeatureError naming the first
+    row whose squared norm, or else the first pair whose squared distance,
+    is not finite, where no nearest-neighbor order exists.
     """
     if gamma_prime <= 0.0:
         raise ValueError("gamma_prime must be positive")
@@ -120,23 +127,39 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     if k == 0 or n < 2:
         return AuxGraph(n=n, edges=np.empty((0, 2), dtype=np.int64), weights=np.empty(0))
 
-    gram = vectors @ vectors.T
-    sq_norms = np.diag(gram).copy()
     rows_per_block = min(n, max(1, _KNN_BLOCK // n))
+    starts = range(0, n, rows_per_block)
+    gram_buf = np.empty((rows_per_block, n))
     dist_buf = np.empty((rows_per_block, n))
     part_buf = np.empty((rows_per_block, n))
     take_buf = np.empty((rows_per_block, n), dtype=bool)
-    codes = []
-    for start in range(0, n, rows_per_block):
+
+    def gram_block(start):
         stop = min(start + rows_per_block, n)
-        rows = stop - start
+        return np.matmul(vectors[start:stop], vectors.T, out=gram_buf[: stop - start])
+
+    sq_norms = np.empty(n)
+    for start in starts:
+        gram = gram_block(start)
+        sq_norms[start : start + gram.shape[0]] = gram[:, start:].diagonal()
+    bad = np.flatnonzero(~np.isfinite(sq_norms))
+    if bad.size:
+        raise NonFiniteFeatureError(
+            f"kNN auxiliary graph: the squared norm of row {bad[0]} is not finite"
+        )
+    codes, values = [], []
+    for start in starts:
+        gram = gram_block(start)
+        rows = gram.shape[0]
         dist, part, take = dist_buf[:rows], part_buf[:rows], take_buf[:rows]
         # sq_i + sq_j - 2 g_ij, rounded as the oracle's expression rounds it.
-        np.add(sq_norms[start:stop, None], sq_norms[None, :], out=dist)
-        np.subtract(dist, np.multiply(gram[start:stop], 2.0, out=part), out=dist)
+        np.add(sq_norms[start : start + rows, None], sq_norms[None, :], out=dist)
+        np.subtract(dist, np.multiply(gram, 2.0, out=part), out=dist)
         if not np.isfinite(dist, out=take).all():
+            i, j = np.divmod(int(np.argmin(take)), n)
             raise NonFiniteFeatureError(
-                "kNN auxiliary graph: a squared distance is not finite"
+                f"kNN auxiliary graph: the squared distance between rows "
+                f"{start + i} and {j} is not finite"
             )
         np.fill_diagonal(dist[:, start:], np.inf)  # a node is not its own neighbor
         np.copyto(part, dist)
@@ -149,14 +172,15 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
             at_kth = dist[tied] == kth[tied]
             room = k - (take[tied] & ~at_kth).sum(axis=1, keepdims=True)
             take[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
-        i, j = np.divmod(np.flatnonzero(take), n)
+        kept = np.flatnonzero(take)
+        values.append(gram.ravel()[kept])
+        i, j = np.divmod(kept, n)
         i += start
         codes.append(np.minimum(i, j) * n + np.maximum(i, j))
-    pairs = np.unique(np.concatenate(codes))
+    # Codes run in row order, so a pair's first code is its lower row's if kept there.
+    pairs, first = np.unique(np.concatenate(codes), return_index=True)
     edges = np.stack(np.divmod(pairs, n), axis=1)
-    weights = np.power(
-        np.maximum(gram[edges[:, 0], edges[:, 1]], 0.0), gamma_prime
-    )
+    weights = np.power(np.maximum(np.concatenate(values)[first], 0.0), gamma_prime)
     return AuxGraph(n=n, edges=edges, weights=weights)
 
 

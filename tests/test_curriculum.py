@@ -152,12 +152,40 @@ class TestKnnAuxGraph:
                 assert np.array_equal(aux.edges, edges), (block, k)
                 assert np.array_equal(aux.weights, weights), (block, k)
 
+    def test_float_vectors_in_one_block_match_oracle_bits(self):
+        import graphain.curriculum as curriculum
+
+        # The pinned configs (n = 120) and the deep benchmark (n = 300) fit in
+        # one block, whose product is the oracle's own Gram.
+        n = 300
+        assert curriculum._KNN_BLOCK // n >= n
+        vecs = np.random.default_rng(11).standard_normal((n, 8))
+        aux = build_knn_aux_graph(vecs, 7, 1.0)
+        edges, weights = knn_edges_dense(vecs, 7, 1.0)
+        assert np.array_equal(aux.edges, edges)
+        assert np.array_equal(aux.weights, weights)
+
+    def test_float_vectors_across_blocks_match_oracle_to_ulps(self):
+        import graphain.curriculum as curriculum
+
+        # Several blocks: a per-block product may round an entry differently.
+        n = 1500
+        assert curriculum._KNN_BLOCK // n < n
+        vecs = np.random.default_rng(12).standard_normal((n, 8))
+        aux = build_knn_aux_graph(vecs, 7, 1.0)
+        edges, weights = knn_edges_dense(vecs, 7, 1.0)
+        assert np.array_equal(aux.edges, edges)
+        np.testing.assert_array_max_ulp(aux.weights, weights, maxulp=2)
+
     @pytest.mark.parametrize(
         "n, bound",
         [
-            # The n x n Gram is 8 n^2 bytes; the row blocks add two float and
-            # one bool buffer of about _KNN_BLOCK entries, allocated once.
-            (3000, 8 * 3000**2 + 24e6),
+            # No n x n array: four row-block buffers of about _KNN_BLOCK
+            # entries (25 bytes each, 6.6 MB), allocated once, plus O(n k)
+            # edge codes and weights.  An n x n Gram alone would be 72 MB at
+            # n = 3000 and 648 MB at n = 9000.
+            (3000, 16e6),
+            (9000, 24e6),
             # One block: the buffers hold n rows, not _KNN_BLOCK entries.
             (300, 5 * 8 * 300**2),
         ],
@@ -174,9 +202,21 @@ class TestKnnAuxGraph:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_distance_rejected(self):
+    def test_non_finite_distance_rejected(self, monkeypatch):
+        import graphain.curriculum as curriculum
+
         vecs = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NonFiniteFeatureError, match="kNN"):
+        with pytest.raises(NonFiniteFeatureError, match=r"kNN.* norm of row 0 "):
+            build_knn_aux_graph(vecs, 1, 1.0)
+        vecs = np.array([[0.0, 1.0], [1.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(NonFiniteFeatureError, match=r"kNN.* norm of row 2 "):
+            build_knn_aux_graph(vecs, 1, 1.0)
+        # Finite norms whose distance overflows: rows 1 and 2 are opposed.
+        vecs = np.array([[0.0, 1.0], [7e153, 0.0], [-7e153, 0.0]])
+        with pytest.raises(NonFiniteFeatureError, match=r"kNN.* between rows 1 and 2 "):
+            build_knn_aux_graph(vecs, 1, 1.0)
+        monkeypatch.setattr(curriculum, "_KNN_BLOCK", 3)  # one row a block
+        with pytest.raises(NonFiniteFeatureError, match=r"kNN.* between rows 1 and 2 "):
             build_knn_aux_graph(vecs, 1, 1.0)
 
 
