@@ -44,21 +44,31 @@ def bench(directory: Path):
     }
 
 
+def record_run(out: Path, header: dict, label: str, results) -> None:
+    """Store ``results`` with the environment under ``runs[label]`` of the
+    JSON report ``out``, which is created from ``header`` if missing."""
+    report = (
+        json.loads(out.read_text(encoding="utf-8"))
+        if out.exists()
+        else {**header, "runs": {}}
+    )
+    report["runs"][label] = {"environment": environment(), "results": results}
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_io.json")
     parser.add_argument("--label", default="current")
     args = parser.parse_args()
-    out = Path(args.out)
-    report = (
-        json.loads(out.read_text(encoding="utf-8"))
-        if out.exists()
-        else {"case": "io", "spec": "files", "repeats": REPEATS, "unit": "ms", "runs": {}}
-    )
     with tempfile.TemporaryDirectory() as tmp:
         result = bench(Path(tmp))
-    report["runs"][args.label] = {"environment": environment(), "results": result}
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    record_run(
+        Path(args.out),
+        {"case": "io", "spec": "files", "repeats": REPEATS, "unit": "ms"},
+        args.label,
+        result,
+    )
     print(
         f"{args.label}: load_dataset {result['load_dataset_ms']['median']:.1f} ms, "
         f"save_dataset {result['save_dataset_ms']['median']:.1f} ms, "

@@ -19,7 +19,6 @@ from .curriculum import (
     build_knn_aux_graph,
     entropy_filter,
     estimate_labels_teacher,
-    iterative_label_propagation,
     run_curriculum,
     smooth_labels,
 )
@@ -55,10 +54,7 @@ from .oracles import (
     top_d_eigvectors,
 )
 from .propagation import (
-    LayerTrace,
     PropagationConfig,
-    fuzzy_update,
-    init_trace,
     pairnorm_step,
     residual_combine,
     run_fuzzy_r_softgraphain,

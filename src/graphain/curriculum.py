@@ -202,31 +202,6 @@ def aux_transition_matrix(aux: AuxGraph) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(aux.n, aux.n)).tocsr()
 
 
-def iterative_label_propagation(
-    aux: AuxGraph, y_l: np.ndarray, labeled_set, iters: int
-) -> SoftLabelMatrix:
-    """Propagate-then-clamp iteration; rows are renormalized once at the end.
-
-    Rows that never receive mass stay zero and come back flagged masked.
-    """
-    labeled = np.asarray(labeled_set, dtype=np.int64).ravel()
-    if labeled.size == 0:
-        raise ValueError("label propagation needs at least one labeled node")
-    y_l = np.asarray(y_l, dtype=np.float64)
-    p = aux_transition_matrix(aux)
-    f = np.zeros((aux.n, y_l.shape[1]))
-    f[labeled] = y_l
-    for _ in range(iters):
-        f = p.dot(f)
-        f[labeled] = y_l
-    sums = f.sum(axis=1)
-    masked = sums <= _DEAD_ROW
-    f[masked] = 0.0
-    live = ~masked
-    f[live] /= sums[live, None]
-    return SoftLabelMatrix(y=f, masked=masked)
-
-
 def _row_entropies(y: np.ndarray) -> np.ndarray:
     safe = np.where(y > 0.0, y, 1.0)
     return -(y * np.log(safe)).sum(axis=1) / math.log(y.shape[1])

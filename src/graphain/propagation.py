@@ -1,11 +1,13 @@
-"""Layer dynamics: residual and fuzzy connections, the Pairnorm baseline
-step, and the one deep forward pass that runs all three variants.  Every
-whitening step, hard whitening included, is ``linalg.soft_spectral_filter``.
+"""Layer dynamics: the skip-connection mix, the Pairnorm baseline step, and
+the one deep forward pass that runs all three variants.  Every whitening
+step, hard whitening included, is ``linalg.soft_spectral_filter``.
 
-The forward pass is non-parametric (no per-layer weights), which keeps
-arbitrarily deep runs cheap and exactly analyzable; relu, when chosen, follows
-the soft filter in the rsoft pass only.  It keeps no layers: each layer is
-observed as it is made, so memory stays O(n d) at any depth.
+The forward pass is one flat loop over the layers.  It is non-parametric (no
+per-layer weights), which keeps arbitrarily deep runs cheap and exactly
+analyzable; relu, when chosen, follows the soft filter in the rsoft pass
+only.  The fuzzy residual and initial accumulators are two arrays and a decay
+power held by the loop.  It keeps no layers: each layer is observed as it is
+made, so memory stays O(n d) at any depth.
 """
 
 from __future__ import annotations
@@ -80,39 +82,6 @@ class PropagationConfig:
             )
 
 
-@dataclass(frozen=True)
-class LayerTrace:
-    """Running skip-connection accumulators."""
-
-    s_last: np.ndarray
-    s_init: np.ndarray
-    q_pow: float
-
-
-def init_trace(h1: np.ndarray) -> LayerTrace:
-    """Both fuzzy accumulators start at the first layer, with unit decay power."""
-    return LayerTrace(s_last=h1, s_init=h1, q_pow=1.0)
-
-
-def fuzzy_update(trace: LayerTrace, h_t: np.ndarray, p: float, q: float) -> LayerTrace:
-    """Advance the fuzzy accumulators after a new layer.
-
-    The decay power is updated before the initial-connection sum.  p == 0 and
-    a vanished decay power short-circuit to plain assignment so the reduction
-    to vanilla residual and initial connections is bit-exact.
-    """
-    q_pow = trace.q_pow * q
-    if p == 0.0:
-        s_last = h_t
-    else:
-        s_last = p * trace.s_last + h_t
-    if q_pow == 0.0:
-        s_init = trace.s_init
-    else:
-        s_init = trace.s_init + q_pow * h_t
-    return LayerTrace(s_last=s_last, s_init=s_init, q_pow=q_pow)
-
-
 def residual_combine(
     h_t: np.ndarray,
     s_last: np.ndarray,
@@ -123,29 +92,24 @@ def residual_combine(
     """Mix the centered aggregate with the residual and initial accumulators.
 
     Zero coefficients skip their term entirely, which keeps the degenerate
-    mixes (e.g. alpha = 1) bit-exact.
+    mixes (e.g. alpha = 1) bit-exact.  The result is always a fresh array.
     """
     if h_t.shape != s_last.shape or h_t.shape != s_init.shape:
         raise DimensionMismatchError("skip-connection terms must share a shape")
     out = None
-    terms = (
-        (cfg.alpha, lambda: apply_centering(apply_operator(op, h_t))),
-        (cfg.beta, lambda: s_last),
-        (cfg.gamma, lambda: s_init),
-    )
-    for coeff, make in terms:
+    if cfg.alpha != 0.0:
+        out = apply_centering(apply_operator(op, h_t))
+        if cfg.alpha != 1.0:
+            out *= cfg.alpha
+    for coeff, term in ((cfg.beta, s_last), (cfg.gamma, s_init)):
         if coeff == 0.0:
             continue
-        term = make()
         part = term if coeff == 1.0 else coeff * term
-        out = part.copy() if out is None else out + part
+        if out is None:
+            out = term.copy() if part is term else part
+        else:
+            out += part
     return out
-
-
-def _activation_fn(name: str):
-    if name == "relu":
-        return lambda m: np.maximum(m, 0.0)
-    return lambda m: m
 
 
 def run_fuzzy_r_softgraphain(
@@ -166,6 +130,11 @@ def run_fuzzy_r_softgraphain(
     feature width is used as-is.  ``observe(t, H_t)`` is called once per
     layer t = 1..L.  A GraphainError raised in a step carries the failing
     layer index.
+
+    The accumulators start at the first layer: s_last = p s_last + H_t and
+    s_init = s_init + q^(t-1) H_t, the decay power advanced before its sum.
+    p == 0 and a vanished decay power assign instead of summing, so p = q = 0
+    is bit-exactly the vanilla residual (last layer) and initial (H_1) terms.
     """
     if variant not in VARIANTS:
         raise GraphainError(f"unknown variant {variant!r}")
@@ -175,28 +144,32 @@ def run_fuzzy_r_softgraphain(
         raise DimensionMismatchError(
             f"filter d0={cfg.filter.d0} exceeds working width {x.shape[1]}"
         )
-    act = _activation_fn(cfg.activation)
-    trace = None
-
-    def rsoft(h: np.ndarray, t: int) -> np.ndarray:
-        nonlocal trace
-        if t == 1:
-            b = apply_centering(apply_operator(op, h))
-        else:
-            b = residual_combine(h, trace.s_last, trace.s_init, cfg, op)
-        h = act(soft_spectral_filter(b, cfg.filter))
-        trace = init_trace(h) if t == 1 else fuzzy_update(trace, h, cfg.p, cfg.q)
-        return h
-
-    step = {
-        "rsoft": rsoft,
-        "sgc": lambda h, t: apply_operator(op, h),
-        "pairnorm": lambda h, t: pairnorm_step(h, op),
-    }[variant]
+    relu = cfg.activation == "relu"
     h = x
+    s_last = s_init = None
+    q_pow = 1.0
     for t in range(1, cfg.layers + 1):
         try:
-            h = step(h, t)
+            if variant == "sgc":
+                h = apply_operator(op, h)
+            elif variant == "pairnorm":
+                h = pairnorm_step(h, op)
+            else:
+                if t == 1:
+                    b = apply_centering(apply_operator(op, h))
+                else:
+                    b = residual_combine(h, s_last, s_init, cfg, op)
+                # the filter's output is a fresh array, so relu may write into it
+                h = soft_spectral_filter(b, cfg.filter)
+                if relu:
+                    np.maximum(h, 0.0, out=h)
+                if t == 1:
+                    s_last = s_init = h
+                else:
+                    q_pow *= cfg.q
+                    s_last = h if cfg.p == 0.0 else cfg.p * s_last + h
+                    if q_pow != 0.0:
+                        s_init = s_init + q_pow * h
         except GraphainError as err:
             err.args = (f"layer {t}: {err.args[0] if err.args else ''}",)
             raise

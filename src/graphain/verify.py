@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curriculum import (
+    _DEAD_ROW,
     AuxGraph,
     aux_from_graph,
     aux_transition_matrix,
-    iterative_label_propagation,
     smooth_labels,
 )
 from .diagnostics import pairwise_stats
@@ -302,6 +302,33 @@ def oversmooth_suite(layers: int = 10_000) -> VerifyReport:
     return VerifyReport("oversmooth", checks)
 
 
+def _iterative_label_propagation(
+    aux: AuxGraph, y_l: np.ndarray, labeled_set, iters: int
+) -> SoftLabelMatrix:
+    """Propagate-then-clamp iteration; rows are renormalized once at the end.
+
+    Rows that never receive mass stay zero and come back flagged masked.  The
+    pipeline never runs this: it is the iterated side of ``labelprop_suite``'s
+    closed-form check.
+    """
+    labeled = np.asarray(labeled_set, dtype=np.int64).ravel()
+    if labeled.size == 0:
+        raise ValueError("label propagation needs at least one labeled node")
+    y_l = np.asarray(y_l, dtype=np.float64)
+    p = aux_transition_matrix(aux)
+    f = np.zeros((aux.n, y_l.shape[1]))
+    f[labeled] = y_l
+    for _ in range(iters):
+        f = p.dot(f)
+        f[labeled] = y_l
+    sums = f.sum(axis=1)
+    masked = sums <= _DEAD_ROW
+    f[masked] = 0.0
+    live = ~masked
+    f[live] /= sums[live, None]
+    return SoftLabelMatrix(y=f, masked=masked)
+
+
 def labelprop_suite(num_instances: int = 10, iters: int = 500) -> VerifyReport:
     """Clamped iteration against the dense closed form, plus rank-1 collapse
     of unclamped smoothing on connected positive-weight graphs."""
@@ -314,7 +341,7 @@ def labelprop_suite(num_instances: int = 10, iters: int = 500) -> VerifyReport:
         unlabeled = np.setdiff1d(np.arange(g.n), labeled)
         y_l = one_hot(labels[labeled], 3)
         aux = aux_from_graph(g)
-        iterated = iterative_label_propagation(aux, y_l, labeled, iters)
+        iterated = _iterative_label_propagation(aux, y_l, labeled, iters)
         closed = label_prop_closed_form(
             aux_transition_matrix(aux).toarray(), y_l, labeled, unlabeled
         )

@@ -16,7 +16,6 @@ from graphain.curriculum import (
     build_knn_aux_graph,
     entropy_filter,
     estimate_labels_teacher,
-    iterative_label_propagation,
     run_curriculum,
     smooth_labels,
     split_scores,
@@ -24,7 +23,7 @@ from graphain.curriculum import (
 from graphain.errors import NonFiniteFeatureError, RowNotStochasticError
 from graphain.labels import SoftLabelMatrix, one_hot, one_hot_matrix
 from graphain.linalg import SpectralFilterParams
-from graphain.oracles import knn_edges_dense, label_prop_closed_form
+from graphain.oracles import knn_edges_dense
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph, with_masks
 
@@ -305,37 +304,6 @@ class TestEntropyFilter:
         base = entropy_filter(_soft(y), 0.4)
         perm = entropy_filter(_soft(y[:, [2, 0, 3, 1]]), 0.4)
         assert np.array_equal(base.masked, perm.masked)
-
-
-class TestIterativePropagation:
-    def test_zero_iters_masks_unlabeled(self):
-        g = random_connected_graph(6, 0.4, seed=0)
-        out = iterative_label_propagation(aux_from_graph(g), one_hot([0], 2), [0], 0)
-        assert out.masked.sum() == 5
-        assert not out.masked[0]
-
-    def test_isolated_node_stays_masked(self):
-        from graphain.graph import build_graph
-
-        g = build_graph([(0, 1)], 3, np.zeros((3, 1)))
-        out = iterative_label_propagation(
-            aux_from_graph(g), one_hot([0], 2), [0], 100
-        )
-        assert out.masked[2]
-        assert not out.masked[1]
-
-    def test_matches_closed_form(self):
-        g = random_connected_graph(30, 0.15, seed=42)
-        rng = np.random.default_rng(42)
-        labeled = np.sort(rng.choice(30, size=6, replace=False))
-        unlabeled = np.setdiff1d(np.arange(30), labeled)
-        y_l = one_hot(rng.integers(0, 3, size=6), 3)
-        aux = aux_from_graph(g)
-        iterated = iterative_label_propagation(aux, y_l, labeled, 500)
-        closed = label_prop_closed_form(
-            aux_transition_matrix(aux).toarray(), y_l, labeled, unlabeled
-        )
-        assert np.abs(iterated.y[unlabeled] - closed).max() <= 1e-8
 
 
 class TestSmoothing:

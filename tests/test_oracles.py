@@ -38,7 +38,11 @@ from graphain.oracles import (
 )
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph
-from graphain.verify import hard_whiten, planted_partition_graph
+from graphain.verify import (
+    _iterative_label_propagation,
+    hard_whiten,
+    planted_partition_graph,
+)
 
 
 class TestDenseAbar:
@@ -255,6 +259,37 @@ class TestLabelPropClosedForm:
             y_l = one_hot([i % 2 for i in range(len(labeled))], 2)
             y_u = label_prop_closed_form(p, y_l, labeled, unlabeled)
             assert np.isfinite(y_u).all()
+
+
+class TestIterativePropagation:
+    """The iterated side of the ``labelprop`` verify suite."""
+
+    def test_zero_iters_masks_unlabeled(self):
+        g = random_connected_graph(6, 0.4, seed=0)
+        out = _iterative_label_propagation(aux_from_graph(g), one_hot([0], 2), [0], 0)
+        assert out.masked.sum() == 5
+        assert not out.masked[0]
+
+    def test_isolated_node_stays_masked(self):
+        g = build_graph([(0, 1)], 3, np.zeros((3, 1)))
+        out = _iterative_label_propagation(
+            aux_from_graph(g), one_hot([0], 2), [0], 100
+        )
+        assert out.masked[2]
+        assert not out.masked[1]
+
+    def test_matches_closed_form(self):
+        g = random_connected_graph(30, 0.15, seed=42)
+        rng = np.random.default_rng(42)
+        labeled = np.sort(rng.choice(30, size=6, replace=False))
+        unlabeled = np.setdiff1d(np.arange(30), labeled)
+        y_l = one_hot(rng.integers(0, 3, size=6), 3)
+        aux = aux_from_graph(g)
+        iterated = _iterative_label_propagation(aux, y_l, labeled, 500)
+        closed = label_prop_closed_form(
+            aux_transition_matrix(aux).toarray(), y_l, labeled, unlabeled
+        )
+        assert np.abs(iterated.y[unlabeled] - closed).max() <= 1e-8
 
 
 class TestKnnEdgesDense:

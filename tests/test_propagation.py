@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphain.errors import (
+    DimensionMismatchError,
     GraphainError,
     InvalidCoefficientsError,
     RankDeficientError,
@@ -21,8 +22,6 @@ from graphain.linalg import (
 from graphain.oracles import dense_abar, top_d_eigvectors
 from graphain.propagation import (
     PropagationConfig,
-    fuzzy_update,
-    init_trace,
     pairnorm_step,
     residual_combine,
     run_fuzzy_r_softgraphain,
@@ -140,6 +139,15 @@ class TestResidualCombine:
         out = residual_combine(h, h, s_init, _cfg(alpha=0.0, beta=0.0, gamma=1.0), op)
         assert np.array_equal(out, s_init)
 
+    def test_terms_of_other_shapes_rejected(self, rng):
+        g = _path_graph(5, 2, seed=1)
+        op = normalized_adjacency(g)
+        h = rng.standard_normal((5, 2))
+        with pytest.raises(
+            DimensionMismatchError, match="^skip-connection terms must share a shape$"
+        ):
+            residual_combine(h, h, rng.standard_normal((5, 3)), _cfg(), op)
+
     def test_equal_thirds_hand_expansion(self, rng):
         g = _path_graph(5, 2, seed=1)
         op = normalized_adjacency(g)
@@ -150,46 +158,54 @@ class TestResidualCombine:
         assert np.abs(out - expect).max() <= 1e-12
 
 
-class TestFuzzyUpdate:
-    def test_p_zero_keeps_latest(self, rng):
-        h1 = rng.standard_normal((4, 2))
-        h2 = rng.standard_normal((4, 2))
-        trace = fuzzy_update(init_trace(h1), h2, p=0.0, q=0.5)
-        assert np.array_equal(trace.s_last, h2)
+class TestFuzzyAccumulators:
+    """The accumulators as the runner keeps them, read off its layers."""
 
-    def test_q_zero_freezes_initial(self, rng):
-        h1 = rng.standard_normal((4, 2))
-        trace = init_trace(h1)
-        for _ in range(3):
-            trace = fuzzy_update(trace, rng.standard_normal((4, 2)), p=0.3, q=0.0)
-        assert np.array_equal(trace.s_init, h1)
+    @pytest.mark.parametrize("p, q", [(0.6, 0.3), (0.5, 0.5), (0.0, 0.25), (0.3, 0.0)])
+    def test_next_layer_mixes_closed_form_sums(self, p, q):
+        # at a = 0 the filter returns a copy of its input, so layer t + 1 is
+        # the skip mix of layer t with the two decayed sums
+        g = random_connected_graph(12, 0.3, seed=6, feature_dim=3)
+        op = normalized_adjacency(g)
+        cfg = _cfg(
+            alpha=0.5,
+            beta=0.3,
+            gamma=0.2,
+            layers=6,
+            p=p,
+            q=q,
+            filter=SpectralFilterParams(a=0.0, b=1.0, d0=3),
+        )
+        hs = []
+        run_fuzzy_r_softgraphain(g, cfg, observe=lambda t, h: hs.append(h))
+        for t in range(1, cfg.layers):
+            s_last = sum(p ** (t - i) * hs[i - 1] for i in range(1, t + 1))
+            s_init = sum(q ** (i - 1) * hs[i - 1] for i in range(1, t + 1))
+            expect = residual_combine(hs[t - 1], s_last, s_init, cfg, op)
+            assert np.abs(hs[t] - expect).max() <= 1e-12
 
-    def test_half_decay_unroll(self, rng):
-        h1 = rng.standard_normal((4, 2))
-        h2 = rng.standard_normal((4, 2))
-        trace = fuzzy_update(init_trace(h1), h2, p=0.5, q=0.5)
-        assert np.abs(trace.s_last - (0.5 * h1 + h2)).max() <= 1e-15
+    def test_q_zero_keeps_first_layer_bitwise(self):
+        g = random_connected_graph(15, 0.3, seed=7, feature_dim=3)
+        cfg = _cfg(
+            alpha=0.7,
+            beta=0.2,
+            gamma=0.1,
+            layers=6,
+            p=0.4,
+            q=0.0,
+            filter=SpectralFilterParams(a=0.5, b=0.9, d0=3),
+        )
+        out = run_fuzzy_r_softgraphain(g, cfg)
 
-    def test_decay_power_updates_before_initial_sum(self, rng):
-        h1 = rng.standard_normal((3, 2))
-        h2 = rng.standard_normal((3, 2))
-        q = 0.25
-        trace = fuzzy_update(init_trace(h1), h2, p=0.0, q=q)
-        # closed form: s_init after layer 2 is h1 + q * h2
-        assert np.abs(trace.s_init - (h1 + q * h2)).max() <= 1e-15
-        assert trace.q_pow == pytest.approx(q)
-
-    def test_closed_form_sums(self, rng):
-        hs = [rng.standard_normal((3, 2)) for _ in range(5)]
-        p, q = 0.6, 0.3
-        trace = init_trace(hs[0])
-        for h in hs[1:]:
-            trace = fuzzy_update(trace, h, p, q)
-        t = len(hs)
-        s_init = sum(q ** (i) * hs[i] for i in range(t))
-        s_last = sum(p ** (t - 1 - i) * hs[i] for i in range(t))
-        assert np.abs(trace.s_init - s_init).max() <= 1e-12
-        assert np.abs(trace.s_last - s_last).max() <= 1e-12
+        op = normalized_adjacency(g)
+        h = soft_spectral_filter(
+            apply_centering(apply_operator(op, g.features)), cfg.filter
+        )
+        h1 = s_last = h
+        for _ in range(2, cfg.layers + 1):
+            h = soft_spectral_filter(residual_combine(h, s_last, h1, cfg, op), cfg.filter)
+            s_last = cfg.p * s_last + h
+        assert np.array_equal(out, h)
 
 
 class TestRunner:
@@ -261,6 +277,15 @@ class TestRunner:
         cfg = _cfg(layers=3, filter=SpectralFilterParams(a=1.0, b=1.0, d0=2))
         with pytest.raises(RankDeficientError, match="^layer 1: hard whitening keeps 1 of 2"):
             run_fuzzy_r_softgraphain(g, cfg)
+
+    def test_filter_wider_than_working_width_rejected_before_layer_1(self):
+        g = random_connected_graph(10, 0.3, seed=5, feature_dim=2)
+        seen = []
+        with pytest.raises(
+            DimensionMismatchError, match="^filter d0=3 exceeds working width 2$"
+        ):
+            run_fuzzy_r_softgraphain(g, _cfg(), observe=lambda t, h: seen.append(t))
+        assert seen == []
 
     def test_reducer_maps_width(self):
         g = random_connected_graph(10, 0.3, seed=5, feature_dim=7)
