@@ -1,0 +1,230 @@
+"""Time graphain's kernels into ``BENCH_<case>.json``, one report per case.
+
+head    ``loss_and_grad`` per call and ``train_linear`` per epoch (us), d = 8,
+        C = 3, at the row counts of the teacher, curriculum and fine-tune.
+aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
+        specs and the kNN auxiliary graph (ms per call), with the
+        ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes).
+io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
+        ``files`` graph, about 1.15 MB (ms per call).
+layers  the rsoft forward pass, p = q = 0.5 (us per layer): n = 300 at the
+        paper's depth of 10^4 layers; n = 9000 at ``wide``'s degree, 64 layers.
+
+Every timed figure is one untimed call, then 7 timed repeats: their median,
+interquartile range and samples; none is gated.  Each run is appended to
+``runs[label]`` of the case's report in the working directory, with the
+numpy, scipy and BLAS versions, ``os.cpu_count()``, the BLAS thread
+environment and its UTC start time, and the script prints, per timed field,
+the median of every run under the label.
+
+An IQR measures the spread within one run only, and load on a shared host
+moves whole runs by more than that.  To compare two versions of the code,
+alternate runs of each (with its own ``src`` on ``PYTHONPATH``) under two labels.
+
+Usage: PYTHONPATH=src python scripts/bench.py [--case head|aux|io|layers ...] [--label current]
+"""
+
+import argparse
+import json
+import os
+import platform
+import tempfile
+import time
+import tracemalloc
+from datetime import datetime, timezone
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from graphain.classifier import TrainConfig, loss_and_grad, make_reducer, train_linear
+from graphain.config import build_experiment_config
+from graphain.curriculum import build_knn_aux_graph
+from graphain.graph import normalized_adjacency
+from graphain.io import DATASET_FILES, dataset_digest, load_dataset, save_dataset
+from graphain.labels import SoftLabelMatrix
+from graphain.propagation import run_fuzzy_r_softgraphain
+from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
+
+REPEATS = 7
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+HEAD_ROWS, HEAD_DIM, HEAD_CLASSES = (30, 300, 3000), 8, 3
+GENERATOR_SPECS = {
+    "wide": dict(clusters=3, nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005),
+    "files": dict(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32),
+}
+KNN_ROWS, KNN_DIM, KNN_K = (1500, 3000, 9000), 8, 7
+LAYER_CASES = {
+    "n300_L10000": (dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02), 10_000),
+    "n9000_L64": (
+        dict(clusters=3, nodes_per_cluster=3000, intra_p=0.01 / 3, inter_p=0.0005 / 3),
+        64,
+    ),
+}
+
+
+def _timed(fn, scale):
+    """Median, IQR and samples of ``REPEATS`` timed calls of ``fn()``, after
+    one untimed call; each sample is the call's seconds times ``scale``."""
+    fn()
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - start) * scale)
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": float(median), "iqr": float(q3 - q1), "samples": samples}
+
+
+def _peak_mb(fn):
+    """``tracemalloc`` peak of one call of ``fn()``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var, "default") for var in THREAD_VARS},
+    }
+
+
+def _head_rows(rows):
+    rng = np.random.default_rng(rows)
+    h = rng.standard_normal((rows, HEAD_DIM))
+    y = rng.dirichlet(np.ones(HEAD_CLASSES), size=rows)
+    w = rng.standard_normal((HEAD_DIM, HEAD_CLASSES))
+    labels = SoftLabelMatrix(y=y, masked=np.zeros(rows, dtype=bool))
+    count = max(50, 60000 // rows)
+    cfg = TrainConfig(lr=0.5, epochs=count, weight_decay=5e-4)
+
+    def calls():
+        for _ in range(count):
+            loss_and_grad(h, y, w, 5e-4)
+
+    return {
+        "rows": rows,
+        "calls_per_repeat": count,
+        "loss_and_grad_us_per_call": _timed(calls, 1e6 / count),
+        "train_linear_us_per_epoch": _timed(
+            partial(train_linear, h, labels, np.arange(rows), cfg), 1e6 / count
+        ),
+    }
+
+
+def _generator(name):
+    spec = SyntheticSpec(**GENERATOR_SPECS[name], seed=0)
+    gen_ms = _timed(partial(gen_gaussian_cluster_graph, spec), 1e3)
+    return {"spec": name, "n": spec.clusters * spec.nodes_per_cluster, "gen_ms_per_call": gen_ms}
+
+
+def _knn(n):
+    vectors = np.random.default_rng(n).standard_normal((n, KNN_DIM))
+    call = partial(build_knn_aux_graph, vectors, KNN_K, 1.0)
+    return {"n": n, "dim": KNN_DIM, "k": KNN_K, "knn_ms_per_call": _timed(call, 1e3),
+            "knn_tracemalloc_peak_mb": _peak_mb(call)}
+
+
+def _dataset_io():
+    spec = SyntheticSpec(**GENERATOR_SPECS["files"], seed=0)
+    g = with_masks(gen_gaussian_cluster_graph(spec), 0.1, 0.2, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        save_dataset(g, directory)
+        return {
+            "n": g.n,
+            "edges": g.num_edges,
+            "feature_dim": g.feature_dim,
+            "bytes": sum((directory / name).stat().st_size for name in DATASET_FILES),
+            "load_dataset_ms": _timed(partial(load_dataset, directory, require_masks=True), 1e3),
+            "save_dataset_ms": _timed(partial(save_dataset, g, directory), 1e3),
+            "dataset_digest_ms": _timed(partial(dataset_digest, directory), 1e3),
+        }
+
+
+def _layer_case(name):
+    spec, layers = LAYER_CASES[name]
+    g = gen_gaussian_cluster_graph(SyntheticSpec(**spec, seed=0))
+    cfg = build_experiment_config(
+        {"propagation.layers": str(layers), "propagation.p": "0.5", "propagation.q": "0.5"},
+        source=f"bench.py layers {name}",
+    )
+    reducer = make_reducer(g.feature_dim, cfg.embedding_dim, 0)
+    run = partial(run_fuzzy_r_softgraphain, g, cfg.propagation, reducer=reducer)
+    return {"case": name, "n": g.n, "operator_nnz": normalized_adjacency(g).matrix.nnz,
+            "width": cfg.embedding_dim, "layers": layers, "us_per_layer": _timed(run, 1e6 / layers)}
+
+
+# Each case: the header fields of its report, and what returns one run's results.
+CASES = {
+    "head": (
+        {"dim": HEAD_DIM, "classes": HEAD_CLASSES, "unit": "us"},
+        lambda: [_head_rows(rows) for rows in HEAD_ROWS],
+    ),
+    "aux": ({"unit": "ms"}, lambda: {"generator": [_generator(name) for name in GENERATOR_SPECS],
+                                     "knn": [_knn(n) for n in KNN_ROWS]}),
+    "io": ({"spec": "files", "unit": "ms"}, _dataset_io),
+    "layers": ({"unit": "us per layer"}, lambda: [_layer_case(name) for name in LAYER_CASES]),
+}
+
+
+def _medians(results, name=""):
+    """(name, median) of each timed field in ``results``; a list entry is
+    named by its first field, such as ``rows=30``."""
+    if isinstance(results, list):
+        for entry in results:
+            key, value = next(iter(entry.items()))
+            yield from _medians(entry, f"{name} {key}={value}")
+    elif "median" in results:
+        yield name.strip(), results["median"]
+    else:
+        for key, value in results.items():
+            if isinstance(value, (dict, list)):
+                yield from _medians(value, f"{name} {key}")
+
+
+def record_run(case, label):
+    """Run ``case``, append the run to ``runs[label]`` of ``BENCH_<case>.json``
+    in the working directory and return every run under ``label``."""
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    header, run = CASES[case]
+    entry = {"environment": environment(), "started": started, "results": run()}
+    out = Path(f"BENCH_{case}.json")
+    report = (
+        json.loads(out.read_text(encoding="utf-8"))
+        if out.exists()
+        else {"case": case, **header, "repeats": REPEATS, "runs": {}}
+    )
+    report["runs"].setdefault(label, []).append(entry)
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return report["runs"][label]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--case", action="append", choices=list(CASES))
+    parser.add_argument("--label", default="current")
+    args = parser.parse_args()
+    for case in args.case or CASES:
+        medians = {}
+        for run in record_run(case, args.label):
+            for name, median in _medians(run["results"]):
+                medians.setdefault(name, []).append(median)
+        for name, values in medians.items():
+            listed = ", ".join(f"{value:.4g}" for value in values)
+            print(f"{case} {args.label} {name}: {listed} {CASES[case][0]['unit']}")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,8 +18,8 @@ as it always has, and on a bad file raises the ParseError that names the
 line.  The fast path therefore changes no result and no error message.  On
 the benchmark's `files` dataset (3 x 500 nodes, 32 features, 1.15 MB)
 ``load_dataset`` took 25-45 ms against 50-90 ms line by line, in
-alternated runs of ``scripts/bench_io.py`` on 2 shared vCPUs; most of what
-remains is parsing 48,000 floats of 17 digits.  Labels and masks are read line by line.
+alternated runs of ``scripts/bench.py --case io`` on 2 shared vCPUs; most
+of what remains is parsing 48,000 floats of 17 digits.  Labels and masks are read line by line.
 
 ``np.loadtxt`` never sees a byte outside the whitelist, for two reasons.
 The readers must agree: ``str.splitlines`` also breaks lines at CR, VT, FF
@@ -45,6 +45,7 @@ EDGES_FILE = "edges.tsv"
 FEATURES_FILE = "features.csv"
 LABELS_FILE = "labels.csv"
 MASKS_FILE = "masks.csv"
+DATASET_FILES = (EDGES_FILE, FEATURES_FILE, LABELS_FILE, MASKS_FILE)
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -62,7 +63,7 @@ def _read_bytes(path: Path) -> bytes:
 def dataset_digest(directory) -> str:
     """sha256 over the name, length and bytes of each dataset file present."""
     digest = hashlib.sha256()
-    for name in (EDGES_FILE, FEATURES_FILE, LABELS_FILE, MASKS_FILE):
+    for name in DATASET_FILES:
         path = Path(directory) / name
         if path.exists():
             data = _read_bytes(path)

@@ -1,12 +1,14 @@
-"""Every script under ``scripts/`` imports and parses its arguments, and the
-two experiment scripts run end to end on one seed.
+"""Every script under ``scripts/`` imports and parses its arguments, the two
+experiment scripts run end to end on one seed, and ``bench.py`` appends its
+runs to an existing report.
 
-Each runs in its own process, with ``src`` and ``scripts`` on ``PYTHONPATH``
-as its usage line says, so a program API change that breaks a script's
-imports, or the way it reads ``run_seed``'s results, fails here rather than
-at the script's next use.
+Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
+program API change that breaks a script's imports, or the way it reads
+``run_seed``'s results, fails here rather than at the script's next use,
+and so does a script that imports another script.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -19,17 +21,18 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_scripts_are_found():
-    assert len(SCRIPTS) >= 4
-
-
-def _run(script, *args):
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")]),
+    assert {path.name for path in SCRIPTS} == {
+        "bench.py",
+        "run_curriculum_ablation.py",
+        "run_noisy_features.py",
     }
+
+
+def _run(script, *args, cwd=None):
     proc = subprocess.run(
         [sys.executable, str(script), *args],
-        env=env,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=120,
@@ -53,3 +56,24 @@ def test_noisy_features_runs_one_seed():
     lines = out.splitlines()
     assert lines[1].endswith(" median")
     assert [line.split()[0] for line in lines[2:]] == ["rsoft", "sgc", "pairnorm"]
+
+
+def test_bench_appends_each_run_under_its_label(tmp_path):
+    committed = json.loads((ROOT / "BENCH_io.json").read_text(encoding="utf-8"))
+    report = tmp_path / "BENCH_io.json"
+    report.write_text(json.dumps(committed), encoding="utf-8")
+    for _ in range(2):
+        out = _run(ROOT / "scripts" / "bench.py", "--case", "io", "--label", "new", cwd=tmp_path)
+    runs = json.loads(report.read_text(encoding="utf-8"))["runs"]
+    assert runs["parent"] == committed["runs"]["parent"]
+    assert len(runs["new"]) == 2
+    expected = committed["runs"]["parent"][0]["results"]
+    for run in runs["new"]:
+        results = run["results"]
+        assert results["n"] == 1500
+        assert (results["edges"], results["bytes"]) == (expected["edges"], expected["bytes"])
+        for field in ("load_dataset_ms", "save_dataset_ms", "dataset_digest_ms"):
+            assert set(results[field]) == {"median", "iqr", "samples"}
+            assert len(results[field]["samples"]) == committed["repeats"]
+    assert out.splitlines()[0].startswith("io new load_dataset_ms: ")
+    assert out.splitlines()[0].count(",") == 1
