@@ -41,9 +41,19 @@ def _run(script, *args, cwd=None):
     return proc.stdout
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
-def test_script_help_exits_zero(script):
-    assert _run(script, "--help").startswith("usage:")
+# Each bench.py case also runs under the name of the script it replaced;
+# ``--case`` is checked against the case list before ``--help`` exits.
+HELP_RUNS = [(path.name, path, ()) for path in SCRIPTS] + [
+    (f"bench_{case}.py", ROOT / "scripts" / "bench.py", ("--case", case))
+    for case in ("head", "aux", "io", "layers")
+]
+
+
+@pytest.mark.parametrize(
+    "script, args", [run[1:] for run in HELP_RUNS], ids=[run[0] for run in HELP_RUNS]
+)
+def test_script_help_exits_zero(script, args):
+    assert _run(script, *args, "--help").startswith("usage:")
 
 
 def test_curriculum_ablation_runs_one_seed():
