@@ -1,8 +1,8 @@
 """Paired curriculum ablation on the synthetic cluster graph.
 
-Runs the full label-smoothing curriculum against the plain supervised
-pipeline (identical embeddings, splits, and seeds) at a low label rate, and
-reports the paired per-seed validation accuracies.
+Pairs the full label-smoothing curriculum with the plain supervised pipeline
+at a low label rate, both from one ``run_seed`` call per seed (one embedding,
+split and seed), and reports the paired per-seed validation accuracies.
 
 Usage: python scripts/run_curriculum_ablation.py [--seeds 1,2,3,4,5]
 """
@@ -56,10 +56,9 @@ def main():
     print(f"{'seed':<6} {'with curriculum':<16} {'without':<16}")
     with_cl, without_cl = [], []
     for seed in seeds:
-        rows, _, _ = run_seed(cfg, seed, with_curriculum=True)
+        rows, supervised_rows, _ = run_seed(cfg, seed)
         acc_cl = [r for r in rows if r.split == "val"][-1].accuracy
-        rows, _, _ = run_seed(cfg, seed, with_curriculum=False)
-        acc_sup = [r for r in rows if r.split == "val"][-1].accuracy
+        acc_sup = [r for r in supervised_rows if r.split == "val"][-1].accuracy
         with_cl.append(acc_cl)
         without_cl.append(acc_sup)
         print(f"{seed:<6} {acc_cl:<16.4f} {acc_sup:<16.4f}")

@@ -110,8 +110,16 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    """int(raw), rejecting the negative values numpy cannot seed from."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {raw.strip()!r}")
+    return value
+
+
 def _parse_seeds(raw: str) -> tuple:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(_seed(tok) for tok in raw.split(",") if tok.strip())
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ _KEYS = (
     _Key("synthetic.center_spread", _finite, 6.0, "stddev of the cluster centers"),
     _Key("synthetic.centers_dim", int, 3, "feature dimension of the clusters"),
     _Key("synthetic.feature_sigma", _finite, 1.0, "per-point feature noise"),
-    _Key("synthetic.seed", int, 0, "generation seed used by `gen`", hashed=False),
+    _Key("synthetic.seed", _seed, 0, "generation seed used by `gen` (>= 0)", hashed=False),
     _Key("synthetic.train_frac", _finite, 0.1, "stratified train fraction",
          attr="train_frac"),
     _Key("synthetic.val_frac", _finite, 0.2, "stratified val fraction (rest is test)",
@@ -186,7 +194,7 @@ _KEYS = (
     _Key("train.lr_decay_epoch", int, 10**9, "epoch at which the lr is halved"),
     _Key("noisy_features", _parse_bool, False,
          "replace features by N(0, 1) noise; forces input_graph aux_mode"),
-    _Key("seeds", _parse_seeds, (0,), "comma-separated run seeds", hashed=False),
+    _Key("seeds", _parse_seeds, (0,), "comma-separated run seeds (>= 0)", hashed=False),
     _Key("output_dir", str, "out", "where results are written", hashed=False),
     _Key("deterministic_timing", _parse_bool, False,
          "write wall_ms as 0 for reproducible CSVs", hashed=False),

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import make_reducer, predict, train_linear
+from .classifier import make_reducer, predict
 from .config import ExperimentConfig, config_hash, render_config
 from .curriculum import (
     aux_from_graph,
@@ -35,7 +35,6 @@ from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError, MissingMaskError
 from .graph import Graph
 from .io import load_dataset
-from .labels import one_hot_matrix
 from .propagation import run_fuzzy_r_softgraphain
 from .synthetic import add_feature_noise, gen_gaussian_cluster_graph, with_masks
 
@@ -138,64 +137,7 @@ def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray):
     return build_knn_aux_graph(vectors, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime)
 
 
-def run_seed(
-    cfg: ExperimentConfig,
-    seed: int,
-    with_curriculum: bool = True,
-    diagnostics_path=None,
-    inputs=None,
-):
-    """One seed of the pipeline; returns (rows, curriculum result,
-    smoothing snapshots), the snapshots None without the curriculum.
-
-    With ``diagnostics_path``, the per-layer diagnostics of the seed's one
-    forward pass are written there as CSV.  ``inputs`` is the run's
-    ``load_inputs(cfg)``, read here when not given.
-    """
-    digest, dataset = inputs or load_inputs(cfg)
-    with _stage("dataset"):
-        g = prepare_graph(cfg, seed, dataset)
-        if g.train_mask.size == 0:
-            raise MissingMaskError("train mask is empty")
-        if (g.labels[g.train_mask] < 0).any():
-            raise MissingMaskError("train mask contains unlabeled nodes")
-    with _stage("propagation"):
-        recorder = None if diagnostics_path is None else LayerRecorder(g)
-        h = compute_embedding(cfg, g, seed, observe=recorder)
-    if recorder is not None:
-        records_to_csv(recorder.records, diagnostics_path)
-
-    snapshots = None
-    if with_curriculum:
-        with _stage("teacher"):
-            teacher_labels = one_hot_matrix(
-                g.labels[g.train_mask], g.train_mask, g.n, g.num_classes
-            )
-            teacher = train_linear(h, teacher_labels, g.train_mask, cfg.train)
-            _, teacher_probs = predict(h, teacher)
-        with _stage("label-estimation"):
-            estimated = estimate_labels_teacher(
-                teacher_probs, g.labels[g.train_mask], g.train_mask
-            )
-        with _stage("entropy-filter"):
-            filtered = entropy_filter(
-                estimated, cfg.curriculum.mask_ratio, labeled_set=g.train_mask
-            )
-        with _stage("aux-graph"):
-            aux = _build_aux(cfg, g, h)
-        with _stage("label-smoothing"):
-            snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
-
-    with _stage("curriculum"):
-        result = run_curriculum(
-            g,
-            h,
-            snapshots or [],
-            cfg.train,
-            cfg.curriculum.pacing_epochs,
-            reset_on_finetune=cfg.curriculum.reset_on_finetune,
-        )
-
+def _arm_rows(cfg: ExperimentConfig, digest: str, seed: int, g: Graph, h, result):
     rows = []
     for m in result.metrics:
         wall = 0.0 if cfg.deterministic_timing else m.wall_ms
@@ -214,7 +156,66 @@ def run_seed(
         if not math.isnan(test_acc):  # NaN: no labeled test node, so no test row
             index = result.metrics[-1].index
             rows.append(ResultRow(seed, digest, index, "test", test_acc, test_loss, wall))
-    return rows, result, snapshots
+    return rows
+
+
+def run_seed(
+    cfg: ExperimentConfig,
+    seed: int,
+    with_curriculum: bool = True,
+    diagnostics_path=None,
+    inputs=None,
+):
+    """One seed of the pipeline; returns (rows, supervised rows, smoothing
+    snapshots).  The teacher is the supervised arm; without the curriculum
+    the seed ends after it, with rows the supervised rows and snapshots None.
+
+    With ``diagnostics_path``, the per-layer diagnostics of the seed's one
+    forward pass are written there as CSV.  ``inputs`` is the run's
+    ``load_inputs(cfg)``, read here when not given.
+    """
+    digest, dataset = inputs or load_inputs(cfg)
+    with _stage("dataset"):
+        g = prepare_graph(cfg, seed, dataset)
+        if g.train_mask.size == 0:
+            raise MissingMaskError("train mask is empty")
+        if (g.labels[g.train_mask] < 0).any():
+            raise MissingMaskError("train mask contains unlabeled nodes")
+    with _stage("propagation"):
+        recorder = None if diagnostics_path is None else LayerRecorder(g)
+        h = compute_embedding(cfg, g, seed, observe=recorder)
+    if recorder is not None:
+        records_to_csv(recorder.records, diagnostics_path)
+
+    with _stage("teacher"):
+        teacher = run_curriculum(g, h, [], cfg.train, cfg.curriculum.pacing_epochs)
+    supervised_rows = _arm_rows(cfg, digest, seed, g, h, teacher)
+    if not with_curriculum:
+        return supervised_rows, supervised_rows, None
+
+    with _stage("label-estimation"):
+        _, teacher_probs = predict(h, teacher.classifier)
+        estimated = estimate_labels_teacher(
+            teacher_probs, g.labels[g.train_mask], g.train_mask
+        )
+    with _stage("entropy-filter"):
+        filtered = entropy_filter(
+            estimated, cfg.curriculum.mask_ratio, labeled_set=g.train_mask
+        )
+    with _stage("aux-graph"):
+        aux = _build_aux(cfg, g, h)
+    with _stage("label-smoothing"):
+        snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
+    with _stage("curriculum"):
+        result = run_curriculum(
+            g,
+            h,
+            snapshots,
+            cfg.train,
+            cfg.curriculum.pacing_epochs,
+            reset_on_finetune=cfg.curriculum.reset_on_finetune,
+        )
+    return _arm_rows(cfg, digest, seed, g, h, result), supervised_rows, snapshots
 
 
 def run_experiment(

@@ -5,7 +5,8 @@ features.csv   row i = features of node i, no header
 labels.csv     `node,label` with an optional header line (optional file)
 masks.csv      `node,split` with split in {train, val, test} (optional file)
 
-Blank lines are skipped and `#` starts a comment in every file.
+Blank lines are skipped and `#` starts a comment in every file.  A node is
+listed at most once in labels.csv and at most once in masks.csv.
 
 Edges and features are read in bulk.  When every byte of the file is one
 ``save_dataset`` writes there (`0-9`, TAB and LF in edges.tsv; `0-9 . , - +
@@ -162,8 +163,9 @@ def _load_features(path: Path) -> np.ndarray:
 
 def _load_pairs(path: Path, header: str, n: int):
     """Yield (line number, node, value) for `node,value` lines with nodes in
-    [0, n), skipping an optional header on the first content line (after any
-    blank or comment lines)."""
+    [0, n), each node at most once, skipping an optional header on the first
+    content line (after any blank or comment lines)."""
+    seen = bytearray(n)  # one flag per node; indexed from Python faster than numpy
     for index, (no, line) in enumerate(_lines(path, _read_bytes(path))):
         if index == 0 and line.replace(" ", "") == header:
             continue
@@ -176,6 +178,9 @@ def _load_pairs(path: Path, header: str, n: int):
             raise ParseError(path, no, f"bad node index: {err}") from err
         if not 0 <= node < n:
             raise IndexOutOfRangeError(f"{path}:{no}: node {node} outside [0, {n})")
+        if seen[node]:
+            raise ParseError(path, no, f"node {node} is listed twice")
+        seen[node] = 1
         yield no, node, toks[1]
 
 

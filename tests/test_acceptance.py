@@ -229,10 +229,9 @@ def test_criterion_11_curriculum_ablation_direction():
     cfg = build_experiment_config(_ABLATION_KV)
     with_cl, without_cl = [], []
     for seed in cfg.seeds:
-        rows, _, _ = run_seed(cfg, seed, with_curriculum=True)
+        rows, supervised_rows, _ = run_seed(cfg, seed)
         with_cl.append([r for r in rows if r.split == "val"][-1].accuracy)
-        rows, _, _ = run_seed(cfg, seed, with_curriculum=False)
-        without_cl.append([r for r in rows if r.split == "val"][-1].accuracy)
+        without_cl.append([r for r in supervised_rows if r.split == "val"][-1].accuracy)
     med_with = float(np.median(with_cl))
     med_without = float(np.median(without_cl))
     # direction check with the half-point slack: the curriculum must not

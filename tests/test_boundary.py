@@ -15,7 +15,14 @@ from graphain.config import (
     render_config,
 )
 from graphain.errors import GraphainError
-from graphain.io import EDGES_FILE, FEATURES_FILE, LABELS_FILE, load_dataset
+from graphain.io import (
+    EDGES_FILE,
+    FEATURES_FILE,
+    LABELS_FILE,
+    MASKS_FILE,
+    SPLIT_NAMES,
+    load_dataset,
+)
 
 # every key: the echo of the defaults has all but the dataset key
 KEYS = ["dataset.path"] + [
@@ -26,6 +33,7 @@ KEYS = ["dataset.path"] + [
 # small indices land inside a small graph; the wide range passes int64
 INDEX = st.one_of(st.integers(-1, 4), st.integers(-(2**70), 2**70)).map(str)
 NUMBER = st.one_of(INDEX, st.floats().map(repr))
+SPLIT = st.one_of(INDEX, st.sampled_from(SPLIT_NAMES))
 TOKEN = st.one_of(
     NUMBER,
     st.sampled_from(["true", "false", "relu", "random_walk", "pairnorm", "feature_knn"]),
@@ -80,12 +88,15 @@ def test_load_config_raises_only_graphain_errors(data):
     edges=_file("\t", INDEX, width=2),
     features=_file(",", NUMBER),
     labels=st.one_of(st.none(), _file(",", INDEX, width=2, header="node,label\n")),
+    masks=st.one_of(st.none(), _file(",", SPLIT, width=2, header="node,split\n")),
 )
-def test_load_dataset_raises_only_graphain_errors(edges, features, labels):
+def test_load_dataset_raises_only_graphain_errors(edges, features, labels, masks):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / EDGES_FILE).write_text(edges, encoding="utf-8")
         (root / FEATURES_FILE).write_text(features, encoding="utf-8")
         if labels is not None:
             (root / LABELS_FILE).write_text(labels, encoding="utf-8")
+        if masks is not None:
+            (root / MASKS_FILE).write_text(masks, encoding="utf-8")
         _returns_or_raises_graphain_error(lambda: load_dataset(root))

@@ -16,6 +16,7 @@ from graphain.errors import (
     ConfigError,
     IndexOutOfRangeError,
     MissingMaskError,
+    NonFiniteLossError,
     ParseError,
 )
 from graphain.experiment import run_experiment, run_seed, rows_to_csv
@@ -231,6 +232,8 @@ class TestDatasetIo:
             ("edges.tsv", "0\t1\n-1\t0\n"),
             ("labels.csv", "node,label\n0,99999999999999999999999\n"),
             ("labels.csv", "node,label\n0,-2\n"),
+            ("labels.csv", "0,1\n0,0\n"),
+            ("masks.csv", "0,train\n0,test\n"),
         ],
         ids=[
             "edge_beyond_int64",
@@ -238,6 +241,8 @@ class TestDatasetIo:
             "edge_negative",
             "label_beyond_int64",
             "label_below_minus_one",
+            "label_node_twice",
+            "mask_node_twice",
         ],
     )
     def test_bad_index_names_file_and_line(self, tmp_path, name, content):
@@ -326,6 +331,13 @@ class TestConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("seeds = 1\nseeds = 2\n")
+
+    @pytest.mark.parametrize(
+        "key, value", [("seeds", "-1"), ("seeds", "3,-2"), ("synthetic.seed", "-1")]
+    )
+    def test_negative_seed_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key}': expected a non-negative"):
+            build_experiment_config({**BASE_KV, key: value})
 
     def test_echo_closure(self):
         cfg = build_experiment_config(dict(BASE_KV))
@@ -442,12 +454,35 @@ class TestRunExperiment:
         cfg = build_experiment_config(
             {**BASE_KV, "curriculum.n_t": "0", "curriculum.pacing_epochs": "0"}
         )
-        rows_cl, result_cl, _ = run_seed(cfg, 1, with_curriculum=True)
-        rows_sup, result_sup, _ = run_seed(cfg, 1, with_curriculum=False)
-        assert np.array_equal(result_cl.classifier.w, result_sup.classifier.w)
+        rows_cl, rows_sup, _ = run_seed(cfg, 1)
         final_cl = [r for r in rows_cl if r.split == "test"][-1]
         final_sup = [r for r in rows_sup if r.split == "test"][-1]
-        assert final_cl.accuracy == final_sup.accuracy
+        assert (final_cl.accuracy, final_cl.loss) == (final_sup.accuracy, final_sup.loss)
+
+    def test_supervised_rows_equal_a_supervised_run(self):
+        cfg = build_experiment_config(dict(BASE_KV))
+        rows, supervised_rows, _ = run_seed(cfg, 1)
+        alone, same, snapshots = run_seed(cfg, 1, with_curriculum=False)
+        assert supervised_rows == alone and same == alone and snapshots is None
+        assert [r.split for r in alone] == ["train", "val", "test"]
+        assert rows != supervised_rows
+
+    @pytest.mark.parametrize("with_curriculum", [True, False], ids=["curriculum", "supervised"])
+    def test_train_linear_runs_once_per_task(self, monkeypatch, with_curriculum):
+        import graphain.curriculum as curriculum
+
+        calls = []
+        real = curriculum.train_linear
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curriculum, "train_linear", counting)
+        cfg = build_experiment_config(dict(BASE_KV))
+        run_seed(cfg, 1, with_curriculum=with_curriculum)
+        # the teacher, then n_t + 1 pacing tasks and the fine-tune
+        assert len(calls) == (cfg.curriculum.n_t + 3 if with_curriculum else 1)
 
     def test_output_files_written(self, tmp_path):
         cfg = build_experiment_config({**BASE_KV, "output_dir": str(tmp_path / "out")})
@@ -515,3 +550,11 @@ class TestRunExperiment:
         bad = build_experiment_config({**kv, "dataset.path": str(tmp_path / "missing")})
         with pytest.raises(ParseError, match="stage dataset"):
             run_seed(bad, 1)
+
+    @pytest.mark.parametrize("with_curriculum", [True, False], ids=["curriculum", "supervised"])
+    def test_diverging_fit_names_teacher_stage(self, with_curriculum):
+        cfg = build_experiment_config({**BASE_KV, "train.lr": "1e300"})
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteLossError, match=r"^\[stage teacher\] loss diverged at epoch 1$"
+        ):
+            run_experiment(cfg, with_curriculum=with_curriculum, write_files=False)

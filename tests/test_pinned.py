@@ -10,13 +10,16 @@ while the two baselines still had their own propagation loops.
 whitening step (``HARD_OVERRIDES``): every layer is orthonormal, so every
 ``subspace_dist`` is filled, which pins the dense reference spectrum path;
 it was produced while ``LayerRecorder`` still built that reference at the
-first layer of every seed.  Kernel swaps and refactors that claim to keep
-behaviour are checked here.  The references are never regenerated to make
-this test pass; a change that moves a value past the tolerances below has
-to explain why.  The ``config_hash`` column alone was rewritten once, when
-the hash stopped covering ``synthetic.seed`` (a run draws its graphs from the
-run seed) and the keys ``train.seed`` and ``propagation.parametric`` were
-removed; every other byte is as first written.
+first layer of every seed.  ``tests/pinned/supervised/results.csv`` is what
+``graphain train --config config.txt`` wrote while ``run_seed`` still fitted
+the teacher and the supervised arm separately.  Kernel swaps and refactors
+that claim to keep behaviour are checked here.  The references are never
+regenerated to make this test pass; a change that moves a value past the
+tolerances below has to explain why.  The ``config_hash`` column alone was
+rewritten once, when the hash stopped covering ``synthetic.seed`` (a run
+draws its graphs from the run seed) and the keys ``train.seed`` and
+``propagation.parametric`` were removed; every other byte is as first
+written.
 
 ``config_all_keys.txt`` sets every config key but ``dataset.path`` and
 ``propagation.variant`` to a distinct non-default value.
@@ -109,6 +112,7 @@ TRAIN_LINEAR_PROBLEMS = [
 ]
 REL_TOL = 1e-12
 ABS_TOL = 1e-12
+RESULTS_EXACT = {"seed", "config_hash", "task", "split", "accuracy", "wall_ms"}
 
 
 def _read(path):
@@ -141,7 +145,7 @@ def _run_and_compare(tmp_path, ref_dir, overrides):
     _assert_rows_match(
         _read(tmp_path / "results.csv"),
         _read(ref_dir / "results.csv"),
-        exact={"seed", "config_hash", "task", "split", "accuracy", "wall_ms"},
+        exact=RESULTS_EXACT,
         name="results.csv",
     )
     for seed in cfg.seeds:
@@ -158,6 +162,17 @@ def test_run_matches_pinned_outputs(tmp_path):
 @pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
 def test_baseline_variant_matches_pinned_outputs(tmp_path, variant):
     _run_and_compare(tmp_path, PINNED / variant, {"propagation.variant": variant})
+
+
+def test_supervised_run_matches_pinned_results(tmp_path):
+    config = PINNED / "config.txt"
+    assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
+    _assert_rows_match(
+        _read(tmp_path / "results.csv"),
+        _read(PINNED / "supervised" / "results.csv"),
+        exact=RESULTS_EXACT,
+        name="supervised/results.csv",
+    )
 
 
 def test_hard_whitening_matches_pinned_outputs(tmp_path):
