@@ -9,7 +9,13 @@ Cost per epoch on n rows, width d and C classes: two GEMMs, ``h @ w`` and
 ``h.T @ (probs - y)``, at O(n d C) each, plus O(n C) elementwise work in
 ``softmax_with_log``, whose row max and normaliser are sweeps over the C
 class columns; no reduction runs along the class axis.  The loss, kept each
-epoch for the finiteness check, is one O(n C) sum.
+epoch for the finiteness check, is one O(n C) sum.  At a run's sizes (d = 8,
+C = 3, tens to hundreds of rows) an epoch is about twenty numpy calls, and
+their call overhead, not their arithmetic, sets its cost: so the kernels work
+in place on the arrays they own, broadcast nothing along the class axis and
+call ``np.add.reduce`` without the ``sum`` wrappers.  Each operation keeps the
+operands and the order of the plain expression it replaces, so every output
+bit is unchanged (``tests/test_kernel_bits.py``).
 """
 
 from __future__ import annotations
@@ -58,18 +64,22 @@ def softmax_with_log(logits: np.ndarray):
     elementwise operation on n values: a numpy reduction along the short
     class axis costs far more than its arithmetic.  The columns are added in
     order, as numpy's row sum does below eight classes, so there the result
-    equals the row-reduction form bit for bit.
+    equals the row-reduction form bit for bit.  The row max, the normaliser
+    and its log are repeated across the C columns before they meet the n x C
+    arrays: broadcasting a column runs numpy's inner loop C elements at a time.
     """
+    n, c = logits.shape
     top = logits[:, 0].copy()
-    for j in range(1, logits.shape[1]):
+    for j in range(1, c):
         np.maximum(top, logits[:, j], out=top)
-    shifted = logits - top[:, None]
+    shifted = logits - top.repeat(c).reshape(n, c)
     e = np.exp(shifted)
     z = e[:, 0].copy()
-    for j in range(1, e.shape[1]):
+    for j in range(1, c):
         z += e[:, j]
-    z = z[:, None]
-    return e / z, shifted - np.log(z)
+    shifted -= np.log(z).repeat(c).reshape(n, c)
+    e /= z.repeat(c).reshape(n, c)
+    return e, shifted
 
 
 def _included(h: np.ndarray, labels: SoftLabelMatrix, include) -> tuple:
@@ -89,11 +99,14 @@ def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: flo
     """
     count = h.shape[0]
     probs, logp = softmax_with_log(h @ w)
-    loss = -(y * logp).sum() / count
-    grad = h.T @ (probs - y) / count
+    logp *= y
+    loss = -np.add.reduce(logp, axis=None) / count
+    probs -= y
+    grad = h.T @ probs
+    grad /= count
     if weight_decay:
-        loss += 0.5 * weight_decay * float(np.sum(w * w))
-        grad = grad + weight_decay * w
+        loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
+        grad += weight_decay * w
     return float(loss), grad
 
 
@@ -135,7 +148,8 @@ def train_linear(
         loss, grad = loss_and_grad(h_inc, y_inc, w, cfg.weight_decay)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-        w = w - lr * grad
+        grad *= lr
+        w -= grad
     return LinearClassifier(w=w)
 
 

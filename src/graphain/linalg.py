@@ -25,6 +25,7 @@ from .errors import (
 )
 
 DEFAULT_EPS_RANK = 1e-12
+_HALF_MAX = float(np.finfo(np.float64).max) / 2  # above it, s + s^T may overflow
 
 
 @dataclass(frozen=True)
@@ -64,27 +65,35 @@ class SpectralFilterParams:
 def sym_eig(s: np.ndarray) -> EigPair:
     """Full eigendecomposition of a symmetric matrix, eigenvalues nonincreasing.
 
-    LAPACK's symmetric solver (``np.linalg.eigh``) runs on the symmetrised
-    input.  Within a repeated eigenvalue the basis is whatever LAPACK returns;
-    the spectral filters do not depend on that choice.
+    LAPACK's symmetric solver (``np.linalg.eigh``) runs on 0.5 (s + s^T).
+    That equals s bit for bit when s is symmetric bit for bit, as numpy's
+    syrk makes the Gram b^T b, and no entry exceeds half the largest double,
+    so such an input goes to the solver as it is.  Any other input is
+    symmetrised, including one whose mirrored zeros differ only in sign,
+    which can change the eigenvectors ``eigh`` returns.  Within a repeated
+    eigenvalue the basis is whatever LAPACK returns; the spectral filters do
+    not depend on that choice.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("sym_eig needs a square matrix")
-    if not np.isfinite(s).all():
-        raise NoConvergenceError("matrix has non-finite entries")
+    # one sweep gives the scale and, as NaN or inf, any non-finite entry
     scale = float(np.abs(s).max()) if s.size else 0.0
-    if scale > 0.0:
-        skew = float(np.abs(s - s.T).max())
-        if skew > 1e-10 * scale:
-            raise NotSymmetricError(
-                f"asymmetry {skew:.3e} exceeds 1e-10 relative to {scale:.3e}"
-            )
+    if not math.isfinite(scale):
+        raise NoConvergenceError("matrix has non-finite entries")
+    if s.tobytes() != s.T.tobytes() or scale > _HALF_MAX:
+        if scale > 0.0:
+            skew = float(np.abs(s - s.T).max())
+            if skew > 1e-10 * scale:
+                raise NotSymmetricError(
+                    f"asymmetry {skew:.3e} exceeds 1e-10 relative to {scale:.3e}"
+                )
+        s = 0.5 * (s + s.T)
     try:
-        lam, v = np.linalg.eigh(0.5 * (s + s.T))
+        lam, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as err:
         raise NoConvergenceError(f"symmetric eigensolver failed: {err}") from err
-    return EigPair(u=np.ascontiguousarray(v[:, ::-1]), values=lam[::-1])
+    return EigPair(u=v[:, ::-1], values=lam[::-1])
 
 
 def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndarray:
@@ -113,7 +122,7 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
     else:
         lmax = max(float(lam[0]), 0.0)
         thr = params.eps_rank * lmax
-        kept = np.flatnonzero(lam[:d0] > thr)
+        kept = (lam[:d0] > thr).nonzero()[0]
         if kept.size == 0:
             raise RankDeficientError(
                 "all eigenchannels underflow the rank cutoff; "
@@ -126,8 +135,9 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
             )
         scale = lam[kept] ** (-0.5 * params.b)
     uk = pair.u[:, kept]
-    filt = params.a * ((uk * scale) @ uk.T)
-    filt[np.diag_indices(d)] += 1.0 - params.a
+    filt = (uk * scale) @ uk.T
+    filt *= params.a
+    filt.flat[:: d + 1] += 1.0 - params.a
     return b @ filt
 
 

@@ -6,8 +6,10 @@ The forward pass is one flat loop over the layers.  It is non-parametric (no
 per-layer weights), which keeps arbitrarily deep runs cheap and exactly
 analyzable; relu, when chosen, follows the soft filter in the rsoft pass
 only.  The fuzzy residual and initial accumulators are two arrays and a decay
-power held by the loop.  It keeps no layers: each layer is observed as it is
-made, so memory stays O(n d) at any depth.
+power held by the loop; they start as copies of the first layer and are
+updated in place, so a layer handed to the observer never changes.  The loop
+keeps no layers: each layer is observed as it is made, so memory stays
+O(n d) at any depth.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .graph import (
     Graph,
     NormalizedOperator,
     OPERATOR_MODES,
-    apply_centering,
     apply_operator,
     normalized_adjacency,
 )
@@ -82,6 +83,14 @@ class PropagationConfig:
             )
 
 
+def _centered_aggregate(op: NormalizedOperator, h: np.ndarray) -> np.ndarray:
+    """``apply_centering(apply_operator(op, h))`` bit for bit, centred in
+    place on the fresh SpMM output; the mean is ``mean``'s own sum and divide."""
+    out = apply_operator(op, h)
+    out -= np.add.reduce(out, axis=0) / out.shape[0]
+    return out
+
+
 def residual_combine(
     h_t: np.ndarray,
     s_last: np.ndarray,
@@ -98,7 +107,7 @@ def residual_combine(
         raise DimensionMismatchError("skip-connection terms must share a shape")
     out = None
     if cfg.alpha != 0.0:
-        out = apply_centering(apply_operator(op, h_t))
+        out = _centered_aggregate(op, h_t)
         if cfg.alpha != 1.0:
             out *= cfg.alpha
     for coeff, term in ((cfg.beta, s_last), (cfg.gamma, s_init)):
@@ -156,7 +165,7 @@ def run_fuzzy_r_softgraphain(
                 h = pairnorm_step(h, op)
             else:
                 if t == 1:
-                    b = apply_centering(apply_operator(op, h))
+                    b = _centered_aggregate(op, h)
                 else:
                     b = residual_combine(h, s_last, s_init, cfg, op)
                 # the filter's output is a fresh array, so relu may write into it
@@ -164,12 +173,18 @@ def run_fuzzy_r_softgraphain(
                 if relu:
                     np.maximum(h, 0.0, out=h)
                 if t == 1:
-                    s_last = s_init = h
+                    # the loop's own copies: observe may keep h, and later
+                    # layers update the accumulators in place
+                    s_last, s_init = h.copy(), h.copy()
                 else:
                     q_pow *= cfg.q
-                    s_last = h if cfg.p == 0.0 else cfg.p * s_last + h
+                    if cfg.p == 0.0:
+                        s_last = h
+                    else:
+                        s_last *= cfg.p
+                        s_last += h
                     if q_pow != 0.0:
-                        s_init = s_init + q_pow * h
+                        s_init += q_pow * h
         except GraphainError as err:
             err.args = (f"layer {t}: {err.args[0] if err.args else ''}",)
             raise
@@ -180,7 +195,7 @@ def run_fuzzy_r_softgraphain(
 
 def pairnorm_step(h: np.ndarray, op: NormalizedOperator) -> np.ndarray:
     """Center the aggregate and rescale it to Frobenius norm sqrt(n)."""
-    hp = apply_centering(apply_operator(op, h))
+    hp = _centered_aggregate(op, h)
     norm = float(np.linalg.norm(hp))
     if norm < 1e-300:
         raise ZeroActivationError("centered activation collapsed to zero")

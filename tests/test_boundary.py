@@ -5,6 +5,7 @@ readers return or raise GraphainError, the one type the CLI reports as
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from graphain.config import (
     parse_config_text,
     render_config,
 )
-from graphain.errors import GraphainError
+from graphain.errors import GraphainError, ParseError
 from graphain.io import (
     EDGES_FILE,
     FEATURES_FILE,
@@ -100,3 +101,45 @@ def test_load_dataset_raises_only_graphain_errors(edges, features, labels, masks
         if masks is not None:
             (root / MASKS_FILE).write_text(masks, encoding="utf-8")
         _returns_or_raises_graphain_error(lambda: load_dataset(root))
+
+
+# A valid 5-node graph, so that every example reaches the fuzzed file
+VALID_EDGES = "0\t1\n1\t2\n2\t3\n3\t4\n"
+VALID_FEATURES = "".join(f"{i}.5,-{i}\n" for i in range(5))
+NODE = st.one_of(st.integers(0, 4).map(str), INDEX)
+# (header, value cells, the ParseErrors that fuzzing must reach)
+PAIR_FILES = {
+    LABELS_FILE: ("node,label\n", INDEX, ("is listed twice", "is below -1")),
+    MASKS_FILE: (
+        "node,split\n",
+        st.one_of(st.sampled_from(SPLIT_NAMES), SPLIT),
+        ("is listed twice", "unknown split"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_labels_and_masks_readers_raise_only_graphain_errors(name):
+    header, value, expected = PAIR_FILES[name]
+    rows = st.lists(st.tuples(NODE, value).map(",".join), min_size=1, max_size=6)
+    table = rows.map("\n".join)
+    messages = []
+
+    @settings(max_examples=150)
+    @given(st.one_of(table.map(header.__add__), table, st.text(max_size=20)))
+    def fuzz(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / EDGES_FILE).write_text(VALID_EDGES, encoding="utf-8")
+            (root / FEATURES_FILE).write_text(VALID_FEATURES, encoding="utf-8")
+            (root / name).write_text(text, encoding="utf-8")
+            try:
+                load_dataset(root)
+            except ParseError as err:
+                messages.append(str(err))
+            except GraphainError:
+                pass
+
+    fuzz()
+    for text in expected:
+        assert any(text in message for message in messages), text

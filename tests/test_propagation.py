@@ -207,6 +207,50 @@ class TestFuzzyAccumulators:
             s_last = cfg.p * s_last + h
         assert np.array_equal(out, h)
 
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("p, q", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)])
+    def test_observed_layers_keep_their_bits(self, p, q, activation):
+        # the runner updates its accumulators in place: a layer handed to
+        # observe must not change after the call, and every layer must equal,
+        # bit for bit, the recursion written with fresh arrays
+        g = random_connected_graph(20, 0.3, seed=8, feature_dim=4)
+        cfg = _cfg(
+            alpha=0.5,
+            beta=0.3,
+            gamma=0.2,
+            layers=7,
+            p=p,
+            q=q,
+            activation=activation,
+            filter=SpectralFilterParams(a=0.6, b=0.8, d0=4),
+        )
+        held, copies = [], []
+
+        def observe(t, h):
+            held.append(h)
+            copies.append(h.copy())
+
+        run_fuzzy_r_softgraphain(g, cfg, observe=observe)
+
+        op = normalized_adjacency(g)
+        q_pow = 1.0
+        for t in range(1, cfg.layers + 1):
+            if t == 1:
+                b = apply_centering(apply_operator(op, g.features))
+            else:
+                b = residual_combine(h, s_last, s_init, cfg, op)
+            h = soft_spectral_filter(b, cfg.filter)
+            if activation == "relu":
+                h = np.maximum(h, 0.0)
+            if t == 1:
+                s_last = s_init = h
+            else:
+                q_pow *= q
+                s_last = h if p == 0.0 else p * s_last + h
+                if q_pow != 0.0:
+                    s_init = s_init + q_pow * h
+            assert held[t - 1].tobytes() == copies[t - 1].tobytes() == h.tobytes()
+
 
 class TestRunner:
     def test_single_layer_base_case(self):
