@@ -3,7 +3,8 @@
 head    ``loss_and_grad`` per call and ``train_linear`` per epoch (us), d = 8,
         C = 3, at the row counts of the teacher, curriculum and fine-tune.
 aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
-        specs and the kNN auxiliary graph (ms per call), with the
+        specs and on 3 x 33,333 nodes at ``wide``'s expected degree (intra
+        10, inter 1), and the kNN auxiliary graph (ms per call), with the
         ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes).
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
@@ -53,6 +54,9 @@ HEAD_ROWS, HEAD_DIM, HEAD_CLASSES = (30, 300, 3000), 8, 3
 GENERATOR_SPECS = {
     "wide": dict(clusters=3, nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005),
     "files": dict(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32),
+    "wide_100k": dict(
+        clusters=3, nodes_per_cluster=33_333, intra_p=10 / 33_333, inter_p=0.5 / 33_333
+    ),
 }
 KNN_ROWS, KNN_DIM, KNN_K = (1500, 3000, 9000), 8, 7
 LAYER_CASES = {

@@ -94,11 +94,15 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
     if edges.size:
         if edges.min() < 0 or edges.max() >= n:
             raise IndexOutOfRangeError(f"edge endpoint outside [0, {n})")
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
         # lo * n + hi sorts as the (lo, hi) rows do; it fits int64 while n < 3e9.
-        edges = np.column_stack(np.divmod(np.unique(lo * n + hi), n))
+        codes = edges[:, 0] * n + edges[:, 1]
+        if (edges[:, 0] < edges[:, 1]).all() and (codes[1:] > codes[:-1]).all():
+            edges = edges.copy()  # already canonical, as saved and generated edges are
+        else:
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            lo = np.minimum(edges[:, 0], edges[:, 1])
+            hi = np.maximum(edges[:, 0], edges[:, 1])
+            edges = np.column_stack(np.divmod(np.unique(lo * n + hi), n))
     else:
         edges = edges.reshape(0, 2)
 

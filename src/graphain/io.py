@@ -8,19 +8,22 @@ masks.csv      `node,split` with split in {train, val, test} (optional file)
 Blank lines are skipped and `#` starts a comment in every file.  A node is
 listed at most once in labels.csv and at most once in masks.csv.
 
-Edges and features are read in bulk.  When every byte of the file is one
+Every file is read in bulk.  When every byte of the file is one
 ``save_dataset`` writes there (`0-9`, TAB and LF in edges.tsv; `0-9 . , - +
-e E` and LF in features.csv; tested with ``bytes.translate``), one
+e E` and LF in features.csv; `0-9`, comma and LF in labels.csv, and the
+letters of the split names too in masks.csv, after the exact header line
+``save_dataset`` writes; tested with ``bytes.translate``), one
 ``np.loadtxt`` call parses the whole file, given the bytes as ASCII, and the
-shape, the index range and finiteness are checked on the array.  A file with
-any other byte, and one that the bulk parse or its checks reject, goes to
-the per-line reader: it reads a hand-written file (comments, spaces, CRLF)
-as it always has, and on a bad file raises the ParseError that names the
-line.  The fast path therefore changes no result and no error message.  On
-the benchmark's `files` dataset (3 x 500 nodes, 32 features, 1.15 MB)
-``load_dataset`` took 25-45 ms against 50-90 ms line by line, in
-alternated runs of ``scripts/bench.py --case io`` on 2 shared vCPUs; most
-of what remains is parsing 48,000 floats of 17 digits.  Labels and masks are read line by line.
+shape, the index range, finiteness, repeated nodes and the split names are
+checked on the array.  A file with any other byte, and one that the bulk
+parse or its checks reject, goes to the per-line reader: it reads a
+hand-written file (comments, spaces, CRLF) as it always has, and on a bad
+file raises the ParseError that names the line.  The fast path therefore
+changes no result and no error message.  On the benchmark's `files` dataset
+(3 x 500 nodes, 32 features, 1.15 MB) ``load_dataset`` took 33-40 ms,
+against 38-49 ms with labels and masks read line by line and 50-90 ms with
+every file read so, in alternated runs of ``scripts/bench.py --case io`` on
+2 shared vCPUs; most of what remains is parsing 48,000 floats of 17 digits.
 
 ``np.loadtxt`` never sees a byte outside the whitelist, for two reasons.
 The readers must agree: ``str.splitlines`` also breaks lines at CR, VT, FF
@@ -52,6 +55,8 @@ SPLIT_NAMES = ("train", "val", "test")
 
 _EDGE_BYTES = b"0123456789\t\n"
 _FEATURE_BYTES = b"0123456789.,-+eE\n"
+_LABEL_BYTES = b"0123456789,\n"
+_MASK_BYTES = _LABEL_BYTES + b"trainvalest"  # the letters of SPLIT_NAMES
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -68,7 +73,8 @@ def dataset_digest(directory) -> str:
         path = Path(directory) / name
         if path.exists():
             data = _read_bytes(path)
-            digest.update(f"{name} {len(data)}\n".encode("utf-8") + data)
+            digest.update(f"{name} {len(data)}\n".encode("utf-8"))
+            digest.update(data)  # not concatenated: that copies the file
     return digest.hexdigest()
 
 
@@ -161,12 +167,12 @@ def _load_features(path: Path) -> np.ndarray:
     return _parse_features(path, data)
 
 
-def _load_pairs(path: Path, header: str, n: int):
+def _parse_pairs(path: Path, data: bytes, header: str, n: int):
     """Yield (line number, node, value) for `node,value` lines with nodes in
     [0, n), each node at most once, skipping an optional header on the first
     content line (after any blank or comment lines)."""
     seen = bytearray(n)  # one flag per node; indexed from Python faster than numpy
-    for index, (no, line) in enumerate(_lines(path, _read_bytes(path))):
+    for index, (no, line) in enumerate(_lines(path, data)):
         if index == 0 and line.replace(" ", "") == header:
             continue
         toks = [t.strip() for t in line.split(",")]
@@ -184,6 +190,56 @@ def _load_pairs(path: Path, header: str, n: int):
         yield no, node, toks[1]
 
 
+def _bulk_pairs(data: bytes, header: str, allowed: bytes, value_dtype, n: int):
+    """(nodes, values) of a `node,value` file as ``save_dataset`` writes it,
+    the header line exactly as written and then whitelisted rows, or None
+    when ``_bulk`` refuses the rows or a node is out of range or repeated."""
+    head = header.encode("ascii") + b"\n"
+    body = data[len(head) :] if data.startswith(head) else data
+    table = _bulk(body, allowed, [("node", np.int64), ("value", value_dtype)], ",")
+    if table is None:
+        return None
+    # the whitelist has no sign, so every parsed node is >= 0
+    nodes = table["node"].ravel()
+    if nodes.max() >= n or np.bincount(nodes).max() > 1:
+        return None
+    return nodes, table["value"].ravel()
+
+
+def _load_labels(path: Path, n: int) -> np.ndarray:
+    data = _read_bytes(path)
+    labels = np.full(n, -1, dtype=np.int64)
+    pairs = _bulk_pairs(data, "node,label", _LABEL_BYTES, np.int64, n)
+    if pairs is not None:
+        labels[pairs[0]] = pairs[1]
+        return labels
+    for no, node, value in _parse_pairs(path, data, "node,label", n):
+        try:
+            labels[node] = int(value)
+        except (ValueError, OverflowError) as err:
+            raise ParseError(path, no, f"bad label: {err}") from err
+        if labels[node] < -1:
+            raise ParseError(path, no, f"label {value} is below -1")
+    return labels
+
+
+def _load_masks(path: Path, n: int) -> tuple:
+    data = _read_bytes(path)
+    # six characters: a longer value is cut to six, which match no split name
+    pairs = _bulk_pairs(data, "node,split", _MASK_BYTES, "U6", n)
+    if pairs is not None:
+        nodes, splits = pairs
+        masks = tuple(nodes[splits == name] for name in SPLIT_NAMES)
+        if sum(mask.size for mask in masks) == nodes.size:
+            return masks
+    split_sets = {name: [] for name in SPLIT_NAMES}
+    for no, node, value in _parse_pairs(path, data, "node,split", n):
+        if value not in SPLIT_NAMES:
+            raise ParseError(path, no, f"unknown split {value!r}")
+        split_sets[value].append(node)
+    return tuple(split_sets[name] for name in SPLIT_NAMES)
+
+
 def load_dataset(directory, require_masks: bool = False) -> Graph:
     """Read a dataset directory back into a Graph.
 
@@ -195,27 +251,13 @@ def load_dataset(directory, require_masks: bool = False) -> Graph:
     n = features.shape[0]
     edges = _load_edges(directory / EDGES_FILE, n)
 
-    labels = None
     labels_path = directory / LABELS_FILE
-    if labels_path.exists():
-        labels = np.full(n, -1, dtype=np.int64)
-        for no, node, value in _load_pairs(labels_path, "node,label", n):
-            try:
-                labels[node] = int(value)
-            except (ValueError, OverflowError) as err:
-                raise ParseError(labels_path, no, f"bad label: {err}") from err
-            if labels[node] < -1:
-                raise ParseError(labels_path, no, f"label {value} is below -1")
+    labels = _load_labels(labels_path, n) if labels_path.exists() else None
 
     masks = None
     masks_path = directory / MASKS_FILE
     if masks_path.exists():
-        split_sets = {name: [] for name in SPLIT_NAMES}
-        for no, node, value in _load_pairs(masks_path, "node,split", n):
-            if value not in SPLIT_NAMES:
-                raise ParseError(masks_path, no, f"unknown split {value!r}")
-            split_sets[value].append(node)
-        masks = tuple(split_sets[name] for name in SPLIT_NAMES)
+        masks = _load_masks(masks_path, n)
     elif require_masks:
         raise MissingMaskError(f"{masks_path} is missing")
 

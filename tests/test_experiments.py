@@ -23,7 +23,6 @@ from graphain.experiment import run_experiment, run_seed, rows_to_csv
 from graphain.io import load_dataset, save_dataset
 import graphain.config as config
 import graphain.experiment as experiment
-import graphain.synthetic as synthetic
 from graphain.synthetic import (
     SyntheticSpec,
     add_feature_noise,
@@ -46,52 +45,21 @@ def _edge_homophily(g):
     return float(same.mean())
 
 
-def _dense_cluster_graph(spec):
-    """The cluster graph drawn as one n x n uniform matrix, as before the
-    draw moved to row blocks: (raw edge array, features, labels)."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.clusters * spec.nodes_per_cluster
-    centers = spec.center_spread * rng.standard_normal(
-        (spec.clusters, spec.centers_dim)
-    )
-    labels = np.repeat(np.arange(spec.clusters, dtype=np.int64), spec.nodes_per_cluster)
-    features = centers[labels] + spec.feature_sigma * rng.standard_normal(
-        (n, spec.centers_dim)
-    )
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, spec.intra_p, spec.inter_p)
-    draw = rng.random((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    keep = draw[iu, ju] < prob[iu, ju]
-    return np.column_stack([iu[keep], ju[keep]]), features, labels
+def _block_counts(g, clusters):
+    """Edge counts of each cluster pair a <= b, in row-major order."""
+    a, b = g.labels[g.edges[:, 0]], g.labels[g.edges[:, 1]]
+    counts = np.bincount(a * clusters + b, minlength=clusters * clusters)
+    return counts.reshape(clusters, clusters)[np.triu_indices(clusters)]
 
 
 class TestSynthetic:
     @pytest.mark.parametrize("probs", [(1.0, 0.0), (0.3, 0.02)], ids=["full", "sparse"])
     @pytest.mark.parametrize(
-        "clusters, per_cluster, block",
-        [
-            (2, 3, 64),  # the whole draw in one block
-            (2, 10, 64),  # three rows a block, a two-row remainder
-            (2, 32, 64),  # n = block: one row a block
-            (3, 21, 64),  # n = block - 1
-            (5, 13, 64),  # n = block + 1
-            (3, 40, None),  # production block size
-        ],
+        "clusters, per_cluster", [(2, 3), (2, 10), (2, 32), (3, 21), (5, 13), (3, 40)]
     )
-    def test_row_blocks_match_dense_draw(
-        self, monkeypatch, probs, clusters, per_cluster, block
-    ):
-        if block is not None:
-            monkeypatch.setattr(synthetic, "_DRAW_BLOCK", block)
-        raw = []
-        real_build = synthetic.build_graph
-
-        def capture(edges, *args, **kwargs):
-            raw.append(edges)
-            return real_build(edges, *args, **kwargs)
-
-        monkeypatch.setattr(synthetic, "build_graph", capture)
+    def test_edges_are_canonical_and_split_by_label(self, probs, clusters, per_cluster):
+        a, b = np.triu_indices(clusters)
+        complete = np.where(a == b, per_cluster * (per_cluster - 1) // 2, 0)
         for seed in (0, 1, 2):
             spec = _spec(
                 clusters=clusters,
@@ -101,26 +69,63 @@ class TestSynthetic:
                 seed=seed,
             )
             g = gen_gaussian_cluster_graph(spec)
-            edges, features, labels = _dense_cluster_graph(spec)
-            assert raw[-1].dtype == edges.dtype
-            assert np.array_equal(raw[-1], edges)
-            assert np.array_equal(g.features, features)
-            assert np.array_equal(g.labels, labels)
+            edges = g.edges
+            assert edges.dtype == np.int64 and edges.shape[1] == 2
+            assert edges.min(initial=0) >= 0 and edges.max(initial=0) < g.n
+            assert (edges[:, 0] < edges[:, 1]).all()
+            # lo * n + hi strictly increasing: sorted by rows and unique
+            assert (np.diff(edges[:, 0] * g.n + edges[:, 1]) > 0).all()
+            counts = _block_counts(g, clusters)
+            assert counts.sum() == g.num_edges
+            if probs == (1.0, 0.0):
+                assert counts.tolist() == complete.tolist()
+
+    def test_block_edge_counts_are_binomial(self):
+        # z of each cluster pair's edge count against Binomial(pairs, p), over
+        # seeds 0-199.  On the held-out seeds 1000-2999, taken as ten lists of
+        # 200, the largest |z| read 3.0-4.6, sqrt(200) times each pair's mean
+        # z -2.7 to 3.7, and each pair's variance of z 0.79-1.19.
+        spec = _spec()
+        s = spec.nodes_per_cluster
+        a, b = np.triu_indices(spec.clusters)
+        pairs = np.where(a == b, s * (s - 1) // 2, s * s)
+        p = np.where(a == b, spec.intra_p, spec.inter_p)
+        z = np.array([
+            (_block_counts(gen_gaussian_cluster_graph(replace(spec, seed=seed)),
+                           spec.clusters) - pairs * p)
+            / np.sqrt(pairs * p * (1 - p))
+            for seed in range(200)
+        ])
+        assert np.abs(z).max() < 5.5
+        assert (np.abs(z.mean(axis=0)) * np.sqrt(len(z)) < 4.5).all()
+        variance = z.var(axis=0, ddof=1)
+        assert ((0.7 < variance) & (variance < 1.35)).all()
+
+    @staticmethod
+    def _peak(spec):
+        tracemalloc.start()
+        try:
+            gen_gaussian_cluster_graph(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_wide_generation_peak_memory(self):
-        # The dense n x n draw peaked near 300 MB here; row blocks need ~20 MB.
-        # At 3 x 100 one block holds all n rows, so its buffers stay n x n.
-        for per_cluster, bound in ((1000, 40e6), (100, 4e6)):
+        # Peaks of 1.0 MB at 3 x 1000 and 0.03 MB at 3 x 100: the edges and
+        # the features, never the n x n pair matrix (72 MB at 3 x 1000).
+        for per_cluster, bound in ((1000, 4e6), (100, 0.4e6)):
             spec = _spec(
                 nodes_per_cluster=per_cluster, intra_p=0.01, inter_p=0.0005, seed=0
             )
-            tracemalloc.start()
-            try:
-                gen_gaussian_cluster_graph(spec)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound, per_cluster
+            assert self._peak(spec) < bound, per_cluster
+
+    def test_peak_memory_is_linear_at_a_hundred_thousand_nodes(self):
+        # wide's expected degree (intra 10, inter 1) at 3 x 33,333 nodes:
+        # about 550,000 edges of 16 bytes, and 34 MB peak for the edges,
+        # their sort codes and the features.  One row of the n x n pair
+        # matrix is 0.8 MB of floats; the whole of it would be 80 GB.
+        s = 33_333
+        assert self._peak(_spec(nodes_per_cluster=s, intra_p=10 / s, inter_p=0.5 / s)) < 50e6
 
     def test_deterministic_per_seed(self):
         a = gen_gaussian_cluster_graph(_spec())

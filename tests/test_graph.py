@@ -104,6 +104,21 @@ class TestBuildGraph:
             build_graph(edges.tolist(), n, np.zeros((n, 1))).edges, g.edges
         )
 
+    @given(st.integers(1, 40), st.integers(0, 200), st.integers(0, 2**32 - 1))
+    def test_canonical_edges_give_the_bytes_of_a_messy_copy(self, n, m, seed):
+        # Canonical input skips the np.unique pass; the output must not show it.
+        rng = np.random.default_rng(seed)
+        canonical = _canonical_edges_by_rows(rng.integers(0, n, size=(m, 2)))
+        fast = build_graph(canonical, n, np.zeros((n, 1))).edges
+        assert fast.dtype == np.int64 and fast.flags.c_contiguous
+        assert canonical.flags.writeable  # the caller's array is not frozen
+        for messy in (
+            np.concatenate([canonical, canonical[: m // 3]]),  # every row i < j
+            np.concatenate([canonical, canonical[:, ::-1], [[0, 0]]]),
+        ):
+            messy = messy[rng.permutation(messy.shape[0])]
+            assert fast.tobytes() == build_graph(messy, n, np.zeros((n, 1))).edges.tobytes()
+
 
 class TestNormalizedAdjacency:
     def test_single_node_identity(self):

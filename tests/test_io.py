@@ -1,12 +1,13 @@
-"""The bulk readers of ``edges.tsv`` and ``features.csv`` against the per-line
-reader they fall back to, and ``save_dataset``'s bytes against the per-value
-formatter it replaced."""
+"""The bulk readers of the dataset files against the per-line readers they
+fall back to, and ``save_dataset``'s bytes against the per-value formatter
+it replaced."""
 
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +81,66 @@ def test_bulk_and_per_line_readers_agree(edges, features):
         assert _outcome(lambda: io.load_dataset(root)) == _outcome(lambda: _per_line(root))
 
 
+
+
+# the cells that make a pair file fail or leave the bulk path, in a graph of
+# 8 nodes: out of range, zero-padded, too large, empty, negative, misnamed
+BAD_CELLS = ["8", "007", "9" * 20, "", "-1", "-2", "trains", "tes", "1", " 3"]
+PAIR_FILES = {
+    io.LABELS_FILE: ("node,label", st.integers(0, 12).map(str)),
+    io.MASKS_FILE: ("node,split", st.sampled_from(io.SPLIT_NAMES)),
+}
+
+
+@st.composite
+def _pair_file(draw, header, value):
+    """``save_dataset``'s form (an optional header, then `node,value` rows on
+    distinct nodes), sometimes with a row repeated, a bad cell, the last
+    line break dropped, or one piece spliced in anywhere."""
+    nodes = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6, unique=True))
+    cells = [[str(node), draw(value)] for node in nodes]
+    if draw(st.integers(0, 3)) == 0:
+        cells.append(list(draw(st.sampled_from(cells))))
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(cells))
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_CELLS))
+    text = draw(st.sampled_from(["", header + "\n"]))
+    text += "".join(f"{node},{val}\n" for node, val in cells)
+    if draw(st.booleans()):
+        text = text[:-1]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(PIECES + [","])) + text[at:]
+    return text
+
+
+def _pair_outcome(root: Path):
+    """The labels and masks ``load_dataset`` reads, or its error's type and text."""
+    try:
+        g = io.load_dataset(root)
+    except GraphainError as err:
+        return type(err), str(err)
+    fields = ("labels", "train_mask", "val_mask", "test_mask")
+    return tuple(getattr(g, field).tobytes() for field in fields)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_bulk_and_per_line_pair_readers_agree(name):
+    @settings(max_examples=150, deadline=None)
+    @given(_pair_file(*PAIR_FILES[name]))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / io.EDGES_FILE).write_text("0\t1\n", encoding="utf-8")
+            (root / io.FEATURES_FILE).write_text("0\n" * 8, encoding="utf-8")
+            (root / name).write_text(text, encoding="utf-8", newline="")
+            bulk = _pair_outcome(root)
+            with mock.patch.object(io, "_bulk_pairs", return_value=None):
+                assert bulk == _pair_outcome(root)
+
+    check()
+
+
 _ASTRAL_CHECK = """
 import sys, tempfile
 from pathlib import Path
@@ -149,6 +210,7 @@ def test_saved_files_are_written_as_before_and_read_in_bulk(tmp_path, monkeypatc
 
     monkeypatch.setattr(io, "_parse_edges", no_fallback)
     monkeypatch.setattr(io, "_parse_features", no_fallback)
+    monkeypatch.setattr(io, "_parse_pairs", no_fallback)
     loaded = io.load_dataset(tmp_path / "new", require_masks=True)
     for field in ("edges", "features", "labels", "train_mask", "val_mask", "test_mask"):
         got, want = getattr(loaded, field), getattr(g, field)

@@ -1,25 +1,34 @@
 """A fresh run of a small fixed config against committed reference outputs.
 
 ``tests/pinned/`` holds ``config.txt`` and the ``results.csv`` and
-``diagnostics_seed*.csv`` it produced with the cyclic Jacobi eigensolver,
-before production whitening moved to LAPACK.  ``tests/pinned/sgc/`` and
+``diagnostics_seed*.csv`` it produced.  ``tests/pinned/sgc/`` and
 ``tests/pinned/pairnorm/`` hold the same files for that config with
-``propagation.variant`` set to each baseline, produced with the LAPACK kernel
-while the two baselines still had their own propagation loops.
-``tests/pinned/hard/`` holds the rsoft outputs of that config with the hard
-whitening step (``HARD_OVERRIDES``): every layer is orthonormal, so every
-``subspace_dist`` is filled, which pins the dense reference spectrum path;
-it was produced while ``LayerRecorder`` still built that reference at the
-first layer of every seed.  ``tests/pinned/supervised/results.csv`` is what
-``graphain train --config config.txt`` wrote while ``run_seed`` still fitted
-the teacher and the supervised arm separately.  Kernel swaps and refactors
-that claim to keep behaviour are checked here.  The references are never
-regenerated to make this test pass; a change that moves a value past the
-tolerances below has to explain why.  The ``config_hash`` column alone was
-rewritten once, when the hash stopped covering ``synthetic.seed`` (a run
-draws its graphs from the run seed) and the keys ``train.seed`` and
-``propagation.parametric`` were removed; every other byte is as first
-written.
+``propagation.variant`` set to each baseline.  ``tests/pinned/hard/`` holds
+the rsoft outputs of that config with the hard whitening step
+(``HARD_OVERRIDES``): every layer is orthonormal, so every
+``subspace_dist`` is filled, which pins the dense reference spectrum path.
+``tests/pinned/supervised/results.csv`` is what ``graphain train --config
+config.txt`` writes.  Kernel swaps and refactors that claim to keep
+behaviour are checked here.  The references are never regenerated to make
+this test pass; a change that moves a value past the tolerances below has
+to explain why.
+
+Every file here that depends on the cluster graph's edges was re-pinned
+once, when ``gen_gaussian_cluster_graph`` moved from one uniform draw per
+node pair to a binomial edge count and a uniform sample per cluster pair,
+which draws different graphs from the same seeds.  Before that, the
+top-level files had been written with the cyclic Jacobi eigensolver, the
+baseline files while the two baselines still had their own propagation
+loops, the hard files while ``LayerRecorder`` built the reference at the
+first layer of every seed, and the supervised file while ``run_seed`` fitted
+the teacher and the supervised arm separately.  The re-pin was checked by
+running the new tree with the previous generator put back: it wrote every
+old file byte for byte, except that the three Jacobi-era files differed by
+at most 8e-16 relative in the losses and 3.2e-14 in the diagnostics, inside
+the tolerances below.  The ``config_hash`` column alone was rewritten once
+before, when the hash stopped covering ``synthetic.seed`` (a run draws its
+graphs from the run seed) and the keys ``train.seed`` and
+``propagation.parametric`` were removed.
 
 ``config_all_keys.txt`` sets every config key but ``dataset.path`` and
 ``propagation.variant`` to a distinct non-default value.
@@ -39,8 +48,9 @@ one line is all that changed.
 ``generator_digests.txt`` holds the sha256 of the ``edges``, ``features`` and
 ``labels`` bytes that ``gen_gaussian_cluster_graph`` returns for the specs in
 ``GENERATOR_SPECS`` (the benchmark's ``wide`` and ``files`` graphs) at three
-seeds each.  It was written by the dense n x n edge draw, before the draw
-moved to row blocks, and must match exactly.
+seeds each, and must match exactly.  Its ``edges`` lines were re-pinned with
+the per-cluster-pair edge draw; the ``features`` and ``labels`` lines are
+still those the first, dense n x n draw wrote.
 
 ``train_linear_digests.txt`` holds, for each problem in
 ``TRAIN_LINEAR_PROBLEMS`` (rows, classes, weight decay), the sha256 of the
@@ -55,8 +65,8 @@ last bit there; the ten-class weights are held to the float tolerance below.
 produce: the ``snapshot_*.csv`` files that ``run_experiment`` exports for
 seed 0 of ``config.txt``, and the ``embeddings.csv`` of ``graphain
 propagate`` with ``config.txt`` on the dataset ``graphain gen`` writes from
-it.  It was written while both writers still formatted one value at a time,
-and must match exactly.
+it.  It was first written while both writers still formatted one value at a
+time, re-pinned with the per-cluster-pair edge draw, and must match exactly.
 
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy

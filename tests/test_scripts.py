@@ -16,6 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from graphain.io import DATASET_FILES, save_dataset
+from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -77,11 +80,15 @@ def test_bench_appends_each_run_under_its_label(tmp_path):
     runs = json.loads(report.read_text(encoding="utf-8"))["runs"]
     assert runs["parent"] == committed["runs"]["parent"]
     assert len(runs["new"]) == 2
-    expected = committed["runs"]["parent"][0]["results"]
+    # the dataset the case saves: bench.py's ``files`` spec at seed 0
+    spec = SyntheticSpec(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005,
+                         centers_dim=32, seed=0)
+    g = with_masks(gen_gaussian_cluster_graph(spec), 0.1, 0.2, 0)
+    save_dataset(g, tmp_path / "files")
+    size = sum((tmp_path / "files" / name).stat().st_size for name in DATASET_FILES)
     for run in runs["new"]:
         results = run["results"]
-        assert results["n"] == 1500
-        assert (results["edges"], results["bytes"]) == (expected["edges"], expected["bytes"])
+        assert (results["n"], results["edges"], results["bytes"]) == (1500, g.num_edges, size)
         for field in ("load_dataset_ms", "save_dataset_ms", "dataset_digest_ms"):
             assert set(results[field]) == {"median", "iqr", "samples"}
             assert len(results[field]["samples"]) == committed["repeats"]
