@@ -2,20 +2,24 @@
 
 Training is deterministic full-batch gradient descent on the convex
 cross-entropy plus L2 objective.  One kernel, ``loss_and_grad``, gives the
-objective and its analytic gradient to both training and evaluation, and the
-finite-difference checks in the test suite differentiate that same kernel.
+objective and its analytic gradient to evaluation and to any training epoch
+that needs its loss, and the finite-difference checks in the test suite
+differentiate that same kernel.  Its gradient and the probabilities come from
+``_gradient`` and ``_softmax``, which the other epochs and ``predict`` share.
 
 Cost per epoch on n rows, width d and C classes: two GEMMs, ``h @ w`` and
 ``h.T @ (probs - y)``, at O(n d C) each, plus O(n C) elementwise work in
-``softmax_with_log``, whose row max and normaliser are sweeps over the C
-class columns; no reduction runs along the class axis.  The loss, kept each
-epoch for the finiteness check, is one O(n C) sum.  At a run's sizes (d = 8,
-C = 3, tens to hundreds of rows) an epoch is about twenty numpy calls, and
-their call overhead, not their arithmetic, sets its cost: so the kernels work
-in place on the arrays they own, broadcast nothing along the class axis and
-call ``np.add.reduce`` without the ``sum`` wrappers.  Each operation keeps the
-operands and the order of the plain expression it replaces, so every output
-bit is unchanged (``tests/test_kernel_bits.py``).
+``_softmax``, whose row max and normaliser are sweeps over the C class
+columns; no reduction runs along the class axis.  The loss only feeds the
+check that it is finite, so an epoch skips it, and its log-softmax, whenever
+a bound from ``max|h|`` and ``max|w|`` proves it finite (``train_linear``);
+the first epoch with a non-finite loss is still the one reported.  At a run's
+sizes (d = 8, C = 3, tens to thousands of rows) such an epoch is about twenty
+numpy calls, and their call overhead, not their arithmetic, sets its cost: so
+the kernels work in place on the arrays they own, broadcast nothing along the
+class axis and call ``np.add.reduce`` without the ``sum`` wrappers.  Each
+operation keeps the operands and the order of the plain expression it
+replaces, so every output bit is unchanged (``tests/test_kernel_bits.py``).
 """
 
 from __future__ import annotations
@@ -48,38 +52,59 @@ class TrainConfig:
     lr_decay_epoch: int = 10**9  # halve the lr once this epoch is reached
 
     def __post_init__(self):
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not math.isfinite(self.weight_decay):
+            raise ValueError(f"weight_decay must be finite, got {self.weight_decay}")
         if self.weight_decay < 0.0:
             raise ValueError("weight_decay must be >= 0")
 
 
-def softmax_with_log(logits: np.ndarray):
-    """Row-stabilized softmax; returns (probabilities, log-probabilities).
+def _fold_columns(op, m: np.ndarray) -> np.ndarray:
+    """op(...op(op(m[:, 0], m[:, 1]), m[:, 2])..., m[:, -1]) as a new array."""
+    if m.shape[1] == 1:
+        return m[:, 0].copy()
+    out = op(m[:, 0], m[:, 1])
+    for j in range(2, m.shape[1]):
+        op(out, m[:, j], out=out)
+    return out
 
-    Single kernel shared by the loss, the gradient, and prediction.  The row
-    max and the normaliser are sweeps over the C class columns, each step one
-    elementwise operation on n values: a numpy reduction along the short
-    class axis costs far more than its arithmetic.  The columns are added in
-    order, as numpy's row sum does below eight classes, so there the result
-    equals the row-reduction form bit for bit.  The row max, the normaliser
-    and its log are repeated across the C columns before they meet the n x C
+
+def _softmax(logits: np.ndarray, out: np.ndarray | None):
+    """Row-stabilized softmax; returns (probabilities, shifted logits, normaliser).
+
+    The one softmax kernel: the loss, the gradient and prediction all reach it.
+    The row max and the normaliser are sweeps over the C class columns, each
+    step one elementwise operation on n values: a numpy reduction along the
+    short class axis costs far more than its arithmetic.  The columns are
+    added in order, as numpy's row sum does below eight classes, so there the
+    result equals the row-reduction form bit for bit.  The row max and the
+    normaliser are repeated across the C columns before they meet the n x C
     arrays: broadcasting a column runs numpy's inner loop C elements at a time.
+
+    The shifted logits and their exponentials go to ``out``: new arrays when it
+    is None, or ``logits`` itself, which then ends up holding the probabilities
+    (the shifted logits returned are the same array).
     """
     n, c = logits.shape
-    top = logits[:, 0].copy()
-    for j in range(1, c):
-        np.maximum(top, logits[:, j], out=top)
-    shifted = logits - top.repeat(c).reshape(n, c)
-    e = np.exp(shifted)
-    z = e[:, 0].copy()
-    for j in range(1, c):
-        z += e[:, j]
-    shifted -= np.log(z).repeat(c).reshape(n, c)
+    top = _fold_columns(np.maximum, logits)
+    shifted = np.subtract(logits, top.repeat(c).reshape(n, c), out=out)
+    e = np.exp(shifted, out=out)
+    z = _fold_columns(np.add, e)
     e /= z.repeat(c).reshape(n, c)
-    return e, shifted
+    return e, shifted, z
+
+
+def softmax_with_log(logits: np.ndarray):
+    """Row-stabilized softmax; returns (probabilities, log-probabilities)."""
+    n, c = logits.shape
+    probs, logp, z = _softmax(logits, None)
+    logp -= np.log(z).repeat(c).reshape(n, c)
+    return probs, logp
 
 
 def _included(h: np.ndarray, labels: SoftLabelMatrix, include) -> tuple:
@@ -91,23 +116,29 @@ def _included(h: np.ndarray, labels: SoftLabelMatrix, include) -> tuple:
     return h[include], labels.y[include]
 
 
+def _gradient(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float, probs):
+    """Gradient of the objective from the softmax probabilities of h @ w,
+    which it overwrites with probs - y."""
+    probs -= y
+    grad = h.T @ probs
+    grad /= h.shape[0]
+    if weight_decay:
+        grad += weight_decay * w
+    return grad
+
+
 def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float):
     """Objective and gradient with respect to w over the rows of h and y.
 
     The objective is the mean soft-label cross-entropy plus
     0.5 * weight_decay * ||w||^2; the loss is returned as a float.
     """
-    count = h.shape[0]
     probs, logp = softmax_with_log(h @ w)
     logp *= y
-    loss = -np.add.reduce(logp, axis=None) / count
-    probs -= y
-    grad = h.T @ probs
-    grad /= count
+    loss = -np.add.reduce(logp, axis=None) / h.shape[0]
     if weight_decay:
         loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
-        grad += weight_decay * w
-    return float(loss), grad
+    return float(loss), _gradient(h, y, w, weight_decay, probs)
 
 
 def softmax_cross_entropy(
@@ -116,6 +147,11 @@ def softmax_cross_entropy(
     """Mean soft-label cross-entropy over the included nodes."""
     h_inc, y_inc = _included(h, labels, include)
     return loss_and_grad(h_inc, y_inc, w, 0.0)[0]
+
+
+# Bound on the terms of a loss that the finiteness proof admits, far below the
+# largest double (about 1.8e308), so that rounding in the proof cannot matter.
+_LOSS_LIMIT = 1e300
 
 
 def train_linear(
@@ -130,6 +166,19 @@ def train_linear(
 
     ``epoch_offset`` lets a curriculum thread one lr schedule through several
     consecutive training calls.
+
+    An epoch whose loss is proved finite skips the loss and computes the
+    gradient alone; any other epoch computes the loss and raises
+    ``NonFiniteLossError`` if it is not finite, so the first such epoch is
+    the one the plain loop would report.  The proof: the rows of y are
+    nonnegative and sum to 1 (within 1e-9), and a computed logit is at most
+    K = 2 d max|h| max|w| in magnitude (the 2 covers the rounding of d
+    terms).  A log-probability is then at most 2K + C in magnitude, with
+    rounding, so the summed loss term is at most 16 count (K + C); the decay
+    term sums w * w, at most 2 d C max|w|^2, times 0.5 weight_decay.  When
+    both bounds, the second scaled by max(weight_decay, 1), are at most 1e300
+    the loss is finite.  A NaN or infinite bound fails the test, so a NaN or
+    an infinity in h or w always sends the epoch to the loss.
     """
     d = h.shape[1]
     num_classes = labels.y.shape[1]
@@ -143,11 +192,25 @@ def train_linear(
         return LinearClassifier(w=w)
 
     h_inc, y_inc = _included(h, labels, include)
+    count = h_inc.shape[0]
+    wd = cfg.weight_decay
+    # the two bounds are logit_scale * max|w| + label_term and decay_scale * max|w|^2
+    logit_scale = 32.0 * count * d * float(np.abs(h_inc).max())
+    label_term = 16.0 * count * num_classes
+    decay_scale = max(wd, 1.0) * d * num_classes if wd else 0.0
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (0.5 if epoch + epoch_offset >= cfg.lr_decay_epoch else 1.0)
-        loss, grad = loss_and_grad(h_inc, y_inc, w, cfg.weight_decay)
-        if not math.isfinite(loss):
-            raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
+        w_max = float(np.abs(w).max())
+        if (
+            logit_scale * w_max + label_term <= _LOSS_LIMIT
+            and decay_scale * w_max * w_max <= _LOSS_LIMIT
+        ):
+            logits = h_inc @ w
+            grad = _gradient(h_inc, y_inc, w, wd, _softmax(logits, logits)[0])
+        else:
+            loss, grad = loss_and_grad(h_inc, y_inc, w, wd)
+            if not math.isfinite(loss):
+                raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
         grad *= lr
         w -= grad
     return LinearClassifier(w=w)
@@ -155,7 +218,8 @@ def train_linear(
 
 def predict(h: np.ndarray, clf: LinearClassifier):
     """Hard labels (argmax, ties to the lower class) and the probability rows."""
-    probs, _ = softmax_with_log(h @ clf.w)
+    logits = h @ clf.w
+    probs = _softmax(logits, logits)[0]
     return probs.argmax(axis=1), probs
 
 

@@ -61,9 +61,12 @@ class NormalizedOperator:
 
 
 def _index_array(values, n: int, what: str) -> np.ndarray:
+    """Sorted unique copy of the node indices in values."""
     arr = np.asarray(values, dtype=np.int64).ravel()
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise IndexOutOfRangeError(f"{what} index outside [0, {n})")
+    if (arr[1:] > arr[:-1]).all():
+        return arr.copy()  # already sorted and unique, as split and saved masks are
     return np.unique(arr)
 
 
@@ -122,11 +125,11 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
             _index_array(m, n, name)
             for m, name in zip(masks, ("train", "val", "test"))
         )
-        if (
-            np.intersect1d(train, val).size
-            or np.intersect1d(train, test).size
-            or np.intersect1d(val, test).size
-        ):
+        # each mask is unique, so the masks overlap iff they mark fewer nodes than they hold
+        marked = np.zeros(n, dtype=bool)
+        for mask in (train, val, test):
+            marked[mask] = True
+        if np.count_nonzero(marked) != train.size + val.size + test.size:
             raise IndexOutOfRangeError("train/val/test masks must be disjoint")
 
     for arr in (edges, x, labels, train, val, test):

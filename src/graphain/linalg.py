@@ -58,6 +58,8 @@ class SpectralFilterParams:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
         if self.d0 < 1:
             raise ValueError(f"d0 must be >= 1, got {self.d0}")
+        if not math.isfinite(self.eps_rank):
+            raise ValueError(f"eps_rank must be finite, got {self.eps_rank}")
         if self.eps_rank <= 0.0:
             raise ValueError("eps_rank must be positive")
 

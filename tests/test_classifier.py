@@ -113,6 +113,23 @@ class TestGradient:
         assert np.abs(grad).max() == 0.0
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_are_rejected(self, field, value):
+        kwargs = {"lr": 0.5, "epochs": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(**kwargs)
+
+    def test_bad_finite_values_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^lr must be positive$"):
+            TrainConfig(lr=0.0, epochs=1)
+        with pytest.raises(ValueError, match="^weight_decay must be >= 0$"):
+            TrainConfig(lr=0.1, epochs=1, weight_decay=-1e-3)
+        with pytest.raises(ValueError, match="^epochs must be >= 0$"):
+            TrainConfig(lr=0.1, epochs=-1)
+
+
 class TestTrainLinear:
     def test_separable_data_reaches_full_accuracy(self):
         rng = np.random.default_rng(0)

@@ -69,6 +69,40 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRangeError):
             build_graph([], 3, np.zeros((3, 1)), masks=([0], [0], [2]))
 
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_sorted_masks_give_the_bytes_of_a_messy_copy(self, n, seed):
+        # Sorted unique masks skip the np.unique pass; the output must not show it.
+        rng = np.random.default_rng(seed)
+        split = rng.integers(0, 4, n)  # 3 = in no mask
+        masks = [np.flatnonzero(split == k) for k in range(3)]
+        g = build_graph([], n, np.zeros((n, 1)), masks=masks)
+        for got, mask in zip((g.train_mask, g.val_mask, g.test_mask), masks):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert mask.flags.writeable  # the caller's array is not frozen
+            assert got.tobytes() == mask.tobytes()
+        messy = [
+            np.concatenate([m, m[: m.size // 2]])[rng.permutation(m.size + m.size // 2)]
+            for m in masks
+        ]
+        for copy in (messy, [m.tolist() for m in messy]):
+            again = build_graph([], n, np.zeros((n, 1)), masks=copy)
+            assert again.train_mask.tobytes() == g.train_mask.tobytes()
+            assert again.val_mask.tobytes() == g.val_mask.tobytes()
+            assert again.test_mask.tobytes() == g.test_mask.tobytes()
+
+    @given(
+        st.integers(2, 60), st.integers(0, 2**32 - 1), st.sampled_from([(0, 1), (0, 2), (1, 2)])
+    )
+    def test_overlapping_masks_raise_shuffled_or_duplicated(self, n, seed, pair):
+        rng = np.random.default_rng(seed)
+        split = rng.integers(0, 3, n)
+        masks = [np.flatnonzero(split == k) for k in range(3)]
+        shared = int(rng.integers(0, n))
+        for k in pair:
+            masks[k] = np.append(masks[k], [shared, shared])[::-1]
+        with pytest.raises(IndexOutOfRangeError, match="^train/val/test masks must be disjoint$"):
+            build_graph([], n, np.zeros((n, 1)), masks=masks)
+
     def test_num_classes(self):
         g = build_graph([], 3, np.zeros((3, 1)), y=[2, -1, 0])
         assert g.num_classes == 3

@@ -6,9 +6,11 @@ broadcasts, temporaries and wrappers were cut, kept verbatim: the softmax with
 its column broadcasts, the loss and gradient with fresh temporaries, the
 ``w = w - lr * grad`` update, and ``sym_eig`` and the filter with an
 unconditional symmetrisation, a contiguous copy of the eigenvectors and a
-fancy-indexed diagonal.  The kernels must equal them byte for byte, NaN
-payloads and the sign of zero included; no tolerance is used.  The row counts
-cross numpy's 8- and 128-element blocks of pairwise summation.
+fancy-indexed diagonal.  The ``every_loss_*`` functions are the in-place
+training loop as it read while every epoch computed its loss, kept verbatim.
+The kernels must equal them byte for byte, NaN payloads and the sign of zero
+included; no tolerance is used.  The row counts cross numpy's 8- and
+128-element blocks of pairwise summation.
 """
 
 import math
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphain import classifier
 from graphain.classifier import (
     TrainConfig,
     loss_and_grad,
@@ -68,6 +71,47 @@ def straight_train_loop(h_inc, y_inc, w, cfg, epoch_offset=0):
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
         w = w - lr * grad
+    return w
+
+
+def every_loss_softmax_with_log(logits):
+    n, c = logits.shape
+    top = logits[:, 0].copy()
+    for j in range(1, c):
+        np.maximum(top, logits[:, j], out=top)
+    shifted = logits - top.repeat(c).reshape(n, c)
+    e = np.exp(shifted)
+    z = e[:, 0].copy()
+    for j in range(1, c):
+        z += e[:, j]
+    shifted -= np.log(z).repeat(c).reshape(n, c)
+    e /= z.repeat(c).reshape(n, c)
+    return e, shifted
+
+
+def every_loss_loss_and_grad(h, y, w, weight_decay):
+    count = h.shape[0]
+    probs, logp = every_loss_softmax_with_log(h @ w)
+    logp *= y
+    loss = -np.add.reduce(logp, axis=None) / count
+    probs -= y
+    grad = h.T @ probs
+    grad /= count
+    if weight_decay:
+        loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
+        grad += weight_decay * w
+    return float(loss), grad
+
+
+def every_loss_train_loop(h_inc, y_inc, w, cfg, epoch_offset=0):
+    w = np.array(w, dtype=np.float64, copy=True)
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr * (0.5 if epoch + epoch_offset >= cfg.lr_decay_epoch else 1.0)
+        loss, grad = every_loss_loss_and_grad(h_inc, y_inc, w, cfg.weight_decay)
+        if not math.isfinite(loss):
+            raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
+        grad *= lr
+        w -= grad
     return w
 
 
@@ -220,6 +264,113 @@ def test_train_linear_matches_the_straight_update(
     assert _same_bits(warm, w0)
     want = straight_train_loop(h[include], y[include], w0, cfg, epoch_offset=1)
     assert _same_bits(got, want)
+
+
+class _CountingLossEpochs:
+    """Counts the epochs of ``train_linear`` that compute their loss."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = classifier.loss_and_grad
+
+        def counting(*args):
+            self.calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(classifier, "loss_and_grad", counting)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    ROWS,
+    st.integers(1, 12),
+    st.integers(2, 7),
+    st.sampled_from([0.0, 5e-4]),
+    st.integers(1, 8),
+    st.integers(0, 9),
+    st.booleans(),
+)
+def test_train_linear_matches_the_every_loss_loop(
+    seed, n, d, c, weight_decay, epochs, decay, warm
+):
+    # warm starts, include subsets in any order with repeats, and an lr halving
+    # that may fall inside the call; every epoch takes the gradient-only path
+    h, y, w0 = _problem(seed, n, d, c)
+    labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
+    rng = np.random.default_rng(seed + 1)
+    include = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+    cfg = TrainConfig(lr=0.3, epochs=epochs, weight_decay=weight_decay, lr_decay_epoch=decay)
+    start = w0 if warm else np.zeros((d, c))
+    with pytest.MonkeyPatch.context() as patch:
+        counter = _CountingLossEpochs(patch)
+        got = train_linear(
+            h, labels, include, cfg, warm_start=w0 if warm else None, epoch_offset=2
+        ).w
+    assert counter.calls == 0
+    want = every_loss_train_loop(h[include], y[include], start, cfg, epoch_offset=2)
+    assert _same_bits(got, want)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    ROWS,
+    st.integers(1, 12),
+    st.integers(2, 7),
+    st.sampled_from([0.0, 5e-4]),
+)
+def test_gradient_only_epoch_steps_along_loss_and_grad(seed, n, d, c, weight_decay):
+    # the finite-difference checks of loss_and_grad's gradient cover training
+    h, y, w0 = _problem(seed, n, d, c)
+    labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
+    cfg = TrainConfig(lr=0.7, epochs=1, weight_decay=weight_decay)
+    with pytest.MonkeyPatch.context() as patch:
+        counter = _CountingLossEpochs(patch)
+        got = train_linear(h, labels, np.arange(n), cfg, warm_start=w0).w
+    assert counter.calls == 0
+    assert _same_bits(got, w0 - 0.7 * loss_and_grad(h, y, w0, weight_decay)[1])
+
+
+EDGE_CASES = {
+    # h scale, warm-start scale, a bad entry of h, lr, weight decay, epochs,
+    # and the epoch whose loss is not finite
+    "nan-in-h": (1.0, None, np.nan, 0.5, 5e-4, 5, 0),
+    "inf-in-h-zero-start": (1.0, None, np.inf, 0.5, 0.0, 5, 0),
+    "inf-in-h-warm": (1.0, 1.0, -np.inf, 0.5, 5e-4, 5, 0),
+    "tiny-h-huge-warm-decay": (1e-300, 1e300, None, 0.5, 5e-4, 5, 0),
+    "tiny-h-huge-warm-no-decay": (1e-300, 1e300, None, 0.5, 0.0, 5, None),
+    "tiny-h-tiny-decay-huge-warm": (1e-300, 1e200, None, 0.5, 1e-300, 5, 0),
+    "tiny-h-huge-decay": (1e-300, 1.0, None, 0.5, 1e300, 5, 1),
+    "huge-h-huge-lr": (1e150, None, None, 1e200, 0.0, 5, 1),
+    "huge-h-zero-start": (1e300, None, None, 1e-10, 0.0, 3, 1),
+    "huge-h-decay": (1e100, None, None, 1e95, 5e-4, 6, 1),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_bound_edge_cases_match_the_every_loss_loop(case):
+    h_scale, warm_scale, bad, lr, weight_decay, epochs, bad_epoch = EDGE_CASES[case]
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal((12, 3)) * h_scale
+    if bad is not None:
+        h[5, 1] = bad
+    y = rng.dirichlet(np.ones(3), size=12)
+    labels = SoftLabelMatrix(y=y, masked=np.zeros(12, dtype=bool))
+    warm = None if warm_scale is None else rng.standard_normal((3, 3)) * warm_scale
+    cfg = TrainConfig(lr=lr, epochs=epochs, weight_decay=weight_decay)
+    start = np.zeros((3, 3)) if warm is None else warm
+
+    def train():
+        return train_linear(h, labels, np.arange(12), cfg, warm_start=warm).w
+
+    _same_outcome(train, lambda: every_loss_train_loop(h, y, start, cfg))
+    if bad_epoch is None:
+        assert np.isfinite(train()).all()
+    else:
+        with pytest.raises(NonFiniteLossError, match=f"epoch {bad_epoch}$"):
+            train()
 
 
 @settings(max_examples=300)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -177,6 +179,12 @@ class TestSoftSpectralFilter:
             SpectralFilterParams(a=0.5, b=-0.1, d0=1)
         with pytest.raises(ValueError):
             SpectralFilterParams(a=0.5, b=0.5, d0=0)
+
+    @pytest.mark.parametrize("eps_rank", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rank_is_rejected(self, eps_rank):
+        # a NaN cutoff would keep no channel and blame the input's rank
+        with pytest.raises(ValueError, match="eps_rank must be finite"):
+            SpectralFilterParams(a=0.5, b=1.0, d0=2, eps_rank=eps_rank)
 
 
 class TestOrthonormalProjection:
