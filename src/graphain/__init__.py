@@ -9,7 +9,6 @@ from .classifier import (
     loss_and_grad,
     make_reducer,
     predict,
-    softmax_cross_entropy,
     train_linear,
 )
 from .config import CurriculumParams, ExperimentConfig, config_hash, load_config

@@ -2,10 +2,10 @@
 
 Training is deterministic full-batch gradient descent on the convex
 cross-entropy plus L2 objective.  One kernel, ``loss_and_grad``, gives the
-objective and its analytic gradient to evaluation and to any training epoch
-that needs its loss, and the finite-difference checks in the test suite
-differentiate that same kernel.  Its gradient and the probabilities come from
-``_gradient`` and ``_softmax``, which the other epochs and ``predict`` share.
+objective and its analytic gradient to any epoch that needs its loss; the
+finite-difference checks in the test suite differentiate it.  Its gradient,
+probabilities and loss come from ``_gradient``, ``_softmax`` and
+``cross_entropy``, which the other epochs, ``predict`` and scoring share.
 
 Cost per epoch on n rows, width d and C classes: two GEMMs, ``h @ w`` and
 ``h.T @ (probs - y)``, at O(n d C) each, plus O(n C) elementwise work in
@@ -107,15 +107,6 @@ def softmax_with_log(logits: np.ndarray):
     return probs, logp
 
 
-def _included(h: np.ndarray, labels: SoftLabelMatrix, include) -> tuple:
-    include = np.asarray(include, dtype=np.int64).ravel()
-    if include.size == 0:
-        raise EmptyIncludeError("empty node subset")
-    if labels.masked[include].any():
-        raise ValueError("include contains masked label rows")
-    return h[include], labels.y[include]
-
-
 def _gradient(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float, probs):
     """Gradient of the objective from the softmax probabilities of h @ w,
     which it overwrites with probs - y."""
@@ -134,19 +125,17 @@ def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: flo
     0.5 * weight_decay * ||w||^2; the loss is returned as a float.
     """
     probs, logp = softmax_with_log(h @ w)
-    logp *= y
-    loss = -np.add.reduce(logp, axis=None) / h.shape[0]
+    loss = cross_entropy(logp, y)
     if weight_decay:
         loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
-    return float(loss), _gradient(h, y, w, weight_decay, probs)
+    return loss, _gradient(h, y, w, weight_decay, probs)
 
 
-def softmax_cross_entropy(
-    h: np.ndarray, labels: SoftLabelMatrix, w: np.ndarray, include
-) -> float:
-    """Mean soft-label cross-entropy over the included nodes."""
-    h_inc, y_inc = _included(h, labels, include)
-    return loss_and_grad(h_inc, y_inc, w, 0.0)[0]
+def cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
+    """Mean soft-label cross-entropy of the log-probability rows ``logp``
+    against the label rows ``y``; overwrites ``logp``."""
+    logp *= y
+    return float(-np.add.reduce(logp, axis=None) / logp.shape[0])
 
 
 # Bound on the terms of a loss that the finiteness proof admits, far below the
@@ -191,7 +180,12 @@ def train_linear(
     if cfg.epochs == 0:
         return LinearClassifier(w=w)
 
-    h_inc, y_inc = _included(h, labels, include)
+    include = np.asarray(include, dtype=np.int64).ravel()
+    if include.size == 0:
+        raise EmptyIncludeError("empty node subset")
+    if labels.masked[include].any():
+        raise ValueError("include contains masked label rows")
+    h_inc, y_inc = h[include], labels.y[include]
     count = h_inc.shape[0]
     wd = cfg.weight_decay
     # the two bounds are logit_scale * max|w| + label_term and decay_scale * max|w|^2

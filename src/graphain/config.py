@@ -43,6 +43,8 @@ class CurriculumParams:
             raise ConfigError(f"unknown aux_mode {self.aux_mode!r}")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise ConfigError("mask_ratio must be in [0, 1]")
+        if not math.isfinite(self.gamma_prime):
+            raise ConfigError(f"gamma_prime must be finite, got {self.gamma_prime}")
         if self.gamma_prime <= 0.0:
             raise ConfigError("gamma_prime must be positive")
 

@@ -3,8 +3,8 @@ construction, entropy filtering, iterative smoothing, and the easy-to-hard
 training walk with a final fine-tune on the ground-truth labels.
 
 Smoothing deliberately over-smooths the label signal; ``run_curriculum`` then
-walks back from the smoothest snapshot to the raw pseudo-labels, and
-``split_scores`` scores a split wherever a run reports one.
+walks back from the smoothest snapshot to the raw pseudo-labels, scoring each
+trained head from one softmax over every node (``split_scores``).
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from .classifier import (
     LinearClassifier,
     TrainConfig,
     accuracy,
-    predict,
-    softmax_cross_entropy,
+    cross_entropy,
+    softmax_with_log,
     train_linear,
 )
-from .errors import NonFiniteFeatureError, RowNotStochasticError
+from .errors import EmptyIncludeError, NonFiniteFeatureError, RowNotStochasticError
 from .graph import Graph
 from .io import float_rows
 from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
@@ -59,6 +59,8 @@ class TaskMetrics:
 class CurriculumResult:
     classifier: LinearClassifier
     metrics: tuple
+    probs: np.ndarray  # (n, C) softmax rows of h @ classifier.w
+    logp: np.ndarray   # (n, C) their logs
 
 
 def estimate_labels_teacher(
@@ -115,6 +117,8 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     row whose squared norm, or else the first pair whose squared distance,
     is not finite, where no nearest-neighbor order exists.
     """
+    if not math.isfinite(gamma_prime):
+        raise ValueError(f"gamma_prime must be finite, got {gamma_prime}")
     if gamma_prime <= 0.0:
         raise ValueError("gamma_prime must be positive")
     if k < 1:
@@ -263,14 +267,16 @@ def smooth_labels(aux: AuxGraph, y0: SoftLabelMatrix, n_t: int) -> list:
     return snaps
 
 
-def split_scores(h: np.ndarray, w: np.ndarray, pred: np.ndarray, g: Graph, mask) -> tuple:
-    """(accuracy, loss) of the weights ``w``, whose predictions on ``h`` are
-    ``pred``, over the labeled nodes of ``mask``; both NaN when it has none."""
+def split_scores(probs: np.ndarray, logp: np.ndarray, g: Graph, mask) -> tuple:
+    """(accuracy, loss) over the labeled nodes of ``mask`` of the head whose
+    softmax and log-softmax rows on every node are ``probs`` and ``logp``;
+    both NaN when ``mask`` has no labeled node."""
     labeled = mask[g.labels[mask] >= 0]
     if not labeled.size:
         return float("nan"), float("nan")
-    truth = one_hot_matrix(g.labels[labeled], labeled, g.n, g.num_classes)
-    return accuracy(pred, g.labels, labeled), softmax_cross_entropy(h, truth, w, labeled)
+    truth = g.labels[labeled]
+    pred = probs[labeled].argmax(axis=1)
+    return accuracy(pred, truth), cross_entropy(logp[labeled], one_hot(truth, g.num_classes))
 
 
 def run_curriculum(
@@ -308,19 +314,21 @@ def run_curriculum(
         elapsed = (time.perf_counter() - start) * 1e3
         w = clf.w
         epoch_offset += cfg.epochs
-        pred, _ = predict(h, clf)
-        val_accuracy, val_loss = split_scores(h, w, pred, g, g.val_mask)
+        if not include.size:
+            raise EmptyIncludeError("empty node subset")
+        probs, logp = softmax_with_log(h @ w)
+        val_accuracy, val_loss = split_scores(probs, logp, g, g.val_mask)
         metrics.append(
             TaskMetrics(
                 index=index,
-                train_loss=softmax_cross_entropy(h, labels, w, include),
-                train_accuracy=accuracy(pred, g.labels, include),
+                train_loss=cross_entropy(logp[include], labels.y[include]),
+                train_accuracy=accuracy(probs.argmax(axis=1), g.labels, include),
                 val_accuracy=val_accuracy,
                 val_loss=val_loss,
                 wall_ms=elapsed,
             )
         )
-    return CurriculumResult(classifier=clf, metrics=tuple(metrics))
+    return CurriculumResult(classifier=clf, metrics=tuple(metrics), probs=probs, logp=logp)
 
 
 def export_snapshots(snapshots, out_dir) -> list:

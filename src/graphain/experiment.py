@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import make_reducer, predict
+from .classifier import make_reducer
 from .config import ExperimentConfig, config_hash, render_config
 from .curriculum import (
     aux_from_graph,
@@ -137,7 +137,7 @@ def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray):
     return build_knn_aux_graph(vectors, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime)
 
 
-def _arm_rows(cfg: ExperimentConfig, digest: str, seed: int, g: Graph, h, result):
+def _arm_rows(cfg: ExperimentConfig, digest: str, seed: int, g: Graph, result):
     rows = []
     for m in result.metrics:
         wall = 0.0 if cfg.deterministic_timing else m.wall_ms
@@ -149,9 +149,8 @@ def _arm_rows(cfg: ExperimentConfig, digest: str, seed: int, g: Graph, h, result
         )
 
     with _stage("evaluation"):
-        pred, _ = predict(h, result.classifier)
         start = time.perf_counter()
-        test_acc, test_loss = split_scores(h, result.classifier.w, pred, g, g.test_mask)
+        test_acc, test_loss = split_scores(result.probs, result.logp, g, g.test_mask)
         wall = 0.0 if cfg.deterministic_timing else (time.perf_counter() - start) * 1e3
         if not math.isnan(test_acc):  # NaN: no labeled test node, so no test row
             index = result.metrics[-1].index
@@ -189,14 +188,13 @@ def run_seed(
 
     with _stage("teacher"):
         teacher = run_curriculum(g, h, [], cfg.train, cfg.curriculum.pacing_epochs)
-    supervised_rows = _arm_rows(cfg, digest, seed, g, h, teacher)
+    supervised_rows = _arm_rows(cfg, digest, seed, g, teacher)
     if not with_curriculum:
         return supervised_rows, supervised_rows, None
 
     with _stage("label-estimation"):
-        _, teacher_probs = predict(h, teacher.classifier)
         estimated = estimate_labels_teacher(
-            teacher_probs, g.labels[g.train_mask], g.train_mask
+            teacher.probs, g.labels[g.train_mask], g.train_mask
         )
     with _stage("entropy-filter"):
         filtered = entropy_filter(
@@ -215,7 +213,7 @@ def run_seed(
             cfg.curriculum.pacing_epochs,
             reset_on_finetune=cfg.curriculum.reset_on_finetune,
         )
-    return _arm_rows(cfg, digest, seed, g, h, result), supervised_rows, snapshots
+    return _arm_rows(cfg, digest, seed, g, result), supervised_rows, snapshots
 
 
 def run_experiment(

@@ -37,6 +37,9 @@ class SyntheticSpec:
             raise ValueError("need at least two clusters with one node each")
         if not 0.0 <= self.inter_p < self.intra_p <= 1.0:
             raise ValueError("need 0 <= inter_p < intra_p <= 1")
+        for name in ("center_spread", "feature_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.centers_dim < 1 or self.center_spread < 0 or self.feature_sigma < 0:
             raise ValueError("bad synthetic geometry parameters")
 
@@ -96,20 +99,14 @@ def split_masks(labels: np.ndarray, train_frac: float, val_frac: float, seed: in
         raise ValueError("fractions must be nonnegative and sum to at most 1")
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    train, val, test = [], [], []
+    chunks = [(np.empty(0, dtype=np.int64),) * 3]  # then each class's train, val, test
     for cls in np.unique(labels[labels >= 0]):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(idx.size)]
         n_tr = int(round(train_frac * idx.size))
         n_val = int(round(val_frac * idx.size))
-        train.extend(idx[:n_tr])
-        val.extend(idx[n_tr : n_tr + n_val])
-        test.extend(idx[n_tr + n_val :])
-    return (
-        np.sort(np.array(train, dtype=np.int64)),
-        np.sort(np.array(val, dtype=np.int64)),
-        np.sort(np.array(test, dtype=np.int64)),
-    )
+        chunks.append(np.split(idx, [n_tr, n_tr + n_val]))
+    return tuple(np.sort(np.concatenate(part)) for part in zip(*chunks))
 
 
 def with_masks(g: Graph, train_frac: float, val_frac: float, seed: int) -> Graph:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain import curriculum
-from graphain.classifier import TrainConfig, predict, softmax_cross_entropy, train_linear
+from graphain.classifier import TrainConfig, accuracy, loss_and_grad, predict, train_linear
 from graphain.curriculum import (
     AuxGraph,
     aux_from_graph,
@@ -20,7 +20,9 @@ from graphain.curriculum import (
     smooth_labels,
     split_scores,
 )
-from graphain.errors import NonFiniteFeatureError, RowNotStochasticError
+from graphain.config import build_experiment_config
+from graphain.errors import EmptyIncludeError, NonFiniteFeatureError, RowNotStochasticError
+from graphain.experiment import _arm_rows
 from graphain.labels import SoftLabelMatrix, one_hot, one_hot_matrix
 from graphain.linalg import SpectralFilterParams
 from graphain.oracles import knn_edges_dense
@@ -71,6 +73,12 @@ class TestSoftLabelMatrix:
 
 
 class TestKnnAuxGraph:
+    @pytest.mark.parametrize("gamma_prime", [math.nan, math.inf])
+    def test_non_finite_gamma_prime_rejected(self, rng, gamma_prime):
+        message = f"^gamma_prime must be finite, got {gamma_prime}$"
+        with pytest.raises(ValueError, match=message):
+            build_knn_aux_graph(rng.standard_normal((5, 3)), 2, gamma_prime)
+
     def test_k_at_least_n_minus_one_gives_complete(self, rng):
         vecs = rng.standard_normal((5, 3))
         aux = build_knn_aux_graph(vecs, 4, 1.0)
@@ -475,7 +483,7 @@ class TestRunCurriculum:
         g, h = _curriculum_setup()
         out = run_curriculum(g, h, [], TrainConfig(lr=0.2, epochs=30), 0)
         pred, _ = predict(h, out.classifier)
-        assert split_scores(h, out.classifier.w, pred, g, g.val_mask) == (
+        assert split_scores(out.probs, out.logp, g, g.val_mask) == (
             out.metrics[0].val_accuracy,
             out.metrics[0].val_loss,
         )
@@ -485,14 +493,76 @@ class TestRunCurriculum:
             g.edges, g.n, g.features, y=np.where(np.arange(24) < 12, g.labels, -1),
             masks=(g.train_mask, g.val_mask, g.test_mask),
         )
-        acc, loss = split_scores(h, out.classifier.w, pred, unlabeled, unlabeled.val_mask)
+        acc, loss = split_scores(out.probs, out.logp, unlabeled, unlabeled.val_mask)
         kept = g.val_mask[g.val_mask < 12]
         assert 0 < kept.size < g.val_mask.size
         assert acc == (pred[kept] == g.labels[kept]).mean()
         truth = one_hot_matrix(g.labels[kept], kept, g.n, 2)
-        assert loss == softmax_cross_entropy(h, truth, out.classifier.w, kept)
-        empty = split_scores(h, out.classifier.w, pred, g, g.val_mask[:0])
+        assert loss == loss_and_grad(h[kept], truth.y[kept], out.classifier.w, 0.0)[0]
+        empty = split_scores(out.probs, out.logp, g, g.val_mask[:0])
         assert all(math.isnan(v) for v in empty)
+
+    def test_scores_match_each_head_on_its_rows(self, rng, monkeypatch):
+        # Each head's scores come from one softmax over every node: each loss
+        # is loss_and_grad on the split's rows, each accuracy predict's.
+        g, h = _curriculum_setup()
+        heads = []
+        real = curriculum.train_linear
+
+        def record(h, labels, include, cfg, **kwargs):
+            clf = real(h, labels, include, cfg, **kwargs)
+            heads.append((labels.y[include], include, clf))
+            return clf
+
+        monkeypatch.setattr(curriculum, "train_linear", record)
+        snaps = _masked_snapshots(rng, 3)
+        out = run_curriculum(g, h, snaps, TrainConfig(lr=0.2, epochs=30), 10)
+        assert len(heads) == len(out.metrics) == 4
+        val, test = g.val_mask, g.test_mask
+
+        def loss(rows, y, clf):
+            return pytest.approx(loss_and_grad(h[rows], y, clf.w, 0.0)[0], rel=1e-12, abs=0)
+
+        for (y, include, clf), m in zip(heads, out.metrics):
+            pred, _ = predict(h, clf)
+            assert m.train_accuracy == accuracy(pred, g.labels, include)
+            assert m.val_accuracy == accuracy(pred, g.labels, val)
+            assert m.train_loss == loss(include, y, clf)
+            assert m.val_loss == loss(val, one_hot(g.labels[val], 2), clf)
+        pred, probs = predict(h, out.classifier)
+        assert np.array_equal(out.probs, probs)
+        cfg = build_experiment_config({"deterministic_timing": "true"})
+        (row,) = [r for r in _arm_rows(cfg, "digest", 0, g, out) if r.split == "test"]
+        assert (row.task, row.accuracy) == (3, accuracy(pred, g.labels, test))
+        assert row.loss == loss(test, one_hot(g.labels[test], 2), out.classifier)
+
+    def test_split_without_labeled_nodes_scores_nan(self, rng):
+        g, h = _curriculum_setup()
+        labels = g.labels.copy()
+        labels[np.concatenate([g.val_mask, g.test_mask])] = -1
+        from graphain.graph import build_graph
+
+        masks = (g.train_mask, g.val_mask, g.test_mask)
+        hidden = build_graph(g.edges, g.n, g.features, y=labels, masks=masks)
+        snaps = _masked_snapshots(rng, 2)
+        out = run_curriculum(hidden, h, snaps, TrainConfig(lr=0.2, epochs=10), 5)
+        assert all(math.isnan(m.val_accuracy) for m in out.metrics)
+        assert all(math.isnan(m.val_loss) for m in out.metrics)
+        assert all(math.isfinite(m.train_loss) for m in out.metrics)
+        test = split_scores(out.probs, out.logp, hidden, hidden.test_mask)
+        assert all(math.isnan(v) for v in test)
+        cfg = build_experiment_config({"deterministic_timing": "true"})
+        rows = _arm_rows(cfg, "digest", 0, hidden, out)
+        assert [r.split for r in rows] == ["train", "val"] * 3
+
+    def test_empty_include_without_epochs_raises_from_scoring(self, monkeypatch):
+        g, h = _curriculum_setup()
+        calls = _recording(monkeypatch)
+        empty = _soft(np.zeros((24, 2)), np.ones(24, dtype=bool))
+        with pytest.raises(EmptyIncludeError, match="^empty node subset$"):
+            run_curriculum(g, h, [empty], TrainConfig(lr=0.2, epochs=30), 0)
+        # training ran no epoch on the empty include, so scoring raised
+        assert [(c["epochs"], c["include"].size) for c in calls] == [(0, 0)]
 
 
 class TestAuxTransition:

@@ -158,6 +158,12 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             _spec(intra_p=0.1, inter_p=0.2)
 
+    @pytest.mark.parametrize("field", ["center_spread", "feature_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_geometry_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            _spec(**{field: value})
+
 
 class TestFeatureNoise:
     def test_structure_and_labels_untouched(self):
@@ -199,6 +205,33 @@ class TestSplitMasks:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
         assert np.intersect1d(a[0], a[1]).size == 0
+
+    def test_matches_list_reference(self, rng):
+        def reference(labels, train_frac, val_frac, seed):
+            local = np.random.default_rng(seed)
+            train, val, test = [], [], []
+            for cls in np.unique(labels[labels >= 0]):
+                idx = np.flatnonzero(labels == cls)
+                idx = idx[local.permutation(idx.size)]
+                n_tr = int(round(train_frac * idx.size))
+                n_val = int(round(val_frac * idx.size))
+                train.extend(idx[:n_tr])
+                val.extend(idx[n_tr : n_tr + n_val])
+                test.extend(idx[n_tr + n_val :])
+            return [np.sort(np.array(part, dtype=np.int64)) for part in (train, val, test)]
+
+        for seed in range(40):
+            labels = rng.integers(-1, 4, size=int(rng.integers(0, 60)))
+            fracs = (0.5, 0.5) if seed % 4 == 0 else (0.1, 0.2)  # 0.5 rounds to even
+            got = split_masks(labels, *fracs, seed=seed)
+            for x, y in zip(got, reference(labels, *fracs, seed)):
+                assert x.dtype == y.dtype == np.int64
+                assert np.array_equal(x, y)
+
+    def test_all_unlabeled_gives_empty_int64_masks(self):
+        for labels in (np.full(7, -1), np.empty(0, dtype=np.int64)):
+            masks = split_masks(labels, 0.1, 0.2, seed=0)
+            assert [(m.dtype, m.shape) for m in masks] == [(np.int64, (0,))] * 3
 
 
 class TestDatasetIo:
@@ -329,6 +362,12 @@ def _dataset_config(directory):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_gamma_prime_rejected(self, value):
+        cur = build_experiment_config({}).curriculum
+        with pytest.raises(ConfigError, match=f"^gamma_prime must be finite, got {value}$"):
+            replace(cur, gamma_prime=value)
+
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("propagation.alhpa = 0.5\n")
@@ -498,6 +537,28 @@ class TestRunExperiment:
         assert (out / "diagnostics_seed1.csv").exists()
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "seed,config_hash,task,split,accuracy,loss,wall_ms"
+
+    def test_default_seed_scores_each_head_once(self, monkeypatch):
+        # 1150 epochs: 300 teacher, 11 x 50 curriculum, 300 fine-tune; each of
+        # the 13 heads is scored from one softmax, with no scoring gradient.
+        import graphain.classifier as classifier
+        import graphain.curriculum as curriculum
+        import graphain.diagnostics as diagnostics
+
+        calls = {"_gradient": 0, "predict": 0, "softmax_with_log": 0}
+        for name in calls:
+            real = getattr(classifier, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (classifier, curriculum, diagnostics, experiment):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        rows, _, _ = run_seed(build_experiment_config({}), 0)
+        assert calls == {"_gradient": 1150, "predict": 0, "softmax_with_log": 13}
+        assert [r.split for r in rows].count("test") == 1
 
     def test_write_mode_filters_each_layer_once(self, tmp_path, monkeypatch):
         import graphain.propagation as propagation
