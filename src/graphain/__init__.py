@@ -2,15 +2,7 @@
 skip connections, and a label-smoothing curriculum, verified against dense
 brute-force oracles at desk scale."""
 
-from .classifier import (
-    LinearClassifier,
-    TrainConfig,
-    accuracy,
-    loss_and_grad,
-    make_reducer,
-    predict,
-    train_linear,
-)
+from .classifier import TrainConfig, accuracy, loss_and_grad, make_reducer, train_linear
 from .config import CurriculumParams, ExperimentConfig, config_hash, load_config
 from .curriculum import (
     AuxGraph,

@@ -1,11 +1,11 @@
-"""Linear softmax classifier on fixed embeddings.
+"""Linear softmax head on fixed embeddings: one (d, C) weight array.
 
 Training is deterministic full-batch gradient descent on the convex
 cross-entropy plus L2 objective.  One kernel, ``loss_and_grad``, gives the
 objective and its analytic gradient to any epoch that needs its loss; the
 finite-difference checks in the test suite differentiate it.  Its gradient,
 probabilities and loss come from ``_gradient``, ``_softmax`` and
-``cross_entropy``, which the other epochs, ``predict`` and scoring share.
+``cross_entropy``, which the other epochs and scoring share.
 
 Cost per epoch on n rows, width d and C classes: two GEMMs, ``h @ w`` and
 ``h.T @ (probs - y)``, at O(n d C) each, plus O(n C) elementwise work in
@@ -35,13 +35,6 @@ from .errors import (
     NonFiniteLossError,
 )
 from .labels import SoftLabelMatrix
-
-
-@dataclass(frozen=True)
-class LinearClassifier:
-    """Projection from embeddings to class logits."""
-
-    w: np.ndarray  # (d, C)
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ def _fold_columns(op, m: np.ndarray) -> np.ndarray:
 def _softmax(logits: np.ndarray, out: np.ndarray | None):
     """Row-stabilized softmax; returns (probabilities, shifted logits, normaliser).
 
-    The one softmax kernel: the loss, the gradient and prediction all reach it.
+    The one softmax kernel: the loss, the gradient and scoring all reach it.
     The row max and the normaliser are sweeps over the C class columns, each
     step one elementwise operation on n values: a numpy reduction along the
     short class axis costs far more than its arithmetic.  The columns are
@@ -150,8 +143,9 @@ def train_linear(
     cfg: TrainConfig,
     warm_start: np.ndarray | None = None,
     epoch_offset: int = 0,
-) -> LinearClassifier:
-    """Full-batch gradient descent with weight decay and a single lr halving.
+) -> np.ndarray:
+    """The (d, C) head weights from full-batch gradient descent with weight
+    decay and a single lr halving.
 
     ``epoch_offset`` lets a curriculum thread one lr schedule through several
     consecutive training calls.
@@ -178,7 +172,7 @@ def train_linear(
     else:
         w = np.zeros((d, num_classes))
     if cfg.epochs == 0:
-        return LinearClassifier(w=w)
+        return w
 
     include = np.asarray(include, dtype=np.int64).ravel()
     if include.size == 0:
@@ -207,24 +201,13 @@ def train_linear(
                 raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
         grad *= lr
         w -= grad
-    return LinearClassifier(w=w)
+    return w
 
 
-def predict(h: np.ndarray, clf: LinearClassifier):
-    """Hard labels (argmax, ties to the lower class) and the probability rows."""
-    logits = h @ clf.w
-    probs = _softmax(logits, logits)[0]
-    return probs.argmax(axis=1), probs
-
-
-def accuracy(pred: np.ndarray, truth: np.ndarray, subset=None) -> float:
-    """Fraction of correct hard labels, optionally restricted to a subset."""
+def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of correct hard labels; NaN when there are none."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
-    if subset is not None:
-        subset = np.asarray(subset, dtype=np.int64)
-        pred = pred[subset]
-        truth = truth[subset]
     if pred.size == 0:
         return float("nan")
     return float((pred == truth).mean())

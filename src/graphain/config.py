@@ -19,7 +19,7 @@ from typing import Callable
 
 from .classifier import TrainConfig
 from .curriculum import AUX_MODES
-from .errors import ConfigError
+from .errors import ConfigError, InvalidCoefficientsError
 from .io import dataset_digest
 from .linalg import SpectralFilterParams
 from .propagation import VARIANTS, PropagationConfig
@@ -228,9 +228,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def build_experiment_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     """Parse raw string values, fill in defaults and build the nested config.
 
-    A bad value or range raises ConfigError naming ``source``; the mixing
-    coefficients and decays are PropagationConfig's, which raises
-    InvalidCoefficientsError.
+    A bad value or range raises ConfigError naming ``source``, including the
+    mixing coefficients, decays, depth, activation and operator mode that
+    PropagationConfig checks.
     """
     # fields[section][name]: "propagation.filter.a" lands in
     # fields["propagation.filter"]["a"], "variant" in fields[""]["variant"]
@@ -264,7 +264,7 @@ def build_experiment_config(raw: dict, source: str = "<config>") -> ExperimentCo
             curriculum=CurriculumParams(**fields["curriculum"]),
             **fields[""],
         )
-    except (ValueError, ConfigError) as err:
+    except (ValueError, ConfigError, InvalidCoefficientsError) as err:
         raise ConfigError(f"{source}: {err}") from err
     if cfg.noisy_features:
         # noisy features carry no information, so the auxiliary graph falls

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classifier import (
-    LinearClassifier,
     TrainConfig,
     accuracy,
     cross_entropy,
@@ -57,9 +56,9 @@ class TaskMetrics:
 
 @dataclass(frozen=True)
 class CurriculumResult:
-    classifier: LinearClassifier
+    w: np.ndarray  # (d, C) head weights
     metrics: tuple
-    probs: np.ndarray  # (n, C) softmax rows of h @ classifier.w
+    probs: np.ndarray  # (n, C) softmax rows of h @ w
     logp: np.ndarray   # (n, C) their logs
 
 
@@ -287,8 +286,8 @@ def run_curriculum(
     pacing_epochs: int,
     reset_on_finetune: bool = False,
 ) -> CurriculumResult:
-    """Train one linear classifier on the embedding ``h``, warm-starting
-    each task from the last.
+    """Train one linear head on the embedding ``h``, warm-starting each task
+    from the last.
 
     Task i runs ``pacing_epochs`` on the unmasked rows of snapshot n_t - i,
     so the walk goes from the smoothest snapshot back to the raw
@@ -297,6 +296,11 @@ def run_curriculum(
     runs: the supervised baseline.  The learning-rate decay counts epochs
     across tasks, restarting at the fine-tune under ``reset_on_finetune``.
     The embedding is label-independent, so every task shares it.
+
+    A task's train loss is against the targets it trained on, over its
+    included rows; its train accuracy is against the ground truth, over the
+    labeled nodes among those rows (NaN when there are none), as
+    ``split_scores`` scores val and test.
     """
     pacing = replace(train_cfg, epochs=pacing_epochs)
     tasks = [(snap, snap.unmasked_indices(), pacing) for snap in reversed(snapshots)]
@@ -310,25 +314,25 @@ def run_curriculum(
         if reset_on_finetune and index == len(tasks) - 1:
             epoch_offset = 0
         start = time.perf_counter()
-        clf = train_linear(h, labels, include, cfg, warm_start=w, epoch_offset=epoch_offset)
+        w = train_linear(h, labels, include, cfg, warm_start=w, epoch_offset=epoch_offset)
         elapsed = (time.perf_counter() - start) * 1e3
-        w = clf.w
         epoch_offset += cfg.epochs
         if not include.size:
             raise EmptyIncludeError("empty node subset")
         probs, logp = softmax_with_log(h @ w)
+        labeled = include[g.labels[include] >= 0]
         val_accuracy, val_loss = split_scores(probs, logp, g, g.val_mask)
         metrics.append(
             TaskMetrics(
                 index=index,
                 train_loss=cross_entropy(logp[include], labels.y[include]),
-                train_accuracy=accuracy(probs.argmax(axis=1), g.labels, include),
+                train_accuracy=accuracy(probs[labeled].argmax(axis=1), g.labels[labeled]),
                 val_accuracy=val_accuracy,
                 val_loss=val_loss,
                 wall_ms=elapsed,
             )
         )
-    return CurriculumResult(classifier=clf, metrics=tuple(metrics), probs=probs, logp=logp)
+    return CurriculumResult(w=w, metrics=tuple(metrics), probs=probs, logp=logp)
 
 
 def export_snapshots(snapshots, out_dir) -> list:

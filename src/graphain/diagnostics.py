@@ -6,7 +6,8 @@ each layer into a DiagnosticsRecord as the layer is made, so a sweep of any
 depth holds one layer at a time.  The subspace distance needs the dense
 reference spectrum (n <= 2000), an O(n^3) eigendecomposition; it is built
 only when a layer has orthonormal columns, the one case in which it is
-measured, so runs whose layers never get there never pay for it.
+measured, so runs whose layers never get there never pay for it.  A record
+measures the embedding alone: no head is trained during the forward pass.
 
 The pairwise-distance statistic uses the O(n d) moment identity
 sum_ij ||H_i - H_j||^2 = 2 n sum_i ||H_i||^2 - 2 ||sum_i H_i||^2
@@ -21,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import LinearClassifier, accuracy, predict
 from .errors import (
     DegenerateGapError,
     NotOrthonormalError,
@@ -33,7 +33,7 @@ from .oracles import dense_abar, top_d_eigvectors
 
 CSV_HEADER = (
     "layer,mean_pairwise_sq_dist,frob_sq,column_gram_dev,"
-    "column_sum_dev,subspace_dist,accuracy"
+    "column_sum_dev,subspace_dist"
 )
 
 
@@ -45,7 +45,6 @@ class DiagnosticsRecord:
     column_gram_dev: float
     column_sum_dev: float
     subspace_dist: float | None
-    accuracy: float | None
 
 
 def pairwise_stats(h: np.ndarray):
@@ -58,7 +57,7 @@ def pairwise_stats(h: np.ndarray):
     return total, total / n
 
 
-def _record(h, layer, g, reference, clf, eval_set):
+def _record(h, layer, reference):
     """``reference(d)`` returns the n x d reference, or None; it is called
     only for a layer with orthonormal columns."""
     h = np.asarray(h, dtype=np.float64)
@@ -73,10 +72,6 @@ def _record(h, layer, g, reference, clf, eval_set):
             sub = principal_subspace_distance(h, ref)
         except (NotOrthonormalError, TooLargeError):
             sub = None
-    acc = None
-    if clf is not None and eval_set is not None and eval_set.size:
-        pred, _ = predict(h, clf)
-        acc = accuracy(pred, g.labels, eval_set)
     return DiagnosticsRecord(
         layer=layer,
         mean_pairwise_sq_dist=mean,
@@ -84,7 +79,6 @@ def _record(h, layer, g, reference, clf, eval_set):
         column_gram_dev=gram_dev,
         column_sum_dev=col_dev,
         subspace_dist=sub,
-        accuracy=acc,
     )
 
 
@@ -98,16 +92,10 @@ class LayerRecorder:
     build raises DegenerateGapError or TooLargeError) for the later layers;
     it never tries twice.  Layers that are not orthonormal get no subspace
     distance, so a run without such a layer never builds the reference.
-    With a classifier, each record also carries the accuracy on the
-    validation set, or on every labeled node when there is none.
     """
 
-    def __init__(self, g: Graph, classifier: LinearClassifier | None = None):
+    def __init__(self, g: Graph):
         self.g = g
-        self.classifier = classifier
-        self.eval_set = None
-        if classifier is not None:
-            self.eval_set = g.val_mask if g.val_mask.size else np.flatnonzero(g.labels >= 0)
         self.reference = None
         self._reference_tried = False
         self.records = []
@@ -123,9 +111,7 @@ class LayerRecorder:
         return self.reference
 
     def __call__(self, t: int, h: np.ndarray) -> None:
-        self.records.append(
-            _record(h, t, self.g, self._reference, self.classifier, self.eval_set)
-        )
+        self.records.append(_record(h, t, self._reference))
 
 
 def _fmt_opt(value) -> str:
@@ -144,7 +130,6 @@ def records_to_csv(records, path) -> None:
                     format(r.column_gram_dev, ".17g"),
                     format(r.column_sum_dev, ".17g"),
                     _fmt_opt(r.subspace_dist),
-                    _fmt_opt(r.accuracy),
                 ]
             )
         )

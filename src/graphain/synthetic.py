@@ -95,6 +95,9 @@ def add_feature_noise(g: Graph, seed: int) -> Graph:
 
 def split_masks(labels: np.ndarray, train_frac: float, val_frac: float, seed: int):
     """Stratified per-class train/val/test index split, deterministic per seed."""
+    for name, frac in (("train_frac", train_frac), ("val_frac", val_frac)):
+        if not np.isfinite(frac):
+            raise ValueError(f"{name} must be finite, got {frac}")
     if train_frac < 0 or val_frac < 0 or train_frac + val_frac > 1.0:
         raise ValueError("fractions must be nonnegative and sum to at most 1")
     labels = np.asarray(labels, dtype=np.int64)

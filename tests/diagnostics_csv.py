@@ -14,7 +14,7 @@ def records_from_csv(path) -> list:
     assert lines and lines[0] == CSV_HEADER, f"{path}: wrong diagnostics header"
     records = []
     for line in lines[1:]:
-        layer, pairwise, frob, gram, col_sum, subspace, acc = line.split(",")
+        layer, pairwise, frob, gram, col_sum, subspace = line.split(",")
         records.append(
             DiagnosticsRecord(
                 layer=int(layer),
@@ -23,7 +23,6 @@ def records_from_csv(path) -> list:
                 column_gram_dev=float(gram),
                 column_sum_dev=float(col_sum),
                 subspace_dist=_optional(subspace),
-                accuracy=_optional(acc),
             )
         )
     return records

@@ -69,10 +69,12 @@ def _returns_or_raises_graphain_error(call):
 @settings(max_examples=200)
 @given(st.dictionaries(st.sampled_from(KEYS), TOKEN, max_size=6))
 def test_config_build_raises_only_graphain_errors(values):
+    # every error names the config file, as the CLI prints it
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
-    _returns_or_raises_graphain_error(
-        lambda: build_experiment_config(parse_config_text(text))
-    )
+    try:
+        build_experiment_config(parse_config_text(text, "c.txt"), "c.txt")
+    except GraphainError as err:
+        assert str(err).startswith("c.txt:"), str(err)
 
 
 @settings(max_examples=100)

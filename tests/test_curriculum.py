@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain import curriculum
-from graphain.classifier import TrainConfig, accuracy, loss_and_grad, predict, train_linear
+from graphain.classifier import TrainConfig, accuracy, loss_and_grad, train_linear
 from graphain.curriculum import (
     AuxGraph,
     aux_from_graph,
@@ -28,6 +28,7 @@ from graphain.linalg import SpectralFilterParams
 from graphain.oracles import knn_edges_dense
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph, with_masks
+from head_predict import predict
 
 
 def _soft(y, masked=None):
@@ -449,7 +450,7 @@ class TestRunCurriculum:
         # the fine-tune alone is the teacher: one train_linear on the train truth
         truth = one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, 2)
         teacher = train_linear(h, truth, g.train_mask, cfg)
-        assert np.array_equal(out.classifier.w, teacher.w)
+        assert np.array_equal(out.w, teacher)
 
     def test_zero_pacing_equals_finetune_only(self, rng):
         g, h = _curriculum_setup()
@@ -457,14 +458,14 @@ class TestRunCurriculum:
         train_cfg = TrainConfig(lr=0.2, epochs=30)
         full = run_curriculum(g, h, snaps, train_cfg, 0)
         only = run_curriculum(g, h, [], train_cfg, 0)
-        assert np.array_equal(full.classifier.w, only.classifier.w)
+        assert np.array_equal(full.w, only.w)
 
     def test_warm_start_carries_over(self, rng):
         g, h = _curriculum_setup()
         snaps = [_soft(rng.dirichlet(np.ones(2), size=24)) for _ in range(2)]
         out = run_curriculum(g, h, snaps, TrainConfig(lr=0.2, epochs=0), 10)
         # zero fine-tune epochs: final weights come from the last task
-        assert np.abs(out.classifier.w).max() > 0.0
+        assert np.abs(out.w).max() > 0.0
 
     @pytest.mark.parametrize("decay, changes", [(15, True), (10**9, False)])
     def test_reset_on_finetune_restarts_the_lr_decay(self, rng, decay, changes):
@@ -474,7 +475,7 @@ class TestRunCurriculum:
         snaps = _masked_snapshots(rng, 2)
         cfg = TrainConfig(lr=0.2, epochs=30, lr_decay_epoch=decay)
         kept, reset = (
-            run_curriculum(g, h, snaps, cfg, 10, reset_on_finetune=flag).classifier.w
+            run_curriculum(g, h, snaps, cfg, 10, reset_on_finetune=flag).w
             for flag in (False, True)
         )
         assert np.array_equal(kept, reset) != changes
@@ -482,7 +483,7 @@ class TestRunCurriculum:
     def test_val_scores_skip_unlabeled_nodes(self):
         g, h = _curriculum_setup()
         out = run_curriculum(g, h, [], TrainConfig(lr=0.2, epochs=30), 0)
-        pred, _ = predict(h, out.classifier)
+        pred, _ = predict(h, out.w)
         assert split_scores(out.probs, out.logp, g, g.val_mask) == (
             out.metrics[0].val_accuracy,
             out.metrics[0].val_loss,
@@ -498,7 +499,7 @@ class TestRunCurriculum:
         assert 0 < kept.size < g.val_mask.size
         assert acc == (pred[kept] == g.labels[kept]).mean()
         truth = one_hot_matrix(g.labels[kept], kept, g.n, 2)
-        assert loss == loss_and_grad(h[kept], truth.y[kept], out.classifier.w, 0.0)[0]
+        assert loss == loss_and_grad(h[kept], truth.y[kept], out.w, 0.0)[0]
         empty = split_scores(out.probs, out.logp, g, g.val_mask[:0])
         assert all(math.isnan(v) for v in empty)
 
@@ -510,9 +511,9 @@ class TestRunCurriculum:
         real = curriculum.train_linear
 
         def record(h, labels, include, cfg, **kwargs):
-            clf = real(h, labels, include, cfg, **kwargs)
-            heads.append((labels.y[include], include, clf))
-            return clf
+            w = real(h, labels, include, cfg, **kwargs)
+            heads.append((labels.y[include], include, w))
+            return w
 
         monkeypatch.setattr(curriculum, "train_linear", record)
         snaps = _masked_snapshots(rng, 3)
@@ -520,21 +521,21 @@ class TestRunCurriculum:
         assert len(heads) == len(out.metrics) == 4
         val, test = g.val_mask, g.test_mask
 
-        def loss(rows, y, clf):
-            return pytest.approx(loss_and_grad(h[rows], y, clf.w, 0.0)[0], rel=1e-12, abs=0)
+        def loss(rows, y, w):
+            return pytest.approx(loss_and_grad(h[rows], y, w, 0.0)[0], rel=1e-12, abs=0)
 
-        for (y, include, clf), m in zip(heads, out.metrics):
-            pred, _ = predict(h, clf)
-            assert m.train_accuracy == accuracy(pred, g.labels, include)
-            assert m.val_accuracy == accuracy(pred, g.labels, val)
-            assert m.train_loss == loss(include, y, clf)
-            assert m.val_loss == loss(val, one_hot(g.labels[val], 2), clf)
-        pred, probs = predict(h, out.classifier)
+        for (y, include, w), m in zip(heads, out.metrics):
+            pred, _ = predict(h, w)
+            assert m.train_accuracy == accuracy(pred[include], g.labels[include])
+            assert m.val_accuracy == accuracy(pred[val], g.labels[val])
+            assert m.train_loss == loss(include, y, w)
+            assert m.val_loss == loss(val, one_hot(g.labels[val], 2), w)
+        pred, probs = predict(h, out.w)
         assert np.array_equal(out.probs, probs)
         cfg = build_experiment_config({"deterministic_timing": "true"})
         (row,) = [r for r in _arm_rows(cfg, "digest", 0, g, out) if r.split == "test"]
-        assert (row.task, row.accuracy) == (3, accuracy(pred, g.labels, test))
-        assert row.loss == loss(test, one_hot(g.labels[test], 2), out.classifier)
+        assert (row.task, row.accuracy) == (3, accuracy(pred[test], g.labels[test]))
+        assert row.loss == loss(test, one_hot(g.labels[test], 2), out.w)
 
     def test_split_without_labeled_nodes_scores_nan(self, rng):
         g, h = _curriculum_setup()
@@ -554,6 +555,38 @@ class TestRunCurriculum:
         cfg = build_experiment_config({"deterministic_timing": "true"})
         rows = _arm_rows(cfg, "digest", 0, hidden, out)
         assert [r.split for r in rows] == ["train", "val"] * 3
+
+    def test_train_accuracy_skips_unlabeled_nodes(self, rng, monkeypatch):
+        # A pseudo-label task trains on unlabeled nodes too; its train accuracy
+        # is against the ground truth of its labeled rows, NaN when it has none.
+        g, h = _curriculum_setup()
+        hidden_nodes = np.concatenate([g.val_mask, g.test_mask])
+        truth = g.labels.copy()
+        truth[hidden_nodes] = -1
+        from graphain.graph import build_graph
+
+        masks = (g.train_mask, g.val_mask, g.test_mask)
+        hidden = build_graph(g.edges, g.n, g.features, y=truth, masks=masks)
+        only_hidden = np.ones(24, dtype=bool)
+        only_hidden[hidden_nodes] = False
+        y = np.where(only_hidden[:, None], 0.0, np.full((24, 2), 0.5))
+        snaps = [*_masked_snapshots(rng, 2), _soft(y, only_hidden)]
+        heads = []
+        real = curriculum.train_linear
+
+        def record(h, labels, include, cfg, **kwargs):
+            w = real(h, labels, include, cfg, **kwargs)
+            heads.append((include, w))
+            return w
+
+        monkeypatch.setattr(curriculum, "train_linear", record)
+        out = run_curriculum(hidden, h, snaps, TrainConfig(lr=0.2, epochs=10), 5)
+        assert math.isnan(out.metrics[0].train_accuracy)
+        for (include, w), m in list(zip(heads, out.metrics))[1:]:
+            kept = include[truth[include] >= 0]
+            assert 0 < kept.size < include.size or m.index == 3
+            pred, _ = predict(h, w)
+            assert m.train_accuracy == (pred[kept] == truth[kept]).mean()
 
     def test_empty_include_without_epochs_raises_from_scoring(self, monkeypatch):
         g, h = _curriculum_setup()

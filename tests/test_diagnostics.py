@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diagnostics_csv import records_from_csv
-from graphain.classifier import LinearClassifier
 from graphain.diagnostics import (
     DiagnosticsRecord,
     LayerRecorder,
@@ -33,8 +32,8 @@ def spectral_alignment(h, g, d):
     return principal_subspace_distance(h, top_d_eigvectors(dense_abar(g), d))
 
 
-def _sweep(g, cfg, classifier=None, variant="rsoft"):
-    recorder = LayerRecorder(g, classifier)
+def _sweep(g, cfg, variant="rsoft"):
+    recorder = LayerRecorder(g)
     run_fuzzy_r_softgraphain(g, cfg, variant=variant, observe=recorder)
     return recorder.records
 
@@ -136,16 +135,6 @@ class TestLayerSweep:
             assert r.mean_pairwise_sq_dist == pytest.approx(2 * 3, rel=1e-6)
             assert r.subspace_dist is not None
 
-    def test_accuracy_column_with_classifier(self):
-        g = self._graph()
-        cfg = PropagationConfig(
-            alpha=1.0, beta=0.0, gamma=0.0,
-            filter=SpectralFilterParams(a=0.5, b=1.0, d0=3), layers=2,
-        )
-        clf = LinearClassifier(w=np.zeros((3, 2)))
-        records = _sweep(g, cfg, classifier=clf)
-        assert all(r.accuracy is not None for r in records)
-
     def test_pairnorm_variant_norm_is_constant(self):
         g = self._graph()
         cfg = PropagationConfig(
@@ -160,8 +149,8 @@ class TestLayerSweep:
 class TestRecordCsv:
     def test_round_trip(self, tmp_path):
         records = [
-            DiagnosticsRecord(1, 1.5, 2.25, 1e-9, 3e-12, 0.125, 0.75),
-            DiagnosticsRecord(2, 0.5, 4.0, 2e-8, 1e-11, None, None),
+            DiagnosticsRecord(1, 1.5, 2.25, 1e-9, 3e-12, 0.125),
+            DiagnosticsRecord(2, 0.5, 4.0, 2e-8, 1e-11, None),
         ]
         path = tmp_path / "diag.csv"
         records_to_csv(records, path)

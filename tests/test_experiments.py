@@ -228,6 +228,16 @@ class TestSplitMasks:
                 assert x.dtype == y.dtype == np.int64
                 assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("field", ["train_frac", "val_frac"])
+    def test_nan_fraction_is_named(self, field):
+        fracs = {"train_frac": 0.1, "val_frac": 0.2, field: float("nan")}
+        message = f"^{field} must be finite, got nan$"
+        with pytest.raises(ValueError, match=message):
+            split_masks(np.repeat([0, 1], 10), seed=0, **fracs)
+        g = gen_gaussian_cluster_graph(_spec(nodes_per_cluster=10))
+        with pytest.raises(ValueError, match=message):
+            with_masks(g, seed=0, **fracs)
+
     def test_all_unlabeled_gives_empty_int64_masks(self):
         for labels in (np.full(7, -1), np.empty(0, dtype=np.int64)):
             masks = split_masks(labels, 0.1, 0.2, seed=0)
@@ -545,7 +555,7 @@ class TestRunExperiment:
         import graphain.curriculum as curriculum
         import graphain.diagnostics as diagnostics
 
-        calls = {"_gradient": 0, "predict": 0, "softmax_with_log": 0}
+        calls = {"_gradient": 0, "softmax_with_log": 0}
         for name in calls:
             real = getattr(classifier, name)
 
@@ -557,7 +567,7 @@ class TestRunExperiment:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting)
         rows, _, _ = run_seed(build_experiment_config({}), 0)
-        assert calls == {"_gradient": 1150, "predict": 0, "softmax_with_log": 13}
+        assert calls == {"_gradient": 1150, "softmax_with_log": 13}
         assert [r.split for r in rows].count("test") == 1
 
     def test_write_mode_filters_each_layer_once(self, tmp_path, monkeypatch):

@@ -260,7 +260,7 @@ def test_train_linear_matches_the_straight_update(
         lr=0.3, epochs=epochs, weight_decay=weight_decay, lr_decay_epoch=decay
     )
     warm = w0.copy()
-    got = train_linear(h, labels, include, cfg, warm_start=warm, epoch_offset=1).w
+    got = train_linear(h, labels, include, cfg, warm_start=warm, epoch_offset=1)
     assert _same_bits(warm, w0)
     want = straight_train_loop(h[include], y[include], w0, cfg, epoch_offset=1)
     assert _same_bits(got, want)
@@ -306,7 +306,7 @@ def test_train_linear_matches_the_every_loss_loop(
         counter = _CountingLossEpochs(patch)
         got = train_linear(
             h, labels, include, cfg, warm_start=w0 if warm else None, epoch_offset=2
-        ).w
+        )
     assert counter.calls == 0
     want = every_loss_train_loop(h[include], y[include], start, cfg, epoch_offset=2)
     assert _same_bits(got, want)
@@ -327,7 +327,7 @@ def test_gradient_only_epoch_steps_along_loss_and_grad(seed, n, d, c, weight_dec
     cfg = TrainConfig(lr=0.7, epochs=1, weight_decay=weight_decay)
     with pytest.MonkeyPatch.context() as patch:
         counter = _CountingLossEpochs(patch)
-        got = train_linear(h, labels, np.arange(n), cfg, warm_start=w0).w
+        got = train_linear(h, labels, np.arange(n), cfg, warm_start=w0)
     assert counter.calls == 0
     assert _same_bits(got, w0 - 0.7 * loss_and_grad(h, y, w0, weight_decay)[1])
 
@@ -363,7 +363,7 @@ def test_bound_edge_cases_match_the_every_loss_loop(case):
     start = np.zeros((3, 3)) if warm is None else warm
 
     def train():
-        return train_linear(h, labels, np.arange(12), cfg, warm_start=warm).w
+        return train_linear(h, labels, np.arange(12), cfg, warm_start=warm)
 
     _same_outcome(train, lambda: every_loss_train_loop(h, y, start, cfg))
     if bad_epoch is None:

@@ -24,7 +24,7 @@ from graphain.linalg import (
     orthonormal_projection,
     principal_subspace_distance,
 )
-from graphain import oracles
+from graphain import diagnostics, oracles
 from graphain.oracles import (
     dense_abar,
     dense_ahat,
@@ -183,6 +183,11 @@ def test_oracles_import_no_pipeline_module():
     # the oracles check the pipeline, so they must not run any of it
     bad = _imported_module_parts(oracles.__file__) & PIPELINE_MODULES
     assert not bad, f"oracles.py imports from {sorted(bad)}"
+
+
+def test_diagnostics_import_no_head():
+    # a layer record measures the embedding alone; no head exists yet
+    assert "classifier" not in _imported_module_parts(diagnostics.__file__)
 
 
 def _sgc(g, layers):
