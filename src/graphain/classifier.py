@@ -42,7 +42,6 @@ class TrainConfig:
     lr: float
     epochs: int
     weight_decay: float = 0.0
-    lr_decay_epoch: int = 10**9  # halve the lr once this epoch is reached
 
     def __post_init__(self):
         if not math.isfinite(self.lr):
@@ -142,13 +141,10 @@ def train_linear(
     include,
     cfg: TrainConfig,
     warm_start: np.ndarray | None = None,
-    epoch_offset: int = 0,
 ) -> np.ndarray:
-    """The (d, C) head weights from full-batch gradient descent with weight
-    decay and a single lr halving.
-
-    ``epoch_offset`` lets a curriculum thread one lr schedule through several
-    consecutive training calls.
+    """The (d, C) head weights from ``cfg.epochs`` epochs of full-batch
+    gradient descent with weight decay at the fixed step ``cfg.lr``, starting
+    from ``warm_start`` (zeros when None).
 
     An epoch whose loss is proved finite skips the loss and computes the
     gradient alone; any other epoch computes the loss and raises
@@ -187,7 +183,6 @@ def train_linear(
     label_term = 16.0 * count * num_classes
     decay_scale = max(wd, 1.0) * d * num_classes if wd else 0.0
     for epoch in range(cfg.epochs):
-        lr = cfg.lr * (0.5 if epoch + epoch_offset >= cfg.lr_decay_epoch else 1.0)
         w_max = float(np.abs(w).max())
         if (
             logit_scale * w_max + label_term <= _LOSS_LIMIT
@@ -199,7 +194,7 @@ def train_linear(
             loss, grad = loss_and_grad(h_inc, y_inc, w, wd)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-        grad *= lr
+        grad *= cfg.lr
         w -= grad
     return w
 

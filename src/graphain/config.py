@@ -34,7 +34,6 @@ class CurriculumParams:
     mask_ratio: float
     aux_mode: str
     pacing_epochs: int
-    reset_on_finetune: bool
 
     def __post_init__(self):
         if self.n_t < 0 or self.knn_k < 1 or self.pacing_epochs < 0:
@@ -70,6 +69,9 @@ class ExperimentConfig:
             raise ConfigError("set exactly one of dataset_path and synthetic")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        for index, seed in enumerate(self.seeds):
+            if seed in self.seeds[:index]:
+                raise ConfigError(f"seed {seed} is listed twice")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.embedding_dim < 1:
@@ -170,8 +172,6 @@ _KEYS = (
          attr="propagation.filter.b"),
     _Key("propagation.d0", int, 8, "kept eigenchannels (<= embedding width)",
          attr="propagation.filter.d0"),
-    _Key("propagation.eps_rank", _finite, 1e-12, "relative rank cutoff",
-         attr="propagation.filter.eps_rank"),
     _Key("propagation.p", _finite, 0.0, "fuzzy residual decay in [0, 1]"),
     _Key("propagation.q", _finite, 0.0, "fuzzy initial decay in [0, 1]"),
     _Key("propagation.layers", int, 16, "depth L >= 1"),
@@ -188,12 +188,9 @@ _KEYS = (
     _Key("curriculum.aux_mode", str, "embedding_knn",
          "input_graph | feature_knn | embedding_knn"),
     _Key("curriculum.pacing_epochs", int, 50, "epochs per smoothing task"),
-    _Key("curriculum.reset_on_finetune", _parse_bool, False,
-         "restart the lr schedule for the fine-tune stage"),
     _Key("train.lr", _finite, 0.5, "learning rate"),
     _Key("train.epochs", int, 300, "fine-tune / supervised epochs"),
     _Key("train.weight_decay", _finite, 5e-4, "L2 coefficient"),
-    _Key("train.lr_decay_epoch", int, 10**9, "epoch at which the lr is halved"),
     _Key("noisy_features", _parse_bool, False,
          "replace features by N(0, 1) noise; forces input_graph aux_mode"),
     _Key("seeds", _parse_seeds, (0,), "comma-separated run seeds (>= 0)", hashed=False),

@@ -284,17 +284,15 @@ def run_curriculum(
     snapshots,
     train_cfg: TrainConfig,
     pacing_epochs: int,
-    reset_on_finetune: bool = False,
 ) -> CurriculumResult:
-    """Train one linear head on the embedding ``h``, warm-starting each task
-    from the last.
+    """Train one linear head on the embedding ``h``: a chain of
+    ``train_linear`` calls, each task warm-started from the last.
 
     Task i runs ``pacing_epochs`` on the unmasked rows of snapshot n_t - i,
     so the walk goes from the smoothest snapshot back to the raw
     pseudo-labels; the last task fine-tunes on the ground truth of the train
     mask for ``train_cfg.epochs``.  With no snapshots only the fine-tune
-    runs: the supervised baseline.  The learning-rate decay counts epochs
-    across tasks, restarting at the fine-tune under ``reset_on_finetune``.
+    runs: the supervised baseline.  Every task steps at ``train_cfg.lr``.
     The embedding is label-independent, so every task shares it.
 
     A task's train loss is against the targets it trained on, over its
@@ -308,15 +306,11 @@ def run_curriculum(
     tasks.append((truth, g.train_mask, train_cfg))
 
     w = None
-    epoch_offset = 0
     metrics = []
     for index, (labels, include, cfg) in enumerate(tasks):
-        if reset_on_finetune and index == len(tasks) - 1:
-            epoch_offset = 0
         start = time.perf_counter()
-        w = train_linear(h, labels, include, cfg, warm_start=w, epoch_offset=epoch_offset)
+        w = train_linear(h, labels, include, cfg, warm_start=w)
         elapsed = (time.perf_counter() - start) * 1e3
-        epoch_offset += cfg.epochs
         if not include.size:
             raise EmptyIncludeError("empty node subset")
         probs, logp = softmax_with_log(h @ w)

@@ -205,14 +205,7 @@ def run_seed(
     with _stage("label-smoothing"):
         snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
     with _stage("curriculum"):
-        result = run_curriculum(
-            g,
-            h,
-            snapshots,
-            cfg.train,
-            cfg.curriculum.pacing_epochs,
-            reset_on_finetune=cfg.curriculum.reset_on_finetune,
-        )
+        result = run_curriculum(g, h, snapshots, cfg.train, cfg.curriculum.pacing_epochs)
     return _arm_rows(cfg, digest, seed, g, result), supervised_rows, snapshots
 
 

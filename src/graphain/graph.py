@@ -117,6 +117,10 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
             raise IndexOutOfRangeError("labels must have one entry per node")
         if labels.min() < -1:
             raise IndexOutOfRangeError("labels must be >= -1")
+        # n nodes hold at most n classes, so a larger id only adds empty ones
+        top = int(labels.max())
+        if top >= n:
+            raise IndexOutOfRangeError(f"label {top} is not below the node count {n}")
 
     if masks is None:
         train = val = test = np.empty(0, dtype=np.int64)

@@ -2,7 +2,8 @@
 
 edges.tsv      one `i<TAB>j` pair per line, 0-based, `#` starts a comment
 features.csv   row i = features of node i, no header
-labels.csv     `node,label` with an optional header line (optional file)
+labels.csv     `node,label` with an optional header line and labels in
+               [-1, n), -1 for unlabeled (optional file)
 masks.csv      `node,split` with split in {train, val, test} (optional file)
 
 Blank lines are skipped and `#` starts a comment in every file.  A node is
@@ -210,7 +211,8 @@ def _load_labels(path: Path, n: int) -> np.ndarray:
     data = _read_bytes(path)
     labels = np.full(n, -1, dtype=np.int64)
     pairs = _bulk_pairs(data, "node,label", _LABEL_BYTES, np.int64, n)
-    if pairs is not None:
+    # the whitelist has no sign, so every parsed label is >= 0
+    if pairs is not None and pairs[1].max() < n:
         labels[pairs[0]] = pairs[1]
         return labels
     for no, node, value in _parse_pairs(path, data, "node,label", n):
@@ -220,6 +222,8 @@ def _load_labels(path: Path, n: int) -> np.ndarray:
             raise ParseError(path, no, f"bad label: {err}") from err
         if labels[node] < -1:
             raise ParseError(path, no, f"label {value} is below -1")
+        if labels[node] >= n:
+            raise ParseError(path, no, f"label {value} is not below the node count {n}")
     return labels
 
 

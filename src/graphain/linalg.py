@@ -24,7 +24,7 @@ from .errors import (
     RankDeficientError,
 )
 
-DEFAULT_EPS_RANK = 1e-12
+EPS_RANK = 1e-12  # relative eigenvalue (or singular value) cutoff of numerical rank
 _HALF_MAX = float(np.finfo(np.float64).max) / 2  # above it, s + s^T may overflow
 
 
@@ -41,15 +41,14 @@ class SpectralFilterParams:
     """Knobs of the soft spectral filter.
 
     ``a`` blends between no normalization (0) and full whitening (1),
-    ``b`` tempers the whitening exponent, ``d0`` truncates to the top
-    eigenchannels, and ``eps_rank`` is the relative eigenvalue cutoff that
-    defines numerical rank deficiency.
+    ``b`` tempers the whitening exponent, and ``d0`` truncates to the top
+    eigenchannels.  The relative eigenvalue cutoff that defines numerical
+    rank deficiency is the module constant ``EPS_RANK``.
     """
 
     a: float
     b: float
     d0: int
-    eps_rank: float = DEFAULT_EPS_RANK
 
     def __post_init__(self):
         if not 0.0 <= self.a <= 1.0:
@@ -58,10 +57,6 @@ class SpectralFilterParams:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
         if self.d0 < 1:
             raise ValueError(f"d0 must be >= 1, got {self.d0}")
-        if not math.isfinite(self.eps_rank):
-            raise ValueError(f"eps_rank must be finite, got {self.eps_rank}")
-        if self.eps_rank <= 0.0:
-            raise ValueError("eps_rank must be positive")
 
 
 def sym_eig(s: np.ndarray) -> EigPair:
@@ -103,8 +98,9 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
 
     Eigenchannels of b^T b beyond the top ``d0`` pass through scaled by
     (1 - a); kept channels map singular values s to (1-a) s + a s^(1-b).
-    Kept eigenvalues under the relative cutoff are dropped; if every channel
-    underflows while a whitening exponent is active, the input is degenerate.
+    Kept eigenvalues at most ``EPS_RANK`` times the largest are dropped; if
+    every channel underflows while a whitening exponent is active, the input
+    is degenerate.
     Hard whitening (a = b = 1) drops none: a channel under the cutoff would
     leave the output short of orthonormal, so it raises instead.
     """
@@ -123,7 +119,7 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
         scale = np.ones(d0)
     else:
         lmax = max(float(lam[0]), 0.0)
-        thr = params.eps_rank * lmax
+        thr = EPS_RANK * lmax
         kept = (lam[:d0] > thr).nonzero()[0]
         if kept.size == 0:
             raise RankDeficientError(
@@ -143,16 +139,18 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
     return b @ filt
 
 
-def orthonormal_projection(m: np.ndarray, eps_rank: float = DEFAULT_EPS_RANK) -> np.ndarray:
+def orthonormal_projection(m: np.ndarray) -> np.ndarray:
     """Nearest matrix with orthonormal columns, computed as U V^T from the SVD.
 
     This is the projection route used by the verification oracles; it is
     mathematically equal to hard whitening m (m^T m)^{-1/2}, the filter at
-    a = b = 1, d0 = d, but shares no code with it.
+    a = b = 1, d0 = d, but shares no code with it.  Raises
+    RankDeficientError when the smallest singular value is at most
+    ``EPS_RANK`` times the largest.
     """
     m = np.asarray(m, dtype=np.float64)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= eps_rank * s[0]:
+    if s[0] <= 0.0 or s[-1] <= EPS_RANK * s[0]:
         raise RankDeficientError(
             f"singular value range [{s[-1]:.3e}, {s[0]:.3e}] is rank deficient"
         )

@@ -178,24 +178,6 @@ class TestTrainLinear:
         diffs = np.diff(losses)
         assert diffs.max() <= 1e-12
 
-    def test_lr_decay_epoch_halving(self):
-        h, y, _, include = _seeded_problem(6)
-        # one epoch past the decay point must move less than one before it
-        w0 = np.zeros((h.shape[1], y.num_classes))
-        before = train_linear(
-            h, y, include, TrainConfig(lr=0.4, epochs=1, lr_decay_epoch=5)
-        )
-        after = train_linear(
-            h,
-            y,
-            include,
-            TrainConfig(lr=0.4, epochs=1, lr_decay_epoch=5),
-            epoch_offset=5,
-        )
-        assert np.abs(after - w0).max() == pytest.approx(
-            np.abs(before - w0).max() / 2.0, rel=1e-12
-        )
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
         rng = np.random.default_rng(9)

@@ -175,6 +175,7 @@ class TestCli:
             ("synthetic.train_frac = -0.1", ["synthetic.train_frac", "synthetic.val_frac"]),
             ("synthetic.val_frac = 0.95", ["synthetic.train_frac", "synthetic.val_frac"]),
             ("curriculum.gamma_prime = nan", ["curriculum.gamma_prime", "finite"]),
+            ("seeds = 3,3", ["seed 3 is listed twice"]),
         ],
     )
     def test_config_range_errors_exit_2(self, tmp_path, capsys, line, expect):

@@ -364,12 +364,9 @@ def _recording(monkeypatch):
     calls = []
     real = curriculum.train_linear
 
-    def record(h, labels, include, cfg, warm_start=None, epoch_offset=0):
-        calls.append(
-            dict(labels=labels, include=np.array(include), epochs=cfg.epochs,
-                 epoch_offset=epoch_offset)
-        )
-        return real(h, labels, include, cfg, warm_start=warm_start, epoch_offset=epoch_offset)
+    def record(h, labels, include, cfg, warm_start=None):
+        calls.append(dict(labels=labels, include=np.array(include), epochs=cfg.epochs))
+        return real(h, labels, include, cfg, warm_start=warm_start)
 
     monkeypatch.setattr(curriculum, "train_linear", record)
     return calls
@@ -422,15 +419,20 @@ class TestSchedule:
             one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, 2).y,
         )
 
-    @pytest.mark.parametrize("reset", [False, True])
-    def test_epoch_offsets(self, rng, monkeypatch, reset):
+    def test_curriculum_is_a_chain_of_warm_started_fits(self, rng):
+        # one train_linear per snapshot, smoothest first, on its unmasked
+        # rows, then the fine-tune on the train truth, each from the last w
         g, h = _curriculum_setup()
-        calls = _recording(monkeypatch)
-        run_curriculum(
-            g, h, _masked_snapshots(rng, 3), TrainConfig(lr=0.2, epochs=9), 7,
-            reset_on_finetune=reset,
-        )
-        assert [c["epoch_offset"] for c in calls] == [0, 7, 14, 0 if reset else 21]
+        snaps = _masked_snapshots(rng, 3)
+        cfg = TrainConfig(lr=0.2, epochs=9, weight_decay=1e-3)
+        pacing = TrainConfig(lr=0.2, epochs=7, weight_decay=1e-3)
+        w = None
+        for snap in reversed(snaps):
+            w = train_linear(h, snap, snap.unmasked_indices(), pacing, warm_start=w)
+        truth = one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, 2)
+        w = train_linear(h, truth, g.train_mask, cfg, warm_start=w)
+        out = run_curriculum(g, h, snaps, cfg, 7)
+        assert out.w.tobytes() == w.tobytes()
 
     def test_total_length_includes_finetune(self, rng, monkeypatch):
         g, h = _curriculum_setup()
@@ -466,19 +468,6 @@ class TestRunCurriculum:
         out = run_curriculum(g, h, snaps, TrainConfig(lr=0.2, epochs=0), 10)
         # zero fine-tune epochs: final weights come from the last task
         assert np.abs(out.w).max() > 0.0
-
-    @pytest.mark.parametrize("decay, changes", [(15, True), (10**9, False)])
-    def test_reset_on_finetune_restarts_the_lr_decay(self, rng, decay, changes):
-        # 2 tasks of 10 epochs, then 30 fine-tune epochs: a decay at epoch 15
-        # halves the whole fine-tune without the reset, its last 15 with it.
-        g, h = _curriculum_setup()
-        snaps = _masked_snapshots(rng, 2)
-        cfg = TrainConfig(lr=0.2, epochs=30, lr_decay_epoch=decay)
-        kept, reset = (
-            run_curriculum(g, h, snaps, cfg, 10, reset_on_finetune=flag).w
-            for flag in (False, True)
-        )
-        assert np.array_equal(kept, reset) != changes
 
     def test_val_scores_skip_unlabeled_nodes(self):
         g, h = _curriculum_setup()

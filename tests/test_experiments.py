@@ -393,6 +393,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"key '{key}': expected a non-negative"):
             build_experiment_config({**BASE_KV, key: value})
 
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^<config>: seed 3 is listed twice$"):
+            build_experiment_config({**BASE_KV, "seeds": "3,1,3"})
+        cfg = build_experiment_config(dict(BASE_KV))
+        with pytest.raises(ConfigError, match="^seed 2 is listed twice$"):
+            replace(cfg, seeds=(2, 2))
+
     def test_echo_closure(self):
         cfg = build_experiment_config(dict(BASE_KV))
         echoed = build_experiment_config(parse_config_text(render_config(cfg)))
@@ -437,7 +444,16 @@ class TestConfig:
         with pytest.raises(ParseError, match=r"stage dataset.*masks\.csv:0: cannot read"):
             run_seed(cfg, 1)
 
-    @pytest.mark.parametrize("line", ["train.seed = 13", "propagation.parametric = true"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "train.seed = 13",
+            "propagation.parametric = true",
+            "train.lr_decay_epoch = 60",
+            "curriculum.reset_on_finetune = true",
+            "propagation.eps_rank = 1e-10",
+        ],
+    )
     def test_removed_keys_are_unknown(self, tmp_path, line):
         path = tmp_path / "old.txt"
         path.write_text(f"seeds = 1\n{line}\n")

@@ -103,6 +103,11 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRangeError, match="^train/val/test masks must be disjoint$"):
             build_graph([], n, np.zeros((n, 1)), masks=masks)
 
+    def test_label_past_node_count_rejected(self):
+        # n nodes hold at most n classes; a larger id would only add empty ones
+        with pytest.raises(IndexOutOfRangeError, match="^label 3 is not below the node count 3$"):
+            build_graph([], 3, np.zeros((3, 1)), y=[0, 3, -1])
+
     def test_num_classes(self):
         g = build_graph([], 3, np.zeros((3, 1)), y=[2, -1, 0])
         assert g.num_classes == 3

@@ -233,8 +233,10 @@ def test_extreme_floats_round_trip_bit_equal(tmp_path):
         (io.EDGES_FILE, "0\t1\n1\n", 2),
         (io.FEATURES_FILE, "0.0\n1e999\n", 2),
         (io.FEATURES_FILE, "0.0\n\n0.0,1.0\n", 3),
+        (io.LABELS_FILE, "node,label\n0,1\n1,4000000000000\n", 3),
     ],
-    ids=["edge_past_n", "edge_one_column", "feature_overflow", "feature_width"],
+    ids=["edge_past_n", "edge_one_column", "feature_overflow", "feature_width",
+         "label_past_n"],
 )
 def test_whitelisted_bad_files_fail_at_their_line(tmp_path, name, content, line):
     (tmp_path / io.FEATURES_FILE).write_text("0.0\n0.0\n")

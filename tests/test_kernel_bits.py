@@ -37,7 +37,13 @@ from graphain.errors import (
     RankDeficientError,
 )
 from graphain.labels import SoftLabelMatrix
-from graphain.linalg import EigPair, SpectralFilterParams, soft_spectral_filter, sym_eig
+from graphain.linalg import (
+    EPS_RANK,
+    EigPair,
+    SpectralFilterParams,
+    soft_spectral_filter,
+    sym_eig,
+)
 
 
 def straight_softmax_with_log(logits):
@@ -64,13 +70,12 @@ def straight_loss_and_grad(h, y, w, weight_decay):
     return float(loss), grad
 
 
-def straight_train_loop(h_inc, y_inc, w, cfg, epoch_offset=0):
+def straight_train_loop(h_inc, y_inc, w, cfg):
     for epoch in range(cfg.epochs):
-        lr = cfg.lr * (0.5 if epoch + epoch_offset >= cfg.lr_decay_epoch else 1.0)
         loss, grad = straight_loss_and_grad(h_inc, y_inc, w, cfg.weight_decay)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-        w = w - lr * grad
+        w = w - cfg.lr * grad
     return w
 
 
@@ -103,14 +108,13 @@ def every_loss_loss_and_grad(h, y, w, weight_decay):
     return float(loss), grad
 
 
-def every_loss_train_loop(h_inc, y_inc, w, cfg, epoch_offset=0):
+def every_loss_train_loop(h_inc, y_inc, w, cfg):
     w = np.array(w, dtype=np.float64, copy=True)
     for epoch in range(cfg.epochs):
-        lr = cfg.lr * (0.5 if epoch + epoch_offset >= cfg.lr_decay_epoch else 1.0)
         loss, grad = every_loss_loss_and_grad(h_inc, y_inc, w, cfg.weight_decay)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-        grad *= lr
+        grad *= cfg.lr
         w -= grad
     return w
 
@@ -151,7 +155,7 @@ def straight_soft_spectral_filter(b, params):
         scale = np.ones(d0)
     else:
         lmax = max(float(lam[0]), 0.0)
-        thr = params.eps_rank * lmax
+        thr = EPS_RANK * lmax
         kept = np.flatnonzero(lam[:d0] > thr)
         if kept.size == 0:
             raise RankDeficientError(
@@ -248,21 +252,16 @@ def test_loss_and_grad_match_the_straight_form(seed, n, d, c, weight_decay):
     st.integers(2, 11),
     st.sampled_from([0.0, 5e-4]),
     st.integers(1, 5),
-    st.integers(0, 6),
 )
-def test_train_linear_matches_the_straight_update(
-    seed, n, d, c, weight_decay, epochs, decay
-):
+def test_train_linear_matches_the_straight_update(seed, n, d, c, weight_decay, epochs):
     h, y, w0 = _problem(seed, n, d, c)
     labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
     include = np.arange(0, n, 2)
-    cfg = TrainConfig(
-        lr=0.3, epochs=epochs, weight_decay=weight_decay, lr_decay_epoch=decay
-    )
+    cfg = TrainConfig(lr=0.3, epochs=epochs, weight_decay=weight_decay)
     warm = w0.copy()
-    got = train_linear(h, labels, include, cfg, warm_start=warm, epoch_offset=1)
+    got = train_linear(h, labels, include, cfg, warm_start=warm)
     assert _same_bits(warm, w0)
-    want = straight_train_loop(h[include], y[include], w0, cfg, epoch_offset=1)
+    want = straight_train_loop(h[include], y[include], w0, cfg)
     assert _same_bits(got, want)
 
 
@@ -288,27 +287,24 @@ class _CountingLossEpochs:
     st.integers(2, 7),
     st.sampled_from([0.0, 5e-4]),
     st.integers(1, 8),
-    st.integers(0, 9),
     st.booleans(),
 )
 def test_train_linear_matches_the_every_loss_loop(
-    seed, n, d, c, weight_decay, epochs, decay, warm
+    seed, n, d, c, weight_decay, epochs, warm
 ):
-    # warm starts, include subsets in any order with repeats, and an lr halving
-    # that may fall inside the call; every epoch takes the gradient-only path
+    # warm starts and include subsets in any order with repeats; every epoch
+    # takes the gradient-only path
     h, y, w0 = _problem(seed, n, d, c)
     labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
     rng = np.random.default_rng(seed + 1)
     include = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
-    cfg = TrainConfig(lr=0.3, epochs=epochs, weight_decay=weight_decay, lr_decay_epoch=decay)
+    cfg = TrainConfig(lr=0.3, epochs=epochs, weight_decay=weight_decay)
     start = w0 if warm else np.zeros((d, c))
     with pytest.MonkeyPatch.context() as patch:
         counter = _CountingLossEpochs(patch)
-        got = train_linear(
-            h, labels, include, cfg, warm_start=w0 if warm else None, epoch_offset=2
-        )
+        got = train_linear(h, labels, include, cfg, warm_start=w0 if warm else None)
     assert counter.calls == 0
-    want = every_loss_train_loop(h[include], y[include], start, cfg, epoch_offset=2)
+    want = every_loss_train_loop(h[include], y[include], start, cfg)
     assert _same_bits(got, want)
 
 

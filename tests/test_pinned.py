@@ -32,6 +32,12 @@ graphs from the run seed) and the keys ``train.seed`` and
 files were re-pinned once more, when the ``accuracy`` column, which no run
 filled, was removed: each is the previous file with its last column
 dropped, byte for byte, and a fresh run writes each one byte for byte.
+The ``config_hash`` column of the five ``results.csv`` files was rewritten
+once more when the keys ``train.lr_decay_epoch``,
+``curriculum.reset_on_finetune`` and ``propagation.eps_rank`` were removed.
+That rewrite asserted each old cell against the hash the previous tree gave
+its config, a projection that drops the column found every other byte
+unchanged, and a fresh run writes each file byte for byte.
 
 ``config_all_keys.txt`` sets every config key but ``dataset.path`` and
 ``propagation.variant`` to a distinct non-default value.
@@ -40,13 +46,18 @@ its ``render_config`` output, and that of the same config with
 ``dataset.path`` in place of the ``synthetic.*`` keys;
 ``config_default.echo.txt`` is the echo of the empty config.  They were
 produced before the config keys moved into one table and lost only the
-lines of the two removed keys since; they must match byte for byte.  The
+lines of the five removed keys since; they must match byte for byte.  The
 hashes in ``test_config_echo_and_hash_are_pinned`` are those of the key set
 without the removed keys, the dataset one over the bytes of the fixed
 dataset that ``_save_all_keys_dataset`` writes.  The all-keys config and its
 two echoes and hashes were re-pinned once, when ``activation = relu`` became
 an error outside rsoft: its variant went from pairnorm to rsoft, and that
-one line is all that changed.
+one line is all that changed.  The four files lost exactly the lines of
+``train.lr_decay_epoch``, ``curriculum.reset_on_finetune`` and
+``propagation.eps_rank`` when those keys were removed, and the three hashes
+were replaced then; the new tree's ``render_config`` writes each echo byte
+for byte.  ``test_all_keys_config_sets_every_key_off_its_default`` holds the
+all-keys config to its header, so a later key change cannot leave it stale.
 
 ``generator_digests.txt`` holds the sha256 of the ``edges``, ``features`` and
 ``labels`` bytes that ``gen_gaussian_cluster_graph`` returns for the specs in
@@ -58,11 +69,15 @@ still those the first, dense n x n draw wrote.
 ``train_linear_digests.txt`` holds, for each problem in
 ``TRAIN_LINEAR_PROBLEMS`` (rows, classes, weight decay), the sha256 of the
 weights ``train_linear`` returns after 300 epochs, or for ten classes the
-weights themselves.  It was written while ``softmax_with_log`` still reduced
-each row with ``max(axis=1)`` and ``sum(axis=1)``.  Up to seven classes the
-weights must match bit for bit.  From eight classes on numpy sums a row
-pairwise, so a kernel that adds the class columns in order may differ in the
-last bit there; the ten-class weights are held to the float tolerance below.
+weights themselves.  It was written as one call that halved the lr from
+epoch 200, before that schedule was removed; two chained calls, 200 epochs
+at lr 0.5 and then 100 at lr 0.25 warm-started from them, return the same
+weight bytes for all 30 problems.  It was also written while
+``softmax_with_log`` still reduced each row with ``max(axis=1)`` and
+``sum(axis=1)``.  Up to seven classes the weights must match bit for bit.
+From eight classes on numpy sums a row pairwise, so a kernel that adds the
+class columns in order may differ in the last bit there; the ten-class
+weights are held to the float tolerance below.
 
 ``export_digests.txt`` holds the sha256 of every file two CSV writers
 produce: the ``snapshot_*.csv`` files that ``run_experiment`` exports for
@@ -90,6 +105,7 @@ import pytest
 from graphain.classifier import TrainConfig, train_linear
 from graphain.cli import main
 from graphain.config import (
+    _KEYS,
     build_experiment_config,
     config_hash,
     parse_config_text,
@@ -233,9 +249,9 @@ def _save_all_keys_dataset():
 @pytest.mark.parametrize(
     "raw, echo, digest",
     [
-        ({}, "config_default.echo.txt", "bd1d4370719c"),
-        (_all_keys(), "config_all_keys.echo.txt", "301cabf83821"),
-        (_all_keys_dataset(), "config_all_keys.dataset.echo.txt", "8e530295b042"),
+        ({}, "config_default.echo.txt", "3f255ffd9865"),
+        (_all_keys(), "config_all_keys.echo.txt", "1befe59f8eb5"),
+        (_all_keys_dataset(), "config_all_keys.dataset.echo.txt", "9f461b641b08"),
     ],
     ids=["default", "all_keys", "all_keys_dataset"],
 )
@@ -245,6 +261,21 @@ def test_config_echo_and_hash_are_pinned(raw, echo, digest, tmp_path, monkeypatc
     cfg = build_experiment_config(raw)
     assert render_config(cfg).encode("utf-8") == (PINNED / echo).read_bytes()
     assert config_hash(cfg) == digest
+
+
+def test_all_keys_config_sets_every_key_off_its_default():
+    # the invariant the header of config_all_keys.txt states, so that a key
+    # added or removed later cannot leave that config stale
+    raw = _all_keys()
+    assert set(raw) == {key.name for key in _KEYS} - {"dataset.path"}
+    for key in _KEYS:
+        if key.name == "dataset.path":
+            continue
+        value = key.parse(raw[key.name])
+        if key.name == "propagation.variant":
+            assert value == "rsoft"
+        else:
+            assert value != key.default, key.name
 
 
 def generator_digests() -> str:
@@ -267,15 +298,19 @@ def test_generator_digests_are_pinned():
 
 def _train_linear_weights(rows, classes, weight_decay):
     """Weights after 300 epochs on a seeded soft-label problem, d = 8, with
-    every fifth row masked and left out of the included subset."""
+    every fifth row masked and left out of the included subset: 200 epochs at
+    lr 0.5, then 100 at lr 0.25 warm-started from them."""
     rng = np.random.default_rng([rows, classes])
     h = rng.standard_normal((rows, 8))
     y = rng.dirichlet(np.full(classes, 0.3), size=rows)
     masked = np.arange(rows) % 5 == 4
     y[masked] = 0.0
     labels = SoftLabelMatrix(y=y, masked=masked)
-    cfg = TrainConfig(lr=0.5, epochs=300, weight_decay=weight_decay, lr_decay_epoch=200)
-    return train_linear(h, labels, labels.unmasked_indices(), cfg)
+    include = labels.unmasked_indices()
+    first = TrainConfig(lr=0.5, epochs=200, weight_decay=weight_decay)
+    then = TrainConfig(lr=0.25, epochs=100, weight_decay=weight_decay)
+    w = train_linear(h, labels, include, first)
+    return train_linear(h, labels, include, then, warm_start=w)
 
 
 def train_linear_digests() -> str:
