@@ -16,30 +16,12 @@ from graphain.experiment import run_seed
 
 
 def build_kv(seeds, train_frac):
+    """The config keys this ablation sets; every other key keeps its default."""
     return {
-        "synthetic.clusters": "3",
-        "synthetic.nodes_per_cluster": "100",
-        "synthetic.intra_p": "0.3",
-        "synthetic.inter_p": "0.02",
         "synthetic.train_frac": str(train_frac),
-        "synthetic.val_frac": "0.2",
-        "propagation.alpha": "0.9",
-        "propagation.beta": "0.05",
-        "propagation.gamma": "0.05",
-        "propagation.a": "0.5",
-        "propagation.b": "1.0",
-        "propagation.d0": "8",
         "propagation.layers": "64",
-        "propagation.embedding_dim": "8",
-        "curriculum.n_t": "10",
-        "curriculum.pacing_epochs": "50",
-        "curriculum.knn_k": "7",
-        "curriculum.gamma_prime": "1.0",
         "curriculum.mask_ratio": "0.1",
-        "curriculum.aux_mode": "embedding_knn",
-        "train.lr": "0.5",
         "train.epochs": "200",
-        "train.weight_decay": "5e-4",
         "seeds": ",".join(str(s) for s in seeds),
         "deterministic_timing": "true",
     }

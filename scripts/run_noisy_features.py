@@ -17,26 +17,11 @@ from graphain.experiment import run_seed
 
 
 def build_kv(layers, seeds, variant):
+    """The config keys this benchmark sets; every other key keeps its default."""
     return {
-        "synthetic.clusters": "3",
-        "synthetic.nodes_per_cluster": "100",
-        "synthetic.intra_p": "0.3",
-        "synthetic.inter_p": "0.02",
-        "synthetic.train_frac": "0.1",
-        "synthetic.val_frac": "0.2",
-        "propagation.alpha": "0.9",
-        "propagation.beta": "0.05",
-        "propagation.gamma": "0.05",
-        "propagation.a": "0.5",
-        "propagation.b": "1.0",
-        "propagation.d0": "8",
         "propagation.layers": str(layers),
-        "propagation.embedding_dim": "8",
         "propagation.variant": variant,
         "noisy_features": "true",
-        "train.lr": "0.5",
-        "train.epochs": "300",
-        "train.weight_decay": "5e-4",
         "seeds": ",".join(str(s) for s in seeds),
         "deterministic_timing": "true",
     }

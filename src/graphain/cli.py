@@ -62,9 +62,9 @@ def _run_pipeline(args, with_curriculum: bool) -> int:
         cfg = replace(cfg, dataset_path=str(args.graph), synthetic=None)
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))
-    rows = run_experiment(
-        cfg, with_curriculum=with_curriculum, export_snapshots=args.export_snapshots
-    )
+    # only `curriculum` has --export-snapshots: the teacher builds no snapshots
+    export = with_curriculum and args.export_snapshots
+    rows = run_experiment(cfg, with_curriculum=with_curriculum, export_snapshots=export)
     sys.stdout.write(rows_to_csv(rows))
     return 0
 
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", default=None, help="dataset directory (overrides config)")
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--export-snapshots", action="store_true")
+        if name == "curriculum":
+            p.add_argument("--export-snapshots", action="store_true")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run an oracle suite")

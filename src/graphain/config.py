@@ -20,7 +20,7 @@ from typing import Callable
 from .classifier import TrainConfig
 from .curriculum import AUX_MODES
 from .errors import ConfigError, InvalidCoefficientsError
-from .io import dataset_digest
+from .io import dataset_digest, format_value
 from .linalg import SpectralFilterParams
 from .propagation import VARIANTS, PropagationConfig
 from .synthetic import SyntheticSpec
@@ -278,16 +278,6 @@ def load_config(path) -> ExperimentConfig:
     return build_experiment_config(parse_config_text(text, str(path)), str(path))
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
 def _echo(cfg: ExperimentConfig):
     """(key, `key = value` line) for every effective key, in table order.
 
@@ -297,7 +287,7 @@ def _echo(cfg: ExperimentConfig):
     """
     skip = "synthetic." if cfg.dataset_path is not None else "dataset."
     return [
-        (key, f"{key.name} = {_fmt_value(attrgetter(key.attr)(cfg))}")
+        (key, f"{key.name} = {format_value(attrgetter(key.attr)(cfg))}")
         for key in _KEYS
         if not key.name.startswith(skip)
     ]

@@ -4,10 +4,11 @@
 (``propagation.run_fuzzy_r_softgraphain(..., observe=recorder)``): it turns
 each layer into a DiagnosticsRecord as the layer is made, so a sweep of any
 depth holds one layer at a time.  The subspace distance needs the dense
-reference spectrum (n <= 2000), an O(n^3) eigendecomposition; it is built
-only when a layer has orthonormal columns, the one case in which it is
-measured, so runs whose layers never get there never pay for it.  A record
-measures the embedding alone: no head is trained during the forward pass.
+reference spectrum (n <= ``oracles.DENSE_CAP``), an O(n^3)
+eigendecomposition; it is built only when a layer has orthonormal columns,
+the one case in which it is measured, so runs whose layers never get there
+never pay for it.  A record measures the embedding alone: no head is
+trained during the forward pass.
 
 The pairwise-distance statistic uses the O(n d) moment identity
 sum_ij ||H_i - H_j||^2 = 2 n sum_i ||H_i||^2 - 2 ||sum_i H_i||^2
@@ -28,13 +29,9 @@ from .errors import (
     TooLargeError,
 )
 from .graph import Graph
+from .io import records_csv
 from .linalg import principal_subspace_distance
 from .oracles import dense_abar, top_d_eigvectors
-
-CSV_HEADER = (
-    "layer,mean_pairwise_sq_dist,frob_sq,column_gram_dev,"
-    "column_sum_dev,subspace_dist"
-)
 
 
 @dataclass(frozen=True)
@@ -86,12 +83,13 @@ class LayerRecorder:
     """Per-layer observer: ``recorder(t, H_t)`` appends layer t's record.
 
     The first time a layer's columns are orthonormal (Gram deviation
-    <= 1e-6), on graphs with n <= 2000 and d <= n, it builds the top-d
-    eigenvectors of the doubly centered aggregator as the reference for the
-    subspace distance, and keeps that n x d reference (or None, when the
-    build raises DegenerateGapError or TooLargeError) for the later layers;
-    it never tries twice.  Layers that are not orthonormal get no subspace
-    distance, so a run without such a layer never builds the reference.
+    <= 1e-6), it builds the top-d eigenvectors of the doubly centered
+    aggregator as the reference for the subspace distance, and keeps that
+    n x d reference for the later layers, or None when the build raises
+    DegenerateGapError, or TooLargeError on graphs with n >
+    ``oracles.DENSE_CAP``; it never tries twice.  Layers that are not
+    orthonormal get no subspace distance, so a run without such a layer
+    never builds the reference.
     """
 
     def __init__(self, g: Graph):
@@ -103,35 +101,17 @@ class LayerRecorder:
     def _reference(self, d: int):
         if not self._reference_tried:
             self._reference_tried = True
-            if self.g.n <= 2000 and d <= self.g.n:
-                try:
-                    self.reference = top_d_eigvectors(dense_abar(self.g), d)
-                except (DegenerateGapError, TooLargeError):
-                    self.reference = None
+            try:
+                self.reference = top_d_eigvectors(dense_abar(self.g), d)
+            except (DegenerateGapError, TooLargeError):
+                self.reference = None
         return self.reference
 
     def __call__(self, t: int, h: np.ndarray) -> None:
         self.records.append(_record(h, t, self._reference))
 
 
-def _fmt_opt(value) -> str:
-    return "" if value is None else format(float(value), ".17g")
-
-
 def records_to_csv(records, path) -> None:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.layer),
-                    format(r.mean_pairwise_sq_dist, ".17g"),
-                    format(r.frob_sq, ".17g"),
-                    format(r.column_gram_dev, ".17g"),
-                    format(r.column_sum_dev, ".17g"),
-                    _fmt_opt(r.subspace_dist),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    """Write ``records`` to ``path`` as CSV, one column per DiagnosticsRecord
+    field; ``subspace_dist`` is empty where it was not measured."""
+    Path(path).write_text(records_csv(DiagnosticsRecord, records), encoding="utf-8")

@@ -34,12 +34,9 @@ from .curriculum import (
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError, MissingMaskError
 from .graph import Graph
-from .io import load_dataset
+from .io import load_dataset, records_csv
 from .propagation import run_fuzzy_r_softgraphain
 from .synthetic import add_feature_noise, gen_gaussian_cluster_graph, with_masks
-
-RESULTS_HEADER = "seed,config_hash,task,split,accuracy,loss,wall_ms"
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -52,18 +49,8 @@ class ResultRow:
     wall_ms: float
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def rows_to_csv(rows) -> str:
-    lines = [RESULTS_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.seed},{r.config_hash},{r.task},{r.split},"
-            f"{_fmt(r.accuracy)},{_fmt(r.loss)},{_fmt(r.wall_ms)}"
-        )
-    return "\n".join(lines) + "\n"
+    return records_csv(ResultRow, rows)
 
 
 def _child_seeds(seed: int) -> dict:

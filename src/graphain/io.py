@@ -1,4 +1,4 @@
-"""Dataset directory format.
+"""Dataset directory format, and how every run file writes a value.
 
 edges.tsv      one `i<TAB>j` pair per line, 0-based, `#` starts a comment
 features.csv   row i = features of node i, no header
@@ -33,11 +33,18 @@ tabs, spaces and comments, so without the whitelist some files would parse
 differently (``tests/test_io.py`` fuzzes both readers).  And numpy 2.4.6's
 ``np.loadtxt`` was seen to crash the interpreter on text with astral-plane
 characters, which must fail as a ParseError instead.
+
+Run files write each value with ``format_value`` (floats in ``%.17g``, which
+reads back bit-equal): ``records_csv`` makes the results and diagnostics CSVs
+from their dataclass records, one column per field, and the config echo
+formats its values the same way.  Float matrices (features, embeddings,
+snapshots) go through ``float_rows``, one ``%`` per row.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 from io import BytesIO
 from pathlib import Path
 
@@ -269,6 +276,31 @@ def load_dataset(directory, require_masks: bool = False) -> Graph:
     if require_masks and g.train_mask.size == 0:
         raise MissingMaskError("dataset has an empty train split")
     return g
+
+
+def format_value(value) -> str:
+    """One value as a run file writes it: None empty, a bool ``true`` or
+    ``false``, a float in ``%.17g`` (it reads back bit-equal), a tuple its
+    values joined by commas, anything else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def records_csv(cls, records) -> str:
+    """CSV text of dataclass ``records``: the field names of ``cls`` as the
+    header, then one line of ``format_value`` fields per record."""
+    names = [field.name for field in fields(cls)]
+    lines = [",".join(names)]
+    for record in records:
+        lines.append(",".join(format_value(getattr(record, name)) for name in names))
+    return "".join(line + "\n" for line in lines)
 
 
 def float_rows(values: np.ndarray) -> list:

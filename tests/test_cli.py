@@ -145,6 +145,20 @@ class TestCli:
         for g_path, w_path in zip(got, want):
             assert g_path.read_bytes() == w_path.read_bytes()
 
+    def test_train_rejects_export_snapshots(self, workspace, capsys):
+        # the supervised baseline builds no snapshots, so the flag would
+        # silently export nothing
+        tmp, cfg, data = workspace
+        out = tmp / "sup"
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["train", "--graph", str(data), "--config", str(cfg),
+                 "--out", str(out), "--export-snapshots"]
+            )
+        assert exit_info.value.code == 2
+        assert "--export-snapshots" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_suite_exit_code(self, capsys):
         assert main(["verify", "--suite", "theorem3"]) == 0
         out = capsys.readouterr().out

@@ -245,3 +245,44 @@ def test_whitelisted_bad_files_fail_at_their_line(tmp_path, name, content, line)
     with pytest.raises(ParseError) as err:
         io.load_dataset(tmp_path)
     assert (err.value.path, err.value.line_no) == (str(tmp_path / name), line)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (-0.0, "-0"),
+        (None, ""),
+        (True, "true"),
+        (False, "false"),
+        ((0, 3, 12), "0,3,12"),
+        (7, "7"),
+        ("rsoft", "rsoft"),
+    ],
+)
+def test_format_value(value, text):
+    assert io.format_value(value) == text
+
+
+@pytest.mark.parametrize("value", [0.1, 1e-300, 5e-324, -2.2250738585072014e-308])
+def test_format_value_floats_read_back_bit_equal(value):
+    text = io.format_value(value)
+    assert float(text) == value
+    assert np.float64(float(text)).tobytes() == np.float64(value).tobytes()
+
+
+def test_records_csv_header_is_the_field_names():
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class Row:
+        seed: int
+        name: str
+        value: float
+        extra: float | None
+
+    text = io.records_csv(Row, [Row(3, "val", 0.1, None), Row(4, "test", -0.0, 2.5)])
+    assert text == "seed,name,value,extra\n3,val,0.10000000000000001,\n4,test,-0,2.5\n"
+    assert io.records_csv(Row, []) == "seed,name,value,extra\n"
