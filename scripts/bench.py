@@ -5,7 +5,11 @@ head    ``loss_and_grad`` per call and ``train_linear`` per epoch (us), d = 8,
 aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         specs and on 3 x 33,333 nodes at ``wide``'s expected degree (intra
         10, inter 1), and the kNN auxiliary graph (ms per call), with the
-        ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes).
+        ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes): on
+        isotropic Gaussian rows, where no leaf of the search can skip
+        another, and on two propagated embeddings, clustered like the ones a
+        run smooths over: the ``wide`` spec (n = 3000) and 3 x 3000 nodes at
+        ``wide``'s expected degree (n = 9000), each after ``wide``'s 64 layers.
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
 layers  the rsoft forward pass, p = q = 0.5 (us per layer): n = 300 at the
@@ -59,6 +63,11 @@ GENERATOR_SPECS = {
     ),
 }
 KNN_ROWS, KNN_DIM, KNN_K = (1500, 3000, 9000), 8, 7
+KNN_EMBEDDINGS = {
+    "wide": GENERATOR_SPECS["wide"],
+    "wide_9000": dict(clusters=3, nodes_per_cluster=3000, intra_p=10 / 3000, inter_p=0.5 / 3000),
+}
+KNN_LAYERS = 64
 LAYER_CASES = {
     "n300_L10000": (dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02), 10_000),
     "n9000_L64": (
@@ -133,11 +142,26 @@ def _generator(name):
     return {"spec": name, "n": spec.clusters * spec.nodes_per_cluster, "gen_ms_per_call": gen_ms}
 
 
+def _knn_timed(vectors):
+    call = partial(build_knn_aux_graph, vectors, KNN_K, 1.0)
+    return {"knn_ms_per_call": _timed(call, 1e3), "knn_tracemalloc_peak_mb": _peak_mb(call)}
+
+
 def _knn(n):
     vectors = np.random.default_rng(n).standard_normal((n, KNN_DIM))
-    call = partial(build_knn_aux_graph, vectors, KNN_K, 1.0)
-    return {"n": n, "dim": KNN_DIM, "k": KNN_K, "knn_ms_per_call": _timed(call, 1e3),
-            "knn_tracemalloc_peak_mb": _peak_mb(call)}
+    return {"n": n, "dim": KNN_DIM, "k": KNN_K, **_knn_timed(vectors)}
+
+
+def _knn_embedding(name):
+    """The kNN on the rsoft embedding of ``KNN_EMBEDDINGS[name]`` at seed 0."""
+    g = gen_gaussian_cluster_graph(SyntheticSpec(**KNN_EMBEDDINGS[name], seed=0))
+    cfg = build_experiment_config(
+        {"propagation.layers": str(KNN_LAYERS)}, source=f"bench.py aux {name}"
+    )
+    reducer = make_reducer(g.feature_dim, cfg.embedding_dim, 0)
+    vectors = run_fuzzy_r_softgraphain(g, cfg.propagation, reducer=reducer)
+    return {"embedding": name, "n": g.n, "dim": vectors.shape[1], "k": KNN_K,
+            "layers": KNN_LAYERS, **_knn_timed(vectors)}
 
 
 def _dataset_io():
@@ -177,7 +201,9 @@ CASES = {
         lambda: [_head_rows(rows) for rows in HEAD_ROWS],
     ),
     "aux": ({"unit": "ms"}, lambda: {"generator": [_generator(name) for name in GENERATOR_SPECS],
-                                     "knn": [_knn(n) for n in KNN_ROWS]}),
+                                     "knn": [_knn(n) for n in KNN_ROWS],
+                                     "knn_embedding": [_knn_embedding(name)
+                                                       for name in KNN_EMBEDDINGS]}),
     "io": ({"spec": "files", "unit": "ms"}, _dataset_io),
     "layers": ({"unit": "us per layer"}, lambda: [_layer_case(name) for name in LAYER_CASES]),
 }

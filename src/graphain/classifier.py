@@ -130,6 +130,10 @@ def cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
     return float(-np.add.reduce(logp, axis=None) / logp.shape[0])
 
 
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.abs(a).max())
+
+
 # Bound on the terms of a loss that the finiteness proof admits, far below the
 # largest double (about 1.8e308), so that rounding in the proof cannot matter.
 _LOSS_LIMIT = 1e300
@@ -158,6 +162,16 @@ def train_linear(
     both bounds, the second scaled by max(weight_decay, 1), are at most 1e300
     the loss is finite.  A NaN or infinite bound fails the test, so a NaN or
     an infinity in h or w always sends the epoch to the loss.
+
+    Both bounds grow with max|w|, so an upper bound on it that passes the
+    test proves the loss finite too.  An epoch's step adds at most
+    lr (max|h| + weight_decay max|w|) to any weight, as |p - y| <= 1 entry
+    by entry once the loss is proved or found finite, so max|w| grows by at
+    most the factor 1 + lr weight_decay and the term 2 lr max|h|, whose
+    margins (2^-40 on the factor, the 2 on the term) cover the rounding.
+    That bound is carried from epoch to epoch, and max|w| is measured only
+    when it fails the test, so the loss path is taken exactly when the
+    measured max|w| would fail it.
     """
     d = h.shape[1]
     num_classes = labels.y.shape[1]
@@ -178,16 +192,25 @@ def train_linear(
     h_inc, y_inc = h[include], labels.y[include]
     count = h_inc.shape[0]
     wd = cfg.weight_decay
+    h_max = _max_abs(h_inc)
     # the two bounds are logit_scale * max|w| + label_term and decay_scale * max|w|^2
-    logit_scale = 32.0 * count * d * float(np.abs(h_inc).max())
+    logit_scale = 32.0 * count * d * h_max
     label_term = 16.0 * count * num_classes
     decay_scale = max(wd, 1.0) * d * num_classes if wd else 0.0
-    for epoch in range(cfg.epochs):
-        w_max = float(np.abs(w).max())
-        if (
+
+    def proved(w_max):
+        return (
             logit_scale * w_max + label_term <= _LOSS_LIMIT
             and decay_scale * w_max * w_max <= _LOSS_LIMIT
-        ):
+        )
+
+    # an epoch multiplies max|w| by at most growth and then adds at most step
+    growth, step = (1.0 + cfg.lr * wd) * (1.0 + 2.0**-40), 2.0 * cfg.lr * h_max
+    w_bound = math.inf
+    for epoch in range(cfg.epochs):
+        if not proved(w_bound):
+            w_bound = _max_abs(w)
+        if proved(w_bound):
             logits = h_inc @ w
             grad = _gradient(h_inc, y_inc, w, wd, _softmax(logits, logits)[0])
         else:
@@ -196,6 +219,7 @@ def train_linear(
                 raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
         grad *= cfg.lr
         w -= grad
+        w_bound = w_bound * growth + step
     return w
 
 

@@ -298,10 +298,11 @@ def render_config(cfg: ExperimentConfig) -> str:
     return "".join(line + "\n" for _, line in _echo(cfg))
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
+def config_hash(cfg: ExperimentConfig, files: dict | None = None) -> str:
     """Short digest of what results depend on: the hashed keys and, for a
-    dataset config, its files' bytes, wherever they are."""
+    dataset config, its files' bytes, wherever they are.  ``files`` is
+    ``io.read_dataset_files`` of the dataset, read here when None."""
     lines = [line for key, line in _echo(cfg) if key.hashed]
     if cfg.dataset_path is not None:
-        lines.append(f"dataset.sha256 = {dataset_digest(cfg.dataset_path)}")
+        lines.append(f"dataset.sha256 = {dataset_digest(cfg.dataset_path, files)}")
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]

@@ -32,7 +32,7 @@ from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
 
 _DEAD_ROW = 1e-12  # row mass below this counts as zero
-_KNN_BLOCK = 1 << 18  # Gram entries per row block of the kNN; four buffers, 25 B/entry
+_KNN_BLOCK = 1 << 18  # Gram entries per leaf block of the kNN; three buffers, 17 B/entry
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,92 @@ def aux_from_graph(g: Graph) -> AuxGraph:
     return AuxGraph(n=g.n, edges=g.edges.copy(), weights=np.ones(g.num_edges))
 
 
+def _run(idx: np.ndarray):
+    """A sorted index array as a slice when its indices are consecutive, so
+    that indexing with it takes a view instead of a gathered copy."""
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+
+
+def _leaf_product(vectors: np.ndarray, rows, cols, buf: np.ndarray) -> np.ndarray:
+    """``vectors[rows] @ vectors[cols].T`` into the front of the flat ``buf``."""
+    out = buf[: rows.size * cols.size].reshape(rows.size, cols.size)
+    return np.matmul(vectors[_run(rows)], vectors[_run(cols)].T, out=out)
+
+
+def _sq_distances(gram, row_sq, col_sq, buf: np.ndarray) -> np.ndarray:
+    """sq_i + sq_j - 2 g_ij into the front of the flat ``buf``, rounded as
+    the oracle's expression rounds it; ``gram`` is left holding 2 g, which
+    halves back exactly."""
+    out = buf[: gram.size].reshape(gram.shape)
+    np.copyto(out, col_sq)  # then one add: faster than broadcasting both
+    out += row_sq[:, None]
+    gram *= 2.0
+    return np.subtract(out, gram, out=out)
+
+
+def _group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The indices that sort by (group, value) for nonnegative integer
+    groups; equal values fall in no set order.  Two sorts, far faster than
+    ``np.lexsort``: one ranks the values, one sorts an integer key."""
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[np.argsort(values)] = np.arange(values.size)
+    return np.argsort(group * values.size + rank)
+
+
+def _spatial_leaves(vectors: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """The leaf of each row: leaf i holds edge[i + 1] - edge[i] rows.  Each
+    tree node spanning several leaves splits its rows on their widest
+    coordinate at the leaf boundary nearest its median, so the leaves are
+    full and the tree balanced.  A level of the tree is one sort of all rows
+    by (node, coordinate)."""
+    n = vectors.shape[0]
+    count = edge.size - 1
+    perm = np.arange(n)
+    spans = [(0, count)]  # leaf ranges of the nodes at this level
+    while len(spans) < count:
+        starts = edge[[first for first, _ in spans]]
+        pts = vectors[perm]
+        with np.errstate(invalid="ignore"):  # non-finite rows fail at their norm
+            width = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        sizes = np.diff(edge[[first for first, _ in spans] + [count]])
+        axis = np.repeat(np.argmax(width, axis=1), sizes)
+        node = np.repeat(np.arange(len(spans)), sizes)
+        perm = perm[_group_order(node, pts[np.arange(n), axis])]
+        spans = [
+            half
+            for first, last in spans
+            for half in ([(first, (first + last) // 2), ((first + last) // 2, last)]
+                         if last - first > 1 else [(first, last)])
+        ]
+    leaf_of = np.empty(n, dtype=np.int64)
+    leaf_of[perm] = np.repeat(np.arange(count), np.diff(edge))
+    return leaf_of
+
+
+def _first_non_finite_pair(vectors: np.ndarray, sq_norms: np.ndarray):
+    """(i, j) of the first pair in row-major order whose squared distance is
+    not finite, or None, given finite squared norms.
+
+    Only the columns of squared norm at least 2^1020 are formed, a block of
+    them at a time.  sq_i + sq_j - 2 g_ij is below 2^1022 in magnitude when
+    both norms are below 2^1020, and below (2^511.5 + 2^510)^2 < 2^1024 when
+    sq_i < 2^1023 and sq_j < 2^1020, while sq_i >= 2^1023 makes the pair
+    (i, i) fail.  So the first failing pair, which has i <= j as the
+    expression is symmetric, either has such a column j or is such an
+    (i, i)."""
+    n = vectors.shape[0]
+    large = np.flatnonzero(sq_norms >= 2.0**1020)
+    step = max(1, _KNN_BLOCK // n)
+    first = n * n
+    for start in range(0, large.size, step):
+        cols = large[start : start + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = sq_norms[:, None] + sq_norms[cols] - 2.0 * (vectors @ vectors[cols].T)
+        i, j = np.nonzero(~np.isfinite(dist))
+        first = int((i * n + cols[j]).min(initial=first))
+    return None if first == n * n else divmod(first, n)
+
+
 def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxGraph:
     """Symmetrized k-nearest-neighbor graph with rectified inner-product weights.
 
@@ -96,25 +182,35 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     an edge between orthogonal or opposed vectors survives structurally with
     zero weight.
 
-    Cost: O(n^2 d) time and O(block·n + n·k) memory; no n x n array is held.
-    The Gram ``vectors @ vectors.T`` is formed one row block of about
-    ``_KNN_BLOCK`` entries at a time, in two passes: the first takes the
-    squared norms from the blocks' diagonals, the second turns each block
-    into distances and selects from them with no per-row sort: each row's
-    k-th smallest distance by ``np.partition``, every closer node, and as
-    many nodes at exactly that distance as fit, lowest index first.  A kept
-    edge's weight is read from the Gram entry its block already holds, that
-    of its lower row when that row kept it.  The Gram block, the distances,
-    their partitioned copy and the kept mask live in four buffers allocated
-    once per call, so at n = 3000, d = 8 the ``tracemalloc`` peak is 8 MB.
-    When one block holds every row, the product is the one ``vectors @
-    vectors.T`` that ``oracles.knn_edges_dense`` forms, and the edges and
-    weights match that reference bit for bit.  With several blocks BLAS may
-    round a Gram entry differently, as its kernel depends on the operand
-    shapes, so a weight can move in its last bits and a near-tie in distance
-    can order differently.  Raises NonFiniteFeatureError naming the first
-    row whose squared norm, or else the first pair whose squared distance,
-    is not finite, where no nearest-neighbor order exists.
+    The search is exact, over the leaves of a k-d tree (Bentley 1975): the
+    rows are split recursively at the median of their widest coordinate into
+    full leaves of at most about ``_KNN_BLOCK // n`` rows, and at least
+    k + 1.  Each leaf's own Gram block gives its rows' squared norms, on its
+    diagonal, and each row's k-th distance within the leaf, an upper bound on
+    its true k-th distance.  A leaf then forms its Gram block and distances
+    only against the leaves whose bounding box is not provably farther than
+    the largest of its rows' bounds, and each row keeps, of the columns
+    within its bound, the k nearest in (distance, index) order: ties go to
+    the lower index.  The slack of both tests covers the rounding of the
+    distances and of the box distance, so no neighbor and no tie is lost.  A
+    kept edge's weight is read from the Gram entry its block holds, that of
+    its lower row when that row kept it.  The Gram block, the distances and
+    the candidate mask live in three buffers of a leaf's rows by n, and the
+    partitioned copy of a leaf's own distances in one of its rows squared,
+    all allocated once per call.
+
+    The cost depends on the data.  On clustered or low-rank embeddings, such
+    as the propagated ones, a leaf inside one cluster skips the others, and
+    far fewer than n^2 pairs are formed; on isotropic data no leaf is skipped
+    and the cost is O(n^2 d) time.  Memory is O(block·n + n·k) either way.
+    Up to n = 512 one leaf holds every row, and its product is the one
+    ``vectors @ vectors.T`` that ``oracles.knn_edges_dense`` forms, so the
+    edges and weights match that reference bit for bit.  With several leaves
+    BLAS may round a Gram entry differently, as its kernel depends on the
+    operand shapes, so a weight can move in its last bits and a near-tie in
+    distance can order differently.  Raises NonFiniteFeatureError naming the
+    first row whose squared norm, or else the first pair whose squared
+    distance, is not finite, where no nearest-neighbor order exists.
     """
     if not math.isfinite(gamma_prime):
         raise ValueError(f"gamma_prime must be finite, got {gamma_prime}")
@@ -130,60 +226,88 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     if k == 0 or n < 2:
         return AuxGraph(n=n, edges=np.empty((0, 2), dtype=np.int64), weights=np.empty(0))
 
-    rows_per_block = min(n, max(1, _KNN_BLOCK // n))
-    starts = range(0, n, rows_per_block)
-    gram_buf = np.empty((rows_per_block, n))
-    dist_buf = np.empty((rows_per_block, n))
-    part_buf = np.empty((rows_per_block, n))
-    take_buf = np.empty((rows_per_block, n), dtype=bool)
+    count = max(1, min(-(-n // max(1, _KNN_BLOCK // n)), n // (k + 1)))
+    edge = np.arange(count + 1) * n // count
+    leaf_of = _spatial_leaves(vectors, edge)
+    by_leaf = np.argsort(leaf_of, kind="stable")  # each leaf's rows in index order
+    leaves = [by_leaf[edge[i] : edge[i + 1]] for i in range(count)]
+    rows_max = -(-n // count)
+    gram_buf, dist_buf = np.empty(rows_max * n), np.empty(rows_max * n)
+    take_buf = np.empty(rows_max * n, dtype=bool)
+    part_buf = np.empty(rows_max * rows_max)
 
-    def gram_block(start):
-        stop = min(start + rows_per_block, n)
-        return np.matmul(vectors[start:stop], vectors.T, out=gram_buf[: stop - start])
-
-    sq_norms = np.empty(n)
-    for start in starts:
-        gram = gram_block(start)
-        sq_norms[start : start + gram.shape[0]] = gram[:, start:].diagonal()
+    # Each leaf's own block: its rows' squared norms and k-th distances.
+    sq_norms, row_bound = np.empty(n), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for rows in leaves:
+            gram = _leaf_product(vectors, rows, rows, gram_buf)
+            sq_norms[rows] = gram.diagonal()
+            dist = _sq_distances(gram, sq_norms[rows], sq_norms[rows], dist_buf)
+            np.fill_diagonal(dist, np.inf)  # a node is not its own neighbor
+            part = part_buf[: dist.size].reshape(dist.shape)
+            np.copyto(part, dist)
+            part.partition(k - 1, axis=1)
+            row_bound[rows] = part[:, k - 1]
     bad = np.flatnonzero(~np.isfinite(sq_norms))
     if bad.size:
         raise NonFiniteFeatureError(
             f"kNN auxiliary graph: the squared norm of row {bad[0]} is not finite"
         )
-    codes, values = [], []
-    for start in starts:
-        gram = gram_block(start)
-        rows = gram.shape[0]
-        dist, part, take = dist_buf[:rows], part_buf[:rows], take_buf[:rows]
-        # sq_i + sq_j - 2 g_ij, rounded as the oracle's expression rounds it.
-        np.add(sq_norms[start : start + rows, None], sq_norms[None, :], out=dist)
-        np.subtract(dist, np.multiply(gram, 2.0, out=part), out=dist)
-        if not np.isfinite(dist, out=take).all():
-            i, j = np.divmod(int(np.argmin(take)), n)
-            raise NonFiniteFeatureError(
-                f"kNN auxiliary graph: the squared distance between rows "
-                f"{start + i} and {j} is not finite"
-            )
-        np.fill_diagonal(dist[:, start:], np.inf)  # a node is not its own neighbor
-        np.copyto(part, dist)
-        part.partition(k - 1, axis=1)
-        kth = part[:, k - 1 : k]
-        np.less_equal(dist, kth, out=take)
-        # Rows with more than k candidates tie at the k-th distance.
-        tied = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
-        if tied.size:
-            at_kth = dist[tied] == kth[tied]
-            room = k - (take[tied] & ~at_kth).sum(axis=1, keepdims=True)
-            take[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
-        kept = np.flatnonzero(take)
+    pair = _first_non_finite_pair(vectors, sq_norms)
+    if pair is not None:
+        raise NonFiniteFeatureError(
+            f"kNN auxiliary graph: the squared distance between rows "
+            f"{pair[0]} and {pair[1]} is not finite"
+        )
+
+    # A computed distance is within (4 d + 8) 2^-53 max sq_norm of the exact
+    # one, and a computed box distance within (d + 2) 2^-53 of it relatively:
+    # the slack covers three distance errors and the box's.
+    slack = 16 * (vectors.shape[1] + 2) * (
+        np.finfo(np.float64).eps * float(sq_norms.max())
+        + np.finfo(np.float64).smallest_subnormal
+    )
+    row_bound += slack
+    leaf_bound = np.maximum.reduceat(row_bound[by_leaf], edge[:-1])
+    ordered = vectors[by_leaf]
+    lo, hi = np.minimum.reduceat(ordered, edge[:-1]), np.maximum.reduceat(ordered, edge[:-1])
+
+    keys, values = [], []
+    for leaf, rows in enumerate(leaves):
+        gap = np.maximum(lo - hi[leaf], lo[leaf] - hi)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        cols = np.flatnonzero((gap.sum(axis=1) <= leaf_bound[leaf])[leaf_of])
+        r, c = rows.size, cols.size
+        if count > 1:  # one leaf's own block, formed above, is the whole block
+            gram = _leaf_product(vectors, rows, cols, gram_buf)
+            dist = _sq_distances(gram, sq_norms[_run(rows)], sq_norms[_run(cols)], dist_buf)
+            dist[np.arange(r), np.searchsorted(cols, rows)] = np.inf
+        take = take_buf[: r * c].reshape(r, c)
+        # A row's candidates lie within its bound; its own leaf gives k of them.
+        cand = np.flatnonzero(np.less_equal(dist, row_bound[_run(rows), None], out=take))
+        cand_dist, row = dist.ravel()[cand], cand // c
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        kth = cand_dist[_group_order(row, cand_dist)[starts + k - 1]][row]
+        # Keep every closer candidate, and as many at the k-th distance as
+        # fit, lowest index first.
+        closer, at_kth = cand_dist < kth, cand_dist == kth
+        room = k - np.add.reduceat(closer, starts, dtype=np.int64)
+        ties = np.cumsum(at_kth)
+        ties -= (ties[starts] - at_kth[starts])[row]
+        kept = cand[closer | (at_kth & (ties <= room[row]))]
         values.append(gram.ravel()[kept])
-        i, j = np.divmod(kept, n)
-        i += start
-        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
-    # Codes run in row order, so a pair's first code is its lower row's if kept there.
-    pairs, first = np.unique(np.concatenate(codes), return_index=True)
-    edges = np.stack(np.divmod(pairs, n), axis=1)
-    weights = np.power(np.maximum(np.concatenate(values)[first], 0.0), gamma_prime)
+        i, j = np.divmod(kept, c)
+        i, j = rows[i], cols[j]
+        # the pair's code, doubled, plus 1 when its upper row kept it
+        keys.append((np.minimum(i, j) * n + np.maximum(i, j)) * 2 + (i > j))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    codes = keys[order] >> 1
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    edges = np.stack(np.divmod(codes[first], n), axis=1)
+    gram = np.concatenate(values)[order[first]] * 0.5
+    weights = np.power(np.maximum(gram, 0.0), gamma_prime)
     return AuxGraph(n=n, edges=edges, weights=weights)
 
 

@@ -34,7 +34,7 @@ from .curriculum import (
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError, MissingMaskError
 from .graph import Graph
-from .io import load_dataset, records_csv
+from .io import load_dataset, read_dataset_files, records_csv
 from .propagation import run_fuzzy_r_softgraphain
 from .synthetic import add_feature_noise, gen_gaussian_cluster_graph, with_masks
 
@@ -75,14 +75,16 @@ def _stage(name: str):
 
 
 def load_inputs(cfg: ExperimentConfig):
-    """(config hash, dataset): what every seed of a run shares, read once.
-    The dataset is the loaded Graph for a dataset config, None otherwise."""
+    """(config hash, dataset): what every seed of a run shares.  The dataset
+    is the loaded Graph for a dataset config, None otherwise; each of its
+    files is read once, and the hash covers the bytes the Graph is built
+    from."""
     with _stage("dataset"):
-        digest = config_hash(cfg)
-        dataset = None
-        if cfg.dataset_path is not None:
-            dataset = load_dataset(cfg.dataset_path, require_masks=True)
-    return digest, dataset
+        if cfg.dataset_path is None:
+            return config_hash(cfg), None
+        files = read_dataset_files(cfg.dataset_path)
+        digest = config_hash(cfg, files)
+        return digest, load_dataset(cfg.dataset_path, require_masks=True, files=files)
 
 
 def prepare_graph(cfg: ExperimentConfig, seed: int, dataset: Graph | None) -> Graph:

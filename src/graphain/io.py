@@ -74,15 +74,21 @@ def _read_bytes(path: Path) -> bytes:
         raise ParseError(path, 0, f"cannot read file: {err}") from err
 
 
-def dataset_digest(directory) -> str:
-    """sha256 over the name, length and bytes of each dataset file present."""
+def read_dataset_files(directory) -> dict:
+    """The bytes of each dataset file present in ``directory``, by name, each
+    file read once: a run hashes and parses the same bytes."""
+    paths = {name: Path(directory) / name for name in DATASET_FILES}
+    return {name: _read_bytes(path) for name, path in paths.items() if path.exists()}
+
+
+def dataset_digest(directory, files: dict | None = None) -> str:
+    """sha256 over the name, length and bytes of each dataset file present;
+    ``files`` is ``read_dataset_files(directory)``, read here when None."""
+    files = read_dataset_files(directory) if files is None else files
     digest = hashlib.sha256()
-    for name in DATASET_FILES:
-        path = Path(directory) / name
-        if path.exists():
-            data = _read_bytes(path)
-            digest.update(f"{name} {len(data)}\n".encode("utf-8"))
-            digest.update(data)  # not concatenated: that copies the file
+    for name, data in files.items():
+        digest.update(f"{name} {len(data)}\n".encode("utf-8"))
+        digest.update(data)  # not concatenated: that copies the file
     return digest.hexdigest()
 
 
@@ -131,8 +137,7 @@ def _parse_edges(path: Path, data: bytes, n: int) -> np.ndarray:
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
-def _load_edges(path: Path, n: int) -> np.ndarray:
-    data = _read_bytes(path)
+def _load_edges(path: Path, data: bytes, n: int) -> np.ndarray:
     edges = _bulk(data, _EDGE_BYTES, np.int64, "\t")
     # the whitelist has no sign, so every parsed index is >= 0
     if edges is not None and edges.shape[1] == 2 and edges.max() < n:
@@ -167,8 +172,7 @@ def _parse_features(path: Path, data: bytes) -> np.ndarray:
     return features
 
 
-def _load_features(path: Path) -> np.ndarray:
-    data = _read_bytes(path)
+def _load_features(path: Path, data: bytes) -> np.ndarray:
     features = _bulk(data, _FEATURE_BYTES, np.float64, ",")
     if features is not None and np.isfinite(features).all():
         return features
@@ -214,8 +218,7 @@ def _bulk_pairs(data: bytes, header: str, allowed: bytes, value_dtype, n: int):
     return nodes, table["value"].ravel()
 
 
-def _load_labels(path: Path, n: int) -> np.ndarray:
-    data = _read_bytes(path)
+def _load_labels(path: Path, data: bytes, n: int) -> np.ndarray:
     labels = np.full(n, -1, dtype=np.int64)
     pairs = _bulk_pairs(data, "node,label", _LABEL_BYTES, np.int64, n)
     # the whitelist has no sign, so every parsed label is >= 0
@@ -234,8 +237,7 @@ def _load_labels(path: Path, n: int) -> np.ndarray:
     return labels
 
 
-def _load_masks(path: Path, n: int) -> tuple:
-    data = _read_bytes(path)
+def _load_masks(path: Path, data: bytes, n: int) -> tuple:
     # six characters: a longer value is cut to six, which match no split name
     pairs = _bulk_pairs(data, "node,split", _MASK_BYTES, "U6", n)
     if pairs is not None:
@@ -251,26 +253,32 @@ def _load_masks(path: Path, n: int) -> tuple:
     return tuple(split_sets[name] for name in SPLIT_NAMES)
 
 
-def load_dataset(directory, require_masks: bool = False) -> Graph:
+def load_dataset(directory, require_masks: bool = False, files: dict | None = None) -> Graph:
     """Read a dataset directory back into a Graph.
 
+    ``files`` is ``read_dataset_files(directory)``, read here when None.
     Labels and masks are optional files; ``require_masks`` turns a missing or
     empty train split into MissingMaskError.
     """
     directory = Path(directory)
-    features = _load_features(directory / FEATURES_FILE)
-    n = features.shape[0]
-    edges = _load_edges(directory / EDGES_FILE, n)
+    files = read_dataset_files(directory) if files is None else files
 
-    labels_path = directory / LABELS_FILE
-    labels = _load_labels(labels_path, n) if labels_path.exists() else None
+    def data(name):  # a missing required file fails as its read does
+        return files[name] if name in files else _read_bytes(directory / name)
+
+    features = _load_features(directory / FEATURES_FILE, data(FEATURES_FILE))
+    n = features.shape[0]
+    edges = _load_edges(directory / EDGES_FILE, data(EDGES_FILE), n)
+
+    labels = None
+    if LABELS_FILE in files:
+        labels = _load_labels(directory / LABELS_FILE, files[LABELS_FILE], n)
 
     masks = None
-    masks_path = directory / MASKS_FILE
-    if masks_path.exists():
-        masks = _load_masks(masks_path, n)
+    if MASKS_FILE in files:
+        masks = _load_masks(directory / MASKS_FILE, files[MASKS_FILE], n)
     elif require_masks:
-        raise MissingMaskError(f"{masks_path} is missing")
+        raise MissingMaskError(f"{directory / MASKS_FILE} is missing")
 
     g = build_graph(edges, n, features, y=labels, masks=masks)
     if require_masks and g.train_mask.size == 0:

@@ -87,12 +87,14 @@ def knn_edges_dense(vectors: np.ndarray, k: int, gamma_prime: float):
     lower index; k is clamped to n - 1.  Edges are sorted (i, j) pairs with
     i < j, weighted max(0, h_i . h_j) ** gamma_prime.
 
-    The Gram is the one product ``vectors @ vectors.T``.  The production kNN
-    forms it in row blocks; where one block holds every row (n^2 up to about
-    ``curriculum._KNN_BLOCK``) its product is this one and both return the
-    same bits.  With several blocks BLAS may round entries differently, so
-    only vectors whose products are exact, such as small integers, promise
-    equal bits; otherwise the weights agree to a few ulp.
+    The Gram is the one product ``vectors @ vectors.T``, and every pair is
+    formed, whatever the data.  The production kNN forms only the blocks of
+    Gram rows by columns that its spatial leaves cannot exclude; where one
+    leaf holds every row (n^2 up to about ``curriculum._KNN_BLOCK``) its
+    product is this one and both return the same bits.  With several leaves
+    BLAS may round entries differently, so only vectors whose products are
+    exact, such as small integers, promise equal bits; otherwise the weights
+    agree to a few ulp.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     n = vectors.shape[0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import graphain.curriculum as curriculum
 import graphain.diagnostics as diagnostics
 
 settings.register_profile(
@@ -30,4 +31,18 @@ def reference_builds(monkeypatch):
         return real(m, d)
 
     monkeypatch.setattr(diagnostics, "top_d_eigvectors", counting)
+    return calls
+
+
+@pytest.fixture
+def leaf_products(monkeypatch):
+    """(rows, columns) of every Gram block that the kNN auxiliary graph forms."""
+    calls = []
+    real = curriculum._leaf_product
+
+    def counting(vectors, rows, cols, buf):
+        calls.append((rows.size, cols.size))
+        return real(vectors, rows, cols, buf)
+
+    monkeypatch.setattr(curriculum, "_leaf_product", counting)
     return calls

@@ -187,6 +187,31 @@ class TestTrainLinear:
             train_linear(h, y, np.arange(8), TrainConfig(lr=1e200, epochs=50))
 
 
+def test_default_seed_measures_max_w_less_often_than_it_runs_epochs(monkeypatch):
+    # a growth bound on max|w| stands in for measuring it while it proves the
+    # loss finite; each fit also measures max|h| once
+    from graphain import classifier, curriculum
+    from graphain.config import build_experiment_config
+    from graphain.experiment import run_seed
+
+    measured, epochs = [], []
+    real_max, real_train = classifier._max_abs, curriculum.train_linear
+
+    def counting_max(a):
+        measured.append(a.shape)
+        return real_max(a)
+
+    def counting_train(h, labels, include, cfg, warm_start=None):
+        epochs.append(cfg.epochs)
+        return real_train(h, labels, include, cfg, warm_start=warm_start)
+
+    monkeypatch.setattr(classifier, "_max_abs", counting_max)
+    monkeypatch.setattr(curriculum, "train_linear", counting_train)
+    run_seed(build_experiment_config({"seeds": "1"}), 1)
+    w_measures = len(measured) - len(epochs)
+    assert 0 < w_measures < sum(epochs)
+
+
 def _softmax_by_row_reductions(logits):
     """The row-reduction form of the softmax kernel: ``max`` and ``sum``
     along the class axis."""

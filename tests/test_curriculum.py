@@ -160,6 +160,43 @@ class TestKnnAuxGraph:
                 assert np.array_equal(aux.edges, edges), (block, k)
                 assert np.array_equal(aux.weights, weights), (block, k)
 
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_dense_oracle_over_many_leaves(self, data):
+        # Clustered integer grids, entries 10 c + {-1, 0, 1}: every product is
+        # exact, and ties and duplicates abound within a cluster; small
+        # blocks make many leaves, most of which skip the far clusters.  A
+        # wider spread gives rows of one leaf unequal k-th distances.
+        n = data.draw(st.integers(2, 300), label="n")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        clusters = data.draw(st.integers(1, 4), label="clusters")
+        spread = data.draw(st.sampled_from([1, 1, 5, 40]), label="spread")
+        k = data.draw(st.integers(1, 12), label="k")
+        block = data.draw(st.integers(n, 16 * n), label="block")
+        gamma_prime = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="gamma_prime")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        centers = rng.integers(-3, 4, size=(clusters, dim))
+        offsets = rng.integers(-spread, spread + 1, (n, dim))
+        vecs = (10 * centers[rng.integers(0, clusters, n)] + offsets).astype(np.float64)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k >= n clamps with a warning
+            patch.setattr(curriculum, "_KNN_BLOCK", block)
+            aux = build_knn_aux_graph(vecs, k, gamma_prime)
+        edges, weights = knn_edges_dense(vecs, k, gamma_prime)
+        assert np.array_equal(aux.edges, edges)
+        assert np.array_equal(aux.weights, weights)
+
+    def test_leaves_skip_far_clusters(self, leaf_products):
+        # Three separated clusters of rank 3 in 8 columns, as the propagated
+        # embeddings are: a leaf inside one cluster skips the other two.
+        n = 3000
+        rng = np.random.default_rng(21)
+        centers = rng.standard_normal((3, 3)) * 8.0
+        points = centers[np.arange(n) % 3] + rng.standard_normal((n, 3))
+        build_knn_aux_graph(points @ rng.standard_normal((3, 8)), 7, 1.0)
+        # all pairs are n^2; each cluster's rows against that cluster, n^2 / 3
+        assert sum(rows * cols for rows, cols in leaf_products) < 0.4 * n * n
+
     def test_float_vectors_in_one_block_match_oracle_bits(self):
         import graphain.curriculum as curriculum
 
@@ -225,6 +262,26 @@ class TestKnnAuxGraph:
             build_knn_aux_graph(vecs, 1, 1.0)
         monkeypatch.setattr(curriculum, "_KNN_BLOCK", 3)  # one row a block
         with pytest.raises(NonFiniteFeatureError, match=r"kNN.* between rows 1 and 2 "):
+            build_knn_aux_graph(vecs, 1, 1.0)
+
+    @pytest.mark.parametrize(
+        "large, pair",
+        [
+            ({1: 7e153, 2: -7e153}, "1 and 2"),
+            # several large rows: the first failing pair in row-major order
+            ({3: 7e153, 9: 7e153, 5: -7e153, 4: -7e153}, "3 and 4"),
+            # a single row's own distance overflows
+            ({6: 1e154}, "6 and 6"),
+        ],
+    )
+    def test_non_finite_distance_found_across_leaves(self, monkeypatch, large, pair):
+        # Rows far apart fall in leaves that skip each other, so the
+        # overflowing pairs are sought apart from the leaf blocks.
+        vecs = np.stack([np.zeros(60), np.arange(60) % 7], axis=1)
+        for row, x in large.items():
+            vecs[row] = [x, 0.0]
+        monkeypatch.setattr(curriculum, "_KNN_BLOCK", 60 * 4)  # 4 rows a leaf
+        with pytest.raises(NonFiniteFeatureError, match=f"kNN.* between rows {pair} "):
             build_knn_aux_graph(vecs, 1, 1.0)
 
 

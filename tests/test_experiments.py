@@ -637,6 +637,21 @@ class TestRunExperiment:
         assert (len(loads), len(digests)) == (1, 1)
         assert rows_to_csv(rows) == rows_to_csv(per_seed)
 
+    def test_each_dataset_file_read_once_per_run(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        cfg = replace(_dataset_config(tmp_path / "data"), seeds=(1, 2))
+        reads = []
+        real = Path.read_bytes
+
+        def counting(path):
+            reads.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        run_experiment(cfg, write_files=False)
+        assert sorted(reads) == ["edges.tsv", "features.csv", "labels.csv", "masks.csv"]
+
     def test_stage_labels_on_errors(self, tmp_path):
         kv = {k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")}
         bad = build_experiment_config({**kv, "dataset.path": str(tmp_path / "missing")})
