@@ -7,19 +7,27 @@ finite-difference checks in the test suite differentiate it.  Its gradient,
 probabilities and loss come from ``_gradient``, ``_softmax`` and
 ``cross_entropy``, which the other epochs and scoring share.
 
-Cost per epoch on n rows, width d and C classes: two GEMMs, ``h @ w`` and
-``h.T @ (probs - y)``, at O(n d C) each, plus O(n C) elementwise work in
-``_softmax``, whose row max and normaliser are sweeps over the C class
-columns; no reduction runs along the class axis.  The loss only feeds the
-check that it is finite, so an epoch skips it, and its log-softmax, whenever
-a bound from ``max|h|`` and ``max|w|`` proves it finite (``train_linear``);
-the first epoch with a non-finite loss is still the one reported.  At a run's
-sizes (d = 8, C = 3, tens to thousands of rows) such an epoch is about twenty
-numpy calls, and their call overhead, not their arithmetic, sets its cost: so
-the kernels work in place on the arrays they own, broadcast nothing along the
-class axis and call ``np.add.reduce`` without the ``sum`` wrappers.  Each
-operation keeps the operands and the order of the plain expression it
-replaces, so every output bit is unchanged (``tests/test_kernel_bits.py``).
+The head works class-major: ``class_logits`` writes the logits h @ w into a
+C-contiguous (C, n) array, one row of n values per class, and the softmax
+and the gradient ``h.T @ (P - Y).T`` take that layout; ``train_linear`` runs
+every epoch in one such buffer, against its labels transposed once per call.
+An epoch costs two GEMMs at O(n d C) each plus O(n C) elementwise work.  The
+loss only feeds the check that it is finite, so an epoch skips it, and its
+log-softmax, whenever a bound from ``max|h|`` and ``max|w|`` proves it finite
+(``train_linear``); the first epoch with a non-finite loss is still the one
+reported.  At a run's sizes (d = 8, C = 3, tens to thousands of rows) such an
+epoch is about twenty numpy calls, and their call overhead, not their
+arithmetic, sets its cost: so the kernels work in place on the arrays they
+own and call ``np.add.reduce`` without the ``sum`` wrappers.  A loss is
+summed over the (n, C) rows, in the order the split scores sum it.
+
+Each operation keeps the operands and the order of the plain class-major
+expression it replaces, so every output bit is that expression's
+(``tests/test_kernel_bits.py``).  Against the row-major head this layout
+replaced (logits ``h @ w``, gradient ``h.T @ (P - Y)``), OpenBLAS rounds the
+products alike for 2 <= d <= 15, the width of every shipped config; it picks
+other kernels for the logits at d >= 16 and for the gradient at d = 1, where
+no weight of a sweep of 300-epoch fits moved by more than 9e-16.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyIncludeError,
+    IndexOutOfRangeError,
     NonFiniteLossError,
 )
 from .labels import SoftLabelMatrix
@@ -56,54 +65,62 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-def _fold_columns(op, m: np.ndarray) -> np.ndarray:
-    """op(...op(op(m[:, 0], m[:, 1]), m[:, 2])..., m[:, -1]) as a new array."""
-    if m.shape[1] == 1:
-        return m[:, 0].copy()
-    out = op(m[:, 0], m[:, 1])
-    for j in range(2, m.shape[1]):
-        op(out, m[:, j], out=out)
+def _fold_rows(op, m: np.ndarray) -> np.ndarray:
+    """op(...op(op(m[0], m[1]), m[2])..., m[-1]) as a new array."""
+    if m.shape[0] == 1:
+        return m[0].copy()
+    out = op(m[0], m[1])
+    for j in range(2, m.shape[0]):
+        op(out, m[j], out=out)
+    return out
+
+
+def class_logits(h: np.ndarray, w: np.ndarray, out: np.ndarray | None = None):
+    """The logits ``h @ w`` class-major: a C-contiguous (C, n) array whose row
+    j holds class j, written into ``out`` when it is given."""
+    if out is None:
+        out = np.empty((w.shape[1], h.shape[0]))
+    np.matmul(h, w, out=out.T)
     return out
 
 
 def _softmax(logits: np.ndarray, out: np.ndarray | None):
-    """Row-stabilized softmax; returns (probabilities, shifted logits, normaliser).
+    """Softmax of each column of the class-major (C, n) ``logits``, stabilised
+    by the column max; returns (probabilities, shifted logits, normaliser).
 
     The one softmax kernel: the loss, the gradient and scoring all reach it.
-    The row max and the normaliser are sweeps over the C class columns, each
-    step one elementwise operation on n values: a numpy reduction along the
-    short class axis costs far more than its arithmetic.  The columns are
-    added in order, as numpy's row sum does below eight classes, so there the
-    result equals the row-reduction form bit for bit.  The row max and the
-    normaliser are repeated across the C columns before they meet the n x C
-    arrays: broadcasting a column runs numpy's inner loop C elements at a time.
+    The max and the normaliser fold the C class rows, each step one
+    elementwise operation on n contiguous values, and each is subtracted or
+    divided as one length-n row, so no reduction runs along the short class
+    axis and nothing is strided or repeated.  The rows are added in order, as
+    numpy's row sum of the (n, C) layout does below eight classes, so there
+    the result equals the row-reduction form bit for bit.
 
     The shifted logits and their exponentials go to ``out``: new arrays when it
     is None, or ``logits`` itself, which then ends up holding the probabilities
     (the shifted logits returned are the same array).
     """
-    n, c = logits.shape
-    top = _fold_columns(np.maximum, logits)
-    shifted = np.subtract(logits, top.repeat(c).reshape(n, c), out=out)
+    top = _fold_rows(np.maximum, logits)
+    shifted = np.subtract(logits, top, out=out)
     e = np.exp(shifted, out=out)
-    z = _fold_columns(np.add, e)
-    e /= z.repeat(c).reshape(n, c)
+    z = _fold_rows(np.add, e)
+    e /= z
     return e, shifted, z
 
 
 def softmax_with_log(logits: np.ndarray):
-    """Row-stabilized softmax; returns (probabilities, log-probabilities)."""
-    n, c = logits.shape
+    """Softmax of the class-major (C, n) ``logits``; returns (probabilities,
+    log-probabilities), both (C, n)."""
     probs, logp, z = _softmax(logits, None)
-    logp -= np.log(z).repeat(c).reshape(n, c)
+    logp -= np.log(z)
     return probs, logp
 
 
 def _gradient(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float, probs):
-    """Gradient of the objective from the softmax probabilities of h @ w,
-    which it overwrites with probs - y."""
+    """Gradient of the objective from the class-major (C, n) softmax
+    probabilities of h @ w and labels y, overwriting probs with probs - y."""
     probs -= y
-    grad = h.T @ probs
+    grad = h.T @ probs.T
     grad /= h.shape[0]
     if weight_decay:
         grad += weight_decay * w
@@ -111,23 +128,46 @@ def _gradient(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float, 
 
 
 def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float):
-    """Objective and gradient with respect to w over the rows of h and y.
+    """Objective and gradient with respect to w over the rows of h and the
+    (n, C) label rows y.
 
     The objective is the mean soft-label cross-entropy plus
-    0.5 * weight_decay * ||w||^2; the loss is returned as a float.
+    0.5 * weight_decay * ||w||^2; the loss is returned as a float, summed over
+    the (n, C) rows as the scores of ``curriculum.split_scores`` are.
     """
-    probs, logp = softmax_with_log(h @ w)
-    loss = cross_entropy(logp, y)
+    probs, logp = softmax_with_log(class_logits(h, w))
+    loss = cross_entropy(logp.T.copy(), y)
     if weight_decay:
         loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
-    return loss, _gradient(h, y, w, weight_decay, probs)
+    return loss, _gradient(h, y.T, w, weight_decay, probs)
 
 
 def cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
-    """Mean soft-label cross-entropy of the log-probability rows ``logp``
-    against the label rows ``y``; overwrites ``logp``."""
+    """Mean soft-label cross-entropy of the C-ordered (n, C) log-probability
+    rows ``logp`` against the label rows ``y``; overwrites ``logp``."""
     logp *= y
     return float(-np.add.reduce(logp, axis=None) / logp.shape[0])
+
+
+def _row_indices(include, n: int) -> np.ndarray:
+    """``include`` as int64 row indices; ``EmptyIncludeError`` when there are
+    none, ``IndexOutOfRangeError`` naming the first entry that is not an
+    integer in [0, n)."""
+    raw = np.asarray(include).ravel()
+    if raw.size == 0:
+        raise EmptyIncludeError("empty node subset")
+    if raw.dtype.kind in "iuf":
+        ok = (raw >= 0) & (raw < n)
+        if raw.dtype.kind == "f":
+            ok &= raw == np.floor(raw)
+    else:
+        ok = np.zeros(raw.size, dtype=bool)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        raise IndexOutOfRangeError(
+            f"include[{first}] = {raw[first].item()!r} is not a row index in [0, {n})"
+        )
+    return raw.astype(np.int64, copy=False)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -148,7 +188,10 @@ def train_linear(
 ) -> np.ndarray:
     """The (d, C) head weights from ``cfg.epochs`` epochs of full-batch
     gradient descent with weight decay at the fixed step ``cfg.lr``, starting
-    from ``warm_start`` (zeros when None).
+    from ``warm_start`` (zeros when None), on the rows ``include`` of ``h``
+    and ``labels``.  ``h`` needs one row per label row
+    (``DimensionMismatchError``), and every entry of ``include`` must be an
+    integer in [0, n) (``IndexOutOfRangeError`` names the first that is not).
 
     An epoch whose loss is proved finite skips the loss and computes the
     gradient alone; any other epoch computes the loss and raises
@@ -175,6 +218,10 @@ def train_linear(
     """
     d = h.shape[1]
     num_classes = labels.y.shape[1]
+    if h.shape[0] != labels.n:
+        raise DimensionMismatchError(
+            f"h has {h.shape[0]} rows but the labels have {labels.n}"
+        )
     if warm_start is not None:
         w = np.array(warm_start, dtype=np.float64, copy=True)
         if w.shape != (d, num_classes):
@@ -184,13 +231,15 @@ def train_linear(
     if cfg.epochs == 0:
         return w
 
-    include = np.asarray(include, dtype=np.int64).ravel()
-    if include.size == 0:
-        raise EmptyIncludeError("empty node subset")
+    include = _row_indices(include, labels.n)
     if labels.masked[include].any():
         raise ValueError("include contains masked label rows")
     h_inc, y_inc = h[include], labels.y[include]
     count = h_inc.shape[0]
+    # the epoch's class-major logits, probabilities and residuals; the labels
+    # transposed to match
+    buf = np.empty((num_classes, count))
+    y_cm = np.ascontiguousarray(y_inc.T)
     wd = cfg.weight_decay
     h_max = _max_abs(h_inc)
     # the two bounds are logit_scale * max|w| + label_term and decay_scale * max|w|^2
@@ -211,8 +260,8 @@ def train_linear(
         if not proved(w_bound):
             w_bound = _max_abs(w)
         if proved(w_bound):
-            logits = h_inc @ w
-            grad = _gradient(h_inc, y_inc, w, wd, _softmax(logits, logits)[0])
+            class_logits(h_inc, w, out=buf)
+            grad = _gradient(h_inc, y_cm, w, wd, _softmax(buf, buf)[0])
         else:
             loss, grad = loss_and_grad(h_inc, y_inc, w, wd)
             if not math.isfinite(loss):

@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from .classifier import (
     TrainConfig,
     accuracy,
+    class_logits,
     cross_entropy,
     softmax_with_log,
     train_linear,
@@ -437,7 +438,7 @@ def run_curriculum(
         elapsed = (time.perf_counter() - start) * 1e3
         if not include.size:
             raise EmptyIncludeError("empty node subset")
-        probs, logp = softmax_with_log(h @ w)
+        probs, logp = (a.T.copy() for a in softmax_with_log(class_logits(h, w)))
         labeled = include[g.labels[include] >= 0]
         val_accuracy, val_loss = split_scores(probs, logp, g, g.val_mask)
         metrics.append(

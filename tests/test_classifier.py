@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 from graphain.classifier import (
     TrainConfig,
     accuracy,
+    class_logits,
     loss_and_grad,
     make_reducer,
     softmax_with_log,
     train_linear,
 )
 from head_predict import predict
-from graphain.errors import EmptyIncludeError, NonFiniteLossError
+from graphain.errors import (
+    DimensionMismatchError,
+    EmptyIncludeError,
+    IndexOutOfRangeError,
+    NonFiniteLossError,
+)
 from graphain.labels import SoftLabelMatrix, one_hot
 
 
@@ -42,7 +48,7 @@ class TestCrossEntropy:
 
     def test_loss_equals_entropy_at_self_consistency(self, rng):
         h, _, w, include = _seeded_problem(3)
-        probs, logp = softmax_with_log(h @ w)
+        probs, logp = (a.T for a in softmax_with_log(class_logits(h, w)))
         y = _soft(probs)
         loss = loss_and_grad(h[include], y.y[include], w, 0.0)[0]
         entropy = float(-(probs * logp).sum() / len(include))
@@ -102,8 +108,8 @@ class TestGradient:
 
     def test_zero_at_stationary_point(self):
         h, _, w, _ = _seeded_problem(5)
-        probs, _ = softmax_with_log(h @ w)
-        _, grad = loss_and_grad(h, probs, w, 0.0)
+        probs, _ = softmax_with_log(class_logits(h, w))
+        _, grad = loss_and_grad(h, probs.T, w, 0.0)
         assert np.abs(grad).max() <= 1e-10
 
     def test_zero_embeddings_zero_gradient(self):
@@ -178,6 +184,33 @@ class TestTrainLinear:
         diffs = np.diff(losses)
         assert diffs.max() <= 1e-12
 
+    def test_negative_include_index_rejected(self):
+        h, y, w, _ = _seeded_problem(12)
+        cfg = TrainConfig(lr=0.1, epochs=1)
+        with pytest.raises(IndexOutOfRangeError, match=r"^include\[1\] = -1 is not"):
+            train_linear(h, y, [3, -1, -2], cfg, warm_start=w)
+
+    def test_include_index_past_the_rows_rejected(self):
+        h, y, w, _ = _seeded_problem(12)
+        cfg = TrainConfig(lr=0.1, epochs=1)
+        with pytest.raises(IndexOutOfRangeError, match=r"^include\[2\] = 20 .* \[0, 20\)$"):
+            train_linear(h, y, [3, 19, 20], cfg, warm_start=w)
+
+    def test_fractional_include_index_rejected(self):
+        h, y, w, _ = _seeded_problem(12)
+        cfg = TrainConfig(lr=0.1, epochs=1)
+        with pytest.raises(IndexOutOfRangeError, match=r"^include\[1\] = 1.5 is not"):
+            train_linear(h, y, [3.0, 1.5], cfg, warm_start=w)
+        # integral floats name rows, as integers do
+        by_float = train_linear(h, y, [3.0, 1.0], cfg, warm_start=w)
+        assert np.array_equal(by_float, train_linear(h, y, [3, 1], cfg, warm_start=w))
+
+    def test_embedding_rows_must_match_the_labels(self):
+        h, y, w, include = _seeded_problem(12)
+        extra = np.vstack([h, h[:1]])
+        with pytest.raises(DimensionMismatchError, match=r"^h has 21 rows .* 20$"):
+            train_linear(extra, y, include, TrainConfig(lr=0.1, epochs=1), warm_start=w)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
         rng = np.random.default_rng(9)
@@ -227,8 +260,9 @@ class TestSoftmaxKernel:
         local = np.random.default_rng(c)
         scale = local.choice([1e-3, 1.0, 30.0, 700.0], size=(400, 1))
         logits = local.standard_normal((400, c)) * scale
-        for got, want in zip(softmax_with_log(logits), _softmax_by_row_reductions(logits)):
-            assert np.array_equal(got, want)
+        by_class = np.ascontiguousarray(logits.T)
+        for got, want in zip(softmax_with_log(by_class), _softmax_by_row_reductions(logits)):
+            assert np.array_equal(got.T, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("c", [1, 2, 3, 5, 7])
@@ -238,8 +272,9 @@ class TestSoftmaxKernel:
         logits[2, c - 1] = np.inf
         logits[3] = -np.inf
         logits[4, 0] = -np.inf
-        for got, want in zip(softmax_with_log(logits), _softmax_by_row_reductions(logits)):
-            assert np.array_equal(got, want, equal_nan=True)
+        by_class = np.ascontiguousarray(logits.T)
+        for got, want in zip(softmax_with_log(by_class), _softmax_by_row_reductions(logits)):
+            assert np.array_equal(got.T, want, equal_nan=True)
 
 
 class TestPredict:
@@ -257,8 +292,8 @@ class TestPredict:
     def test_probs_share_softmax_kernel(self, rng):
         h, y, w, include = _seeded_problem(8)
         _, probs = predict(h, w)
-        kernel_probs, _ = softmax_with_log(h @ w)
-        assert np.array_equal(probs, kernel_probs)
+        kernel_probs, _ = softmax_with_log(class_logits(h, w))
+        assert np.array_equal(probs, kernel_probs.T)
 
     @given(st.integers(0, 500))
     def test_argmax_shift_invariance(self, seed):

@@ -225,13 +225,15 @@ class TestKnnAuxGraph:
     @pytest.mark.parametrize(
         "n, bound",
         [
-            # No n x n array: four row-block buffers of about _KNN_BLOCK
-            # entries (25 bytes each, 6.6 MB), allocated once, plus O(n k)
-            # edge codes and weights.  An n x n Gram alone would be 72 MB at
-            # n = 3000 and 648 MB at n = 9000.
+            # No n x n array: three leaf buffers of about _KNN_BLOCK entries
+            # (Gram and distances in float64 and a bool candidate mask,
+            # 17 bytes an entry, 4.5 MB), allocated once, plus a leaf's rows
+            # squared for the partitioned copy of its own distances, and
+            # O(n k) edge codes and weights.  An n x n Gram alone would be
+            # 72 MB at n = 3000 and 648 MB at n = 9000.
             (3000, 16e6),
             (9000, 24e6),
-            # One block: the buffers hold n rows, not _KNN_BLOCK entries.
+            # One leaf: the buffers hold n rows of n, not _KNN_BLOCK entries.
             (300, 5 * 8 * 300**2),
         ],
     )
