@@ -12,8 +12,15 @@ aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         ``wide``'s expected degree (n = 9000), each after ``wide``'s 64 layers.
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
-layers  the rsoft forward pass, p = q = 0.5 (us per layer): n = 300 at the
-        paper's depth of 10^4 layers; n = 9000 at ``wide``'s degree, 64 layers.
+layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
+        10^4 layers and n = 9000 at ``wide``'s degree, 64 layers, both at
+        p = q = 0.5; and the ``wide`` spec (n = 3000) at p = q = 0, 64 layers,
+        as the benchmark's ``wide`` runs it.  Each case also splits a layer
+        into its parts, from a second set of passes with a timer around each
+        part: the SpMM, the centering, the skip mix, the filter and the
+        ``eigh`` inside it (``sym_eig``), and the rest of the layer.  The
+        timers add their own cost to those passes, whose whole time is
+        reported as ``wrapped``.
 
 Every timed figure is one untimed call, then 7 timed repeats: their median,
 interquartile range and samples; none is gated.  Each run is appended to
@@ -43,6 +50,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from graphain import linalg, propagation
 from graphain.classifier import TrainConfig, loss_and_grad, make_reducer, train_linear
 from graphain.config import build_experiment_config
 from graphain.curriculum import build_knn_aux_graph
@@ -69,12 +77,31 @@ KNN_EMBEDDINGS = {
 }
 KNN_LAYERS = 64
 LAYER_CASES = {
-    "n300_L10000": (dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02), 10_000),
+    # name: (cluster spec, layers, p = q)
+    "n300_L10000": (dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02), 10_000, 0.5),
     "n9000_L64": (
         dict(clusters=3, nodes_per_cluster=3000, intra_p=0.01 / 3, inter_p=0.0005 / 3),
         64,
+        0.5,
     ),
+    "wide_n3000_L64": (GENERATOR_SPECS["wide"], 64, 0.0),
 }
+# A layer's parts, each the self time of the function that does it: the
+# centering is _centered_aggregate without its SpMM, the skip mix
+# residual_combine without its centred aggregate, the filter
+# soft_spectral_filter without its eigendecomposition.
+LAYER_PARTS = (
+    ("spmm", propagation, "apply_operator"),
+    ("centering", propagation, "_centered_aggregate"),
+    ("skip_mix", propagation, "residual_combine"),
+    ("filter", propagation, "soft_spectral_filter"),
+    ("eigh", linalg, "sym_eig"),
+)
+
+
+def _summary(samples):
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": float(median), "iqr": float(q3 - q1), "samples": samples}
 
 
 def _timed(fn, scale):
@@ -86,8 +113,49 @@ def _timed(fn, scale):
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * scale)
-    q1, median, q3 = np.percentile(samples, [25, 50, 75])
-    return {"median": float(median), "iqr": float(q3 - q1), "samples": samples}
+    return _summary(samples)
+
+
+def _split_pass(fn):
+    """Seconds of each of ``LAYER_PARTS`` in one call of ``fn()`` with a timer
+    around each part, the rest as ``other`` and the whole as ``wrapped``."""
+    totals = dict.fromkeys([name for name, _, _ in LAYER_PARTS], 0.0)
+    children = []  # per open part, the seconds spent in the parts it called
+
+    def timer(name, real):
+        def timed(*args, **kwargs):
+            children.append(0.0)
+            start = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                totals[name] += elapsed - children.pop()
+                if children:
+                    children[-1] += elapsed
+        return timed
+
+    reals = [(module, attr, getattr(module, attr)) for _, module, attr in LAYER_PARTS]
+    for (name, _, _), (module, attr, real) in zip(LAYER_PARTS, reals):
+        setattr(module, attr, timer(name, real))
+    try:
+        start = time.perf_counter()
+        fn()
+        wrapped = time.perf_counter() - start
+    finally:
+        for module, attr, real in reals:
+            setattr(module, attr, real)
+    totals["other"] = wrapped - sum(totals.values())
+    totals["filter"] += totals["eigh"]
+    totals["wrapped"] = wrapped
+    return totals
+
+
+def _timed_parts(fn, scale):
+    """As ``_timed``, for each field of ``_split_pass(fn)``."""
+    _split_pass(fn)
+    runs = [_split_pass(fn) for _ in range(REPEATS)]
+    return {name: _summary([run[name] * scale for run in runs]) for name in runs[0]}
 
 
 def _peak_mb(fn):
@@ -182,16 +250,19 @@ def _dataset_io():
 
 
 def _layer_case(name):
-    spec, layers = LAYER_CASES[name]
+    spec, layers, decay = LAYER_CASES[name]
     g = gen_gaussian_cluster_graph(SyntheticSpec(**spec, seed=0))
     cfg = build_experiment_config(
-        {"propagation.layers": str(layers), "propagation.p": "0.5", "propagation.q": "0.5"},
+        {"propagation.layers": str(layers), "propagation.p": str(decay),
+         "propagation.q": str(decay)},
         source=f"bench.py layers {name}",
     )
     reducer = make_reducer(g.feature_dim, cfg.embedding_dim, 0)
     run = partial(run_fuzzy_r_softgraphain, g, cfg.propagation, reducer=reducer)
     return {"case": name, "n": g.n, "operator_nnz": normalized_adjacency(g).matrix.nnz,
-            "width": cfg.embedding_dim, "layers": layers, "us_per_layer": _timed(run, 1e6 / layers)}
+            "width": cfg.embedding_dim, "layers": layers, "p_q": decay,
+            "us_per_layer": _timed(run, 1e6 / layers),
+            "parts_us_per_layer": _timed_parts(run, 1e6 / layers)}
 
 
 # Each case: the header fields of its report, and what returns one run's results.

@@ -16,10 +16,13 @@ loss only feeds the check that it is finite, so an epoch skips it, and its
 log-softmax, whenever a bound from ``max|h|`` and ``max|w|`` proves it finite
 (``train_linear``); the first epoch with a non-finite loss is still the one
 reported.  At a run's sizes (d = 8, C = 3, tens to thousands of rows) such an
-epoch is about twenty numpy calls, and their call overhead, not their
-arithmetic, sets its cost: so the kernels work in place on the arrays they
-own and call ``np.add.reduce`` without the ``sum`` wrappers.  A loss is
-summed over the (n, C) rows, in the order the split scores sum it.
+epoch is 2C + 9 numpy calls with weight decay, 15 at C = 3, and their call
+overhead, not their arithmetic, sets its cost: so ``train_linear`` allocates
+the epoch's arrays once per call, the views of the class rows included, and
+``_softmax`` and ``_gradient`` work in those buffers, so an epoch allocates
+no array data; the kernels call ``np.add.reduce`` without the ``sum``
+wrappers.  A loss is summed over the (n, C) rows, in the order the split
+scores sum it.
 
 Each operation keeps the operands and the order of the plain class-major
 expression it replaces, so every output bit is that expression's
@@ -65,13 +68,19 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-def _fold_rows(op, m: np.ndarray) -> np.ndarray:
-    """op(...op(op(m[0], m[1]), m[2])..., m[-1]) as a new array."""
-    if m.shape[0] == 1:
-        return m[0].copy()
-    out = op(m[0], m[1])
-    for j in range(2, m.shape[0]):
-        op(out, m[j], out=out)
+def _fold_rows(
+    op, rows: tuple[np.ndarray, ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    """op(...op(op(rows[0], rows[1]), rows[2])..., rows[-1]) over equal-length
+    rows, into ``out`` when it is given."""
+    if len(rows) == 1:
+        if out is None:
+            return rows[0].copy()
+        np.copyto(out, rows[0])
+        return out
+    out = op(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        op(out, row, out=out)
     return out
 
 
@@ -84,7 +93,13 @@ def class_logits(h: np.ndarray, w: np.ndarray, out: np.ndarray | None = None):
     return out
 
 
-def _softmax(logits: np.ndarray, out: np.ndarray | None):
+def _softmax(
+    logits: np.ndarray,
+    out: np.ndarray | None,
+    rows: tuple[np.ndarray, ...] | None = None,
+    top: np.ndarray | None = None,
+    z: np.ndarray | None = None,
+):
     """Softmax of each column of the class-major (C, n) ``logits``, stabilised
     by the column max; returns (probabilities, shifted logits, normaliser).
 
@@ -98,12 +113,18 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None):
 
     The shifted logits and their exponentials go to ``out``: new arrays when it
     is None, or ``logits`` itself, which then ends up holding the probabilities
-    (the shifted logits returned are the same array).
+    (the shifted logits returned are the same array).  A caller that runs the
+    softmax in place epoch after epoch passes its workspace, so that a call
+    makes no array: ``rows``, the class rows of ``logits`` as a sequence of
+    views, and ``top`` and ``z``, length-n buffers for the max and the
+    normaliser.
     """
-    top = _fold_rows(np.maximum, logits)
+    if rows is None:
+        rows = tuple(logits)
+    top = _fold_rows(np.maximum, rows, top)
     shifted = np.subtract(logits, top, out=out)
     e = np.exp(shifted, out=out)
-    z = _fold_rows(np.add, e)
+    z = _fold_rows(np.add, rows if e is logits else tuple(e), z)
     e /= z
     return e, shifted, z
 
@@ -116,14 +137,26 @@ def softmax_with_log(logits: np.ndarray):
     return probs, logp
 
 
-def _gradient(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float, probs):
+def _gradient(
+    h: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    weight_decay: float,
+    probs,
+    grad: np.ndarray | None = None,
+    decay: np.ndarray | None = None,
+):
     """Gradient of the objective from the class-major (C, n) softmax
-    probabilities of h @ w and labels y, overwriting probs with probs - y."""
+    probabilities of h @ w and labels y, overwriting probs with probs - y.
+
+    The gradient is written into ``grad`` and the decay term into ``decay``,
+    C-contiguous (d, C) buffers of the caller's, or new arrays when None.
+    """
     probs -= y
-    grad = h.T @ probs.T
+    grad = np.matmul(h.T, probs.T, out=grad)
     grad /= h.shape[0]
     if weight_decay:
-        grad += weight_decay * w
+        grad += np.multiply(w, weight_decay, out=decay)
     return grad
 
 
@@ -236,9 +269,13 @@ def train_linear(
         raise ValueError("include contains masked label rows")
     h_inc, y_inc = h[include], labels.y[include]
     count = h_inc.shape[0]
-    # the epoch's class-major logits, probabilities and residuals; the labels
-    # transposed to match
+    # the epoch's workspace: its class-major logits, probabilities and
+    # residuals with their class rows, the softmax's max and normaliser, and
+    # the gradient and its decay term; the labels transposed to match
     buf = np.empty((num_classes, count))
+    rows = tuple(buf)
+    top, z = np.empty(count), np.empty(count)
+    grad, decay = np.empty((d, num_classes)), np.empty((d, num_classes))
     y_cm = np.ascontiguousarray(y_inc.T)
     wd = cfg.weight_decay
     h_max = _max_abs(h_inc)
@@ -257,11 +294,14 @@ def train_linear(
     growth, step = (1.0 + cfg.lr * wd) * (1.0 + 2.0**-40), 2.0 * cfg.lr * h_max
     w_bound = math.inf
     for epoch in range(cfg.epochs):
-        if not proved(w_bound):
+        ok = proved(w_bound)
+        if not ok:
             w_bound = _max_abs(w)
-        if proved(w_bound):
+            ok = proved(w_bound)
+        if ok:
             class_logits(h_inc, w, out=buf)
-            grad = _gradient(h_inc, y_cm, w, wd, _softmax(buf, buf)[0])
+            probs = _softmax(buf, buf, rows, top, z)[0]
+            grad = _gradient(h_inc, y_cm, w, wd, probs, grad, decay)
         else:
             loss, grad = loss_and_grad(h_inc, y_inc, w, wd)
             if not math.isfinite(loss):

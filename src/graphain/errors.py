@@ -65,6 +65,10 @@ class ZeroActivationError(GraphainError):
     """Embedding collapsed to zero, so renormalization is undefined."""
 
 
+class NonFiniteActivationError(GraphainError):
+    """An activation's norm is NaN or infinite, so renormalization is undefined."""
+
+
 class RowNotStochasticError(GraphainError):
     """Rows expected to be probability distributions are not."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import (
     DimensionMismatchError,
@@ -175,18 +176,33 @@ def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperato
     return NormalizedOperator(matrix=matrix, degrees=degrees)
 
 
-def apply_operator(op: NormalizedOperator, m: np.ndarray) -> np.ndarray:
-    """Sparse-times-dense product with the normalized adjacency.
+def apply_operator(
+    op: NormalizedOperator, m: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sparse-times-dense product with the normalized adjacency, written into
+    the C-contiguous (n, k) float64 ``out`` when it is given (and returned).
 
-    CSR row-major accumulation keeps the result bit-reproducible.
+    The product is scipy's CSR kernel ``csr_matvecs``, the one that
+    ``op.matrix.dot(m)`` ends in, called without scipy's dispatch around it:
+    on a zeroed output and the rows of m in C order, as ``dot`` calls it, so
+    the result is ``op.matrix.dot(m)`` bit for bit.  Row-major accumulation
+    over each CSR row keeps it bit-reproducible.  ``out`` must not overlap m.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.shape[0] != op.matrix.shape[0]:
+    n = op.matrix.shape[0]
+    if m.ndim != 2 or m.shape[0] != n:
         raise DimensionMismatchError(
-            f"operator is {op.matrix.shape[0]} x {op.matrix.shape[0]}, "
-            f"matrix has {m.shape[0]} rows"
+            f"operator is {n} x {n}, matrix has shape {m.shape}"
         )
-    return op.matrix.dot(m)
+    if out is None:
+        out = np.zeros(m.shape)
+    else:
+        out.fill(0.0)
+    a = op.matrix
+    _sparsetools.csr_matvecs(
+        n, n, m.shape[1], a.indptr, a.indices, a.data, m.ravel(), out.ravel()
+    )
+    return out
 
 
 def apply_centering(m: np.ndarray) -> np.ndarray:

@@ -103,6 +103,13 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
     is degenerate.
     Hard whitening (a = b = 1) drops none: a channel under the cutoff would
     leave the output short of orthonormal, so it raises instead.
+
+    The eigenvalues are nonincreasing, so the kept channels are the leading
+    ones, and the kept eigenvalues and eigenvectors are copied out of
+    ``sym_eig``'s reversed views as one slice each.  The copies keep the
+    layout that indexing by the kept positions gave, a contiguous vector and
+    a column-major block, on which the power and the products round as they
+    always have (``tests/test_kernel_bits.py``).
     """
     b = np.asarray(b, dtype=np.float64)
     d = b.shape[1]
@@ -115,24 +122,23 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
     lam = pair.values
     d0 = params.d0
     if params.b == 0.0:
-        kept = np.arange(d0)
-        scale = np.ones(d0)
+        k, scale = d0, np.ones(d0)
     else:
         lmax = max(float(lam[0]), 0.0)
         thr = EPS_RANK * lmax
-        kept = (lam[:d0] > thr).nonzero()[0]
-        if kept.size == 0:
+        k = int(np.count_nonzero(lam[:d0] > thr))
+        if k == 0:
             raise RankDeficientError(
                 "all eigenchannels underflow the rank cutoff; "
                 "input is degenerate (reduce width or lower a)"
             )
-        if params.a == 1.0 and params.b == 1.0 and kept.size < d0:
+        if params.a == 1.0 and params.b == 1.0 and k < d0:
             raise RankDeficientError(
-                f"hard whitening keeps {kept.size} of {d0} eigenchannels above "
+                f"hard whitening keeps {k} of {d0} eigenchannels above "
                 "the rank cutoff; the output would not be orthonormal"
             )
-        scale = lam[kept] ** (-0.5 * params.b)
-    uk = pair.u[:, kept]
+        scale = lam[:k].copy() ** (-0.5 * params.b)
+    uk = pair.u[:, :k].copy(order="F")
     filt = (uk * scale) @ uk.T
     filt *= params.a
     filt.flat[:: d + 1] += 1.0 - params.a

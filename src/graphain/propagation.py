@@ -10,6 +10,11 @@ power held by the loop; they start as copies of the first layer and are
 updated in place, so a layer handed to the observer never changes.  The loop
 keeps no layers: each layer is observed as it is made, so memory stays
 O(n d) at any depth.
+
+At a run's sizes a layer costs mostly call overhead and allocation, so the
+pass allocates its two (n, d) workspaces once: the SpMM writes into one and
+the aggregate is centred and mixed there, and the other holds each scaled
+skip term.  Each layer itself is still a fresh array, the filter's output.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     GraphainError,
     InvalidCoefficientsError,
+    NonFiniteActivationError,
     ZeroActivationError,
 )
 from .graph import (
@@ -83,11 +89,25 @@ class PropagationConfig:
             )
 
 
-def _centered_aggregate(op: NormalizedOperator, h: np.ndarray) -> np.ndarray:
+def _centered_aggregate(
+    op: NormalizedOperator, h: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``apply_centering(apply_operator(op, h))`` bit for bit, centred in
-    place on the fresh SpMM output; the mean is ``mean``'s own sum and divide."""
-    out = apply_operator(op, h)
-    out -= np.add.reduce(out, axis=0) / out.shape[0]
+    place where the SpMM wrote it (``out`` when given).
+
+    The column means are ``mean``'s own sum and divide.  On the C-ordered
+    SpMM output ``einsum`` adds the rows in order, as ``np.add.reduce(axis=0)``
+    does, at about a third of its cost at n = 3000, d = 8; a single column is
+    one contiguous run, which ``add.reduce`` sums pairwise, so it keeps
+    ``add.reduce``.
+    """
+    out = apply_operator(op, h, out)
+    if out.shape[1] == 1:
+        sums = np.add.reduce(out, axis=0)
+    else:
+        sums = np.einsum("ij->j", out)
+    sums /= out.shape[0]
+    out -= sums
     return out
 
 
@@ -97,25 +117,35 @@ def residual_combine(
     s_init: np.ndarray,
     cfg: PropagationConfig,
     op: NormalizedOperator,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mix the centered aggregate with the residual and initial accumulators.
 
     Zero coefficients skip their term entirely, which keeps the degenerate
-    mixes (e.g. alpha = 1) bit-exact.  The result is always a fresh array.
+    mixes (e.g. alpha = 1) bit-exact.  The result is written into ``out`` and
+    each scaled term into ``work``: C-contiguous float64 arrays of the terms'
+    shape that overlap none of them, fresh ones when None.
     """
     if h_t.shape != s_last.shape or h_t.shape != s_init.shape:
         raise DimensionMismatchError("skip-connection terms must share a shape")
-    out = None
+    if out is None:
+        out = np.empty(h_t.shape)
+    if work is None:
+        work = np.empty(h_t.shape)
+    first = True
     if cfg.alpha != 0.0:
-        out = _centered_aggregate(op, h_t)
+        _centered_aggregate(op, h_t, out)
         if cfg.alpha != 1.0:
             out *= cfg.alpha
+        first = False
     for coeff, term in ((cfg.beta, s_last), (cfg.gamma, s_init)):
         if coeff == 0.0:
             continue
-        part = term if coeff == 1.0 else coeff * term
-        if out is None:
-            out = term.copy() if part is term else part
+        part = term if coeff == 1.0 else np.multiply(term, coeff, out=work)
+        if first:
+            np.copyto(out, part)
+            first = False
         else:
             out += part
     return out
@@ -155,6 +185,9 @@ def run_fuzzy_r_softgraphain(
         )
     relu = cfg.activation == "relu"
     h = x
+    # the step's workspaces: the SpMM output, centred and mixed in place, and
+    # the scaled terms; every layer is a fresh array, as observe may keep it
+    agg, work = np.empty(x.shape), np.empty(x.shape)
     s_last = s_init = None
     q_pow = 1.0
     for t in range(1, cfg.layers + 1):
@@ -162,12 +195,12 @@ def run_fuzzy_r_softgraphain(
             if variant == "sgc":
                 h = apply_operator(op, h)
             elif variant == "pairnorm":
-                h = pairnorm_step(h, op)
+                h = pairnorm_step(h, op, agg)
             else:
                 if t == 1:
-                    b = _centered_aggregate(op, h)
+                    b = _centered_aggregate(op, h, agg)
                 else:
-                    b = residual_combine(h, s_last, s_init, cfg, op)
+                    b = residual_combine(h, s_last, s_init, cfg, op, agg, work)
                 # the filter's output is a fresh array, so relu may write into it
                 h = soft_spectral_filter(b, cfg.filter)
                 if relu:
@@ -184,7 +217,7 @@ def run_fuzzy_r_softgraphain(
                         s_last *= cfg.p
                         s_last += h
                     if q_pow != 0.0:
-                        s_init += q_pow * h
+                        s_init += np.multiply(h, q_pow, out=work)
         except GraphainError as err:
             err.args = (f"layer {t}: {err.args[0] if err.args else ''}",)
             raise
@@ -193,10 +226,22 @@ def run_fuzzy_r_softgraphain(
     return h
 
 
-def pairnorm_step(h: np.ndarray, op: NormalizedOperator) -> np.ndarray:
-    """Center the aggregate and rescale it to Frobenius norm sqrt(n)."""
-    hp = _centered_aggregate(op, h)
+def pairnorm_step(
+    h: np.ndarray, op: NormalizedOperator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Center the aggregate and rescale it to Frobenius norm sqrt(n), as a
+    fresh array; the centred aggregate goes to ``out`` when it is given.
+
+    A norm that is not finite, as when the squares of large features
+    overflow, raises ``NonFiniteActivationError``; a zero one raises
+    ``ZeroActivationError``.
+    """
+    hp = _centered_aggregate(op, h, out)
     norm = float(np.linalg.norm(hp))
+    if not math.isfinite(norm):
+        raise NonFiniteActivationError(
+            f"norm of the centered activation is {norm}, not finite"
+        )
     if norm < 1e-300:
         raise ZeroActivationError("centered activation collapsed to zero")
     n = h.shape[0]

@@ -7,9 +7,13 @@ temporaries in the kernels' operand order (logits ``w.T @ h.T``, gradient
 ``h.T @ (P - Y).T`` on class-major P and Y), the ``w = w - lr * grad`` update
 with the loss of every epoch computed, and ``sym_eig`` and the filter with an
 unconditional symmetrisation, a contiguous copy of the eigenvectors and a
-fancy-indexed diagonal.  The ``row_major_*`` functions are the head's straight
-forms on (n, C) logits ``h @ w``, as it read before it went class-major; for
-2 to 15 columns of h the kernels still give their bits.  The kernels must
+fancy-indexed diagonal.  ``straight_forward_pass`` is the deep forward pass of
+every variant as the runner read when each step still allocated its arrays:
+scipy's ``op.matrix.dot`` for the SpMM, centering by ``np.add.reduce`` column
+sums, a skip mix that scales each term into a fresh array, and the straight
+filter.  The ``row_major_*`` functions are the head's straight forms on
+(n, C) logits ``h @ w``, as it read before it went class-major; for 2 to 15
+columns of h the kernels still give their bits.  The kernels must
 equal the straight forms byte for byte, NaN payloads and the sign of zero
 included; no tolerance is used.  The row counts cross numpy's 8- and
 128-element blocks of pairwise summation.
@@ -37,6 +41,13 @@ from graphain.errors import (
     NonFiniteLossError,
     NotSymmetricError,
     RankDeficientError,
+    ZeroActivationError,
+)
+from graphain.graph import (
+    OPERATOR_MODES,
+    apply_operator,
+    build_graph,
+    normalized_adjacency,
 )
 from graphain.labels import SoftLabelMatrix
 from graphain.linalg import (
@@ -46,6 +57,7 @@ from graphain.linalg import (
     soft_spectral_filter,
     sym_eig,
 )
+from graphain.propagation import VARIANTS, PropagationConfig, run_fuzzy_r_softgraphain
 
 
 def straight_softmax_with_log(logits):
@@ -157,6 +169,78 @@ def straight_soft_spectral_filter(b, params):
     filt = params.a * ((uk * scale) @ uk.T)
     filt[np.diag_indices(d)] += 1.0 - params.a
     return b @ filt
+
+
+def straight_centered_aggregate(op, h):
+    out = op.matrix.dot(h)
+    out -= np.add.reduce(out, axis=0) / out.shape[0]
+    return out
+
+
+def straight_residual_combine(h_t, s_last, s_init, cfg, op):
+    if h_t.shape != s_last.shape or h_t.shape != s_init.shape:
+        raise DimensionMismatchError("skip-connection terms must share a shape")
+    out = None
+    if cfg.alpha != 0.0:
+        out = straight_centered_aggregate(op, h_t)
+        if cfg.alpha != 1.0:
+            out *= cfg.alpha
+    for coeff, term in ((cfg.beta, s_last), (cfg.gamma, s_init)):
+        if coeff == 0.0:
+            continue
+        part = term if coeff == 1.0 else coeff * term
+        if out is None:
+            out = term.copy() if part is term else part
+        else:
+            out += part
+    return out
+
+
+def straight_pairnorm_step(h, op):
+    hp = straight_centered_aggregate(op, h)
+    norm = float(np.linalg.norm(hp))
+    if norm < 1e-300:
+        raise ZeroActivationError("centered activation collapsed to zero")
+    n = h.shape[0]
+    return (math.sqrt(n) / norm) * hp
+
+
+def straight_forward_pass(g, cfg, variant, observe):
+    op = normalized_adjacency(g, cfg.operator_mode)
+    relu = cfg.activation == "relu"
+    h = g.features
+    s_last = s_init = None
+    q_pow = 1.0
+    for t in range(1, cfg.layers + 1):
+        try:
+            if variant == "sgc":
+                h = op.matrix.dot(h)
+            elif variant == "pairnorm":
+                h = straight_pairnorm_step(h, op)
+            else:
+                if t == 1:
+                    b = straight_centered_aggregate(op, h)
+                else:
+                    b = straight_residual_combine(h, s_last, s_init, cfg, op)
+                h = straight_soft_spectral_filter(b, cfg.filter)
+                if relu:
+                    np.maximum(h, 0.0, out=h)
+                if t == 1:
+                    s_last, s_init = h.copy(), h.copy()
+                else:
+                    q_pow *= cfg.q
+                    if cfg.p == 0.0:
+                        s_last = h
+                    else:
+                        s_last *= cfg.p
+                        s_last += h
+                    if q_pow != 0.0:
+                        s_init += q_pow * h
+        except GraphainError as err:
+            err.args = (f"layer {t}: {err.args[0] if err.args else ''}",)
+            raise
+        observe(t, h)
+    return h
 
 
 def _same_bits(got, want):
@@ -424,3 +508,84 @@ HALF_MAX = sys.float_info.max / 2
 )
 def test_sym_eig_matches_the_straight_form(s):
     _same_outcome(lambda: sym_eig(s), lambda: straight_sym_eig(s))
+
+
+def _random_graph(rng, n, features):
+    """About four neighbours a node, drawn uniformly."""
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.random(iu.size) < min(1.0, 4.0 / n)
+    return build_graph(np.column_stack([iu[pick], ju[pick]]), n, features)
+
+
+GRAPH_ROWS = st.one_of(st.integers(2, 300), st.sampled_from([7, 8, 9, 127, 128, 129]))
+FRACTIONS = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    GRAPH_ROWS,
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.sampled_from(VARIANTS),
+    st.tuples(FRACTIONS, FRACTIONS),
+    st.tuples(FRACTIONS, FRACTIONS, FRACTIONS).filter(any),
+    st.tuples(FRACTIONS, FRACTIONS),
+    st.sampled_from(["identity", "relu"]),
+    st.sampled_from(OPERATOR_MODES),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_forward_pass_matches_the_straight_form(
+    seed, n, d, d0_frac, variant, decays, mix, filt, activation, mode, layers, low_rank
+):
+    # every observed layer, the result and any error; low-rank features
+    # leave the filter fewer than d0 channels above the rank cutoff
+    rng = np.random.default_rng(seed)
+    if low_rank:
+        rank = max(1, d // 2)
+        x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    else:
+        x = rng.standard_normal((n, d)) * rng.choice(SCALES, size=(n, 1))
+    g = _random_graph(rng, n, x)
+    cfg = PropagationConfig(
+        *mix,
+        filter=SpectralFilterParams(*filt, d0=max(1, round(d0_frac * d))),
+        layers=layers,
+        p=decays[0],
+        q=decays[1],
+        activation=activation,
+        operator_mode=mode,
+    )
+    got, want = [], []
+    _same_outcome(
+        lambda: run_fuzzy_r_softgraphain(
+            g, cfg, variant=variant, observe=lambda t, h: got.append(h)
+        ),
+        lambda: straight_forward_pass(g, cfg, variant, lambda t, h: want.append(h)),
+    )
+    assert len(got) == len(want)
+    for got_h, want_h in zip(got, want):
+        assert _same_bits(got_h, want_h)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    GRAPH_ROWS,
+    st.integers(1, 12),
+    st.sampled_from(OPERATOR_MODES),
+    st.sampled_from(["C", "F", "strided"]),
+)
+def test_apply_operator_matches_scipy(seed, n, k, mode, layout):
+    # apply_operator calls scipy's private CSR kernel; a scipy whose kernel
+    # or call convention changes must fail here
+    rng = np.random.default_rng(seed)
+    op = normalized_adjacency(_random_graph(rng, n, np.zeros((n, 1))), mode)
+    m = rng.standard_normal((n, 2 * k)) * rng.choice(SCALES, size=(n, 1))
+    m = m[:, ::2] if layout == "strided" else np.asarray(m[:, :k], order=layout)
+    want = op.matrix @ m
+    assert _same_bits(apply_operator(op, m), want)
+    out = np.full((n, k), np.nan)
+    assert apply_operator(op, m, out) is out
+    assert _same_bits(out, want)

@@ -5,6 +5,7 @@ from graphain.errors import (
     DimensionMismatchError,
     GraphainError,
     InvalidCoefficientsError,
+    NonFiniteActivationError,
     RankDeficientError,
     ZeroActivationError,
 )
@@ -14,7 +15,9 @@ from graphain.graph import (
     build_graph,
     normalized_adjacency,
 )
+from graphain import propagation
 from graphain.linalg import (
+    EPS_RANK,
     SpectralFilterParams,
     orthonormal_projection,
     soft_spectral_filter,
@@ -251,6 +254,45 @@ class TestFuzzyAccumulators:
                     s_init = s_init + q_pow * h
             assert held[t - 1].tobytes() == copies[t - 1].tobytes() == h.tobytes()
 
+    @pytest.mark.parametrize("variant", ["sgc", "pairnorm", "rsoft"])
+    def test_every_variant_leaves_observed_layers_alone(self, variant, monkeypatch):
+        # the step reuses its workspaces from layer to layer: every array
+        # handed to observe must keep its bytes to the end of the pass.  The
+        # features have rank 2 at width 4, so each rsoft layer keeps fewer
+        # than d0 = 4 channels above the rank cutoff
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 4))
+        g = build_graph(random_connected_graph(20, 0.3, seed=8).edges, 20, x)
+        cfg = _cfg(
+            alpha=0.5,
+            beta=0.3,
+            gamma=0.2,
+            layers=7,
+            p=0.5,
+            q=0.5,
+            filter=SpectralFilterParams(a=0.6, b=0.8, d0=4),
+        )
+        kept = []
+        real = propagation.soft_spectral_filter
+
+        def counting(b, params):
+            lam = np.linalg.eigvalsh(b.T @ b)
+            kept.append(int(np.count_nonzero(lam > EPS_RANK * lam[-1])))
+            return real(b, params)
+
+        monkeypatch.setattr(propagation, "soft_spectral_filter", counting)
+        held, copies = [], []
+
+        def observe(t, h):
+            held.append(h)
+            copies.append(h.copy())
+
+        run_fuzzy_r_softgraphain(g, cfg, variant=variant, observe=observe)
+        assert len(held) == cfg.layers
+        for h, copy in zip(held, copies):
+            assert h.tobytes() == copy.tobytes()
+        assert kept == ([2] * cfg.layers if variant == "rsoft" else [])
+
 
 class TestRunner:
     def test_single_layer_base_case(self):
@@ -419,6 +461,17 @@ class TestPairnorm:
         hp = t @ dense_ahat(g) @ h
         expect = 1.0 * np.sqrt(n) * hp / np.linalg.norm(hp)
         assert np.abs(out - expect).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_overflowing_norm_names_layer_one(self, layers):
+        # finite features whose squares overflow: the norm is inf, and a
+        # scale of sqrt(n) / inf would zero the layer without an error
+        edges = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6)]
+        x = np.random.default_rng(5).standard_normal((12, 4)) * 1e160
+        g = build_graph(edges, 12, x)
+        with pytest.raises(NonFiniteActivationError, match="^layer 1: .*not finite"):
+            run_fuzzy_r_softgraphain(g, _cfg(layers=layers), variant="pairnorm")
 
 
 class TestTheoremOneProperties:
