@@ -199,7 +199,7 @@ def _head_rows(rows):
         "calls_per_repeat": count,
         "loss_and_grad_us_per_call": _timed(calls, 1e6 / count),
         "train_linear_us_per_epoch": _timed(
-            partial(train_linear, h, labels, np.arange(rows), cfg), 1e6 / count
+            partial(train_linear, h, labels, cfg), 1e6 / count
         ),
     }
 

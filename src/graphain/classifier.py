@@ -7,6 +7,11 @@ finite-difference checks in the test suite differentiate it.  Its gradient,
 probabilities and loss come from ``_gradient``, ``_softmax`` and
 ``cross_entropy``, which the other epochs and scoring share.
 
+``train_linear`` fits the unmasked rows of its ``SoftLabelMatrix`` and no
+others: a curriculum task's rows are those its snapshot leaves unmasked, and
+the fine-tune's truth matrix is unmasked exactly on the train mask.  A label
+matrix with no unmasked row raises ``EmptyIncludeError``.
+
 The head works class-major: ``class_logits`` writes the logits h @ w into a
 C-contiguous (C, n) array, one row of n values per class, and the softmax
 and the gradient ``h.T @ (P - Y).T`` take that layout; ``train_linear`` runs
@@ -40,12 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyIncludeError,
-    IndexOutOfRangeError,
-    NonFiniteLossError,
-)
+from .errors import DimensionMismatchError, EmptyIncludeError, NonFiniteLossError
 from .labels import SoftLabelMatrix
 
 
@@ -182,27 +182,6 @@ def cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
     return float(-np.add.reduce(logp, axis=None) / logp.shape[0])
 
 
-def _row_indices(include, n: int) -> np.ndarray:
-    """``include`` as int64 row indices; ``EmptyIncludeError`` when there are
-    none, ``IndexOutOfRangeError`` naming the first entry that is not an
-    integer in [0, n)."""
-    raw = np.asarray(include).ravel()
-    if raw.size == 0:
-        raise EmptyIncludeError("empty node subset")
-    if raw.dtype.kind in "iuf":
-        ok = (raw >= 0) & (raw < n)
-        if raw.dtype.kind == "f":
-            ok &= raw == np.floor(raw)
-    else:
-        ok = np.zeros(raw.size, dtype=bool)
-    if not ok.all():
-        first = int(np.argmin(ok))
-        raise IndexOutOfRangeError(
-            f"include[{first}] = {raw[first].item()!r} is not a row index in [0, {n})"
-        )
-    return raw.astype(np.int64, copy=False)
-
-
 def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
@@ -215,16 +194,15 @@ _LOSS_LIMIT = 1e300
 def train_linear(
     h: np.ndarray,
     labels: SoftLabelMatrix,
-    include,
     cfg: TrainConfig,
     warm_start: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (d, C) head weights from ``cfg.epochs`` epochs of full-batch
     gradient descent with weight decay at the fixed step ``cfg.lr``, starting
-    from ``warm_start`` (zeros when None), on the rows ``include`` of ``h``
-    and ``labels``.  ``h`` needs one row per label row
-    (``DimensionMismatchError``), and every entry of ``include`` must be an
-    integer in [0, n) (``IndexOutOfRangeError`` names the first that is not).
+    from ``warm_start`` (zeros when None), on the unmasked rows of ``labels``
+    and the same rows of ``h``; masked rows are never read.  ``h`` needs one
+    row per label row (``DimensionMismatchError``), and ``labels`` at least
+    one unmasked row (``EmptyIncludeError``, even at zero epochs).
 
     An epoch whose loss is proved finite skips the loss and computes the
     gradient alone; any other epoch computes the loss and raises
@@ -255,6 +233,9 @@ def train_linear(
         raise DimensionMismatchError(
             f"h has {h.shape[0]} rows but the labels have {labels.n}"
         )
+    kept = labels.unmasked_indices()
+    if not kept.size:
+        raise EmptyIncludeError("empty node subset")
     if warm_start is not None:
         w = np.array(warm_start, dtype=np.float64, copy=True)
         if w.shape != (d, num_classes):
@@ -264,11 +245,8 @@ def train_linear(
     if cfg.epochs == 0:
         return w
 
-    include = _row_indices(include, labels.n)
-    if labels.masked[include].any():
-        raise ValueError("include contains masked label rows")
-    h_inc, y_inc = h[include], labels.y[include]
-    count = h_inc.shape[0]
+    h_kept, y_kept = h[kept], labels.y[kept]
+    count = kept.size
     # the epoch's workspace: its class-major logits, probabilities and
     # residuals with their class rows, the softmax's max and normaliser, and
     # the gradient and its decay term; the labels transposed to match
@@ -276,9 +254,9 @@ def train_linear(
     rows = tuple(buf)
     top, z = np.empty(count), np.empty(count)
     grad, decay = np.empty((d, num_classes)), np.empty((d, num_classes))
-    y_cm = np.ascontiguousarray(y_inc.T)
+    y_cm = np.ascontiguousarray(y_kept.T)
     wd = cfg.weight_decay
-    h_max = _max_abs(h_inc)
+    h_max = _max_abs(h_kept)
     # the two bounds are logit_scale * max|w| + label_term and decay_scale * max|w|^2
     logit_scale = 32.0 * count * d * h_max
     label_term = 16.0 * count * num_classes
@@ -299,11 +277,11 @@ def train_linear(
             w_bound = _max_abs(w)
             ok = proved(w_bound)
         if ok:
-            class_logits(h_inc, w, out=buf)
+            class_logits(h_kept, w, out=buf)
             probs = _softmax(buf, buf, rows, top, z)[0]
-            grad = _gradient(h_inc, y_cm, w, wd, probs, grad, decay)
+            grad = _gradient(h_kept, y_cm, w, wd, probs, grad, decay)
         else:
-            loss, grad = loss_and_grad(h_inc, y_inc, w, wd)
+            loss, grad = loss_and_grad(h_kept, y_kept, w, wd)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
         grad *= cfg.lr

@@ -25,7 +25,7 @@ from .classifier import (
     softmax_with_log,
     train_linear,
 )
-from .errors import EmptyIncludeError, NonFiniteFeatureError, RowNotStochasticError
+from .errors import NonFiniteFeatureError, RowNotStochasticError
 from .graph import Graph
 from .io import float_rows
 from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
@@ -420,31 +420,30 @@ def run_curriculum(
     runs: the supervised baseline.  Every task steps at ``train_cfg.lr``.
     The embedding is label-independent, so every task shares it.
 
-    A task's train loss is against the targets it trained on, over its
-    included rows; its train accuracy is against the ground truth, over the
-    labeled nodes among those rows (NaN when there are none), as
-    ``split_scores`` scores val and test.
+    A task's train loss is against the targets it trained on, over the
+    unmasked rows of its label matrix; its train accuracy is against the
+    ground truth, over the labeled nodes among those rows (NaN when there are
+    none), as ``split_scores`` scores val and test.
     """
     pacing = replace(train_cfg, epochs=pacing_epochs)
-    tasks = [(snap, snap.unmasked_indices(), pacing) for snap in reversed(snapshots)]
+    tasks = [(snap, pacing) for snap in reversed(snapshots)]
     truth = one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, g.num_classes)
-    tasks.append((truth, g.train_mask, train_cfg))
+    tasks.append((truth, train_cfg))
 
     w = None
     metrics = []
-    for index, (labels, include, cfg) in enumerate(tasks):
+    for index, (labels, cfg) in enumerate(tasks):
         start = time.perf_counter()
-        w = train_linear(h, labels, include, cfg, warm_start=w)
+        w = train_linear(h, labels, cfg, warm_start=w)
         elapsed = (time.perf_counter() - start) * 1e3
-        if not include.size:
-            raise EmptyIncludeError("empty node subset")
         probs, logp = (a.T.copy() for a in softmax_with_log(class_logits(h, w)))
-        labeled = include[g.labels[include] >= 0]
+        rows = labels.unmasked_indices()
+        labeled = rows[g.labels[rows] >= 0]
         val_accuracy, val_loss = split_scores(probs, logp, g, g.val_mask)
         metrics.append(
             TaskMetrics(
                 index=index,
-                train_loss=cross_entropy(logp[include], labels.y[include]),
+                train_loss=cross_entropy(logp[rows], labels.y[rows]),
                 train_accuracy=accuracy(probs[labeled].argmax(axis=1), g.labels[labeled]),
                 val_accuracy=val_accuracy,
                 val_loss=val_loss,

@@ -85,6 +85,10 @@ class MissingMaskError(GraphainError):
     """Dataset has no train/val/test masks but the command needs them."""
 
 
+class TooFewClassesError(GraphainError):
+    """The labels name fewer than two classes, so no softmax head is defined."""
+
+
 class ConfigError(GraphainError):
     """A configuration value is invalid (unknown key, bad value, bad range)."""
 

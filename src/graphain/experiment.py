@@ -32,7 +32,7 @@ from .curriculum import (
     split_scores,
 )
 from .diagnostics import LayerRecorder, records_to_csv
-from .errors import GraphainError, MissingMaskError
+from .errors import GraphainError, MissingMaskError, TooFewClassesError
 from .graph import Graph
 from .io import load_dataset, read_dataset_files, records_csv
 from .propagation import run_fuzzy_r_softgraphain
@@ -169,6 +169,10 @@ def run_seed(
             raise MissingMaskError("train mask is empty")
         if (g.labels[g.train_mask] < 0).any():
             raise MissingMaskError("train mask contains unlabeled nodes")
+        if g.num_classes < 2:
+            raise TooFewClassesError(
+                f"the labels name {g.num_classes} class; the head needs at least 2"
+            )
     with _stage("propagation"):
         recorder = None if diagnostics_path is None else LayerRecorder(g)
         h = compute_embedding(cfg, g, seed, observe=recorder)

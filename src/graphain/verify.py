@@ -101,15 +101,15 @@ def _min_sigma_along_trajectory(g, x0, steps: int) -> float:
     return smin
 
 
+_SIGMA_MIN = 0.05
+
+
 def well_conditioned_instances(
-    count: int,
-    layers: int,
-    base_seed: int,
-    sigma_min: float = 0.05,
-    orthonormal_start: bool = False,
+    count: int, layers: int, base_seed: int, orthonormal_start: bool = False
 ):
     """Deterministic (graph, start matrix) pairs with n in [10, 50] and
-    d in [2, 8] whose hard trajectories stay numerically well conditioned."""
+    d in [2, 8] whose hard trajectories keep every singular value of the
+    centered aggregate at or above ``_SIGMA_MIN``."""
     instances = []
     seed = base_seed
     while len(instances) < count:
@@ -124,7 +124,7 @@ def well_conditioned_instances(
             except RankDeficientError:
                 seed += 1
                 continue
-        if _min_sigma_along_trajectory(g, x0, layers) >= sigma_min:
+        if _min_sigma_along_trajectory(g, x0, layers) >= _SIGMA_MIN:
             instances.append((g, x0))
         seed += 1
     return instances

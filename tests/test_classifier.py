@@ -18,7 +18,6 @@ from head_predict import predict
 from graphain.errors import (
     DimensionMismatchError,
     EmptyIncludeError,
-    IndexOutOfRangeError,
     NonFiniteLossError,
 )
 from graphain.labels import SoftLabelMatrix, one_hot
@@ -67,19 +66,11 @@ class TestCrossEntropy:
         assert loss == pytest.approx(ref, abs=1e-12)
 
     def test_empty_include(self):
-        h, y, w, _ = _seeded_problem(0)
-        with pytest.raises(EmptyIncludeError):
-            train_linear(h, y, [], TrainConfig(lr=0.1, epochs=1), warm_start=w)
-
-    def test_masked_rows_rejected(self):
-        h, y, w, include = _seeded_problem(0)
-        masked = np.zeros(20, dtype=bool)
-        masked[3] = True
-        y2 = y.y.copy()
-        y2[3] = 0.0
-        bad = SoftLabelMatrix(y=y2, masked=masked)
-        with pytest.raises(ValueError):
-            train_linear(h, bad, include, TrainConfig(lr=0.1, epochs=1), warm_start=w)
+        h, _, w, _ = _seeded_problem(0)
+        y = SoftLabelMatrix(y=np.zeros((20, 3)), masked=np.ones(20, dtype=bool))
+        for epochs in (1, 0):
+            with pytest.raises(EmptyIncludeError, match="^empty node subset$"):
+                train_linear(h, y, TrainConfig(lr=0.1, epochs=epochs), warm_start=w)
 
 
 class TestGradient:
@@ -143,7 +134,7 @@ class TestTrainLinear:
         )
         truth = np.array([0] * 30 + [1] * 30)
         labels = _soft(one_hot(truth, 2))
-        w = train_linear(h, labels, np.arange(60), TrainConfig(lr=0.5, epochs=500))
+        w = train_linear(h, labels, TrainConfig(lr=0.5, epochs=500))
         pred, _ = predict(h, w)
         assert accuracy(pred, truth) == 1.0
 
@@ -152,23 +143,23 @@ class TestTrainLinear:
         h, y, w, include = _seeded_problem(7)
         for weight_decay in (0.0, 0.3):
             cfg = TrainConfig(lr=0.2, epochs=1, weight_decay=weight_decay)
-            stepped = train_linear(h, y, include, cfg, warm_start=w)
+            stepped = train_linear(h, y, cfg, warm_start=w)
             _, grad = loss_and_grad(h, y.y, w, weight_decay)
             assert np.array_equal(stepped, w - 0.2 * grad)
 
     def test_zero_epochs_returns_warm_start(self, rng):
         h, y, w, include = _seeded_problem(1)
-        got = train_linear(h, y, include, TrainConfig(lr=0.1, epochs=0), warm_start=w)
+        got = train_linear(h, y, TrainConfig(lr=0.1, epochs=0), warm_start=w)
         assert np.array_equal(got, w)
-        w0 = train_linear(h, y, include, TrainConfig(lr=0.1, epochs=0))
+        w0 = train_linear(h, y, TrainConfig(lr=0.1, epochs=0))
         assert np.abs(w0).max() == 0.0
 
     def test_weight_decay_shrinks_norm(self):
         # lr * weight_decay stays below the stability bound of 2
         h, y, _, include = _seeded_problem(2)
-        plain = train_linear(h, y, include, TrainConfig(lr=1e-3, epochs=200))
+        plain = train_linear(h, y, TrainConfig(lr=1e-3, epochs=200))
         decayed = train_linear(
-            h, y, include, TrainConfig(lr=1e-3, epochs=200, weight_decay=1e3)
+            h, y, TrainConfig(lr=1e-3, epochs=200, weight_decay=1e3)
         )
         assert np.linalg.norm(decayed) < np.linalg.norm(plain)
 
@@ -180,36 +171,15 @@ class TestTrainLinear:
         cfg = TrainConfig(lr=0.01, epochs=1)
         for _ in range(60):
             losses.append(loss_and_grad(h[include], y.y[include], w, 0.0)[0])
-            w = train_linear(h, y, include, cfg, warm_start=w)
+            w = train_linear(h, y, cfg, warm_start=w)
         diffs = np.diff(losses)
         assert diffs.max() <= 1e-12
-
-    def test_negative_include_index_rejected(self):
-        h, y, w, _ = _seeded_problem(12)
-        cfg = TrainConfig(lr=0.1, epochs=1)
-        with pytest.raises(IndexOutOfRangeError, match=r"^include\[1\] = -1 is not"):
-            train_linear(h, y, [3, -1, -2], cfg, warm_start=w)
-
-    def test_include_index_past_the_rows_rejected(self):
-        h, y, w, _ = _seeded_problem(12)
-        cfg = TrainConfig(lr=0.1, epochs=1)
-        with pytest.raises(IndexOutOfRangeError, match=r"^include\[2\] = 20 .* \[0, 20\)$"):
-            train_linear(h, y, [3, 19, 20], cfg, warm_start=w)
-
-    def test_fractional_include_index_rejected(self):
-        h, y, w, _ = _seeded_problem(12)
-        cfg = TrainConfig(lr=0.1, epochs=1)
-        with pytest.raises(IndexOutOfRangeError, match=r"^include\[1\] = 1.5 is not"):
-            train_linear(h, y, [3.0, 1.5], cfg, warm_start=w)
-        # integral floats name rows, as integers do
-        by_float = train_linear(h, y, [3.0, 1.0], cfg, warm_start=w)
-        assert np.array_equal(by_float, train_linear(h, y, [3, 1], cfg, warm_start=w))
 
     def test_embedding_rows_must_match_the_labels(self):
         h, y, w, include = _seeded_problem(12)
         extra = np.vstack([h, h[:1]])
         with pytest.raises(DimensionMismatchError, match=r"^h has 21 rows .* 20$"):
-            train_linear(extra, y, include, TrainConfig(lr=0.1, epochs=1), warm_start=w)
+            train_linear(extra, y, TrainConfig(lr=0.1, epochs=1), warm_start=w)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
@@ -217,7 +187,7 @@ class TestTrainLinear:
         h = rng.standard_normal((8, 2)) * 1e150
         y = _soft(one_hot(rng.integers(0, 2, 8), 2))
         with pytest.raises(NonFiniteLossError, match=r"epoch 1$"):
-            train_linear(h, y, np.arange(8), TrainConfig(lr=1e200, epochs=50))
+            train_linear(h, y, TrainConfig(lr=1e200, epochs=50))
 
 
 def test_default_seed_measures_max_w_less_often_than_it_runs_epochs(monkeypatch):
@@ -234,9 +204,9 @@ def test_default_seed_measures_max_w_less_often_than_it_runs_epochs(monkeypatch)
         measured.append(a.shape)
         return real_max(a)
 
-    def counting_train(h, labels, include, cfg, warm_start=None):
+    def counting_train(h, labels, cfg, warm_start=None):
         epochs.append(cfg.epochs)
-        return real_train(h, labels, include, cfg, warm_start=warm_start)
+        return real_train(h, labels, cfg, warm_start=warm_start)
 
     monkeypatch.setattr(classifier, "_max_abs", counting_max)
     monkeypatch.setattr(curriculum, "train_linear", counting_train)

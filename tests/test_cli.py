@@ -98,6 +98,29 @@ class TestCli:
             ) == 0
         assert capsys.readouterr().err == ""
 
+    def test_single_class_dataset_exits_2(self, workspace, capsys):
+        # a softmax head needs two classes; a ring whose labels are all 0
+        # fails at the dataset stage, not inside the label matrix
+        from graphain.graph import build_graph
+        from graphain.io import save_dataset
+
+        tmp, cfg, _ = workspace
+        n = 30
+        nodes = np.arange(n)
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        x = np.random.default_rng(0).standard_normal((n, 4))
+        masks = (nodes[nodes % 3 == 0], nodes[nodes % 3 == 1], nodes[nodes % 3 == 2])
+        ring = tmp / "ring"
+        save_dataset(build_graph(edges, n, x, y=np.zeros(n, dtype=np.int64), masks=masks), ring)
+        for command in ("train", "curriculum"):
+            assert main(
+                [command, "--graph", str(ring), "--config", str(cfg),
+                 "--out", str(tmp / command)]
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: [stage dataset] ")
+            assert "1 class" in err
+
     def test_d0_above_embedding_dim_exits_2(self, workspace, capsys):
         tmp, cfg, data = workspace
         bad = tmp / "wide_d0.txt"

@@ -423,9 +423,9 @@ def _recording(monkeypatch):
     calls = []
     real = curriculum.train_linear
 
-    def record(h, labels, include, cfg, warm_start=None):
-        calls.append(dict(labels=labels, include=np.array(include), epochs=cfg.epochs))
-        return real(h, labels, include, cfg, warm_start=warm_start)
+    def record(h, labels, cfg, warm_start=None):
+        calls.append(dict(labels=labels, include=labels.unmasked_indices(), epochs=cfg.epochs))
+        return real(h, labels, cfg, warm_start=warm_start)
 
     monkeypatch.setattr(curriculum, "train_linear", record)
     return calls
@@ -487,9 +487,9 @@ class TestSchedule:
         pacing = TrainConfig(lr=0.2, epochs=7, weight_decay=1e-3)
         w = None
         for snap in reversed(snaps):
-            w = train_linear(h, snap, snap.unmasked_indices(), pacing, warm_start=w)
+            w = train_linear(h, snap, pacing, warm_start=w)
         truth = one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, 2)
-        w = train_linear(h, truth, g.train_mask, cfg, warm_start=w)
+        w = train_linear(h, truth, cfg, warm_start=w)
         out = run_curriculum(g, h, snaps, cfg, 7)
         assert out.w.tobytes() == w.tobytes()
 
@@ -510,7 +510,7 @@ class TestRunCurriculum:
         assert out.metrics[0].index == 0
         # the fine-tune alone is the teacher: one train_linear on the train truth
         truth = one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, 2)
-        teacher = train_linear(h, truth, g.train_mask, cfg)
+        teacher = train_linear(h, truth, cfg)
         assert np.array_equal(out.w, teacher)
 
     def test_zero_pacing_equals_finetune_only(self, rng):
@@ -558,8 +558,9 @@ class TestRunCurriculum:
         heads = []
         real = curriculum.train_linear
 
-        def record(h, labels, include, cfg, **kwargs):
-            w = real(h, labels, include, cfg, **kwargs)
+        def record(h, labels, cfg, **kwargs):
+            w = real(h, labels, cfg, **kwargs)
+            include = labels.unmasked_indices()
             heads.append((labels.y[include], include, w))
             return w
 
@@ -622,9 +623,9 @@ class TestRunCurriculum:
         heads = []
         real = curriculum.train_linear
 
-        def record(h, labels, include, cfg, **kwargs):
-            w = real(h, labels, include, cfg, **kwargs)
-            heads.append((include, w))
+        def record(h, labels, cfg, **kwargs):
+            w = real(h, labels, cfg, **kwargs)
+            heads.append((labels.unmasked_indices(), w))
             return w
 
         monkeypatch.setattr(curriculum, "train_linear", record)
@@ -642,7 +643,7 @@ class TestRunCurriculum:
         empty = _soft(np.zeros((24, 2)), np.ones(24, dtype=bool))
         with pytest.raises(EmptyIncludeError, match="^empty node subset$"):
             run_curriculum(g, h, [empty], TrainConfig(lr=0.2, epochs=30), 0)
-        # training ran no epoch on the empty include, so scoring raised
+        # the empty task raised in training, though it runs no epoch
         assert [(c["epochs"], c["include"].size) for c in calls] == [(0, 0)]
 
 

@@ -284,6 +284,13 @@ def _problem(seed, n, d, c):
     return h, y, rng.standard_normal((d, c))
 
 
+def _masked_labels(y, keep):
+    """The label matrix of ``y`` with every row outside ``keep`` masked."""
+    masked = np.ones(y.shape[0], dtype=bool)
+    masked[keep] = False
+    return SoftLabelMatrix(y=np.where(masked[:, None], 0.0, y), masked=masked)
+
+
 @settings(max_examples=300)
 @given(st.integers(0, 2**32 - 1), ROWS, st.integers(2, 11), st.booleans())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -325,11 +332,11 @@ def test_loss_and_grad_match_the_straight_form(seed, n, d, c, weight_decay):
 )
 def test_train_linear_matches_the_straight_update(seed, n, d, c, weight_decay, epochs):
     h, y, w0 = _problem(seed, n, d, c)
-    labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
     include = np.arange(0, n, 2)
+    labels = _masked_labels(y, include)
     cfg = TrainConfig(lr=0.3, epochs=epochs, weight_decay=weight_decay)
     warm = w0.copy()
-    got = train_linear(h, labels, include, cfg, warm_start=warm)
+    got = train_linear(h, labels, cfg, warm_start=warm)
     assert _same_bits(warm, w0)
     want = straight_train_loop(h[include], y[include], w0, cfg)
     assert _same_bits(got, want)
@@ -362,17 +369,20 @@ class _CountingLossEpochs:
 def test_train_linear_matches_the_every_loss_loop(
     seed, n, d, c, weight_decay, epochs, warm
 ):
-    # warm starts and include subsets in any order with repeats; every epoch
-    # takes the gradient-only path
+    # warm starts and random masks; every epoch takes the gradient-only path.
+    # The weights are those of the unmasked rows alone, and no masked row of h
+    # is read: NaN there changes no bit and sends no epoch to the loss.
     h, y, w0 = _problem(seed, n, d, c)
-    labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
     rng = np.random.default_rng(seed + 1)
-    include = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+    include = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    labels = _masked_labels(y, include)
+    poisoned = h.copy()
+    poisoned[labels.masked] = np.nan
     cfg = TrainConfig(lr=0.3, epochs=epochs, weight_decay=weight_decay)
     start = w0 if warm else np.zeros((d, c))
     with pytest.MonkeyPatch.context() as patch:
         counter = _CountingLossEpochs(patch)
-        got = train_linear(h, labels, include, cfg, warm_start=w0 if warm else None)
+        got = train_linear(poisoned, labels, cfg, warm_start=w0 if warm else None)
     assert counter.calls == 0
     want = straight_train_loop(h[include], y[include], start, cfg)
     assert _same_bits(got, want)
@@ -395,10 +405,10 @@ def test_class_major_head_keeps_the_row_major_bits(seed, n, d, c, weight_decay, 
     want_loss, want_grad = row_major_loss_and_grad(h, y, w0, weight_decay)
     assert loss.hex() == want_loss.hex()
     assert _same_bits(grad, want_grad)
-    labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
     include = np.arange(0, n, 2)
+    labels = _masked_labels(y, include)
     cfg = TrainConfig(lr=0.3, epochs=epochs, weight_decay=weight_decay)
-    got = train_linear(h, labels, include, cfg, warm_start=w0)
+    got = train_linear(h, labels, cfg, warm_start=w0)
     want = straight_train_loop(h[include], y[include], w0, cfg, row_major_loss_and_grad)
     assert _same_bits(got, want)
 
@@ -418,7 +428,7 @@ def test_gradient_only_epoch_steps_along_loss_and_grad(seed, n, d, c, weight_dec
     cfg = TrainConfig(lr=0.7, epochs=1, weight_decay=weight_decay)
     with pytest.MonkeyPatch.context() as patch:
         counter = _CountingLossEpochs(patch)
-        got = train_linear(h, labels, np.arange(n), cfg, warm_start=w0)
+        got = train_linear(h, labels, cfg, warm_start=w0)
     assert counter.calls == 0
     assert _same_bits(got, w0 - 0.7 * loss_and_grad(h, y, w0, weight_decay)[1])
 
@@ -454,7 +464,7 @@ def test_bound_edge_cases_match_the_every_loss_loop(case):
     start = np.zeros((3, 3)) if warm is None else warm
 
     def train():
-        return train_linear(h, labels, np.arange(12), cfg, warm_start=warm)
+        return train_linear(h, labels, cfg, warm_start=warm)
 
     _same_outcome(train, lambda: straight_train_loop(h, y, start, cfg))
     if bad_epoch is None:

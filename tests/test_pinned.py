@@ -298,19 +298,18 @@ def test_generator_digests_are_pinned():
 
 def _train_linear_weights(rows, classes, weight_decay):
     """Weights after 300 epochs on a seeded soft-label problem, d = 8, with
-    every fifth row masked and left out of the included subset: 200 epochs at
-    lr 0.5, then 100 at lr 0.25 warm-started from them."""
+    every fifth row masked, so left out of training: 200 epochs at lr 0.5,
+    then 100 at lr 0.25 warm-started from them."""
     rng = np.random.default_rng([rows, classes])
     h = rng.standard_normal((rows, 8))
     y = rng.dirichlet(np.full(classes, 0.3), size=rows)
     masked = np.arange(rows) % 5 == 4
     y[masked] = 0.0
     labels = SoftLabelMatrix(y=y, masked=masked)
-    include = labels.unmasked_indices()
     first = TrainConfig(lr=0.5, epochs=200, weight_decay=weight_decay)
     then = TrainConfig(lr=0.25, epochs=100, weight_decay=weight_decay)
-    w = train_linear(h, labels, include, first)
-    return train_linear(h, labels, include, then, warm_start=w)
+    w = train_linear(h, labels, first)
+    return train_linear(h, labels, then, warm_start=w)
 
 
 def train_linear_digests() -> str:

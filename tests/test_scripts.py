@@ -1,6 +1,6 @@
 """Every script under ``scripts/`` imports and parses its arguments, the two
-experiment scripts run end to end on one seed, and ``bench.py`` appends its
-runs to an existing report.
+experiment scripts run end to end on one seed, ``bench.py`` appends its runs
+to an existing report, and its ``head`` case runs end to end.
 
 Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
 program API change that breaks a script's imports, or the way it reads
@@ -94,3 +94,14 @@ def test_bench_appends_each_run_under_its_label(tmp_path):
             assert len(results[field]["samples"]) == committed["repeats"]
     assert out.splitlines()[0].startswith("io new load_dataset_ms: ")
     assert out.splitlines()[0].count(",") == 1
+
+
+def test_bench_head_runs(tmp_path):
+    out = _run(ROOT / "scripts" / "bench.py", "--case", "head", "--label", "new", cwd=tmp_path)
+    report = json.loads((tmp_path / "BENCH_head.json").read_text(encoding="utf-8"))
+    (run,) = report["runs"]["new"]
+    assert [entry["rows"] for entry in run["results"]] == [30, 300, 3000]
+    for entry in run["results"]:
+        for field in ("loss_and_grad_us_per_call", "train_linear_us_per_epoch"):
+            assert len(entry[field]["samples"]) == report["repeats"]
+    assert out.splitlines()[1].startswith("head new rows=30 train_linear_us_per_epoch: ")
