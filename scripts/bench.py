@@ -5,11 +5,14 @@ head    ``loss_and_grad`` per call and ``train_linear`` per epoch (us), d = 8,
 aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         specs and on 3 x 33,333 nodes at ``wide``'s expected degree (intra
         10, inter 1), and the kNN auxiliary graph (ms per call), with the
-        ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes): on
-        isotropic Gaussian rows, where no leaf of the search can skip
-        another, and on two propagated embeddings, clustered like the ones a
-        run smooths over: the ``wide`` spec (n = 3000) and 3 x 3000 nodes at
-        ``wide``'s expected degree (n = 9000), each after ``wide``'s 64 layers.
+        ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes) and the
+        entries of the leaf blocks that call forms (``_leaf_product``): on
+        isotropic Gaussian rows, where no leaf's box is far from another's
+        and only the per-row box test prunes, and on three propagated
+        embeddings, clustered like the ones
+        a run smooths over: the ``deep`` spec (n = 300, one leaf), the
+        ``wide`` spec (n = 3000) and 3 x 3000 nodes at ``wide``'s expected
+        degree (n = 9000), each after ``wide``'s 64 layers.
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
 layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
@@ -50,7 +53,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from graphain import linalg, propagation
+from graphain import curriculum, linalg, propagation
 from graphain.classifier import TrainConfig, loss_and_grad, make_reducer, train_linear
 from graphain.config import build_experiment_config
 from graphain.curriculum import build_knn_aux_graph
@@ -72,6 +75,7 @@ GENERATOR_SPECS = {
 }
 KNN_ROWS, KNN_DIM, KNN_K = (1500, 3000, 9000), 8, 7
 KNN_EMBEDDINGS = {
+    "deep": dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02),
     "wide": GENERATOR_SPECS["wide"],
     "wide_9000": dict(clusters=3, nodes_per_cluster=3000, intra_p=10 / 3000, inter_p=0.5 / 3000),
 }
@@ -210,9 +214,31 @@ def _generator(name):
     return {"spec": name, "n": spec.clusters * spec.nodes_per_cluster, "gen_ms_per_call": gen_ms}
 
 
+def _block_entries(fn):
+    """Entries of every leaf block that one call of ``fn()`` forms, counted
+    around ``curriculum._leaf_product``, whose last three arguments are the
+    rows, the columns and the buffer."""
+    real = curriculum._leaf_product
+    entries = 0
+
+    def counting(*args):
+        nonlocal entries
+        rows, cols = args[-3:-1]
+        entries += rows.size * cols.size
+        return real(*args)
+
+    curriculum._leaf_product = counting
+    try:
+        fn()
+    finally:
+        curriculum._leaf_product = real
+    return entries
+
+
 def _knn_timed(vectors):
     call = partial(build_knn_aux_graph, vectors, KNN_K, 1.0)
-    return {"knn_ms_per_call": _timed(call, 1e3), "knn_tracemalloc_peak_mb": _peak_mb(call)}
+    return {"knn_ms_per_call": _timed(call, 1e3), "knn_tracemalloc_peak_mb": _peak_mb(call),
+            "knn_block_entries_per_call": _block_entries(call)}
 
 
 def _knn(n):

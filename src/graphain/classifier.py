@@ -171,15 +171,17 @@ def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: flo
     probs, logp = softmax_with_log(class_logits(h, w))
     loss = cross_entropy(logp.T.copy(), y)
     if weight_decay:
-        loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
+        with np.errstate(over="ignore"):  # a diverged w fails the caller's finiteness check
+            loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
     return loss, _gradient(h, y.T, w, weight_decay, probs)
 
 
 def cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
     """Mean soft-label cross-entropy of the C-ordered (n, C) log-probability
-    rows ``logp`` against the label rows ``y``; overwrites ``logp``."""
+    rows ``logp`` against the label rows ``y``; overwrites ``logp``.  A
+    saturated head, whose every term is zero, scores +0.0, not -0.0."""
     logp *= y
-    return float(-np.add.reduce(logp, axis=None) / logp.shape[0])
+    return float(-np.add.reduce(logp, axis=None) / logp.shape[0]) + 0.0
 
 
 def _max_abs(a: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
 
 _DEAD_ROW = 1e-12  # row mass below this counts as zero
-_KNN_BLOCK = 1 << 18  # Gram entries per leaf block of the kNN; three buffers, 17 B/entry
+_KNN_BLOCK = 1 << 18  # distance entries per leaf block of the kNN; buffers of 9 B/entry
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,10 @@ def _run(idx: np.ndarray):
     return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
 
 
-def _leaf_product(vectors: np.ndarray, rows, cols, buf: np.ndarray) -> np.ndarray:
-    """``vectors[rows] @ vectors[cols].T`` into the front of the flat ``buf``."""
+def _leaf_product(left: np.ndarray, right: np.ndarray, rows, cols, buf: np.ndarray) -> np.ndarray:
+    """``left[rows] @ right[cols].T`` into the front of the flat ``buf``."""
     out = buf[: rows.size * cols.size].reshape(rows.size, cols.size)
-    return np.matmul(vectors[_run(rows)], vectors[_run(cols)].T, out=out)
-
-
-def _sq_distances(gram, row_sq, col_sq, buf: np.ndarray) -> np.ndarray:
-    """sq_i + sq_j - 2 g_ij into the front of the flat ``buf``, rounded as
-    the oracle's expression rounds it; ``gram`` is left holding 2 g, which
-    halves back exactly."""
-    out = buf[: gram.size].reshape(gram.shape)
-    np.copyto(out, col_sq)  # then one add: faster than broadcasting both
-    out += row_sq[:, None]
-    gram *= 2.0
-    return np.subtract(out, gram, out=out)
+    return np.matmul(left[_run(rows)], right[_run(cols)].T, out=out)
 
 
 def _group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -134,8 +123,7 @@ def _spatial_leaves(vectors: np.ndarray, edge: np.ndarray) -> np.ndarray:
     while len(spans) < count:
         starts = edge[[first for first, _ in spans]]
         pts = vectors[perm]
-        with np.errstate(invalid="ignore"):  # non-finite rows fail at their norm
-            width = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        width = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
         sizes = np.diff(edge[[first for first, _ in spans] + [count]])
         axis = np.repeat(np.argmax(width, axis=1), sizes)
         node = np.repeat(np.arange(len(spans)), sizes)
@@ -175,43 +163,129 @@ def _first_non_finite_pair(vectors: np.ndarray, sq_norms: np.ndarray):
     return None if first == n * n else divmod(first, n)
 
 
+def _box_gaps(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distance from each column of the (d, m) ``coords`` to the box
+    [lo, hi]: the point of the box nearest a row is the row clipped to it."""
+    gap = np.clip(coords, lo[:, None], hi[:, None])
+    gap -= coords
+    gap *= gap
+    return np.einsum("ij->j", gap)
+
+
+def _search_leaves(pts, sq_norms, edge, k, slack):
+    """Candidate pairs of the leaf-ordered rows ``pts``: (codes p * n + q,
+    their block distances, each row's bound).  Every pair (p, q) whose
+    distance could be among row p's k smallest is a candidate.
+
+    Distances come from one product of the rows [x, |x|^2, 1] by the rows
+    [-2 y, 1, |y|^2].  The search runs first over each leaf's own block, whose
+    k-th distance in a row bounds the row's k-th nearest, then over the other
+    leaves, one leaf's columns at a time, against the rows that may reach
+    that leaf: those of the leaves whose box is within the largest of their
+    rows' first bounds of its box, and, among them, those whose own bound
+    reaches the box from their own point.  A row's nearest distance in each
+    leaf it searches then replaces the largest of the k it holds, so its
+    bound shrinks as the search goes on.  The block of distances, the
+    candidate mask and the partitioned copy of a leaf's own distances live in
+    buffers of a leaf's rows by n, n and a leaf's rows, allocated once per
+    call."""
+    n = pts.shape[0]
+    count = edge.size - 1
+    ones = np.ones((n, 1))
+    left = np.hstack([pts, sq_norms[:, None], ones])
+    right = np.hstack([-2.0 * pts, ones, sq_norms[:, None]])
+    sizes = np.diff(edge)
+    rows_max = int(sizes.max())
+    dist_buf = np.empty(rows_max * n)
+    take_buf = np.empty(rows_max * n, dtype=bool)
+    part_buf = np.empty(rows_max * rows_max)
+    top = np.empty((n, k))  # per row, the k smallest distances found so far
+    codes, dists = [], []
+
+    def collect(dist, rows, cols, bound):
+        take = take_buf[: dist.size].reshape(dist.shape)
+        cand = np.flatnonzero(np.less_equal(dist, bound, out=take))
+        i, j = np.divmod(cand, cols.size)
+        codes.append(rows[i] * n + cols[j])
+        dists.append(dist.ravel()[cand])
+        return i, dists[-1]
+
+    for leaf in range(count):
+        rows = np.arange(edge[leaf], edge[leaf + 1])
+        dist = _leaf_product(left, right, rows, rows, dist_buf)
+        np.fill_diagonal(dist, np.inf)  # a node is not its own neighbor
+        part = part_buf[: dist.size].reshape(dist.shape)
+        np.copyto(part, dist)
+        part.partition(k - 1, axis=1)
+        top[_run(rows)] = part[:, :k]
+        collect(dist, rows, rows, part[:, k - 1, None] + slack)
+    bound = top.max(axis=1) + slack
+    if count == 1:  # no other leaf to search
+        return codes, dists, bound
+
+    lo, hi = np.minimum.reduceat(pts, edge[:-1]), np.maximum.reduceat(pts, edge[:-1])
+    coords = pts.T.copy()  # one coordinate of every row a contiguous row
+    leaf_bound = np.maximum.reduceat(bound, edge[:-1])
+    for leaf in range(count):
+        gap = np.maximum(lo - hi[leaf], lo[leaf] - hi)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        near = np.flatnonzero(gap.sum(axis=1) <= leaf_bound)
+        # the rows of those leaves, with this leaf's own, dropped next
+        span = sizes[near]
+        pos = np.arange(span.sum()) + np.repeat(edge[near] - (np.cumsum(span) - span), span)
+        reach = _box_gaps(coords[:, _run(pos)], lo[leaf], hi[leaf]) <= bound[_run(pos)]
+        reach[np.searchsorted(pos, edge[leaf]) : np.searchsorted(pos, edge[leaf + 1])] = False
+        rows = pos[reach]
+        if not rows.size:
+            continue
+        cols = np.arange(edge[leaf], edge[leaf + 1])
+        dist = _leaf_product(left, right, rows, cols, dist_buf)
+        i, found = collect(dist, rows, cols, bound[_run(rows), None])
+        if not i.size:
+            continue
+        first = np.flatnonzero(np.diff(i, prepend=-1))
+        hit = rows[i[first]]
+        held = top[hit]
+        slot = (np.arange(hit.size), held.argmax(axis=1))
+        held[slot] = np.minimum(held[slot], np.minimum.reduceat(found, first))
+        top[hit] = held
+        bound[hit] = held.max(axis=1) + slack
+    return codes, dists, bound
+
+
 def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxGraph:
     """Symmetrized k-nearest-neighbor graph with rectified inner-product weights.
 
-    Neighbors are selected by squared Euclidean distance (ties to the lower
-    index); each kept edge (i, j) weighs max(0, h_i . h_j) ** gamma_prime, so
-    an edge between orthogonal or opposed vectors survives structurally with
-    zero weight.
+    Each row keeps the k other rows nearest in squared Euclidean distance,
+    ties to the lower index; each kept edge (i, j) weighs
+    max(0, g_ij) ** gamma_prime, so an edge between orthogonal or opposed
+    vectors survives structurally with zero weight.  Distances and weights
+    come from per-pair values: g_ij is ``np.vecdot`` of rows i and j, the
+    squared norms are ``np.vecdot`` of each row with itself, and the
+    distance is sq_i + sq_j - 2 g_ij.  These are the values of
+    ``oracles.knn_edges_dense``, so the output depends on the vectors, k and
+    gamma_prime alone: not on the leaf layout, ``_KNN_BLOCK`` or the BLAS
+    thread count.
 
-    The search is exact, over the leaves of a k-d tree (Bentley 1975): the
-    rows are split recursively at the median of their widest coordinate into
-    full leaves of at most about ``_KNN_BLOCK // n`` rows, and at least
-    k + 1.  Each leaf's own Gram block gives its rows' squared norms, on its
-    diagonal, and each row's k-th distance within the leaf, an upper bound on
-    its true k-th distance.  A leaf then forms its Gram block and distances
-    only against the leaves whose bounding box is not provably farther than
-    the largest of its rows' bounds, and each row keeps, of the columns
-    within its bound, the k nearest in (distance, index) order: ties go to
-    the lower index.  The slack of both tests covers the rounding of the
-    distances and of the box distance, so no neighbor and no tie is lost.  A
-    kept edge's weight is read from the Gram entry its block holds, that of
-    its lower row when that row kept it.  The Gram block, the distances and
-    the candidate mask live in three buffers of a leaf's rows by n, and the
-    partitioned copy of a leaf's own distances in one of its rows squared,
-    all allocated once per call.
+    The search that finds each row's candidates is exact, over the leaves of
+    a k-d tree (Bentley 1975): the rows are split recursively at the median
+    of their widest coordinate into full leaves of at most about
+    ``_KNN_BLOCK // n`` rows, and at least k + 1.  It compares distances
+    formed in leaf blocks by BLAS, pruning rows against leaf boxes as
+    dual-tree search does (Gray and Moore 2001), and widens every bound by
+    the rounding slack of those distances and of the box gaps, so no
+    neighbor and no tie is lost (``_search_leaves``).  Only the candidates
+    within the final bounds get per-pair values, about k a row.
 
     The cost depends on the data.  On clustered or low-rank embeddings, such
-    as the propagated ones, a leaf inside one cluster skips the others, and
-    far fewer than n^2 pairs are formed; on isotropic data no leaf is skipped
-    and the cost is O(n^2 d) time.  Memory is O(block·n + n·k) either way.
-    Up to n = 512 one leaf holds every row, and its product is the one
-    ``vectors @ vectors.T`` that ``oracles.knn_edges_dense`` forms, so the
-    edges and weights match that reference bit for bit.  With several leaves
-    BLAS may round a Gram entry differently, as its kernel depends on the
-    operand shapes, so a weight can move in its last bits and a near-tie in
-    distance can order differently.  Raises NonFiniteFeatureError naming the
-    first row whose squared norm, or else the first pair whose squared
-    distance, is not finite, where no nearest-neighbor order exists.
+    as the propagated ones, a row searches its own leaf and a few near ones,
+    and far fewer than n^2 pairs are formed; on isotropic data a row still
+    skips the leaves whose box its bound does not reach, and the cost is
+    O(n^2 d) time at worst.  Memory is O(block + n (d + k)) plus the
+    candidates.  Raises NonFiniteFeatureError naming the first row whose
+    squared norm, or else the first pair whose squared distance, is not
+    finite, where no nearest-neighbor order exists.
     """
     if not math.isfinite(gamma_prime):
         raise ValueError(f"gamma_prime must be finite, got {gamma_prime}")
@@ -219,36 +293,16 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
         raise ValueError("gamma_prime must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    vectors = np.asarray(vectors, dtype=np.float64)
-    n = vectors.shape[0]
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)  # rows of unit stride
+    n, d = vectors.shape
     if k >= n:
         warnings.warn(f"k={k} >= n={n}; clamping to {n - 1}", stacklevel=2)
         k = n - 1
     if k == 0 or n < 2:
         return AuxGraph(n=n, edges=np.empty((0, 2), dtype=np.int64), weights=np.empty(0))
 
-    count = max(1, min(-(-n // max(1, _KNN_BLOCK // n)), n // (k + 1)))
-    edge = np.arange(count + 1) * n // count
-    leaf_of = _spatial_leaves(vectors, edge)
-    by_leaf = np.argsort(leaf_of, kind="stable")  # each leaf's rows in index order
-    leaves = [by_leaf[edge[i] : edge[i + 1]] for i in range(count)]
-    rows_max = -(-n // count)
-    gram_buf, dist_buf = np.empty(rows_max * n), np.empty(rows_max * n)
-    take_buf = np.empty(rows_max * n, dtype=bool)
-    part_buf = np.empty(rows_max * rows_max)
-
-    # Each leaf's own block: its rows' squared norms and k-th distances.
-    sq_norms, row_bound = np.empty(n), np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for rows in leaves:
-            gram = _leaf_product(vectors, rows, rows, gram_buf)
-            sq_norms[rows] = gram.diagonal()
-            dist = _sq_distances(gram, sq_norms[rows], sq_norms[rows], dist_buf)
-            np.fill_diagonal(dist, np.inf)  # a node is not its own neighbor
-            part = part_buf[: dist.size].reshape(dist.shape)
-            np.copyto(part, dist)
-            part.partition(k - 1, axis=1)
-            row_bound[rows] = part[:, k - 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        sq_norms = np.vecdot(vectors, vectors)
     bad = np.flatnonzero(~np.isfinite(sq_norms))
     if bad.size:
         raise NonFiniteFeatureError(
@@ -261,54 +315,54 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
             f"{pair[0]} and {pair[1]} is not finite"
         )
 
-    # A computed distance is within (4 d + 8) 2^-53 max sq_norm of the exact
-    # one, and a computed box distance within (d + 2) 2^-53 of it relatively:
-    # the slack covers three distance errors and the box's.
-    slack = 16 * (vectors.shape[1] + 2) * (
+    count = max(1, min(-(-n // max(1, _KNN_BLOCK // n)), n // (k + 1)))
+    edge = np.arange(count + 1) * n // count
+    by_leaf = np.argsort(_spatial_leaves(vectors, edge), kind="stable")
+    # A block distance is within (6 d + 8) 2^-53 max sq_norm of the exact
+    # one, a per-pair distance within (4 d + 8) 2^-53 max sq_norm, and a box
+    # gap within (d + 2) 2^-53 of the exact gap relatively.  A row's k-th
+    # per-pair distance is then at most its k-th block distance found plus
+    # one error of each kind, and a neighbor's block distance at most that
+    # plus one more of each: the slack covers these four and the box's.  The
+    # search runs on the rows halved, so that the partial sums of its
+    # products stay below 2^1023 whenever the distances passed the check
+    # above.
+    slack = 16 * (d + 2) * (
         np.finfo(np.float64).eps * float(sq_norms.max())
         + np.finfo(np.float64).smallest_subnormal
     )
-    row_bound += slack
-    leaf_bound = np.maximum.reduceat(row_bound[by_leaf], edge[:-1])
-    ordered = vectors[by_leaf]
-    lo, hi = np.minimum.reduceat(ordered, edge[:-1]), np.maximum.reduceat(ordered, edge[:-1])
-
-    keys, values = [], []
-    for leaf, rows in enumerate(leaves):
-        gap = np.maximum(lo - hi[leaf], lo[leaf] - hi)
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        cols = np.flatnonzero((gap.sum(axis=1) <= leaf_bound[leaf])[leaf_of])
-        r, c = rows.size, cols.size
-        if count > 1:  # one leaf's own block, formed above, is the whole block
-            gram = _leaf_product(vectors, rows, cols, gram_buf)
-            dist = _sq_distances(gram, sq_norms[_run(rows)], sq_norms[_run(cols)], dist_buf)
-            dist[np.arange(r), np.searchsorted(cols, rows)] = np.inf
-        take = take_buf[: r * c].reshape(r, c)
-        # A row's candidates lie within its bound; its own leaf gives k of them.
-        cand = np.flatnonzero(np.less_equal(dist, row_bound[_run(rows), None], out=take))
-        cand_dist, row = dist.ravel()[cand], cand // c
-        starts = np.flatnonzero(np.diff(row, prepend=-1))
-        kth = cand_dist[_group_order(row, cand_dist)[starts + k - 1]][row]
-        # Keep every closer candidate, and as many at the k-th distance as
-        # fit, lowest index first.
-        closer, at_kth = cand_dist < kth, cand_dist == kth
-        room = k - np.add.reduceat(closer, starts, dtype=np.int64)
-        ties = np.cumsum(at_kth)
-        ties -= (ties[starts] - at_kth[starts])[row]
-        kept = cand[closer | (at_kth & (ties <= room[row]))]
-        values.append(gram.ravel()[kept])
-        i, j = np.divmod(kept, c)
-        i, j = rows[i], cols[j]
-        # the pair's code, doubled, plus 1 when its upper row kept it
-        keys.append((np.minimum(i, j) * n + np.maximum(i, j)) * 2 + (i > j))
-    keys = np.concatenate(keys)
-    order = np.argsort(keys)
-    codes = keys[order] >> 1
-    first = np.flatnonzero(np.diff(codes, prepend=-1))
-    edges = np.stack(np.divmod(codes[first], n), axis=1)
-    gram = np.concatenate(values)[order[first]] * 0.5
-    weights = np.power(np.maximum(gram, 0.0), gamma_prime)
+    codes, dists, bound = _search_leaves(
+        vectors[by_leaf] * 0.5, sq_norms[by_leaf] * 0.25, edge, k, slack * 0.25
+    )
+    codes = np.concatenate(codes)
+    row, col = np.divmod(codes[np.concatenate(dists) <= bound[codes // n]], n)
+    # Per-pair values for the candidates in order of (leaf position, column
+    # index), so that ties at the k-th go to the lower index; the gathered
+    # rows are bounded to about _KNN_BLOCK values a step.
+    row, col = np.divmod(np.sort(row * n + by_leaf[col]), n)
+    node = by_leaf[row]
+    gram = np.empty(row.size)
+    step = max(1, _KNN_BLOCK // (2 * d))
+    for start in range(0, row.size, step):
+        part = slice(start, start + step)
+        np.vecdot(vectors[node[part]], vectors[col[part]], out=gram[part])
+    dist = sq_norms[node] + sq_norms[col] - 2.0 * gram
+    starts = np.flatnonzero(np.diff(row, prepend=-1))  # every row has k or more
+    kth = dist[_group_order(row, dist)[starts + k - 1]][row]
+    # Keep every closer candidate, and as many at the k-th distance as fit,
+    # lowest index first.
+    closer, at_kth = dist < kth, dist == kth
+    room = k - np.add.reduceat(closer, starts, dtype=np.int64)
+    ties = np.cumsum(at_kth)
+    ties -= (ties[starts] - at_kth[starts])[row]
+    kept = closer | (at_kth & (ties <= room[row]))
+    i, j = node[kept], col[kept]
+    keys = np.minimum(i, j) * n + np.maximum(i, j)
+    order = np.argsort(keys)  # a pair both its rows kept has one g either way
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    edges = np.stack(np.divmod(keys[first], n), axis=1)
+    weights = np.power(np.maximum(gram[kept][order[first]], 0.0), gamma_prime)
     return AuxGraph(n=n, edges=edges, weights=weights)
 
 
@@ -377,17 +431,15 @@ def smooth_labels(aux: AuxGraph, y0: SoftLabelMatrix, n_t: int) -> list:
     if n_t == 0:
         return snaps
     p = aux_transition_matrix(aux)
-    y = y0.y.copy()
-    masked = y0.masked.copy()
-    for _ in range(n_t):
+    y, masked = y0.y, y0.masked
+    for _ in range(n_t):  # each step makes a fresh y and mask for its snapshot
         y = p.dot(y)
         y[masked] = 0.0
         sums = y.sum(axis=1)
         masked = masked | (sums <= _DEAD_ROW)
         y[masked] = 0.0
-        live = ~masked
-        y[live] /= sums[live, None]
-        snaps.append(SoftLabelMatrix(y=y.copy(), masked=masked.copy()))
+        np.divide(y, sums[:, None], out=y, where=~masked[:, None])
+        snaps.append(SoftLabelMatrix(y=y, masked=masked))
     return snaps
 
 

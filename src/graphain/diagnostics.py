@@ -44,13 +44,15 @@ class DiagnosticsRecord:
     subspace_dist: float | None
 
 
+def _pairwise_total(n: int, frob_sq: float, col_sums: np.ndarray) -> float:
+    return max(2.0 * n * frob_sq - 2.0 * float(col_sums @ col_sums), 0.0)
+
+
 def pairwise_stats(h: np.ndarray):
     """(total, per-node mean) of squared distances over ordered node pairs."""
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
-    sq_norms = float(np.sum(h * h))
-    col_sums = h.sum(axis=0)
-    total = max(2.0 * n * sq_norms - 2.0 * float(col_sums @ col_sums), 0.0)
+    total = _pairwise_total(n, float(np.sum(h * h)), h.sum(axis=0))
     return total, total / n
 
 
@@ -58,10 +60,12 @@ def _record(h, layer, reference):
     """``reference(d)`` returns the n x d reference, or None; it is called
     only for a layer with orthonormal columns."""
     h = np.asarray(h, dtype=np.float64)
-    d = h.shape[1]
-    _, mean = pairwise_stats(h)
+    n, d = h.shape
+    frob_sq = float(np.sum(h * h))
+    col_sums = h.sum(axis=0)
+    mean = _pairwise_total(n, frob_sq, col_sums) / n
     gram_dev = float(np.abs(h.T @ h - np.eye(d)).max())
-    col_dev = float(np.abs(h.sum(axis=0)).max())
+    col_dev = float(np.abs(col_sums).max())
     sub = None
     ref = reference(d) if gram_dev <= 1e-6 else None
     if ref is not None:
@@ -72,7 +76,7 @@ def _record(h, layer, reference):
     return DiagnosticsRecord(
         layer=layer,
         mean_pairwise_sq_dist=mean,
-        frob_sq=float(np.sum(h * h)),
+        frob_sq=frob_sq,
         column_gram_dev=gram_dev,
         column_sum_dev=col_dev,
         subspace_dist=sub,

@@ -23,17 +23,17 @@ class SoftLabelMatrix:
             raise ValueError("soft labels need at least two classes")
         if masked.shape != (y.shape[0],):
             raise ValueError("mask must have one flag per node")
-        bad = np.argwhere(~np.isfinite(y))
-        if bad.size:
-            row, col = bad[0]
+        if not np.isfinite(y).all():
+            row, col = np.argwhere(~np.isfinite(y))[0]
             raise ValueError(f"soft labels must be finite; y[{row}, {col}] is {y[row, col]}")
         if y.size and float(y.min()) < 0.0:
             raise ValueError("soft labels must be nonnegative")
-        if masked.any() and float(np.abs(y[masked]).max(initial=0.0)) != 0.0:
+        any_masked = bool(masked.any())
+        if any_masked and float(np.abs(y[masked]).max(initial=0.0)) != 0.0:
             raise ValueError("masked rows must be exactly zero")
-        live = ~masked
-        if live.any():
-            dev = float(np.abs(y[live].sum(axis=1) - 1.0).max())
+        sums = y[~masked].sum(axis=1) if any_masked else y.sum(axis=1)
+        if sums.size:
+            dev = float(np.abs(sums - 1.0).max())
             if dev > 1e-9:
                 raise ValueError(f"unmasked row sums deviate by {dev:.3e}")
 

@@ -85,27 +85,23 @@ def knn_edges_dense(vectors: np.ndarray, k: int, gamma_prime: float):
     The reference for ``curriculum.build_knn_aux_graph``: each node keeps the
     first k other nodes in stable ascending-distance order, so ties go to the
     lower index; k is clamped to n - 1.  Edges are sorted (i, j) pairs with
-    i < j, weighted max(0, h_i . h_j) ** gamma_prime.
+    i < j, weighted max(0, g_ij) ** gamma_prime.
 
-    The Gram is the one product ``vectors @ vectors.T``, and every pair is
-    formed, whatever the data.  The production kNN forms only the blocks of
-    Gram rows by columns that its spatial leaves cannot exclude; where one
-    leaf holds every row (n^2 up to about ``curriculum._KNN_BLOCK``) its
-    product is this one and both return the same bits.  With several leaves
-    BLAS may round entries differently, so only vectors whose products are
-    exact, such as small integers, promise equal bits; otherwise the weights
-    agree to a few ulp.
+    Every pair is formed, whatever the data, from per-pair values: g_ij is
+    ``np.vecdot`` of rows i and j, the squared norms are ``np.vecdot`` of
+    each row with itself, and the distance is sq_i + sq_j - 2 g_ij.  The
+    production kNN searches leaf blocks for its candidates but decides each
+    pair from these same values, so both return the same bits on every input.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
     _check_cap(n)
     k = min(k, n - 1)
-    gram = vectors @ vectors.T
-    sq_norms = np.diag(gram).copy()
-    dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
+    sq_norms = np.vecdot(vectors, vectors)
     pairs = set()
     for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
+        dist = sq_norms[i] + sq_norms - 2.0 * np.vecdot(vectors[i], vectors)
+        order = np.argsort(dist, kind="stable")
         picked = 0
         for j in order:
             j = int(j)
@@ -116,10 +112,8 @@ def knn_edges_dense(vectors: np.ndarray, k: int, gamma_prime: float):
             if picked == k:
                 break
     edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    weights = np.power(
-        np.maximum(gram[edges[:, 0], edges[:, 1]], 0.0), gamma_prime
-    )
-    return edges, weights
+    gram = np.vecdot(vectors[edges[:, 0]], vectors[edges[:, 1]])
+    return edges, np.power(np.maximum(gram, 0.0), gamma_prime)
 
 
 def pga_oracle_hard(x: np.ndarray, g: Graph, steps: int) -> np.ndarray:

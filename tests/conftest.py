@@ -36,13 +36,14 @@ def reference_builds(monkeypatch):
 
 @pytest.fixture
 def leaf_products(monkeypatch):
-    """(rows, columns) of every Gram block that the kNN auxiliary graph forms."""
+    """(rows, columns) of every block of distances that the kNN auxiliary
+    graph forms."""
     calls = []
     real = curriculum._leaf_product
 
-    def counting(vectors, rows, cols, buf):
+    def counting(left, right, rows, cols, buf):
         calls.append((rows.size, cols.size))
-        return real(vectors, rows, cols, buf)
+        return real(left, right, rows, cols, buf)
 
     monkeypatch.setattr(curriculum, "_leaf_product", counting)
     return calls

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ train.epochs = 20
 seeds = 1
 deterministic_timing = true
 """
+
+SATURATING = "seeds = 0\nsynthetic.nodes_per_cluster = 20\ntrain.lr = 1e300\n"
 
 
 @pytest.fixture
@@ -120,6 +123,23 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: [stage dataset] ")
             assert "1 class" in err
+
+    def test_saturated_head_writes_positive_zero_loss(self, tmp_path):
+        # at lr 1e300 and no decay one step saturates the head: each softmax
+        # row is one-hot on its label, and every loss term is zero
+        cfg = tmp_path / "saturated.txt"
+        cfg.write_text(SATURATING + "train.weight_decay = 0\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[5] for row in rows} == {"0"}
+
+    def test_diverging_head_exits_2_without_a_numpy_warning(self, tmp_path, capsys):
+        cfg = tmp_path / "diverging.txt"
+        cfg.write_text(SATURATING)  # with the default weight decay
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: [stage teacher] loss diverged at epoch 1\n"
 
     def test_d0_above_embedding_dim_exits_2(self, workspace, capsys):
         tmp, cfg, data = workspace

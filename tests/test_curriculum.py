@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,28 @@ from graphain.oracles import knn_edges_dense
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph, with_masks
 from head_predict import predict
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The kNN graph of a wide-shaped propagated embedding, as sha256 digests of
+# the embedding and of the edges and weights.
+_WIDE_KNN_DIGEST = """
+import hashlib
+from graphain.classifier import make_reducer
+from graphain.config import build_experiment_config
+from graphain.curriculum import build_knn_aux_graph
+from graphain.propagation import run_fuzzy_r_softgraphain
+from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph
+
+spec = SyntheticSpec(clusters=3, nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005, seed=0)
+g = gen_gaussian_cluster_graph(spec)
+cfg = build_experiment_config({"propagation.layers": "64"}, source="threads")
+h = run_fuzzy_r_softgraphain(g, cfg.propagation, reducer=make_reducer(g.feature_dim, cfg.embedding_dim, 0))
+aux = build_knn_aux_graph(h, 7, 1.0)
+print(hashlib.sha256(h.tobytes()).hexdigest())
+print(hashlib.sha256(aux.edges.tobytes() + aux.weights.tobytes()).hexdigest())
+"""
 
 
 def _soft(y, masked=None):
@@ -210,17 +236,61 @@ class TestKnnAuxGraph:
         assert np.array_equal(aux.edges, edges)
         assert np.array_equal(aux.weights, weights)
 
-    def test_float_vectors_across_blocks_match_oracle_to_ulps(self):
-        import graphain.curriculum as curriculum
-
-        # Several blocks: a per-block product may round an entry differently.
+    def test_float_vectors_across_blocks_match_oracle_bits(self):
+        # Several leaves: the blocks only choose candidates, and every kept
+        # pair's distance and weight are its own per-pair values.
         n = 1500
         assert curriculum._KNN_BLOCK // n < n
         vecs = np.random.default_rng(12).standard_normal((n, 8))
         aux = build_knn_aux_graph(vecs, 7, 1.0)
         edges, weights = knn_edges_dense(vecs, 7, 1.0)
         assert np.array_equal(aux.edges, edges)
-        np.testing.assert_array_max_ulp(aux.weights, weights, maxulp=2)
+        assert np.array_equal(aux.weights, weights)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_float_vectors_match_oracle_bits_for_any_block(self, data):
+        # Float rows in Gaussian clusters, some repeated exactly, at scales
+        # from tiny to huge; the block runs from one row (leaves of k + 1
+        # rows) to n^2 (a single leaf), which moves every leaf and every BLAS
+        # block shape but must not move a bit of the output.
+        n = data.draw(st.integers(2, 200), label="n")
+        dim = data.draw(st.integers(1, 8), label="dim")
+        k = data.draw(st.integers(1, 12), label="k")
+        block = data.draw(st.integers(n, n * n), label="block")
+        spread = data.draw(st.sampled_from([0.0, 1.0, 10.0]), label="spread")
+        scale = data.draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e50]), label="scale")
+        gamma_prime = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="gamma_prime")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        centers = spread * rng.standard_normal((rng.integers(1, 5), dim))
+        vecs = centers[rng.integers(0, len(centers), n)] + rng.standard_normal((n, dim))
+        vecs[rng.integers(0, n, n // 5)] = vecs[rng.integers(0, n, n // 5)]
+        vecs *= scale
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k >= n clamps with a warning
+            patch.setattr(curriculum, "_KNN_BLOCK", block)
+            aux = build_knn_aux_graph(vecs, k, gamma_prime)
+        edges, weights = knn_edges_dense(vecs, k, gamma_prime)
+        assert np.array_equal(aux.edges, edges)
+        assert np.array_equal(aux.weights, weights)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # A propagated embedding of the benchmark's wide shape (3 x 1000
+        # nodes, 64 layers): its leaf blocks are large enough for OpenBLAS to
+        # split them across threads, which rounds some entries differently.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _WIDE_KNN_DIGEST],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize(
         "n, bound",

@@ -108,7 +108,7 @@ def row_major_softmax_with_log(logits):
 def row_major_loss_and_grad(h, y, w, weight_decay):
     count = h.shape[0]
     probs, logp = row_major_softmax_with_log(h @ w)
-    loss = -(y * logp).sum() / count
+    loss = -(y * logp).sum() / count + 0.0  # a zero loss is +0.0, not -0.0
     grad = h.T @ (probs - y) / count
     if weight_decay:
         loss += 0.5 * weight_decay * float(np.sum(w * w))
