@@ -6,13 +6,15 @@ aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         specs and on 3 x 33,333 nodes at ``wide``'s expected degree (intra
         10, inter 1), and the kNN auxiliary graph (ms per call), with the
         ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes) and the
-        entries of the leaf blocks that call forms (``_leaf_product``): on
-        isotropic Gaussian rows, where no leaf's box is far from another's
-        and only the per-row box test prunes, and on three propagated
-        embeddings, clustered like the ones
-        a run smooths over: the ``deep`` spec (n = 300, one leaf), the
-        ``wide`` spec (n = 3000) and 3 x 3000 nodes at ``wide``'s expected
-        degree (n = 9000), each after ``wide``'s 64 layers.
+        entries of the blocks of distances that call forms
+        (``_leaf_product``): on isotropic Gaussian rows, where no leaf's box
+        is far from another's and only the per-row box test prunes, and on
+        four propagated embeddings, clustered like the ones a run smooths
+        over: the ``deep`` spec (n = 300, one leaf), the ``wide`` spec
+        (n = 3000), and 3 x 3000 and 3 x 33,334 nodes at ``wide``'s expected
+        degree (n = 9000 and 100,002), each after ``wide``'s 64 layers.  The
+        last is the scale case, timed in 3 repeats against ROADMAP item 3's
+        target of 3 s (``target_ms``).
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
 layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
@@ -25,12 +27,12 @@ layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
         timers add their own cost to those passes, whose whole time is
         reported as ``wrapped``.
 
-Every timed figure is one untimed call, then 7 timed repeats: their median,
-interquartile range and samples; none is gated.  Each run is appended to
-``runs[label]`` of the case's report in the working directory, with the
-numpy, scipy and BLAS versions, ``os.cpu_count()``, the BLAS thread
-environment and its UTC start time, and the script prints, per timed field,
-the median of every run under the label.
+Every timed figure is one untimed call, then 7 timed repeats (3 for the
+kNN scale case): their median, interquartile range and samples; none is
+gated.  Each run is appended to ``runs[label]`` of the case's report in the
+working directory, with the numpy, scipy and BLAS versions,
+``os.cpu_count()``, the BLAS thread environment and its UTC start time, and
+the script prints, per timed field, the median of every run under the label.
 
 An IQR measures the spread within one run only, and load on a shared host
 moves whole runs by more than that.  To compare two versions of the code,
@@ -78,8 +80,14 @@ KNN_EMBEDDINGS = {
     "deep": dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02),
     "wide": GENERATOR_SPECS["wide"],
     "wide_9000": dict(clusters=3, nodes_per_cluster=3000, intra_p=10 / 3000, inter_p=0.5 / 3000),
+    "wide_100k": dict(
+        clusters=3, nodes_per_cluster=33_334, intra_p=10 / 33_334, inter_p=0.5 / 33_334
+    ),
 }
 KNN_LAYERS = 64
+# Past this n an embedding is a scale case, timed in fewer repeats against the
+# n = 10^5 target of ROADMAP item 3.
+KNN_SCALE_N, KNN_SCALE_TARGET_MS, SCALE_REPEATS = 30_000, 3000.0, 3
 LAYER_CASES = {
     # name: (cluster spec, layers, p = q)
     "n300_L10000": (dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02), 10_000, 0.5),
@@ -108,12 +116,12 @@ def _summary(samples):
     return {"median": float(median), "iqr": float(q3 - q1), "samples": samples}
 
 
-def _timed(fn, scale):
-    """Median, IQR and samples of ``REPEATS`` timed calls of ``fn()``, after
+def _timed(fn, scale, repeats=REPEATS):
+    """Median, IQR and samples of ``repeats`` timed calls of ``fn()``, after
     one untimed call; each sample is the call's seconds times ``scale``."""
     fn()
     samples = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * scale)
@@ -215,17 +223,16 @@ def _generator(name):
 
 
 def _block_entries(fn):
-    """Entries of every leaf block that one call of ``fn()`` forms, counted
-    around ``curriculum._leaf_product``, whose last three arguments are the
-    rows, the columns and the buffer."""
+    """Entries of every block of distances that one call of ``fn()`` forms,
+    counted around ``curriculum._leaf_product``, which returns them."""
     real = curriculum._leaf_product
     entries = 0
 
     def counting(*args):
         nonlocal entries
-        rows, cols = args[-3:-1]
-        entries += rows.size * cols.size
-        return real(*args)
+        blocks = real(*args)
+        entries += blocks.size
+        return blocks
 
     curriculum._leaf_product = counting
     try:
@@ -235,9 +242,10 @@ def _block_entries(fn):
     return entries
 
 
-def _knn_timed(vectors):
+def _knn_timed(vectors, repeats=REPEATS):
     call = partial(build_knn_aux_graph, vectors, KNN_K, 1.0)
-    return {"knn_ms_per_call": _timed(call, 1e3), "knn_tracemalloc_peak_mb": _peak_mb(call),
+    return {"knn_ms_per_call": _timed(call, 1e3, repeats),
+            "knn_tracemalloc_peak_mb": _peak_mb(call),
             "knn_block_entries_per_call": _block_entries(call)}
 
 
@@ -254,8 +262,10 @@ def _knn_embedding(name):
     )
     reducer = make_reducer(g.feature_dim, cfg.embedding_dim, 0)
     vectors = run_fuzzy_r_softgraphain(g, cfg.propagation, reducer=reducer)
+    scale = g.n > KNN_SCALE_N
     return {"embedding": name, "n": g.n, "dim": vectors.shape[1], "k": KNN_K,
-            "layers": KNN_LAYERS, **_knn_timed(vectors)}
+            "layers": KNN_LAYERS, **({"target_ms": KNN_SCALE_TARGET_MS} if scale else {}),
+            **_knn_timed(vectors, SCALE_REPEATS if scale else REPEATS)}
 
 
 def _dataset_io():

@@ -33,7 +33,12 @@ from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
 
 _DEAD_ROW = 1e-12  # row mass below this counts as zero
-_KNN_BLOCK = 1 << 18  # distance entries per leaf block of the kNN; buffers of 9 B/entry
+_KNN_BLOCK = 1 << 18  # kNN leaves of about _KNN_BLOCK // n rows, at least _KNN_BLOCK >> 12
+# Entries per product, partition and box test of the kNN search: 512 kB of
+# float64.  Chunks four times larger made the kNN of a `wide` embedding 15-20%
+# slower in alternated calls on a 2-vCPU host.
+_KNN_CHUNK = 1 << 16
+_KNN_STACK = 32  # most rows of one block of the kNN's cross-leaf products
 
 
 @dataclass(frozen=True)
@@ -89,16 +94,13 @@ def aux_from_graph(g: Graph) -> AuxGraph:
     return AuxGraph(n=g.n, edges=g.edges.copy(), weights=np.ones(g.num_edges))
 
 
-def _run(idx: np.ndarray):
-    """A sorted index array as a slice when its indices are consecutive, so
-    that indexing with it takes a view instead of a gathered copy."""
-    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
-
-
-def _leaf_product(left: np.ndarray, right: np.ndarray, rows, cols, buf: np.ndarray) -> np.ndarray:
-    """``left[rows] @ right[cols].T`` into the front of the flat ``buf``."""
-    out = buf[: rows.size * cols.size].reshape(rows.size, cols.size)
-    return np.matmul(left[_run(rows)], right[_run(cols)].T, out=out)
+def _leaf_product(left: np.ndarray, right: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The stacked products ``left[i] @ right[i].T`` of the (blocks, rows,
+    width) ``left`` and the (blocks, columns, width) ``right``, one block of
+    distances each, into the front of the flat ``buf``."""
+    out = buf[: left.shape[0] * left.shape[1] * right.shape[1]]
+    out = out.reshape(left.shape[0], left.shape[1], right.shape[1])
+    return np.matmul(left, right.transpose(0, 2, 1), out=out)
 
 
 def _group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -110,30 +112,36 @@ def _group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.argsort(group * values.size + rank)
 
 
+def _levels(count: int) -> list:
+    """The first leaf of each node of a balanced tree over ``count`` leaves,
+    level by level from the root down to the leaves: a node of several
+    leaves has two children, split at its middle leaf, and a leaf is its own
+    one child."""
+    firsts = np.zeros(1, dtype=np.int64)
+    levels = [firsts]
+    while firsts.size < count:
+        firsts = np.union1d(firsts, (firsts + np.append(firsts[1:], count)) // 2)
+        levels.append(firsts)
+    return levels
+
+
 def _spatial_leaves(vectors: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """The leaf of each row: leaf i holds edge[i + 1] - edge[i] rows.  Each
-    tree node spanning several leaves splits its rows on their widest
-    coordinate at the leaf boundary nearest its median, so the leaves are
-    full and the tree balanced.  A level of the tree is one sort of all rows
-    by (node, coordinate)."""
+    node of the ``_levels`` tree splits its rows on their widest coordinate
+    at the leaf boundary between its children, so the leaves are full and
+    the tree balanced.  A level of the tree is one sort of all rows by
+    (node, coordinate)."""
     n = vectors.shape[0]
     count = edge.size - 1
     perm = np.arange(n)
-    spans = [(0, count)]  # leaf ranges of the nodes at this level
-    while len(spans) < count:
-        starts = edge[[first for first, _ in spans]]
+    for firsts in _levels(count)[:-1]:
+        starts = edge[firsts]
         pts = vectors[perm]
         width = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
-        sizes = np.diff(edge[[first for first, _ in spans] + [count]])
+        sizes = np.diff(edge[np.append(firsts, count)])
         axis = np.repeat(np.argmax(width, axis=1), sizes)
-        node = np.repeat(np.arange(len(spans)), sizes)
+        node = np.repeat(np.arange(firsts.size), sizes)
         perm = perm[_group_order(node, pts[np.arange(n), axis])]
-        spans = [
-            half
-            for first, last in spans
-            for half in ([(first, (first + last) // 2), ((first + last) // 2, last)]
-                         if last - first > 1 else [(first, last)])
-        ]
     leaf_of = np.empty(n, dtype=np.int64)
     leaf_of[perm] = np.repeat(np.arange(count), np.diff(edge))
     return leaf_of
@@ -163,13 +171,61 @@ def _first_non_finite_pair(vectors: np.ndarray, sq_norms: np.ndarray):
     return None if first == n * n else divmod(first, n)
 
 
-def _box_gaps(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Squared distance from each column of the (d, m) ``coords`` to the box
-    [lo, hi]: the point of the box nearest a row is the row clipped to it."""
-    gap = np.clip(coords, lo[:, None], hi[:, None])
-    gap -= coords
+def _box_gaps(
+    lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray
+) -> np.ndarray:
+    """Squared distance between the boxes [lo_a, hi_a] and [lo_b, hi_b], row
+    by row."""
+    gap = np.maximum(lo_b - hi_a, lo_a - hi_b)
+    np.maximum(gap, 0.0, out=gap)
     gap *= gap
-    return np.einsum("ij->j", gap)
+    return gap.sum(axis=1)
+
+
+def _leaf_pairs(lo: np.ndarray, hi: np.ndarray, leaf_bound: np.ndarray):
+    """(rows, searched): every pair of distinct leaves such that the box of
+    leaf ``searched`` is within ``leaf_bound`` of leaf ``rows``' box, sorted
+    by (searched, rows).  A frontier of (node, searched) pairs descends the
+    ``_levels`` tree from the root, vectorised across all the searched
+    leaves at once, as dual-tree search does (Gray and Moore 2001): a node's
+    box spans its leaves' boxes and its bound is the largest of theirs, so
+    once the gap between the boxes exceeds that bound no leaf below the node
+    can pass, and the pair is dropped."""
+    count, d = lo.shape
+    step = max(1, _KNN_CHUNK // d)  # pairs whose box gaps form at once
+    levels = _levels(count)
+    searched = np.arange(count)
+    node = np.zeros(count, dtype=np.int64)
+    for firsts, below in zip(levels, levels[1:]):
+        kids = np.searchsorted(below, firsts)  # each node's first child
+        many = np.diff(np.append(kids, below.size))[node]
+        searched = np.repeat(searched, many)
+        node = np.repeat(kids[node], many)
+        node[np.cumsum(many)[many == 2] - 1] += 1
+        lo_n, hi_n = np.minimum.reduceat(lo, below), np.maximum.reduceat(hi, below)
+        gap = np.empty(node.size)
+        for start in range(0, node.size, step):
+            part = slice(start, start + step)
+            a, b = node[part], searched[part]
+            gap[part] = _box_gaps(lo_n[a], hi_n[a], lo[b], hi[b])
+        keep = gap <= np.maximum.reduceat(leaf_bound, below)[node]
+        searched, node = searched[keep], node[keep]
+    keep = node != searched
+    return node[keep], searched[keep]
+
+
+def _stacked_rows(rows: np.ndarray, leaf: np.ndarray, stack: int):
+    """The ``rows`` grouped into blocks of at most ``stack`` by the leaf
+    each searches (``leaf`` is sorted): (a (blocks, stack) array of rows, 0
+    in the padding, the flat position of each row in it, each block's
+    leaf)."""
+    firsts = np.flatnonzero(np.diff(leaf, prepend=-1))
+    run = np.diff(np.append(firsts, rows.size))
+    blocks = -(-run // stack)
+    spot = np.arange(rows.size) + np.repeat((np.cumsum(blocks) - blocks) * stack - firsts, run)
+    block_rows = np.zeros(int(blocks.sum()) * stack, dtype=np.int64)
+    block_rows[spot] = rows
+    return block_rows.reshape(-1, stack), spot, np.repeat(leaf[firsts], blocks)
 
 
 def _search_leaves(pts, sq_norms, edge, k, slack):
@@ -177,81 +233,138 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
     their block distances, each row's bound).  Every pair (p, q) whose
     distance could be among row p's k smallest is a candidate.
 
-    Distances come from one product of the rows [x, |x|^2, 1] by the rows
-    [-2 y, 1, |y|^2].  The search runs first over each leaf's own block, whose
-    k-th distance in a row bounds the row's k-th nearest, then over the other
-    leaves, one leaf's columns at a time, against the rows that may reach
-    that leaf: those of the leaves whose box is within the largest of their
-    rows' first bounds of its box, and, among them, those whose own bound
-    reaches the box from their own point.  A row's nearest distance in each
-    leaf it searches then replaces the largest of the k it holds, so its
-    bound shrinks as the search goes on.  The block of distances, the
-    candidate mask and the partitioned copy of a leaf's own distances live in
-    buffers of a leaf's rows by n, n and a leaf's rows, allocated once per
-    call."""
-    n = pts.shape[0]
+    Distances come from products of the rows [x, |x|^2, 1] by the rows
+    [-2 y, 1, |y|^2].  The leaves are padded to the largest one (sizes
+    differ by at most one), and an empty slot's row and column take no part.
+    The search runs over every leaf at once, in array passes:
+
+    - Own blocks: every leaf's rows against its own, a stack of leaves a
+      product, and one partition give each row its k nearest in its leaf,
+      whose k-th bounds its k-th nearest.
+    - Leaf pairs: ``_leaf_pairs`` finds, for each leaf, the leaves whose box
+      is within the largest of its rows' bounds of its box.
+    - Rows: a row searches such a leaf only when the gap from its own point
+      to the leaf's box is within its own bound.  The pairs run in chunks
+      sorted by the searched leaf.  In a chunk, the rows that search a leaf
+      go in blocks of ``_KNN_STACK`` rows against its columns, stacked into
+      products, or, when they make half a chunk of entries or more, into
+      products of their own, which cost less an entry.  After each chunk a
+      row's nearest new distance replaces the largest of the k it holds, all
+      of distinct columns, so its bound shrinks for the chunks after it.
+
+    Every product, partition and box test spans at most ``_KNN_CHUNK``
+    entries, or one leaf's block or box test, in buffers allocated once per
+    call, so the numpy calls per build grow with the chunks and the tree's
+    levels, not with the leaves."""
+    n, d = pts.shape
     count = edge.size - 1
+    sizes = np.diff(edge)
+    width = int(sizes.max())
     ones = np.ones((n, 1))
     left = np.hstack([pts, sq_norms[:, None], ones])
     right = np.hstack([-2.0 * pts, ones, sq_norms[:, None]])
-    sizes = np.diff(edge)
-    rows_max = int(sizes.max())
-    dist_buf = np.empty(rows_max * n)
-    take_buf = np.empty(rows_max * n, dtype=bool)
-    part_buf = np.empty(rows_max * rows_max)
-    top = np.empty((n, k))  # per row, the k smallest distances found so far
-    codes, dists = [], []
+    slot = np.arange(width)
+    empty = slot >= sizes[:, None]  # the empty last slot of each shorter leaf
+    members = np.minimum(edge[:-1, None] + slot, edge[1:, None] - 1)
+    row_slot = np.flatnonzero(~empty)  # each row's flat (leaf, slot) index
+    right_leaf = right[members]
+    size = max(_KNN_CHUNK, width * max(width, d))
+    dist_buf, part_buf = np.empty(size), np.empty(size)
+    take_buf = np.empty(size, dtype=bool)
 
-    def collect(dist, rows, cols, bound):
+    def within(dist, lim):
+        """Flat indices of the entries of ``dist`` at most ``lim``."""
         take = take_buf[: dist.size].reshape(dist.shape)
-        cand = np.flatnonzero(np.less_equal(dist, bound, out=take))
-        i, j = np.divmod(cand, cols.size)
-        codes.append(rows[i] * n + cols[j])
-        dists.append(dist.ravel()[cand])
-        return i, dists[-1]
+        return np.flatnonzero(np.less_equal(dist, lim, out=take))
 
-    for leaf in range(count):
-        rows = np.arange(edge[leaf], edge[leaf + 1])
-        dist = _leaf_product(left, right, rows, rows, dist_buf)
-        np.fill_diagonal(dist, np.inf)  # a node is not its own neighbor
-        part = part_buf[: dist.size].reshape(dist.shape)
-        np.copyto(part, dist)
-        part.partition(k - 1, axis=1)
-        top[_run(rows)] = part[:, :k]
-        collect(dist, rows, rows, part[:, k - 1, None] + slack)
-    bound = top.max(axis=1) + slack
+    top = np.empty((count, width, k))
+    codes, dists = [], []
+    step = size // (width * width)
+    for start in range(0, count, step):
+        leaves = slice(start, start + step)
+        own = _leaf_product(left[members[leaves]], right_leaf[leaves], dist_buf)
+        own[:, slot, slot] = np.inf  # a node is not its own neighbor
+        own[empty[leaves]] = np.inf
+        own.transpose(0, 2, 1)[empty[leaves]] = np.inf
+        part = part_buf[: own.size].reshape(own.shape)
+        np.copyto(part, own)
+        part.partition(k - 1, axis=2)
+        top[leaves] = part[:, :, :k]
+        lim = part[:, :, k - 1, None] + slack
+        lim[empty[leaves]] = -np.inf  # the padding finds nothing
+        cand = within(own, lim)
+        i, j = np.divmod(cand, width)
+        first = edge[start + i // width]
+        codes.append((first + i % width) * n + first + j)
+        dists.append(own.ravel()[cand])
+    top = top.reshape(-1, k)[row_slot]  # each row's k smallest distances found
+    top_max = top[:, k - 1].copy()
     if count == 1:  # no other leaf to search
-        return codes, dists, bound
+        return codes, dists, top_max + slack
 
     lo, hi = np.minimum.reduceat(pts, edge[:-1]), np.maximum.reduceat(pts, edge[:-1])
-    coords = pts.T.copy()  # one coordinate of every row a contiguous row
-    leaf_bound = np.maximum.reduceat(bound, edge[:-1])
-    for leaf in range(count):
-        gap = np.maximum(lo - hi[leaf], lo[leaf] - hi)
-        np.maximum(gap, 0.0, out=gap)
+    rows_leaf, searched = _leaf_pairs(lo, hi, np.maximum.reduceat(top_max + slack, edge[:-1]))
+    coords = pts[members].transpose(0, 2, 1).copy()  # each leaf's (d, width) coordinates
+    slot_bound = np.full(count * width, -np.inf)  # an empty slot searches nothing
+    slot_bound[row_slot] = top_max + slack
+    nearest = np.full(n, np.inf)
+    last = np.empty(n, dtype=np.int64)
+    stack = min(width, _KNN_STACK)
+    step = max(1, size // (d * width))
+    for start in range(0, searched.size, step):
+        a, b = rows_leaf[start : start + step], searched[start : start + step]
+        x = coords[a]
+        # the point of leaf b's box nearest each row of leaf a, less the row
+        gap = np.maximum(x, lo[b][:, :, None], out=part_buf[: x.size].reshape(x.shape))
+        np.minimum(gap, hi[b][:, :, None], out=gap)
+        gap -= x
         gap *= gap
-        near = np.flatnonzero(gap.sum(axis=1) <= leaf_bound)
-        # the rows of those leaves, with this leaf's own, dropped next
-        span = sizes[near]
-        pos = np.arange(span.sum()) + np.repeat(edge[near] - (np.cumsum(span) - span), span)
-        reach = _box_gaps(coords[:, _run(pos)], lo[leaf], hi[leaf]) <= bound[_run(pos)]
-        reach[np.searchsorted(pos, edge[leaf]) : np.searchsorted(pos, edge[leaf + 1])] = False
-        rows = pos[reach]
-        if not rows.size:
+        near = np.flatnonzero(gap.sum(axis=1) <= slot_bound.reshape(count, width)[a])
+        if not near.size:
             continue
-        cols = np.arange(edge[leaf], edge[leaf + 1])
-        dist = _leaf_product(left, right, rows, cols, dist_buf)
-        i, found = collect(dist, rows, cols, bound[_run(rows), None])
-        if not i.size:
-            continue
-        first = np.flatnonzero(np.diff(i, prepend=-1))
-        hit = rows[i[first]]
+        rows, leaf = edge[a[near // width]] + near % width, b[near // width]
+        firsts = np.flatnonzero(np.diff(leaf, prepend=-1))
+        run = np.diff(np.append(firsts, rows.size))
+        alone = run * width >= size // 2
+        found = len(codes)
+        for first, end in zip(firsts[alone].tolist(), (firsts + run)[alone].tolist()):
+            cols = slice(edge[leaf[first]], edge[leaf[first] + 1])
+            for piece in range(first, end, size // width):
+                some = rows[piece : min(piece + size // width, end)]
+                dist = _leaf_product(left[None, some], right[None, cols], dist_buf)[0]
+                cand = within(dist, slot_bound[row_slot[some], None])
+                i, j = np.divmod(cand, dist.shape[1])
+                codes.append(some[i] * n + cols.start + j)
+                dists.append(dist.ravel()[cand])
+        stacked = ~np.repeat(alone, run)
+        if stacked.any():
+            block_rows, spot, block_leaf = _stacked_rows(rows[stacked], leaf[stacked], stack)
+            lim = np.full(block_rows.size, -np.inf)  # the padding finds nothing
+            lim[spot] = slot_bound[row_slot[block_rows.ravel()[spot]]]
+            lim = lim.reshape(-1, stack, 1)
+            per = max(1, size // (stack * width))
+            for block in range(0, block_leaf.size, per):
+                part = slice(block, block + per)
+                some, leaves = block_rows[part], block_leaf[part]
+                dist = _leaf_product(left[some], right_leaf[leaves], dist_buf)
+                cand = within(dist, lim[part])
+                i, j = np.divmod(cand, width)
+                leaves = leaves[i // stack]
+                real = j < sizes[leaves]  # not an empty slot's column
+                codes.append(some.ravel()[i[real]] * n + edge[leaves[real]] + j[real])
+                dists.append(dist.ravel()[cand[real]])
+        # A row's nearest new distance replaces the largest of the k it holds.
+        got = np.concatenate(codes[found:]) // n
+        np.minimum.at(nearest, got, np.concatenate(dists[found:]))
+        last[got] = np.arange(got.size)  # one of each row's places wins
+        hit = got[(last[got] == np.arange(got.size)) & (nearest[got] < top_max[got])]
         held = top[hit]
-        slot = (np.arange(hit.size), held.argmax(axis=1))
-        held[slot] = np.minimum(held[slot], np.minimum.reduceat(found, first))
+        held[np.arange(hit.size), held.argmax(axis=1)] = nearest[hit]
         top[hit] = held
-        bound[hit] = held.max(axis=1) + slack
-    return codes, dists, bound
+        top_max[hit] = held.max(axis=1)
+        slot_bound[row_slot[hit]] = top_max[hit] + slack
+        nearest[got] = np.inf
+    return codes, dists, top_max + slack
 
 
 def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxGraph:
@@ -270,22 +383,28 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
 
     The search that finds each row's candidates is exact, over the leaves of
     a k-d tree (Bentley 1975): the rows are split recursively at the median
-    of their widest coordinate into full leaves of at most about
-    ``_KNN_BLOCK // n`` rows, and at least k + 1.  It compares distances
-    formed in leaf blocks by BLAS, pruning rows against leaf boxes as
-    dual-tree search does (Gray and Moore 2001), and widens every bound by
-    the rounding slack of those distances and of the box gaps, so no
-    neighbor and no tie is lost (``_search_leaves``).  Only the candidates
-    within the final bounds get per-pair values, about k a row.
+    of their widest coordinate into full leaves of about ``_KNN_BLOCK // n``
+    rows, but at least k + 1 and at least ``_KNN_BLOCK >> 12`` (64).  Below
+    that a leaf's own block gives its rows loose first bounds and the leaf
+    pairs to search grow many: at n = 30,000, leaves of 8 rows made the
+    search about 4 times slower than leaves of 64.  The search runs over
+    every leaf at once (``_search_leaves``): it forms distances by BLAS in
+    stacked blocks, every leaf's own first, then descends the tree level by
+    level to the leaves each row may reach, pruning against the tree's boxes
+    as dual-tree search does (Gray and Moore 2001).  Every bound is widened
+    by the rounding slack of those distances and of the box gaps, so no
+    neighbor and no tie is lost.  Only the candidates within the final
+    bounds get per-pair values, about k a row.
 
     The cost depends on the data.  On clustered or low-rank embeddings, such
     as the propagated ones, a row searches its own leaf and a few near ones,
     and far fewer than n^2 pairs are formed; on isotropic data a row still
     skips the leaves whose box its bound does not reach, and the cost is
-    O(n^2 d) time at worst.  Memory is O(block + n (d + k)) plus the
+    O(n^2 d) time at worst.  Memory is O(chunk + n (d + k)) plus the
     candidates.  Raises NonFiniteFeatureError naming the first row whose
     squared norm, or else the first pair whose squared distance, is not
-    finite, where no nearest-neighbor order exists.
+    finite, where no nearest-neighbor order exists, and the first edge whose
+    weight overflows.
     """
     if not math.isfinite(gamma_prime):
         raise ValueError(f"gamma_prime must be finite, got {gamma_prime}")
@@ -315,7 +434,7 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
             f"{pair[0]} and {pair[1]} is not finite"
         )
 
-    count = max(1, min(-(-n // max(1, _KNN_BLOCK // n)), n // (k + 1)))
+    count = max(1, min(-(-n // max(1, _KNN_BLOCK // n)), n // max(k + 1, _KNN_BLOCK >> 12)))
     edge = np.arange(count + 1) * n // count
     by_leaf = np.argsort(_spatial_leaves(vectors, edge), kind="stable")
     # A block distance is within (6 d + 8) 2^-53 max sq_norm of the exact
@@ -362,7 +481,16 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     keys = keys[order]
     first = np.flatnonzero(np.diff(keys, prepend=-1))
     edges = np.stack(np.divmod(keys[first], n), axis=1)
-    weights = np.power(np.maximum(gram[kept][order[first]], 0.0), gamma_prime)
+    gram = gram[kept][order[first]]
+    with np.errstate(over="ignore"):  # checked next
+        weights = np.power(np.maximum(gram, 0.0), gamma_prime)
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        i, j = edges[bad[0]]
+        raise NonFiniteFeatureError(
+            f"kNN auxiliary graph: the weight of edge ({i}, {j}), max(0, g) ** "
+            f"{gamma_prime} with g = {gram[bad[0]]:.6g}, is not finite"
+        )
     return AuxGraph(n=n, edges=edges, weights=weights)
 
 
@@ -484,11 +612,14 @@ def run_curriculum(
 
     w = None
     metrics = []
+    h_t = np.ascontiguousarray(h.T)  # the logits' operand
     for index, (labels, cfg) in enumerate(tasks):
         start = time.perf_counter()
         w = train_linear(h, labels, cfg, warm_start=w)
         elapsed = (time.perf_counter() - start) * 1e3
-        probs, logp = (a.T.copy() for a in softmax_with_log(class_logits(h, w)))
+        # (n, C) views of the class-major softmax: the rows each score
+        # gathers from them are C-ordered copies
+        probs, logp = (a.T for a in softmax_with_log(class_logits(h_t, w)))
         rows = labels.unmasked_indices()
         labeled = rows[g.labels[rows] >= 0]
         val_accuracy, val_loss = split_scores(probs, logp, g, g.val_mask)
@@ -502,7 +633,7 @@ def run_curriculum(
                 wall_ms=elapsed,
             )
         )
-    return CurriculumResult(w=w, metrics=tuple(metrics), probs=probs, logp=logp)
+    return CurriculumResult(w=w, metrics=tuple(metrics), probs=probs.copy(), logp=logp.copy())
 
 
 def export_snapshots(snapshots, out_dir) -> list:

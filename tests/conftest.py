@@ -36,14 +36,15 @@ def reference_builds(monkeypatch):
 
 @pytest.fixture
 def leaf_products(monkeypatch):
-    """(rows, columns) of every block of distances that the kNN auxiliary
-    graph forms."""
+    """(rows, columns) of every product of distance blocks that the kNN
+    auxiliary graph forms: the rows of all the blocks of the stack, and the
+    columns of each."""
     calls = []
     real = curriculum._leaf_product
 
-    def counting(left, right, rows, cols, buf):
-        calls.append((rows.size, cols.size))
-        return real(left, right, rows, cols, buf)
+    def counting(left, right, buf):
+        calls.append((left.shape[0] * left.shape[1], right.shape[1]))
+        return real(left, right, buf)
 
     monkeypatch.setattr(curriculum, "_leaf_product", counting)
     return calls

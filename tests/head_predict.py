@@ -1,11 +1,13 @@
 """Hard labels of a trained head; the tests' reference for scoring."""
 
+import numpy as np
+
 from graphain.classifier import _softmax, class_logits
 
 
 def predict(h, w):
     """Hard labels (argmax, ties to the lower class) and the probability rows
     of the head whose (d, C) weights are ``w``."""
-    logits = class_logits(h, w)
+    logits = class_logits(np.ascontiguousarray(h.T), w)
     probs = _softmax(logits, logits)[0]
     return probs.argmax(axis=0), probs.T

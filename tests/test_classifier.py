@@ -47,7 +47,7 @@ class TestCrossEntropy:
 
     def test_loss_equals_entropy_at_self_consistency(self, rng):
         h, _, w, include = _seeded_problem(3)
-        probs, logp = (a.T for a in softmax_with_log(class_logits(h, w)))
+        probs, logp = (a.T for a in softmax_with_log(class_logits(np.ascontiguousarray(h.T), w)))
         y = _soft(probs)
         loss = loss_and_grad(h[include], y.y[include], w, 0.0)[0]
         entropy = float(-(probs * logp).sum() / len(include))
@@ -99,7 +99,7 @@ class TestGradient:
 
     def test_zero_at_stationary_point(self):
         h, _, w, _ = _seeded_problem(5)
-        probs, _ = softmax_with_log(class_logits(h, w))
+        probs, _ = softmax_with_log(class_logits(np.ascontiguousarray(h.T), w))
         _, grad = loss_and_grad(h, probs.T, w, 0.0)
         assert np.abs(grad).max() <= 1e-10
 
@@ -262,7 +262,7 @@ class TestPredict:
     def test_probs_share_softmax_kernel(self, rng):
         h, y, w, include = _seeded_problem(8)
         _, probs = predict(h, w)
-        kernel_probs, _ = softmax_with_log(class_logits(h, w))
+        kernel_probs, _ = softmax_with_log(class_logits(np.ascontiguousarray(h.T), w))
         assert np.array_equal(probs, kernel_probs.T)
 
     @given(st.integers(0, 500))

@@ -124,6 +124,32 @@ class TestCli:
             assert err.startswith("error: [stage dataset] ")
             assert "1 class" in err
 
+    def test_overflowing_knn_weight_exits_2(self, workspace, capsys):
+        # feature_knn on raw features of norm 1e80 at gamma' = 2: the
+        # weights overflow, and the run stops at the aux-graph stage with a
+        # typed error instead of smoothing infinite weights into NaN labels
+        from graphain.graph import build_graph
+        from graphain.io import save_dataset
+
+        tmp, cfg, _ = workspace
+        cfg.write_text(CFG + "curriculum.aux_mode = feature_knn\ncurriculum.gamma_prime = 2\n")
+        n = 30
+        nodes = np.arange(n)
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        x = np.random.default_rng(0).standard_normal((n, 4))
+        x *= 1e80 / np.linalg.norm(x, axis=1, keepdims=True)
+        masks = (nodes[nodes % 3 == 0], nodes[nodes % 3 == 1], nodes[nodes % 3 == 2])
+        ring = tmp / "ring"
+        save_dataset(build_graph(edges, n, x, y=nodes % 2, masks=masks), ring)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["curriculum", "--graph", str(ring), "--config", str(cfg),
+                 "--out", str(tmp / "out")]
+            ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage aux-graph] kNN auxiliary graph: the weight of edge (")
+
     def test_saturated_head_writes_positive_zero_loss(self, tmp_path):
         # at lr 1e300 and no decay one step saturates the head: each softmax
         # row is one-hot on its label, and every loss term is zero

@@ -223,11 +223,64 @@ class TestKnnAuxGraph:
         # all pairs are n^2; each cluster's rows against that cluster, n^2 / 3
         assert sum(rows * cols for rows, cols in leaf_products) < 0.4 * n * n
 
+    def test_products_are_far_fewer_than_the_leaves(self, leaf_products):
+        # Three separated clusters of rank 3 in 8 columns.  The search runs
+        # over every leaf at once, so its products grow with the chunks of
+        # entries, not with the leaves; one loop trip per leaf made two.
+        n = 3000
+        rng = np.random.default_rng(22)
+        centers = rng.standard_normal((3, 3)) * 8.0
+        points = centers[np.arange(n) % 3] + rng.standard_normal((n, 3))
+        vecs = points @ rng.standard_normal((3, 8))
+        count = -(-n // (curriculum._KNN_BLOCK // n))  # 35 leaves of about 86 rows
+        build_knn_aux_graph(vecs, 7, 1.0)
+        assert 0 < len(leaf_products) < count
+        # Leaves of k + 1 = 8 rows: 375 of them.
+        leaf_products.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curriculum, "_KNN_BLOCK", 8 * n)
+            build_knn_aux_graph(vecs, 7, 1.0)
+        assert 0 < len(leaf_products) < 375 // 10
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_matches_dense_oracle_over_small_uneven_leaves(self, data):
+        # Clusters of unequal spread, so that neighboring leaves hold rows of
+        # unequal bounds, cut into leaves of k + 1 to 4 (k + 1) rows whose
+        # sizes differ by one where the rows do not divide evenly; chunks
+        # from one leaf or box test at a time to the default.  Half of the
+        # inputs lie on the integer grid, with exact ties and duplicates.
+        n = data.draw(st.integers(2, 400), label="n")
+        dim = data.draw(st.integers(1, 5), label="dim")
+        k = data.draw(st.integers(1, 9), label="k")
+        rows = data.draw(st.integers(k + 1, 4 * (k + 1)), label="rows per leaf")
+        chunk = data.draw(st.sampled_from([1, 300, curriculum._KNN_CHUNK]), label="chunk")
+        grid = data.draw(st.booleans(), label="grid")
+        gamma_prime = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="gamma_prime")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        clusters = int(rng.integers(1, 5))
+        centers = 20.0 * rng.standard_normal((clusters, dim))
+        spread = rng.choice([0.3, 2.0, 8.0], size=clusters)
+        which = rng.integers(0, clusters, n)
+        vecs = centers[which] + spread[which, None] * rng.standard_normal((n, dim))
+        if grid:
+            vecs = np.rint(vecs)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k >= n clamps with a warning
+            patch.setattr(curriculum, "_KNN_BLOCK", n * rows)
+            patch.setattr(curriculum, "_KNN_CHUNK", chunk)
+            aux = build_knn_aux_graph(vecs, k, gamma_prime)
+        edges, weights = knn_edges_dense(vecs, k, gamma_prime)
+        assert np.array_equal(aux.edges, edges)
+        assert np.array_equal(aux.weights, weights)
+
     def test_float_vectors_in_one_block_match_oracle_bits(self):
         import graphain.curriculum as curriculum
 
         # The pinned configs (n = 120) and the deep benchmark (n = 300) fit in
-        # one block, whose product is the oracle's own Gram.
+        # one leaf, whose own block is the whole search; its distances only
+        # choose candidates, and each kept pair's distance and weight are
+        # its per-pair values, as in the oracle.
         n = 300
         assert curriculum._KNN_BLOCK // n >= n
         vecs = np.random.default_rng(11).standard_normal((n, 8))
@@ -295,15 +348,16 @@ class TestKnnAuxGraph:
     @pytest.mark.parametrize(
         "n, bound",
         [
-            # No n x n array: three leaf buffers of about _KNN_BLOCK entries
-            # (Gram and distances in float64 and a bool candidate mask,
-            # 17 bytes an entry, 4.5 MB), allocated once, plus a leaf's rows
-            # squared for the partitioned copy of its own distances, and
-            # O(n k) edge codes and weights.  An n x n Gram alone would be
-            # 72 MB at n = 3000 and 648 MB at n = 9000.
+            # No n x n array: three buffers of _KNN_CHUNK entries (the
+            # distances and their partitioned copy in float64 and a bool
+            # candidate mask, 17 bytes an entry, 1.1 MB), allocated once, the
+            # leaves' padded operands and coordinates, O(n (d + k)), and the
+            # candidates.  An n x n Gram alone would be 72 MB at n = 3000 and
+            # 648 MB at n = 9000.
             (3000, 16e6),
             (9000, 24e6),
-            # One leaf: the buffers hold n rows of n, not _KNN_BLOCK entries.
+            # One leaf: the buffers hold its n x n block, more than
+            # _KNN_CHUNK entries.
             (300, 5 * 8 * 300**2),
         ],
     )
@@ -335,6 +389,21 @@ class TestKnnAuxGraph:
         monkeypatch.setattr(curriculum, "_KNN_BLOCK", 3)  # one row a block
         with pytest.raises(NonFiniteFeatureError, match=r"kNN.* between rows 1 and 2 "):
             build_knn_aux_graph(vecs, 1, 1.0)
+
+    def test_overflowing_weight_rejected(self):
+        # Rows of norm 1e80: every distance is finite, but max(0, g) ** 2
+        # overflows for two rows at an acute angle.  The first such edge is
+        # named, and numpy warns of nothing.
+        vecs = np.random.default_rng(3).standard_normal((30, 4))
+        vecs *= 1e80 / np.linalg.norm(vecs, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            edges, weights = knn_edges_dense(vecs, 7, 2.0)
+        i, j = edges[np.flatnonzero(~np.isfinite(weights))[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeatureError, match=rf"kNN.* edge \({i}, {j}\),"):
+                build_knn_aux_graph(vecs, 7, 2.0)
+            build_knn_aux_graph(vecs, 7, 1.0)  # g itself is finite
 
     @pytest.mark.parametrize(
         "large, pair",

@@ -306,6 +306,22 @@ def test_softmax_matches_the_straight_form(seed, n, c, non_finite):
 
 
 @settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), ROWS, st.integers(1, 40), st.integers(2, 11))
+def test_logits_from_the_transpose_keep_the_product_bits(seed, n, d, c):
+    # class_logits reads the C-contiguous (d, n) transpose of h and writes
+    # its (C, n) output in place; the logits keep the bits of the straight
+    # w.T @ h.T and of h @ w written into the transposed output, the form
+    # it replaced.
+    h, _, w = _problem(seed, n, d, c)
+    got = classifier.class_logits(np.ascontiguousarray(h.T), w)
+    assert got.flags.c_contiguous
+    assert _same_bits(got, w.T @ h.T)
+    former = np.empty((c, n))
+    np.matmul(h, w, out=former.T)
+    assert _same_bits(got, former)
+
+
+@settings(max_examples=300)
 @given(
     st.integers(0, 2**32 - 1),
     ROWS,
