@@ -26,6 +26,10 @@ layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
         ``eigh`` inside it (``sym_eig``), and the rest of the layer.  The
         timers add their own cost to those passes, whose whole time is
         reported as ``wrapped``.
+import  a fresh interpreter per repeat: the wall time of ``import
+        graphain.experiment`` (ms), ``ru_maxrss`` after it and after one
+        ``run_experiment`` seed of the benchmark's ``wide`` spec (MB, 2^20
+        bytes, as the benchmark's ``peak_rss_mb``).
 
 Every timed figure is one untimed call, then 7 timed repeats (3 for the
 kNN scale case): their median, interquartile range and samples; none is
@@ -38,13 +42,15 @@ An IQR measures the spread within one run only, and load on a shared host
 moves whole runs by more than that.  To compare two versions of the code,
 alternate runs of each (with its own ``src`` on ``PYTHONPATH``) under two labels.
 
-Usage: PYTHONPATH=src python scripts/bench.py [--case head|aux|io|layers ...] [--label current]
+Usage: PYTHONPATH=src python scripts/bench.py [--case head|aux|io|layers|import ...] [--label current]
 """
 
 import argparse
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -98,6 +104,23 @@ LAYER_CASES = {
     ),
     "wide_n3000_L64": (GENERATOR_SPECS["wide"], 64, 0.0),
 }
+# The benchmark's ``wide`` workload at run seed 0, as the import case's seed.
+WIDE_SEED = {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "1000",
+             "synthetic.intra_p": "0.01", "synthetic.inter_p": "0.0005",
+             "propagation.layers": "64", "seeds": "0"}
+IMPORT_CHILD = """\
+import json, resource, sys, time
+start = time.perf_counter()
+import graphain.experiment
+import_ms = (time.perf_counter() - start) * 1e3
+import_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+from graphain.config import build_experiment_config
+cfg = build_experiment_config(json.loads(sys.argv[1]), source="bench.py import")
+graphain.experiment.run_experiment(cfg, write_files=False)
+seed_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"import_ms": import_ms, "import_rss_mb": import_rss_mb,
+                  "seed_rss_mb": seed_rss_mb}))
+"""
 # A layer's parts, each the self time of the function that does it: the
 # centering is _centered_aggregate without its SpMM, the skip mix
 # residual_combine without its centred aggregate, the filter
@@ -301,6 +324,20 @@ def _layer_case(name):
             "parts_us_per_layer": _timed_parts(run, 1e6 / layers)}
 
 
+def _fresh_import():
+    """The fields of ``IMPORT_CHILD`` from one new interpreter, which inherits
+    this one's environment and so its ``PYTHONPATH``."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHILD, json.dumps(WIDE_SEED)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _import_and_seed():
+    _fresh_import()
+    runs = [_fresh_import() for _ in range(REPEATS)]
+    return {"spec": "wide", **{name: _summary([run[name] for run in runs]) for name in runs[0]}}
+
+
 # Each case: the header fields of its report, and what returns one run's results.
 CASES = {
     "head": (
@@ -313,6 +350,7 @@ CASES = {
                                                        for name in KNN_EMBEDDINGS]}),
     "io": ({"spec": "files", "unit": "ms"}, _dataset_io),
     "layers": ({"unit": "us per layer"}, lambda: [_layer_case(name) for name in LAYER_CASES]),
+    "import": ({"spec": "wide", "unit": "ms or MB"}, _import_and_seed),
 }
 
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .classifier import (
     TrainConfig,
@@ -26,7 +25,7 @@ from .classifier import (
     train_linear,
 )
 from .errors import NonFiniteFeatureError, RowNotStochasticError
-from .graph import Graph
+from .graph import CsrMatrix, Graph, csr_from_coo, csr_matmul
 from .io import float_rows
 from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 
@@ -46,7 +45,7 @@ class AuxGraph:
     """Weighted symmetric auxiliary graph used only for label smoothing."""
 
     n: int
-    edges: np.ndarray    # (m, 2) int64, i < j
+    edges: np.ndarray    # (m, 2) int64, i < j, unique
     weights: np.ndarray  # (m,) >= 0; zero-weight edges carry no mass
 
 
@@ -494,7 +493,7 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     return AuxGraph(n=n, edges=edges, weights=weights)
 
 
-def aux_transition_matrix(aux: AuxGraph) -> sp.csr_matrix:
+def aux_transition_matrix(aux: AuxGraph) -> CsrMatrix:
     """Row-stochastic transition matrix; nodes with no positive-weight
     neighbor fall back to a self-loop row."""
     pos = aux.weights > 0.0
@@ -509,7 +508,7 @@ def aux_transition_matrix(aux: AuxGraph) -> sp.csr_matrix:
     cols = np.concatenate([j, i, orphan])
     deg_safe = np.where(deg > 0.0, deg, 1.0)
     vals = np.concatenate([w, w, np.ones(orphan.size)]) / deg_safe[rows]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(aux.n, aux.n)).tocsr()
+    return csr_from_coo(rows, cols, vals, aux.n)
 
 
 def _row_entropies(y: np.ndarray) -> np.ndarray:
@@ -561,7 +560,7 @@ def smooth_labels(aux: AuxGraph, y0: SoftLabelMatrix, n_t: int) -> list:
     p = aux_transition_matrix(aux)
     y, masked = y0.y, y0.masked
     for _ in range(n_t):  # each step makes a fresh y and mask for its snapshot
-        y = p.dot(y)
+        y = csr_matmul(p, y)
         y[masked] = 0.0
         sums = y.sum(axis=1)
         masked = masked | (sums <= _DEAD_ROW)

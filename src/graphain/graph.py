@@ -1,19 +1,30 @@
-"""Graph container and the normalized aggregation operators.
+"""Graph container, the normalized aggregation operators and the one SpMM.
 
 A Graph stores a deduplicated undirected edge list with no self-loops; the
 self-loop of the augmented adjacency is injected when the operator is built,
 so graphs round-trip cleanly through file I/O.  Centering subtracts column
 means; ``apply_centering(apply_operator(op, m))`` applies the doubly centered
 aggregator to a column-centered m without the dense n x n centering matrix.
+
+Sparse matrices are ``CsrMatrix`` records of numpy arrays, and scipy serves
+only its compiled CSR kernel (``csr_matvecs``), loaded from its extension
+file.  Importing ``scipy.sparse`` to reach it would cost about 18 MB of RSS
+and most of a run's set-up time, as its package ``__init__`` loads scipy's
+array-API layer with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; the
+extension alone costs about 1.5 MB.  If a scipy release moves or renames
+``scipy/sparse/_sparsetools``, importing this module raises ImportError
+naming the path it looked for.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .errors import (
     DimensionMismatchError,
@@ -23,6 +34,39 @@ from .errors import (
 )
 
 OPERATOR_MODES = ("symmetric", "random_walk")
+
+
+def _load_sparsetools():
+    """scipy's ``_sparsetools`` extension, without importing its packages.
+
+    ``find_spec`` locates scipy without importing it.  The extension loads
+    under its own name, so CPython's extension cache hands the same module
+    contents to a later ``import scipy.sparse``; loading puts it in
+    ``sys.modules``, and it is taken out again so that no submodule sits
+    there without its package.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:  # scipy.sparse was imported first
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("graphain needs scipy's compiled CSR kernel; scipy is not installed")
+    directory = Path(scipy_spec.submodule_search_locations[0]) / "sparse"
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    finder = importlib.machinery.FileFinder(
+        str(directory), (importlib.machinery.ExtensionFileLoader, suffixes)
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        path = directory / f"_sparsetools{suffixes[0]}"
+        raise ImportError(f"scipy's CSR kernel is not at {path}", name=name, path=str(path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 @dataclass(frozen=True)
@@ -54,10 +98,48 @@ class Graph:
 
 
 @dataclass(frozen=True)
+class CsrMatrix:
+    """A sparse matrix in compressed sparse rows: the arrays of
+    ``scipy.sparse.csr_matrix((data, indices, indptr), shape)``, with the
+    columns of each row sorted and no duplicate entries."""
+
+    shape: tuple
+    indptr: np.ndarray   # (rows + 1,) int32, or int64 past 2^31 - 1 entries
+    indices: np.ndarray  # (nnz,) column of each entry, indptr's dtype
+    data: np.ndarray     # (nnz,) float64
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+
+def csr_from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> CsrMatrix:
+    """The n x n CSR form of duplicate-free (row, col, value) triples.
+
+    One sort on ``row * n + col`` orders the entries and ``indptr`` is the
+    cumulative row count, so the arrays equal those of
+    ``scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()``,
+    int32 indices included while n and the entry count fit in them.  The
+    keys are unique, so the default sort gives the one sorted order, at half
+    the cost of a stable one.
+    """
+    order = np.argsort(rows * n + cols)
+    dtype = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    matrix = CsrMatrix(
+        shape=(n, n), indptr=indptr, indices=cols[order].astype(dtype), data=vals[order]
+    )
+    for arr in (matrix.indptr, matrix.indices, matrix.data):
+        arr.setflags(write=False)
+    return matrix
+
+
+@dataclass(frozen=True)
 class NormalizedOperator:
     """Sparse normalized adjacency of A + I, symmetric or random-walk form."""
 
-    matrix: sp.csr_matrix
+    matrix: CsrMatrix
     degrees: np.ndarray  # degrees of A + I, all >= 1
 
 
@@ -171,38 +253,41 @@ def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperato
         vals = inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
     else:
         vals = 1.0 / degrees[rows]
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     degrees.setflags(write=False)
-    return NormalizedOperator(matrix=matrix, degrees=degrees)
+    return NormalizedOperator(matrix=csr_from_coo(rows, cols, vals, n), degrees=degrees)
+
+
+def csr_matmul(a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The one sparse-times-dense product: ``a @ m``, written into the
+    C-contiguous (rows, k) float64 ``out`` when it is given (and returned).
+
+    It calls scipy's CSR kernel ``csr_matvecs`` as ``csr_matrix @ m`` does:
+    on a zeroed output and the rows of m in C order, so the result is
+    scipy's bit for bit.  Row-major accumulation over each CSR row keeps it
+    bit-reproducible.  ``out`` must not overlap m.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    rows, cols = a.shape
+    if m.ndim != 2 or m.shape[0] != cols:
+        raise DimensionMismatchError(
+            f"operator is {rows} x {cols}, matrix has shape {m.shape}"
+        )
+    if out is None:
+        out = np.zeros((rows, m.shape[1]))
+    else:
+        out.fill(0.0)
+    _sparsetools.csr_matvecs(
+        rows, cols, m.shape[1], a.indptr, a.indices, a.data, m.ravel(), out.ravel()
+    )
+    return out
 
 
 def apply_operator(
     op: NormalizedOperator, m: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Sparse-times-dense product with the normalized adjacency, written into
-    the C-contiguous (n, k) float64 ``out`` when it is given (and returned).
-
-    The product is scipy's CSR kernel ``csr_matvecs``, the one that
-    ``op.matrix.dot(m)`` ends in, called without scipy's dispatch around it:
-    on a zeroed output and the rows of m in C order, as ``dot`` calls it, so
-    the result is ``op.matrix.dot(m)`` bit for bit.  Row-major accumulation
-    over each CSR row keeps it bit-reproducible.  ``out`` must not overlap m.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    n = op.matrix.shape[0]
-    if m.ndim != 2 or m.shape[0] != n:
-        raise DimensionMismatchError(
-            f"operator is {n} x {n}, matrix has shape {m.shape}"
-        )
-    if out is None:
-        out = np.zeros(m.shape)
-    else:
-        out.fill(0.0)
-    a = op.matrix
-    _sparsetools.csr_matvecs(
-        n, n, m.shape[1], a.indptr, a.indices, a.data, m.ravel(), out.ravel()
-    )
-    return out
+    """The product with the normalized adjacency, ``csr_matmul(op.matrix, m,
+    out)``: scipy's CSR kernel on numpy arrays, ``csr_matrix @ m`` bit for bit."""
+    return csr_matmul(op.matrix, m, out)
 
 
 def apply_centering(m: np.ndarray) -> np.ndarray:

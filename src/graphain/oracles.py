@@ -16,7 +16,7 @@ from .errors import (
     SingularSystemError,
     TooLargeError,
 )
-from .graph import Graph
+from .graph import CsrMatrix, Graph
 from .linalg import EigPair, orthonormal_projection
 
 DENSE_CAP = 2000
@@ -38,6 +38,14 @@ def dense_ahat(g: Graph) -> np.ndarray:
     deg = a.sum(axis=1)
     scale = 1.0 / np.sqrt(deg)
     return a * np.outer(scale, scale)
+
+
+def dense_csr(a: CsrMatrix) -> np.ndarray:
+    """Dense form of a CSR matrix: each stored entry written in place."""
+    _check_cap(max(a.shape))
+    dense = np.zeros(a.shape)
+    dense[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices] = a.data
+    return dense
 
 
 def dense_abar(g: Graph) -> np.ndarray:
@@ -183,12 +191,13 @@ def label_prop_closed_form(
 ) -> np.ndarray:
     """Exact limit of clamped label propagation by a dense linear solve.
 
-    ``p`` is the row-stochastic transition matrix of the auxiliary graph,
-    ``y_l`` holds the clamped rows aligned with ``labeled_set``.  Raises
-    SingularSystemError when some unlabeled node cannot be reached from any
-    labeled node through positive transition entries.
+    ``p`` is the dense row-stochastic transition matrix of the auxiliary
+    graph (``dense_csr(aux_transition_matrix(aux))``), ``y_l`` holds the
+    clamped rows aligned with ``labeled_set``.  Raises SingularSystemError
+    when some unlabeled node cannot be reached from any labeled node through
+    positive transition entries.
     """
-    p = np.asarray(p.toarray() if hasattr(p, "toarray") else p, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     labeled = np.asarray(labeled_set, dtype=np.int64)
     unlabeled = np.asarray(unlabeled_set, dtype=np.int64)
     _check_cap(unlabeled.size)

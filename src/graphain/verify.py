@@ -26,7 +26,13 @@ from .curriculum import (
 )
 from .diagnostics import pairwise_stats
 from .errors import RankDeficientError
-from .graph import apply_centering, apply_operator, build_graph, normalized_adjacency
+from .graph import (
+    apply_centering,
+    apply_operator,
+    build_graph,
+    csr_matmul,
+    normalized_adjacency,
+)
 from .labels import SoftLabelMatrix, one_hot
 from .linalg import (
     SpectralFilterParams,
@@ -36,6 +42,7 @@ from .linalg import (
 )
 from .oracles import (
     dense_abar,
+    dense_csr,
     label_prop_closed_form,
     oversmoothing_limit_check,
     pga_oracle_hard,
@@ -319,7 +326,7 @@ def _iterative_label_propagation(
     f = np.zeros((aux.n, y_l.shape[1]))
     f[labeled] = y_l
     for _ in range(iters):
-        f = p.dot(f)
+        f = csr_matmul(p, f)
         f[labeled] = y_l
     sums = f.sum(axis=1)
     masked = sums <= _DEAD_ROW
@@ -343,7 +350,7 @@ def labelprop_suite(num_instances: int = 10, iters: int = 500) -> VerifyReport:
         aux = aux_from_graph(g)
         iterated = _iterative_label_propagation(aux, y_l, labeled, iters)
         closed = label_prop_closed_form(
-            aux_transition_matrix(aux).toarray(), y_l, labeled, unlabeled
+            dense_csr(aux_transition_matrix(aux)), y_l, labeled, unlabeled
         )
         lp_dev = max(lp_dev, float(np.abs(iterated.y[unlabeled] - closed).max()))
 

@@ -33,6 +33,7 @@ from graphain.oracles import knn_edges_dense
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph, with_masks
 from head_predict import predict
+from scipy_csr import scipy_csr
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,7 +143,7 @@ class TestKnnAuxGraph:
     def test_orphan_rows_get_self_loops(self):
         vecs = np.eye(3)  # all weights zero
         aux = build_knn_aux_graph(vecs, 1, 1.0)
-        p = aux_transition_matrix(aux).toarray()
+        p = scipy_csr(aux_transition_matrix(aux)).toarray()
         assert np.abs(p - np.eye(3)).max() == 0.0
 
     @settings(max_examples=200)
@@ -796,7 +797,7 @@ class TestAuxTransition:
             edges=g.edges,
             weights=local.uniform(0.1, 2.0, size=g.num_edges),
         )
-        p = aux_transition_matrix(aux)
+        p = scipy_csr(aux_transition_matrix(aux))
         assert np.abs(p @ np.ones(14) - 1.0).max() <= 1e-12
 
     def test_zero_weight_edges_carry_no_mass(self):
@@ -805,6 +806,6 @@ class TestAuxTransition:
             edges=np.array([[0, 1], [1, 2]]),
             weights=np.array([1.0, 0.0]),
         )
-        p = aux_transition_matrix(aux).toarray()
+        p = scipy_csr(aux_transition_matrix(aux)).toarray()
         assert p[1, 2] == 0.0
         assert p[2, 2] == 1.0  # orphan fallback

@@ -9,7 +9,7 @@ with the loss of every epoch computed, and ``sym_eig`` and the filter with an
 unconditional symmetrisation, a contiguous copy of the eigenvectors and a
 fancy-indexed diagonal.  ``straight_forward_pass`` is the deep forward pass of
 every variant as the runner read when each step still allocated its arrays:
-scipy's ``op.matrix.dot`` for the SpMM, centering by ``np.add.reduce`` column
+scipy's ``csr_matrix.dot`` on ``op.matrix`` for the SpMM, centering by ``np.add.reduce`` column
 sums, a skip mix that scales each term into a fresh array, and the straight
 filter.  The ``row_major_*`` functions are the head's straight forms on
 (n, C) logits ``h @ w``, as it read before it went class-major; for 2 to 15
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
 from graphain import classifier
 from graphain.classifier import (
     TrainConfig,
@@ -43,13 +44,16 @@ from graphain.errors import (
     RankDeficientError,
     ZeroActivationError,
 )
+from graphain.curriculum import AuxGraph, aux_transition_matrix
 from graphain.graph import (
     OPERATOR_MODES,
     apply_operator,
     build_graph,
+    csr_matmul,
     normalized_adjacency,
 )
 from graphain.labels import SoftLabelMatrix
+from graphain.oracles import dense_csr
 from graphain.linalg import (
     EPS_RANK,
     EigPair,
@@ -58,6 +62,7 @@ from graphain.linalg import (
     sym_eig,
 )
 from graphain.propagation import VARIANTS, PropagationConfig, run_fuzzy_r_softgraphain
+from scipy_csr import scipy_csr
 
 
 def straight_softmax_with_log(logits):
@@ -172,7 +177,7 @@ def straight_soft_spectral_filter(b, params):
 
 
 def straight_centered_aggregate(op, h):
-    out = op.matrix.dot(h)
+    out = scipy_csr(op.matrix).dot(h)
     out -= np.add.reduce(out, axis=0) / out.shape[0]
     return out
 
@@ -214,7 +219,7 @@ def straight_forward_pass(g, cfg, variant, observe):
     for t in range(1, cfg.layers + 1):
         try:
             if variant == "sgc":
-                h = op.matrix.dot(h)
+                h = scipy_csr(op.matrix).dot(h)
             elif variant == "pairnorm":
                 h = straight_pairnorm_step(h, op)
             else:
@@ -610,8 +615,90 @@ def test_apply_operator_matches_scipy(seed, n, k, mode, layout):
     op = normalized_adjacency(_random_graph(rng, n, np.zeros((n, 1))), mode)
     m = rng.standard_normal((n, 2 * k)) * rng.choice(SCALES, size=(n, 1))
     m = m[:, ::2] if layout == "strided" else np.asarray(m[:, :k], order=layout)
-    want = op.matrix @ m
+    want = scipy_csr(op.matrix) @ m
     assert _same_bits(apply_operator(op, m), want)
     out = np.full((n, k), np.nan)
     assert apply_operator(op, m, out) is out
     assert _same_bits(out, want)
+
+
+def straight_normalized_adjacency(g, mode):
+    """The operator's COO triples, converted by scipy."""
+    n = g.n
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    rows = np.concatenate([i, j, np.arange(n, dtype=np.int64)])
+    cols = np.concatenate([j, i, np.arange(n, dtype=np.int64)])
+    degrees = np.ones(n, dtype=np.float64)
+    np.add.at(degrees, i, 1.0)
+    np.add.at(degrees, j, 1.0)
+    if mode == "symmetric":
+        inv_sqrt_deg = 1.0 / np.sqrt(degrees)
+        vals = inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
+    else:
+        vals = 1.0 / degrees[rows]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def straight_aux_transition_matrix(aux):
+    """The transition matrix's COO triples, converted by scipy."""
+    pos = aux.weights > 0.0
+    i, j, w = aux.edges[pos, 0], aux.edges[pos, 1], aux.weights[pos]
+    deg = np.zeros(aux.n)
+    np.add.at(deg, i, w)
+    np.add.at(deg, j, w)
+    orphan = np.flatnonzero(deg == 0.0)
+    rows = np.concatenate([i, j, orphan])
+    cols = np.concatenate([j, i, orphan])
+    deg_safe = np.where(deg > 0.0, deg, 1.0)
+    vals = np.concatenate([w, w, np.ones(orphan.size)]) / deg_safe[rows]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(aux.n, aux.n)).tocsr()
+
+
+def _same_csr(got, want):
+    """The three arrays of two CSR matrices agree in dtype and bytes."""
+    return got.shape == want.shape and all(
+        _same_bits(getattr(got, name), getattr(want, name))
+        for name in ("indptr", "indices", "data")
+    )
+
+
+# n = 1, no edges, isolated nodes, about four neighbours a node, complete
+SPARSE_GRAPHS = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.just(1), st.integers(2, 200)),
+    st.sampled_from([0.0, 0.5, 4.0, None]),
+)
+
+
+def _graph(seed, n, degree):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.random(iu.size) < (1.0 if degree is None else min(1.0, degree / n))
+    return build_graph(np.column_stack([iu[pick], ju[pick]]), n, np.zeros((n, 1))), rng
+
+
+@settings(max_examples=200)
+@given(SPARSE_GRAPHS, st.sampled_from(OPERATOR_MODES))
+def test_normalized_adjacency_matches_scipy_csr(graph, mode):
+    g, _ = _graph(*graph)
+    got = normalized_adjacency(g, mode).matrix
+    assert got.indices.dtype == np.int32
+    assert _same_csr(got, straight_normalized_adjacency(g, mode))
+
+
+@settings(max_examples=200)
+@given(SPARSE_GRAPHS, st.sampled_from([0.0, 0.5, 1.0]))
+def test_aux_transition_matrix_matches_scipy_csr(graph, zero_share):
+    # zero-weight edges are dropped, and a node left with none keeps a
+    # self-loop row; the smoothing product on it and its dense form are
+    # scipy's too
+    g, rng = _graph(*graph)
+    weights = rng.uniform(0.1, 2.0, size=g.num_edges) * rng.choice(SCALES, size=g.num_edges)
+    weights[rng.random(g.num_edges) < zero_share] = 0.0
+    aux = AuxGraph(n=g.n, edges=g.edges, weights=weights)
+    got, want = aux_transition_matrix(aux), straight_aux_transition_matrix(aux)
+    assert got.indices.dtype == np.int32
+    assert _same_csr(got, want)
+    y = rng.dirichlet(np.ones(3), size=g.n)
+    assert _same_bits(csr_matmul(got, y), want @ y)
+    assert _same_bits(dense_csr(got), want.toarray())

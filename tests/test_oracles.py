@@ -43,6 +43,7 @@ from graphain.verify import (
     hard_whiten,
     planted_partition_graph,
 )
+from scipy_csr import scipy_csr
 
 
 class TestDenseAbar:
@@ -226,26 +227,26 @@ class TestOversmoothingLimit:
 class TestLabelPropClosedForm:
     def test_single_absorbing_label(self):
         g = build_graph([(0, 1)], 2, np.zeros((2, 1)))
-        p = aux_transition_matrix(aux_from_graph(g)).toarray()
+        p = scipy_csr(aux_transition_matrix(aux_from_graph(g))).toarray()
         y_u = label_prop_closed_form(p, one_hot([0], 2), [0], [1])
         assert y_u == pytest.approx(np.array([[1.0, 0.0]]))
 
     def test_two_equal_neighbors_average(self):
         g = build_graph([(0, 2), (1, 2)], 3, np.zeros((3, 1)))
-        p = aux_transition_matrix(aux_from_graph(g)).toarray()
+        p = scipy_csr(aux_transition_matrix(aux_from_graph(g))).toarray()
         y_u = label_prop_closed_form(p, one_hot([0, 1], 2), [0, 1], [2])
         assert y_u == pytest.approx(np.array([[0.5, 0.5]]))
 
     def test_unreachable_component(self):
         edges = [(0, 1), (2, 3)]
         g = build_graph(edges, 4, np.zeros((4, 1)))
-        p = aux_transition_matrix(aux_from_graph(g)).toarray()
+        p = scipy_csr(aux_transition_matrix(aux_from_graph(g))).toarray()
         with pytest.raises(SingularSystemError):
             label_prop_closed_form(p, one_hot([0], 2), [0], [1, 2, 3])
 
     def test_rows_stay_distributions(self):
         g = random_connected_graph(20, 0.25, seed=3)
-        p = aux_transition_matrix(aux_from_graph(g)).toarray()
+        p = scipy_csr(aux_transition_matrix(aux_from_graph(g))).toarray()
         labeled = np.array([0, 5, 9])
         unlabeled = np.setdiff1d(np.arange(20), labeled)
         y_l = one_hot([0, 1, 2], 3)
@@ -256,7 +257,7 @@ class TestLabelPropClosedForm:
     def test_adding_label_never_creates_singularity(self):
         # monotonicity: once solvable, extra labels keep it solvable
         g = random_connected_graph(15, 0.2, seed=11)
-        p = aux_transition_matrix(aux_from_graph(g)).toarray()
+        p = scipy_csr(aux_transition_matrix(aux_from_graph(g))).toarray()
         labeled = [3]
         for extra in (7, 11, 1):
             labeled = sorted(labeled + [extra])
@@ -292,7 +293,7 @@ class TestIterativePropagation:
         aux = aux_from_graph(g)
         iterated = _iterative_label_propagation(aux, y_l, labeled, 500)
         closed = label_prop_closed_form(
-            aux_transition_matrix(aux).toarray(), y_l, labeled, unlabeled
+            scipy_csr(aux_transition_matrix(aux)).toarray(), y_l, labeled, unlabeled
         )
         assert np.abs(iterated.y[unlabeled] - closed).max() <= 1e-8
 

@@ -1,6 +1,6 @@
 """Every script under ``scripts/`` imports and parses its arguments, the two
 experiment scripts run end to end on one seed, ``bench.py`` appends its runs
-to an existing report, and its ``head`` case runs end to end.
+to an existing report, and its ``head`` and ``import`` cases run end to end.
 
 Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
 program API change that breaks a script's imports, or the way it reads
@@ -48,7 +48,7 @@ def _run(script, *args, cwd=None):
 # ``--case`` is checked against the case list before ``--help`` exits.
 HELP_RUNS = [(path.name, path, ()) for path in SCRIPTS] + [
     (f"bench_{case}.py", ROOT / "scripts" / "bench.py", ("--case", case))
-    for case in ("head", "aux", "io", "layers")
+    for case in ("head", "aux", "io", "layers", "import")
 ]
 
 
@@ -105,3 +105,21 @@ def test_bench_head_runs(tmp_path):
         for field in ("loss_and_grad_us_per_call", "train_linear_us_per_epoch"):
             assert len(entry[field]["samples"]) == report["repeats"]
     assert out.splitlines()[1].startswith("head new rows=30 train_linear_us_per_epoch: ")
+
+
+def test_bench_import_runs(tmp_path):
+    out = _run(ROOT / "scripts" / "bench.py", "--case", "import", "--label", "new", cwd=tmp_path)
+    report = json.loads((tmp_path / "BENCH_import.json").read_text(encoding="utf-8"))
+    (run,) = report["runs"]["new"]
+    results = run["results"]
+    assert results["spec"] == "wide"
+    for field in ("import_ms", "import_rss_mb", "seed_rss_mb"):
+        assert len(results[field]["samples"]) == report["repeats"]
+    # the seed runs in the interpreter that imported, so its peak includes the import's
+    assert all(
+        seed >= imported
+        for seed, imported in zip(
+            results["seed_rss_mb"]["samples"], results["import_rss_mb"]["samples"]
+        )
+    )
+    assert out.splitlines()[0].startswith("import new import_ms: ")
