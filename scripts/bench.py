@@ -1,7 +1,9 @@
 """Time graphain's kernels into ``BENCH_<case>.json``, one report per case.
 
 head    ``loss_and_grad`` per call and ``train_linear`` per epoch (us), d = 8,
-        C = 3, at the row counts of the teacher, curriculum and fine-tune.
+        at C = 3 (the synthetic configs) and C = 7 (a Cora-shaped head), on
+        the row counts of the teacher, curriculum and fine-tune and on
+        100,002 rows, the scale case's.
 aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         specs and on 3 x 33,333 nodes at ``wide``'s expected degree (intra
         10, inter 1), and the kNN auxiliary graph (ms per call), with the
@@ -73,7 +75,7 @@ from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_m
 
 REPEATS = 7
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-HEAD_ROWS, HEAD_DIM, HEAD_CLASSES = (30, 300, 3000), 8, 3
+HEAD_ROWS, HEAD_DIM, HEAD_CLASSES = (30, 300, 3000, 100_002), 8, (3, 7)
 GENERATOR_SPECS = {
     "wide": dict(clusters=3, nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005),
     "files": dict(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32),
@@ -216,13 +218,13 @@ def environment():
     }
 
 
-def _head_rows(rows):
+def _head_rows(rows, classes):
     rng = np.random.default_rng(rows)
     h = rng.standard_normal((rows, HEAD_DIM))
-    y = rng.dirichlet(np.ones(HEAD_CLASSES), size=rows)
-    w = rng.standard_normal((HEAD_DIM, HEAD_CLASSES))
+    y = rng.dirichlet(np.ones(classes), size=rows)
+    w = rng.standard_normal((HEAD_DIM, classes))
     labels = SoftLabelMatrix(y=y, masked=np.zeros(rows, dtype=bool))
-    count = max(50, 60000 // rows)
+    count = max(50, 60000 // rows) if rows <= 3000 else 10
     cfg = TrainConfig(lr=0.5, epochs=count, weight_decay=5e-4)
 
     def calls():
@@ -341,8 +343,9 @@ def _import_and_seed():
 # Each case: the header fields of its report, and what returns one run's results.
 CASES = {
     "head": (
-        {"dim": HEAD_DIM, "classes": HEAD_CLASSES, "unit": "us"},
-        lambda: [_head_rows(rows) for rows in HEAD_ROWS],
+        {"dim": HEAD_DIM, "unit": "us"},
+        lambda: {f"{classes} classes": [_head_rows(rows, classes) for rows in HEAD_ROWS]
+                 for classes in HEAD_CLASSES},
     ),
     "aux": ({"unit": "ms"}, lambda: {"generator": [_generator(name) for name in GENERATOR_SPECS],
                                      "knn": [_knn(n) for n in KNN_ROWS],

@@ -5,39 +5,41 @@ cross-entropy plus L2 objective.  One kernel, ``loss_and_grad``, gives the
 objective and its analytic gradient to any epoch that needs its loss; the
 finite-difference checks in the test suite differentiate it.  Its gradient,
 probabilities and loss come from ``_gradient``, ``_softmax`` and
-``cross_entropy``, which the other epochs and scoring share.
+``cross_entropy``; scoring shares the last two.
 
 ``train_linear`` fits the unmasked rows of its ``SoftLabelMatrix`` and no
 others: a curriculum task's rows are those its snapshot leaves unmasked, and
 the fine-tune's truth matrix is unmasked exactly on the train mask.  A label
-matrix with no unmasked row raises ``EmptyIncludeError``.
+matrix with no unmasked row raises ``EmptyIncludeError``.  When every row is
+unmasked, as in every pacing task at the default ``mask_ratio`` of 0, it
+reads h and the labels in place and copies neither.
 
 The head works class-major: ``class_logits`` writes the logits h @ w into a
 C-contiguous (C, n) array, one row of n values per class, from the
 C-contiguous (d, n) transpose of h, and the softmax and the gradient
-``h.T @ (P - Y).T`` take that layout; ``train_linear`` runs every epoch in
-one such buffer, against its rows of h and its labels transposed once per
-call.
+``h.T @ (P - Y).T`` take that layout.
 An epoch costs two GEMMs at O(n d C) each plus O(n C) elementwise work.  The
-loss only feeds the check that it is finite, so an epoch skips it, and its
-log-softmax, whenever a bound from ``max|h|`` and ``max|w|`` proves it finite
+loss only feeds the check that it is finite, so an epoch skips it whenever a
+bound from ``max|h|`` and ``max|w|`` proves it finite and every logit small
 (``train_linear``); the first epoch with a non-finite loss is still the one
-reported.  At a run's sizes (d = 8, C = 3, tens to thousands of rows) such an
-epoch is 2C + 9 numpy calls with weight decay, 15 at C = 3, and their call
-overhead, not their arithmetic, sets its cost: so ``train_linear`` allocates
-the epoch's arrays once per call, the views of the class rows included, and
-``_softmax`` and ``_gradient`` work in those buffers, so an epoch allocates
-no array data; the kernels call ``np.add.reduce`` without the ``sum``
-wrappers.  A loss is summed over the (n, C) rows, in the order the split
-scores sum it.
+reported.  Such an epoch exponentiates the logits without the max shift and
+folds its step, w (1 - lr wd) - ((lr/n) h_t P^T - hy), with hy = (lr/n) h_t Y
+made once per call, so it sweeps no P - Y and scales no gradient twice.  At a
+run's sizes (d = 8, C = 3, tens to thousands of rows) that is C + 7 numpy
+calls with weight decay, 10 at C = 3, whose call overhead rather than their
+arithmetic sets its cost, so ``train_linear`` makes its buffers and views
+once per call and an epoch allocates no array data.  A loss is summed over
+the (n, C) rows, in the order the split scores sum it.
 
-Each operation keeps the operands and the order of the plain class-major
-expression it replaces, so every output bit is that expression's
-(``tests/test_kernel_bits.py``).  Against the row-major head this layout
-replaced (logits ``h @ w``, gradient ``h.T @ (P - Y)``), OpenBLAS rounds the
-products alike for 2 <= d <= 15, the width of every shipped config; it picks
-other kernels for the logits at d >= 16 and for the gradient at d = 1, where
-no weight of a sweep of 300-epoch fits moved by more than 9e-16.
+Each operation keeps the operands and the order of its plain class-major
+expression, so every output bit is that expression's
+(``tests/test_kernel_bits.py``); a folded epoch lands within a few ulps of
+the step along ``loss_and_grad``'s gradient.  Against the row-major head
+this layout replaced (logits ``h @ w``, gradient ``h.T @ (P - Y)``),
+OpenBLAS rounds the products alike for 2 <= d <= 15, the width of every
+shipped config; it picks other kernels for the logits at d >= 16 and for
+the gradient at d = 1, where no weight of a sweep of 300-epoch fits moved by
+more than 9e-16.
 """
 
 from __future__ import annotations
@@ -70,65 +72,49 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-def _fold_rows(
-    op, rows: tuple[np.ndarray, ...], out: np.ndarray | None = None
-) -> np.ndarray:
+def _fold_rows(op, rows: tuple[np.ndarray, ...]) -> np.ndarray:
     """op(...op(op(rows[0], rows[1]), rows[2])..., rows[-1]) over equal-length
-    rows, into ``out`` when it is given."""
+    rows, as a new array."""
     if len(rows) == 1:
-        if out is None:
-            return rows[0].copy()
-        np.copyto(out, rows[0])
-        return out
-    out = op(rows[0], rows[1], out=out)
+        return rows[0].copy()
+    out = op(rows[0], rows[1])
     for row in rows[2:]:
         op(out, row, out=out)
     return out
 
 
-def class_logits(h_t: np.ndarray, w: np.ndarray, out: np.ndarray | None = None):
+def class_logits(h_t: np.ndarray, w: np.ndarray):
     """The logits h @ w class-major, ``w.T @ h_t`` from the (d, n) transpose
     ``h_t`` of the embedding h: a C-contiguous (C, n) array whose row j holds
-    class j, written into ``out`` when it is given.  It has the bits of
-    ``h @ w`` written into the transposed view of ``out``, the form it
-    replaced, which took 2.4 times as long at n = 3000, d = 8, C = 3 as the
-    product from a C-contiguous ``h_t``; from the view ``h.T`` it takes as
-    long as that form."""
-    return np.matmul(w.T, h_t, out=out)
+    class j.  It has the bits of ``h @ w`` written into the transposed view
+    of a (C, n) array, the form it replaced, which took 2.4 times as long at
+    n = 3000, d = 8, C = 3 as the product from a C-contiguous ``h_t``; from
+    the view ``h.T`` it takes as long as that form.  ``train_linear``'s epoch
+    runs the same product into its buffer."""
+    return np.matmul(w.T, h_t)
 
 
-def _softmax(
-    logits: np.ndarray,
-    out: np.ndarray | None,
-    rows: tuple[np.ndarray, ...] | None = None,
-    top: np.ndarray | None = None,
-    z: np.ndarray | None = None,
-):
+def _softmax(logits: np.ndarray, out: np.ndarray | None):
     """Softmax of each column of the class-major (C, n) ``logits``, stabilised
     by the column max; returns (probabilities, shifted logits, normaliser).
 
-    The one softmax kernel: the loss, the gradient and scoring all reach it.
-    The max and the normaliser fold the C class rows, each step one
-    elementwise operation on n contiguous values, and each is subtracted or
-    divided as one length-n row, so no reduction runs along the short class
-    axis and nothing is strided or repeated.  The rows are added in order, as
-    numpy's row sum of the (n, C) layout does below eight classes, so there
-    the result equals the row-reduction form bit for bit.
+    The one stabilised softmax kernel: the loss, its gradient and scoring all
+    reach it.  The max and the normaliser fold the C class rows, each step
+    one elementwise operation on n contiguous values, and each is subtracted
+    or divided as one length-n row, so no reduction runs along the short
+    class axis and nothing is strided or repeated.  The rows are added in
+    order, as numpy's row sum of the (n, C) layout does below eight classes,
+    so there the result equals the row-reduction form bit for bit.
 
-    The shifted logits and their exponentials go to ``out``: new arrays when it
-    is None, or ``logits`` itself, which then ends up holding the probabilities
-    (the shifted logits returned are the same array).  A caller that runs the
-    softmax in place epoch after epoch passes its workspace, so that a call
-    makes no array: ``rows``, the class rows of ``logits`` as a sequence of
-    views, and ``top`` and ``z``, length-n buffers for the max and the
-    normaliser.
+    The shifted logits and their exponentials go to ``out``: new arrays when
+    it is None, or ``logits`` itself, which then ends up holding the
+    probabilities (the shifted logits returned are the same array).
     """
-    if rows is None:
-        rows = tuple(logits)
-    top = _fold_rows(np.maximum, rows, top)
+    rows = tuple(logits)
+    top = _fold_rows(np.maximum, rows)
     shifted = np.subtract(logits, top, out=out)
     e = np.exp(shifted, out=out)
-    z = _fold_rows(np.add, rows if e is logits else tuple(e), z)
+    z = _fold_rows(np.add, rows if e is logits else tuple(e))
     e /= z
     return e, shifted, z
 
@@ -141,26 +127,14 @@ def softmax_with_log(logits: np.ndarray):
     return probs, logp
 
 
-def _gradient(
-    h: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    weight_decay: float,
-    probs,
-    grad: np.ndarray | None = None,
-    decay: np.ndarray | None = None,
-):
+def _gradient(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: float, probs):
     """Gradient of the objective from the class-major (C, n) softmax
-    probabilities of h @ w and labels y, overwriting probs with probs - y.
-
-    The gradient is written into ``grad`` and the decay term into ``decay``,
-    C-contiguous (d, C) buffers of the caller's, or new arrays when None.
-    """
+    probabilities of h @ w and labels y, overwriting probs with probs - y."""
     probs -= y
-    grad = np.matmul(h.T, probs.T, out=grad)
+    grad = np.matmul(h.T, probs.T)
     grad /= h.shape[0]
     if weight_decay:
-        grad += np.multiply(w, weight_decay, out=decay)
+        grad += w * weight_decay
     return grad
 
 
@@ -192,9 +166,13 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
-# Bound on the terms of a loss that the finiteness proof admits, far below the
-# largest double (about 1.8e308), so that rounding in the proof cannot matter.
+# Bound on the terms of a loss and of a step that the proofs admit, far below
+# the largest double (about 1.8e308), so that rounding in the proofs cannot
+# matter.
 _LOSS_LIMIT = 1e300
+# Bound on the logits of an epoch that exponentiates them unshifted: e^600 is
+# about 3.8e260 and e^-600 about 2.6e-261, both normal doubles.
+_EXP_LIMIT = 600.0
 
 
 def train_linear(
@@ -210,28 +188,43 @@ def train_linear(
     row per label row (``DimensionMismatchError``), and ``labels`` at least
     one unmasked row (``EmptyIncludeError``, even at zero epochs).
 
-    An epoch whose loss is proved finite skips the loss and computes the
-    gradient alone; any other epoch computes the loss and raises
-    ``NonFiniteLossError`` if it is not finite, so the first such epoch is
-    the one the plain loop would report.  The proof: the rows of y are
-    nonnegative and sum to 1 (within 1e-9), and a computed logit is at most
-    K = 2 d max|h| max|w| in magnitude (the 2 covers the rounding of d
-    terms).  A log-probability is then at most 2K + C in magnitude, with
-    rounding, so the summed loss term is at most 16 count (K + C); the decay
-    term sums w * w, at most 2 d C max|w|^2, times 0.5 weight_decay.  When
-    both bounds, the second scaled by max(weight_decay, 1), are at most 1e300
-    the loss is finite.  A NaN or infinite bound fails the test, so a NaN or
-    an infinity in h or w always sends the epoch to the loss.
+    An epoch takes one of two paths.  An epoch that the bound below admits
+    skips the loss: it exponentiates the logits w^T h_t without the max
+    shift, divides each column by its sum z over the C class rows, and takes
+    the folded step w (1 - lr wd) - ((lr/n) h_t P^T - hy), where
+    hy = (lr/n) h_t Y is made once per call.  Any other epoch calls
+    ``loss_and_grad``, whose softmax is shifted, steps along its gradient, and
+    raises ``NonFiniteLossError`` if the loss is not finite, so the first
+    epoch with a non-finite loss is the one reported.
 
-    Both bounds grow with max|w|, so an upper bound on it that passes the
-    test proves the loss finite too.  An epoch's step adds at most
-    lr (max|h| + weight_decay max|w|) to any weight, as |p - y| <= 1 entry
-    by entry once the loss is proved or found finite, so max|w| grows by at
-    most the factor 1 + lr weight_decay and the term 2 lr max|h|, whose
-    margins (2^-40 on the factor, the 2 on the term) cover the rounding.
+    The bound admits an epoch when max|w| is at most a cap made once per
+    call, and proves that every value the epoch makes is finite and its loss
+    too.  The rows of y are nonnegative and sum to 1 within 1e-9, and a
+    computed logit is at most K = 2 d max|h| max|w| in magnitude (the 2
+    covers the rounding of d terms).
+
+    - Softmax: the cap holds K to 600, so each exponential lies between
+      e^-600 and e^600, normal doubles; z is positive and finite for any C an
+      array can hold, and each probability lies in [0, 1], with no 0/0.
+    - Loss: a log-probability is at most 2K + C in magnitude, with rounding,
+      so the summed loss term is at most 16 n (600 + C); the decay term sums
+      w * w, at most 2 d C max|w|^2, times 0.5 wd.  The first is held to
+      1e300 once per call, the second, times max(wd, 1), by the cap.
+    - Step: an entry of h_t P^T or h_t Y is at most n max|h| (1 + 1e-9), and
+      lr/n times it at most lr max|h|, with rounding; n max|h|, 2 lr max|h|
+      and lr wd are held to 1e300 once per call, and max|w| (1 + lr wd) by
+      the cap.
+    A NaN or infinite max|h| fails a test and leaves no epoch admitted, and a
+    NaN or an infinity in w fails the cap, so such an epoch computes its loss.
+
+    An epoch's step adds at most lr (max|h| + wd max|w|) to any weight on
+    either path, as |p - y| <= 1 entry by entry once the loss is proved or
+    found finite, so max|w| grows by at most the factor 1 + lr wd and the
+    term 2 lr max|h|, whose margins (2^-40 on the factor, the 2 on the term)
+    cover the rounding of either path's step at any n an array can hold.
     That bound is carried from epoch to epoch, and max|w| is measured only
-    when it fails the test, so the loss path is taken exactly when the
-    measured max|w| would fail it.
+    when the bound exceeds the cap, so an epoch is admitted exactly when the
+    measured max|w| would be.
     """
     d = h.shape[1]
     num_classes = labels.y.shape[1]
@@ -251,48 +244,61 @@ def train_linear(
     if cfg.epochs == 0:
         return w
 
-    h_kept, y_kept = h[kept], labels.y[kept]
-    h_t = np.ascontiguousarray(h_kept.T)  # the logits' operand
-    count = kept.size
-    # the epoch's workspace: its class-major logits, probabilities and
-    # residuals with their class rows, the softmax's max and normaliser, and
-    # the gradient and its decay term; the labels transposed to match
+    y = labels.y
+    if kept.size < labels.n:
+        h, y = h[kept], y[kept]
+    count, lr, wd = kept.size, cfg.lr, cfg.weight_decay
+    h_t = np.ascontiguousarray(h.T)  # the logits' operand
+    h_max = _max_abs(h)
+    scale, keep = lr / count, 1.0 - lr * wd
+    hy = np.matmul(h_t, y)
+    hy *= scale
+    # the epoch's workspace: its class-major logits, then probabilities, with
+    # their class rows and transpose, the normaliser and the step
     buf = np.empty((num_classes, count))
-    rows = tuple(buf)
-    top, z = np.empty(count), np.empty(count)
-    grad, decay = np.empty((d, num_classes)), np.empty((d, num_classes))
-    y_cm = np.ascontiguousarray(y_kept.T)
-    wd = cfg.weight_decay
-    h_max = _max_abs(h_kept)
-    # the two bounds are logit_scale * max|w| + label_term and decay_scale * max|w|^2
-    logit_scale = 32.0 * count * d * h_max
-    label_term = 16.0 * count * num_classes
-    decay_scale = max(wd, 1.0) * d * num_classes if wd else 0.0
-
-    def proved(w_max):
-        return (
-            logit_scale * w_max + label_term <= _LOSS_LIMIT
-            and decay_scale * w_max * w_max <= _LOSS_LIMIT
-        )
-
+    first, second, *rest = buf
+    buf_t, w_t = buf.T, w.T
+    z, step_w = np.empty(count), np.empty((d, num_classes))
     # an epoch multiplies max|w| by at most growth and then adds at most step
-    growth, step = (1.0 + cfg.lr * wd) * (1.0 + 2.0**-40), 2.0 * cfg.lr * h_max
+    growth, step = (1.0 + lr * wd) * (1.0 + 2.0**-40), 2.0 * lr * h_max
+    if (
+        count * h_max <= _LOSS_LIMIT
+        and step <= _LOSS_LIMIT
+        and growth <= _LOSS_LIMIT
+        and 16.0 * count * (_EXP_LIMIT + num_classes) <= _LOSS_LIMIT
+    ):
+        w_cap = min(
+            _LOSS_LIMIT / growth,
+            _EXP_LIMIT / (2.0 * d * h_max) if h_max else math.inf,
+            math.sqrt(_LOSS_LIMIT / (max(wd, 1.0) * d * num_classes)) if wd else math.inf,
+        )
+    else:
+        w_cap = -1.0
     w_bound = math.inf
     for epoch in range(cfg.epochs):
-        ok = proved(w_bound)
-        if not ok:
+        if not w_bound <= w_cap:
             w_bound = _max_abs(w)
-            ok = proved(w_bound)
-        if ok:
-            class_logits(h_t, w, out=buf)
-            probs = _softmax(buf, buf, rows, top, z)[0]
-            grad = _gradient(h_kept, y_cm, w, wd, probs, grad, decay)
+        if w_bound <= w_cap:
+            # class_logits and _fold_rows inlined: a run's epochs are short
+            # enough that their calls cost about 4% more
+            np.matmul(w_t, h_t, out=buf)
+            np.exp(buf, out=buf)
+            np.add(first, second, out=z)
+            for row in rest:
+                np.add(z, row, out=z)
+            buf /= z
+            np.matmul(h_t, buf_t, out=step_w)
+            step_w *= scale
+            step_w -= hy
+            if wd:
+                w *= keep
+            w -= step_w
         else:
-            loss, grad = loss_and_grad(h_kept, y_kept, w, wd)
+            loss, grad = loss_and_grad(h, y, w, wd)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-        grad *= cfg.lr
-        w -= grad
+            grad *= lr
+            w -= grad
         w_bound = w_bound * growth + step
     return w
 

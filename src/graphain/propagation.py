@@ -43,6 +43,8 @@ from .linalg import SpectralFilterParams, soft_spectral_filter
 
 ACTIVATIONS = ("identity", "relu")
 VARIANTS = ("rsoft", "sgc", "pairnorm")
+# The centering subtract runs over blocks of _BLOCK_ROWS rows from _LONG_ROWS rows on.
+_BLOCK_ROWS, _LONG_ROWS = 64, 1024
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,31 @@ def _centered_aggregate(
     does, at about a third of its cost at n = 3000, d = 8; a single column is
     one contiguous run, which ``add.reduce`` sums pairwise, so it keeps
     ``add.reduce``.
+
+    Subtracting the d means from rows of d values runs numpy's inner loop d
+    values at a time.  From ``_LONG_ROWS`` rows on, the leading rows are
+    viewed as blocks of ``_BLOCK_ROWS`` rows and the means tiled to one
+    block, so the loop runs over ``_BLOCK_ROWS`` * d values; each element is
+    still one subtract of its column's mean, so the bits are those of the
+    broadcast subtract.  At n = 3000, d = 8 that halves the subtract; below
+    about a thousand rows the extra calls cost more than they save.
     """
     out = apply_operator(op, h, out)
-    if out.shape[1] == 1:
+    n, d = out.shape
+    if d == 1:
         sums = np.add.reduce(out, axis=0)
     else:
         sums = np.einsum("ij->j", out)
-    sums /= out.shape[0]
-    out -= sums
+    sums /= n
+    if n >= _LONG_ROWS:
+        blocked = n - n % _BLOCK_ROWS
+        tile = np.empty((_BLOCK_ROWS, d))
+        tile[...] = sums
+        block = out[:blocked].reshape(-1, _BLOCK_ROWS, d)
+        block -= tile
+        out[blocked:] -= sums
+    else:
+        out -= sums
     return out
 
 

@@ -139,13 +139,23 @@ class TestTrainLinear:
         assert accuracy(pred, truth) == 1.0
 
     def test_descends_the_checked_gradient(self):
-        # one epoch is exactly one step along loss_and_grad's gradient
+        # one epoch is exactly the folded step of the unshifted softmax,
+        # w (1 - lr wd) - ((lr/n) h^T P - (lr/n) h^T Y), and within rounding
+        # of the step along loss_and_grad's gradient
         h, y, w, include = _seeded_problem(7)
+        h_t = np.ascontiguousarray(h.T)
+        e = np.exp(w.T @ h_t)
+        probs = e / (e[0] + e[1] + e[2])
+        scale = 0.2 / h.shape[0]
         for weight_decay in (0.0, 0.3):
             cfg = TrainConfig(lr=0.2, epochs=1, weight_decay=weight_decay)
             stepped = train_linear(h, y, cfg, warm_start=w)
+            folded = w * (1.0 - 0.2 * weight_decay) - (
+                scale * (h_t @ probs.T) - scale * (h_t @ y.y)
+            )
+            assert np.array_equal(stepped, folded)
             _, grad = loss_and_grad(h, y.y, w, weight_decay)
-            assert np.array_equal(stepped, w - 0.2 * grad)
+            assert np.abs(stepped - (w - 0.2 * grad)).max() <= 1e-15
 
     def test_zero_epochs_returns_warm_start(self, rng):
         h, y, w, include = _seeded_problem(1)

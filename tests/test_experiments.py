@@ -565,13 +565,22 @@ class TestRunExperiment:
         assert header == "seed,config_hash,task,split,accuracy,loss,wall_ms"
 
     def test_default_seed_scores_each_head_once(self, monkeypatch):
-        # 1150 epochs: 300 teacher, 11 x 50 curriculum, 300 fine-tune; each of
-        # the 13 heads is scored from one softmax, with no scoring gradient.
+        # 1150 epochs: 300 teacher, 11 x 50 curriculum, 300 fine-tune, each a
+        # folded step that computes no loss; each of the 13 heads is scored
+        # from one softmax, with no scoring gradient.
         import graphain.classifier as classifier
         import graphain.curriculum as curriculum
         import graphain.diagnostics as diagnostics
 
-        calls = {"_gradient": 0, "softmax_with_log": 0}
+        epochs = []
+        real_train = curriculum.train_linear
+
+        def counting_train(h, labels, cfg, warm_start=None):
+            epochs.append(cfg.epochs)
+            return real_train(h, labels, cfg, warm_start=warm_start)
+
+        monkeypatch.setattr(curriculum, "train_linear", counting_train)
+        calls = {"_gradient": 0, "loss_and_grad": 0, "softmax_with_log": 0}
         for name in calls:
             real = getattr(classifier, name)
 
@@ -583,7 +592,8 @@ class TestRunExperiment:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting)
         rows, _, _ = run_seed(build_experiment_config({}), 0)
-        assert calls == {"_gradient": 1150, "softmax_with_log": 13}
+        assert sum(epochs) == 1150
+        assert calls == {"_gradient": 0, "loss_and_grad": 0, "softmax_with_log": 13}
         assert [r.split for r in rows].count("test") == 1
 
     def test_write_mode_filters_each_layer_once(self, tmp_path, monkeypatch):

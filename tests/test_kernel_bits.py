@@ -4,8 +4,11 @@ straight-line forms.
 The ``straight_*`` functions are the kernels as plain expressions, kept
 verbatim: the class-major softmax, the loss and gradient with fresh
 temporaries in the kernels' operand order (logits ``w.T @ h.T``, gradient
-``h.T @ (P - Y).T`` on class-major P and Y), the ``w = w - lr * grad`` update
-with the loss of every epoch computed, and ``sym_eig`` and the filter with an
+``h.T @ (P - Y).T`` on class-major P and Y), the training loop with the loss
+of every epoch computed and checked, which steps by ``w - lr * grad`` or, in
+the regime ``train_linear`` proves (``straight_admits``, on the measured
+max|w|), by the folded step of the unshifted softmax, and ``sym_eig`` and
+the filter with an
 unconditional symmetrisation, a contiguous copy of the eigenvectors and a
 fancy-indexed diagonal.  ``straight_forward_pass`` is the deep forward pass of
 every variant as the runner read when each step still allocated its arrays:
@@ -28,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scipy.sparse as sp
-from graphain import classifier
+from graphain import classifier, propagation
 from graphain.classifier import (
     TrainConfig,
     loss_and_grad,
@@ -88,12 +91,47 @@ def straight_loss_and_grad(h, y, w, weight_decay):
     return float(loss), grad
 
 
+def straight_admits(h, w, cfg):
+    """Whether ``train_linear`` takes the folded step at weights w: the logit
+    bound 2 d max|h| max|w| at most 600, the decay term and every step term
+    at most 1e300."""
+    n, d = h.shape
+    c = w.shape[1]
+    lr, wd = cfg.lr, cfg.weight_decay
+    h_max, w_max = float(np.abs(h).max()), float(np.abs(w).max())
+    growth = (1.0 + lr * wd) * (1.0 + 2.0**-40)
+    return (
+        n * h_max <= 1e300
+        and 2.0 * lr * h_max <= 1e300
+        and growth <= 1e300
+        and 16.0 * n * (600.0 + c) <= 1e300
+        and 2.0 * d * h_max * w_max <= 600.0
+        and (not wd or max(wd, 1.0) * d * c * w_max * w_max <= 1e300)
+        and w_max * growth <= 1e300
+    )
+
+
+def straight_folded_step(h, y, w, cfg):
+    """One epoch without the softmax shift, its step folded:
+    w (1 - lr wd) - ((lr/n) h_t P^T - (lr/n) h_t Y)."""
+    h_t = np.ascontiguousarray(h.T)
+    e = np.exp(w.T @ h_t)
+    z = e[0].copy()
+    for j in range(1, e.shape[0]):
+        z += e[j]
+    scale = cfg.lr / h.shape[0]
+    return w * (1.0 - cfg.lr * cfg.weight_decay) - (scale * (h_t @ (e / z).T) - scale * (h_t @ y))
+
+
 def straight_train_loop(h_inc, y_inc, w, cfg, step=straight_loss_and_grad):
     for epoch in range(cfg.epochs):
         loss, grad = step(h_inc, y_inc, w, cfg.weight_decay)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-        w = w - cfg.lr * grad
+        if straight_admits(h_inc, w, cfg):
+            w = straight_folded_step(h_inc, y_inc, w, cfg)
+        else:
+            w = w - cfg.lr * grad
     return w
 
 
@@ -313,8 +351,8 @@ def test_softmax_matches_the_straight_form(seed, n, c, non_finite):
 @settings(max_examples=300)
 @given(st.integers(0, 2**32 - 1), ROWS, st.integers(1, 40), st.integers(2, 11))
 def test_logits_from_the_transpose_keep_the_product_bits(seed, n, d, c):
-    # class_logits reads the C-contiguous (d, n) transpose of h and writes
-    # its (C, n) output in place; the logits keep the bits of the straight
+    # class_logits reads the C-contiguous (d, n) transpose of h and returns
+    # C-contiguous (C, n) logits; they keep the bits of the straight
     # w.T @ h.T and of h @ w written into the transposed output, the form
     # it replaced.
     h, _, w = _problem(seed, n, d, c)
@@ -377,6 +415,20 @@ class _CountingLossEpochs:
         monkeypatch.setattr(classifier, "loss_and_grad", counting)
 
 
+# logit bounds 2 d max|h| max|w| of the folded regime, up to its cap of 600
+FOLDED_BOUNDS = st.sampled_from([1e-3, 1.0, 30.0, 590.0])
+
+
+def _folded(h, w0, lr, epochs, bound):
+    """h rescaled so that every one of ``epochs`` steps at ``lr`` from w0 is
+    folded: the logit bound from max|w0| and the growth of max|w| over the
+    epochs, 2 d max|h| (max|w0| + 2 lr epochs max|h|), stays under ``bound``."""
+    d = h.shape[1]
+    h_max, w_max = np.abs(h).max(), np.abs(w0).max()
+    s = min(bound / (4 * d * h_max * w_max), math.sqrt(bound / (8 * d * lr * epochs)) / h_max)
+    return h * s
+
+
 @settings(max_examples=150)
 @given(
     st.integers(0, 2**32 - 1),
@@ -386,14 +438,17 @@ class _CountingLossEpochs:
     st.sampled_from([0.0, 5e-4]),
     st.integers(1, 8),
     st.booleans(),
+    FOLDED_BOUNDS,
 )
 def test_train_linear_matches_the_every_loss_loop(
-    seed, n, d, c, weight_decay, epochs, warm
+    seed, n, d, c, weight_decay, epochs, warm, bound
 ):
-    # warm starts and random masks; every epoch takes the gradient-only path.
-    # The weights are those of the unmasked rows alone, and no masked row of h
-    # is read: NaN there changes no bit and sends no epoch to the loss.
+    # warm starts and random masks; every epoch takes the folded step without
+    # computing its loss, which the straight loop computes and checks.  The
+    # weights are those of the unmasked rows alone, and no masked row of h is
+    # read: NaN there changes no bit and sends no epoch to the loss.
     h, y, w0 = _problem(seed, n, d, c)
+    h = _folded(h, w0, 0.3, epochs, bound)
     rng = np.random.default_rng(seed + 1)
     include = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     labels = _masked_labels(y, include)
@@ -440,18 +495,84 @@ def test_class_major_head_keeps_the_row_major_bits(seed, n, d, c, weight_decay, 
     ROWS,
     st.integers(1, 12),
     st.integers(2, 7),
-    st.sampled_from([0.0, 5e-4]),
+    st.sampled_from([0.0, 5e-4, 0.3]),
+    FOLDED_BOUNDS,
 )
-def test_gradient_only_epoch_steps_along_loss_and_grad(seed, n, d, c, weight_decay):
-    # the finite-difference checks of loss_and_grad's gradient cover training
+def test_gradient_only_epoch_steps_along_loss_and_grad(seed, n, d, c, weight_decay, bound):
+    # the finite-difference checks of loss_and_grad's gradient cover training:
+    # a folded epoch lands within a few ulps of the step along that gradient,
+    # counted on the scale of the step's terms, |w| (1 + lr wd) and
+    # (lr/n) |h|^T (P + Y), and growing as the square root of n, as the
+    # rounding of the n-term sums in both steps does
     h, y, w0 = _problem(seed, n, d, c)
+    h = _folded(h, w0, 0.7, 1, bound)
     labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
     cfg = TrainConfig(lr=0.7, epochs=1, weight_decay=weight_decay)
     with pytest.MonkeyPatch.context() as patch:
         counter = _CountingLossEpochs(patch)
         got = train_linear(h, labels, cfg, warm_start=w0)
     assert counter.calls == 0
-    assert _same_bits(got, w0 - 0.7 * loss_and_grad(h, y, w0, weight_decay)[1])
+    want = w0 - 0.7 * loss_and_grad(h, y, w0, weight_decay)[1]
+    probs = softmax_with_log(w0.T @ h.T)[0]
+    terms = np.abs(w0) * (1.0 + 0.7 * weight_decay) + (0.7 / n) * (np.abs(h).T @ (probs.T + y))
+    ulps = 4.0 + math.sqrt(n) / 2.0
+    assert (np.abs(got - want) <= ulps * np.finfo(np.float64).eps * terms).all()
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    ROWS,
+    st.integers(1, 12),
+    st.integers(2, 7),
+    st.sampled_from([0.0, 5e-4]),
+    st.integers(1, 4),
+    st.sampled_from([700.0, 1e4, 1e100]),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_logits_above_the_bound_take_the_loss_path(seed, n, d, c, weight_decay, epochs, top):
+    # weights whose largest logit is ``top``, past the bound of 600 on the
+    # unshifted e^x, so every epoch computes its loss and steps with the
+    # shifted softmax; the small step keeps max|w| above the cap throughout
+    h, y, w0 = _problem(seed, n, d, c)
+    w0 *= top / np.abs(w0.T @ h.T).max()
+    labels = SoftLabelMatrix(y=y, masked=np.zeros(n, dtype=bool))
+    cfg = TrainConfig(lr=1e-6, epochs=epochs, weight_decay=weight_decay)
+    with pytest.MonkeyPatch.context() as patch:
+        counter = _CountingLossEpochs(patch)
+        got = train_linear(h, labels, cfg, warm_start=w0)
+    assert counter.calls == epochs
+    assert np.isfinite(got).all()
+    assert _same_bits(got, straight_train_loop(h, y, w0, cfg))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "h_scale, lr, weight_decay",
+    [
+        # h_t P^T and h_t Y overflow, and their difference is NaN, while the
+        # plain gradient's h^T (P - Y) stays finite
+        (1e306, 1e-10, 0.0),
+        # 1 - lr wd is -inf, and times a zero weight NaN
+        (1.0, 1e200, 1e200),
+    ],
+    ids=["huge-sums", "huge-decay-factor"],
+)
+def test_step_terms_that_could_overflow_take_the_loss_path(h_scale, lr, weight_decay):
+    # the bound admits no epoch whose folded step could overflow, though its
+    # logits are small: the epoch computes its loss and steps along the
+    # plain gradient, and the last epoch returns finite weights, not NaN
+    rng = np.random.default_rng(5)
+    h = np.abs(rng.standard_normal((1000, 3))) * h_scale
+    y = np.eye(3)[rng.integers(0, 3, 1000)]
+    labels = SoftLabelMatrix(y=y, masked=np.zeros(1000, dtype=bool))
+    cfg = TrainConfig(lr=lr, epochs=1, weight_decay=weight_decay)
+    with pytest.MonkeyPatch.context() as patch:
+        counter = _CountingLossEpochs(patch)
+        got = train_linear(h, labels, cfg)
+    assert counter.calls == 1
+    assert np.isfinite(got).all()
+    assert _same_bits(got, straight_train_loop(h, y, np.zeros((3, 3)), cfg))
 
 
 EDGE_CASES = {
@@ -598,6 +719,29 @@ def test_forward_pass_matches_the_straight_form(
     assert len(got) == len(want)
     for got_h, want_h in zip(got, want):
         assert _same_bits(got_h, want_h)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.integers(1, 4000), st.sampled_from([63, 64, 65, 1023, 1024, 1025, 1087, 1088, 1089])
+    ),
+    st.integers(1, 12),
+    st.sampled_from(OPERATOR_MODES),
+)
+def test_centered_aggregate_matches_the_broadcast_subtract(seed, n, d, mode):
+    # from 1024 rows on the means are subtracted over blocks of 64 rows, each
+    # element still by one subtract, so the bits are the broadcast subtract's
+    rng = np.random.default_rng(seed)
+    g = build_graph(rng.integers(0, n, size=(4 * n, 2)), n, np.zeros((n, 1)))
+    op = normalized_adjacency(g, mode)
+    h = rng.standard_normal((n, d)) * rng.choice(SCALES, size=(n, 1))
+    want = straight_centered_aggregate(op, h)
+    assert _same_bits(propagation._centered_aggregate(op, h), want)
+    out = np.full((n, d), np.nan)
+    assert propagation._centered_aggregate(op, h, out) is out
+    assert _same_bits(out, want)
 
 
 @settings(max_examples=200)

@@ -100,11 +100,15 @@ def test_bench_head_runs(tmp_path):
     out = _run(ROOT / "scripts" / "bench.py", "--case", "head", "--label", "new", cwd=tmp_path)
     report = json.loads((tmp_path / "BENCH_head.json").read_text(encoding="utf-8"))
     (run,) = report["runs"]["new"]
-    assert [entry["rows"] for entry in run["results"]] == [30, 300, 3000]
-    for entry in run["results"]:
-        for field in ("loss_and_grad_us_per_call", "train_linear_us_per_epoch"):
-            assert len(entry[field]["samples"]) == report["repeats"]
-    assert out.splitlines()[1].startswith("head new rows=30 train_linear_us_per_epoch: ")
+    assert list(run["results"]) == ["3 classes", "7 classes"]
+    for entries in run["results"].values():
+        assert [entry["rows"] for entry in entries] == [30, 300, 3000, 100_002]
+        for entry in entries:
+            for field in ("loss_and_grad_us_per_call", "train_linear_us_per_epoch"):
+                assert len(entry[field]["samples"]) == report["repeats"]
+    assert out.splitlines()[1].startswith(
+        "head new 3 classes rows=30 train_linear_us_per_epoch: "
+    )
 
 
 def test_bench_import_runs(tmp_path):
