@@ -9,14 +9,16 @@ aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         10, inter 1), and the kNN auxiliary graph (ms per call), with the
         ``tracemalloc`` peak of one more kNN call in MB (10^6 bytes) and the
         entries of the blocks of distances that call forms
-        (``_leaf_product``): on isotropic Gaussian rows, where no leaf's box
-        is far from another's and only the per-row box test prunes, and on
-        four propagated embeddings, clustered like the ones a run smooths
-        over: the ``deep`` spec (n = 300, one leaf), the ``wide`` spec
-        (n = 3000), and 3 x 3000 and 3 x 33,334 nodes at ``wide``'s expected
-        degree (n = 9000 and 100,002), each after ``wide``'s 64 layers.  The
-        last is the scale case, timed in 3 repeats against ROADMAP item 3's
-        target of 3 s (``target_ms``).
+        (``_leaf_product``) and their count: on isotropic Gaussian rows,
+        where no leaf's box is far from another's and only the per-row box
+        test prunes; on four propagated embeddings, clustered like the ones
+        a run smooths over: the ``deep`` spec (n = 300, one leaf), the
+        ``wide`` spec (n = 3000), and 3 x 3000 and 3 x 33,334 nodes at
+        ``wide``'s expected degree (n = 9000 and 100,002), each after
+        ``wide``'s 64 layers, the last the scale case, timed in 3 repeats
+        against ROADMAP item 3's target of 3 s (``target_ms``); and on the
+        raw features of a Cora-shaped graph (7 x 387 nodes, 1433 columns),
+        as ``feature_knn`` builds it.
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
 layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
@@ -93,6 +95,12 @@ KNN_EMBEDDINGS = {
     ),
 }
 KNN_LAYERS = 64
+# Cora's shape (Pei et al. 2020): 7 classes, 1433 features, mean degree about
+# 4 at edge homophily 0.81, drawn as equal clusters.
+KNN_FEATURES = {
+    "cora": dict(clusters=7, nodes_per_cluster=387, intra_p=0.81 * 4 / 386,
+                 inter_p=0.19 * 4 / 2322, centers_dim=1433),
+}
 # Past this n an embedding is a scale case, timed in fewer repeats against the
 # n = 10^5 target of ROADMAP item 3.
 KNN_SCALE_N, KNN_SCALE_TARGET_MS, SCALE_REPEATS = 30_000, 3000.0, 3
@@ -247,15 +255,16 @@ def _generator(name):
     return {"spec": name, "n": spec.clusters * spec.nodes_per_cluster, "gen_ms_per_call": gen_ms}
 
 
-def _block_entries(fn):
-    """Entries of every block of distances that one call of ``fn()`` forms,
-    counted around ``curriculum._leaf_product``, which returns them."""
+def _blocks(fn):
+    """(count, entries) of the blocks of distances that one call of ``fn()``
+    forms, counted around ``curriculum._leaf_product``, which returns them."""
     real = curriculum._leaf_product
-    entries = 0
+    products = entries = 0
 
     def counting(*args):
-        nonlocal entries
+        nonlocal products, entries
         blocks = real(*args)
+        products += 1
         entries += blocks.size
         return blocks
 
@@ -264,14 +273,16 @@ def _block_entries(fn):
         fn()
     finally:
         curriculum._leaf_product = real
-    return entries
+    return products, entries
 
 
 def _knn_timed(vectors, repeats=REPEATS):
     call = partial(build_knn_aux_graph, vectors, KNN_K, 1.0)
+    products, entries = _blocks(call)
     return {"knn_ms_per_call": _timed(call, 1e3, repeats),
             "knn_tracemalloc_peak_mb": _peak_mb(call),
-            "knn_block_entries_per_call": _block_entries(call)}
+            "knn_block_entries_per_call": entries,
+            "knn_products_per_call": products}
 
 
 def _knn(n):
@@ -291,6 +302,13 @@ def _knn_embedding(name):
     return {"embedding": name, "n": g.n, "dim": vectors.shape[1], "k": KNN_K,
             "layers": KNN_LAYERS, **({"target_ms": KNN_SCALE_TARGET_MS} if scale else {}),
             **_knn_timed(vectors, SCALE_REPEATS if scale else REPEATS)}
+
+
+def _knn_features(name):
+    """The kNN on the features of ``KNN_FEATURES[name]`` at seed 0."""
+    vectors = gen_gaussian_cluster_graph(SyntheticSpec(**KNN_FEATURES[name], seed=0)).features
+    return {"features": name, "n": vectors.shape[0], "dim": vectors.shape[1], "k": KNN_K,
+            **_knn_timed(vectors)}
 
 
 def _dataset_io():
@@ -350,7 +368,9 @@ CASES = {
     "aux": ({"unit": "ms"}, lambda: {"generator": [_generator(name) for name in GENERATOR_SPECS],
                                      "knn": [_knn(n) for n in KNN_ROWS],
                                      "knn_embedding": [_knn_embedding(name)
-                                                       for name in KNN_EMBEDDINGS]}),
+                                                       for name in KNN_EMBEDDINGS],
+                                     "knn_features": [_knn_features(name)
+                                                      for name in KNN_FEATURES]}),
     "io": ({"spec": "files", "unit": "ms"}, _dataset_io),
     "layers": ({"unit": "us per layer"}, lambda: [_layer_case(name) for name in LAYER_CASES]),
     "import": ({"spec": "wide", "unit": "ms or MB"}, _import_and_seed),

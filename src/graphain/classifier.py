@@ -4,7 +4,7 @@ Training is deterministic full-batch gradient descent on the convex
 cross-entropy plus L2 objective.  One kernel, ``loss_and_grad``, gives the
 objective and its analytic gradient to any epoch that needs its loss; the
 finite-difference checks in the test suite differentiate it.  Its gradient,
-probabilities and loss come from ``_gradient``, ``_softmax`` and
+probabilities and loss come from ``_gradient``, ``softmax_with_log`` and
 ``cross_entropy``; scoring shares the last two.
 
 ``train_linear`` fits the unmasked rows of its ``SoftLabelMatrix`` and no
@@ -94,9 +94,9 @@ def class_logits(h_t: np.ndarray, w: np.ndarray):
     return np.matmul(w.T, h_t)
 
 
-def _softmax(logits: np.ndarray, out: np.ndarray | None):
+def softmax_with_log(logits: np.ndarray):
     """Softmax of each column of the class-major (C, n) ``logits``, stabilised
-    by the column max; returns (probabilities, shifted logits, normaliser).
+    by the column max; returns (probabilities, log-probabilities), both (C, n).
 
     The one stabilised softmax kernel: the loss, its gradient and scoring all
     reach it.  The max and the normaliser fold the C class rows, each step
@@ -105,24 +105,11 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None):
     class axis and nothing is strided or repeated.  The rows are added in
     order, as numpy's row sum of the (n, C) layout does below eight classes,
     so there the result equals the row-reduction form bit for bit.
-
-    The shifted logits and their exponentials go to ``out``: new arrays when
-    it is None, or ``logits`` itself, which then ends up holding the
-    probabilities (the shifted logits returned are the same array).
     """
-    rows = tuple(logits)
-    top = _fold_rows(np.maximum, rows)
-    shifted = np.subtract(logits, top, out=out)
-    e = np.exp(shifted, out=out)
-    z = _fold_rows(np.add, rows if e is logits else tuple(e))
-    e /= z
-    return e, shifted, z
-
-
-def softmax_with_log(logits: np.ndarray):
-    """Softmax of the class-major (C, n) ``logits``; returns (probabilities,
-    log-probabilities), both (C, n)."""
-    probs, logp, z = _softmax(logits, None)
+    logp = logits - _fold_rows(np.maximum, tuple(logits))
+    probs = np.exp(logp)
+    z = _fold_rows(np.add, tuple(probs))
+    probs /= z
     logp -= np.log(z)
     return probs, logp
 

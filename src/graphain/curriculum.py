@@ -37,7 +37,6 @@ _KNN_BLOCK = 1 << 18  # kNN leaves of about _KNN_BLOCK // n rows, at least _KNN_
 # float64.  Chunks four times larger made the kNN of a `wide` embedding 15-20%
 # slower in alternated calls on a 2-vCPU host.
 _KNN_CHUNK = 1 << 16
-_KNN_STACK = 32  # most rows of one block of the kNN's cross-leaf products
 
 
 @dataclass(frozen=True)
@@ -213,20 +212,6 @@ def _leaf_pairs(lo: np.ndarray, hi: np.ndarray, leaf_bound: np.ndarray):
     return node[keep], searched[keep]
 
 
-def _stacked_rows(rows: np.ndarray, leaf: np.ndarray, stack: int):
-    """The ``rows`` grouped into blocks of at most ``stack`` by the leaf
-    each searches (``leaf`` is sorted): (a (blocks, stack) array of rows, 0
-    in the padding, the flat position of each row in it, each block's
-    leaf)."""
-    firsts = np.flatnonzero(np.diff(leaf, prepend=-1))
-    run = np.diff(np.append(firsts, rows.size))
-    blocks = -(-run // stack)
-    spot = np.arange(rows.size) + np.repeat((np.cumsum(blocks) - blocks) * stack - firsts, run)
-    block_rows = np.zeros(int(blocks.sum()) * stack, dtype=np.int64)
-    block_rows[spot] = rows
-    return block_rows.reshape(-1, stack), spot, np.repeat(leaf[firsts], blocks)
-
-
 def _search_leaves(pts, sq_norms, edge, k, slack):
     """Candidate pairs of the leaf-ordered rows ``pts``: (codes p * n + q,
     their block distances, each row's bound).  Every pair (p, q) whose
@@ -245,16 +230,18 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
     - Rows: a row searches such a leaf only when the gap from its own point
       to the leaf's box is within its own bound.  The pairs run in chunks
       sorted by the searched leaf.  In a chunk, the rows that search a leaf
-      go in blocks of ``_KNN_STACK`` rows against its columns, stacked into
-      products, or, when they make half a chunk of entries or more, into
-      products of their own, which cost less an entry.  After each chunk a
-      row's nearest new distance replaces the largest of the k it holds, all
-      of distinct columns, so its bound shrinks for the chunks after it.
+      form one product against its columns, in pieces of at most a chunk
+      of entries.  After each chunk a row's nearest new distance replaces
+      the largest of the k it holds, all of distinct columns, so its bound
+      shrinks for the chunks after it.
 
-    Every product, partition and box test spans at most ``_KNN_CHUNK``
-    entries, or one leaf's block or box test, in buffers allocated once per
-    call, so the numpy calls per build grow with the chunks and the tree's
-    levels, not with the leaves."""
+    Every product, partition and box test spans at most a chunk,
+    ``max(_KNN_CHUNK, width * max(width, d))`` entries for leaves of at most
+    ``width`` rows, in buffers allocated once per call.  The own blocks take
+    one product per chunk of leaves, and the rows one per (chunk, searched
+    leaf), so their products grow with the leaf pairs that pass the
+    frontier: 44 on the ``wide`` embedding (n = 3000), about 2000 at
+    n = 100,002."""
     n, d = pts.shape
     count = edge.size - 1
     sizes = np.diff(edge)
@@ -308,7 +295,6 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
     slot_bound[row_slot] = top_max + slack
     nearest = np.full(n, np.inf)
     last = np.empty(n, dtype=np.int64)
-    stack = min(width, _KNN_STACK)
     step = max(1, size // (d * width))
     for start in range(0, searched.size, step):
         a, b = rows_leaf[start : start + step], searched[start : start + step]
@@ -323,10 +309,8 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
             continue
         rows, leaf = edge[a[near // width]] + near % width, b[near // width]
         firsts = np.flatnonzero(np.diff(leaf, prepend=-1))
-        run = np.diff(np.append(firsts, rows.size))
-        alone = run * width >= size // 2
         found = len(codes)
-        for first, end in zip(firsts[alone].tolist(), (firsts + run)[alone].tolist()):
+        for first, end in zip(firsts.tolist(), np.append(firsts[1:], rows.size).tolist()):
             cols = slice(edge[leaf[first]], edge[leaf[first] + 1])
             for piece in range(first, end, size // width):
                 some = rows[piece : min(piece + size // width, end)]
@@ -335,23 +319,6 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
                 i, j = np.divmod(cand, dist.shape[1])
                 codes.append(some[i] * n + cols.start + j)
                 dists.append(dist.ravel()[cand])
-        stacked = ~np.repeat(alone, run)
-        if stacked.any():
-            block_rows, spot, block_leaf = _stacked_rows(rows[stacked], leaf[stacked], stack)
-            lim = np.full(block_rows.size, -np.inf)  # the padding finds nothing
-            lim[spot] = slot_bound[row_slot[block_rows.ravel()[spot]]]
-            lim = lim.reshape(-1, stack, 1)
-            per = max(1, size // (stack * width))
-            for block in range(0, block_leaf.size, per):
-                part = slice(block, block + per)
-                some, leaves = block_rows[part], block_leaf[part]
-                dist = _leaf_product(left[some], right_leaf[leaves], dist_buf)
-                cand = within(dist, lim[part])
-                i, j = np.divmod(cand, width)
-                leaves = leaves[i // stack]
-                real = j < sizes[leaves]  # not an empty slot's column
-                codes.append(some.ravel()[i[real]] * n + edge[leaves[real]] + j[real])
-                dists.append(dist.ravel()[cand[real]])
         # A row's nearest new distance replaces the largest of the k it holds.
         got = np.concatenate(codes[found:]) // n
         np.minimum.at(nearest, got, np.concatenate(dists[found:]))
@@ -387,9 +354,9 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     that a leaf's own block gives its rows loose first bounds and the leaf
     pairs to search grow many: at n = 30,000, leaves of 8 rows made the
     search about 4 times slower than leaves of 64.  The search runs over
-    every leaf at once (``_search_leaves``): it forms distances by BLAS in
-    stacked blocks, every leaf's own first, then descends the tree level by
-    level to the leaves each row may reach, pruning against the tree's boxes
+    every leaf at once (``_search_leaves``): it forms distances by BLAS,
+    every leaf's own block first in stacked products, then descends the tree
+    level by level to the leaves each row may reach, pruning against the boxes
     as dual-tree search does (Gray and Moore 2001).  Every bound is widened
     by the rounding slack of those distances and of the box gaps, so no
     neighbor and no tie is lost.  Only the candidates within the final

@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from graphain.classifier import _softmax, class_logits
+from graphain.classifier import class_logits, softmax_with_log
 
 
 def predict(h, w):
     """Hard labels (argmax, ties to the lower class) and the probability rows
     of the head whose (d, C) weights are ``w``."""
     logits = class_logits(np.ascontiguousarray(h.T), w)
-    probs = _softmax(logits, logits)[0]
+    probs = softmax_with_log(logits)[0]
     return probs.argmax(axis=0), probs.T

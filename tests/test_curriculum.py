@@ -224,24 +224,29 @@ class TestKnnAuxGraph:
         # all pairs are n^2; each cluster's rows against that cluster, n^2 / 3
         assert sum(rows * cols for rows, cols in leaf_products) < 0.4 * n * n
 
-    def test_products_are_far_fewer_than_the_leaves(self, leaf_products):
-        # Three separated clusters of rank 3 in 8 columns.  The search runs
-        # over every leaf at once, so its products grow with the chunks of
-        # entries, not with the leaves; one loop trip per leaf made two.
+    def test_products_span_at_most_a_chunk(self, leaf_products):
+        # Three separated clusters of rank 3 in 8 columns, in 35 leaves of at
+        # most 86 rows and in 375 leaves of k + 1 = 8 rows.  Every product,
+        # a stack of own blocks or the rows that search a leaf against its
+        # columns, spans at most max(chunk, width * max(width, d)) entries.
+        # At the default chunk no leaf here is searched by enough rows to fill
+        # a chunk; at 300 entries the rows that search a leaf take several
+        # products.
         n = 3000
         rng = np.random.default_rng(22)
         centers = rng.standard_normal((3, 3)) * 8.0
         points = centers[np.arange(n) % 3] + rng.standard_normal((n, 3))
         vecs = points @ rng.standard_normal((3, 8))
-        count = -(-n // (curriculum._KNN_BLOCK // n))  # 35 leaves of about 86 rows
-        build_knn_aux_graph(vecs, 7, 1.0)
-        assert 0 < len(leaf_products) < count
-        # Leaves of k + 1 = 8 rows: 375 of them.
-        leaf_products.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(curriculum, "_KNN_BLOCK", 8 * n)
-            build_knn_aux_graph(vecs, 7, 1.0)
-        assert 0 < len(leaf_products) < 375 // 10
+        for block, width in ((curriculum._KNN_BLOCK, 86), (8 * n, 8)):
+            for chunk in (curriculum._KNN_CHUNK, 300):
+                leaf_products.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(curriculum, "_KNN_BLOCK", block)
+                    patch.setattr(curriculum, "_KNN_CHUNK", chunk)
+                    build_knn_aux_graph(vecs, 7, 1.0)
+                assert max(cols for _, cols in leaf_products) == width
+                bound = max(chunk, width * max(width, 8))
+                assert max(rows * cols for rows, cols in leaf_products) <= bound, (block, chunk)
 
     @settings(max_examples=80)
     @given(st.data())
@@ -305,11 +310,12 @@ class TestKnnAuxGraph:
     @given(st.data())
     def test_float_vectors_match_oracle_bits_for_any_block(self, data):
         # Float rows in Gaussian clusters, some repeated exactly, at scales
-        # from tiny to huge; the block runs from one row (leaves of k + 1
-        # rows) to n^2 (a single leaf), which moves every leaf and every BLAS
-        # block shape but must not move a bit of the output.
+        # from tiny to huge, in up to 8 columns or in 64 or 300, where every
+        # leaf pair survives the pruning; the block runs from one row (leaves
+        # of k + 1 rows) to n^2 (a single leaf), which moves every leaf and
+        # every BLAS block shape but must not move a bit of the output.
         n = data.draw(st.integers(2, 200), label="n")
-        dim = data.draw(st.integers(1, 8), label="dim")
+        dim = data.draw(st.integers(1, 8) | st.sampled_from([64, 300]), label="dim")
         k = data.draw(st.integers(1, 12), label="k")
         block = data.draw(st.integers(n, n * n), label="block")
         spread = data.draw(st.sampled_from([0.0, 1.0, 10.0]), label="spread")
