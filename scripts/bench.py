@@ -16,9 +16,9 @@ aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         ``wide`` spec (n = 3000), and 3 x 3000 and 3 x 33,334 nodes at
         ``wide``'s expected degree (n = 9000 and 100,002), each after
         ``wide``'s 64 layers, the last the scale case, timed in 3 repeats
-        against ROADMAP item 3's target of 3 s (``target_ms``); and on the
-        raw features of a Cora-shaped graph (7 x 387 nodes, 1433 columns),
-        as ``feature_knn`` builds it.
+        against a 3 s target for the kNN at n = 10^5 (``target_ms``); and
+        on the raw features of a Cora-shaped graph (7 x 387 nodes, 1433
+        columns), as ``feature_knn`` builds it.
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
 layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
@@ -101,8 +101,8 @@ KNN_FEATURES = {
     "cora": dict(clusters=7, nodes_per_cluster=387, intra_p=0.81 * 4 / 386,
                  inter_p=0.19 * 4 / 2322, centers_dim=1433),
 }
-# Past this n an embedding is a scale case, timed in fewer repeats against the
-# n = 10^5 target of ROADMAP item 3.
+# Past this n an embedding is a scale case, timed in fewer repeats against a
+# 3 s target for the kNN at n = 10^5.
 KNN_SCALE_N, KNN_SCALE_TARGET_MS, SCALE_REPEATS = 30_000, 3000.0, 3
 LAYER_CASES = {
     # name: (cluster spec, layers, p = q)

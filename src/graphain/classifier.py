@@ -72,17 +72,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-def _fold_rows(op, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-    """op(...op(op(rows[0], rows[1]), rows[2])..., rows[-1]) over equal-length
-    rows, as a new array."""
-    if len(rows) == 1:
-        return rows[0].copy()
-    out = op(rows[0], rows[1])
-    for row in rows[2:]:
-        op(out, row, out=out)
-    return out
-
-
 def class_logits(h_t: np.ndarray, w: np.ndarray):
     """The logits h @ w class-major, ``w.T @ h_t`` from the (d, n) transpose
     ``h_t`` of the embedding h: a C-contiguous (C, n) array whose row j holds
@@ -99,16 +88,18 @@ def softmax_with_log(logits: np.ndarray):
     by the column max; returns (probabilities, log-probabilities), both (C, n).
 
     The one stabilised softmax kernel: the loss, its gradient and scoring all
-    reach it.  The max and the normaliser fold the C class rows, each step
-    one elementwise operation on n contiguous values, and each is subtracted
-    or divided as one length-n row, so no reduction runs along the short
-    class axis and nothing is strided or repeated.  The rows are added in
-    order, as numpy's row sum of the (n, C) layout does below eight classes,
-    so there the result equals the row-reduction form bit for bit.
+    reach it.  The max and the normaliser reduce over the class axis, which
+    numpy runs on the C-ordered (C, n) array as one elementwise pass a class
+    row, in order, and each is subtracted or divided as one length-n row, so
+    nothing is strided or repeated.  The rows are added in order, as numpy's
+    row sum of the (n, C) layout does below eight classes, so there the
+    result equals the row-reduction form bit for bit.  A single column
+    (n = 1) is one contiguous run, which numpy sums pairwise from eight
+    classes on, again as the row sum does.
     """
-    logp = logits - _fold_rows(np.maximum, tuple(logits))
+    logp = logits - np.maximum.reduce(logits, axis=0)
     probs = np.exp(logp)
-    z = _fold_rows(np.add, tuple(probs))
+    z = np.add.reduce(probs, axis=0)
     probs /= z
     logp -= np.log(z)
     return probs, logp
@@ -266,8 +257,10 @@ def train_linear(
         if not w_bound <= w_cap:
             w_bound = _max_abs(w)
         if w_bound <= w_cap:
-            # class_logits and _fold_rows inlined: a run's epochs are short
-            # enough that their calls cost about 4% more
+            # class_logits inlined, as its call costs a run's short epochs
+            # about 4% more; z adds the class rows one np.add each, as an
+            # np.add.reduce over the classes is no faster: 1.00-1.03 times
+            # as long an epoch at C = 3 and 30 to 3000 rows
             np.matmul(w_t, h_t, out=buf)
             np.exp(buf, out=buf)
             np.add(first, second, out=z)

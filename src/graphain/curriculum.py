@@ -110,29 +110,19 @@ def _group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.argsort(group * values.size + rank)
 
 
-def _levels(count: int) -> list:
-    """The first leaf of each node of a balanced tree over ``count`` leaves,
-    level by level from the root down to the leaves: a node of several
-    leaves has two children, split at its middle leaf, and a leaf is its own
-    one child."""
-    firsts = np.zeros(1, dtype=np.int64)
-    levels = [firsts]
-    while firsts.size < count:
-        firsts = np.union1d(firsts, (firsts + np.append(firsts[1:], count)) // 2)
-        levels.append(firsts)
-    return levels
-
-
 def _spatial_leaves(vectors: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """The leaf of each row: leaf i holds edge[i + 1] - edge[i] rows.  Each
-    node of the ``_levels`` tree splits its rows on their widest coordinate
-    at the leaf boundary between its children, so the leaves are full and
-    the tree balanced.  A level of the tree is one sort of all rows by
-    (node, coordinate)."""
+    """The leaf of each row: leaf i holds edge[i + 1] - edge[i] rows.  The
+    leaves are those of a balanced tree: a node of several leaves has two
+    children, split at its middle leaf, and a leaf is its own one child.
+    Each node splits its rows on their widest coordinate at the leaf boundary
+    between its children, so the leaves are full.  A level of the tree, the
+    first leaf of each of its nodes, is one sort of all rows by (node,
+    coordinate)."""
     n = vectors.shape[0]
     count = edge.size - 1
     perm = np.arange(n)
-    for firsts in _levels(count)[:-1]:
+    firsts = np.zeros(1, dtype=np.int64)
+    while firsts.size < count:
         starts = edge[firsts]
         pts = vectors[perm]
         width = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
@@ -140,6 +130,7 @@ def _spatial_leaves(vectors: np.ndarray, edge: np.ndarray) -> np.ndarray:
         axis = np.repeat(np.argmax(width, axis=1), sizes)
         node = np.repeat(np.arange(firsts.size), sizes)
         perm = perm[_group_order(node, pts[np.arange(n), axis])]
+        firsts = np.union1d(firsts, (firsts + np.append(firsts[1:], count)) // 2)
     leaf_of = np.empty(n, dtype=np.int64)
     leaf_of[perm] = np.repeat(np.arange(count), np.diff(edge))
     return leaf_of
@@ -169,47 +160,33 @@ def _first_non_finite_pair(vectors: np.ndarray, sq_norms: np.ndarray):
     return None if first == n * n else divmod(first, n)
 
 
-def _box_gaps(
-    lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray
-) -> np.ndarray:
-    """Squared distance between the boxes [lo_a, hi_a] and [lo_b, hi_b], row
-    by row."""
-    gap = np.maximum(lo_b - hi_a, lo_a - hi_b)
-    np.maximum(gap, 0.0, out=gap)
-    gap *= gap
-    return gap.sum(axis=1)
-
-
 def _leaf_pairs(lo: np.ndarray, hi: np.ndarray, leaf_bound: np.ndarray):
     """(rows, searched): every pair of distinct leaves such that the box of
     leaf ``searched`` is within ``leaf_bound`` of leaf ``rows``' box, sorted
-    by (searched, rows).  A frontier of (node, searched) pairs descends the
-    ``_levels`` tree from the root, vectorised across all the searched
-    leaves at once, as dual-tree search does (Gray and Moore 2001): a node's
-    box spans its leaves' boxes and its bound is the largest of theirs, so
-    once the gap between the boxes exceeds that bound no leaf below the node
-    can pass, and the pair is dropped."""
-    count, d = lo.shape
-    step = max(1, _KNN_CHUNK // d)  # pairs whose box gaps form at once
-    levels = _levels(count)
-    searched = np.arange(count)
-    node = np.zeros(count, dtype=np.int64)
-    for firsts, below in zip(levels, levels[1:]):
-        kids = np.searchsorted(below, firsts)  # each node's first child
-        many = np.diff(np.append(kids, below.size))[node]
-        searched = np.repeat(searched, many)
-        node = np.repeat(kids[node], many)
-        node[np.cumsum(many)[many == 2] - 1] += 1
-        lo_n, hi_n = np.minimum.reduceat(lo, below), np.maximum.reduceat(hi, below)
-        gap = np.empty(node.size)
-        for start in range(0, node.size, step):
-            part = slice(start, start + step)
-            a, b = node[part], searched[part]
-            gap[part] = _box_gaps(lo_n[a], hi_n[a], lo[b], hi[b])
-        keep = gap <= np.maximum.reduceat(leaf_bound, below)[node]
-        searched, node = searched[keep], node[keep]
-    keep = node != searched
-    return node[keep], searched[keep]
+    by (searched, rows).  One flat pass over all count^2 pairs, O(count^2 d):
+    a chunk of searched leaves at a time forms a (chunk, count) block of
+    squared box gaps, at most ``max(_KNN_CHUNK, count)`` entries, summed one
+    coordinate at a time in two buffers made once per call."""
+    count = lo.shape[0]
+    step = max(1, _KNN_CHUNK // count)  # searched leaves whose gaps form at once
+    lo_t, hi_t = lo.T.copy(), hi.T.copy()  # each coordinate's bounds contiguous
+    gap_buf, part_buf = np.empty((2, min(step, count), count))
+    rows, searched = [], []
+    for start in range(0, count, step):
+        chunk = slice(start, start + step)
+        gap, part = gap_buf[: count - start], part_buf[: count - start]
+        gap.fill(0.0)
+        for lo_j, hi_j in zip(lo_t, hi_t):
+            np.subtract(lo_j, hi_j[chunk, None], out=part)
+            np.maximum(part, lo_j[chunk, None] - hi_j, out=part)
+            np.maximum(part, 0.0, out=part)
+            part *= part
+            gap += part
+        b, a = np.nonzero(gap <= leaf_bound)
+        b += start
+        rows.append(a[a != b])
+        searched.append(b[a != b])
+    return np.concatenate(rows), np.concatenate(searched)
 
 
 def _search_leaves(pts, sq_norms, edge, k, slack):
@@ -226,7 +203,8 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
       product, and one partition give each row its k nearest in its leaf,
       whose k-th bounds its k-th nearest.
     - Leaf pairs: ``_leaf_pairs`` finds, for each leaf, the leaves whose box
-      is within the largest of its rows' bounds of its box.
+      is within the largest of its rows' bounds of its box, in one flat pass
+      over all pairs of leaves, O(count^2 d).
     - Rows: a row searches such a leaf only when the gap from its own point
       to the leaf's box is within its own bound.  The pairs run in chunks
       sorted by the searched leaf.  In a chunk, the rows that search a leaf
@@ -235,12 +213,13 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
       the largest of the k it holds, all of distinct columns, so its bound
       shrinks for the chunks after it.
 
-    Every product, partition and box test spans at most a chunk,
+    Every product, partition and row box test spans at most a chunk,
     ``max(_KNN_CHUNK, width * max(width, d))`` entries for leaves of at most
-    ``width`` rows, in buffers allocated once per call.  The own blocks take
-    one product per chunk of leaves, and the rows one per (chunk, searched
-    leaf), so their products grow with the leaf pairs that pass the
-    frontier: 44 on the ``wide`` embedding (n = 3000), about 2000 at
+    ``width`` rows, in buffers allocated once per call, and every block of
+    leaf gaps at most ``max(_KNN_CHUNK, count)``.  The own blocks take one
+    product per chunk of leaves, and the rows one per (chunk, searched
+    leaf), so their products grow with the leaf pairs that pass the leaf
+    box test: 44 on the ``wide`` embedding (n = 3000), about 2000 at
     n = 100,002."""
     n, d = pts.shape
     count = edge.size - 1
@@ -355,11 +334,11 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     pairs to search grow many: at n = 30,000, leaves of 8 rows made the
     search about 4 times slower than leaves of 64.  The search runs over
     every leaf at once (``_search_leaves``): it forms distances by BLAS,
-    every leaf's own block first in stacked products, then descends the tree
-    level by level to the leaves each row may reach, pruning against the boxes
-    as dual-tree search does (Gray and Moore 2001).  Every bound is widened
-    by the rounding slack of those distances and of the box gaps, so no
-    neighbor and no tie is lost.  Only the candidates within the final
+    every leaf's own block first in stacked products, then tests the boxes of
+    all pairs of leaves in one flat pass, O(count^2 d) for count leaves, and
+    each row against the boxes of the leaves its leaf may reach.  Every bound
+    is widened by the rounding slack of those distances and of the box gaps,
+    so no neighbor and no tie is lost.  Only the candidates within the final
     bounds get per-pair values, about k a row.
 
     The cost depends on the data.  On clustered or low-rank embeddings, such

@@ -248,6 +248,49 @@ class TestKnnAuxGraph:
                 bound = max(chunk, width * max(width, 8))
                 assert max(rows * cols for rows, cols in leaf_products) <= bound, (block, chunk)
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_leaf_pairs_match_a_double_loop(self, data):
+        # Boxes on a coarse grid, so that many are degenerate (lo == hi),
+        # touch or overlap, or on float corners; bounds from zero to past
+        # every gap, many set to an exact gap between two boxes.  The loop
+        # sums the squared coordinate gaps in order in Python floats, as the
+        # pass sums them, so a gap equal to its bound passes in both.
+        count = data.draw(st.integers(1, 40), label="count")
+        d = data.draw(st.integers(1, 12), label="d")
+        chunk = data.draw(st.sampled_from([1, 300, curriculum._KNN_CHUNK]), label="chunk")
+        grid = data.draw(st.booleans(), label="grid")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if grid:
+            lo = rng.integers(-3, 4, (count, d)).astype(np.float64)
+            hi = lo + rng.integers(0, 3, (count, d))
+        else:
+            lo = rng.standard_normal((count, d))
+            hi = lo + rng.exponential(1.0, (count, d)) * (rng.random((count, d)) < 0.7)
+        lo_l, hi_l = lo.tolist(), hi.tolist()
+
+        def gap(a, b):
+            total = 0.0
+            for j in range(d):
+                g = max(lo_l[a][j] - hi_l[b][j], lo_l[b][j] - hi_l[a][j], 0.0)
+                total += g * g
+            return total
+
+        bound = rng.choice([0.0, 0.5, 3.0, 50.0], count)
+        for a in np.flatnonzero(rng.random(count) < 0.5).tolist():
+            bound[a] = gap(a, int(rng.integers(0, count)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curriculum, "_KNN_CHUNK", chunk)
+            rows, searched = curriculum._leaf_pairs(lo, hi, bound)
+        expected = [
+            (a, b)
+            for b in range(count)
+            for a in range(count)
+            if a != b and gap(a, b) <= bound[a]
+        ]
+        assert list(zip(rows.tolist(), searched.tolist())) == expected
+        assert not np.any(rows == searched)
+
     @settings(max_examples=80)
     @given(st.data())
     def test_matches_dense_oracle_over_small_uneven_leaves(self, data):
