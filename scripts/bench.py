@@ -22,14 +22,20 @@ aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call).
 layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
-        10^4 layers and n = 9000 at ``wide``'s degree, 64 layers, both at
-        p = q = 0.5; and the ``wide`` spec (n = 3000) at p = q = 0, 64 layers,
-        as the benchmark's ``wide`` runs it.  Each case also splits a layer
+        10^4 layers and at the benchmark's ``deep`` depth of 256 layers, and
+        n = 9000 at ``wide``'s degree, 64 layers, all at p = q = 0.5; and the
+        ``wide`` spec (n = 3000) at p = q = 0, 64 layers, as the benchmark's
+        ``wide`` runs it.  Each case records the operator product it ran
+        (``dense`` or ``csr``, ``graph.dense_pays``) and also splits a layer
         into its parts, from a second set of passes with a timer around each
-        part: the SpMM, the centering, the skip mix, the filter and the
-        ``eigh`` inside it (``sym_eig``), and the rest of the layer.  The
-        timers add their own cost to those passes, whose whole time is
-        reported as ``wrapped``.
+        part: the operator product (``spmm``, whichever product ran), the
+        centering, the skip mix, the filter and the ``eigh`` inside it
+        (``sym_eig``), and the rest of the layer.  The timers add their own
+        cost to those passes, whose whole time is reported as ``wrapped``.
+        The ``crossover`` sweep times one product of the CSR kernel and of
+        the dense GEMM (us per product, width 8) on random graphs at n = 64
+        to 512 and 1/64 to 1/4 of the entries filled, the numbers behind
+        ``dense_pays``.
 import  a fresh interpreter per repeat: the wall time of ``import
         graphain.experiment`` (ms), ``ru_maxrss`` after it and after one
         ``run_experiment`` seed of the benchmark's ``wide`` spec (MB, 2^20
@@ -69,9 +75,10 @@ from graphain import curriculum, linalg, propagation
 from graphain.classifier import TrainConfig, loss_and_grad, make_reducer, train_linear
 from graphain.config import build_experiment_config
 from graphain.curriculum import build_knn_aux_graph
-from graphain.graph import normalized_adjacency
+from graphain.graph import build_graph, csr_matmul, dense_pays, normalized_adjacency
 from graphain.io import DATASET_FILES, dataset_digest, load_dataset, save_dataset
 from graphain.labels import SoftLabelMatrix
+from graphain.oracles import dense_csr
 from graphain.propagation import run_fuzzy_r_softgraphain
 from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
 
@@ -106,7 +113,8 @@ KNN_FEATURES = {
 KNN_SCALE_N, KNN_SCALE_TARGET_MS, SCALE_REPEATS = 30_000, 3000.0, 3
 LAYER_CASES = {
     # name: (cluster spec, layers, p = q)
-    "n300_L10000": (dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02), 10_000, 0.5),
+    "n300_L10000": (KNN_EMBEDDINGS["deep"], 10_000, 0.5),
+    "deep": (KNN_EMBEDDINGS["deep"], 256, 0.5),
     "n9000_L64": (
         dict(clusters=3, nodes_per_cluster=3000, intra_p=0.01 / 3, inter_p=0.0005 / 3),
         64,
@@ -114,6 +122,9 @@ LAYER_CASES = {
     ),
     "wide_n3000_L64": (GENERATOR_SPECS["wide"], 64, 0.0),
 }
+# The crossover sweep: node counts, shares of the n^2 entries filled, width.
+CROSSOVER_N, CROSSOVER_FILL, CROSSOVER_WIDTH = (64, 128, 192, 256, 320, 384, 448, 512), (
+    1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4), 8
 # The benchmark's ``wide`` workload at run seed 0, as the import case's seed.
 WIDE_SEED = {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "1000",
              "synthetic.intra_p": "0.01", "synthetic.inter_p": "0.0005",
@@ -338,10 +349,37 @@ def _layer_case(name):
     )
     reducer = make_reducer(g.feature_dim, cfg.embedding_dim, 0)
     run = partial(run_fuzzy_r_softgraphain, g, cfg.propagation, reducer=reducer)
-    return {"case": name, "n": g.n, "operator_nnz": normalized_adjacency(g).matrix.nnz,
+    op = normalized_adjacency(g)
+    return {"case": name, "n": g.n, "operator_nnz": op.matrix.nnz,
+            "product": "csr" if op.dense is None else "dense",
             "width": cfg.embedding_dim, "layers": layers, "p_q": decay,
             "us_per_layer": _timed(run, 1e6 / layers),
             "parts_us_per_layer": _timed_parts(run, 1e6 / layers)}
+
+
+def _crossover(n, fill):
+    """One product of the CSR kernel and of the dense GEMM on a random graph
+    of n nodes with about ``fill`` of its n^2 operator entries stored."""
+    rng = np.random.default_rng([n, round(1 / fill)])
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.random(iu.size) < (fill * n * n - n) / (n * (n - 1))
+    a = normalized_adjacency(
+        build_graph(np.column_stack([iu[pick], ju[pick]]), n, np.zeros((n, 1)))
+    ).matrix
+    dense = dense_csr(a)
+    m = rng.standard_normal((n, CROSSOVER_WIDTH))
+    out = np.empty_like(m)
+    count = max(50, 2_000_000 // (n * n))
+
+    def products(product):
+        for _ in range(count):
+            product(m, out=out)
+
+    return {"point": f"n={n} fill=1/{round(1 / fill)}", "nnz": a.nnz,
+            "dense_pays": dense_pays(n, a.nnz),
+            "products_per_repeat": count,
+            "csr_us": _timed(partial(products, partial(csr_matmul, a)), 1e6 / count),
+            "dense_us": _timed(partial(products, partial(np.matmul, dense)), 1e6 / count)}
 
 
 def _fresh_import():
@@ -372,7 +410,10 @@ CASES = {
                                      "knn_features": [_knn_features(name)
                                                       for name in KNN_FEATURES]}),
     "io": ({"spec": "files", "unit": "ms"}, _dataset_io),
-    "layers": ({"unit": "us per layer"}, lambda: [_layer_case(name) for name in LAYER_CASES]),
+    "layers": ({"unit": "us per layer or product"},
+               lambda: {"cases": [_layer_case(name) for name in LAYER_CASES],
+                        "crossover": [_crossover(n, fill) for n in CROSSOVER_N
+                                      for fill in CROSSOVER_FILL]}),
     "import": ({"spec": "wide", "unit": "ms or MB"}, _import_and_seed),
 }
 

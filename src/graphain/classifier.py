@@ -124,10 +124,11 @@ def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: flo
     0.5 * weight_decay * ||w||^2; the loss is returned as a float, summed over
     the (n, C) rows as the scores of ``curriculum.split_scores`` are.
     """
-    probs, logp = softmax_with_log(class_logits(h.T, w))  # rarely run: no copy of h
-    loss = cross_entropy(logp.T.copy(), y)
-    if weight_decay:
-        with np.errstate(over="ignore"):  # a diverged w fails the caller's finiteness check
+    # overflowing logits or a diverged w fail the caller's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, logp = softmax_with_log(class_logits(h.T, w))  # rarely run: no copy of h
+        loss = cross_entropy(logp.T.copy(), y)
+        if weight_decay:
             loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
     return loss, _gradient(h, y.T, w, weight_decay, probs)
 

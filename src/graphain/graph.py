@@ -1,4 +1,4 @@
-"""Graph container, the normalized aggregation operators and the one SpMM.
+"""Graph container, the normalized aggregation operators and their products.
 
 A Graph stores a deduplicated undirected edge list with no self-loops; the
 self-loop of the augmented adjacency is injected when the operator is built,
@@ -14,6 +14,20 @@ array-API layer with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; the
 extension alone costs about 1.5 MB.  If a scipy release moves or renames
 ``scipy/sparse/_sparsetools``, importing this module raises ImportError
 naming the path it looked for.
+
+A small operator with many entries for its size is also kept as a read-only
+dense (n, n) array, and ``apply_operator`` multiplies by it with one BLAS
+GEMM (``np.matmul``), which beats the CSR kernel from about one entry in 16
+filled (``scripts/bench.py --case layers``, ``crossover``).  The rule reads
+only n and the entry count: ``dense_pays`` holds when n is at most
+``_DENSE_MAX_N`` and n^2 at most ``_DENSE_FILL`` times the entries.  The
+cap keeps each product byte-identical at 1 and 2 BLAS threads: with
+OpenBLAS 0.3.31's SkylakeX kernel the bytes of (n x n) @ (n x d) agreed at
+every n <= 384 and d <= 96 swept, and differed from n = 385 (d >= 8) and,
+at some n, from d = 105, so products wider than ``_DENSE_MAX_WIDTH``
+columns take the CSR kernel as well.  A BLAS that blocks its inner
+dimension more finely may round differently at 1 and 2 threads below
+these bounds.  The two products agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +48,10 @@ from .errors import (
 )
 
 OPERATOR_MODES = ("symmetric", "random_walk")
+# Operators of at most _DENSE_MAX_N nodes and at least one entry in
+# _DENSE_FILL are also kept dense; products wider than _DENSE_MAX_WIDTH
+# columns take the CSR kernel.
+_DENSE_MAX_N, _DENSE_FILL, _DENSE_MAX_WIDTH = 384, 16, 64
 
 
 def _load_sparsetools():
@@ -137,10 +155,17 @@ def csr_from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -
 
 @dataclass(frozen=True)
 class NormalizedOperator:
-    """Sparse normalized adjacency of A + I, symmetric or random-walk form."""
+    """Sparse normalized adjacency of A + I, symmetric or random-walk form,
+    and the same matrix as a read-only dense array when ``dense_pays``."""
 
     matrix: CsrMatrix
     degrees: np.ndarray  # degrees of A + I, all >= 1
+    dense: np.ndarray | None = None  # (n, n) float64, or None
+
+
+def dense_pays(n: int, nnz: int) -> bool:
+    """Whether an n x n operator with nnz entries is also kept dense."""
+    return n <= _DENSE_MAX_N and n * n <= _DENSE_FILL * nnz
 
 
 def _index_array(values, n: int, what: str) -> np.ndarray:
@@ -233,7 +258,8 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
 
 
 def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperator:
-    """Build D^{-1/2} (A+I) D^{-1/2} or D^{-1} (A+I) as a CSR matrix.
+    """Build D^{-1/2} (A+I) D^{-1/2} or D^{-1} (A+I) as a CSR matrix, and as
+    a dense array too when ``dense_pays``, holding the same entries.
 
     The self-loop guarantees every degree is >= 1, so there is no division
     by zero even for isolated nodes.
@@ -254,7 +280,20 @@ def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperato
     else:
         vals = 1.0 / degrees[rows]
     degrees.setflags(write=False)
-    return NormalizedOperator(matrix=csr_from_coo(rows, cols, vals, n), degrees=degrees)
+    matrix = csr_from_coo(rows, cols, vals, n)
+    dense = None
+    if dense_pays(n, matrix.nnz):
+        dense = np.zeros((n, n))
+        dense[rows, cols] = vals
+        dense.setflags(write=False)
+    return NormalizedOperator(matrix=matrix, degrees=degrees, dense=dense)
+
+
+def _check_shape(shape: tuple, m: np.ndarray) -> None:
+    if m.ndim != 2 or m.shape[0] != shape[1]:
+        raise DimensionMismatchError(
+            f"operator is {shape[0]} x {shape[1]}, matrix has shape {m.shape}"
+        )
 
 
 def csr_matmul(a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -267,11 +306,8 @@ def csr_matmul(a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None) -> np
     bit-reproducible.  ``out`` must not overlap m.
     """
     m = np.asarray(m, dtype=np.float64)
+    _check_shape(a.shape, m)
     rows, cols = a.shape
-    if m.ndim != 2 or m.shape[0] != cols:
-        raise DimensionMismatchError(
-            f"operator is {rows} x {cols}, matrix has shape {m.shape}"
-        )
     if out is None:
         out = np.zeros((rows, m.shape[1]))
     else:
@@ -285,9 +321,17 @@ def csr_matmul(a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None) -> np
 def apply_operator(
     op: NormalizedOperator, m: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The product with the normalized adjacency, ``csr_matmul(op.matrix, m,
-    out)``: scipy's CSR kernel on numpy arrays, ``csr_matrix @ m`` bit for bit."""
-    return csr_matmul(op.matrix, m, out)
+    """The product with the normalized adjacency, under ``csr_matmul``'s
+    contract: ``np.matmul(op.dense, m, out=out)`` when the operator is kept
+    dense and m has at most ``_DENSE_MAX_WIDTH`` columns, else
+    ``csr_matmul(op.matrix, m, out)``, scipy's CSR kernel bit for bit."""
+    if op.dense is None:
+        return csr_matmul(op.matrix, m, out)
+    m = np.asarray(m, dtype=np.float64)
+    _check_shape(op.dense.shape, m)
+    if m.shape[1] > _DENSE_MAX_WIDTH:
+        return csr_matmul(op.matrix, m, out)
+    return np.matmul(op.dense, m, out=out)
 
 
 def apply_centering(m: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .errors import (
     DimensionMismatchError,
@@ -62,14 +63,27 @@ class SpectralFilterParams:
 def sym_eig(s: np.ndarray) -> EigPair:
     """Full eigendecomposition of a symmetric matrix, eigenvalues nonincreasing.
 
-    LAPACK's symmetric solver (``np.linalg.eigh``) runs on 0.5 (s + s^T).
-    That equals s bit for bit when s is symmetric bit for bit, as numpy's
-    syrk makes the Gram b^T b, and no entry exceeds half the largest double,
-    so such an input goes to the solver as it is.  Any other input is
-    symmetrised, including one whose mirrored zeros differ only in sign,
-    which can change the eigenvectors ``eigh`` returns.  Within a repeated
-    eigenvalue the basis is whatever LAPACK returns; the spectral filters do
-    not depend on that choice.
+    LAPACK's symmetric solver runs on 0.5 (s + s^T).  That equals s bit for
+    bit when s is symmetric bit for bit, as numpy's syrk makes the Gram
+    b^T b, and no entry exceeds half the largest double, so such an input
+    goes to the solver as it is.  Any other input is symmetrised, including
+    one whose mirrored zeros differ only in sign, which can change the
+    eigenvectors ``eigh`` returns.  Within a repeated eigenvalue the basis is
+    whatever LAPACK returns; the spectral filters do not depend on that
+    choice.
+
+    The solver is numpy's gufunc ``_umath_linalg.eigh_lo``, called with the
+    signature ``np.linalg.eigh`` gives it on a float64 matrix, so the bits
+    are ``eigh``'s; the direct call skips ``eigh``'s type checks and
+    ``errstate`` set-up, about a third of its cost on an 8 x 8 Gram.  When
+    LAPACK fails the gufunc fills its outputs with NaN and raises the
+    floating-point invalid flag, where ``eigh`` raises LinAlgError; an input
+    that overflowed to inf can also give NaN eigenvalues without failing.
+    So NaN eigenvalues are solved again by ``eigh``, whose LinAlgError, like
+    the flag surfacing as a RuntimeWarning under an "error" warnings filter
+    or as a FloatingPointError under ``errstate(invalid="raise")``, raises
+    ``NoConvergenceError``.  A numpy without the gufunc fails this module's
+    import with an ImportError that names it.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -87,9 +101,14 @@ def sym_eig(s: np.ndarray) -> EigPair:
                 )
         s = 0.5 * (s + s.T)
     try:
-        lam, v = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as err:
-        raise NoConvergenceError(f"symmetric eigensolver failed: {err}") from err
+        lam, v = _eigh_lo(s, signature="d->dd")
+        if lam.size and math.isnan(lam[0]):
+            # a failure, or an s + s^T that overflowed: eigh tells them apart
+            lam, v = np.linalg.eigh(s)
+    except (np.linalg.LinAlgError, RuntimeWarning, FloatingPointError) as err:
+        raise NoConvergenceError(
+            "symmetric eigensolver failed: Eigenvalues did not converge"
+        ) from err
     return EigPair(u=v[:, ::-1], values=lam[::-1])
 
 
@@ -118,7 +137,14 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
     if params.a == 0.0:
         return b.copy()
 
-    pair = sym_eig(b.T @ b)
+    try:
+        gram = b.T @ b
+    except RuntimeWarning:
+        # an overflow under an "error" warnings filter; sym_eig rejects the
+        # non-finite Gram as it does under any other filter
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = b.T @ b
+    pair = sym_eig(gram)
     lam = pair.values
     d0 = params.d0
     if params.b == 0.0:

@@ -12,9 +12,13 @@ keeps no layers: each layer is observed as it is made, so memory stays
 O(n d) at any depth.
 
 At a run's sizes a layer costs mostly call overhead and allocation, so the
-pass allocates its two (n, d) workspaces once: the SpMM writes into one and
-the aggregate is centred and mixed there, and the other holds each scaled
-skip term.  Each layer itself is still a fresh array, the filter's output.
+pass allocates its two (n, d) workspaces once: the operator product writes
+into one and the aggregate is centred and mixed there, and the other holds
+each scaled skip term.  Each layer itself is still a fresh array, the
+filter's output.  The product is ``graph.apply_operator``: one BLAS GEMM on
+the dense form of a small, well-filled operator (``graph.dense_pays``, as on
+3 x 100 nodes at the default degrees), scipy's CSR kernel otherwise; every
+variant of one graph takes the same one.
 """
 
 from __future__ import annotations
@@ -95,10 +99,10 @@ def _centered_aggregate(
     op: NormalizedOperator, h: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``apply_centering(apply_operator(op, h))`` bit for bit, centred in
-    place where the SpMM wrote it (``out`` when given).
+    place where the operator product wrote it (``out`` when given).
 
     The column means are ``mean``'s own sum and divide.  On the C-ordered
-    SpMM output ``einsum`` adds the rows in order, as ``np.add.reduce(axis=0)``
+    product ``einsum`` adds the rows in order, as ``np.add.reduce(axis=0)``
     does, at about a third of its cost at n = 3000, d = 8; a single column is
     one contiguous run, which ``add.reduce`` sums pairwise, so it keeps
     ``add.reduce``.
@@ -204,8 +208,9 @@ def run_fuzzy_r_softgraphain(
         )
     relu = cfg.activation == "relu"
     h = x
-    # the step's workspaces: the SpMM output, centred and mixed in place, and
-    # the scaled terms; every layer is a fresh array, as observe may keep it
+    # the step's workspaces: the operator product, centred and mixed in
+    # place, and the scaled terms; every layer is a fresh array, as observe
+    # may keep it
     agg, work = np.empty(x.shape), np.empty(x.shape)
     s_last = s_init = None
     q_pow = 1.0
@@ -256,7 +261,8 @@ def pairnorm_step(
     ``ZeroActivationError``.
     """
     hp = _centered_aggregate(op, h, out)
-    norm = float(np.linalg.norm(hp))
+    with np.errstate(over="ignore"):  # checked next
+        norm = float(np.linalg.norm(hp))
     if not math.isfinite(norm):
         raise NonFiniteActivationError(
             f"norm of the centered activation is {norm}, not finite"

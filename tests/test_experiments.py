@@ -1,9 +1,17 @@
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from graphain.config import (
     build_experiment_config,
@@ -12,8 +20,10 @@ from graphain.config import (
     parse_config_text,
     render_config,
 )
+from graphain.curriculum import AUX_MODES
 from graphain.errors import (
     ConfigError,
+    GraphainError,
     IndexOutOfRangeError,
     MissingMaskError,
     NonFiniteLossError,
@@ -23,6 +33,9 @@ from graphain.experiment import run_experiment, run_seed, rows_to_csv
 from graphain.io import load_dataset, save_dataset
 import graphain.config as config
 import graphain.experiment as experiment
+from graphain import graph
+from graphain.graph import build_graph
+from graphain.propagation import VARIANTS
 from graphain.synthetic import (
     SyntheticSpec,
     add_feature_noise,
@@ -675,3 +688,120 @@ class TestRunExperiment:
             NonFiniteLossError, match=r"^\[stage teacher\] loss diverged at epoch 1$"
         ):
             run_experiment(cfg, with_curriculum=with_curriculum, write_files=False)
+
+
+_RUN_CHILD = """\
+import json, sys
+from graphain.config import build_experiment_config
+from graphain.experiment import run_experiment
+run_experiment(build_experiment_config(json.loads(sys.argv[1])), export_snapshots=True)
+"""
+THREAD_RUNS = {
+    # the largest n the dense product takes, 3 x 128 nodes
+    "dense": {"synthetic.clusters": "3",
+              "synthetic.nodes_per_cluster": str(graph._DENSE_MAX_N // 3),
+              "propagation.layers": "64", "propagation.p": "0.5", "propagation.q": "0.5"},
+    # n = 600, past the cap: the CSR kernel
+    "csr": {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "200",
+            "synthetic.intra_p": "0.05", "synthetic.inter_p": "0.005",
+            "propagation.layers": "32"},
+}
+
+
+@pytest.mark.parametrize("side", list(THREAD_RUNS))
+def test_run_files_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path, side):
+    # every file a run writes, snapshots included, from a whole run in a
+    # fresh process at OPENBLAS_NUM_THREADS 1 and 2
+    raw = {**THREAD_RUNS[side], "seeds": "0,1", "deterministic_timing": "true",
+           "output_dir": "run"}
+    cfg = build_experiment_config(raw)
+    for seed in cfg.seeds:
+        g = experiment.prepare_graph(cfg, seed, None)
+        op = graph.normalized_adjacency(g)
+        assert (op.dense is not None) == (side == "dense"), (g.n, op.matrix.nnz)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    files = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_CHILD, json.dumps(raw)],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        run = cwd / "run"
+        files.append({p.relative_to(run).as_posix(): p.read_bytes()
+                      for p in sorted(run.rglob("*")) if p.is_file()})
+    assert {"results.csv", "diagnostics_seed0.csv", "diagnostics_seed1.csv",
+            "config_echo.txt"} <= set(files[0])
+    assert files[0] == files[1]
+
+
+STAGE_LABEL = re.compile(r"^\[stage (dataset|propagation|teacher|label-estimation|entropy-filter"
+                         r"|aux-graph|label-smoothing|curriculum|evaluation)\] ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_seed_returns_or_names_its_stage(data):
+    # Tiny graphs (every one kept dense by the operator) at feature scales
+    # from 0 to 1e300, any variant and aux mode, k up to past n, labels of
+    # one class or several and splits that may be empty, with warnings as
+    # errors: a seed returns its rows or raises a GraphainError whose
+    # message opens with its stage.  ``event`` counts the outcomes, shown by
+    # ``pytest --hypothesis-show-statistics``.
+    draw = data.draw
+    n = draw(st.integers(1, 14), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    width = draw(st.integers(1, 4), label="feature width")
+    scale = draw(st.sampled_from([0.0, 1e-300, 1e-150, 1.0, 1e150, 1e300]), label="scale")
+    edges = rng.integers(0, n, size=(draw(st.integers(0, 3 * n), label="edges"), 2))
+    # one class, an unlabeled share and an empty train split each stop a
+    # seed at the dataset stage, so they are drawn less often
+    classes = draw(st.sampled_from([1, 2, 2, 3, 3, 3]), label="classes")
+    labels = rng.permutation(np.arange(n) % classes)
+    labels[rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.3]), label="unlabeled")] = -1
+    split = rng.choice(4, size=n, p=draw(st.sampled_from([(1, 0, 0, 0), (0.5, 0.5, 0, 0),
+                                                           (0.4, 0.2, 0.2, 0.2)]),
+                                         label="split shares"))
+    masks = [np.flatnonzero((split == part) & ((labels >= 0) | (part > 0)))
+             for part in range(3)]
+    g = build_graph(edges, n, rng.standard_normal((n, width)) * scale, labels, masks)
+    variant = draw(st.sampled_from(VARIANTS), label="variant")
+    d = draw(st.integers(1, 4), label="embedding_dim")
+    raw = {
+        "dataset.path": "unused",
+        "propagation.variant": variant,
+        "propagation.embedding_dim": str(d),
+        "propagation.d0": str(draw(st.integers(1, d), label="d0")),
+        "propagation.layers": str(draw(st.integers(1, 4), label="layers")),
+        "propagation.a": draw(st.sampled_from(["0", "0.5", "1"]), label="a"),
+        "propagation.p": draw(st.sampled_from(["0", "0.5"]), label="p"),
+        "propagation.q": draw(st.sampled_from(["0", "0.5"]), label="q"),
+        "propagation.operator_mode": draw(st.sampled_from(graph.OPERATOR_MODES), label="mode"),
+        "curriculum.aux_mode": draw(st.sampled_from(AUX_MODES), label="aux"),
+        "curriculum.knn_k": str(draw(st.integers(1, n + 2), label="k")),
+        "curriculum.n_t": str(draw(st.integers(0, 2), label="n_t")),
+        "curriculum.mask_ratio": draw(st.sampled_from(["0", "0.5", "1"]), label="mask_ratio"),
+        "curriculum.pacing_epochs": "3",
+        "train.epochs": "5",
+    }
+    cfg = build_experiment_config(raw)
+    assert graph.normalized_adjacency(g).dense is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a k of n or more is clamped to n - 1 with this warning, by design
+        warnings.filterwarnings("ignore", r"k=\d+ >= n=\d+; clamping", UserWarning)
+        try:
+            rows, _, _ = run_seed(cfg, 0, inputs=("fuzz", g))
+        except GraphainError as err:
+            label = STAGE_LABEL.match(str(err))
+            assert label, f"{type(err).__name__} names no stage: {err}"
+            event(f"raised at {label.group(1)}: {type(err).__name__}")
+            return
+    assert rows
+    event("returned")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain.errors import (
@@ -9,14 +9,18 @@ from graphain.errors import (
     IndexOutOfRangeError,
     NonFiniteFeatureError,
 )
+from graphain import graph
 from graphain.graph import (
+    OPERATOR_MODES,
     apply_centering,
     apply_operator,
     build_graph,
+    csr_matmul,
+    dense_pays,
     normalized_adjacency,
 )
 from graphain.oracles import dense_abar, dense_ahat
-from graphain.synthetic import random_connected_graph
+from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, random_connected_graph
 from scipy_csr import scipy_csr
 
 
@@ -222,9 +226,87 @@ class TestApplyOperator:
         assert np.abs(apply_operator(op, m) - dense @ m).max() <= 1e-12
 
     def test_dimension_mismatch(self):
-        op = normalized_adjacency(_complete_graph(3))
-        with pytest.raises(DimensionMismatchError):
-            apply_operator(op, np.zeros((4, 2)))
+        # a dense operator (n = 3) and one past the dense cap, on the CSR kernel
+        for n in (3, graph._DENSE_MAX_N + 1):
+            op = normalized_adjacency(_complete_graph(n))
+            with pytest.raises(DimensionMismatchError, match=f"operator is {n} x {n}"):
+                apply_operator(op, np.zeros((n + 1, 2)))
+            with pytest.raises(DimensionMismatchError):
+                apply_operator(op, np.zeros(n))
+
+
+def _fill_graph(n, fill, seed):
+    """About ``fill`` of the node pairs joined, at random."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.random(iu.size) < fill
+    return build_graph(np.column_stack([iu[pick], ju[pick]]), n, np.zeros((n, 1))), rng
+
+
+class TestDenseOperator:
+    @settings(max_examples=150)
+    @given(
+        st.one_of(st.integers(1, 384), st.sampled_from([1, 2, 3, 383, 384])),
+        st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+        st.integers(1, 12),
+        st.sampled_from(OPERATOR_MODES),
+        st.sampled_from([1e-300, 1.0, 1e300]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_dense_product_agrees_with_the_csr_kernel(self, n, fill, d, mode, scale, seed):
+        # Each product is within n u (|A| |m|) of the exact one, u = 2^-53,
+        # whatever order it adds in; the GEMM may also fuse a multiply and an
+        # add, so the two may differ by twice that.  Scales from 1e-300 to
+        # 1e300 keep every partial sum finite and normal: entries of A are at
+        # least 1/n and rows of |A| sum to at most sqrt(n).
+        g, rng = _fill_graph(n, fill, seed)
+        op = normalized_adjacency(g, mode)
+        assert (op.dense is not None) == dense_pays(n, op.matrix.nnz)
+        if op.dense is None:
+            return
+        m = rng.standard_normal((n, d)) * scale
+        got, want = apply_operator(op, m), csr_matmul(op.matrix, m)
+        bound = n * 2.0**-52 * csr_matmul(op.matrix, np.abs(m))
+        assert (np.abs(got - want) <= bound).all()
+        assert np.array_equal(op.dense, scipy_csr(op.matrix).toarray())
+        assert not op.dense.flags.writeable
+
+    @pytest.mark.parametrize(
+        "spec, dense",
+        [
+            # the benchmark's workloads: deep, wide and files
+            (dict(clusters=3, nodes_per_cluster=100, intra_p=0.3, inter_p=0.02), True),
+            (dict(clusters=3, nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005), False),
+            (dict(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005,
+                  centers_dim=32), False),
+        ],
+        ids=["deep", "wide", "files"],
+    )
+    def test_benchmark_shapes_pick_their_product(self, spec, dense):
+        for seed in range(3):
+            g = gen_gaussian_cluster_graph(SyntheticSpec(**spec, seed=seed))
+            for mode in OPERATOR_MODES:
+                assert (normalized_adjacency(g, mode).dense is not None) == dense
+
+    def test_no_graph_above_the_cap_is_dense(self):
+        # complete graphs fill every entry, the densest an operator gets
+        assert normalized_adjacency(_complete_graph(graph._DENSE_MAX_N)).dense is not None
+        for n in (graph._DENSE_MAX_N + 1, 2 * graph._DENSE_MAX_N):
+            assert normalized_adjacency(_complete_graph(n)).dense is None
+            assert not dense_pays(n, n * n)
+        # below the cap, one entry in 16 is the least fill that goes dense
+        n = graph._DENSE_MAX_N
+        assert dense_pays(n, n * n // graph._DENSE_FILL)
+        assert not dense_pays(n, n * n // graph._DENSE_FILL - 1)
+
+    def test_wide_products_take_the_csr_kernel(self, rng):
+        # past _DENSE_MAX_WIDTH columns apply_operator gives the CSR bits
+        op = normalized_adjacency(_complete_graph(8))
+        assert op.dense is not None
+        for d in (graph._DENSE_MAX_WIDTH, graph._DENSE_MAX_WIDTH + 1):
+            m = rng.standard_normal((8, d))
+            want = csr_matmul(op.matrix, m) if d > graph._DENSE_MAX_WIDTH else op.dense @ m
+            assert apply_operator(op, m).tobytes() == want.tobytes()
 
 
 class TestCentering:

@@ -77,3 +77,23 @@ def test_missing_kernel_names_its_path(tmp_path):
     assert proc.returncode != 0
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith(f"ImportError: scipy's CSR kernel is not at {tmp_path / 'sparse'}/_sparsetools")
+
+
+@pytest.mark.parametrize(
+    "stub",
+    ["types.ModuleType('numpy.linalg._umath_linalg')", "None"],
+    ids=["without-eigh_lo", "without-module"],
+)
+def test_missing_eigensolver_names_its_module(stub):
+    # sym_eig calls numpy's LAPACK gufunc directly, with no fallback; a
+    # numpy without it, or without its module, fails the import naming it
+    proc = _run(
+        "import sys, types\n"
+        "import numpy.linalg\n"
+        f"sys.modules['numpy.linalg._umath_linalg'] = {stub}\n"
+        "import graphain.linalg\n"
+    )
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith(("ImportError", "ModuleNotFoundError")), last
+    assert "numpy.linalg._umath_linalg" in last

@@ -12,9 +12,11 @@ the filter with an
 unconditional symmetrisation, a contiguous copy of the eigenvectors and a
 fancy-indexed diagonal.  ``straight_forward_pass`` is the deep forward pass of
 every variant as the runner read when each step still allocated its arrays:
-scipy's ``csr_matrix.dot`` on ``op.matrix`` for the SpMM, centering by ``np.add.reduce`` column
-sums, a skip mix that scales each term into a fresh array, and the straight
-filter.  The ``row_major_*`` functions are the head's straight forms on
+``straight_product`` for the operator product (``np.matmul`` on
+``op.dense`` where ``apply_operator`` takes the dense form, scipy's
+``csr_matrix.dot`` on ``op.matrix`` elsewhere), centering by
+``np.add.reduce`` column sums, a skip mix that scales each term into a fresh
+array, and the straight filter.  The ``row_major_*`` functions are the head's straight forms on
 (n, C) logits ``h @ w``, as it read before it went class-major; for 2 to 15
 columns of h the kernels still give their bits.  The kernels must
 equal the straight forms byte for byte, NaN payloads and the sign of zero
@@ -24,6 +26,7 @@ included; no tolerance is used.  The row counts cross numpy's 8- and
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scipy.sparse as sp
-from graphain import classifier, propagation
+from graphain import classifier, graph, propagation
 from graphain.classifier import (
     TrainConfig,
     loss_and_grad,
@@ -214,8 +217,14 @@ def straight_soft_spectral_filter(b, params):
     return b @ filt
 
 
+def straight_product(op, m):
+    if op.dense is not None and m.shape[1] <= graph._DENSE_MAX_WIDTH:
+        return np.matmul(op.dense, m)
+    return scipy_csr(op.matrix).dot(m)
+
+
 def straight_centered_aggregate(op, h):
-    out = scipy_csr(op.matrix).dot(h)
+    out = straight_product(op, h)
     out -= np.add.reduce(out, axis=0) / out.shape[0]
     return out
 
@@ -257,7 +266,7 @@ def straight_forward_pass(g, cfg, variant, observe):
     for t in range(1, cfg.layers + 1):
         try:
             if variant == "sgc":
-                h = scipy_csr(op.matrix).dot(h)
+                h = straight_product(op, h)
             elif variant == "pairnorm":
                 h = straight_pairnorm_step(h, op)
             else:
@@ -753,17 +762,21 @@ def test_centered_aggregate_matches_the_broadcast_subtract(seed, n, d, mode):
     st.sampled_from(["C", "F", "strided"]),
 )
 def test_apply_operator_matches_scipy(seed, n, k, mode, layout):
-    # apply_operator calls scipy's private CSR kernel; a scipy whose kernel
-    # or call convention changes must fail here
+    # csr_matmul calls scipy's private CSR kernel; a scipy whose kernel or
+    # call convention changes must fail here.  apply_operator gives its bits,
+    # or the dense GEMM's where the operator is kept dense (n <= 80 here).
     rng = np.random.default_rng(seed)
     op = normalized_adjacency(_random_graph(rng, n, np.zeros((n, 1))), mode)
     m = rng.standard_normal((n, 2 * k)) * rng.choice(SCALES, size=(n, 1))
     m = m[:, ::2] if layout == "strided" else np.asarray(m[:, :k], order=layout)
     want = scipy_csr(op.matrix) @ m
-    assert _same_bits(apply_operator(op, m), want)
-    out = np.full((n, k), np.nan)
-    assert apply_operator(op, m, out) is out
-    assert _same_bits(out, want)
+    assert _same_bits(csr_matmul(op.matrix, m), want)
+    for call, want in ((partial(csr_matmul, op.matrix), want),
+                       (partial(apply_operator, op), straight_product(op, m))):
+        out = np.full((n, k), np.nan)
+        assert call(m, out) is out
+        assert _same_bits(out, want)
+        assert _same_bits(call(m), want)
 
 
 def straight_normalized_adjacency(g, mode):

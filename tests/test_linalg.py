@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -82,13 +84,16 @@ class TestSymEig:
             with pytest.raises(NoConvergenceError, match="non-finite"):
                 sym_eig(s)
 
-    def test_lapack_failure_is_wrapped(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(NoConvergenceError, match="did not converge"):
-            sym_eig(np.eye(2))
+    def test_lapack_failure_is_wrapped(self):
+        # s + s^T overflows every entry to inf and LAPACK fails; its flag
+        # reaches numpy as a warning, as an error under the "error" filter,
+        # or as FloatingPointError under errstate(invalid="raise")
+        s = np.full((3, 3), 0.6 * np.finfo(np.float64).max)
+        for invalid, action in (("warn", "ignore"), ("warn", "error"), ("raise", "ignore")):
+            with warnings.catch_warnings(), np.errstate(invalid=invalid, over="ignore"):
+                warnings.simplefilter(action)
+                with pytest.raises(NoConvergenceError, match="did not converge"):
+                    sym_eig(s)
 
 
 class TestSoftSpectralFilter:

@@ -103,6 +103,23 @@ and pairnorm losses moved by at most 5.9e-16 and 9.4e-16 relative.  So that
 file pins a trajectory bit for bit rather than values a tolerance can hold;
 the rsoft, hard, pairnorm and supervised results pass unedited.
 
+``sgc/results.csv`` and ``export_digests.txt`` were re-pinned once more, and
+no other file, when ``apply_operator`` began to multiply small, well-filled
+operators (``graph.dense_pays``, which every graph of ``config.txt`` meets)
+by their dense form with one BLAS GEMM instead of scipy's CSR kernel: the
+two add each row's products in another order, so every propagated layer
+moves in its last bits.  Checked against the previous tree's outputs of the
+same configs: every accuracy cell and every other exact column of every
+results file is byte-equal; the losses of the rsoft, hard and pairnorm
+files moved by at most 2.9e-15 relative, and the diagnostics of all four
+variants by at most 3.5e-14 relative, except the roundoff-level
+``column_sum_dev`` and the hard files' ``column_gram_dev``, which moved by
+at most 5.6e-14 absolute, all inside the tolerances below; the
+5280 snapshot values by at most 2.3e-15 relative (3.4e-16 absolute); the
+``embeddings.csv`` values by at most 1.3e-15 absolute.  The sgc losses moved
+by up to 5.6 times relative, the chaotic trajectory described above, with
+every accuracy unchanged.
+
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
 ``|new - ref| <= 1e-12 * |ref| + 1e-12``.  Measured against the reference,
