@@ -34,7 +34,7 @@ from .curriculum import (
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError, MissingMaskError, TooFewClassesError
 from .graph import Graph
-from .io import load_dataset, read_dataset_files, records_csv
+from .io import dataset_digest, load_dataset, read_dataset_files, records_csv
 from .propagation import run_fuzzy_r_softgraphain
 from .synthetic import add_feature_noise, gen_gaussian_cluster_graph, with_masks
 
@@ -77,14 +77,15 @@ def _stage(name: str):
 def load_inputs(cfg: ExperimentConfig):
     """(config hash, dataset): what every seed of a run shares.  The dataset
     is the loaded Graph for a dataset config, None otherwise; each of its
-    files is read once, and the hash covers the bytes the Graph is built
-    from."""
+    files is read once and hashed once, and the hash covers the bytes the
+    Graph is built from (or was, when its parsed tables are reused)."""
     with _stage("dataset"):
         if cfg.dataset_path is None:
             return config_hash(cfg), None
         files = read_dataset_files(cfg.dataset_path)
-        digest = config_hash(cfg, files)
-        return digest, load_dataset(cfg.dataset_path, require_masks=True, files=files)
+        sha256 = dataset_digest(cfg.dataset_path, files)
+        g = load_dataset(cfg.dataset_path, require_masks=True, files=files, digest=sha256)
+        return config_hash(cfg, sha256), g
 
 
 def prepare_graph(cfg: ExperimentConfig, seed: int, dataset: Graph | None) -> Graph:

@@ -33,7 +33,7 @@ from graphain.experiment import run_experiment, run_seed, rows_to_csv
 from graphain.io import load_dataset, save_dataset
 import graphain.config as config
 import graphain.experiment as experiment
-from graphain import graph
+from graphain import graph, io
 from graphain.graph import build_graph
 from graphain.propagation import VARIANTS
 from graphain.synthetic import (
@@ -655,7 +655,9 @@ class TestRunExperiment:
             return wrapper
 
         monkeypatch.setattr(experiment, "load_dataset", counted(loads, experiment.load_dataset))
-        monkeypatch.setattr(config, "dataset_digest", counted(digests, config.dataset_digest))
+        # every module that can hash the files, io itself (load_dataset) included
+        for module in (config, experiment, io):
+            monkeypatch.setattr(module, "dataset_digest", counted(digests, module.dataset_digest))
         rows = run_experiment(cfg, write_files=False)
         assert (len(loads), len(digests)) == (1, 1)
         assert rows_to_csv(rows) == rows_to_csv(per_seed)
@@ -674,6 +676,39 @@ class TestRunExperiment:
         monkeypatch.setattr(Path, "read_bytes", counting)
         run_experiment(cfg, write_files=False)
         assert sorted(reads) == ["edges.tsv", "features.csv", "labels.csv", "masks.csv"]
+
+    def test_cold_and_warm_runs_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # the first run parses the files and stores their tables; the second
+        # reads them back and parses no text
+        cfg = replace(_dataset_config(tmp_path / "data"), seeds=(1, 2),
+                      output_dir=str(tmp_path / "out"))
+        parses = []
+        real = np.loadtxt
+
+        def counting(*args, **kwargs):
+            parses.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(io.np, "loadtxt", counting)
+        runs = []
+        for _ in range(2):
+            parses.clear()
+            run_experiment(cfg)
+            out = tmp_path / "out"
+            runs.append((len(parses), {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+            assert (tmp_path / "data" / io.CACHE_FILE).is_file()
+        (cold_parses, cold), (warm_parses, warm) = runs
+        assert (cold_parses, warm_parses) == (4, 0)
+        assert {"results.csv", "config_echo.txt", "diagnostics_seed1.csv"} <= set(cold)
+        assert warm == cold
+
+        # an edited file misses the stored tables and fails at its line
+        lines = (tmp_path / "data" / "features.csv").read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",", 1)[1]
+        (tmp_path / "data" / "features.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"stage dataset.*features\.csv:5: column 1") as err:
+            run_experiment(cfg)
+        assert err.value.line_no == 5
 
     def test_stage_labels_on_errors(self, tmp_path):
         kv = {k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")}

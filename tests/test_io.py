@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain import io
-from graphain.errors import GraphainError, ParseError
+from graphain.errors import GraphainError, IndexOutOfRangeError, ParseError
 from graphain.graph import build_graph
 from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
 
@@ -52,13 +52,29 @@ def _file(cell, separator):
     return st.one_of(_table(cell, separator), NOISE, st.just(""))
 
 
+GRAPH_ARRAYS = ("edges", "features", "labels", "train_mask", "val_mask", "test_mask")
+
+
 def _outcome(call):
     """The arrays of the graph ``call`` returns, or its error's type and text."""
     try:
         g = call()
     except GraphainError as err:
         return type(err), str(err)
-    return g.n, g.edges.tobytes(), g.features.shape, g.features.tobytes(), g.labels.tobytes()
+    arrays = (getattr(g, name) for name in GRAPH_ARRAYS)
+    return g.n, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+def _load_again(root: Path, first):
+    """Check that a second load of ``root`` gives ``first`` again, from the
+    stored tables when the first load was accepted."""
+    accepted = isinstance(first[0], int)
+    assert (root / io.CACHE_FILE).is_file() == accepted
+    if not accepted:
+        assert _outcome(lambda: io.load_dataset(root)) == first
+        return
+    with mock.patch.object(io, "_parse_tables", side_effect=AssertionError("parsed")):
+        assert _outcome(lambda: io.load_dataset(root)) == first
 
 
 def _per_line(root: Path):
@@ -78,7 +94,9 @@ def test_bulk_and_per_line_readers_agree(edges, features):
         root = Path(tmp)
         (root / io.EDGES_FILE).write_text(edges, encoding="utf-8", newline="")
         (root / io.FEATURES_FILE).write_text(features, encoding="utf-8", newline="")
-        assert _outcome(lambda: io.load_dataset(root)) == _outcome(lambda: _per_line(root))
+        first = _outcome(lambda: io.load_dataset(root))
+        assert first == _outcome(lambda: _per_line(root))
+        _load_again(root, first)
 
 
 
@@ -114,16 +132,6 @@ def _pair_file(draw, header, value):
     return text
 
 
-def _pair_outcome(root: Path):
-    """The labels and masks ``load_dataset`` reads, or its error's type and text."""
-    try:
-        g = io.load_dataset(root)
-    except GraphainError as err:
-        return type(err), str(err)
-    fields = ("labels", "train_mask", "val_mask", "test_mask")
-    return tuple(getattr(g, field).tobytes() for field in fields)
-
-
 @pytest.mark.parametrize("name", sorted(PAIR_FILES))
 def test_bulk_and_per_line_pair_readers_agree(name):
     @settings(max_examples=150, deadline=None)
@@ -134,9 +142,11 @@ def test_bulk_and_per_line_pair_readers_agree(name):
             (root / io.EDGES_FILE).write_text("0\t1\n", encoding="utf-8")
             (root / io.FEATURES_FILE).write_text("0\n" * 8, encoding="utf-8")
             (root / name).write_text(text, encoding="utf-8", newline="")
-            bulk = _pair_outcome(root)
+            bulk = _outcome(lambda: io.load_dataset(root))
+            _load_again(root, bulk)
+            (root / io.CACHE_FILE).unlink(missing_ok=True)  # parse the text again
             with mock.patch.object(io, "_bulk_pairs", return_value=None):
-                assert bulk == _pair_outcome(root)
+                assert bulk == _outcome(lambda: io.load_dataset(root))
 
     check()
 
@@ -215,6 +225,88 @@ def test_saved_files_are_written_as_before_and_read_in_bulk(tmp_path, monkeypatc
     for field in ("edges", "features", "labels", "train_mask", "val_mask", "test_mask"):
         got, want = getattr(loaded, field), getattr(g, field)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+
+
+def _saved_tiny(directory: Path):
+    g = gen_gaussian_cluster_graph(SyntheticSpec(**FILES_SPECS["tiny"], seed=3))
+    io.save_dataset(with_masks(g, 0.1, 0.2, 3), directory)
+
+
+def _rewrite_cache(directory: Path, **changes):
+    """Store ``CACHE_FILE`` again with ``changes`` to its arrays; a change
+    to None drops that array."""
+    path = directory / io.CACHE_FILE
+    with np.load(path) as stored:
+        arrays = {name: stored[name] for name in stored.files}
+    arrays.update(changes)
+    np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
+
+
+def _truncate(path: Path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+CACHE_DAMAGE = {
+    "truncated": lambda root: _truncate(root / io.CACHE_FILE),
+    "not_zip": lambda root: (root / io.CACHE_FILE).write_bytes(b"not a zip file\n"),
+    "missing_key": lambda root: _rewrite_cache(root, test=None),
+    "stale_digest": lambda root: _rewrite_cache(root, digest=np.array("0" * 64)),
+    "stale_version": lambda root: _rewrite_cache(root, version=np.array(io.CACHE_VERSION - 1)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+def test_a_bad_stored_file_is_parsed_again_and_rewritten(tmp_path, damage):
+    _saved_tiny(tmp_path)
+    first = _outcome(lambda: io.load_dataset(tmp_path, require_masks=True))
+    assert (tmp_path / io.CACHE_FILE).is_file()
+    CACHE_DAMAGE[damage](tmp_path)
+    with mock.patch.object(io, "_parse_tables", wraps=io._parse_tables) as parse:
+        assert _outcome(lambda: io.load_dataset(tmp_path, require_masks=True)) == first
+    assert parse.call_count == 1
+    # rewritten whole: the next load is a hit
+    with np.load(tmp_path / io.CACHE_FILE, allow_pickle=False) as stored:
+        assert stored["digest"].item() == io.dataset_digest(tmp_path)
+        assert stored["version"].item() == io.CACHE_VERSION
+    _load_again(tmp_path, first)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(io.DATASET_FILES + (io.CACHE_FILE,))
+
+
+def test_a_stored_file_damaged_at_any_byte_loads_the_same_graph(tmp_path):
+    # the zip's checksums catch a changed array byte; a changed header, name
+    # or size fails to read, or reads the same arrays
+    _saved_tiny(tmp_path)
+    first = _outcome(lambda: io.load_dataset(tmp_path, require_masks=True))
+    stored = (tmp_path / io.CACHE_FILE).read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, len(stored) - 1), st.integers(1, 255))
+    def check(at, flip):
+        damaged = bytearray(stored)
+        damaged[at] ^= flip
+        (tmp_path / io.CACHE_FILE).write_bytes(damaged)
+        assert _outcome(lambda: io.load_dataset(tmp_path, require_masks=True)) == first
+
+    check()
+
+
+def test_tables_that_build_graph_rejects_are_not_stored(tmp_path):
+    _saved_tiny(tmp_path)
+    with mock.patch.object(io, "build_graph", side_effect=IndexOutOfRangeError("rejected")):
+        with pytest.raises(IndexOutOfRangeError, match="^rejected$"):
+            io.load_dataset(tmp_path)
+    assert not (tmp_path / io.CACHE_FILE).exists()
+
+
+@pytest.mark.parametrize("failing", ["replace", "savez"])
+def test_a_failed_write_still_loads_and_leaves_no_file(tmp_path, failing):
+    # running as root ignores directory modes, so the write fails by patch
+    _saved_tiny(tmp_path)
+    module = io.os if failing == "replace" else io.np
+    with mock.patch.object(module, failing, side_effect=OSError(28, "No space left on device")):
+        g = io.load_dataset(tmp_path, require_masks=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(io.DATASET_FILES)
+    assert _outcome(lambda: g) == _outcome(lambda: io.load_dataset(tmp_path, require_masks=True))
 
 
 def test_extreme_floats_round_trip_bit_equal(tmp_path):

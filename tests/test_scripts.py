@@ -89,7 +89,8 @@ def test_bench_appends_each_run_under_its_label(tmp_path):
     for run in runs["new"]:
         results = run["results"]
         assert (results["n"], results["edges"], results["bytes"]) == (1500, g.num_edges, size)
-        for field in ("load_dataset_ms", "save_dataset_ms", "dataset_digest_ms"):
+        for field in ("load_dataset_ms", "load_dataset_cached_ms", "save_dataset_ms",
+                      "dataset_digest_ms"):
             assert set(results[field]) == {"median", "iqr", "samples"}
             assert len(results[field]["samples"]) == committed["repeats"]
     assert out.splitlines()[0].startswith("io new load_dataset_ms: ")
