@@ -298,8 +298,7 @@ def _parse_tables(directory: Path, files: dict) -> dict:
     if LABELS_FILE in files:
         tables["labels"] = _load_labels(directory / LABELS_FILE, files[LABELS_FILE], n)
     if MASKS_FILE in files:
-        masks = _load_masks(directory / MASKS_FILE, files[MASKS_FILE], n)
-        tables.update((name, np.asarray(m, dtype=np.int64)) for name, m in zip(SPLIT_NAMES, masks))
+        tables.update(zip(SPLIT_NAMES, _load_masks(directory / MASKS_FILE, files[MASKS_FILE], n)))
     return tables
 
 
