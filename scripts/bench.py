@@ -21,9 +21,9 @@ aux     the cluster graph generator on the benchmark's ``wide`` and ``files``
         columns), as ``feature_knn`` builds it.
 io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call): ``load_dataset_ms`` a
-        cold load (the stored tables, ``io.CACHE_FILE``, removed untimed
-        before each call, so each call parses the text and stores them
-        again), ``load_dataset_cached_ms`` a load that reads them back.
+        cold load (the kept Graphs dropped untimed before each call, so each
+        call parses the text), ``load_dataset_cached_ms`` a load of the same
+        bytes, which returns the kept Graph.
 layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
         10^4 layers and at the benchmark's ``deep`` depth of 256 layers, and
         n = 9000 at ``wide``'s degree, 64 layers, all at p = q = 0.5; and the
@@ -74,18 +74,12 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from graphain import curriculum, linalg, propagation
+from graphain import curriculum, io, linalg, propagation
 from graphain.classifier import TrainConfig, loss_and_grad, make_reducer, train_linear
 from graphain.config import build_experiment_config
 from graphain.curriculum import build_knn_aux_graph
 from graphain.graph import build_graph, csr_matmul, dense_pays, normalized_adjacency
-from graphain.io import (
-    CACHE_FILE,
-    DATASET_FILES,
-    dataset_digest,
-    load_dataset,
-    save_dataset,
-)
+from graphain.io import DATASET_FILES, dataset_digest, load_dataset, save_dataset
 from graphain.labels import SoftLabelMatrix
 from graphain.oracles import dense_csr
 from graphain.propagation import run_fuzzy_r_softgraphain
@@ -342,13 +336,12 @@ def _dataset_io():
         directory = Path(tmp)
         save_dataset(g, directory)
         load = partial(load_dataset, directory, require_masks=True)
-        forget = partial((directory / CACHE_FILE).unlink, missing_ok=True)
         return {
             "n": g.n,
             "edges": g.num_edges,
             "feature_dim": g.feature_dim,
             "bytes": sum((directory / name).stat().st_size for name in DATASET_FILES),
-            "load_dataset_ms": _timed(load, 1e3, before=forget),
+            "load_dataset_ms": _timed(load, 1e3, before=io._LOADED.clear),
             "load_dataset_cached_ms": _timed(load, 1e3),
             "save_dataset_ms": _timed(partial(save_dataset, g, directory), 1e3),
             "dataset_digest_ms": _timed(partial(dataset_digest, directory), 1e3),

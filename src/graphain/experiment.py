@@ -78,7 +78,8 @@ def load_inputs(cfg: ExperimentConfig):
     """(config hash, dataset): what every seed of a run shares.  The dataset
     is the loaded Graph for a dataset config, None otherwise; each of its
     files is read once and hashed once, and the hash covers the bytes the
-    Graph is built from (or was, when its parsed tables are reused)."""
+    Graph is built from (or was, when ``load_dataset`` kept it from an
+    earlier load of the same bytes)."""
     with _stage("dataset"):
         if cfg.dataset_path is None:
             return config_hash(cfg), None

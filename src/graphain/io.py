@@ -22,24 +22,15 @@ hand-written file (comments, spaces, CRLF) as it always has, and on a bad
 file raises the ParseError that names the line.  The fast path therefore
 changes no result and no error message.
 
-A load that succeeds stores the tables its readers returned (features,
-edges, and labels and masks when their files are present) in ``CACHE_FILE``
-inside the directory, with the sha256 of the dataset files' bytes
-(``dataset_digest``) and ``CACHE_VERSION``.  A later load whose bytes
-hash the same reads the tables back with ``np.load`` and parses no text;
-``build_graph`` checks and canonicalises them on either path.  Any failure to
-read the stored file, a stale digest or version included, is a miss, which
-parses as before; the file is written only after ``build_graph`` has
-accepted the tables, through a temporary file that replaces it whole, and a
-write that fails with an OSError (a read-only directory, a full disk) is
-skipped.  On the benchmark's `files` dataset (3 x 500 nodes, 32 features,
-1.15 MB of text, 0.77 MB stored) a hit took 3.5-3.9 ms and a miss, its
-write included, 19-21 ms, against 17-18 ms for a load that stored nothing,
-in alternated runs of ``scripts/bench.py --case io`` on 2 shared vCPUs; most
-of a miss is parsing 48,000 floats of 17 digits.  On a Cora-shaped
-directory (7 x 387 nodes, 1433 features, 76 MB of text, 31 MB stored) a hit
-took 0.12 s, most of it reading and hashing the text, against 1.1 s for a
-miss.
+``load_dataset`` keeps the Graphs of the last few datasets it loaded, by
+the sha256 of the files' bytes (``dataset_digest``), so a process that runs
+the same dataset again, under other configs or seeds, parses it once.  A
+Graph is frozen and its arrays read-only, so the runs can share it.  On the
+benchmark's `files` dataset (3 x 500 nodes, 32 features, 1.15 MB) a load of
+kept bytes took 1.0 ms, nearly all of it reading and hashing them, against
+18 ms for a load that parsed them, in alternated runs of ``scripts/bench.py
+--case io`` on 2 shared vCPUs; most of a parse is reading 48,000 floats of
+17 digits.
 
 ``np.loadtxt`` never sees a byte outside the whitelist, for two reasons.
 The readers must agree: ``str.splitlines`` also breaks lines at CR, VT, FF
@@ -58,10 +49,7 @@ snapshots) go through ``float_rows``, one ``%`` per row.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import os
-import tempfile
 from dataclasses import fields
 from io import BytesIO
 from pathlib import Path
@@ -76,10 +64,6 @@ FEATURES_FILE = "features.csv"
 LABELS_FILE = "labels.csv"
 MASKS_FILE = "masks.csv"
 DATASET_FILES = (EDGES_FILE, FEATURES_FILE, LABELS_FILE, MASKS_FILE)
-# the parsed tables of the dataset files, kept beside them; not a dataset file
-CACHE_FILE = ".graphain-parsed.npz"
-# bump whenever a reader could return other tables for the same bytes
-CACHE_VERSION = 1
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -87,6 +71,12 @@ _EDGE_BYTES = b"0123456789\t\n"
 _FEATURE_BYTES = b"0123456789.,-+eE\n"
 _LABEL_BYTES = b"0123456789,\n"
 _MASK_BYTES = _LABEL_BYTES + b"trainvalest"  # the letters of SPLIT_NAMES
+
+# dataset_digest -> Graph of the last _LOADED_MAX datasets loaded, oldest
+# first.  A Graph is frozen and its arrays read-only, so every load of the
+# same bytes can share one.
+_LOADED: dict = {}
+_LOADED_MAX = 4
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -275,18 +265,8 @@ def _load_masks(path: Path, data: bytes, n: int) -> tuple:
     return tuple(split_sets[name] for name in SPLIT_NAMES)
 
 
-def _table_names(files: dict) -> list:
-    """The tables a load of ``files`` reads: masks are the three splits."""
-    names = ["features", "edges"]
-    if LABELS_FILE in files:
-        names.append("labels")
-    if MASKS_FILE in files:
-        names.extend(SPLIT_NAMES)
-    return names
-
-
-def _parse_tables(directory: Path, files: dict) -> dict:
-    """The tables of ``_table_names(files)``, parsed from the files' bytes."""
+def _parse_dataset(directory: Path, files: dict, require_masks: bool) -> Graph:
+    """The Graph of the dataset ``files``, parsed from their bytes."""
 
     def data(name):  # a missing required file fails as its read does
         return files[name] if name in files else _read_bytes(directory / name)
@@ -294,41 +274,18 @@ def _parse_tables(directory: Path, files: dict) -> dict:
     features = _load_features(directory / FEATURES_FILE, data(FEATURES_FILE))
     n = features.shape[0]
     edges = _load_edges(directory / EDGES_FILE, data(EDGES_FILE), n)
-    tables = {"features": features, "edges": edges}
+
+    labels = None
     if LABELS_FILE in files:
-        tables["labels"] = _load_labels(directory / LABELS_FILE, files[LABELS_FILE], n)
+        labels = _load_labels(directory / LABELS_FILE, files[LABELS_FILE], n)
+
+    masks = None
     if MASKS_FILE in files:
-        tables.update(zip(SPLIT_NAMES, _load_masks(directory / MASKS_FILE, files[MASKS_FILE], n)))
-    return tables
+        masks = _load_masks(directory / MASKS_FILE, files[MASKS_FILE], n)
+    elif require_masks:
+        raise MissingMaskError(f"{directory / MASKS_FILE} is missing")
 
-
-def _stored_tables(directory: Path, digest: str, names: list) -> dict | None:
-    """The tables ``names`` from ``CACHE_FILE`` when it was stored for
-    ``digest`` at ``CACHE_VERSION``, else None."""
-    try:
-        with np.load(directory / CACHE_FILE, allow_pickle=False) as stored:
-            if stored["digest"].item() != digest or stored["version"].item() != CACHE_VERSION:
-                return None
-            return {name: stored[name] for name in names}
-    # any failure is a miss: a damaged file raises zipfile's, numpy's header
-    # parser's (a SyntaxError among them) or a missing table's error
-    except Exception:
-        return None
-
-
-def _store_tables(directory: Path, digest: str, tables: dict) -> None:
-    """Write ``tables`` to ``CACHE_FILE``, through a temporary file in the
-    directory that replaces it whole; an OSError skips the write."""
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=CACHE_FILE, suffix=".tmp", dir=directory)
-        with os.fdopen(fd, "wb") as out:
-            np.savez(out, digest=np.array(digest), version=np.array(CACHE_VERSION), **tables)
-        os.replace(tmp, directory / CACHE_FILE)
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+    return build_graph(edges, n, features, y=labels, masks=masks)
 
 
 def load_dataset(
@@ -337,28 +294,23 @@ def load_dataset(
     """Read a dataset directory back into a Graph.
 
     ``files`` is ``read_dataset_files(directory)`` and ``digest`` its
-    ``dataset_digest``, each taken here when None.  The tables come from
-    ``CACHE_FILE`` when it holds them for ``digest``, else from the files,
-    and are then stored there.  Labels and masks are optional files;
-    ``require_masks`` turns a missing or empty train split into
-    MissingMaskError.
+    ``dataset_digest``, each taken here when None.  The Graphs of the last
+    ``_LOADED_MAX`` datasets loaded are kept by digest, and a load of the
+    same bytes, from any directory, returns the kept Graph and parses
+    nothing.  Labels and masks are optional files; ``require_masks`` turns a
+    missing or empty train split into MissingMaskError.
     """
     directory = Path(directory)
     files = read_dataset_files(directory) if files is None else files
     digest = dataset_digest(directory, files) if digest is None else digest
-    tables = _stored_tables(directory, digest, _table_names(files))
-    parsed = tables is None
-    if parsed:
-        tables = _parse_tables(directory, files)
-    if MASKS_FILE not in files and require_masks:
-        raise MissingMaskError(f"{directory / MASKS_FILE} is missing")
-
-    features = tables["features"]
-    masks = tuple(tables[name] for name in SPLIT_NAMES) if MASKS_FILE in files else None
-    labels = tables.get("labels")
-    g = build_graph(tables["edges"], features.shape[0], features, y=labels, masks=masks)
-    if parsed:
-        _store_tables(directory, digest, tables)
+    g = _LOADED.get(digest)
+    # a required masks file that is missing fails in the parse, as before
+    if g is None or (require_masks and MASKS_FILE not in files):
+        g = _parse_dataset(directory, files, require_masks)
+    _LOADED.pop(digest, None)
+    _LOADED[digest] = g  # the newest last
+    if len(_LOADED) > _LOADED_MAX:
+        del _LOADED[next(iter(_LOADED))]
     if require_masks and g.train_mask.size == 0:
         raise MissingMaskError("dataset has an empty train split")
     return g

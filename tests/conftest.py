@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 
 import graphain.curriculum as curriculum
 import graphain.diagnostics as diagnostics
+import graphain.io as io
 
 settings.register_profile(
     "ci",
@@ -13,6 +14,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def no_kept_datasets():
+    """Each test parses the datasets it loads: no test gets a Graph that
+    ``io.load_dataset`` kept from an earlier one."""
+    io._LOADED.clear()
 
 
 @pytest.fixture

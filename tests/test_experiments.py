@@ -678,8 +678,8 @@ class TestRunExperiment:
         assert sorted(reads) == ["edges.tsv", "features.csv", "labels.csv", "masks.csv"]
 
     def test_cold_and_warm_runs_write_the_same_bytes(self, tmp_path, monkeypatch):
-        # the first run parses the files and stores their tables; the second
-        # reads them back and parses no text
+        # the first run parses the files and keeps their Graph; the second
+        # gets it and parses no text
         cfg = replace(_dataset_config(tmp_path / "data"), seeds=(1, 2),
                       output_dir=str(tmp_path / "out"))
         parses = []
@@ -696,13 +696,13 @@ class TestRunExperiment:
             run_experiment(cfg)
             out = tmp_path / "out"
             runs.append((len(parses), {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
-            assert (tmp_path / "data" / io.CACHE_FILE).is_file()
+            assert list(io._LOADED) == [io.dataset_digest(tmp_path / "data")]
         (cold_parses, cold), (warm_parses, warm) = runs
         assert (cold_parses, warm_parses) == (4, 0)
         assert {"results.csv", "config_echo.txt", "diagnostics_seed1.csv"} <= set(cold)
         assert warm == cold
 
-        # an edited file misses the stored tables and fails at its line
+        # an edited file is other bytes, parsed again: it fails at its line
         lines = (tmp_path / "data" / "features.csv").read_text().splitlines()
         lines[4] = "nan," + lines[4].split(",", 1)[1]
         (tmp_path / "data" / "features.csv").write_text("\n".join(lines) + "\n")

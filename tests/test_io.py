@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain import io
-from graphain.errors import GraphainError, IndexOutOfRangeError, ParseError
+from graphain.errors import GraphainError, IndexOutOfRangeError, MissingMaskError, ParseError
 from graphain.graph import build_graph
 from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
 
@@ -65,15 +65,21 @@ def _outcome(call):
     return g.n, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 
 
+def _cold_load(root: Path, **kwargs):
+    """load_dataset with no Graph kept, so that it parses the files."""
+    io._LOADED.clear()
+    return io.load_dataset(root, **kwargs)
+
+
 def _load_again(root: Path, first):
-    """Check that a second load of ``root`` gives ``first`` again, from the
-    stored tables when the first load was accepted."""
+    """Check that a second load of ``root`` gives ``first`` again: the kept
+    Graph, with nothing parsed, when the first load was accepted."""
     accepted = isinstance(first[0], int)
-    assert (root / io.CACHE_FILE).is_file() == accepted
+    assert (io.dataset_digest(root) in io._LOADED) == accepted
     if not accepted:
         assert _outcome(lambda: io.load_dataset(root)) == first
         return
-    with mock.patch.object(io, "_parse_tables", side_effect=AssertionError("parsed")):
+    with mock.patch.object(io, "_parse_dataset", side_effect=AssertionError("parsed")):
         assert _outcome(lambda: io.load_dataset(root)) == first
 
 
@@ -94,7 +100,7 @@ def test_bulk_and_per_line_readers_agree(edges, features):
         root = Path(tmp)
         (root / io.EDGES_FILE).write_text(edges, encoding="utf-8", newline="")
         (root / io.FEATURES_FILE).write_text(features, encoding="utf-8", newline="")
-        first = _outcome(lambda: io.load_dataset(root))
+        first = _outcome(lambda: _cold_load(root))
         assert first == _outcome(lambda: _per_line(root))
         _load_again(root, first)
 
@@ -142,11 +148,10 @@ def test_bulk_and_per_line_pair_readers_agree(name):
             (root / io.EDGES_FILE).write_text("0\t1\n", encoding="utf-8")
             (root / io.FEATURES_FILE).write_text("0\n" * 8, encoding="utf-8")
             (root / name).write_text(text, encoding="utf-8", newline="")
-            bulk = _outcome(lambda: io.load_dataset(root))
+            bulk = _outcome(lambda: _cold_load(root))
             _load_again(root, bulk)
-            (root / io.CACHE_FILE).unlink(missing_ok=True)  # parse the text again
             with mock.patch.object(io, "_bulk_pairs", return_value=None):
-                assert bulk == _outcome(lambda: io.load_dataset(root))
+                assert bulk == _outcome(lambda: _cold_load(root))
 
     check()
 
@@ -227,86 +232,60 @@ def test_saved_files_are_written_as_before_and_read_in_bulk(tmp_path, monkeypatc
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
 
-def _saved_tiny(directory: Path):
-    g = gen_gaussian_cluster_graph(SyntheticSpec(**FILES_SPECS["tiny"], seed=3))
-    io.save_dataset(with_masks(g, 0.1, 0.2, 3), directory)
+def _saved_tiny(directory: Path, seed: int = 3):
+    g = gen_gaussian_cluster_graph(SyntheticSpec(**FILES_SPECS["tiny"], seed=seed))
+    io.save_dataset(with_masks(g, 0.1, 0.2, seed), directory)
 
 
-def _rewrite_cache(directory: Path, **changes):
-    """Store ``CACHE_FILE`` again with ``changes`` to its arrays; a change
-    to None drops that array."""
-    path = directory / io.CACHE_FILE
-    with np.load(path) as stored:
-        arrays = {name: stored[name] for name in stored.files}
-    arrays.update(changes)
-    np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
+def test_the_same_bytes_in_any_directory_give_the_kept_graph(tmp_path):
+    _saved_tiny(tmp_path / "a")
+    _saved_tiny(tmp_path / "b")
+    first = io.load_dataset(tmp_path / "a", require_masks=True)
+    with mock.patch.object(io, "_parse_dataset", side_effect=AssertionError("parsed")):
+        assert io.load_dataset(tmp_path / "b", require_masks=True) is first
+    # an edited file is other bytes: parsed, and kept beside the first
+    with (tmp_path / "b" / io.EDGES_FILE).open("a") as edges:
+        edges.write("# a comment\n")
+    with mock.patch.object(io, "_parse_dataset", wraps=io._parse_dataset) as parse:
+        edited = io.load_dataset(tmp_path / "b", require_masks=True)
+    assert parse.call_count == 1 and edited is not first
+    assert _outcome(lambda: edited) == _outcome(lambda: first)
+    assert list(io._LOADED.values()) == [first, edited]
 
 
-def _truncate(path: Path):
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-
-
-CACHE_DAMAGE = {
-    "truncated": lambda root: _truncate(root / io.CACHE_FILE),
-    "not_zip": lambda root: (root / io.CACHE_FILE).write_bytes(b"not a zip file\n"),
-    "missing_key": lambda root: _rewrite_cache(root, test=None),
-    "stale_digest": lambda root: _rewrite_cache(root, digest=np.array("0" * 64)),
-    "stale_version": lambda root: _rewrite_cache(root, version=np.array(io.CACHE_VERSION - 1)),
-}
-
-
-@pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
-def test_a_bad_stored_file_is_parsed_again_and_rewritten(tmp_path, damage):
-    _saved_tiny(tmp_path)
-    first = _outcome(lambda: io.load_dataset(tmp_path, require_masks=True))
-    assert (tmp_path / io.CACHE_FILE).is_file()
-    CACHE_DAMAGE[damage](tmp_path)
-    with mock.patch.object(io, "_parse_tables", wraps=io._parse_tables) as parse:
-        assert _outcome(lambda: io.load_dataset(tmp_path, require_masks=True)) == first
+def test_the_last_loaded_graphs_are_kept(tmp_path):
+    dirs = [tmp_path / str(seed) for seed in range(io._LOADED_MAX + 1)]
+    for seed, directory in enumerate(dirs):
+        _saved_tiny(directory, seed)
+    graphs = [io.load_dataset(directory) for directory in dirs[:-1]]
+    assert io.load_dataset(dirs[0]) is graphs[0]  # now the newest
+    io.load_dataset(dirs[-1])  # drops the oldest, dirs[1]'s
+    assert [io.dataset_digest(d) in io._LOADED for d in dirs] == [True, False, True, True, True]
+    with mock.patch.object(io, "_parse_dataset", wraps=io._parse_dataset) as parse:
+        assert io.load_dataset(dirs[1]) is not graphs[1]
     assert parse.call_count == 1
-    # rewritten whole: the next load is a hit
-    with np.load(tmp_path / io.CACHE_FILE, allow_pickle=False) as stored:
-        assert stored["digest"].item() == io.dataset_digest(tmp_path)
-        assert stored["version"].item() == io.CACHE_VERSION
-    _load_again(tmp_path, first)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(io.DATASET_FILES + (io.CACHE_FILE,))
 
 
-def test_a_stored_file_damaged_at_any_byte_loads_the_same_graph(tmp_path):
-    # the zip's checksums catch a changed array byte; a changed header, name
-    # or size fails to read, or reads the same arrays
-    _saved_tiny(tmp_path)
-    first = _outcome(lambda: io.load_dataset(tmp_path, require_masks=True))
-    stored = (tmp_path / io.CACHE_FILE).read_bytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, len(stored) - 1), st.integers(1, 255))
-    def check(at, flip):
-        damaged = bytearray(stored)
-        damaged[at] ^= flip
-        (tmp_path / io.CACHE_FILE).write_bytes(damaged)
-        assert _outcome(lambda: io.load_dataset(tmp_path, require_masks=True)) == first
-
-    check()
-
-
-def test_tables_that_build_graph_rejects_are_not_stored(tmp_path):
+def test_a_rejected_dataset_is_not_kept(tmp_path):
     _saved_tiny(tmp_path)
     with mock.patch.object(io, "build_graph", side_effect=IndexOutOfRangeError("rejected")):
         with pytest.raises(IndexOutOfRangeError, match="^rejected$"):
             io.load_dataset(tmp_path)
-    assert not (tmp_path / io.CACHE_FILE).exists()
+    assert io._LOADED == {}
 
 
-@pytest.mark.parametrize("failing", ["replace", "savez"])
-def test_a_failed_write_still_loads_and_leaves_no_file(tmp_path, failing):
-    # running as root ignores directory modes, so the write fails by patch
+def test_a_kept_graph_without_masks_fails_when_masks_are_required(tmp_path):
     _saved_tiny(tmp_path)
-    module = io.os if failing == "replace" else io.np
-    with mock.patch.object(module, failing, side_effect=OSError(28, "No space left on device")):
-        g = io.load_dataset(tmp_path, require_masks=True)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(io.DATASET_FILES)
-    assert _outcome(lambda: g) == _outcome(lambda: io.load_dataset(tmp_path, require_masks=True))
+    (tmp_path / io.MASKS_FILE).unlink()
+    kept = io.load_dataset(tmp_path)
+    with pytest.raises(MissingMaskError, match="masks.csv is missing"):
+        io.load_dataset(tmp_path, require_masks=True)
+    assert io.load_dataset(tmp_path) is kept
+    # an empty train split fails on the kept Graph as on a parsed one
+    (tmp_path / io.MASKS_FILE).write_text("node,split\n0,test\n")
+    for _ in range(2):
+        with pytest.raises(MissingMaskError, match="empty train split"):
+            io.load_dataset(tmp_path, require_masks=True)
 
 
 def test_extreme_floats_round_trip_bit_equal(tmp_path):
