@@ -225,10 +225,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def build_experiment_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     """Parse raw string values, fill in defaults and build the nested config.
 
-    A bad value or range raises ConfigError naming ``source``, including the
-    mixing coefficients, decays, depth, activation and operator mode that
-    PropagationConfig checks.
+    An unknown key, or a bad value or range, raises ConfigError naming
+    ``source``, including the mixing coefficients, decays, depth, activation
+    and operator mode that PropagationConfig checks.
     """
+    for name in raw:
+        if name not in _NAMES:
+            raise ConfigError(f"{source}: unknown key {name!r}")
     # fields[section][name]: "propagation.filter.a" lands in
     # fields["propagation.filter"]["a"], "variant" in fields[""]["variant"]
     fields = {}

@@ -178,12 +178,24 @@ def _index_array(values, n: int, what: str) -> np.ndarray:
     return np.unique(arr)
 
 
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """A read-only array the caller cannot change: a copy of a writable
+    array, which may be the caller's, or the array itself when it is
+    read-only already, such as another Graph's."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
     """Validate and canonicalize raw inputs into a Graph.
 
     Duplicate and reversed edges are deduplicated; input self-loops are
     dropped (the operator adds its own).  ``masks`` is an optional
-    (train, val, test) triple of node index collections.
+    (train, val, test) triple of node index collections.  The Graph's
+    arrays are read-only and its own: the caller's writable arrays are
+    copied, never frozen or shared, and a read-only array is shared.
     """
     if n < 1:
         raise IndexOutOfRangeError("graph needs at least one node")
@@ -244,13 +256,13 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
         if np.count_nonzero(marked) != train.size + val.size + test.size:
             raise IndexOutOfRangeError("train/val/test masks must be disjoint")
 
-    for arr in (edges, x, labels, train, val, test):
+    for arr in (edges, train, val, test):
         arr.setflags(write=False)
     return Graph(
         n=n,
         edges=edges,
-        features=x,
-        labels=labels,
+        features=_owned(x),
+        labels=_owned(labels),
         train_mask=train,
         val_mask=val,
         test_mask=test,

@@ -395,6 +395,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("propagation.alhpa = 0.5\n")
 
+    @pytest.mark.parametrize(
+        "raw", [{"variant": "sgc"}, {"bogus.key": "1"}], ids=["variant", "bogus_key"]
+    )
+    def test_unknown_dict_key_is_hard_error(self, raw):
+        # a dropped key would run the default: "variant" would run rsoft
+        (key,) = raw
+        with pytest.raises(ConfigError, match=f"^grid: unknown key '{key}'$"):
+            build_experiment_config({**BASE_KV, **raw}, source="grid")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("seeds = 1\nseeds = 2\n")

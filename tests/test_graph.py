@@ -70,6 +70,23 @@ class TestBuildGraph:
         g = build_graph([(0, 0), (0, 1)], 2, np.zeros((2, 1)))
         assert g.num_edges == 1
 
+    def test_graph_owns_its_features_and_labels(self):
+        x = np.arange(6, dtype=np.float64).reshape(3, 2)
+        y = np.array([0, 1, 0])
+        g = build_graph([(0, 1)], 3, x, y=y)
+        for given_arr, kept in ((x, g.features), (y, g.labels)):
+            assert given_arr.flags.writeable  # the caller's array is not frozen
+            assert not kept.flags.writeable
+            assert not np.shares_memory(given_arr, kept)
+        x[0, 0] = 99.0
+        y[0] = 2
+        assert g.features[0, 0] == 0.0
+        assert g.labels[0] == 0 and g.num_classes == 2
+        # a read-only array, such as another Graph's, is shared, not copied
+        again = build_graph(g.edges, g.n, g.features, y=g.labels)
+        assert np.shares_memory(again.features, g.features)
+        assert np.shares_memory(again.labels, g.labels)
+
     def test_masks_must_be_disjoint(self):
         with pytest.raises(IndexOutOfRangeError):
             build_graph([], 3, np.zeros((3, 1)), masks=([0], [0], [2]))

@@ -1,6 +1,7 @@
-"""Every script under ``scripts/`` imports and parses its arguments, the two
-experiment scripts run end to end on one seed, ``bench.py`` appends its runs
-to an existing report, and its ``head`` and ``import`` cases run end to end.
+"""Every script under ``scripts/`` imports and parses its arguments,
+``run_grid.py`` runs the README's two grid specs end to end on one seed and
+rejects a misspelled key, ``bench.py`` appends its runs to an existing
+report, and its ``head`` and ``import`` cases run end to end.
 
 Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
 program API change that breaks a script's imports, or the way it reads
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from graphain.config import build_experiment_config
+from graphain.experiment import run_seed
 from graphain.io import DATASET_FILES, save_dataset
 from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
 
@@ -26,13 +29,12 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 def test_scripts_are_found():
     assert {path.name for path in SCRIPTS} == {
         "bench.py",
-        "run_curriculum_ablation.py",
-        "run_noisy_features.py",
+        "run_grid.py",
     }
 
 
-def _run(script, *args, cwd=None):
-    proc = subprocess.run(
+def _process(script, *args, cwd=None):
+    return subprocess.run(
         [sys.executable, str(script), *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         cwd=cwd,
@@ -40,6 +42,10 @@ def _run(script, *args, cwd=None):
         text=True,
         timeout=120,
     )
+
+
+def _run(script, *args, cwd=None):
+    proc = _process(script, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -59,16 +65,69 @@ def test_script_help_exits_zero(script, args):
     assert _run(script, *args, "--help").startswith("usage:")
 
 
-def test_curriculum_ablation_runs_one_seed():
-    out = _run(ROOT / "scripts" / "run_curriculum_ablation.py", "--seeds", "1")
-    assert out.splitlines()[-1].startswith("median with curriculum ")
+# README's two grid specs, at 4 layers
+NOISY_AXES = {"propagation.variant": "rsoft,sgc,pairnorm", "noisy_features": "true",
+              "propagation.layers": "4"}
+ABLATION_AXES = {"synthetic.train_frac": "0.05", "propagation.layers": "4",
+                 "curriculum.mask_ratio": "0.1", "train.epochs": "200"}
 
 
-def test_noisy_features_runs_one_seed():
-    out = _run(ROOT / "scripts" / "run_noisy_features.py", "--layers", "4", "--seeds", "1")
-    lines = out.splitlines()
-    assert lines[1].endswith(" median")
-    assert [line.split()[0] for line in lines[2:]] == ["rsoft", "sgc", "pairnorm"]
+def _grid(axes):
+    """The CSV rows ``run_grid.py`` prints for ``axes`` at seed 1."""
+    sets = [arg for key, values in axes.items() for arg in ("--set", f"{key}={values}")]
+    out = _run(ROOT / "scripts" / "run_grid.py", *sets, "--seeds", "1")
+    header, *rows = out.splitlines()
+    assert header == ",".join([*axes, "seed", "arm", "split", "accuracy", "loss"])
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def _last_of_each_split(rows):
+    return {row.split: row for row in rows}
+
+
+def test_grid_runs_the_ablation_spec():
+    rows = _grid(ABLATION_AXES)
+    assert len(rows) == 1 * 1 * 2 * 3  # cells x seeds x arms x splits
+    cfg = build_experiment_config(ABLATION_AXES)
+    curriculum_rows, supervised_rows, _ = run_seed(cfg, 1)
+    for arm, arm_rows in (("curriculum", curriculum_rows), ("supervised", supervised_rows)):
+        got = [row for row in rows if row["arm"] == arm]
+        want = _last_of_each_split(arm_rows)
+        assert [row["split"] for row in got] == list(want)
+        for row in got:
+            assert row["seed"] == "1"
+            assert float(row["accuracy"]) == want[row["split"]].accuracy
+            assert float(row["loss"]) == want[row["split"]].loss
+
+
+def test_grid_runs_the_noisy_features_spec():
+    rows = _grid(NOISY_AXES)
+    assert len(rows) == 3 * 1 * 2 * 3  # cells x seeds x arms x splits
+    for variant in ("rsoft", "sgc", "pairnorm"):
+        cfg = build_experiment_config({**NOISY_AXES, "propagation.variant": variant})
+        teacher, _, _ = run_seed(cfg, 1, with_curriculum=False)
+        (test,) = [row for row in rows if (row["propagation.variant"], row["arm"],
+                                           row["split"]) == (variant, "supervised", "test")]
+        # the supervised arm's test row is the teacher's, as a run without curriculum gives it
+        assert float(test["accuracy"]) == _last_of_each_split(teacher)["test"].accuracy
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("--set", "propagation.layer=4"), "propagation.layer"),
+        (("--set", "seeds=1,2"), "seeds"),
+        (("--set", "train.epochs=5", "--set", "train.epochs=6"), "train.epochs"),
+        (("--set", "train.epochs=five"), "train.epochs"),
+    ],
+    ids=["misspelled", "seeds_axis", "repeated", "bad_value"],
+)
+def test_grid_rejects_a_bad_axis_in_one_line(args, named):
+    proc = _process(ROOT / "scripts" / "run_grid.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and named in line
 
 
 def test_bench_appends_each_run_under_its_label(tmp_path):
