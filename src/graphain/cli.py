@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import load_config, render_config
 from .diagnostics import LayerRecorder, records_to_csv
-from .errors import GraphainError
+from .errors import ConfigError, GraphainError
 from .experiment import compute_embedding, rows_to_csv, run_experiment
 from .io import float_rows, load_dataset, save_dataset
 from .synthetic import gen_gaussian_cluster_graph, with_masks
@@ -33,8 +33,7 @@ def _write_embeddings(h: np.ndarray, path: Path) -> None:
 def _cmd_gen(args) -> int:
     cfg = load_config(args.spec)
     if cfg.synthetic is None:
-        print("gen needs synthetic.* keys in the config", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{args.spec}: gen needs synthetic.* keys, not dataset.path")
     g = gen_gaussian_cluster_graph(cfg.synthetic)
     g = with_masks(g, cfg.train_frac, cfg.val_frac, cfg.synthetic.seed)
     save_dataset(g, args.out)

@@ -2,7 +2,11 @@
 
 A Graph stores a deduplicated undirected edge list with no self-loops; the
 self-loop of the augmented adjacency is injected when the operator is built,
-so graphs round-trip cleanly through file I/O.  Centering subtracts column
+so graphs round-trip cleanly through file I/O.  ``build_graph`` is the one
+place a Graph is made, and it copies every array it keeps and makes the
+copy read-only, so no caller can change a Graph through an array it holds;
+derived Graphs (``synthetic.with_masks``, ``synthetic.add_feature_noise``)
+go through it too.  Centering subtracts column
 means; ``apply_centering(apply_operator(op, m))`` applies the doubly centered
 aggregator to a column-centered m without the dense n x n centering matrix.
 
@@ -159,7 +163,6 @@ class NormalizedOperator:
     and the same matrix as a read-only dense array when ``dense_pays``."""
 
     matrix: CsrMatrix
-    degrees: np.ndarray  # degrees of A + I, all >= 1
     dense: np.ndarray | None = None  # (n, n) float64, or None
 
 
@@ -178,28 +181,19 @@ def _index_array(values, n: int, what: str) -> np.ndarray:
     return np.unique(arr)
 
 
-def _owned(arr: np.ndarray) -> np.ndarray:
-    """A read-only array the caller cannot change: a copy of a writable
-    array, which may be the caller's, or the array itself when it is
-    read-only already, such as another Graph's."""
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
-
-
 def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
     """Validate and canonicalize raw inputs into a Graph.
 
     Duplicate and reversed edges are deduplicated; input self-loops are
     dropped (the operator adds its own).  ``masks`` is an optional
-    (train, val, test) triple of node index collections.  The Graph's
-    arrays are read-only and its own: the caller's writable arrays are
-    copied, never frozen or shared, and a read-only array is shared.
+    (train, val, test) triple of node index collections.  Every array of
+    the Graph is a read-only copy made here: the caller's arrays, read-only
+    views and other Graphs' arrays included, are copied, never frozen or
+    shared.
     """
     if n < 1:
         raise IndexOutOfRangeError("graph needs at least one node")
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    x = np.array(x, dtype=np.float64, order="C")
     if x.ndim != 2:
         raise FeatureRowMismatchError("features must be a 2-D matrix")
     if x.shape[0] != n:
@@ -227,12 +221,12 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
             hi = np.maximum(edges[:, 0], edges[:, 1])
             edges = np.column_stack(np.divmod(np.unique(lo * n + hi), n))
     else:
-        edges = edges.reshape(0, 2)
+        edges = np.empty((0, 2), dtype=np.int64)
 
     if y is None:
         labels = np.full(n, -1, dtype=np.int64)
     else:
-        labels = np.asarray(y, dtype=np.int64).ravel()
+        labels = np.asarray(y, dtype=np.int64).flatten()
         if labels.shape[0] != n:
             raise IndexOutOfRangeError("labels must have one entry per node")
         if labels.min() < -1:
@@ -256,16 +250,10 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
         if np.count_nonzero(marked) != train.size + val.size + test.size:
             raise IndexOutOfRangeError("train/val/test masks must be disjoint")
 
-    for arr in (edges, train, val, test):
+    for arr in (edges, x, labels, train, val, test):
         arr.setflags(write=False)
     return Graph(
-        n=n,
-        edges=edges,
-        features=_owned(x),
-        labels=_owned(labels),
-        train_mask=train,
-        val_mask=val,
-        test_mask=test,
+        n=n, edges=edges, features=x, labels=labels, train_mask=train, val_mask=val, test_mask=test
     )
 
 
@@ -291,14 +279,13 @@ def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperato
         vals = inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
     else:
         vals = 1.0 / degrees[rows]
-    degrees.setflags(write=False)
     matrix = csr_from_coo(rows, cols, vals, n)
     dense = None
     if dense_pays(n, matrix.nnz):
         dense = np.zeros((n, n))
         dense[rows, cols] = vals
         dense.setflags(write=False)
-    return NormalizedOperator(matrix=matrix, degrees=degrees, dense=dense)
+    return NormalizedOperator(matrix=matrix, dense=dense)
 
 
 def _check_shape(shape: tuple, m: np.ndarray) -> None:

@@ -11,7 +11,7 @@ under a second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,11 +86,10 @@ def gen_gaussian_cluster_graph(spec: SyntheticSpec) -> Graph:
 
 
 def add_feature_noise(g: Graph, seed: int) -> Graph:
-    """Replace every feature row with fresh standard-normal noise."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(g.features.shape)
-    noise.setflags(write=False)
-    return replace(g, features=noise)
+    """A copy of g whose every feature row is fresh standard-normal noise."""
+    noise = np.random.default_rng(seed).standard_normal(g.features.shape)
+    masks = (g.train_mask, g.val_mask, g.test_mask)
+    return build_graph(g.edges, g.n, noise, y=g.labels, masks=masks)
 
 
 def split_masks(labels: np.ndarray, train_frac: float, val_frac: float, seed: int):

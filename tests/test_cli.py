@@ -244,6 +244,16 @@ class TestCli:
             "theorem3",
         ]
 
+    def test_gen_on_a_dataset_config_exits_2_in_one_line(self, workspace, capsys):
+        tmp, _, data = workspace
+        spec = tmp / "dataset.txt"
+        spec.write_text(f"dataset.path = {data}\n")
+        assert main(["gen", "--spec", str(spec), "--out", str(tmp / "gen")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spec}: gen needs synthetic.* keys, not dataset.path\n"
+        )
+        assert not (tmp / "gen").exists()
+
     def test_error_paths_exit_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("unknown.key = 1\n")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,14 @@ from graphain.graph import (
     normalized_adjacency,
 )
 from graphain.oracles import dense_abar, dense_ahat
-from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, random_connected_graph
+from graphain.io import load_dataset, save_dataset
+from graphain.synthetic import (
+    SyntheticSpec,
+    add_feature_noise,
+    gen_gaussian_cluster_graph,
+    random_connected_graph,
+    with_masks,
+)
 from scipy_csr import scipy_csr
 
 
@@ -32,6 +41,58 @@ def _canonical_edges_by_rows(edge_list):
         return edges.reshape(0, 2)
     edges = edges[edges[:, 0] != edges[:, 1]]
     return np.unique(np.column_stack([edges.min(axis=1), edges.max(axis=1)]), axis=0)
+
+
+FEATURES = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+LABELS = [0, 1, 2, 0]
+
+
+def _read_only(arr):
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+def _input_form(form):
+    """(features, labels, their writable bases) in one input form, which
+    build_graph reads as FEATURES and LABELS; 2-D labels are read in C order."""
+    x, y = np.array(FEATURES), np.array(LABELS)
+    if form == "lists":
+        return FEATURES, LABELS, []
+    if form == "C-ordered":
+        return x, y, []
+    if form == "F-ordered":
+        return np.asfortranarray(x), np.asfortranarray(y.reshape(2, 2)), []
+    if form == "strided":
+        bx, by = np.repeat(np.repeat(x, 2, axis=0), 3, axis=1), np.repeat(y, 2)
+        return bx[::2, ::3], by[::2], [bx, by]
+    if form == "read-only views of writable bases":
+        return _read_only(x), _read_only(y), [x, y]
+    if form == "read-only strided views":
+        bx, by = np.repeat(x, 2, axis=1), np.repeat(y, 3)
+        return _read_only(bx[:, 1::2]), _read_only(by[2::3]), [bx, by]
+    assert form == "float32 features, int32 labels"
+    return x.astype(np.float32), y.astype(np.int32), []
+
+
+INPUT_FORMS = ["lists", "C-ordered", "F-ordered", "strided", "read-only views of writable bases",
+               "read-only strided views", "float32 features, int32 labels"]
+
+
+def _graph_arrays(g):
+    return [getattr(g, f.name) for f in fields(g) if isinstance(getattr(g, f.name), np.ndarray)]
+
+
+def _assert_owns(g, given):
+    """Every array of g is read-only and owns its memory, which no array in
+    ``given`` or any of their bases shares."""
+    kept = _graph_arrays(g)
+    assert len(kept) == 6
+    assert all(arr.flags.owndata and not arr.flags.writeable for arr in kept)
+    for arr in given:
+        while isinstance(arr, np.ndarray):
+            assert not any(np.shares_memory(arr, own) for own in kept)
+            arr = arr.base
 
 
 def _complete_graph(n, feature_dim=1):
@@ -82,10 +143,47 @@ class TestBuildGraph:
         y[0] = 2
         assert g.features[0, 0] == 0.0
         assert g.labels[0] == 0 and g.num_classes == 2
-        # a read-only array, such as another Graph's, is shared, not copied
-        again = build_graph(g.edges, g.n, g.features, y=g.labels)
-        assert np.shares_memory(again.features, g.features)
-        assert np.shares_memory(again.labels, g.labels)
+        # a read-only array, such as another Graph's, is copied too
+        _assert_owns(build_graph(g.edges, g.n, g.features, y=g.labels), _graph_arrays(g))
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_graph_copies_every_input_form(self, form):
+        # a read-only view is copied too: its base may be writable, and
+        # editing the base would change a shared Graph's labels and class count
+        x, y, bases = _input_form(form)
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        masks = [np.array([0]), np.array([1]), np.array([2, 3])]
+        g = build_graph(edges, 4, x, y=y, masks=masks)
+        assert g.features.tolist() == FEATURES and g.labels.tolist() == LABELS
+        given = [x, y, edges, *masks, *bases]
+        _assert_owns(g, given)
+        for arr in given:
+            if isinstance(arr, np.ndarray) and arr.flags.writeable:
+                arr[...] = 3
+        assert g.features.tolist() == FEATURES and g.labels.tolist() == LABELS
+        assert g.num_classes == 3
+        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert [m.tolist() for m in (g.train_mask, g.val_mask, g.test_mask)] == [[0], [1], [2, 3]]
+
+    @pytest.mark.parametrize(
+        "producer", ["with_masks", "add_feature_noise", "gen_gaussian_cluster_graph", "load_dataset"]
+    )
+    def test_every_producer_owns_its_arrays(self, producer, tmp_path):
+        # a derived Graph copies its parent's arrays as build_graph copies a caller's
+        spec = SyntheticSpec(clusters=3, nodes_per_cluster=10, intra_p=0.5, inter_p=0.05, seed=2)
+        parent = with_masks(gen_gaussian_cluster_graph(spec), 0.4, 0.3, seed=3)
+        if producer == "with_masks":
+            g = with_masks(parent, 0.4, 0.3, seed=4)
+        elif producer == "add_feature_noise":
+            g = add_feature_noise(parent, seed=5)
+        elif producer == "gen_gaussian_cluster_graph":
+            g = gen_gaussian_cluster_graph(spec)
+        else:
+            save_dataset(parent, tmp_path / "data")
+            g = load_dataset(tmp_path / "data")
+            assert g.features.tobytes() == parent.features.tobytes()
+        assert g.labels.tolist() == parent.labels.tolist()
+        _assert_owns(g, _graph_arrays(parent))
 
     def test_masks_must_be_disjoint(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -190,8 +288,9 @@ class TestNormalizedAdjacency:
     def test_two_clique_entries(self):
         g = _complete_graph(2)
         op = normalized_adjacency(g)
-        assert scipy_csr(op.matrix).toarray() == pytest.approx(np.full((2, 2), 0.5))
-        assert op.degrees.tolist() == [2.0, 2.0]
+        degrees = np.bincount(g.edges.ravel(), minlength=g.n) + 1.0  # of A + I
+        assert degrees.tolist() == [2.0, 2.0]
+        assert scipy_csr(op.matrix).toarray() == pytest.approx(1 / np.outer(degrees, degrees) ** 0.5)
 
     def test_triangle_entries_and_row_sums(self):
         g = _complete_graph(3)
