@@ -23,7 +23,10 @@ io      ``load_dataset``, ``save_dataset`` and ``dataset_digest`` on the saved
         ``files`` graph, about 1.15 MB (ms per call): ``load_dataset_ms`` a
         cold load (the kept Graphs dropped untimed before each call, so each
         call parses the text), ``load_dataset_cached_ms`` a load of the same
-        bytes, which returns the kept Graph.
+        bytes, which returns the kept Graph; and ``save_dataset_peak_mb``, the
+        ``tracemalloc`` peak of one more, untimed ``save_dataset`` call in MB
+        (10^6 bytes), on the ``files`` graph and on the generator's 3 x 33,333
+        nodes at ``wide``'s expected degree.
 layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
         10^4 layers and at the benchmark's ``deep`` depth of 256 layers, and
         n = 9000 at ``wide``'s degree, 64 layers, all at p = q = 0.5; and the
@@ -329,9 +332,21 @@ def _knn_features(name):
             **_knn_timed(vectors)}
 
 
+def _saved_graph(name):
+    spec = SyntheticSpec(**GENERATOR_SPECS[name], seed=0)
+    return with_masks(gen_gaussian_cluster_graph(spec), 0.1, 0.2, 0)
+
+
+def _save_peak_mb(name):
+    """The ``tracemalloc`` peak of one ``save_dataset`` call on the graph of
+    ``GENERATOR_SPECS[name]``, in MB."""
+    g = _saved_graph(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        return _peak_mb(partial(save_dataset, g, tmp))
+
+
 def _dataset_io():
-    spec = SyntheticSpec(**GENERATOR_SPECS["files"], seed=0)
-    g = with_masks(gen_gaussian_cluster_graph(spec), 0.1, 0.2, 0)
+    g = _saved_graph("files")
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         save_dataset(g, directory)
@@ -345,6 +360,7 @@ def _dataset_io():
             "load_dataset_cached_ms": _timed(load, 1e3),
             "save_dataset_ms": _timed(partial(save_dataset, g, directory), 1e3),
             "dataset_digest_ms": _timed(partial(dataset_digest, directory), 1e3),
+            "save_dataset_peak_mb": {name: _save_peak_mb(name) for name in ("files", "wide_100k")},
         }
 
 

@@ -21,13 +21,13 @@ from .config import load_config, render_config
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import ConfigError, GraphainError
 from .experiment import compute_embedding, rows_to_csv, run_experiment
-from .io import float_rows, load_dataset, save_dataset
+from .io import float_rows, load_dataset, save_dataset, write_table
 from .synthetic import gen_gaussian_cluster_graph, with_masks
 from .verify import SUITES
 
 
 def _write_embeddings(h: np.ndarray, path: Path) -> None:
-    path.write_text("\n".join(float_rows(h)) + "\n", encoding="utf-8")
+    write_table(path, lambda lo, hi: float_rows(h[lo:hi]), *h.shape)
 
 
 def _cmd_gen(args) -> int:

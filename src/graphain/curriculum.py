@@ -24,9 +24,9 @@ from .classifier import (
     softmax_with_log,
     train_linear,
 )
-from .errors import NonFiniteFeatureError, RowNotStochasticError
+from .errors import EmptyIncludeError, NonFiniteFeatureError, RowNotStochasticError
 from .graph import CsrMatrix, Graph, csr_from_coo, csr_matmul
-from .io import float_rows
+from .io import float_rows, write_table
 from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 
 AUX_MODES = ("input_graph", "feature_knn", "embedding_knn")
@@ -548,7 +548,9 @@ def run_curriculum(
     A task's train loss is against the targets it trained on, over the
     unmasked rows of its label matrix; its train accuracy is against the
     ground truth, over the labeled nodes among those rows (NaN when there are
-    none), as ``split_scores`` scores val and test.
+    none), as ``split_scores`` scores val and test.  A pacing task whose
+    snapshot has every row masked raises EmptyIncludeError naming the task
+    and the snapshot.
     """
     pacing = replace(train_cfg, epochs=pacing_epochs)
     tasks = [(snap, pacing) for snap in reversed(snapshots)]
@@ -559,6 +561,12 @@ def run_curriculum(
     metrics = []
     h_t = np.ascontiguousarray(h.T)  # the logits' operand
     for index, (labels, cfg) in enumerate(tasks):
+        if index < len(snapshots) and labels.masked.all():
+            raise EmptyIncludeError(
+                f"empty node subset: task {index} trains on snapshot "
+                f"{len(snapshots) - 1 - index}, whose rows are all masked; "
+                "lower curriculum.mask_ratio"
+            )
         start = time.perf_counter()
         w = train_linear(h, labels, cfg, warm_start=w)
         elapsed = (time.perf_counter() - start) * 1e3
@@ -591,8 +599,11 @@ def export_snapshots(snapshots, out_dir) -> list:
     for i, snap in enumerate(snapshots):
         path = out_dir / f"snapshot_{i:03d}.csv"
         header = "node," + ",".join(f"class_{c}" for c in range(snap.num_classes))
-        lines = [header]
-        lines.extend(f"{node},{row}" for node, row in enumerate(float_rows(snap.y)))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        def lines(lo, hi):
+            rows = float_rows(snap.y[lo:hi])
+            return [f"{node},{row}" for node, row in enumerate(rows, start=lo)]
+
+        write_table(path, lines, snap.n, snap.num_classes + 1, header)
         paths.append(path)
     return paths

@@ -830,10 +830,14 @@ class TestRunCurriculum:
         g, h = _curriculum_setup()
         calls = _recording(monkeypatch)
         empty = _soft(np.zeros((24, 2)), np.ones(24, dtype=bool))
-        with pytest.raises(EmptyIncludeError, match="^empty node subset$"):
+        with pytest.raises(
+            EmptyIncludeError,
+            match=r"^empty node subset: task 0 trains on snapshot 0, whose rows are all masked; "
+            r"lower curriculum\.mask_ratio$",
+        ):
             run_curriculum(g, h, [empty], TrainConfig(lr=0.2, epochs=30), 0)
-        # the empty task raised in training, though it runs no epoch
-        assert [(c["epochs"], c["include"].size) for c in calls] == [(0, 0)]
+        # the empty task is refused before training, though it runs no epoch
+        assert calls == []
 
 
 class TestAuxTransition:

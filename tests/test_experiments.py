@@ -27,6 +27,7 @@ from graphain.config import (
 from graphain.curriculum import AUX_MODES
 from graphain.errors import (
     ConfigError,
+    EmptyIncludeError,
     GraphainError,
     IndexOutOfRangeError,
     MissingMaskError,
@@ -736,6 +737,23 @@ class TestRunExperiment:
             NonFiniteLossError, match=r"^\[stage teacher\] loss diverged at epoch 1$"
         ):
             run_experiment(cfg, with_curriculum=with_curriculum, write_files=False)
+
+    def test_an_all_masked_curriculum_task_names_its_snapshot(self):
+        # At mask_ratio 1 only the train rows survive the entropy filter, and
+        # each smoothing step masks the rows whose auxiliary neighbours are
+        # all masked, until the smoothest snapshot, the first task's, has no
+        # row left.
+        cfg = build_experiment_config({
+            "curriculum.mask_ratio": "1", "curriculum.n_t": "2", "curriculum.knn_k": "1",
+            "synthetic.train_frac": "0.02", "synthetic.nodes_per_cluster": "50",
+            "propagation.layers": "4",
+        })
+        with pytest.raises(
+            EmptyIncludeError,
+            match=r"^\[stage curriculum\] empty node subset: task 0 trains on snapshot 2, "
+            r"whose rows are all masked; lower curriculum\.mask_ratio$",
+        ):
+            run_seed(cfg, 0)
 
 
 _RUN_CHILD = """\

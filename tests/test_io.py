@@ -1,11 +1,13 @@
 """The bulk readers of the dataset files against the per-line readers they
-fall back to, and ``save_dataset``'s bytes against the per-value formatter
-it replaced."""
+fall back to, and the bytes of ``save_dataset``, the snapshots and the
+embeddings, written a block at a time, against the whole-string writers they
+replaced."""
 
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphain import io
+from graphain import cli, io
+from graphain.curriculum import export_snapshots
 from graphain.errors import GraphainError, IndexOutOfRangeError, MissingMaskError, ParseError
 from graphain.graph import build_graph
+from graphain.labels import SoftLabelMatrix
 from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -197,28 +201,48 @@ def test_astral_text_raises_parse_error_without_crashing():
 FILES_SPECS = {
     "files": dict(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005, centers_dim=32),
     "tiny": dict(clusters=3, nodes_per_cluster=15, intra_p=0.3, inter_p=0.02, centers_dim=16),
+    # Cora's width: five rows a block, and the last block holds two
+    "wide": dict(clusters=3, nodes_per_cluster=9, intra_p=0.5, inter_p=0.2, centers_dim=1433),
 }
 
 
 def _legacy_save(g, directory: Path):
-    """The per-value writer save_dataset replaced, for edges and features."""
+    """The per-value writer save_dataset replaced, each file one string."""
     edge_lines = [f"{i}\t{j}" for i, j in g.edges]
     (directory / io.EDGES_FILE).write_text(
         "\n".join(edge_lines) + ("\n" if edge_lines else ""), encoding="utf-8"
     )
     feat_lines = [",".join(format(v, ".17g") for v in row) for row in g.features]
     (directory / io.FEATURES_FILE).write_text("\n".join(feat_lines) + "\n", encoding="utf-8")
+    label_lines = ["node,label"] + [f"{v},{g.labels[v]}" for v in range(g.n) if g.labels[v] >= 0]
+    if len(label_lines) > 1:
+        (directory / io.LABELS_FILE).write_text("\n".join(label_lines) + "\n", encoding="utf-8")
+    masks = (g.train_mask, g.val_mask, g.test_mask)
+    mask_lines = ["node,split"]
+    mask_lines += [f"{v},{name}" for name, mask in zip(io.SPLIT_NAMES, masks) for v in mask]
+    if len(mask_lines) > 1:
+        (directory / io.MASKS_FILE).write_text("\n".join(mask_lines) + "\n", encoding="utf-8")
+
+
+def _saved_as_before(g, tmp_path: Path):
+    """Save ``g`` with save_dataset and with ``_legacy_save``, and check that
+    the same files hold the same bytes."""
+    io.save_dataset(g, tmp_path / "new")
+    (tmp_path / "old").mkdir()
+    _legacy_save(g, tmp_path / "old")
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(
+        p.name for p in (tmp_path / "old").iterdir()
+    )
+    for file in (tmp_path / "old").iterdir():
+        assert (tmp_path / "new" / file.name).read_bytes() == file.read_bytes(), file.name
 
 
 @pytest.mark.parametrize("name", sorted(FILES_SPECS))
 def test_saved_files_are_written_as_before_and_read_in_bulk(tmp_path, monkeypatch, name):
     g = gen_gaussian_cluster_graph(SyntheticSpec(**FILES_SPECS[name], seed=3))
     g = with_masks(g, 0.1, 0.2, 3)
-    io.save_dataset(g, tmp_path / "new")
-    (tmp_path / "old").mkdir()
-    _legacy_save(g, tmp_path / "old")
-    for file in (io.EDGES_FILE, io.FEATURES_FILE):
-        assert (tmp_path / "new" / file).read_bytes() == (tmp_path / "old" / file).read_bytes()
+    _saved_as_before(g, tmp_path)
+    assert len(list((tmp_path / "new").iterdir())) == len(io.DATASET_FILES)
 
     def no_fallback(path, *args):
         raise AssertionError(f"{path} left the bulk path")
@@ -230,6 +254,54 @@ def test_saved_files_are_written_as_before_and_read_in_bulk(tmp_path, monkeypatc
     for field in ("edges", "features", "labels", "train_mask", "val_mask", "test_mask"):
         got, want = getattr(loaded, field), getattr(g, field)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+
+
+def test_an_edgeless_graph_with_rows_wider_than_a_block_is_saved_as_before(tmp_path):
+    # one row is more values than a block holds, so each block is one row;
+    # unlabeled nodes, an empty split and split boundaries inside a block
+    rng = np.random.default_rng(0)
+    labels = np.array([0, 1, -1, 2, -1, 1, 0])
+    masks = (np.array([0, 1, 3]), np.array([], dtype=np.int64), np.array([6, 5, 2]))
+    g = build_graph([], 7, rng.standard_normal((7, io.BLOCK_VALUES + 1)), y=labels, masks=masks)
+    _saved_as_before(g, tmp_path)
+    assert (tmp_path / "new" / io.EDGES_FILE).read_bytes() == b""
+    loaded = io.load_dataset(tmp_path / "new")
+    assert _outcome(lambda: loaded) == _outcome(lambda: g)
+
+
+def test_a_saved_graph_is_written_a_block_at_a_time(tmp_path):
+    # 3 x 10,000 nodes, 165,163 edges: the whole-string writer peaked at
+    # 35 MB, the block writer at 0.88 MB
+    spec = SyntheticSpec(clusters=3, nodes_per_cluster=10_000, intra_p=10 / 10_000,
+                         inter_p=0.5 / 10_000, seed=0)
+    g = with_masks(gen_gaussian_cluster_graph(spec), 0.1, 0.2, 0)
+    tracemalloc.start()
+    try:
+        io.save_dataset(g, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_snapshots_and_embeddings_in_several_blocks_are_written_as_one_string(tmp_path):
+    rng = np.random.default_rng(0)
+    snaps = []
+    for n, classes in ((3 * io.BLOCK_VALUES // 4 + 1, 3), (3, io.BLOCK_VALUES)):
+        y = rng.random((n, classes))
+        y /= y.sum(axis=1, keepdims=True)
+        masked = rng.random(n) < 0.25
+        y[masked] = 0.0
+        snaps.append(SoftLabelMatrix(y=y, masked=masked))
+    for snap, path in zip(snaps, export_snapshots(snaps, tmp_path / "snapshots")):
+        header = "node," + ",".join(f"class_{c}" for c in range(snap.num_classes))
+        lines = [header] + [f"{node},{row}" for node, row in enumerate(io.float_rows(snap.y))]
+        assert path.read_text(encoding="utf-8").split("\n") == [*lines, ""]
+    for h in (rng.standard_normal((2 * io.BLOCK_VALUES // 8 + 3, 8)),
+              rng.standard_normal((2, io.BLOCK_VALUES + 7))):
+        cli._write_embeddings(h, tmp_path / "embeddings.csv")
+        text = (tmp_path / "embeddings.csv").read_text(encoding="utf-8")
+        assert text.split("\n") == [*io.float_rows(h), ""]
 
 
 def _saved_tiny(directory: Path, seed: int = 3):

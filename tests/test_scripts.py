@@ -152,6 +152,9 @@ def test_bench_appends_each_run_under_its_label(tmp_path):
                       "dataset_digest_ms"):
             assert set(results[field]) == {"median", "iqr", "samples"}
             assert len(results[field]["samples"]) == committed["repeats"]
+        peaks = results["save_dataset_peak_mb"]
+        assert set(peaks) == {"files", "wide_100k"}
+        assert all(0 < peak < 5 for peak in peaks.values())
     assert out.splitlines()[0].startswith("io new load_dataset_ms: ")
     assert out.splitlines()[0].count(",") == 1
 
