@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands:
-  gen         write a synthetic dataset directory from a config file
+  gen         write the synthetic graph and split the config's first seed runs on
   propagate   run the configured propagation, dump embeddings + diagnostics
   train       supervised baseline (no curriculum)
   curriculum  full pipeline
@@ -20,9 +20,8 @@ import numpy as np
 from .config import load_config, render_config
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import ConfigError, GraphainError
-from .experiment import compute_embedding, rows_to_csv, run_experiment
+from .experiment import compute_embedding, prepare_graph, rows_to_csv, run_experiment
 from .io import float_rows, load_dataset, save_dataset, write_table
-from .synthetic import gen_gaussian_cluster_graph, with_masks
 from .verify import SUITES
 
 
@@ -34,8 +33,7 @@ def _cmd_gen(args) -> int:
     cfg = load_config(args.spec)
     if cfg.synthetic is None:
         raise ConfigError(f"{args.spec}: gen needs synthetic.* keys, not dataset.path")
-    g = gen_gaussian_cluster_graph(cfg.synthetic)
-    g = with_masks(g, cfg.train_frac, cfg.val_frac, cfg.synthetic.seed)
+    g = prepare_graph(cfg, cfg.seeds[0], None)
     save_dataset(g, args.out)
     print(f"wrote {g.n} nodes / {g.num_edges} edges to {args.out}")
     return 0

@@ -132,8 +132,7 @@ class _Key:
 
     ``attr`` is the attribute path the key sets on ExperimentConfig, the key
     itself when left empty.  ``hashed`` is false where ``config_hash`` must not
-    look: the run manifest, the dataset path (its files' bytes are hashed) and
-    ``synthetic.seed``, which only ``gen`` reads; runs draw from the run seed.
+    look: the run manifest and the dataset path (its files' bytes are hashed).
     """
 
     name: str
@@ -157,7 +156,6 @@ _KEYS = (
     _Key("synthetic.center_spread", _finite, 6.0, "stddev of the cluster centers"),
     _Key("synthetic.centers_dim", int, 3, "feature dimension of the clusters"),
     _Key("synthetic.feature_sigma", _finite, 1.0, "per-point feature noise"),
-    _Key("synthetic.seed", _seed, 0, "generation seed used by `gen` (>= 0)", hashed=False),
     _Key("synthetic.train_frac", _finite, 0.1, "stratified train fraction",
          attr="train_frac"),
     _Key("synthetic.val_frac", _finite, 0.2, "stratified val fraction (rest is test)",

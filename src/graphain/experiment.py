@@ -91,7 +91,7 @@ def load_inputs(cfg: ExperimentConfig):
 
 def prepare_graph(cfg: ExperimentConfig, seed: int, dataset: Graph | None) -> Graph:
     """Build the seeded synthetic graph (with split) or take the loaded
-    ``dataset``."""
+    ``dataset``; ``graphain gen`` saves this Graph for the first run seed."""
     kids = _child_seeds(seed)
     if cfg.synthetic is not None:
         spec = replace(cfg.synthetic, seed=int(kids["graph"]))

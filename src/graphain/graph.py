@@ -200,6 +200,8 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
         raise FeatureRowMismatchError(
             f"features have {x.shape[0]} rows for {n} nodes"
         )
+    if x.shape[1] == 0:
+        raise FeatureRowMismatchError("features need at least one column")
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:
         row, col = bad[0]

@@ -21,7 +21,9 @@ from .graph import Graph, build_graph
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Gaussian cluster graph: spread-out centers, unit-covariance points,
-    Bernoulli edges denser inside clusters than across them."""
+    Bernoulli edges with probability intra_p inside a cluster and inter_p
+    across two.  Either may be the larger: inter_p > intra_p draws a
+    heterophilous graph, whose edges mostly join different clusters."""
 
     clusters: int
     nodes_per_cluster: int
@@ -35,8 +37,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.clusters < 2 or self.nodes_per_cluster < 1:
             raise ValueError("need at least two clusters with one node each")
-        if not 0.0 <= self.inter_p < self.intra_p <= 1.0:
-            raise ValueError("need 0 <= inter_p < intra_p <= 1")
+        for name in ("intra_p", "inter_p"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name in ("center_spread", "feature_sigma"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -12,7 +12,6 @@ synthetic.clusters = 3
 synthetic.nodes_per_cluster = 15
 synthetic.intra_p = 0.35
 synthetic.inter_p = 0.02
-synthetic.seed = 4
 propagation.layers = 6
 propagation.embedding_dim = 4
 propagation.d0 = 4
@@ -40,6 +39,34 @@ class TestCli:
         _, _, data = workspace
         for name in ("edges.tsv", "features.csv", "labels.csv", "masks.csv"):
             assert (data / name).exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "",
+            "noisy_features = true\n",
+            "propagation.variant = sgc\ncurriculum.aux_mode = feature_knn\n",
+        ],
+        ids=["default", "noisy_features", "sgc_feature_knn"],
+    )
+    def test_gen_writes_the_graph_the_run_draws(self, tmp_path, capsys, extra):
+        # gen saves the graph, split and noise of the first run seed, so a
+        # --graph run on it prints the run's rows; only config_hash differs,
+        # as a dataset config hashes the dataset's bytes
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG + extra)
+        data = tmp_path / "data"
+        assert main(["gen", "--spec", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        for command in ("train", "curriculum"):
+            printed = []
+            for graph in ([], ["--graph", str(data)]):
+                out = ["--out", str(tmp_path / command)]
+                assert main([command, "--config", str(cfg), *out, *graph]) == 0
+                rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+                assert rows[0][1] == "config_hash" and len(rows) > 1
+                printed.append([row[:1] + row[2:] for row in rows])
+            assert printed[0] == printed[1], command
 
     def test_propagate_trace(self, workspace):
         tmp, cfg, data = workspace
@@ -264,7 +291,7 @@ class TestCli:
         "line, expect",
         [
             ("synthetic.clusters = 1", ["two clusters"]),
-            ("synthetic.inter_p = 0.3", ["inter_p < intra_p"]),
+            ("synthetic.inter_p = 1.5", ["inter_p must be in [0, 1]"]),
             ("synthetic.train_frac = -0.1", ["synthetic.train_frac", "synthetic.val_frac"]),
             ("synthetic.val_frac = 0.95", ["synthetic.train_frac", "synthetic.val_frac"]),
             ("curriculum.gamma_prime = nan", ["curriculum.gamma_prime", "finite"]),

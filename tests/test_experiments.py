@@ -173,8 +173,17 @@ class TestSynthetic:
         assert counts.tolist() == [40, 40, 40]
 
     def test_invalid_probabilities(self):
-        with pytest.raises(ValueError):
-            _spec(intra_p=0.1, inter_p=0.2)
+        with pytest.raises(ValueError, match=r"^inter_p must be in \[0, 1\], got 1.5$"):
+            _spec(inter_p=1.5)
+        with pytest.raises(ValueError, match=r"^intra_p must be in \[0, 1\], got -0.1$"):
+            _spec(intra_p=-0.1)
+
+    def test_heterophilous_graph(self):
+        # edges mostly across clusters when inter_p exceeds intra_p
+        g = gen_gaussian_cluster_graph(_spec(intra_p=0.02, inter_p=0.15, center_spread=2.0))
+        assert _edge_homophily(g) < 0.2
+        full = gen_gaussian_cluster_graph(_spec(nodes_per_cluster=4, intra_p=1.0, inter_p=1.0))
+        assert full.num_edges == 12 * 11 // 2
 
     @pytest.mark.parametrize("field", ["center_spread", "feature_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -413,9 +422,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("seeds = 1\nseeds = 2\n")
 
-    @pytest.mark.parametrize(
-        "key, value", [("seeds", "-1"), ("seeds", "3,-2"), ("synthetic.seed", "-1")]
-    )
+    @pytest.mark.parametrize("key, value", [("seeds", "-1"), ("seeds", "3,-2")])
     def test_negative_seed_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"key '{key}': expected a non-negative"):
             build_experiment_config({**BASE_KV, key: value})
@@ -442,12 +449,6 @@ class TestConfig:
     def test_hash_ignores_run_manifest(self):
         a = build_experiment_config(dict(BASE_KV))
         b = build_experiment_config({**BASE_KV, "seeds": "1,2,3", "output_dir": "x"})
-        assert config_hash(a) == config_hash(b)
-
-    def test_hash_ignores_synthetic_seed(self):
-        # a run draws each graph from its run seed, never from synthetic.seed
-        a = build_experiment_config({**BASE_KV, "synthetic.seed": "0"})
-        b = build_experiment_config({**BASE_KV, "synthetic.seed": "9"})
         assert config_hash(a) == config_hash(b)
 
     def test_dataset_hash_follows_bytes_not_path(self, tmp_path):

@@ -119,6 +119,12 @@ class TestBuildGraph:
         with pytest.raises(FeatureRowMismatchError):
             build_graph([], 3, np.zeros((2, 1)))
 
+    def test_zero_width_features_rejected(self):
+        # caught here, not as blank lines in a saved features.csv or as a
+        # degenerate spectrum at the first layer of a run
+        with pytest.raises(FeatureRowMismatchError, match="^features need at least one column$"):
+            build_graph([(0, 1)], 3, np.zeros((3, 0)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         x = np.zeros((3, 2))

@@ -1,7 +1,8 @@
 """Every script under ``scripts/`` imports and parses its arguments,
-``run_grid.py`` runs the README's two grid specs end to end on one seed and
-rejects a misspelled key, ``bench.py`` appends its runs to an existing
-report, and its ``head`` and ``import`` cases run end to end.
+``run_grid.py`` runs the README's two grid specs end to end on one seed,
+runs a heterophilous cell and rejects a misspelled key, ``bench.py``
+appends its runs to an existing report, and its ``head`` and ``import``
+cases run end to end.
 
 Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
 program API change that breaks a script's imports, or the way it reads
@@ -110,6 +111,22 @@ def test_grid_runs_the_noisy_features_spec():
                                            row["split"]) == (variant, "supervised", "test")]
         # the supervised arm's test row is the teacher's, as a run without curriculum gives it
         assert float(test["accuracy"]) == _last_of_each_split(teacher)["test"].accuracy
+
+
+def test_grid_runs_a_heterophilous_cell():
+    # inter_p = 0.3 is the default intra_p: edges as likely across clusters
+    # as inside one, at a tiny size
+    axes = {"synthetic.inter_p": "0.02,0.3", "synthetic.nodes_per_cluster": "10",
+            "propagation.layers": "4", "train.epochs": "20",
+            "curriculum.pacing_epochs": "5"}
+    rows = _grid(axes)
+    got = [(row["synthetic.inter_p"], row["seed"], row["arm"], row["split"]) for row in rows]
+    assert got == [
+        (inter_p, "1", arm, split)
+        for inter_p in ("0.02", "0.3")
+        for arm in ("curriculum", "supervised")
+        for split in ("train", "val", "test")
+    ]
 
 
 @pytest.mark.parametrize(
