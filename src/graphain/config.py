@@ -5,7 +5,11 @@ and case-sensitive.  Unknown and repeated keys are hard errors.  `_KEYS` is
 the one list of keys: each entry gives a key's parser, default and meaning
 and the `ExperimentConfig` attribute it sets, and parsing, defaults,
 construction, the canonical echo and the config hash are all read from it.
-A config names either a dataset directory or the synthetic graph, not both.
+Each key also names the conditions under which a run reads it: the echo and
+the hash keep a key only when all of them hold, and a key given when one
+fails is a ConfigError.  So a config names either a dataset directory or the
+synthetic graph, not both, and a baseline variant takes none of rsoft's
+mixing, filter, decay or activation keys.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ class CurriculumParams:
     pacing_epochs: int
 
     def __post_init__(self):
-        if self.n_t < 0 or self.knn_k < 1 or self.pacing_epochs < 0:
-            raise ConfigError("curriculum counts must be nonnegative (knn_k >= 1)")
+        for name in ("n_t", "pacing_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.knn_k < 1:
+            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
         if self.aux_mode not in AUX_MODES:
             raise ConfigError(f"unknown aux_mode {self.aux_mode!r}")
         if not 0.0 <= self.mask_ratio <= 1.0:
@@ -76,11 +83,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
-        if self.propagation.activation == "relu" and self.variant != "rsoft":
-            raise ConfigError(
-                f"{_KEY_OF['propagation.activation']} = relu applies only with "
-                f"{_KEY_OF['variant']} = rsoft, not {self.variant}"
-            )
         if self.variant == "rsoft" and self.propagation.filter.d0 > self.embedding_dim:
             raise ConfigError(
                 f"{_KEY_OF['propagation.filter.d0']} = {self.propagation.filter.d0} "
@@ -126,6 +128,24 @@ def _parse_seeds(raw: str) -> tuple:
     return tuple(_seed(tok) for tok in raw.split(",") if tok.strip())
 
 
+# The conditions under which a run reads a key: predicates on the built
+# config, each named by the text an error prints for a key given without it.
+_RSOFT = "propagation.variant = rsoft"
+_CLEAN = "noisy_features = false"
+_SMOOTHING = "curriculum.n_t > 0"
+_KNN = "curriculum.aux_mode = feature_knn or embedding_knn"
+_SYNTHETIC = "a synthetic graph, not dataset.path"
+_DATASET = "dataset.path set"
+_HOLDS = {
+    _RSOFT: lambda cfg: cfg.variant == "rsoft",
+    _CLEAN: lambda cfg: not cfg.noisy_features,
+    _SMOOTHING: lambda cfg: cfg.curriculum.n_t > 0,
+    _KNN: lambda cfg: cfg.curriculum.aux_mode != "input_graph",
+    _SYNTHETIC: lambda cfg: cfg.synthetic is not None,
+    _DATASET: lambda cfg: cfg.dataset_path is not None,
+}
+
+
 @dataclass(frozen=True)
 class _Key:
     """One config key.
@@ -133,6 +153,8 @@ class _Key:
     ``attr`` is the attribute path the key sets on ExperimentConfig, the key
     itself when left empty.  ``hashed`` is false where ``config_hash`` must not
     look: the run manifest and the dataset path (its files' bytes are hashed).
+    ``when`` holds the conditions, keys of ``_HOLDS``, under which a run
+    reads the key.
     """
 
     name: str
@@ -141,6 +163,7 @@ class _Key:
     meaning: str
     attr: str = ""
     hashed: bool = True
+    when: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "attr", self.attr or self.name)
@@ -148,43 +171,51 @@ class _Key:
 
 # In echo order.  A None default means "not set": only dataset configs set it.
 _KEYS = (
-    _Key("dataset.path", str, None, "dataset directory", attr="dataset_path", hashed=False),
-    _Key("synthetic.clusters", int, 3, "cluster count (>= 2)"),
-    _Key("synthetic.nodes_per_cluster", int, 100, "nodes in each cluster"),
-    _Key("synthetic.intra_p", _finite, 0.3, "within-cluster edge probability"),
-    _Key("synthetic.inter_p", _finite, 0.02, "cross-cluster edge probability"),
-    _Key("synthetic.center_spread", _finite, 6.0, "stddev of the cluster centers"),
-    _Key("synthetic.centers_dim", int, 3, "feature dimension of the clusters"),
-    _Key("synthetic.feature_sigma", _finite, 1.0, "per-point feature noise"),
+    _Key("dataset.path", str, None, "dataset directory", attr="dataset_path",
+         hashed=False, when=(_DATASET,)),
+    _Key("synthetic.clusters", int, 3, "cluster count (>= 2)", when=(_SYNTHETIC,)),
+    _Key("synthetic.nodes_per_cluster", int, 100, "nodes in each cluster", when=(_SYNTHETIC,)),
+    _Key("synthetic.intra_p", _finite, 0.3, "within-cluster edge probability",
+         when=(_SYNTHETIC,)),
+    _Key("synthetic.inter_p", _finite, 0.02, "cross-cluster edge probability",
+         when=(_SYNTHETIC,)),
+    _Key("synthetic.center_spread", _finite, 6.0, "stddev of the cluster centers",
+         when=(_SYNTHETIC, _CLEAN)),
+    _Key("synthetic.centers_dim", int, 3, "feature dimension of the clusters",
+         when=(_SYNTHETIC,)),
+    _Key("synthetic.feature_sigma", _finite, 1.0, "per-point feature noise",
+         when=(_SYNTHETIC, _CLEAN)),
     _Key("synthetic.train_frac", _finite, 0.1, "stratified train fraction",
-         attr="train_frac"),
+         attr="train_frac", when=(_SYNTHETIC,)),
     _Key("synthetic.val_frac", _finite, 0.2, "stratified val fraction (rest is test)",
-         attr="val_frac"),
+         attr="val_frac", when=(_SYNTHETIC,)),
     _Key("propagation.alpha", _finite, 0.9,
-         "aggregation weight (renormalized with beta, gamma)"),
-    _Key("propagation.beta", _finite, 0.05, "residual weight"),
-    _Key("propagation.gamma", _finite, 0.05, "initial-connection weight"),
+         "aggregation weight (renormalized with beta, gamma)", when=(_RSOFT,)),
+    _Key("propagation.beta", _finite, 0.05, "residual weight", when=(_RSOFT,)),
+    _Key("propagation.gamma", _finite, 0.05, "initial-connection weight", when=(_RSOFT,)),
     _Key("propagation.a", _finite, 0.5, "soft-filter strength in [0, 1]",
-         attr="propagation.filter.a"),
+         attr="propagation.filter.a", when=(_RSOFT,)),
     _Key("propagation.b", _finite, 1.0, "soft-filter exponent in [0, 1]",
-         attr="propagation.filter.b"),
+         attr="propagation.filter.b", when=(_RSOFT,)),
     _Key("propagation.d0", int, 8, "kept eigenchannels (<= embedding width)",
-         attr="propagation.filter.d0"),
-    _Key("propagation.p", _finite, 0.0, "fuzzy residual decay in [0, 1]"),
-    _Key("propagation.q", _finite, 0.0, "fuzzy initial decay in [0, 1]"),
+         attr="propagation.filter.d0", when=(_RSOFT,)),
+    _Key("propagation.p", _finite, 0.0, "fuzzy residual decay in [0, 1]", when=(_RSOFT,)),
+    _Key("propagation.q", _finite, 0.0, "fuzzy initial decay in [0, 1]", when=(_RSOFT,)),
     _Key("propagation.layers", int, 16, "depth L >= 1"),
-    _Key("propagation.activation", str, "identity", "identity | relu (rsoft only)"),
+    _Key("propagation.activation", str, "identity", "identity | relu", when=(_RSOFT,)),
     _Key("propagation.operator_mode", str, "symmetric", "symmetric | random_walk"),
     _Key("propagation.variant", str, "rsoft", "rsoft | sgc | pairnorm",
          attr="variant"),
     _Key("propagation.embedding_dim", int, 8, "working width d (reducer output)",
          attr="embedding_dim"),
     _Key("curriculum.n_t", int, 10, "smoothing depth"),
-    _Key("curriculum.knn_k", int, 7, "neighbors per node in the auxiliary graph"),
-    _Key("curriculum.gamma_prime", _finite, 1.0, "auxiliary edge-weight exponent"),
+    _Key("curriculum.knn_k", int, 7, "neighbors per node in the auxiliary graph",
+         when=(_SMOOTHING, _KNN)),
+    _Key("curriculum.gamma_prime", _finite, 1.0, "auxiliary edge-weight exponent",
+         when=(_SMOOTHING, _KNN)),
     _Key("curriculum.mask_ratio", _finite, 0.0, "entropy filter ratio in [0, 1]"),
     _Key("curriculum.aux_mode", str, "embedding_knn",
-         "input_graph | feature_knn | embedding_knn"),
+         "input_graph | feature_knn | embedding_knn", when=(_CLEAN, _SMOOTHING)),
     _Key("curriculum.pacing_epochs", int, 50, "epochs per smoothing task"),
     _Key("train.lr", _finite, 0.5, "learning rate"),
     _Key("train.epochs", int, 300, "fine-tune / supervised epochs"),
@@ -223,9 +254,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def build_experiment_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     """Parse raw string values, fill in defaults and build the nested config.
 
-    An unknown key, or a bad value or range, raises ConfigError naming
-    ``source``, including the mixing coefficients, decays, depth, activation
-    and operator mode that PropagationConfig checks.
+    An unknown key, a bad value or range, or a key given where the run
+    would not read it raises ConfigError naming ``source``; the range checks
+    include the mixing coefficients, decays, depth, activation and operator
+    mode that PropagationConfig makes.
     """
     for name in raw:
         if name not in _NAMES:
@@ -243,14 +275,7 @@ def build_experiment_config(raw: dict, source: str = "<config>") -> ExperimentCo
         section, _, name = key.attr.rpartition(".")
         fields.setdefault(section, {})[name] = value
 
-    # a key given from each group, by the part before the first dot
-    given = {name.partition(".")[0]: name for name in raw}
-    from_dataset = "dataset" in given
-    if from_dataset and "synthetic" in given:
-        raise ConfigError(
-            f"{source}: {given['dataset']} conflicts with {given['synthetic']}"
-        )
-
+    from_dataset = "dataset.path" in raw
     try:
         cfg = ExperimentConfig(
             synthetic=None if from_dataset else SyntheticSpec(**fields["synthetic"]),
@@ -268,6 +293,9 @@ def build_experiment_config(raw: dict, source: str = "<config>") -> ExperimentCo
         # noisy features carry no information, so the auxiliary graph falls
         # back to the input structure
         cfg = replace(cfg, curriculum=replace(cfg.curriculum, aux_mode="input_graph"))
+    for key in _KEYS:
+        if key.name in raw and (unmet := _unmet(key, cfg)):
+            raise ConfigError(f"{source}: {key.name} is read only with {unmet}")
     return cfg
 
 
@@ -279,30 +307,30 @@ def load_config(path) -> ExperimentConfig:
     return build_experiment_config(parse_config_text(text, str(path)), str(path))
 
 
-def _echo(cfg: ExperimentConfig):
-    """(key, `key = value` line) for every effective key, in table order.
+def _unmet(key: _Key, cfg: ExperimentConfig) -> str | None:
+    """The first condition of ``key`` that ``cfg`` fails; None when a run reads it."""
+    return next((when for when in key.when if not _HOLDS[when](cfg)), None)
 
-    Loaded datasets carry their own masks, so a dataset config echoes no
-    synthetic.* key (the split fractions included); a synthetic config
-    echoes no dataset key.
-    """
-    skip = "synthetic." if cfg.dataset_path is not None else "dataset."
+
+def _echo(cfg: ExperimentConfig):
+    """(key, `key = value` line) for every key the run reads, in table order."""
     return [
         (key, f"{key.name} = {format_value(attrgetter(key.attr)(cfg))}")
         for key in _KEYS
-        if not key.name.startswith(skip)
+        if _unmet(key, cfg) is None
     ]
 
 
 def render_config(cfg: ExperimentConfig) -> str:
-    """Canonical echo of every effective key; feeding it back reproduces the run."""
+    """Canonical echo of every key the run reads; feeding it back reproduces the run."""
     return "".join(line + "\n" for _, line in _echo(cfg))
 
 
 def config_hash(cfg: ExperimentConfig, dataset_sha256: str | None = None) -> str:
-    """Short digest of what results depend on: the hashed keys and, for a
-    dataset config, its files' bytes, wherever they are.  ``dataset_sha256``
-    is ``io.dataset_digest`` of the dataset, taken here when None."""
+    """Short digest of what results depend on: the hashed keys the run
+    reads and, for a dataset config, its files' bytes, wherever they are.
+    ``dataset_sha256`` is ``io.dataset_digest`` of the dataset, taken here
+    when None."""
     lines = [line for key, line in _echo(cfg) if key.hashed]
     if cfg.dataset_path is not None:
         if dataset_sha256 is None:

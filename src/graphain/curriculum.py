@@ -491,10 +491,10 @@ def entropy_filter(
     return SoftLabelMatrix(y=y, masked=masked)
 
 
-def smooth_labels(aux: AuxGraph, y0: SoftLabelMatrix, n_t: int) -> list:
+def smooth_labels(aux: AuxGraph | None, y0: SoftLabelMatrix, n_t: int) -> list:
     """Iteratively diffuse soft labels over the auxiliary graph.
 
-    Returns all n_t + 1 snapshots.  Masked rows stay pinned at zero; the
+    Returns all n_t + 1 snapshots; at n_t = 0 ``aux`` is not read.  Masked rows stay pinned at zero; the
     remaining rows are renormalized after every diffusion step so each
     snapshot keeps exact unit row sums.
     """

@@ -196,7 +196,8 @@ def run_seed(
             estimated, cfg.curriculum.mask_ratio, labeled_set=g.train_mask
         )
     with _stage("aux-graph"):
-        aux = _build_aux(cfg, g, h)
+        # zero smoothing steps never read the auxiliary graph
+        aux = _build_aux(cfg, g, h) if cfg.curriculum.n_t else None
     with _stage("label-smoothing"):
         snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
     with _stage("curriculum"):

@@ -73,8 +73,9 @@ class PropagationConfig:
 
     def __post_init__(self):
         coeffs = (self.alpha, self.beta, self.gamma)
-        if any(c < 0.0 or not math.isfinite(c) for c in coeffs):
-            raise InvalidCoefficientsError("alpha, beta, gamma must be nonnegative")
+        for name, c in zip(("alpha", "beta", "gamma"), coeffs):
+            if c < 0.0 or not math.isfinite(c):
+                raise InvalidCoefficientsError(f"{name} must be nonnegative, got {c}")
         total = sum(coeffs)
         if total <= 0.0:
             raise InvalidCoefficientsError("alpha + beta + gamma must be positive")

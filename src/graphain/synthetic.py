@@ -35,16 +35,21 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clusters < 2 or self.nodes_per_cluster < 1:
-            raise ValueError("need at least two clusters with one node each")
+        if self.clusters < 2:
+            raise ValueError(f"need at least two clusters, got clusters = {self.clusters}")
+        if self.nodes_per_cluster < 1:
+            raise ValueError(f"nodes_per_cluster must be >= 1, got {self.nodes_per_cluster}")
         for name in ("intra_p", "inter_p"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name in ("center_spread", "feature_sigma"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.centers_dim < 1 or self.center_spread < 0 or self.feature_sigma < 0:
-            raise ValueError("bad synthetic geometry parameters")
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.centers_dim < 1:
+            raise ValueError(f"centers_dim must be >= 1, got {self.centers_dim}")
 
 
 def gen_gaussian_cluster_graph(spec: SyntheticSpec) -> Graph:

@@ -178,8 +178,14 @@ _NOISY_KV = {
 def test_criterion_10_noisy_features_experiment():
     start = time.perf_counter()
     medians = {}
-    for variant in ("rsoft", "sgc"):
-        cfg = build_experiment_config({**_NOISY_KV, "propagation.variant": variant})
+    # the sgc arm gives none of the mixing and filter keys, which only rsoft reads
+    arms = {
+        "rsoft": _NOISY_KV,
+        "sgc": {k: v for k, v in _NOISY_KV.items()
+                if k.split(".")[-1] not in ("alpha", "beta", "gamma", "a", "b", "d0")},
+    }
+    for variant, kv in arms.items():
+        cfg = build_experiment_config({**kv, "propagation.variant": variant})
         accs = []
         for seed in cfg.seeds:
             rows, _, _ = run_seed(cfg, seed, with_curriculum=False)

@@ -41,20 +41,22 @@ class TestCli:
             assert (data / name).exists()
 
     @pytest.mark.parametrize(
-        "extra",
+        "text",
         [
-            "",
-            "noisy_features = true\n",
-            "propagation.variant = sgc\ncurriculum.aux_mode = feature_knn\n",
+            CFG,
+            CFG + "noisy_features = true\n",
+            # sgc reads no propagation.d0
+            CFG.replace("propagation.d0 = 4\n", "")
+            + "propagation.variant = sgc\ncurriculum.aux_mode = feature_knn\n",
         ],
         ids=["default", "noisy_features", "sgc_feature_knn"],
     )
-    def test_gen_writes_the_graph_the_run_draws(self, tmp_path, capsys, extra):
+    def test_gen_writes_the_graph_the_run_draws(self, tmp_path, capsys, text):
         # gen saves the graph, split and noise of the first run seed, so a
         # --graph run on it prints the run's rows; only config_hash differs,
         # as a dataset config hashes the dataset's bytes
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(CFG + extra)
+        cfg.write_text(text)
         data = tmp_path / "data"
         assert main(["gen", "--spec", str(cfg), "--out", str(data)]) == 0
         capsys.readouterr()
@@ -204,10 +206,16 @@ class TestCli:
             assert err.startswith(f"error: {bad}: ")
             assert "propagation.d0 = 10" in err
             assert "propagation.embedding_dim = 4" in err
-        # d0 only bounds the rsoft filter
+        # d0 only bounds the rsoft filter: sgc reads no d0, so its default 8
+        # passes and a given one is rejected
         sgc = tmp / "sgc.txt"
-        sgc.write_text(bad.read_text() + "propagation.variant = sgc\n")
+        sgc.write_text(CFG.replace("propagation.d0 = 4\n", "") + "propagation.variant = sgc\n")
         assert main(["echo-config", "--config", str(sgc)]) == 0
+        sgc.write_text(bad.read_text() + "propagation.variant = sgc\n")
+        assert main(["echo-config", "--config", str(sgc)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "propagation.d0 is read only with propagation.variant = rsoft\n"
+        )
 
     def test_export_snapshots_reuses_the_run(self, workspace, monkeypatch):
         import graphain.experiment as experiment

@@ -398,6 +398,23 @@ def _dataset_config(directory):
     return build_experiment_config({**kv, "dataset.path": str(directory)})
 
 
+# an out-of-range value of each numeric key
+OUT_OF_RANGE = {
+    "synthetic.clusters": "1", "synthetic.nodes_per_cluster": "0",
+    "synthetic.intra_p": "1.5", "synthetic.inter_p": "-0.1",
+    "synthetic.center_spread": "-1", "synthetic.centers_dim": "0",
+    "synthetic.feature_sigma": "-1", "synthetic.train_frac": "-0.1",
+    "synthetic.val_frac": "1.5",
+    "propagation.alpha": "-1", "propagation.beta": "-1", "propagation.gamma": "-1",
+    "propagation.a": "1.5", "propagation.b": "-0.5", "propagation.d0": "0",
+    "propagation.p": "1.5", "propagation.q": "-0.5", "propagation.layers": "0",
+    "propagation.embedding_dim": "0",
+    "curriculum.n_t": "-1", "curriculum.knn_k": "0", "curriculum.gamma_prime": "0",
+    "curriculum.mask_ratio": "1.5", "curriculum.pacing_epochs": "-1",
+    "train.lr": "0", "train.epochs": "-1", "train.weight_decay": "-1",
+}
+
+
 class TestConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_gamma_prime_rejected(self, value):
@@ -490,13 +507,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
     def test_relu_outside_rsoft_names_both_keys(self, variant):
+        # a baseline pass applies no activation, so the key is not read
         with pytest.raises(
             ConfigError,
-            match=f"propagation.activation = relu .*propagation.variant = rsoft, not {variant}",
+            match="^<config>: propagation.activation is read only with "
+            "propagation.variant = rsoft$",
         ):
-            build_experiment_config(
-                {**BASE_KV, "propagation.activation": "relu", "propagation.variant": variant}
-            )
+            build_experiment_config({
+                **{k: v for k, v in BASE_KV.items() if k != "propagation.d0"},
+                "propagation.activation": "relu", "propagation.variant": variant,
+            })
 
     def test_relu_with_rsoft_builds(self):
         cfg = build_experiment_config({**BASE_KV, "propagation.activation": "relu"})
@@ -508,14 +528,23 @@ class TestConfig:
         assert config_hash(a) != config_hash(b)
 
     def test_dataset_conflicts_with_synthetic(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError,
+            match="^<config>: synthetic.clusters is read only with a synthetic graph, "
+            "not dataset.path$",
+        ):
             build_experiment_config({**BASE_KV, "dataset.path": "somewhere"})
 
     def test_noisy_features_forces_input_graph_aux(self):
-        cfg = build_experiment_config(
-            {**BASE_KV, "noisy_features": "true", "curriculum.aux_mode": "embedding_knn"}
-        )
+        cfg = build_experiment_config({**BASE_KV, "noisy_features": "true"})
         assert cfg.curriculum.aux_mode == "input_graph"
+        with pytest.raises(
+            ConfigError,
+            match="^<config>: curriculum.aux_mode is read only with noisy_features = false$",
+        ):
+            build_experiment_config(
+                {**BASE_KV, "noisy_features": "true", "curriculum.aux_mode": "embedding_knn"}
+            )
 
     @pytest.mark.parametrize("content", [None, b"\xfe\xff"], ids=["missing", "not_utf8"])
     def test_unreadable_config_names_path(self, tmp_path, content):
@@ -525,11 +554,101 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: cannot read"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", list(OUT_OF_RANGE.items()), ids=list(OUT_OF_RANGE))
+    def test_range_error_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key.rpartition(".")[2])):
+            build_experiment_config({key: value})
+
+    def test_every_numeric_key_has_an_out_of_range_case(self):
+        numeric = {key.name for key in config._KEYS if key.parse in (int, config._finite)}
+        assert numeric == set(OUT_OF_RANGE)
+
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("\n".join(f"{k} = {v}" for k, v in BASE_KV.items()) + "\n")
         cfg = load_config(path)
         assert cfg.propagation.layers == 8
+
+
+# A tiny run at which every key a config reads moves some row: three layers,
+# so that the decays p and q reach a layer.
+CONTRACT_KV = {"synthetic.nodes_per_cluster": "6", "propagation.layers": "3",
+               "curriculum.pacing_epochs": "5", "train.epochs": "20", "seeds": "1"}
+# another valid value of each hashed key; for a key with a few values, the
+# next one after the value the base config gives
+OTHER = {
+    "synthetic.clusters": "2", "synthetic.nodes_per_cluster": "7",
+    "synthetic.intra_p": "0.5", "synthetic.inter_p": "0.2",
+    "synthetic.center_spread": "2", "synthetic.centers_dim": "2",
+    "synthetic.feature_sigma": "3", "synthetic.train_frac": "0.3",
+    "synthetic.val_frac": "0.4",
+    "propagation.alpha": "0.5", "propagation.beta": "0.3", "propagation.gamma": "0.3",
+    "propagation.a": "0.9", "propagation.b": "0.5", "propagation.d0": "2",
+    "propagation.p": "0.5", "propagation.q": "0.5", "propagation.layers": "4",
+    "propagation.activation": "relu", "propagation.operator_mode": "random_walk",
+    "propagation.variant": {"rsoft": "sgc", "sgc": "pairnorm", "pairnorm": "rsoft"},
+    "propagation.embedding_dim": "9",
+    "curriculum.n_t": {"0": "1", "2": "3"},
+    "curriculum.knn_k": "3", "curriculum.gamma_prime": "3", "curriculum.mask_ratio": "0.5",
+    "curriculum.aux_mode": {"input_graph": "feature_knn", "feature_knn": "embedding_knn",
+                            "embedding_knn": "input_graph"},
+    "curriculum.pacing_epochs": "3",
+    "train.lr": "0.1", "train.epochs": "10", "train.weight_decay": "0.01",
+    "noisy_features": {"false": "true", "true": "false"},
+}
+# Every variant x aux_mode x noisy_features x n_t in {0, 2}.  aux_mode is
+# read only on clean features with smoothing, so the other cells give none.
+CONTRACT_CELLS = [
+    (variant, aux, noisy, n_t)
+    for variant in VARIANTS
+    for noisy in ("false", "true")
+    for n_t in ("0", "2")
+    for aux in (AUX_MODES if noisy == "false" and n_t != "0" else (None,))
+]
+
+
+def _both_arms(cfg):
+    rows, supervised_rows, _ = run_seed(cfg, 1)
+    return [(r.task, r.split, r.accuracy, r.loss) for r in rows + supervised_rows]
+
+
+@pytest.mark.parametrize(
+    "variant, aux, noisy, n_t", CONTRACT_CELLS,
+    ids=["-".join(filter(None, (v, a, "noisy" if z == "true" else "clean", f"n_t{n}")))
+         for v, a, z, n in CONTRACT_CELLS],
+)
+def test_config_echoes_accepts_and_hashes_only_keys_the_run_reads(variant, aux, noisy, n_t):
+    # Each hashed key the echo keeps, set to another value, moves some row
+    # of the two arms; each it leaves out is rejected when given, naming the
+    # key and a condition it fails.  The unhashed keys are the run manifest,
+    # which moves no row, and dataset.path, which picks the graph's source.
+    base = {**CONTRACT_KV, "propagation.variant": variant, "noisy_features": noisy,
+            "curriculum.n_t": n_t}
+    if aux is not None:
+        base["curriculum.aux_mode"] = aux
+    cfg = build_experiment_config(base)
+    echo = render_config(cfg)
+    echoed = {line.split(" = ")[0] for line in echo.splitlines()}
+    fed_back = build_experiment_config(parse_config_text(echo))
+    assert fed_back == cfg and config_hash(fed_back) == config_hash(cfg)
+    rows = _both_arms(cfg)
+    for key in config._KEYS:
+        if not key.hashed:
+            continue
+        other = OTHER[key.name]
+        if key.name not in echoed:
+            value = other if isinstance(other, str) else next(iter(other.values()))
+            with pytest.raises(ConfigError) as err:
+                build_experiment_config({**base, key.name: value})
+            assert any(str(err.value) == f"<config>: {key.name} is read only with {when}"
+                       for when in key.when), str(err.value)
+            continue
+        if not isinstance(other, str):
+            other = other[base[key.name]]
+        raw = {**base, key.name: other}
+        if raw["noisy_features"] == "true":
+            raw.pop("curriculum.aux_mode", None)  # not read under noisy features
+        assert _both_arms(build_experiment_config(raw)) != rows, key.name
 
 
 class TestRunExperiment:
@@ -556,6 +675,25 @@ class TestRunExperiment:
         final_cl = [r for r in rows_cl if r.split == "test"][-1]
         final_sup = [r for r in rows_sup if r.split == "test"][-1]
         assert (final_cl.accuracy, final_cl.loss) == (final_sup.accuracy, final_sup.loss)
+
+    def test_no_aux_graph_without_smoothing(self, monkeypatch):
+        # n_t = 0 smooths nothing, so the run builds no auxiliary graph; the
+        # rows below are those of a run that built one and never read it
+        calls = []
+        real = experiment.build_knn_aux_graph
+        monkeypatch.setattr(
+            experiment, "build_knn_aux_graph", lambda *args: calls.append(args) or real(*args)
+        )
+        rows, _, _ = run_seed(build_experiment_config({**BASE_KV, "curriculum.n_t": "0"}), 1)
+        assert calls == []
+        assert [(r.task, r.split, r.accuracy) for r in rows] == [
+            (0, "train", 1.0), (0, "val", 1.0), (1, "train", 1.0), (1, "val", 1.0),
+            (1, "test", 1.0),
+        ]
+        assert [r.loss for r in rows] == pytest.approx(
+            [1.0901766969521163, 1.0687807193021899, 0.75838405381660889,
+             0.71584476759507298, 0.73843999730733001], rel=1e-12,
+        )
 
     def test_supervised_rows_equal_a_supervised_run(self):
         cfg = build_experiment_config(dict(BASE_KV))
@@ -853,6 +991,17 @@ def _draw_run(draw):
         "curriculum.pacing_epochs": "3",
         "train.epochs": "5",
     }
+    # every key is drawn, so the draws stay in order, but a config gives
+    # only the keys its variant, smoothing depth and aux mode read
+    unread = []
+    if variant != "rsoft":
+        unread += ["propagation.d0", "propagation.a", "propagation.p", "propagation.q"]
+    if raw["curriculum.n_t"] == "0":
+        unread += ["curriculum.aux_mode", "curriculum.knn_k"]
+    elif raw["curriculum.aux_mode"] == "input_graph":
+        unread.append("curriculum.knn_k")
+    for key in unread:
+        del raw[key]
     assert graph.normalized_adjacency(g).dense is not None
     return g, raw
 

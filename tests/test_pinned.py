@@ -39,11 +39,14 @@ That rewrite asserted each old cell against the hash the previous tree gave
 its config, a projection that drops the column found every other byte
 unchanged, and a fresh run writes each file byte for byte.
 
-``config_all_keys.txt`` sets every config key but ``dataset.path`` and
-``propagation.variant`` to a distinct non-default value.
-``config_all_keys.echo.txt`` and ``config_all_keys.dataset.echo.txt`` are
-its ``render_config`` output, and that of the same config with
-``dataset.path`` in place of the ``synthetic.*`` keys;
+``config_all_keys.txt`` sets every config key that a run on clean
+features reads, but ``dataset.path`` and ``propagation.variant``, to a
+distinct non-default value; ``config_all_keys.noisy.txt`` sets
+``noisy_features = true`` and the keys a noisy-features run reads, so the
+two set every key but those two.  ``config_all_keys.echo.txt`` and
+``config_all_keys.dataset.echo.txt`` are the first one's ``render_config``
+output, and that of the same config with ``dataset.path`` in place of the
+``synthetic.*`` keys; ``config_all_keys.noisy.echo.txt`` is the second's;
 ``config_default.echo.txt`` is the echo of the empty config.  They were
 produced before the config keys moved into one table and lost only the
 lines of the six removed keys since; they must match byte for byte.  The
@@ -56,8 +59,24 @@ one line is all that changed.  The four files lost exactly the lines of
 ``train.lr_decay_epoch``, ``curriculum.reset_on_finetune`` and
 ``propagation.eps_rank`` when those keys were removed, and the three hashes
 were replaced then; the new tree's ``render_config`` writes each echo byte
-for byte.  ``test_all_keys_config_sets_every_key_off_its_default`` holds the
-all-keys config to its header, so a later key change cannot leave it stale.
+for byte.  The all-keys config was split in two when a key given where the
+run would not read it became an error, and the echo and hash began to leave
+such keys out: the old file set ``noisy_features = true`` together with
+five keys a noisy-features run does not read.  Besides its rewritten header
+comment, ``config_all_keys.txt`` is the old file without its
+``noisy_features`` line, and its two echoes are the
+old ones with ``curriculum.aux_mode = feature_knn`` (it was echoed as
+``input_graph``) and ``noisy_features = false``; ``config_all_keys.noisy.txt``
+is the old file without its ``synthetic.center_spread``,
+``synthetic.feature_sigma``, ``curriculum.knn_k``, ``curriculum.gamma_prime``
+and ``curriculum.aux_mode`` lines, and its echo is the old
+``config_all_keys.echo.txt`` without those five lines.  The three all-keys
+hashes were replaced then, each checked against a sha256 taken by hand over
+its echo's hashed lines; the default echo and hash did not move, since the
+default config reads every key.
+``test_all_keys_config_sets_every_key_off_its_default`` holds the two
+all-keys configs to their header, so a later key change cannot leave them
+stale.
 
 ``generator_digests.txt`` holds the sha256 of the ``edges``, ``features`` and
 ``labels`` bytes that ``gen_gaussian_cluster_graph`` returns for the specs in
@@ -130,6 +149,15 @@ prepare_graph(cfg, 0, None), 0)`` for ``config.txt``, byte for byte.  At
 that change ``config_all_keys.txt``, ``config_all_keys.echo.txt`` and
 ``config_default.echo.txt`` lost their ``synthetic.seed`` line and nothing
 else; the pinned hashes stay, since that key was never hashed.
+
+The ``config_hash`` column of ``sgc/results.csv`` and
+``pairnorm/results.csv`` was rewritten once more when the baselines stopped
+taking rsoft's keys: their runs now leave ``propagation.p`` and
+``propagation.q`` out of ``config.txt``, which changes their hash and
+nothing else.  The rewrite asserted each old cell against the hash the
+previous tree gave the old config, a projection that drops the column found
+every other byte unchanged, and a fresh run writes each file byte for byte;
+their diagnostics files are untouched.
 
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
@@ -209,9 +237,11 @@ def _assert_rows_match(new_rows, ref_rows, exact, name):
             )
 
 
-def _run_and_compare(tmp_path, ref_dir, overrides):
+def _run_and_compare(tmp_path, ref_dir, overrides, drop=()):
     raw = parse_config_text((PINNED / "config.txt").read_text(encoding="utf-8"))
     raw.update(overrides)
+    for key in drop:
+        del raw[key]
     raw["output_dir"] = str(tmp_path)
     cfg = build_experiment_config(raw)
     run_experiment(cfg)
@@ -235,7 +265,9 @@ def test_run_matches_pinned_outputs(tmp_path):
 
 @pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
 def test_baseline_variant_matches_pinned_outputs(tmp_path, variant):
-    _run_and_compare(tmp_path, PINNED / variant, {"propagation.variant": variant})
+    # a baseline reads none of rsoft's decays
+    _run_and_compare(tmp_path, PINNED / variant, {"propagation.variant": variant},
+                     drop=("propagation.p", "propagation.q"))
 
 
 def test_supervised_run_matches_pinned_results(tmp_path):
@@ -270,8 +302,8 @@ def test_reference_built_only_when_a_layer_needs_it(
     assert reference_builds == builds
 
 
-def _all_keys():
-    return parse_config_text((PINNED / "config_all_keys.txt").read_text(encoding="utf-8"))
+def _all_keys(name="config_all_keys.txt"):
+    return parse_config_text((PINNED / name).read_text(encoding="utf-8"))
 
 
 def _all_keys_dataset():
@@ -295,10 +327,12 @@ def _save_all_keys_dataset():
     "raw, echo, digest",
     [
         ({}, "config_default.echo.txt", "3f255ffd9865"),
-        (_all_keys(), "config_all_keys.echo.txt", "1befe59f8eb5"),
-        (_all_keys_dataset(), "config_all_keys.dataset.echo.txt", "9f461b641b08"),
+        (_all_keys(), "config_all_keys.echo.txt", "2d13d4eb0e31"),
+        (_all_keys_dataset(), "config_all_keys.dataset.echo.txt", "63ed6a623a7c"),
+        (_all_keys("config_all_keys.noisy.txt"), "config_all_keys.noisy.echo.txt",
+         "b27b683f9f21"),
     ],
-    ids=["default", "all_keys", "all_keys_dataset"],
+    ids=["default", "all_keys", "all_keys_dataset", "all_keys_noisy"],
 )
 def test_config_echo_and_hash_are_pinned(raw, echo, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -310,17 +344,18 @@ def test_config_echo_and_hash_are_pinned(raw, echo, digest, tmp_path, monkeypatc
 
 def test_all_keys_config_sets_every_key_off_its_default():
     # the invariant the header of config_all_keys.txt states, so that a key
-    # added or removed later cannot leave that config stale
-    raw = _all_keys()
-    assert set(raw) == {key.name for key in _KEYS} - {"dataset.path"}
-    for key in _KEYS:
-        if key.name == "dataset.path":
-            continue
-        value = key.parse(raw[key.name])
-        if key.name == "propagation.variant":
-            assert value == "rsoft"
-        else:
-            assert value != key.default, key.name
+    # added or removed later cannot leave the two all-keys configs stale
+    configs = [_all_keys(), _all_keys("config_all_keys.noisy.txt")]
+    assert set().union(*configs) == {key.name for key in _KEYS} - {"dataset.path"}
+    for raw in configs:
+        for key in _KEYS:
+            if key.name not in raw:
+                continue
+            value = key.parse(raw[key.name])
+            if key.name == "propagation.variant":
+                assert value == "rsoft"
+            else:
+                assert value != key.default, key.name
 
 
 def generator_digests() -> str:

@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` imports and parses its arguments,
 ``run_grid.py`` runs the README's two grid specs end to end on one seed,
-runs a heterophilous cell and rejects a misspelled key, ``bench.py``
+runs a heterophilous cell and rejects a misspelled key and an axis over a
+key that a cell does not read, ``bench.py``
 appends its runs to an existing report, and its ``head`` and ``import``
 cases run end to end.
 
@@ -145,6 +146,17 @@ def test_grid_rejects_a_bad_axis_in_one_line(args, named):
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and named in line
+
+
+def test_grid_rejects_an_axis_a_cell_does_not_read():
+    # sgc reads none of rsoft's filter keys, so its cell rejects the a axis
+    # before any cell runs
+    proc = _process(ROOT / "scripts" / "run_grid.py", "--set", "propagation.variant=rsoft,sgc",
+                    "--set", "propagation.a=0.5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: run_grid.py: propagation.a is read only with "
+                           "propagation.variant = rsoft\n")
 
 
 def test_bench_appends_each_run_under_its_label(tmp_path):
