@@ -34,8 +34,8 @@ layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
         ``wide`` runs it.  Each case records the operator product it ran
         (``dense`` or ``csr``, ``graph.dense_pays``) and also splits a layer
         into its parts, from a second set of passes with a timer around each
-        part: the operator product (``spmm``, whichever product ran), the
-        centering, the skip mix, the filter and the ``eigh`` inside it
+        part: the centred operator product (``spmm``, whichever product
+        ran), the skip mix, the filter and the ``eigh`` inside it
         (``sym_eig``), and the rest of the layer.  The timers add their own
         cost to those passes, whose whole time is reported as ``wrapped``.
         The ``crossover`` sweep times one product of the CSR kernel and of
@@ -149,12 +149,11 @@ print(json.dumps({"import_ms": import_ms, "import_rss_mb": import_rss_mb,
                   "seed_rss_mb": seed_rss_mb}))
 """
 # A layer's parts, each the self time of the function that does it: the
-# centering is _centered_aggregate without its SpMM, the skip mix
-# residual_combine without its centred aggregate, the filter
-# soft_spectral_filter without its eigendecomposition.
+# product is the centred operator's (the centring rides in it), the skip mix
+# residual_combine without its product, the filter soft_spectral_filter
+# without its eigendecomposition.
 LAYER_PARTS = (
     ("spmm", propagation, "apply_operator"),
-    ("centering", propagation, "_centered_aggregate"),
     ("skip_mix", propagation, "residual_combine"),
     ("filter", propagation, "soft_spectral_filter"),
     ("eigh", linalg, "sym_eig"),

@@ -6,9 +6,9 @@ so graphs round-trip cleanly through file I/O.  ``build_graph`` is the one
 place a Graph is made, and it copies every array it keeps and makes the
 copy read-only, so no caller can change a Graph through an array it holds;
 derived Graphs (``synthetic.with_masks``, ``synthetic.add_feature_noise``)
-go through it too.  Centering subtracts column
-means; ``apply_centering(apply_operator(op, m))`` applies the doubly centered
-aggregator to a column-centered m without the dense n x n centering matrix.
+go through it too.  rsoft and pairnorm centre through the operator: theirs
+is Â - 1 c^T / n, c the column sums of Â, whose product is
+``apply_centering(apply_operator(plain, m))`` to rounding, in one pass.
 
 Sparse matrices are ``CsrMatrix`` records of numpy arrays, and scipy serves
 only its compiled CSR kernel (``csr_matvecs``), loaded from its extension
@@ -20,9 +20,10 @@ extension alone costs about 1.5 MB.  If a scipy release moves or renames
 naming the path it looked for.
 
 A small operator with many entries for its size is also kept as a read-only
-dense (n, n) array, and ``apply_operator`` multiplies by it with one BLAS
-GEMM (``np.matmul``), which beats the CSR kernel from about one entry in 16
-filled (``scripts/bench.py --case layers``, ``crossover``).  The rule reads
+dense (n, n) array, centred or not, and ``apply_operator`` multiplies by it
+with one BLAS GEMM (``np.matmul``), which beats the CSR kernel from about
+one entry in 16 filled (``scripts/bench.py --case layers``, ``crossover``).
+The CSR kernel starts a centred product's rows at -c^T m / n.  The rule reads
 only n and the entry count: ``dense_pays`` holds when n is at most
 ``_DENSE_MAX_N`` and n^2 at most ``_DENSE_FILL`` times the entries.  The
 cap keeps each product byte-identical at 1 and 2 BLAS threads: with
@@ -31,7 +32,8 @@ every n <= 384 and d <= 96 swept, and differed from n = 385 (d >= 8) and,
 at some n, from d = 105, so products wider than ``_DENSE_MAX_WIDTH``
 columns take the CSR kernel as well.  A BLAS that blocks its inner
 dimension more finely may round differently at 1 and 2 threads below
-these bounds.  The two products agree to rounding, not bit for bit.
+these bounds, which ``graphain verify --suite host`` checks.  The dense and
+CSR products agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -159,11 +161,13 @@ def csr_from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -
 
 @dataclass(frozen=True)
 class NormalizedOperator:
-    """Sparse normalized adjacency of A + I, symmetric or random-walk form,
-    and the same matrix as a read-only dense array when ``dense_pays``."""
+    """Sparse normalized adjacency Â of A + I, symmetric or random-walk form;
+    a centred operator, Â - 1 c^T / n, also holds ``shift`` = -c / n.
+    ``dense`` is the operator as a read-only array when ``dense_pays``."""
 
     matrix: CsrMatrix
     dense: np.ndarray | None = None  # (n, n) float64, or None
+    shift: np.ndarray | None = None  # (n,) float64, or None
 
 
 def dense_pays(n: int, nnz: int) -> bool:
@@ -259,9 +263,12 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
     )
 
 
-def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperator:
-    """Build D^{-1/2} (A+I) D^{-1/2} or D^{-1} (A+I) as a CSR matrix, and as
-    a dense array too when ``dense_pays``, holding the same entries.
+def normalized_adjacency(
+    g: Graph, mode: str = "symmetric", centered: bool = False
+) -> NormalizedOperator:
+    """Build Â = D^{-1/2} (A+I) D^{-1/2} or D^{-1} (A+I) as a CSR matrix, and
+    the operator, Â or when ``centered`` Â - 1 c^T / n, as a dense array too
+    when ``dense_pays``.  c sums each column over the rows in order.
 
     The self-loop guarantees every degree is >= 1, so there is no division
     by zero even for isolated nodes.
@@ -282,12 +289,17 @@ def normalized_adjacency(g: Graph, mode: str = "symmetric") -> NormalizedOperato
     else:
         vals = 1.0 / degrees[rows]
     matrix = csr_from_coo(rows, cols, vals, n)
-    dense = None
+    dense = shift = None
+    if centered:
+        shift = np.bincount(matrix.indices, weights=matrix.data, minlength=n) / -n
+        shift.setflags(write=False)
     if dense_pays(n, matrix.nnz):
         dense = np.zeros((n, n))
         dense[rows, cols] = vals
+        if centered:
+            dense += shift
         dense.setflags(write=False)
-    return NormalizedOperator(matrix=matrix, dense=dense)
+    return NormalizedOperator(matrix=matrix, dense=dense, shift=shift)
 
 
 def _check_shape(shape: tuple, m: np.ndarray) -> None:
@@ -297,22 +309,23 @@ def _check_shape(shape: tuple, m: np.ndarray) -> None:
         )
 
 
-def csr_matmul(a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The one sparse-times-dense product: ``a @ m``, written into the
+def csr_matmul(
+    a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None, start=0.0
+) -> np.ndarray:
+    """The one sparse-times-dense product: ``start + a @ m``, written into the
     C-contiguous (rows, k) float64 ``out`` when it is given (and returned).
 
-    It calls scipy's CSR kernel ``csr_matvecs`` as ``csr_matrix @ m`` does:
-    on a zeroed output and the rows of m in C order, so the result is
-    scipy's bit for bit.  Row-major accumulation over each CSR row keeps it
-    bit-reproducible.  ``out`` must not overlap m.
+    It calls scipy's CSR kernel ``csr_matvecs`` as ``csr_matrix @ m`` does,
+    on the rows of m in C order and an output filled with ``start``, zero (so
+    scipy's bits) or a (k,) row.  Row-major accumulation over each CSR row
+    keeps it bit-reproducible.  ``out`` must not overlap m.
     """
     m = np.asarray(m, dtype=np.float64)
     _check_shape(a.shape, m)
     rows, cols = a.shape
     if out is None:
-        out = np.zeros((rows, m.shape[1]))
-    else:
-        out.fill(0.0)
+        out = np.empty((rows, m.shape[1]))
+    out[...] = start
     _sparsetools.csr_matvecs(
         rows, cols, m.shape[1], a.indptr, a.indices, a.data, m.ravel(), out.ravel()
     )
@@ -322,17 +335,18 @@ def csr_matmul(a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None) -> np
 def apply_operator(
     op: NormalizedOperator, m: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The product with the normalized adjacency, under ``csr_matmul``'s
-    contract: ``np.matmul(op.dense, m, out=out)`` when the operator is kept
-    dense and m has at most ``_DENSE_MAX_WIDTH`` columns, else
-    ``csr_matmul(op.matrix, m, out)``, scipy's CSR kernel bit for bit."""
-    if op.dense is None:
-        return csr_matmul(op.matrix, m, out)
+    """The product with the operator, under ``csr_matmul``'s contract:
+    ``np.matmul(op.dense, m, out=out)`` when the operator is kept dense and
+    m has at most ``_DENSE_MAX_WIDTH`` columns, else ``csr_matmul`` on Â,
+    scipy's CSR kernel bit for bit, started at the row ``op.shift @ m`` when
+    the operator is centred."""
     m = np.asarray(m, dtype=np.float64)
-    _check_shape(op.dense.shape, m)
-    if m.shape[1] > _DENSE_MAX_WIDTH:
-        return csr_matmul(op.matrix, m, out)
-    return np.matmul(op.dense, m, out=out)
+    _check_shape(op.matrix.shape, m)
+    if op.dense is not None and m.shape[1] <= _DENSE_MAX_WIDTH:
+        return np.matmul(op.dense, m, out=out)
+    # einsum, not a BLAS GEMV, whose bytes change with the thread count
+    start = 0.0 if op.shift is None else np.einsum("i,ij->j", op.shift, m)
+    return csr_matmul(op.matrix, m, out, start)
 
 
 def apply_centering(m: np.ndarray) -> np.ndarray:

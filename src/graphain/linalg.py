@@ -30,14 +30,6 @@ _HALF_MAX = float(np.finfo(np.float64).max) / 2  # above it, s + s^T may overflo
 
 
 @dataclass(frozen=True)
-class EigPair:
-    """Orthogonal eigenvectors (columns of u) with nonincreasing eigenvalues."""
-
-    u: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralFilterParams:
     """Knobs of the soft spectral filter.
 
@@ -60,8 +52,10 @@ class SpectralFilterParams:
             raise ValueError(f"d0 must be >= 1, got {self.d0}")
 
 
-def sym_eig(s: np.ndarray) -> EigPair:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues nonincreasing.
+def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a symmetric matrix: the eigenvalues in
+    ascending order and the orthonormal eigenvectors as columns, as ``eigh``
+    returns them.
 
     LAPACK's symmetric solver runs on 0.5 (s + s^T).  That equals s bit for
     bit when s is symmetric bit for bit, as numpy's syrk makes the Gram
@@ -109,7 +103,7 @@ def sym_eig(s: np.ndarray) -> EigPair:
         raise NoConvergenceError(
             "symmetric eigensolver failed: Eigenvalues did not converge"
         ) from err
-    return EigPair(u=v[:, ::-1], values=lam[::-1])
+    return lam, v
 
 
 def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndarray:
@@ -123,12 +117,9 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
     Hard whitening (a = b = 1) drops none: a channel under the cutoff would
     leave the output short of orthonormal, so it raises instead.
 
-    The eigenvalues are nonincreasing, so the kept channels are the leading
-    ones, and the kept eigenvalues and eigenvectors are copied out of
-    ``sym_eig``'s reversed views as one slice each.  The copies keep the
-    layout that indexing by the kept positions gave, a contiguous vector and
-    a column-major block, on which the power and the products round as they
-    always have (``tests/test_kernel_bits.py``).
+    The filter is one product, b V diag(g) V^T, on ``sym_eig``'s ascending
+    output: the gain g is 1 - a on every channel plus a lam^(-b/2) on the
+    kept ones, which are the trailing ones.
     """
     b = np.asarray(b, dtype=np.float64)
     d = b.shape[1]
@@ -144,15 +135,15 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
         # non-finite Gram as it does under any other filter
         with np.errstate(over="ignore", invalid="ignore"):
             gram = b.T @ b
-    pair = sym_eig(gram)
-    lam = pair.values
+    lam, v = sym_eig(gram)
     d0 = params.d0
+    gain = np.full(d, 1.0 - params.a)
     if params.b == 0.0:
-        k, scale = d0, np.ones(d0)
+        gain[d - d0:] += params.a
     else:
-        lmax = max(float(lam[0]), 0.0)
-        thr = EPS_RANK * lmax
-        k = int(np.count_nonzero(lam[:d0] > thr))
+        # the kept eigenvalues above the cutoff, which trail in ascending order
+        thr = EPS_RANK * max(float(lam[-1]), 0.0)
+        k = min(d0, d - int(lam.searchsorted(thr, side="right")))
         if k == 0:
             raise RankDeficientError(
                 "all eigenchannels underflow the rank cutoff; "
@@ -163,12 +154,8 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
                 f"hard whitening keeps {k} of {d0} eigenchannels above "
                 "the rank cutoff; the output would not be orthonormal"
             )
-        scale = lam[:k].copy() ** (-0.5 * params.b)
-    uk = pair.u[:, :k].copy(order="F")
-    filt = (uk * scale) @ uk.T
-    filt *= params.a
-    filt.flat[:: d + 1] += 1.0 - params.a
-    return b @ filt
+        gain[d - k:] += params.a * lam[d - k:] ** (-0.5 * params.b)
+    return b @ ((v * gain) @ v.T)
 
 
 def orthonormal_projection(m: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from .errors import (
     TooLargeError,
 )
 from .graph import CsrMatrix, Graph
-from .linalg import EigPair, orthonormal_projection
+from .linalg import orthonormal_projection
 
 DENSE_CAP = 2000
 
@@ -56,8 +56,9 @@ def dense_abar(g: Graph) -> np.ndarray:
     return t @ dense_ahat(g) @ t
 
 
-def dense_spectrum(m: np.ndarray) -> EigPair:
-    """Eigendecomposition with a deterministic sign convention per column."""
+def dense_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, nonincreasing, and eigenvectors (columns), with a
+    deterministic sign convention per column."""
     m = np.asarray(m, dtype=np.float64)
     _check_cap(m.shape[0])
     lam, u = np.linalg.eigh(m)
@@ -70,21 +71,21 @@ def dense_spectrum(m: np.ndarray) -> EigPair:
     recon = float(np.linalg.norm((u * lam) @ u.T - m))
     if recon > 1e-8 * max(float(np.linalg.norm(m)), 1e-30):
         raise TooLargeError(f"spectrum reconstruction error {recon:.3e}")
-    return EigPair(u=u, values=lam)
+    return lam, u
 
 
 def top_d_eigvectors(m: np.ndarray, d: int) -> np.ndarray:
     """Eigenvectors of the d algebraically largest eigenvalues."""
-    spec = dense_spectrum(m)
-    n = spec.values.shape[0]
+    values, u = dense_spectrum(m)
+    n = values.shape[0]
     if not 1 <= d <= n:
         raise DegenerateGapError(f"d must be in [1, {n}]")
-    if d < n and spec.values[d - 1] - spec.values[d] <= 1e-10:
+    if d < n and values[d - 1] - values[d] <= 1e-10:
         raise DegenerateGapError(
             f"eigenvalues {d} and {d + 1} coincide within 1e-10; "
             "the subspace is ill-defined"
         )
-    return spec.u[:, :d].copy()
+    return u[:, :d].copy()
 
 
 def knn_edges_dense(vectors: np.ndarray, k: int, gamma_prime: float):
@@ -171,13 +172,13 @@ def oversmoothing_limit_check(g: Graph, h: np.ndarray) -> np.ndarray:
     and aperiodic (smallest eigenvalue strictly above -1).
     """
     _check_cap(g.n)
-    spec = dense_spectrum(dense_ahat(g))
-    if g.n > 1 and spec.values[1] > 1.0 - 1e-8:
+    values, u = dense_spectrum(dense_ahat(g))
+    if g.n > 1 and values[1] > 1.0 - 1e-8:
         raise NotErgodicError("graph is disconnected; the limit does not apply")
-    if spec.values[-1] < -1.0 + 1e-8:
+    if values[-1] < -1.0 + 1e-8:
         raise NotErgodicError("graph is bipartite-like; the limit does not apply")
     h = np.asarray(h, dtype=np.float64)
-    v = spec.u[:, 0]
+    v = u[:, 0]
     cosines = np.zeros(h.shape[1])
     for j in range(h.shape[1]):
         cnorm = float(np.linalg.norm(h[:, j]))

@@ -6,19 +6,21 @@ The forward pass is one flat loop over the layers.  It is non-parametric (no
 per-layer weights), which keeps arbitrarily deep runs cheap and exactly
 analyzable; relu, when chosen, follows the soft filter in the rsoft pass
 only.  The fuzzy residual and initial accumulators are two arrays and a decay
-power held by the loop; they start as copies of the first layer and are
-updated in place, so a layer handed to the observer never changes.  The loop
-keeps no layers: each layer is observed as it is made, so memory stays
-O(n d) at any depth.
+power held by the loop, each array held scaled by its mixing weight (beta
+and gamma), so the skip mix is two adds.  They start as scaled copies of the
+first layer and are updated in place, so a layer handed to the observer
+never changes.  The loop keeps no layers: each layer is observed as it is
+made, so memory stays O(n d) at any depth.
 
 At a run's sizes a layer costs mostly call overhead and allocation, so the
-pass allocates its two (n, d) workspaces once: the operator product writes
-into one and the aggregate is centred and mixed there, and the other holds
-each scaled skip term.  Each layer itself is still a fresh array, the
-filter's output.  The product is ``graph.apply_operator``: one BLAS GEMM on
-the dense form of a small, well-filled operator (``graph.dense_pays``, as on
-3 x 100 nodes at the default degrees), scipy's CSR kernel otherwise; every
-variant of one graph takes the same one.
+pass allocates its (n, d) workspace once: the operator product writes into
+it and is mixed there, and once the filter has read it, it holds each
+scaled layer added to an accumulator.  Each layer itself is still a fresh
+array, the filter's output.  rsoft and pairnorm multiply by the centred
+operator, so the product comes out centred; sgc multiplies by the plain
+one.  The product is ``graph.apply_operator``: one BLAS GEMM on the dense
+form of a small, well-filled operator (``graph.dense_pays``), scipy's CSR
+kernel otherwise.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from .linalg import SpectralFilterParams, soft_spectral_filter
 
 ACTIVATIONS = ("identity", "relu")
 VARIANTS = ("rsoft", "sgc", "pairnorm")
-# The centering subtract runs over blocks of _BLOCK_ROWS rows from _LONG_ROWS rows on.
-_BLOCK_ROWS, _LONG_ROWS = 64, 1024
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -96,45 +97,6 @@ class PropagationConfig:
             )
 
 
-def _centered_aggregate(
-    op: NormalizedOperator, h: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``apply_centering(apply_operator(op, h))`` bit for bit, centred in
-    place where the operator product wrote it (``out`` when given).
-
-    The column means are ``mean``'s own sum and divide.  On the C-ordered
-    product ``einsum`` adds the rows in order, as ``np.add.reduce(axis=0)``
-    does, at about a third of its cost at n = 3000, d = 8; a single column is
-    one contiguous run, which ``add.reduce`` sums pairwise, so it keeps
-    ``add.reduce``.
-
-    Subtracting the d means from rows of d values runs numpy's inner loop d
-    values at a time.  From ``_LONG_ROWS`` rows on, the leading rows are
-    viewed as blocks of ``_BLOCK_ROWS`` rows and the means tiled to one
-    block, so the loop runs over ``_BLOCK_ROWS`` * d values; each element is
-    still one subtract of its column's mean, so the bits are those of the
-    broadcast subtract.  At n = 3000, d = 8 that halves the subtract; below
-    about a thousand rows the extra calls cost more than they save.
-    """
-    out = apply_operator(op, h, out)
-    n, d = out.shape
-    if d == 1:
-        sums = np.add.reduce(out, axis=0)
-    else:
-        sums = np.einsum("ij->j", out)
-    sums /= n
-    if n >= _LONG_ROWS:
-        blocked = n - n % _BLOCK_ROWS
-        tile = np.empty((_BLOCK_ROWS, d))
-        tile[...] = sums
-        block = out[:blocked].reshape(-1, _BLOCK_ROWS, d)
-        block -= tile
-        out[blocked:] -= sums
-    else:
-        out -= sums
-    return out
-
-
 def residual_combine(
     h_t: np.ndarray,
     s_last: np.ndarray,
@@ -142,36 +104,27 @@ def residual_combine(
     cfg: PropagationConfig,
     op: NormalizedOperator,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Mix the centered aggregate with the residual and initial accumulators.
+    """alpha op h_t + s_last + s_init: the centred aggregate of h_t mixed
+    with the residual and initial accumulators, held scaled by beta and
+    gamma.  ``op`` is a centred operator.
 
     Zero coefficients skip their term entirely, which keeps the degenerate
-    mixes (e.g. alpha = 1) bit-exact.  The result is written into ``out`` and
-    each scaled term into ``work``: C-contiguous float64 arrays of the terms'
-    shape that overlap none of them, fresh ones when None.
+    mixes (e.g. alpha = 1) bit-exact.  The result is written into ``out``, a
+    C-contiguous float64 array of the terms' shape that overlaps none of
+    them, a fresh one when None.
     """
     if h_t.shape != s_last.shape or h_t.shape != s_init.shape:
         raise DimensionMismatchError("skip-connection terms must share a shape")
-    if out is None:
-        out = np.empty(h_t.shape)
-    if work is None:
-        work = np.empty(h_t.shape)
-    first = True
+    terms = [t for c, t in ((cfg.beta, s_last), (cfg.gamma, s_init)) if c != 0.0]
     if cfg.alpha != 0.0:
-        _centered_aggregate(op, h_t, out)
+        out = apply_operator(op, h_t, out)
         if cfg.alpha != 1.0:
             out *= cfg.alpha
-        first = False
-    for coeff, term in ((cfg.beta, s_last), (cfg.gamma, s_init)):
-        if coeff == 0.0:
-            continue
-        part = term if coeff == 1.0 else np.multiply(term, coeff, out=work)
-        if first:
-            np.copyto(out, part)
-            first = False
-        else:
-            out += part
+    else:
+        out = np.positive(terms.pop(0), out=out)  # a copy
+    for term in terms:
+        out += term
     return out
 
 
@@ -195,25 +148,26 @@ def run_fuzzy_r_softgraphain(
     layer index.
 
     The accumulators start at the first layer: s_last = p s_last + H_t and
-    s_init = s_init + q^(t-1) H_t, the decay power advanced before its sum.
-    p == 0 and a vanished decay power assign instead of summing, so p = q = 0
-    is bit-exactly the vanilla residual (last layer) and initial (H_1) terms.
+    s_init = s_init + q^(t-1) H_t, the decay power advanced before its sum,
+    each held scaled by its weight (beta s_last and gamma s_init).  p == 0
+    assigns instead of summing and a vanished decay power adds nothing, so
+    p = q = 0 is bit-exactly the vanilla residual (last layer) and initial
+    (H_1) terms; an accumulator of weight zero is not kept up.
     """
     if variant not in VARIANTS:
         raise GraphainError(f"unknown variant {variant!r}")
-    op = normalized_adjacency(g, cfg.operator_mode)
+    op = normalized_adjacency(g, cfg.operator_mode, centered=variant != "sgc")
     x = g.features if reducer is None else g.features @ np.asarray(reducer, float)
     if variant == "rsoft" and cfg.filter.d0 > x.shape[1]:
         raise DimensionMismatchError(
             f"filter d0={cfg.filter.d0} exceeds working width {x.shape[1]}"
         )
     relu = cfg.activation == "relu"
+    beta, gamma = cfg.beta, cfg.gamma
     h = x
-    # the step's workspaces: the operator product, centred and mixed in
-    # place, and the scaled terms; every layer is a fresh array, as observe
-    # may keep it
-    agg, work = np.empty(x.shape), np.empty(x.shape)
-    s_last = s_init = None
+    # the step's workspace: the product, mixed in place, then scratch for the
+    # accumulator updates; every layer is a fresh array, as observe may keep it
+    agg = np.empty(x.shape)
     q_pow = 1.0
     for t in range(1, cfg.layers + 1):
         try:
@@ -223,26 +177,24 @@ def run_fuzzy_r_softgraphain(
                 h = pairnorm_step(h, op, agg)
             else:
                 if t == 1:
-                    b = _centered_aggregate(op, h, agg)
+                    b = apply_operator(op, h, agg)
                 else:
-                    b = residual_combine(h, s_last, s_init, cfg, op, agg, work)
+                    b = residual_combine(h, s_last, s_init, cfg, op, agg)
                 # the filter's output is a fresh array, so relu may write into it
                 h = soft_spectral_filter(b, cfg.filter)
                 if relu:
                     np.maximum(h, 0.0, out=h)
                 if t == 1:
-                    # the loop's own copies: observe may keep h, and later
-                    # layers update the accumulators in place
-                    s_last, s_init = h.copy(), h.copy()
+                    s_last, s_init = h * beta, h * gamma
                 else:
                     q_pow *= cfg.q
-                    if cfg.p == 0.0:
-                        s_last = h
-                    else:
+                    if beta != 0.0 and cfg.p == 0.0:
+                        np.multiply(h, beta, out=s_last)
+                    elif beta != 0.0:
                         s_last *= cfg.p
-                        s_last += h
-                    if q_pow != 0.0:
-                        s_init += np.multiply(h, q_pow, out=work)
+                        s_last += np.multiply(h, beta, out=agg)
+                    if gamma != 0.0 and q_pow != 0.0:
+                        s_init += np.multiply(h, gamma * q_pow, out=agg)
         except GraphainError as err:
             err.args = (f"layer {t}: {err.args[0] if err.args else ''}",)
             raise
@@ -254,21 +206,23 @@ def run_fuzzy_r_softgraphain(
 def pairnorm_step(
     h: np.ndarray, op: NormalizedOperator, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Center the aggregate and rescale it to Frobenius norm sqrt(n), as a
-    fresh array; the centred aggregate goes to ``out`` when it is given.
+    """The centred aggregate (``op`` is a centred operator) rescaled to
+    Frobenius norm sqrt(n), as a fresh array; the aggregate goes to ``out``
+    when it is given.
 
     A norm that is not finite, as when the squares of large features
-    overflow, raises ``NonFiniteActivationError``; a zero one raises
-    ``ZeroActivationError``.
+    overflow, raises ``NonFiniteActivationError``.  One at most n eps |h|_F,
+    the size of the product's rounding error, as when the columns of h are
+    constant and the exact aggregate is zero, raises ``ZeroActivationError``.
     """
-    hp = _centered_aggregate(op, h, out)
+    hp = apply_operator(op, h, out)
+    n = h.shape[0]
     with np.errstate(over="ignore"):  # checked next
-        norm = float(np.linalg.norm(hp))
+        norm, floor = float(np.linalg.norm(hp)), n * _EPS * float(np.linalg.norm(h))
     if not math.isfinite(norm):
         raise NonFiniteActivationError(
             f"norm of the centered activation is {norm}, not finite"
         )
-    if norm < 1e-300:
+    if norm < 1e-300 or norm <= floor:
         raise ZeroActivationError("centered activation collapsed to zero")
-    n = h.shape[0]
     return (math.sqrt(n) / norm) * hp

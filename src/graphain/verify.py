@@ -8,12 +8,16 @@ them, so conformance is both testable and operable.
 Instances come from a deterministic seed walk with a conditioning precheck
 (minimum singular value along the trajectory); near-degenerate spectra make
 elementwise trajectory comparison meaningless, so such draws are skipped the
-same way every run.
+same way every run.  The ``host`` suite checks the host's BLAS instead.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -140,23 +144,23 @@ def well_conditioned_instances(
 def theorem1_suite(num_instances: int = 20, layers: int = 20) -> VerifyReport:
     """Structural facts of the hard whitening layer on seeded graphs.
 
-    Per layer of the production filter at a = b = 1: zero column sums,
-    orthonormal columns, invariance under centering, agreement of the
-    centered aggregate with the dense doubly centered product, and the
-    constant pairwise-distance sum 2 n d.
+    Per layer of the production filter at a = b = 1 on the centred product:
+    zero column sums, orthonormal columns, invariance under centering,
+    agreement of the centred product with the dense doubly centered
+    product, and the constant pairwise-distance sum 2 n d.
     """
     col_sum = gram = center = bt = pairwise = 0.0
     for g, x0 in well_conditioned_instances(num_instances, layers, base_seed=100):
-        op = normalized_adjacency(g, "symmetric")
+        op = normalized_adjacency(g, "symmetric", centered=True)
         abar = dense_abar(g)
         n, d = x0.shape
         h = x0
         for _ in range(layers):
-            h = hard_whiten(apply_centering(apply_operator(op, h)))
+            h = hard_whiten(apply_operator(op, h))
             col_sum = max(col_sum, float(np.abs(h.sum(axis=0)).max()))
             gram = max(gram, float(np.abs(h.T @ h - np.eye(d)).max()))
             center = max(center, float(np.abs(apply_centering(h) - h).max()))
-            b_prod = apply_centering(apply_operator(op, h))
+            b_prod = apply_operator(op, h)
             bt = max(bt, float(np.abs(b_prod - abar @ h).max()))
             total, _ = pairwise_stats(h)
             pairwise = max(pairwise, abs(total - 2.0 * n * d) / (2.0 * n * d))
@@ -181,10 +185,10 @@ def theorem2_suite(num_instances: int = 20, steps: int = 10) -> VerifyReport:
     for g, x0 in well_conditioned_instances(
         num_instances, steps, base_seed=300, orthonormal_start=True
     ):
-        op = normalized_adjacency(g, "symmetric")
+        op = normalized_adjacency(g, "symmetric", centered=True)
         h = x0
         for k in range(1, steps + 1):
-            h = hard_whiten(apply_centering(apply_operator(op, h)))
+            h = hard_whiten(apply_operator(op, h))
             oracle = pga_oracle_hard(x0, g, k)
             traj_dev = max(traj_dev, float(np.abs(h - oracle).max()))
 
@@ -222,11 +226,11 @@ def eigenvector_limit_distance(steps: int = 500) -> float:
     d = 1
     target = top_d_eigvectors(abar, d)
     rng = np.random.default_rng(11)
-    op = normalized_adjacency(g, "symmetric")
+    op = normalized_adjacency(g, "symmetric", centered=True)
     h = _centered_orthonormal(rng, g.n, d)
     dist = 1.0
     for _ in range(steps):
-        h = hard_whiten(apply_centering(apply_operator(op, h)))
+        h = hard_whiten(apply_operator(op, h))
         dist = principal_subspace_distance(h, target)
         if dist < 1e-7:
             break
@@ -237,7 +241,7 @@ def theorem3_suite(num_instances: int = 20) -> VerifyReport:
     """One residual step against the gradient-form ascent oracle.
 
     The oracle anchors to a centered matrix X and starts from its orthonormal
-    projection H; the production step mixes the centered aggregate of H with
+    projection H; the production step mixes the centred product of H with
     H itself (residual) and X (initial connection), then hard-projects.
     """
     triples = ((0.5, 0.3, 0.2), (0.8, 0.1, 0.1), (1.0, 0.0, 0.0))
@@ -255,7 +259,7 @@ def theorem3_suite(num_instances: int = 20) -> VerifyReport:
             h0 = orthonormal_projection(anchor)
         except RankDeficientError:
             continue
-        op = normalized_adjacency(g, "symmetric")
+        op = normalized_adjacency(g, "symmetric", centered=True)
         steps = []
         conditioned = True
         for alpha, beta, gamma in triples:
@@ -266,7 +270,7 @@ def theorem3_suite(num_instances: int = 20) -> VerifyReport:
                 filter=SpectralFilterParams(a=1.0, b=1.0, d0=d),
                 layers=1,
             )
-            b = residual_combine(h0, h0, anchor, cfg, op)
+            b = residual_combine(h0, cfg.beta * h0, cfg.gamma * anchor, cfg, op)
             smin = float(np.linalg.svd(b, compute_uv=False)[-1])
             if smin < 0.05:
                 conditioned = False
@@ -384,7 +388,39 @@ def labelprop_suite(num_instances: int = 10, iters: int = 500) -> VerifyReport:
     return VerifyReport("labelprop", checks)
 
 
+# One fresh interpreter's dense centred product at the widest dense shape,
+# its bytes written to stdout.
+_HOST_CHILD = """\
+import sys
+import numpy as np
+from graphain.graph import _DENSE_MAX_N, _DENSE_MAX_WIDTH, apply_operator, normalized_adjacency
+from graphain.synthetic import random_connected_graph
+op = normalized_adjacency(random_connected_graph(_DENSE_MAX_N, 0.1, seed=0), centered=True)
+assert op.dense is not None
+m = np.random.default_rng(0).standard_normal((_DENSE_MAX_N, _DENSE_MAX_WIDTH))
+sys.stdout.buffer.write(apply_operator(op, m).tobytes())
+"""
+
+
+def host_suite() -> VerifyReport:
+    """The dense centred product at ``_DENSE_MAX_N`` x ``_DENSE_MAX_WIDTH``,
+    in two fresh interpreters at ``OPENBLAS_NUM_THREADS`` 1 and 2: the
+    entries whose bytes differ, of which none may."""
+    src = str(Path(__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    one, two = (
+        np.frombuffer(subprocess.run(
+            [sys.executable, "-c", _HOST_CHILD], stdout=subprocess.PIPE, check=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+        ).stdout, dtype=np.int64)
+        for threads in ("1", "2")
+    )
+    differing = float(np.count_nonzero(one != two))
+    return VerifyReport("host", (VerifyCheck("dense-product-thread-bytes", differing, 0.0),))
+
+
 SUITES = {
+    "host": host_suite,
     "theorem1": theorem1_suite,
     "theorem2": theorem2_suite,
     "theorem3": theorem3_suite,

@@ -270,30 +270,27 @@ def test_criterion_12_reduction_identities():
         h = orthonormal_projection(apply_centering(apply_operator(op, h)))
         assert np.abs(layer_h - h).max() <= 1e-9
 
-    # fuzzy decay at p = q = 0 is bit-identical to the vanilla connections
+    # fuzzy decay at p = q = 0 is bit-identical to the vanilla connections,
+    # each term scaled by its weight and the aggregate the centred operator's
     cfg = PropagationConfig(
         alpha=0.6, beta=0.3, gamma=0.1,
         filter=SpectralFilterParams(a=0.4, b=0.8, d0=4), layers=8,
         p=0.0, q=0.0,
     )
     fuzzy = run_fuzzy_r_softgraphain(g, cfg)
-    h = soft_spectral_filter(
-        apply_centering(apply_operator(op, g.features)), cfg.filter
-    )
+    centred = normalized_adjacency(g, "symmetric", centered=True)
+    h = soft_spectral_filter(apply_operator(centred, g.features), cfg.filter)
     h1 = h
     for _ in range(2, cfg.layers + 1):
-        b = residual_combine(h, h, h1, cfg, op)
+        b = residual_combine(h, cfg.beta * h, cfg.gamma * h1, cfg, centred)
         h = soft_spectral_filter(b, cfg.filter)
     assert np.array_equal(fuzzy, h)
 
     # a = 0 passes the centered aggregate through exactly
     plain = soft_spectral_filter(
-        apply_centering(apply_operator(op, g.features)),
-        SpectralFilterParams(a=0.0, b=1.0, d0=4),
+        apply_operator(centred, g.features), SpectralFilterParams(a=0.0, b=1.0, d0=4)
     )
-    assert np.array_equal(
-        plain, apply_centering(apply_operator(op, g.features))
-    )
+    assert np.array_equal(plain, apply_operator(centred, g.features))
     _report(12, "reduction-identities")
 
 

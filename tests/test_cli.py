@@ -268,10 +268,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS theorem3" in out
 
+    def test_verify_host_suite_passes_on_this_host(self, capsys):
+        assert main(["verify", "--suite", "host"]) == 0
+        assert "PASS host/dense-product-thread-bytes: max 0.000e+00" in capsys.readouterr().out
+
+    def test_verify_host_suite_fails_on_bytes_that_follow_the_threads(
+        self, monkeypatch, capsys
+    ):
+        # a child whose output depends on OPENBLAS_NUM_THREADS stands in for
+        # a BLAS that rounds differently at 1 and 2 threads
+        from graphain import verify
+
+        monkeypatch.setattr(
+            verify,
+            "_HOST_CHILD",
+            "import os, sys\nimport numpy as np\n"
+            "sys.stdout.buffer.write(np.full(3, float(os.environ['OPENBLAS_NUM_THREADS'])).tobytes())\n",
+        )
+        assert main(["verify", "--suite", "host"]) == 1
+        assert "FAIL host/dense-product-thread-bytes: max 3.000e+00" in capsys.readouterr().out
+
     def test_verify_suite_names_are_pinned(self):
         from graphain.verify import SUITES
 
         assert sorted(SUITES) == [
+            "host",
             "labelprop",
             "oversmooth",
             "theorem1",

@@ -464,3 +464,61 @@ class TestDoublyCentered:
         m = apply_centering(rng.standard_normal((g.n, 3)))
         runner = apply_centering(apply_operator(op, m))
         assert np.abs(runner - dense_abar(g) @ m).max() <= 1e-12
+
+
+# n on both sides of _DENSE_MAX_N = 384 and of 1024 rows
+CENTRED_ROWS = st.one_of(
+    st.integers(2, 1100), st.sampled_from([383, 384, 385, 1023, 1024, 1025])
+)
+
+
+class TestCentredOperator:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        CENTRED_ROWS,
+        st.sampled_from([1, 2, 8, 65]),
+        st.sampled_from(OPERATOR_MODES),
+        st.booleans(),
+    )
+    def test_product_is_the_centred_plain_product(self, seed, n, d, mode, well_filled):
+        # The centred operator's product (the dense GEMM on Â - 1 c^T / n, or
+        # the CSR kernel started at -c^T h / n; past 64 columns a dense
+        # operator takes the CSR kernel too) against apply_centering of the
+        # plain product.  Both are T Â h to within (n + 2) u per term, u =
+        # 2^-53, counting the rounding of c, of the shift and of the mean;
+        # with a factor 4 for the GEMM's fused multiply-adds and for the two
+        # sides, entry (i, k) may differ by
+        #   4 (n + 2) u ((|Â| |h|)_ik + (c / n)^T |h|_k + mean_i (|Â| |h|)_ik),
+        # and a column sums to at most the sum of its bounds plus n u |col|_1.
+        g, rng = _fill_graph(n, 0.25 if well_filled else min(1.0, 4.0 / n), seed)
+        h = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        plain = normalized_adjacency(g, mode)
+        op = normalized_adjacency(g, mode, centered=True)
+        assert (op.dense is None) == (plain.dense is None) == (not dense_pays(n, op.matrix.nnz))
+        got = apply_operator(op, h)
+        want = apply_centering(apply_operator(plain, h))
+        u = 2.0**-53
+        spread = csr_matmul(op.matrix, np.abs(h))
+        bound = 4 * (n + 2) * u * (spread + (-op.shift) @ np.abs(h) + spread.mean(axis=0))
+        assert (np.abs(got - want) <= bound).all()
+        sums = np.abs(got.sum(axis=0))
+        assert (sums <= bound.sum(axis=0) + n * u * np.abs(got).sum(axis=0)).all()
+        out = np.full((n, d), np.nan)
+        assert apply_operator(op, h, out) is out
+        assert out.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("mode", OPERATOR_MODES)
+    @pytest.mark.parametrize("n", [8, graph._DENSE_MAX_N, graph._DENSE_MAX_N + 1])
+    def test_an_operator_holds_one_n_by_n_array(self, n, mode):
+        # the centred dense form replaces the plain one; it is not kept beside it
+        g = _complete_graph(n)
+        for centered in (False, True):
+            op = normalized_adjacency(g, mode, centered)
+            arrays = [getattr(op, f.name) for f in fields(op)]
+            arrays += [getattr(op.matrix, f.name) for f in fields(op.matrix)]
+            square = [a for a in arrays if isinstance(a, np.ndarray) and a.ndim == 2]
+            assert [a.shape for a in square] == ([(n, n)] if n <= graph._DENSE_MAX_N else [])
+            assert (op.shift is not None) == centered
+            if square and centered:
+                assert np.abs(square[0].sum(axis=0)).max() <= 4 * n * 2.0**-52

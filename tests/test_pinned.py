@@ -150,6 +150,20 @@ that change ``config_all_keys.txt``, ``config_all_keys.echo.txt`` and
 ``config_default.echo.txt`` lost their ``synthetic.seed`` line and nothing
 else; the pinned hashes stay, since that key was never hashed.
 
+``export_digests.txt`` was re-pinned once more, and no other file, when
+rsoft and pairnorm began to centre through the operator (the dense form
+Â - 1 c^T / n, or the CSR kernel started at -c^T h / n, in place of a
+separate column-mean subtract), rsoft's filter became the one product
+b V diag(g) V^T and its accumulators came to be held scaled by beta and
+gamma.  Checked against the previous tree's outputs of the same configs:
+every accuracy cell and every other exact column is byte-equal, and every
+sgc file is byte-equal; the losses moved by at most 1.2e-15 (rsoft),
+1.5e-15 (hard) and 2.3e-15 (pairnorm) relative, and the diagnostics by at
+most 2.5e-14 relative, except the roundoff-level ``column_sum_dev`` and
+the hard files' ``column_gram_dev``, which moved by at most 7.1e-14
+absolute; the 5280 snapshot values by at most 2.8e-15 relative (3.3e-16
+absolute); the ``embeddings.csv`` values by at most 8.3e-16 absolute.
+
 The ``config_hash`` column of ``sgc/results.csv`` and
 ``pairnorm/results.csv`` was rewritten once more when the baselines stopped
 taking rsoft's keys: their runs now leave ``propagation.p`` and

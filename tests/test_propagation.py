@@ -15,7 +15,7 @@ from graphain.graph import (
     build_graph,
     normalized_adjacency,
 )
-from graphain import propagation
+from graphain import linalg, propagation
 from graphain.linalg import (
     EPS_RANK,
     SpectralFilterParams,
@@ -43,6 +43,10 @@ def _cfg(**kw):
     )
     defaults.update(kw)
     return PropagationConfig(**defaults)
+
+
+def _centred(g, mode="symmetric"):
+    return normalized_adjacency(g, mode, centered=True)
 
 
 def _path_graph(n, feature_dim, seed=0):
@@ -118,25 +122,24 @@ class TestSoftStep:
 
     def test_a_zero_is_centered_aggregation(self):
         g = _path_graph(6, 3, seed=2)
-        op = normalized_adjacency(g)
+        op = _centred(g)
         soft = soft_spectral_filter(
-            apply_centering(apply_operator(op, g.features)),
-            SpectralFilterParams(a=0.0, b=1.0, d0=3),
+            apply_operator(op, g.features), SpectralFilterParams(a=0.0, b=1.0, d0=3)
         )
-        assert np.array_equal(soft, apply_centering(apply_operator(op, g.features)))
+        assert np.array_equal(soft, apply_operator(op, g.features))
 
 
 class TestResidualCombine:
     def test_pure_aggregation(self, rng):
         g = _path_graph(5, 2, seed=1)
-        op = normalized_adjacency(g)
+        op = _centred(g)
         h = rng.standard_normal((5, 2))
         out = residual_combine(h, h, h, _cfg(alpha=1.0, beta=0.0, gamma=0.0), op)
-        assert np.array_equal(out, apply_centering(apply_operator(op, h)))
+        assert np.array_equal(out, apply_operator(op, h))
 
     def test_pure_initial(self, rng):
         g = _path_graph(5, 2, seed=1)
-        op = normalized_adjacency(g)
+        op = _centred(g)
         h = rng.standard_normal((5, 2))
         s_init = rng.standard_normal((5, 2))
         out = residual_combine(h, h, s_init, _cfg(alpha=0.0, beta=0.0, gamma=1.0), op)
@@ -144,7 +147,7 @@ class TestResidualCombine:
 
     def test_terms_of_other_shapes_rejected(self, rng):
         g = _path_graph(5, 2, seed=1)
-        op = normalized_adjacency(g)
+        op = _centred(g)
         h = rng.standard_normal((5, 2))
         with pytest.raises(
             DimensionMismatchError, match="^skip-connection terms must share a shape$"
@@ -152,12 +155,13 @@ class TestResidualCombine:
             residual_combine(h, h, rng.standard_normal((5, 3)), _cfg(), op)
 
     def test_equal_thirds_hand_expansion(self, rng):
+        # the accumulators are passed scaled by their weights
         g = _path_graph(5, 2, seed=1)
-        op = normalized_adjacency(g)
         m = rng.standard_normal((5, 2))
         cfg = _cfg(alpha=1.0, beta=1.0, gamma=1.0)
-        out = residual_combine(m, m, m, cfg, op)
-        expect = apply_centering(apply_operator(op, m)) / 3.0 + (2.0 / 3.0) * m
+        out = residual_combine(m, cfg.beta * m, cfg.gamma * m, cfg, _centred(g))
+        plain = normalized_adjacency(g)
+        expect = apply_centering(apply_operator(plain, m)) / 3.0 + (2.0 / 3.0) * m
         assert np.abs(out - expect).max() <= 1e-12
 
 
@@ -169,7 +173,7 @@ class TestFuzzyAccumulators:
         # at a = 0 the filter returns a copy of its input, so layer t + 1 is
         # the skip mix of layer t with the two decayed sums
         g = random_connected_graph(12, 0.3, seed=6, feature_dim=3)
-        op = normalized_adjacency(g)
+        op = _centred(g)
         cfg = _cfg(
             alpha=0.5,
             beta=0.3,
@@ -184,7 +188,9 @@ class TestFuzzyAccumulators:
         for t in range(1, cfg.layers):
             s_last = sum(p ** (t - i) * hs[i - 1] for i in range(1, t + 1))
             s_init = sum(q ** (i - 1) * hs[i - 1] for i in range(1, t + 1))
-            expect = residual_combine(hs[t - 1], s_last, s_init, cfg, op)
+            expect = residual_combine(
+                hs[t - 1], cfg.beta * s_last, cfg.gamma * s_init, cfg, op
+            )
             assert np.abs(hs[t] - expect).max() <= 1e-12
 
     def test_q_zero_keeps_first_layer_bitwise(self):
@@ -200,14 +206,13 @@ class TestFuzzyAccumulators:
         )
         out = run_fuzzy_r_softgraphain(g, cfg)
 
-        op = normalized_adjacency(g)
-        h = soft_spectral_filter(
-            apply_centering(apply_operator(op, g.features)), cfg.filter
-        )
-        h1 = s_last = h
+        # the accumulators scaled by beta and gamma, as the runner holds them
+        op = _centred(g)
+        h = soft_spectral_filter(apply_operator(op, g.features), cfg.filter)
+        s_last, s_init = cfg.beta * h, cfg.gamma * h
         for _ in range(2, cfg.layers + 1):
-            h = soft_spectral_filter(residual_combine(h, s_last, h1, cfg, op), cfg.filter)
-            s_last = cfg.p * s_last + h
+            h = soft_spectral_filter(residual_combine(h, s_last, s_init, cfg, op), cfg.filter)
+            s_last = cfg.p * s_last + cfg.beta * h
         assert np.array_equal(out, h)
 
     @pytest.mark.parametrize("activation", ["identity", "relu"])
@@ -235,23 +240,24 @@ class TestFuzzyAccumulators:
 
         run_fuzzy_r_softgraphain(g, cfg, observe=observe)
 
-        op = normalized_adjacency(g)
+        op = _centred(g)
+        beta, gamma = cfg.beta, cfg.gamma
         q_pow = 1.0
         for t in range(1, cfg.layers + 1):
             if t == 1:
-                b = apply_centering(apply_operator(op, g.features))
+                b = apply_operator(op, g.features)
             else:
                 b = residual_combine(h, s_last, s_init, cfg, op)
             h = soft_spectral_filter(b, cfg.filter)
             if activation == "relu":
                 h = np.maximum(h, 0.0)
             if t == 1:
-                s_last = s_init = h
+                s_last, s_init = beta * h, gamma * h
             else:
                 q_pow *= q
-                s_last = h if p == 0.0 else p * s_last + h
+                s_last = beta * h if p == 0.0 else p * s_last + beta * h
                 if q_pow != 0.0:
-                    s_init = s_init + q_pow * h
+                    s_init = s_init + (gamma * q_pow) * h
             assert held[t - 1].tobytes() == copies[t - 1].tobytes() == h.tobytes()
 
     @pytest.mark.parametrize("variant", ["sgc", "pairnorm", "rsoft"])
@@ -299,10 +305,7 @@ class TestRunner:
         g = _path_graph(6, 3, seed=4)
         cfg = _cfg(layers=1, filter=SpectralFilterParams(a=0.5, b=1.0, d0=3))
         out = run_fuzzy_r_softgraphain(g, cfg)
-        op = normalized_adjacency(g)
-        expect = soft_spectral_filter(
-            apply_centering(apply_operator(op, g.features)), cfg.filter
-        )
+        expect = soft_spectral_filter(apply_operator(_centred(g), g.features), cfg.filter)
         assert np.array_equal(out, expect)
 
     def test_reduces_to_iterated_hard_step(self):
@@ -339,13 +342,11 @@ class TestRunner:
         out = run_fuzzy_r_softgraphain(g, cfg)
 
         # hand-rolled vanilla recursion: residual = last layer, initial = H1
-        op = normalized_adjacency(g)
-        h = soft_spectral_filter(
-            apply_centering(apply_operator(op, g.features)), cfg.filter
-        )
+        op = _centred(g)
+        h = soft_spectral_filter(apply_operator(op, g.features), cfg.filter)
         h1 = h
         for _ in range(2, cfg.layers + 1):
-            b = residual_combine(h, h, h1, cfg, op)
+            b = residual_combine(h, cfg.beta * h, cfg.gamma * h1, cfg, op)
             h = soft_spectral_filter(b, cfg.filter)
         assert np.array_equal(out, h)
 
@@ -395,7 +396,7 @@ class TestRunner:
     @pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
     def test_baselines_observe_each_step(self, variant):
         g = random_connected_graph(12, 0.3, seed=6, feature_dim=3)
-        op = normalized_adjacency(g)
+        op = normalized_adjacency(g, centered=variant == "pairnorm")
         seen = []
         out = run_fuzzy_r_softgraphain(
             g, _cfg(layers=5), variant=variant, observe=lambda t, h: seen.append((t, h))
@@ -413,6 +414,46 @@ class TestRunner:
             run_fuzzy_r_softgraphain(g, _cfg(layers=1), variant="gcn")
 
 
+class TestLayerCost:
+    @pytest.mark.parametrize("mode", ["symmetric", "random_walk"])
+    @pytest.mark.parametrize("n, extra_p, dense", [(60, 0.5, True), (400, 0.01, False)])
+    def test_each_rsoft_layer_makes_one_product_and_one_eigensolve(
+        self, n, extra_p, dense, mode, monkeypatch
+    ):
+        # the centring rides in the product, and the filter's one sym_eig
+        # is the layer's only eigensolve; the operator the run builds holds
+        # one n x n array, the centred dense form, or none on the CSR path
+        g = random_connected_graph(n, extra_p, seed=3, feature_dim=4)
+        cfg = _cfg(alpha=0.8, beta=0.1, gamma=0.1, layers=6, p=0.5, q=0.5,
+                   operator_mode=mode, filter=SpectralFilterParams(a=0.7, b=0.9, d0=4))
+        calls = {"product": 0, "eig": 0}
+        ops = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        def build(*args, **kwargs):
+            ops.append(normalized_adjacency(*args, **kwargs))
+            return ops[-1]
+
+        monkeypatch.setattr(propagation, "apply_operator",
+                            counted("product", propagation.apply_operator))
+        monkeypatch.setattr(linalg, "sym_eig", counted("eig", linalg.sym_eig))
+        monkeypatch.setattr(propagation, "normalized_adjacency", build)
+        seen = []
+        run_fuzzy_r_softgraphain(
+            g, cfg, observe=lambda t, h: seen.append((calls["product"], calls["eig"]))
+        )
+        assert seen == [(t, t) for t in range(1, cfg.layers + 1)]
+        (op,) = ops
+        square = [a for a in (op.dense, op.shift, op.matrix.data) if a is not None and a.ndim == 2]
+        assert [a.shape for a in square] == ([(g.n, g.n)] if dense else [])
+        assert op.shift is not None
+
+
 class TestSgc:
     def test_triangle_one_step_fixed_point(self):
         iu, ju = np.triu_indices(3, k=1)
@@ -427,8 +468,7 @@ class TestSgc:
 class TestPairnorm:
     def test_output_norm(self, rng):
         g = _path_graph(4, 3, seed=9)
-        op = normalized_adjacency(g)
-        out = pairnorm_step(rng.standard_normal((4, 3)), op)
+        out = pairnorm_step(rng.standard_normal((4, 3)), _centred(g))
         assert np.linalg.norm(out) == pytest.approx(2.0, abs=1e-10)
         assert np.abs(out.sum(axis=0)).max() <= 1e-10
 
@@ -437,21 +477,18 @@ class TestPairnorm:
         # so centering annihilates them
         iu, ju = np.triu_indices(4, k=1)
         g = build_graph(np.column_stack([iu, ju]), 4, np.zeros((4, 2)))
-        op = normalized_adjacency(g)
         with pytest.raises(ZeroActivationError):
-            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), op)
+            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), _centred(g))
 
     def test_constant_rows_collapse_random_walk(self):
         g = _path_graph(4, 2)
-        op = normalized_adjacency(g, "random_walk")
         with pytest.raises(ZeroActivationError):
-            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), op)
+            pairnorm_step(np.tile([1.0, -2.0], (4, 1)), _centred(g, "random_walk"))
 
     def test_matches_straight_line_formula(self, rng):
         g = _path_graph(4, 3, seed=9)
-        op = normalized_adjacency(g)
         h = rng.standard_normal((4, 3))
-        out = pairnorm_step(h, op)
+        out = pairnorm_step(h, _centred(g))
 
         # independent re-evaluation from the dense definition
         from graphain.oracles import dense_ahat
@@ -508,11 +545,11 @@ class TestTheoremOneProperties:
         rng = np.random.default_rng(4)
         anchor = apply_centering(rng.standard_normal((16, 3)))
         h0 = orthonormal_projection(anchor)
-        op = normalized_adjacency(g)
+        op = _centred(g)
         abar = dense_abar(g)
         for alpha, beta, gamma in ((0.5, 0.3, 0.2), (0.8, 0.1, 0.1), (1.0, 0.0, 0.0)):
             cfg = _cfg(alpha=alpha, beta=beta, gamma=gamma)
-            b = residual_combine(h0, h0, anchor, cfg, op)
+            b = residual_combine(h0, cfg.beta * h0, cfg.gamma * anchor, cfg, op)
             produced = hard_whiten(b)
             grad = abar @ h0 - h0 - (gamma / alpha) * (h0 - anchor)
             oracle = orthonormal_projection(h0 + alpha * grad)
