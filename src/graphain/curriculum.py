@@ -445,15 +445,14 @@ def aux_transition_matrix(aux: AuxGraph) -> CsrMatrix:
     pos = aux.weights > 0.0
     i = aux.edges[pos, 0]
     j = aux.edges[pos, 1]
-    w = aux.weights[pos]
-    deg = np.zeros(aux.n)
-    np.add.at(deg, i, w)
-    np.add.at(deg, j, w)
+    ends = np.concatenate([i, j])
+    w = np.concatenate([aux.weights[pos]] * 2)  # each edge weighs on both its ends
+    deg = np.bincount(ends, weights=w, minlength=aux.n)
     orphan = np.flatnonzero(deg == 0.0)
-    rows = np.concatenate([i, j, orphan])
+    rows = np.concatenate([ends, orphan])
     cols = np.concatenate([j, i, orphan])
     deg_safe = np.where(deg > 0.0, deg, 1.0)
-    vals = np.concatenate([w, w, np.ones(orphan.size)]) / deg_safe[rows]
+    vals = np.concatenate([w, np.ones(orphan.size)]) / deg_safe[rows]
     return csr_from_coo(rows, cols, vals, aux.n)
 
 

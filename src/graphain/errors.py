@@ -25,10 +25,6 @@ class DimensionMismatchError(GraphainError):
     """Operand shapes are incompatible."""
 
 
-class NotSymmetricError(GraphainError):
-    """A matrix expected to be symmetric is not."""
-
-
 class NoConvergenceError(GraphainError):
     """The symmetric eigensolver failed: non-finite input, or LAPACK did not converge."""
 
@@ -61,8 +57,8 @@ class InvalidCoefficientsError(GraphainError):
     """Mixing coefficients violate their constraints."""
 
 
-class ZeroActivationError(GraphainError):
-    """Embedding collapsed to zero, so renormalization is undefined."""
+class ZeroActivationError(RankDeficientError):
+    """Embedding collapsed to zero, rank zero, so renormalization is undefined."""
 
 
 class NonFiniteActivationError(GraphainError):

@@ -7,8 +7,9 @@ place a Graph is made, and it copies every array it keeps and makes the
 copy read-only, so no caller can change a Graph through an array it holds;
 derived Graphs (``synthetic.with_masks``, ``synthetic.add_feature_noise``)
 go through it too.  rsoft and pairnorm centre through the operator: theirs
-is Â - 1 c^T / n, c the column sums of Â, whose product is
-``apply_centering(apply_operator(plain, m))`` to rounding, in one pass.
+is Â - 1 c^T / n, c the column sums of Â, whose product is that of the plain
+operator with its column means subtracted, to rounding, in one pass.  The
+separate column-mean subtract is the oracles' (``oracles.apply_centering``).
 
 Sparse matrices are ``CsrMatrix`` records of numpy arrays, and scipy serves
 only its compiled CSR kernel (``csr_matvecs``), loaded from its extension
@@ -280,9 +281,7 @@ def normalized_adjacency(
     j = g.edges[:, 1]
     rows = np.concatenate([i, j, np.arange(n, dtype=np.int64)])
     cols = np.concatenate([j, i, np.arange(n, dtype=np.int64)])
-    degrees = np.ones(n, dtype=np.float64)
-    np.add.at(degrees, i, 1.0)
-    np.add.at(degrees, j, 1.0)
+    degrees = np.bincount(rows)  # each edge end and self-loop counts 1
     if mode == "symmetric":
         inv_sqrt_deg = 1.0 / np.sqrt(degrees)
         vals = inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
@@ -347,9 +346,3 @@ def apply_operator(
     # einsum, not a BLAS GEMV, whose bytes change with the thread count
     start = 0.0 if op.shift is None else np.einsum("i,ij->j", op.shift, m)
     return csr_matmul(op.matrix, m, out, start)
-
-
-def apply_centering(m: np.ndarray) -> np.ndarray:
-    """Subtract column means; output column sums are zero."""
-    m = np.asarray(m, dtype=np.float64)
-    return m - m.mean(axis=0, keepdims=True)

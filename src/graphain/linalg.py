@@ -3,10 +3,11 @@
 Production whitening is one kernel, ``soft_spectral_filter``: it
 eigendecomposes the d x d Gram b^T b with LAPACK's symmetric solver, and hard
 whitening b (b^T b)^{-1/2} is its a = b = 1, d0 = d case.  The verification
-oracles reach the same quantities by other routes on other inputs: the SVD
-U V^T of the n x d matrix itself (``orthonormal_projection``), and a dense
-eigendecomposition of the n x n doubly centred operator.  Agreement between
-the two sides is therefore a cross-check, not one kernel meeting itself.
+oracles (``oracles``) reach the same quantities by other routes on other
+inputs: the SVD U V^T of the n x d matrix itself
+(``oracles.orthonormal_projection``), and a dense eigendecomposition of the
+n x n doubly centred operator.  Agreement between the two sides is therefore
+a cross-check, not one kernel meeting itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NotOrthonormalError,
-    NotSymmetricError,
     RankDeficientError,
 )
 
@@ -53,16 +53,15 @@ class SpectralFilterParams:
 
 
 def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix: the eigenvalues in
-    ascending order and the orthonormal eigenvectors as columns, as ``eigh``
-    returns them.
+    """Full eigendecomposition of the symmetric float64 Gram s = b^T b: the
+    eigenvalues in ascending order and the orthonormal eigenvectors as
+    columns, as ``eigh`` returns them.
 
-    LAPACK's symmetric solver runs on 0.5 (s + s^T).  That equals s bit for
-    bit when s is symmetric bit for bit, as numpy's syrk makes the Gram
-    b^T b, and no entry exceeds half the largest double, so such an input
-    goes to the solver as it is.  Any other input is symmetrised, including
-    one whose mirrored zeros differ only in sign, which can change the
-    eigenvectors ``eigh`` returns.  Within a repeated eigenvalue the basis is
+    numpy's syrk, or its plain loop, makes the Gram symmetric bit for bit,
+    so it goes to LAPACK's symmetric solver as it is; the solver reads its
+    lower triangle.  A Gram with an entry above half the largest double goes
+    as 0.5 (s + s^T), whose sum may overflow to inf, which the solver fails
+    on as described below.  Within a repeated eigenvalue the basis is
     whatever LAPACK returns; the spectral filters do not depend on that
     choice.
 
@@ -79,24 +78,15 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``NoConvergenceError``.  A numpy without the gufunc fails this module's
     import with an ImportError that names it.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionMismatchError("sym_eig needs a square matrix")
     # one sweep gives the scale and, as NaN or inf, any non-finite entry
-    scale = float(np.abs(s).max()) if s.size else 0.0
+    scale = float(np.abs(s).max())
     if not math.isfinite(scale):
         raise NoConvergenceError("matrix has non-finite entries")
-    if s.tobytes() != s.T.tobytes() or scale > _HALF_MAX:
-        if scale > 0.0:
-            skew = float(np.abs(s - s.T).max())
-            if skew > 1e-10 * scale:
-                raise NotSymmetricError(
-                    f"asymmetry {skew:.3e} exceeds 1e-10 relative to {scale:.3e}"
-                )
+    if scale > _HALF_MAX:
         s = 0.5 * (s + s.T)
     try:
         lam, v = _eigh_lo(s, signature="d->dd")
-        if lam.size and math.isnan(lam[0]):
+        if math.isnan(lam[0]):
             # a failure, or an s + s^T that overflowed: eigh tells them apart
             lam, v = np.linalg.eigh(s)
     except (np.linalg.LinAlgError, RuntimeWarning, FloatingPointError) as err:
@@ -156,24 +146,6 @@ def soft_spectral_filter(b: np.ndarray, params: SpectralFilterParams) -> np.ndar
             )
         gain[d - k:] += params.a * lam[d - k:] ** (-0.5 * params.b)
     return b @ ((v * gain) @ v.T)
-
-
-def orthonormal_projection(m: np.ndarray) -> np.ndarray:
-    """Nearest matrix with orthonormal columns, computed as U V^T from the SVD.
-
-    This is the projection route used by the verification oracles; it is
-    mathematically equal to hard whitening m (m^T m)^{-1/2}, the filter at
-    a = b = 1, d0 = d, but shares no code with it.  Raises
-    RankDeficientError when the smallest singular value is at most
-    ``EPS_RANK`` times the largest.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= EPS_RANK * s[0]:
-        raise RankDeficientError(
-            f"singular value range [{s[-1]:.3e}, {s[0]:.3e}] is rank deficient"
-        )
-    return u @ vt
 
 
 def principal_subspace_distance(h: np.ndarray, u_ref: np.ndarray) -> float:

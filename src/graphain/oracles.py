@@ -1,8 +1,11 @@
 """Dense brute-force oracles for desk-scale verification.
 
-Everything here materializes n x n matrices and uses LAPACK through numpy,
-deliberately sharing no kernels with the production propagation path.  A
-hard size cap keeps the O(n^3) work confined to verification.
+Everything here materializes n x n matrices or takes an SVD and uses LAPACK
+through numpy, deliberately sharing no kernels with the production path,
+whose modules lend it only the ``Graph`` and ``CsrMatrix`` records and
+``EPS_RANK``.  The reference routes no run calls live here too: the
+column-mean subtract and the SVD projection U V^T.  A hard size cap keeps
+the O(n^3) work confined to verification.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from .errors import (
     DegenerateGapError,
     InvalidCoefficientsError,
     NotErgodicError,
+    RankDeficientError,
     SingularSystemError,
     TooLargeError,
 )
 from .graph import CsrMatrix, Graph
-from .linalg import orthonormal_projection
+from .linalg import EPS_RANK
 
 DENSE_CAP = 2000
 
@@ -25,6 +29,29 @@ DENSE_CAP = 2000
 def _check_cap(n: int):
     if n > DENSE_CAP:
         raise TooLargeError(f"dense oracle capped at n <= {DENSE_CAP}, got {n}")
+
+
+def apply_centering(m: np.ndarray) -> np.ndarray:
+    """Subtract column means; output column sums are zero."""
+    m = np.asarray(m, dtype=np.float64)
+    return m - m.mean(axis=0, keepdims=True)
+
+
+def orthonormal_projection(m: np.ndarray) -> np.ndarray:
+    """Nearest matrix with orthonormal columns, computed as U V^T from the SVD.
+
+    It is mathematically equal to hard whitening m (m^T m)^{-1/2}, the
+    production filter at a = b = 1, d0 = d, but shares no code with it.
+    Raises RankDeficientError when the smallest singular value is at most
+    ``EPS_RANK`` times the largest.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if s[0] <= 0.0 or s[-1] <= EPS_RANK * s[0]:
+        raise RankDeficientError(
+            f"singular value range [{s[-1]:.3e}, {s[0]:.3e}] is rank deficient"
+        )
+    return u @ vt
 
 
 def dense_ahat(g: Graph) -> np.ndarray:

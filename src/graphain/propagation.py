@@ -138,7 +138,9 @@ def run_fuzzy_r_softgraphain(
     """The deep forward pass of every variant; returns the last layer.
 
     ``variant`` selects the dynamics.  "rsoft" is the full model: the first
-    layer runs without skip connections; later layers mix the centered
+    layer runs without skip connections, and raises as pairnorm does when
+    its centred product is zero to rounding (``_centred_norm``), since the
+    filter would whiten that rounding noise; later layers mix the centered
     aggregate with the fuzzy accumulators, apply the soft filter and the
     activation, then advance the accumulators.  "sgc" is plain repeated
     aggregation and "pairnorm" the unit-scale centering-and-rescaling step.
@@ -178,6 +180,7 @@ def run_fuzzy_r_softgraphain(
             else:
                 if t == 1:
                     b = apply_operator(op, h, agg)
+                    _centred_norm(b, h)
                 else:
                     b = residual_combine(h, s_last, s_init, cfg, op, agg)
                 # the filter's output is a fresh array, so relu may write into it
@@ -203,6 +206,22 @@ def run_fuzzy_r_softgraphain(
     return h
 
 
+def _centred_norm(hp: np.ndarray, h: np.ndarray) -> float:
+    """The Frobenius norm of hp, the centred product of h.
+
+    A finite norm at most n eps |h|_F, the size of the product's rounding
+    error, as when the columns of h are constant and the exact product is
+    zero, raises ``ZeroActivationError``.  Both norms are einsum reductions,
+    not BLAS dot products, whose bytes change with the thread count.
+    """
+    with np.errstate(over="ignore"):  # an overflow is the caller's to check
+        norm = math.sqrt(np.einsum("ij,ij->", hp, hp))
+        floor = h.shape[0] * _EPS * math.sqrt(np.einsum("ij,ij->", h, h))
+    if math.isfinite(norm) and (norm < 1e-300 or norm <= floor):
+        raise ZeroActivationError("centered activation collapsed to zero")
+    return norm
+
+
 def pairnorm_step(
     h: np.ndarray, op: NormalizedOperator, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -211,18 +230,13 @@ def pairnorm_step(
     when it is given.
 
     A norm that is not finite, as when the squares of large features
-    overflow, raises ``NonFiniteActivationError``.  One at most n eps |h|_F,
-    the size of the product's rounding error, as when the columns of h are
-    constant and the exact aggregate is zero, raises ``ZeroActivationError``.
+    overflow, raises ``NonFiniteActivationError``; one zero to rounding
+    raises ``ZeroActivationError`` (``_centred_norm``).
     """
     hp = apply_operator(op, h, out)
-    n = h.shape[0]
-    with np.errstate(over="ignore"):  # checked next
-        norm, floor = float(np.linalg.norm(hp)), n * _EPS * float(np.linalg.norm(h))
+    norm = _centred_norm(hp, h)
     if not math.isfinite(norm):
         raise NonFiniteActivationError(
             f"norm of the centered activation is {norm}, not finite"
         )
-    if norm < 1e-300 or norm <= floor:
-        raise ZeroActivationError("centered activation collapsed to zero")
-    return (math.sqrt(n) / norm) * hp
+    return (math.sqrt(h.shape[0]) / norm) * hp

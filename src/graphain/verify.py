@@ -6,9 +6,11 @@ The test suite asserts on these reports and the `verify` CLI command prints
 them, so conformance is both testable and operable.
 
 Instances come from a deterministic seed walk with a conditioning precheck
-(minimum singular value along the trajectory); near-degenerate spectra make
-elementwise trajectory comparison meaningless, so such draws are skipped the
-same way every run.  The ``host`` suite checks the host's BLAS instead.
+(minimum singular value of the centred product along the trajectory);
+near-degenerate spectra make elementwise trajectory comparison meaningless,
+so such draws are skipped the same way every run.  The reference routes
+(SVD projection, column-mean subtract) are the oracles'.  The ``host``
+suite checks the host's BLAS instead.
 """
 
 from __future__ import annotations
@@ -30,24 +32,15 @@ from .curriculum import (
 )
 from .diagnostics import pairwise_stats
 from .errors import RankDeficientError
-from .graph import (
-    apply_centering,
-    apply_operator,
-    build_graph,
-    csr_matmul,
-    normalized_adjacency,
-)
+from .graph import apply_operator, build_graph, csr_matmul, normalized_adjacency
 from .labels import SoftLabelMatrix, one_hot
-from .linalg import (
-    SpectralFilterParams,
-    orthonormal_projection,
-    principal_subspace_distance,
-    soft_spectral_filter,
-)
+from .linalg import SpectralFilterParams, principal_subspace_distance, soft_spectral_filter
 from .oracles import (
+    apply_centering,
     dense_abar,
     dense_csr,
     label_prop_closed_form,
+    orthonormal_projection,
     oversmoothing_limit_check,
     pga_oracle_hard,
     pga_oracle_residual,
@@ -98,12 +91,12 @@ def _centered_orthonormal(rng, n: int, d: int) -> np.ndarray:
 
 
 def _min_sigma_along_trajectory(g, x0, steps: int) -> float:
-    """Smallest singular value of the centered aggregate seen over a hard run."""
-    op = normalized_adjacency(g, "symmetric")
+    """Smallest singular value of the centred product seen over a hard run."""
+    op = normalized_adjacency(g, "symmetric", centered=True)
     h = x0
     smin = np.inf
     for _ in range(steps):
-        b = apply_centering(apply_operator(op, h))
+        b = apply_operator(op, h)
         s = np.linalg.svd(b, compute_uv=False)
         smin = min(smin, float(s[-1]))
         if smin <= 1e-12:
@@ -120,7 +113,7 @@ def well_conditioned_instances(
 ):
     """Deterministic (graph, start matrix) pairs with n in [10, 50] and
     d in [2, 8] whose hard trajectories keep every singular value of the
-    centered aggregate at or above ``_SIGMA_MIN``."""
+    centred product at or above ``_SIGMA_MIN``."""
     instances = []
     seed = base_seed
     while len(instances) < count:

@@ -14,16 +14,9 @@ import pytest
 from graphain.classifier import loss_and_grad
 from graphain.config import build_experiment_config
 from graphain.experiment import run_experiment, run_seed
-from graphain.graph import (
-    apply_centering,
-    apply_operator,
-    normalized_adjacency,
-)
-from graphain.linalg import (
-    SpectralFilterParams,
-    orthonormal_projection,
-    soft_spectral_filter,
-)
+from graphain.graph import apply_operator, normalized_adjacency
+from graphain.linalg import SpectralFilterParams, soft_spectral_filter
+from graphain.oracles import apply_centering, orthonormal_projection
 from graphain.propagation import (
     PropagationConfig,
     residual_combine,

@@ -153,6 +153,31 @@ class TestCli:
             assert err.startswith("error: [stage dataset] ")
             assert "1 class" in err
 
+    def test_rsoft_on_a_zero_centred_product_exits_2(self, workspace, capsys):
+        # constant feature rows on a path: rsoft's first centred product is
+        # rounding noise, which the run rejects instead of whitening it
+        from graphain.graph import build_graph
+        from graphain.io import save_dataset
+
+        tmp, cfg, _ = workspace
+        cfg.write_text(CFG + "propagation.operator_mode = random_walk\n")
+        n = 12
+        nodes = np.arange(n)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        x = np.tile([0.7, -1.3, 2.1], (n, 1))
+        masks = (nodes[nodes % 3 == 0], nodes[nodes % 3 == 1], nodes[nodes % 3 == 2])
+        path = tmp / "path"
+        save_dataset(build_graph(edges, n, x, y=nodes % 2, masks=masks), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["curriculum", "--graph", str(path), "--config", str(cfg),
+                 "--out", str(tmp / "out")]
+            ) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: [stage propagation] layer 1: "
+                       "centered activation collapsed to zero\n")
+
     def test_overflowing_knn_weight_exits_2(self, workspace, capsys):
         # feature_knn on raw features of norm 1e80 at gamma' = 2: the
         # weights overflow, and the run stops at the aux-graph stage with a

@@ -8,19 +8,15 @@ from graphain.diagnostics import (
     pairwise_stats,
     records_to_csv,
 )
-from graphain.graph import (
-    apply_centering,
-    apply_operator,
-    build_graph,
-    normalized_adjacency,
-)
+from graphain.graph import apply_operator, build_graph, normalized_adjacency
 from graphain.errors import DegenerateGapError
-from graphain.linalg import (
-    SpectralFilterParams,
+from graphain.linalg import SpectralFilterParams, principal_subspace_distance
+from graphain.oracles import (
+    apply_centering,
+    dense_abar,
     orthonormal_projection,
-    principal_subspace_distance,
+    top_d_eigvectors,
 )
-from graphain.oracles import dense_abar, top_d_eigvectors
 from graphain.propagation import PropagationConfig, run_fuzzy_r_softgraphain
 from graphain.synthetic import random_connected_graph, with_masks
 from graphain.verify import hard_whiten

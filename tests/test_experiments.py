@@ -910,6 +910,12 @@ THREAD_RUNS = {
     "csr": {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "200",
             "synthetic.intra_p": "0.05", "synthetic.inter_p": "0.005",
             "propagation.layers": "32"},
+    # pairnorm on the benchmark's wide graph, n = 3000: its two norms span
+    # n x 8 entries, past the size where a BLAS dot product splits across
+    # threads, which n = 600 is not
+    "pairnorm": {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "1000",
+                 "synthetic.intra_p": "0.01", "synthetic.inter_p": "0.0005",
+                 "propagation.layers": "64", "propagation.variant": "pairnorm"},
 }
 
 

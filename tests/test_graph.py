@@ -14,14 +14,13 @@ from graphain.errors import (
 from graphain import graph
 from graphain.graph import (
     OPERATOR_MODES,
-    apply_centering,
     apply_operator,
     build_graph,
     csr_matmul,
     dense_pays,
     normalized_adjacency,
 )
-from graphain.oracles import dense_abar, dense_ahat
+from graphain.oracles import apply_centering, dense_abar, dense_ahat
 from graphain.io import load_dataset, save_dataset
 from graphain.synthetic import (
     SyntheticSpec,

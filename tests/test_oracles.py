@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -12,25 +14,18 @@ from graphain.errors import (
     SingularSystemError,
     TooLargeError,
 )
-from graphain.graph import (
-    apply_centering,
-    apply_operator,
-    build_graph,
-    normalized_adjacency,
-)
+from graphain.graph import apply_operator, build_graph, normalized_adjacency
 from graphain.labels import one_hot
-from graphain.linalg import (
-    SpectralFilterParams,
-    orthonormal_projection,
-    principal_subspace_distance,
-)
+from graphain.linalg import SpectralFilterParams, principal_subspace_distance
 from graphain import diagnostics, oracles
 from graphain.oracles import (
+    apply_centering,
     dense_abar,
     dense_ahat,
     dense_spectrum,
     knn_edges_dense,
     label_prop_closed_form,
+    orthonormal_projection,
     oversmoothing_limit_check,
     pga_oracle_hard,
     pga_oracle_residual,
@@ -183,6 +178,33 @@ def test_oracles_import_no_pipeline_module():
     # the oracles check the pipeline, so they must not run any of it
     bad = _imported_module_parts(oracles.__file__) & PIPELINE_MODULES
     assert not bad, f"oracles.py imports from {sorted(bad)}"
+
+
+def test_oracles_take_only_records_and_the_rank_cutoff_from_production():
+    # the oracles check the production path, so from its modules they take
+    # the Graph and CsrMatrix records and the rank cutoff EPS_RANK, and no
+    # kernel; errors holds the package's exception types
+    taken = set()
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("graphain")):
+            module = node.module.removeprefix("graphain.")
+            if module != "errors":
+                taken.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            taken.update((alias.name, "*") for alias in node.names
+                         if alias.name.startswith("graphain"))
+    assert taken == {("graph", "Graph"), ("graph", "CsrMatrix"), ("linalg", "EPS_RANK")}
+
+
+def test_reference_routes_live_only_in_oracles():
+    # no production module defines the column-mean subtract or the SVD
+    # projection; verify uses the oracles' own
+    for info in pkgutil.iter_modules([str(Path(oracles.__file__).parent)]):
+        module = importlib.import_module(f"graphain.{info.name}")
+        for name in ("apply_centering", "orthonormal_projection"):
+            assert getattr(module, name, getattr(oracles, name)) is getattr(oracles, name), (
+                info.name, name)
+        assert not hasattr(module, "NotSymmetricError"), info.name
 
 
 def test_diagnostics_import_no_head():

@@ -173,6 +173,14 @@ previous tree gave the old config, a projection that drops the column found
 every other byte unchanged, and a fresh run writes each file byte for byte;
 their diagnostics files are untouched.
 
+The three ``pairnorm/`` files pass unedited since ``pairnorm_step`` began
+to take its two norms by ``np.einsum`` instead of ``np.linalg.norm``, whose
+BLAS dot product rounds differently at 1 and 2 threads on long inputs.  A
+fresh run's outputs moved against the previous tree's: every accuracy cell
+and every other exact column is byte-equal; the losses moved by at most
+2.1e-15 relative, the diagnostics by at most 1.4e-15 relative, except the
+roundoff-level ``column_sum_dev``, which moved by at most 1.5e-14 absolute.
+
 Tolerances: accuracies, seeds, config hashes, task indices, splits and the
 (zeroed) wall times must match exactly.  Every other float must satisfy
 ``|new - ref| <= 1e-12 * |ref| + 1e-12``.  Measured against the reference,

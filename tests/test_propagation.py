@@ -9,20 +9,15 @@ from graphain.errors import (
     RankDeficientError,
     ZeroActivationError,
 )
-from graphain.graph import (
-    apply_centering,
-    apply_operator,
-    build_graph,
-    normalized_adjacency,
-)
+from graphain.graph import apply_operator, build_graph, normalized_adjacency
 from graphain import linalg, propagation
-from graphain.linalg import (
-    EPS_RANK,
-    SpectralFilterParams,
+from graphain.linalg import EPS_RANK, SpectralFilterParams, soft_spectral_filter
+from graphain.oracles import (
+    apply_centering,
+    dense_abar,
     orthonormal_projection,
-    soft_spectral_filter,
+    top_d_eigvectors,
 )
-from graphain.oracles import dense_abar, top_d_eigvectors
 from graphain.propagation import (
     PropagationConfig,
     pairnorm_step,
@@ -386,12 +381,29 @@ class TestRunner:
         [("rsoft", RankDeficientError), ("pairnorm", ZeroActivationError)],
     )
     def test_step_errors_name_the_layer(self, variant, error):
-        # regular graph with constant features: the centered aggregate is zero
+        # regular graph with constant features: the centered aggregate is
+        # zero, which both variants reject as a ZeroActivationError, a
+        # RankDeficientError of rank zero
         iu, ju = np.triu_indices(4, k=1)
         g = build_graph(np.column_stack([iu, ju]), 4, np.tile([1.0, -2.0], (4, 1)))
         cfg = _cfg(layers=3, filter=SpectralFilterParams(a=1.0, b=1.0, d0=2))
         with pytest.raises(error, match="^layer 1: "):
             run_fuzzy_r_softgraphain(g, cfg, variant=variant)
+
+    @pytest.mark.parametrize("n", [12, 400])
+    @pytest.mark.parametrize("ab", [1.0, 0.5])
+    def test_rsoft_rejects_a_centred_product_zero_to_rounding(self, n, ab):
+        # constant feature rows on a path: the exact centred product is
+        # zero, and the computed one is rounding noise, which the filter
+        # would whiten to an orthonormal output (a = b = 1) or blow up (0.5);
+        # 12 nodes take the dense product, 400 the CSR kernel
+        g = build_graph([(i, i + 1) for i in range(n - 1)], n, np.tile([0.7, -1.3, 2.1], (n, 1)))
+        assert (normalized_adjacency(g, "random_walk").dense is not None) == (n == 12)
+        cfg = _cfg(alpha=0.9, beta=0.05, gamma=0.05, operator_mode="random_walk",
+                   filter=SpectralFilterParams(a=ab, b=ab, d0=3))
+        with pytest.raises(ZeroActivationError,
+                           match="^layer 1: centered activation collapsed to zero$"):
+            run_fuzzy_r_softgraphain(g, cfg)
 
     @pytest.mark.parametrize("variant", ["sgc", "pairnorm"])
     def test_baselines_observe_each_step(self, variant):

@@ -2,8 +2,9 @@
 ``run_grid.py`` runs the README's two grid specs end to end on one seed,
 runs a heterophilous cell and rejects a misspelled key and an axis over a
 key that a cell does not read, ``bench.py``
-appends its runs to an existing report, and its ``head`` and ``import``
-cases run end to end.
+appends its runs to an existing report, its ``head`` and ``import``
+cases run end to end, and its ``layers`` and ``aux`` cases run end to end
+at tiny shapes, so a rename of a function they wrap by name fails here.
 
 Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
 program API change that breaks a script's imports, or the way it reads
@@ -219,3 +220,62 @@ def test_bench_import_runs(tmp_path):
         )
     )
     assert out.splitlines()[0].startswith("import new import_ms: ")
+
+
+# bench.py loaded as a module, its ``layers`` and ``aux`` shapes cut down to
+# a dense and a CSR graph of 30 and 450 nodes, and one case recorded
+BENCH_TINY = """\
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+dense = dict(clusters=3, nodes_per_cluster=10, intra_p=0.3, inter_p=0.05)
+csr = dict(clusters=3, nodes_per_cluster=150, intra_p=0.02, inter_p=0.002)
+bench.LAYER_CASES = {"dense": (dense, 3, 0.5), "csr": (csr, 3, 0.0)}
+bench.CROSSOVER_N, bench.CROSSOVER_FILL = (64,), (1 / 8,)
+bench.GENERATOR_SPECS = {"dense": dense}
+bench.KNN_ROWS = (40,)
+bench.KNN_EMBEDDINGS = {"dense": dense, "csr": csr}
+bench.KNN_LAYERS, bench.KNN_SCALE_N = 3, 100
+bench.KNN_FEATURES = {"dense": dict(dense, centers_dim=20)}
+bench.record_run(sys.argv[2], "tiny")
+"""
+
+
+def _bench_tiny(tmp_path, case):
+    proc = subprocess.run(
+        [sys.executable, "-c", BENCH_TINY, str(ROOT / "scripts" / "bench.py"), case],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / f"BENCH_{case}.json").read_text(encoding="utf-8"))
+    (run,) = report["runs"]["tiny"]
+    return run["results"]
+
+
+def test_bench_layers_runs_at_tiny_shapes(tmp_path):
+    results = _bench_tiny(tmp_path, "layers")
+    assert [(case["case"], case["product"]) for case in results["cases"]] == [
+        ("dense", "dense"), ("csr", "csr")]
+    for case in results["cases"]:
+        parts = case["parts_us_per_layer"]
+        assert set(parts) == {"spmm", "skip_mix", "filter", "eigh", "other", "wrapped"}
+        # every wrapped function ran in every pass
+        for name in ("spmm", "skip_mix", "filter", "eigh"):
+            assert min(parts[name]["samples"]) > 0, (case["case"], name)
+    (point,) = results["crossover"]
+    assert point["point"] == "n=64 fill=1/8"
+
+
+def test_bench_aux_runs_at_tiny_shapes(tmp_path):
+    results = _bench_tiny(tmp_path, "aux")
+    assert [entry["spec"] for entry in results["generator"]] == ["dense"]
+    assert [entry["n"] for entry in results["knn"]] == [40]
+    assert [(entry["embedding"], entry["n"], "target_ms" in entry)
+            for entry in results["knn_embedding"]] == [("dense", 30, False), ("csr", 450, True)]
+    assert [entry["features"] for entry in results["knn_features"]] == ["dense"]
+    # the count wraps the kNN's one distance kernel, which every search calls
+    for entry in results["knn"] + results["knn_embedding"] + results["knn_features"]:
+        assert entry["knn_products_per_call"] > 0
+        assert entry["knn_block_entries_per_call"] > 0
