@@ -130,7 +130,8 @@ def loss_and_grad(h: np.ndarray, y: np.ndarray, w: np.ndarray, weight_decay: flo
         loss = cross_entropy(logp.T.copy(), y)
         if weight_decay:
             loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
-    return loss, _gradient(h, y.T, w, weight_decay, probs)
+        grad = _gradient(h, y.T, w, weight_decay, probs)
+    return loss, grad
 
 
 def cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:

@@ -53,25 +53,17 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-def _run_pipeline(args, with_curriculum: bool) -> int:
+def _run_pipeline(args) -> int:
     cfg = load_config(args.config)
+    if args.command == "train":
+        cfg = replace(cfg, curriculum=None)
     if args.graph is not None:
         cfg = replace(cfg, dataset_path=str(args.graph), synthetic=None)
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))
-    # only `curriculum` has --export-snapshots: the teacher builds no snapshots
-    export = with_curriculum and args.export_snapshots
-    rows = run_experiment(cfg, with_curriculum=with_curriculum, export_snapshots=export)
+    rows = run_experiment(cfg, export_snapshots=args.export_snapshots)
     sys.stdout.write(rows_to_csv(rows))
     return 0
-
-
-def _cmd_train(args) -> int:
-    return _run_pipeline(args, with_curriculum=False)
-
-
-def _cmd_curriculum(args) -> int:
-    return _run_pipeline(args, with_curriculum=True)
 
 
 def _cmd_verify(args) -> int:
@@ -106,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="one diagnostics row per layer")
     p.set_defaults(func=_cmd_propagate)
 
-    for name, func in (("train", _cmd_train), ("curriculum", _cmd_curriculum)):
+    for name in ("train", "curriculum"):
         p = sub.add_parser(
             name,
             help="supervised baseline" if name == "train" else "full pipeline",
@@ -114,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", default=None, help="dataset directory (overrides config)")
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
+        # the teacher builds no snapshots, so only `curriculum` exports them
         if name == "curriculum":
             p.add_argument("--export-snapshots", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run_pipeline, export_snapshots=False)
 
     p = sub.add_parser("verify", help="run an oracle suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))

@@ -57,6 +57,9 @@ class CurriculumParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's settings.  ``curriculum`` is None for the supervised fit alone
+    (``graphain train``), which then reads no ``curriculum.*`` key."""
+
     dataset_path: str | None
     synthetic: SyntheticSpec | None
     train_frac: float
@@ -64,7 +67,7 @@ class ExperimentConfig:
     propagation: PropagationConfig
     embedding_dim: int
     variant: str
-    curriculum: CurriculumParams
+    curriculum: CurriculumParams | None
     train: TrainConfig
     noisy_features: bool
     seeds: tuple
@@ -132,6 +135,9 @@ def _parse_seeds(raw: str) -> tuple:
 # config, each named by the text an error prints for a key given without it.
 _RSOFT = "propagation.variant = rsoft"
 _CLEAN = "noisy_features = false"
+# None only once `graphain train` drops the section, so it heads each
+# `curriculum.*` key's conditions, whose others read the section
+_CURRICULUM = "a curriculum run, not graphain train"
 _SMOOTHING = "curriculum.n_t > 0"
 _KNN = "curriculum.aux_mode = feature_knn or embedding_knn"
 _SYNTHETIC = "a synthetic graph, not dataset.path"
@@ -139,6 +145,7 @@ _DATASET = "dataset.path set"
 _HOLDS = {
     _RSOFT: lambda cfg: cfg.variant == "rsoft",
     _CLEAN: lambda cfg: not cfg.noisy_features,
+    _CURRICULUM: lambda cfg: cfg.curriculum is not None,
     _SMOOTHING: lambda cfg: cfg.curriculum.n_t > 0,
     _KNN: lambda cfg: cfg.curriculum.aux_mode != "input_graph",
     _SYNTHETIC: lambda cfg: cfg.synthetic is not None,
@@ -208,15 +215,18 @@ _KEYS = (
          attr="variant"),
     _Key("propagation.embedding_dim", int, 8, "working width d (reducer output)",
          attr="embedding_dim"),
-    _Key("curriculum.n_t", int, 10, "smoothing depth"),
+    _Key("curriculum.n_t", int, 10, "smoothing depth", when=(_CURRICULUM,)),
     _Key("curriculum.knn_k", int, 7, "neighbors per node in the auxiliary graph",
-         when=(_SMOOTHING, _KNN)),
+         when=(_CURRICULUM, _SMOOTHING, _KNN)),
     _Key("curriculum.gamma_prime", _finite, 1.0, "auxiliary edge-weight exponent",
-         when=(_SMOOTHING, _KNN)),
-    _Key("curriculum.mask_ratio", _finite, 0.0, "entropy filter ratio in [0, 1]"),
+         when=(_CURRICULUM, _SMOOTHING, _KNN)),
+    _Key("curriculum.mask_ratio", _finite, 0.0, "entropy filter ratio in [0, 1]",
+         when=(_CURRICULUM,)),
     _Key("curriculum.aux_mode", str, "embedding_knn",
-         "input_graph | feature_knn | embedding_knn", when=(_CLEAN, _SMOOTHING)),
-    _Key("curriculum.pacing_epochs", int, 50, "epochs per smoothing task"),
+         "input_graph | feature_knn | embedding_knn",
+         when=(_CURRICULUM, _CLEAN, _SMOOTHING)),
+    _Key("curriculum.pacing_epochs", int, 50, "epochs per smoothing task",
+         when=(_CURRICULUM,)),
     _Key("train.lr", _finite, 0.5, "learning rate"),
     _Key("train.epochs", int, 300, "fine-tune / supervised epochs"),
     _Key("train.weight_decay", _finite, 5e-4, "L2 coefficient"),

@@ -149,16 +149,11 @@ def _arm_rows(cfg: ExperimentConfig, digest: str, seed: int, g: Graph, result):
     return rows
 
 
-def run_seed(
-    cfg: ExperimentConfig,
-    seed: int,
-    with_curriculum: bool = True,
-    diagnostics_path=None,
-    inputs=None,
-):
+def run_seed(cfg: ExperimentConfig, seed: int, diagnostics_path=None, inputs=None):
     """One seed of the pipeline; returns (rows, supervised rows, smoothing
-    snapshots).  The teacher is the supervised arm; without the curriculum
-    the seed ends after it, with rows the supervised rows and snapshots None.
+    snapshots).  The teacher is the supervised arm; a config without a
+    curriculum (``cfg.curriculum`` None) ends the seed after it, with rows
+    the supervised rows and snapshots None.
 
     With ``diagnostics_path``, the per-layer diagnostics of the seed's one
     forward pass are written there as CSV.  ``inputs`` is the run's
@@ -182,9 +177,10 @@ def run_seed(
         records_to_csv(recorder.records, diagnostics_path)
 
     with _stage("teacher"):
-        teacher = run_curriculum(g, h, [], cfg.train, cfg.curriculum.pacing_epochs)
+        # no snapshots, so no pacing task
+        teacher = run_curriculum(g, h, [], cfg.train, 0)
     supervised_rows = _arm_rows(cfg, digest, seed, g, teacher)
-    if not with_curriculum:
+    if cfg.curriculum is None:
         return supervised_rows, supervised_rows, None
 
     with _stage("label-estimation"):
@@ -206,15 +202,13 @@ def run_seed(
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    with_curriculum: bool = True,
-    write_files: bool = True,
-    export_snapshots: bool = False,
+    cfg: ExperimentConfig, write_files: bool = True, export_snapshots: bool = False
 ):
-    """All seeds in order; optionally writes results, diagnostics, and the
-    config echo under cfg.output_dir.  ``export_snapshots`` writes the first
-    seed's smoothing snapshots to cfg.output_dir/snapshots.  A dataset is
-    read and hashed once for all seeds."""
+    """All seeds in order, each as ``run_seed`` runs it; optionally writes
+    results, diagnostics, and the config echo under cfg.output_dir.
+    ``export_snapshots`` writes the first seed's smoothing snapshots, which a
+    config without a curriculum never builds, to cfg.output_dir/snapshots.
+    A dataset is read and hashed once for all seeds."""
     out = Path(cfg.output_dir)
     if write_files:
         out.mkdir(parents=True, exist_ok=True)
@@ -223,11 +217,7 @@ def run_experiment(
     for seed in cfg.seeds:
         diagnostics_path = out / f"diagnostics_seed{seed}.csv" if write_files else None
         rows, _, snapshots = run_seed(
-            cfg,
-            seed,
-            with_curriculum=with_curriculum,
-            diagnostics_path=diagnostics_path,
-            inputs=inputs,
+            cfg, seed, diagnostics_path=diagnostics_path, inputs=inputs
         )
         all_rows.extend(rows)
         if export_snapshots and seed == cfg.seeds[0] and snapshots is not None:

@@ -139,15 +139,15 @@ def run_fuzzy_r_softgraphain(
 
     ``variant`` selects the dynamics.  "rsoft" is the full model: the first
     layer runs without skip connections, and raises as pairnorm does when
-    its centred product is zero to rounding (``_centred_norm``), since the
-    filter would whiten that rounding noise; later layers mix the centered
-    aggregate with the fuzzy accumulators, apply the soft filter and the
-    activation, then advance the accumulators.  "sgc" is plain repeated
-    aggregation and "pairnorm" the unit-scale centering-and-rescaling step.
-    ``reducer`` maps raw features to the working width; without it the
-    feature width is used as-is.  ``observe(t, H_t)`` is called once per
-    layer t = 1..L.  A GraphainError raised in a step carries the failing
-    layer index.
+    the norm of its centred product is not finite or is zero to rounding
+    (``_centred_norm``), since the filter would whiten that rounding noise;
+    later layers mix the centered aggregate with the fuzzy accumulators,
+    apply the soft filter and the activation, then advance the accumulators.
+    "sgc" is plain repeated aggregation and "pairnorm" the unit-scale
+    centering-and-rescaling step.  ``reducer`` maps raw features to the
+    working width; without it the feature width is used as-is.
+    ``observe(t, H_t)`` is called once per layer t = 1..L.  A GraphainError
+    raised in a step carries the failing layer index.
 
     The accumulators start at the first layer: s_last = p s_last + H_t and
     s_init = s_init + q^(t-1) H_t, the decay power advanced before its sum,
@@ -209,15 +209,21 @@ def run_fuzzy_r_softgraphain(
 def _centred_norm(hp: np.ndarray, h: np.ndarray) -> float:
     """The Frobenius norm of hp, the centred product of h.
 
-    A finite norm at most n eps |h|_F, the size of the product's rounding
-    error, as when the columns of h are constant and the exact product is
-    zero, raises ``ZeroActivationError``.  Both norms are einsum reductions,
-    not BLAS dot products, whose bytes change with the thread count.
+    A norm that is not finite, as when the squares of large features
+    overflow, raises ``NonFiniteActivationError``.  A norm at most
+    n eps |h|_F, the size of the product's rounding error, as when the
+    columns of h are constant and the exact product is zero, raises
+    ``ZeroActivationError``.  Both norms are einsum reductions, not BLAS dot
+    products, whose bytes change with the thread count.
     """
-    with np.errstate(over="ignore"):  # an overflow is the caller's to check
+    with np.errstate(over="ignore"):  # an overflow fails the check below
         norm = math.sqrt(np.einsum("ij,ij->", hp, hp))
         floor = h.shape[0] * _EPS * math.sqrt(np.einsum("ij,ij->", h, h))
-    if math.isfinite(norm) and (norm < 1e-300 or norm <= floor):
+    if not math.isfinite(norm):
+        raise NonFiniteActivationError(
+            f"norm of the centered activation is {norm}, not finite"
+        )
+    if norm < 1e-300 or norm <= floor:
         raise ZeroActivationError("centered activation collapsed to zero")
     return norm
 
@@ -227,16 +233,8 @@ def pairnorm_step(
 ) -> np.ndarray:
     """The centred aggregate (``op`` is a centred operator) rescaled to
     Frobenius norm sqrt(n), as a fresh array; the aggregate goes to ``out``
-    when it is given.
-
-    A norm that is not finite, as when the squares of large features
-    overflow, raises ``NonFiniteActivationError``; one zero to rounding
-    raises ``ZeroActivationError`` (``_centred_norm``).
+    when it is given.  A norm that is not finite or zero to rounding raises
+    (``_centred_norm``).
     """
     hp = apply_operator(op, h, out)
-    norm = _centred_norm(hp, h)
-    if not math.isfinite(norm):
-        raise NonFiniteActivationError(
-            f"norm of the centered activation is {norm}, not finite"
-        )
-    return (math.sqrt(h.shape[0]) / norm) * hp
+    return (math.sqrt(h.shape[0]) / _centred_norm(hp, h)) * hp

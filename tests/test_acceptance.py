@@ -7,6 +7,7 @@ them).  Oracle-backed criteria run through the same suites that the
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def test_criterion_10_noisy_features_experiment():
         cfg = build_experiment_config({**kv, "propagation.variant": variant})
         accs = []
         for seed in cfg.seeds:
-            rows, _, _ = run_seed(cfg, seed, with_curriculum=False)
+            rows, _, _ = run_seed(replace(cfg, curriculum=None), seed)
             accs.append([r for r in rows if r.split == "test"][-1].accuracy)
         medians[variant] = float(np.median(accs))
     elapsed = time.perf_counter() - start

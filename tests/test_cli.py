@@ -24,6 +24,9 @@ deterministic_timing = true
 
 SATURATING = "seeds = 0\nsynthetic.nodes_per_cluster = 20\ntrain.lr = 1e300\n"
 
+TINY = ("synthetic.clusters = 3\nsynthetic.nodes_per_cluster = 10\n"
+        "propagation.layers = 4\ndeterministic_timing = true\n")
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -220,6 +223,48 @@ class TestCli:
             warnings.simplefilter("error")
             assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: [stage teacher] loss diverged at epoch 1\n"
+
+    @pytest.mark.parametrize(
+        "command, line, expect",
+        [
+            # the squared Frobenius norm of rsoft's first product overflows
+            ("curriculum", "synthetic.center_spread = 1e160",
+             "[stage propagation] layer 1: norm of the centered activation is inf, not finite"),
+            # the decay term of the loss overflows once the step has grown w
+            ("train", "train.weight_decay = 1e300",
+             "[stage teacher] loss diverged at epoch 2"),
+        ],
+        ids=["rsoft_norm_overflow", "weight_decay_overflow"],
+    )
+    def test_overflow_exits_2_without_a_numpy_warning(
+        self, tmp_path, capsys, command, line, expect
+    ):
+        cfg = tmp_path / "overflow.txt"
+        cfg.write_text(TINY + line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err.splitlines() == [f"error: {expect}"]
+
+    def test_train_neither_echoes_nor_hashes_the_curriculum(self, tmp_path, capsys):
+        # a supervised run reads no curriculum key, so two configs that differ
+        # only in one run alike, under one hash
+        outputs = []
+        for n_t in (2, 5):
+            cfg = tmp_path / f"n_t{n_t}.txt"
+            cfg.write_text(TINY + f"curriculum.n_t = {n_t}\n")
+            out = tmp_path / f"out{n_t}"
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(capsys.readouterr().out)
+            echo = (out / "config_echo.txt").read_text()
+            assert "curriculum." not in echo
+        assert outputs[0] == outputs[1]
+        # the echo fed back to train reproduces the run, hash included
+        assert main(["train", "--config", str(out / "config_echo.txt"),
+                     "--out", str(tmp_path / "again")]) == 0
+        assert capsys.readouterr().out == outputs[0]
 
     def test_d0_above_embedding_dim_exits_2(self, workspace, capsys):
         tmp, cfg, data = workspace

@@ -697,9 +697,14 @@ class TestRunExperiment:
 
     def test_supervised_rows_equal_a_supervised_run(self):
         cfg = build_experiment_config(dict(BASE_KV))
+        supervised = replace(cfg, curriculum=None)
         rows, supervised_rows, _ = run_seed(cfg, 1)
-        alone, same, snapshots = run_seed(cfg, 1, with_curriculum=False)
-        assert supervised_rows == alone and same == alone and snapshots is None
+        alone, same, snapshots = run_seed(supervised, 1)
+        # a supervised run hashes no curriculum key, so only the hash differs
+        assert {r.config_hash for r in alone} == {config_hash(supervised)}
+        assert {r.config_hash for r in supervised_rows} == {config_hash(cfg)}
+        unhashed = [replace(r, config_hash=config_hash(supervised)) for r in supervised_rows]
+        assert unhashed == alone and same == alone and snapshots is None
         assert [r.split for r in alone] == ["train", "val", "test"]
         assert rows != supervised_rows
 
@@ -716,7 +721,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(curriculum, "train_linear", counting)
         cfg = build_experiment_config(dict(BASE_KV))
-        run_seed(cfg, 1, with_curriculum=with_curriculum)
+        run_seed(cfg if with_curriculum else replace(cfg, curriculum=None), 1)
         # the teacher, then n_t + 1 pacing tasks and the fine-tune
         assert len(calls) == (cfg.curriculum.n_t + 3 if with_curriculum else 1)
 
@@ -875,7 +880,9 @@ class TestRunExperiment:
         with np.errstate(all="ignore"), pytest.raises(
             NonFiniteLossError, match=r"^\[stage teacher\] loss diverged at epoch 1$"
         ):
-            run_experiment(cfg, with_curriculum=with_curriculum, write_files=False)
+            run_experiment(
+                cfg if with_curriculum else replace(cfg, curriculum=None), write_files=False
+            )
 
     def test_an_all_masked_curriculum_task_names_its_snapshot(self):
         # At mask_ratio 1 only the train rows survive the entropy filter, and

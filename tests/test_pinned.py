@@ -173,6 +173,16 @@ previous tree gave the old config, a projection that drops the column found
 every other byte unchanged, and a fresh run writes each file byte for byte;
 their diagnostics files are untouched.
 
+The ``config_hash`` column of ``supervised/results.csv`` was rewritten once
+more, from ``b33e8b1afd91`` to ``a9cf8b0195ec``, and no other file or
+column, when ``graphain train`` began to drop the config's curriculum
+section: its echo and hash leave out the six ``curriculum.*`` keys, which
+a supervised run never reads.  Every other byte of the file is unchanged;
+a fresh run writes the new hash, which is the sha256 taken by hand over
+the hashed lines of that run's ``config_echo.txt``, and every other column
+exactly as the previous tree's fresh run did.  The curriculum files'
+hashes did not move.
+
 The three ``pairnorm/`` files pass unedited since ``pairnorm_step`` began
 to take its two norms by ``np.einsum`` instead of ``np.linalg.norm``, whose
 BLAS dot product rounds differently at 1 and 2 threads on long inputs.  A

@@ -1,10 +1,10 @@
 """Every script under ``scripts/`` imports and parses its arguments,
 ``run_grid.py`` runs the README's two grid specs end to end on one seed,
 runs a heterophilous cell and rejects a misspelled key and an axis over a
-key that a cell does not read, ``bench.py``
-appends its runs to an existing report, its ``head`` and ``import``
-cases run end to end, and its ``layers`` and ``aux`` cases run end to end
-at tiny shapes, so a rename of a function they wrap by name fails here.
+key that a cell does not read, ``bench.py`` appends a run to an existing
+report, and its ``head``, ``import``, ``layers`` and ``aux`` cases run end
+to end at tiny shapes, so a rename of a function they wrap by name fails
+here.
 
 Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
 program API change that breaks a script's imports, or the way it reads
@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -108,7 +109,7 @@ def test_grid_runs_the_noisy_features_spec():
     assert len(rows) == 3 * 1 * 2 * 3  # cells x seeds x arms x splits
     for variant in ("rsoft", "sgc", "pairnorm"):
         cfg = build_experiment_config({**NOISY_AXES, "propagation.variant": variant})
-        teacher, _, _ = run_seed(cfg, 1, with_curriculum=False)
+        teacher, _, _ = run_seed(replace(cfg, curriculum=None), 1)
         (test,) = [row for row in rows if (row["propagation.variant"], row["arm"],
                                            row["split"]) == (variant, "supervised", "test")]
         # the supervised arm's test row is the teacher's, as a run without curriculum gives it
@@ -162,68 +163,38 @@ def test_grid_rejects_an_axis_a_cell_does_not_read():
 
 def test_bench_appends_each_run_under_its_label(tmp_path):
     committed = json.loads((ROOT / "BENCH_io.json").read_text(encoding="utf-8"))
+    # the label already holds the report's latest run, so one more run appends
+    earlier = list(committed["runs"].values())[-1][-1:]
     report = tmp_path / "BENCH_io.json"
-    report.write_text(json.dumps(committed), encoding="utf-8")
-    for _ in range(2):
-        out = _run(ROOT / "scripts" / "bench.py", "--case", "io", "--label", "new", cwd=tmp_path)
+    report.write_text(json.dumps({**committed, "runs": {**committed["runs"], "new": earlier}}),
+                      encoding="utf-8")
+    out = _run(ROOT / "scripts" / "bench.py", "--case", "io", "--label", "new", cwd=tmp_path)
     runs = json.loads(report.read_text(encoding="utf-8"))["runs"]
     assert runs["parent"] == committed["runs"]["parent"]
-    assert len(runs["new"]) == 2
+    assert len(runs["new"]) == 2 and runs["new"][0] == earlier[0]
     # the dataset the case saves: bench.py's ``files`` spec at seed 0
     spec = SyntheticSpec(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005,
                          centers_dim=32, seed=0)
     g = with_masks(gen_gaussian_cluster_graph(spec), 0.1, 0.2, 0)
     save_dataset(g, tmp_path / "files")
     size = sum((tmp_path / "files" / name).stat().st_size for name in DATASET_FILES)
-    for run in runs["new"]:
-        results = run["results"]
-        assert (results["n"], results["edges"], results["bytes"]) == (1500, g.num_edges, size)
-        for field in ("load_dataset_ms", "load_dataset_cached_ms", "save_dataset_ms",
-                      "dataset_digest_ms"):
-            assert set(results[field]) == {"median", "iqr", "samples"}
-            assert len(results[field]["samples"]) == committed["repeats"]
-        peaks = results["save_dataset_peak_mb"]
-        assert set(peaks) == {"files", "wide_100k"}
-        assert all(0 < peak < 5 for peak in peaks.values())
+    results = runs["new"][1]["results"]
+    assert (results["n"], results["edges"], results["bytes"]) == (1500, g.num_edges, size)
+    for field in ("load_dataset_ms", "load_dataset_cached_ms", "save_dataset_ms",
+                  "dataset_digest_ms"):
+        assert set(results[field]) == {"median", "iqr", "samples"}
+        assert len(results[field]["samples"]) == committed["repeats"]
+    peaks = results["save_dataset_peak_mb"]
+    assert set(peaks) == {"files", "wide_100k"}
+    assert all(0 < peak < 5 for peak in peaks.values())
     assert out.splitlines()[0].startswith("io new load_dataset_ms: ")
     assert out.splitlines()[0].count(",") == 1
 
 
-def test_bench_head_runs(tmp_path):
-    out = _run(ROOT / "scripts" / "bench.py", "--case", "head", "--label", "new", cwd=tmp_path)
-    report = json.loads((tmp_path / "BENCH_head.json").read_text(encoding="utf-8"))
-    (run,) = report["runs"]["new"]
-    assert list(run["results"]) == ["3 classes", "7 classes"]
-    for entries in run["results"].values():
-        assert [entry["rows"] for entry in entries] == [30, 300, 3000, 100_002]
-        for entry in entries:
-            for field in ("loss_and_grad_us_per_call", "train_linear_us_per_epoch"):
-                assert len(entry[field]["samples"]) == report["repeats"]
-    assert out.splitlines()[1].startswith(
-        "head new 3 classes rows=30 train_linear_us_per_epoch: "
-    )
-
-
-def test_bench_import_runs(tmp_path):
-    out = _run(ROOT / "scripts" / "bench.py", "--case", "import", "--label", "new", cwd=tmp_path)
-    report = json.loads((tmp_path / "BENCH_import.json").read_text(encoding="utf-8"))
-    (run,) = report["runs"]["new"]
-    results = run["results"]
-    assert results["spec"] == "wide"
-    for field in ("import_ms", "import_rss_mb", "seed_rss_mb"):
-        assert len(results[field]["samples"]) == report["repeats"]
-    # the seed runs in the interpreter that imported, so its peak includes the import's
-    assert all(
-        seed >= imported
-        for seed, imported in zip(
-            results["seed_rss_mb"]["samples"], results["import_rss_mb"]["samples"]
-        )
-    )
-    assert out.splitlines()[0].startswith("import new import_ms: ")
-
-
 # bench.py loaded as a module, its ``layers`` and ``aux`` shapes cut down to
-# a dense and a CSR graph of 30 and 450 nodes, and one case recorded
+# a dense and a CSR graph of 30 and 450 nodes, its ``head`` rows to one
+# size and its ``import`` seed to a 30-node, 2-layer run, and one case run
+# as ``bench.py --case <case> --label tiny``
 BENCH_TINY = """\
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("bench", sys.argv[1])
@@ -238,11 +209,18 @@ bench.KNN_ROWS = (40,)
 bench.KNN_EMBEDDINGS = {"dense": dense, "csr": csr}
 bench.KNN_LAYERS, bench.KNN_SCALE_N = 3, 100
 bench.KNN_FEATURES = {"dense": dict(dense, centers_dim=20)}
-bench.record_run(sys.argv[2], "tiny")
+bench.HEAD_ROWS = (300,)
+bench.WIDE_SEED = {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "10",
+                   "propagation.layers": "2", "curriculum.n_t": "1",
+                   "curriculum.pacing_epochs": "2", "train.epochs": "5", "seeds": "0"}
+sys.argv[1:] = ["--case", sys.argv[2], "--label", "tiny"]
+bench.main()
 """
 
 
 def _bench_tiny(tmp_path, case):
+    """The results of the case's one tiny run, the report's repeats, and
+    what bench.py printed."""
     proc = subprocess.run(
         [sys.executable, "-c", BENCH_TINY, str(ROOT / "scripts" / "bench.py"), case],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -251,11 +229,39 @@ def _bench_tiny(tmp_path, case):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / f"BENCH_{case}.json").read_text(encoding="utf-8"))
     (run,) = report["runs"]["tiny"]
-    return run["results"]
+    return run["results"], report["repeats"], proc.stdout
+
+
+def test_bench_head_runs(tmp_path):
+    results, repeats, out = _bench_tiny(tmp_path, "head")
+    assert list(results) == ["3 classes", "7 classes"]
+    for entries in results.values():
+        assert [entry["rows"] for entry in entries] == [300]
+        for entry in entries:
+            for field in ("loss_and_grad_us_per_call", "train_linear_us_per_epoch"):
+                assert len(entry[field]["samples"]) == repeats
+    assert out.splitlines()[1].startswith(
+        "head tiny 3 classes rows=300 train_linear_us_per_epoch: "
+    )
+
+
+def test_bench_import_runs(tmp_path):
+    results, repeats, out = _bench_tiny(tmp_path, "import")
+    assert results["spec"] == "wide"
+    for field in ("import_ms", "import_rss_mb", "seed_rss_mb"):
+        assert len(results[field]["samples"]) == repeats
+    # the seed runs in the interpreter that imported, so its peak includes the import's
+    assert all(
+        seed >= imported
+        for seed, imported in zip(
+            results["seed_rss_mb"]["samples"], results["import_rss_mb"]["samples"]
+        )
+    )
+    assert out.splitlines()[0].startswith("import tiny import_ms: ")
 
 
 def test_bench_layers_runs_at_tiny_shapes(tmp_path):
-    results = _bench_tiny(tmp_path, "layers")
+    results, _, _ = _bench_tiny(tmp_path, "layers")
     assert [(case["case"], case["product"]) for case in results["cases"]] == [
         ("dense", "dense"), ("csr", "csr")]
     for case in results["cases"]:
@@ -269,7 +275,7 @@ def test_bench_layers_runs_at_tiny_shapes(tmp_path):
 
 
 def test_bench_aux_runs_at_tiny_shapes(tmp_path):
-    results = _bench_tiny(tmp_path, "aux")
+    results, _, _ = _bench_tiny(tmp_path, "aux")
     assert [entry["spec"] for entry in results["generator"]] == ["dense"]
     assert [entry["n"] for entry in results["knn"]] == [40]
     assert [(entry["embedding"], entry["n"], "target_ms" in entry)
