@@ -32,16 +32,21 @@ layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
         n = 9000 at ``wide``'s degree, 64 layers, all at p = q = 0.5; and the
         ``wide`` spec (n = 3000) at p = q = 0, 64 layers, as the benchmark's
         ``wide`` runs it.  Each case records the operator product it ran
-        (``dense`` or ``csr``, ``graph.dense_pays``) and also splits a layer
+        (``dense`` or ``csc``, ``graph.dense_pays``) and also splits a layer
         into its parts, from a second set of passes with a timer around each
         part: the centred operator product (``spmm``, whichever product
         ran), the skip mix, the filter and the ``eigh`` inside it
         (``sym_eig``), and the rest of the layer.  The timers add their own
         cost to those passes, whose whole time is reported as ``wrapped``.
-        The ``crossover`` sweep times one product of the CSR kernel and of
-        the dense GEMM (us per product, width 8) on random graphs at n = 64
-        to 512 and 1/64 to 1/4 of the entries filled, the numbers behind
-        ``dense_pays``.
+        The ``kernels`` rows time one product of scipy's CSR kernel
+        (``csr_matvecs``, on the CSR arrays of ``oracles.csr_arrays``) and
+        of its CSC kernel (``graph.csc_matmul``) on the same operator (us
+        per product, width 8), after checking that the two give the same
+        bytes: on the benchmark's ``wide`` and ``files`` graphs and on
+        3 x 33,333 nodes at ``wide``'s expected degree.  The ``crossover``
+        sweep times one product of the CSC kernel and of the dense GEMM
+        (same units) on random graphs at n = 64 to 512 and 1/64 to 1/4 of
+        the entries filled, the numbers behind ``dense_pays``.
 import  a fresh interpreter per repeat: the wall time of ``import
         graphain.experiment`` (ms), ``ru_maxrss`` after it and after one
         ``run_experiment`` seed of the benchmark's ``wide`` spec (MB, 2^20
@@ -81,10 +86,10 @@ from graphain import curriculum, io, linalg, propagation
 from graphain.classifier import TrainConfig, loss_and_grad, make_reducer, train_linear
 from graphain.config import build_experiment_config
 from graphain.curriculum import build_knn_aux_graph
-from graphain.graph import build_graph, csr_matmul, dense_pays, normalized_adjacency
+from graphain.graph import _sparsetools, build_graph, csc_matmul, dense_pays, normalized_adjacency
 from graphain.io import DATASET_FILES, dataset_digest, load_dataset, save_dataset
 from graphain.labels import SoftLabelMatrix
-from graphain.oracles import dense_csr
+from graphain.oracles import csr_arrays, dense_csc
 from graphain.propagation import run_fuzzy_r_softgraphain
 from graphain.synthetic import SyntheticSpec, gen_gaussian_cluster_graph, with_masks
 
@@ -128,6 +133,8 @@ LAYER_CASES = {
     ),
     "wide_n3000_L64": (GENERATOR_SPECS["wide"], 64, 0.0),
 }
+# The graphs whose operators the kernels rows multiply by.
+KERNEL_SPECS = {name: GENERATOR_SPECS[name] for name in ("wide", "files", "wide_100k")}
 # The crossover sweep: node counts, shares of the n^2 entries filled, width.
 CROSSOVER_N, CROSSOVER_FILL, CROSSOVER_WIDTH = (64, 128, 192, 256, 320, 384, 448, 512), (
     1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4), 8
@@ -375,14 +382,44 @@ def _layer_case(name):
     run = partial(run_fuzzy_r_softgraphain, g, cfg.propagation, reducer=reducer)
     op = normalized_adjacency(g)
     return {"case": name, "n": g.n, "operator_nnz": op.matrix.nnz,
-            "product": "csr" if op.dense is None else "dense",
+            "product": "csc" if op.dense is None else "dense",
             "width": cfg.embedding_dim, "layers": layers, "p_q": decay,
             "us_per_layer": _timed(run, 1e6 / layers),
             "parts_us_per_layer": _timed_parts(run, 1e6 / layers)}
 
 
+def _kernels(name):
+    """One product of scipy's CSR and CSC kernels, width ``CROSSOVER_WIDTH``,
+    on the operator of the graph of ``KERNEL_SPECS[name]``, which give the
+    same bytes."""
+    g = gen_gaussian_cluster_graph(SyntheticSpec(**KERNEL_SPECS[name], seed=0))
+    a = normalized_adjacency(g).matrix
+    indptr, indices, data = csr_arrays(a)
+    m = np.random.default_rng(0).standard_normal((g.n, CROSSOVER_WIDTH))
+    out = np.empty_like(m)
+
+    def csr_product(m, out):
+        out[...] = 0.0
+        _sparsetools.csr_matvecs(
+            g.n, g.n, m.shape[1], indptr, indices, data, m.ravel(), out.ravel()
+        )
+        return out
+
+    if csr_product(m, out).tobytes() != csc_matmul(a, m).tobytes():
+        raise RuntimeError(f"{name}: scipy's CSR and CSC kernels give different bytes")
+    count = max(5, 20_000_000 // a.nnz)
+
+    def products(product):
+        for _ in range(count):
+            product(m, out=out)
+
+    return {"spec": name, "n": g.n, "nnz": a.nnz, "products_per_repeat": count,
+            "csr_us": _timed(partial(products, csr_product), 1e6 / count),
+            "csc_us": _timed(partial(products, partial(csc_matmul, a)), 1e6 / count)}
+
+
 def _crossover(n, fill):
-    """One product of the CSR kernel and of the dense GEMM on a random graph
+    """One product of the CSC kernel and of the dense GEMM on a random graph
     of n nodes with about ``fill`` of its n^2 operator entries stored."""
     rng = np.random.default_rng([n, round(1 / fill)])
     iu, ju = np.triu_indices(n, k=1)
@@ -390,7 +427,7 @@ def _crossover(n, fill):
     a = normalized_adjacency(
         build_graph(np.column_stack([iu[pick], ju[pick]]), n, np.zeros((n, 1)))
     ).matrix
-    dense = dense_csr(a)
+    dense = dense_csc(a)
     m = rng.standard_normal((n, CROSSOVER_WIDTH))
     out = np.empty_like(m)
     count = max(50, 2_000_000 // (n * n))
@@ -402,7 +439,7 @@ def _crossover(n, fill):
     return {"point": f"n={n} fill=1/{round(1 / fill)}", "nnz": a.nnz,
             "dense_pays": dense_pays(n, a.nnz),
             "products_per_repeat": count,
-            "csr_us": _timed(partial(products, partial(csr_matmul, a)), 1e6 / count),
+            "csc_us": _timed(partial(products, partial(csc_matmul, a)), 1e6 / count),
             "dense_us": _timed(partial(products, partial(np.matmul, dense)), 1e6 / count)}
 
 
@@ -436,6 +473,7 @@ CASES = {
     "io": ({"spec": "files", "unit": "ms"}, _dataset_io),
     "layers": ({"unit": "us per layer or product"},
                lambda: {"cases": [_layer_case(name) for name in LAYER_CASES],
+                        "kernels": [_kernels(name) for name in KERNEL_SPECS],
                         "crossover": [_crossover(n, fill) for n in CROSSOVER_N
                                       for fill in CROSSOVER_FILL]}),
     "import": ({"spec": "wide", "unit": "ms or MB"}, _import_and_seed),

@@ -25,7 +25,7 @@ from .classifier import (
     train_linear,
 )
 from .errors import EmptyIncludeError, NonFiniteFeatureError, RowNotStochasticError
-from .graph import CsrMatrix, Graph, csr_from_coo, csr_matmul
+from .graph import CscMatrix, Graph, csc_from_coo, csc_matmul
 from .io import float_rows, write_table
 from .labels import SoftLabelMatrix, one_hot, one_hot_matrix
 
@@ -439,9 +439,10 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
     return AuxGraph(n=n, edges=edges, weights=weights)
 
 
-def aux_transition_matrix(aux: AuxGraph) -> CsrMatrix:
-    """Row-stochastic transition matrix; nodes with no positive-weight
-    neighbor fall back to a self-loop row."""
+def aux_transition_matrix(aux: AuxGraph) -> CscMatrix:
+    """Row-stochastic transition matrix, stored by columns by the one sort
+    of ``graph.csc_from_coo``; nodes with no positive-weight neighbor fall
+    back to a self-loop row."""
     pos = aux.weights > 0.0
     i = aux.edges[pos, 0]
     j = aux.edges[pos, 1]
@@ -453,7 +454,7 @@ def aux_transition_matrix(aux: AuxGraph) -> CsrMatrix:
     cols = np.concatenate([j, i, orphan])
     deg_safe = np.where(deg > 0.0, deg, 1.0)
     vals = np.concatenate([w, np.ones(orphan.size)]) / deg_safe[rows]
-    return csr_from_coo(rows, cols, vals, aux.n)
+    return csc_from_coo(rows, cols, vals, aux.n)
 
 
 def _row_entropies(y: np.ndarray) -> np.ndarray:
@@ -493,7 +494,9 @@ def entropy_filter(
 def smooth_labels(aux: AuxGraph | None, y0: SoftLabelMatrix, n_t: int) -> list:
     """Iteratively diffuse soft labels over the auxiliary graph.
 
-    Returns all n_t + 1 snapshots; at n_t = 0 ``aux`` is not read.  Masked rows stay pinned at zero; the
+    Returns all n_t + 1 snapshots; at n_t = 0 ``aux`` is not read.  Each
+    step is one product with the transition matrix (``graph.csc_matmul``,
+    the bytes of scipy's CSR kernel).  Masked rows stay pinned at zero; the
     remaining rows are renormalized after every diffusion step so each
     snapshot keeps exact unit row sums.
     """
@@ -505,7 +508,7 @@ def smooth_labels(aux: AuxGraph | None, y0: SoftLabelMatrix, n_t: int) -> list:
     p = aux_transition_matrix(aux)
     y, masked = y0.y, y0.masked
     for _ in range(n_t):  # each step makes a fresh y and mask for its snapshot
-        y = csr_matmul(p, y)
+        y = csc_matmul(p, y)
         y[masked] = 0.0
         sums = y.sum(axis=1)
         masked = masked | (sums <= _DEAD_ROW)

@@ -11,30 +11,38 @@ is Â - 1 c^T / n, c the column sums of Â, whose product is that of the plain
 operator with its column means subtracted, to rounding, in one pass.  The
 separate column-mean subtract is the oracles' (``oracles.apply_centering``).
 
-Sparse matrices are ``CsrMatrix`` records of numpy arrays, and scipy serves
-only its compiled CSR kernel (``csr_matvecs``), loaded from its extension
-file.  Importing ``scipy.sparse`` to reach it would cost about 18 MB of RSS
-and most of a run's set-up time, as its package ``__init__`` loads scipy's
-array-API layer with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; the
-extension alone costs about 1.5 MB.  If a scipy release moves or renames
-``scipy/sparse/_sparsetools``, importing this module raises ImportError
-naming the path it looked for.
+Sparse matrices are ``CscMatrix`` records of numpy arrays, stored by
+columns, and scipy serves only its compiled CSC kernel (``csc_matvecs``),
+loaded from its extension file.  The CSC kernel walks the columns in
+ascending order, so each output row takes its entries in ascending column
+order, as the CSR kernel (``csr_matvecs``) adds them, with the same
+``y += a x``: the two give the same bytes, which ``graphain verify --suite
+host`` checks, and the CSC kernel is faster the longer the rows, as each
+step writes a different output row (``scripts/bench.py --case layers``,
+``kernels``).  Importing ``scipy.sparse`` to reach it would cost about 18 MB
+of RSS and most of a run's set-up time, as its package ``__init__`` loads
+scipy's array-API layer with ``numpy.f2py``, ``numpy.testing`` and
+``numpy.ma``; the extension alone costs about 1.5 MB.  If a scipy release
+moves or renames ``scipy/sparse/_sparsetools``, importing this module raises
+ImportError naming the path it looked for.
 
 A small operator with many entries for its size is also kept as a read-only
 dense (n, n) array, centred or not, and ``apply_operator`` multiplies by it
-with one BLAS GEMM (``np.matmul``), which beats the CSR kernel from about
-one entry in 16 filled (``scripts/bench.py --case layers``, ``crossover``).
-The CSR kernel starts a centred product's rows at -c^T m / n.  The rule reads
-only n and the entry count: ``dense_pays`` holds when n is at most
+with one BLAS GEMM (``np.matmul``), which beat the CSR kernel from about one
+entry in 16 filled (``scripts/bench.py --case layers``, ``crossover``); it
+beats the CSC kernel from about one in 8 at n = 256 to 384, but the rule
+stays, as a graph that switched paths would move its bytes.  The sparse
+kernel starts a centred product's rows at -c^T m / n.  The rule
+reads only n and the entry count: ``dense_pays`` holds when n is at most
 ``_DENSE_MAX_N`` and n^2 at most ``_DENSE_FILL`` times the entries.  The
 cap keeps each product byte-identical at 1 and 2 BLAS threads: with
 OpenBLAS 0.3.31's SkylakeX kernel the bytes of (n x n) @ (n x d) agreed at
 every n <= 384 and d <= 96 swept, and differed from n = 385 (d >= 8) and,
 at some n, from d = 105, so products wider than ``_DENSE_MAX_WIDTH``
-columns take the CSR kernel as well.  A BLAS that blocks its inner
+columns take the sparse kernel as well.  A BLAS that blocks its inner
 dimension more finely may round differently at 1 and 2 threads below
 these bounds, which ``graphain verify --suite host`` checks.  The dense and
-CSR products agree to rounding, not bit for bit.
+sparse products agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from .errors import (
 OPERATOR_MODES = ("symmetric", "random_walk")
 # Operators of at most _DENSE_MAX_N nodes and at least one entry in
 # _DENSE_FILL are also kept dense; products wider than _DENSE_MAX_WIDTH
-# columns take the CSR kernel.
+# columns take the sparse kernel.
 _DENSE_MAX_N, _DENSE_FILL, _DENSE_MAX_WIDTH = 384, 16, 64
 
 
@@ -75,7 +83,7 @@ def _load_sparsetools():
         return sys.modules[name]
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
-        raise ImportError("graphain needs scipy's compiled CSR kernel; scipy is not installed")
+        raise ImportError("graphain needs scipy's compiled sparse kernels; scipy is not installed")
     directory = Path(scipy_spec.submodule_search_locations[0]) / "sparse"
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     finder = importlib.machinery.FileFinder(
@@ -84,7 +92,7 @@ def _load_sparsetools():
     spec = finder.find_spec(name)
     if spec is None:
         path = directory / f"_sparsetools{suffixes[0]}"
-        raise ImportError(f"scipy's CSR kernel is not at {path}", name=name, path=str(path))
+        raise ImportError(f"scipy's sparse kernels are not at {path}", name=name, path=str(path))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules.pop(name, None)
@@ -123,14 +131,14 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class CsrMatrix:
-    """A sparse matrix in compressed sparse rows: the arrays of
-    ``scipy.sparse.csr_matrix((data, indices, indptr), shape)``, with the
-    columns of each row sorted and no duplicate entries."""
+class CscMatrix:
+    """A sparse matrix in compressed sparse columns: the arrays of
+    ``scipy.sparse.csc_matrix((data, indices, indptr), shape)``, with the
+    rows of each column sorted and no duplicate entries."""
 
     shape: tuple
-    indptr: np.ndarray   # (rows + 1,) int32, or int64 past 2^31 - 1 entries
-    indices: np.ndarray  # (nnz,) column of each entry, indptr's dtype
+    indptr: np.ndarray   # (cols + 1,) int32, or int64 past 2^31 - 1 entries
+    indices: np.ndarray  # (nnz,) row of each entry, indptr's dtype
     data: np.ndarray     # (nnz,) float64
 
     @property
@@ -138,22 +146,22 @@ class CsrMatrix:
         return int(self.indices.size)
 
 
-def csr_from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> CsrMatrix:
-    """The n x n CSR form of duplicate-free (row, col, value) triples.
+def csc_from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> CscMatrix:
+    """The n x n CSC form of duplicate-free (row, col, value) triples.
 
-    One sort on ``row * n + col`` orders the entries and ``indptr`` is the
-    cumulative row count, so the arrays equal those of
-    ``scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()``,
+    One sort on ``col * n + row`` orders the entries and ``indptr`` is the
+    cumulative column count, so the arrays equal those of
+    ``scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()``,
     int32 indices included while n and the entry count fit in them.  The
     keys are unique, so the default sort gives the one sorted order, at half
     the cost of a stable one.
     """
-    order = np.argsort(rows * n + cols)
+    order = np.argsort(cols * n + rows)
     dtype = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    matrix = CsrMatrix(
-        shape=(n, n), indptr=indptr, indices=cols[order].astype(dtype), data=vals[order]
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    matrix = CscMatrix(
+        shape=(n, n), indptr=indptr, indices=rows[order].astype(dtype), data=vals[order]
     )
     for arr in (matrix.indptr, matrix.indices, matrix.data):
         arr.setflags(write=False)
@@ -166,7 +174,7 @@ class NormalizedOperator:
     a centred operator, Â - 1 c^T / n, also holds ``shift`` = -c / n.
     ``dense`` is the operator as a read-only array when ``dense_pays``."""
 
-    matrix: CsrMatrix
+    matrix: CscMatrix
     dense: np.ndarray | None = None  # (n, n) float64, or None
     shift: np.ndarray | None = None  # (n,) float64, or None
 
@@ -267,7 +275,7 @@ def build_graph(edge_list, n: int, x, y=None, masks=None) -> Graph:
 def normalized_adjacency(
     g: Graph, mode: str = "symmetric", centered: bool = False
 ) -> NormalizedOperator:
-    """Build Â = D^{-1/2} (A+I) D^{-1/2} or D^{-1} (A+I) as a CSR matrix, and
+    """Build Â = D^{-1/2} (A+I) D^{-1/2} or D^{-1} (A+I) as a CSC matrix, and
     the operator, Â or when ``centered`` Â - 1 c^T / n, as a dense array too
     when ``dense_pays``.  c sums each column over the rows in order.
 
@@ -287,10 +295,11 @@ def normalized_adjacency(
         vals = inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
     else:
         vals = 1.0 / degrees[rows]
-    matrix = csr_from_coo(rows, cols, vals, n)
+    matrix = csc_from_coo(rows, cols, vals, n)
     dense = shift = None
     if centered:
-        shift = np.bincount(matrix.indices, weights=matrix.data, minlength=n) / -n
+        column = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        shift = np.bincount(column, weights=matrix.data, minlength=n) / -n
         shift.setflags(write=False)
     if dense_pays(n, matrix.nnz):
         dense = np.zeros((n, n))
@@ -308,16 +317,17 @@ def _check_shape(shape: tuple, m: np.ndarray) -> None:
         )
 
 
-def csr_matmul(
-    a: CsrMatrix, m: np.ndarray, out: np.ndarray | None = None, start=0.0
+def csc_matmul(
+    a: CscMatrix, m: np.ndarray, out: np.ndarray | None = None, start=0.0
 ) -> np.ndarray:
     """The one sparse-times-dense product: ``start + a @ m``, written into the
     C-contiguous (rows, k) float64 ``out`` when it is given (and returned).
 
-    It calls scipy's CSR kernel ``csr_matvecs`` as ``csr_matrix @ m`` does,
+    It calls scipy's CSC kernel ``csc_matvecs`` as ``csc_matrix @ m`` does,
     on the rows of m in C order and an output filled with ``start``, zero (so
-    scipy's bits) or a (k,) row.  Row-major accumulation over each CSR row
-    keeps it bit-reproducible.  ``out`` must not overlap m.
+    scipy's bits) or a (k,) row.  Each output row takes its entries in
+    ascending column order, as scipy's CSR kernel adds them, which keeps it
+    bit-reproducible.  ``out`` must not overlap m.
     """
     m = np.asarray(m, dtype=np.float64)
     _check_shape(a.shape, m)
@@ -325,7 +335,7 @@ def csr_matmul(
     if out is None:
         out = np.empty((rows, m.shape[1]))
     out[...] = start
-    _sparsetools.csr_matvecs(
+    _sparsetools.csc_matvecs(
         rows, cols, m.shape[1], a.indptr, a.indices, a.data, m.ravel(), out.ravel()
     )
     return out
@@ -334,15 +344,15 @@ def csr_matmul(
 def apply_operator(
     op: NormalizedOperator, m: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The product with the operator, under ``csr_matmul``'s contract:
+    """The product with the operator, under ``csc_matmul``'s contract:
     ``np.matmul(op.dense, m, out=out)`` when the operator is kept dense and
-    m has at most ``_DENSE_MAX_WIDTH`` columns, else ``csr_matmul`` on Â,
-    scipy's CSR kernel bit for bit, started at the row ``op.shift @ m`` when
-    the operator is centred."""
+    m has at most ``_DENSE_MAX_WIDTH`` columns, else ``csc_matmul`` on Â,
+    scipy's sparse kernels bit for bit, started at the row ``op.shift @ m``
+    when the operator is centred."""
     m = np.asarray(m, dtype=np.float64)
     _check_shape(op.matrix.shape, m)
     if op.dense is not None and m.shape[1] <= _DENSE_MAX_WIDTH:
         return np.matmul(op.dense, m, out=out)
     # einsum, not a BLAS GEMV, whose bytes change with the thread count
     start = 0.0 if op.shift is None else np.einsum("i,ij->j", op.shift, m)
-    return csr_matmul(op.matrix, m, out, start)
+    return csc_matmul(op.matrix, m, out, start)

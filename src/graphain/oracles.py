@@ -2,9 +2,10 @@
 
 Everything here materializes n x n matrices or takes an SVD and uses LAPACK
 through numpy, deliberately sharing no kernels with the production path,
-whose modules lend it only the ``Graph`` and ``CsrMatrix`` records and
+whose modules lend it only the ``Graph`` and ``CscMatrix`` records and
 ``EPS_RANK``.  The reference routes no run calls live here too: the
-column-mean subtract and the SVD projection U V^T.  A hard size cap keeps
+column-mean subtract, the SVD projection U V^T and the CSR arrays of a
+sparse matrix, which scipy's CSR kernel reads.  A hard size cap keeps
 the O(n^3) work confined to verification.
 """
 
@@ -20,7 +21,7 @@ from .errors import (
     SingularSystemError,
     TooLargeError,
 )
-from .graph import CsrMatrix, Graph
+from .graph import CscMatrix, Graph
 from .linalg import EPS_RANK
 
 DENSE_CAP = 2000
@@ -67,12 +68,24 @@ def dense_ahat(g: Graph) -> np.ndarray:
     return a * np.outer(scale, scale)
 
 
-def dense_csr(a: CsrMatrix) -> np.ndarray:
-    """Dense form of a CSR matrix: each stored entry written in place."""
+def dense_csc(a: CscMatrix) -> np.ndarray:
+    """Dense form of a CSC matrix: each stored entry written in place."""
     _check_cap(max(a.shape))
     dense = np.zeros(a.shape)
-    dense[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices] = a.data
+    dense[a.indices, np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))] = a.data
     return dense
+
+
+def csr_arrays(a: CscMatrix) -> tuple:
+    """(indptr, indices, data) of ``a`` in compressed sparse rows, the
+    columns of each row sorted, by one sort of its entries on
+    ``row * cols + col``: the arrays scipy's CSR kernel reads."""
+    rows, cols = a.shape
+    col = np.repeat(np.arange(cols, dtype=a.indptr.dtype), np.diff(a.indptr))
+    order = np.argsort(a.indices.astype(np.int64) * cols + col)
+    indptr = np.zeros(rows + 1, dtype=a.indptr.dtype)
+    np.cumsum(np.bincount(a.indices, minlength=rows), out=indptr[1:])
+    return indptr, col[order], a.data[order]
 
 
 def dense_abar(g: Graph) -> np.ndarray:
@@ -220,7 +233,7 @@ def label_prop_closed_form(
     """Exact limit of clamped label propagation by a dense linear solve.
 
     ``p`` is the dense row-stochastic transition matrix of the auxiliary
-    graph (``dense_csr(aux_transition_matrix(aux))``), ``y_l`` holds the
+    graph (``dense_csc(aux_transition_matrix(aux))``), ``y_l`` holds the
     clamped rows aligned with ``labeled_set``.  Raises SingularSystemError
     when some unlabeled node cannot be reached from any labeled node through
     positive transition entries.

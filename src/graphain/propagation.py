@@ -19,7 +19,7 @@ scaled layer added to an accumulator.  Each layer itself is still a fresh
 array, the filter's output.  rsoft and pairnorm multiply by the centred
 operator, so the product comes out centred; sgc multiplies by the plain
 one.  The product is ``graph.apply_operator``: one BLAS GEMM on the dense
-form of a small, well-filled operator (``graph.dense_pays``), scipy's CSR
+form of a small, well-filled operator (``graph.dense_pays``), scipy's CSC
 kernel otherwise.
 """
 
@@ -143,9 +143,11 @@ def run_fuzzy_r_softgraphain(
     (``_centred_norm``), since the filter would whiten that rounding noise;
     later layers mix the centered aggregate with the fuzzy accumulators,
     apply the soft filter and the activation, then advance the accumulators.
-    "sgc" is plain repeated aggregation and "pairnorm" the unit-scale
-    centering-and-rescaling step.  ``reducer`` maps raw features to the
-    working width; without it the feature width is used as-is.
+    "sgc" is plain repeated aggregation, which raises at the first layer
+    when the norm of its product is not finite (``_finite_norm``), and
+    "pairnorm" the unit-scale centering-and-rescaling step.  ``reducer``
+    maps raw features to the working width; without it the feature width
+    is used as-is.
     ``observe(t, H_t)`` is called once per layer t = 1..L.  A GraphainError
     raised in a step carries the failing layer index.
 
@@ -175,6 +177,8 @@ def run_fuzzy_r_softgraphain(
         try:
             if variant == "sgc":
                 h = apply_operator(op, h)
+                if t == 1:
+                    _finite_norm(h, "activation")
             elif variant == "pairnorm":
                 h = pairnorm_step(h, op, agg)
             else:
@@ -206,23 +210,30 @@ def run_fuzzy_r_softgraphain(
     return h
 
 
-def _centred_norm(hp: np.ndarray, h: np.ndarray) -> float:
-    """The Frobenius norm of hp, the centred product of h.
+def _finite_norm(hp: np.ndarray, what: str) -> float:
+    """The Frobenius norm of hp, the ``what`` of a layer.
 
     A norm that is not finite, as when the squares of large features
-    overflow, raises ``NonFiniteActivationError``.  A norm at most
-    n eps |h|_F, the size of the product's rounding error, as when the
-    columns of h are constant and the exact product is zero, raises
-    ``ZeroActivationError``.  Both norms are einsum reductions, not BLAS dot
-    products, whose bytes change with the thread count.
+    overflow, raises ``NonFiniteActivationError``.  The norm is an einsum
+    reduction, not a BLAS dot product, whose bytes change with the thread
+    count.
     """
     with np.errstate(over="ignore"):  # an overflow fails the check below
         norm = math.sqrt(np.einsum("ij,ij->", hp, hp))
-        floor = h.shape[0] * _EPS * math.sqrt(np.einsum("ij,ij->", h, h))
     if not math.isfinite(norm):
-        raise NonFiniteActivationError(
-            f"norm of the centered activation is {norm}, not finite"
-        )
+        raise NonFiniteActivationError(f"norm of the {what} is {norm}, not finite")
+    return norm
+
+
+def _centred_norm(hp: np.ndarray, h: np.ndarray) -> float:
+    """The Frobenius norm of hp, the centred product of h, when it is finite
+    (``_finite_norm``).  A norm at most n eps |h|_F, the size of the
+    product's rounding error, as when the columns of h are constant and the
+    exact product is zero, raises ``ZeroActivationError``.
+    """
+    norm = _finite_norm(hp, "centered activation")
+    with np.errstate(over="ignore"):  # a floor of inf rejects any norm
+        floor = h.shape[0] * _EPS * math.sqrt(np.einsum("ij,ij->", h, h))
     if norm < 1e-300 or norm <= floor:
         raise ZeroActivationError("centered activation collapsed to zero")
     return norm

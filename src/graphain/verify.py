@@ -10,7 +10,7 @@ Instances come from a deterministic seed walk with a conditioning precheck
 near-degenerate spectra make elementwise trajectory comparison meaningless,
 so such draws are skipped the same way every run.  The reference routes
 (SVD projection, column-mean subtract) are the oracles'.  The ``host``
-suite checks the host's BLAS instead.
+suite checks the host's BLAS and scipy's sparse kernels instead.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from .curriculum import (
 )
 from .diagnostics import pairwise_stats
 from .errors import RankDeficientError
-from .graph import apply_operator, build_graph, csr_matmul, normalized_adjacency
+from .graph import _sparsetools, apply_operator, build_graph, csc_matmul, normalized_adjacency
 from .labels import SoftLabelMatrix, one_hot
 from .linalg import SpectralFilterParams, principal_subspace_distance, soft_spectral_filter
 from .oracles import (
     apply_centering,
+    csr_arrays,
     dense_abar,
-    dense_csr,
+    dense_csc,
     label_prop_closed_form,
     orthonormal_projection,
     oversmoothing_limit_check,
@@ -47,7 +48,12 @@ from .oracles import (
     top_d_eigvectors,
 )
 from .propagation import PropagationConfig, residual_combine, run_fuzzy_r_softgraphain
-from .synthetic import circulant_graph, random_connected_graph
+from .synthetic import (
+    SyntheticSpec,
+    circulant_graph,
+    gen_gaussian_cluster_graph,
+    random_connected_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,7 @@ def _iterative_label_propagation(
     f = np.zeros((aux.n, y_l.shape[1]))
     f[labeled] = y_l
     for _ in range(iters):
-        f = csr_matmul(p, f)
+        f = csc_matmul(p, f)
         f[labeled] = y_l
     sums = f.sum(axis=1)
     masked = sums <= _DEAD_ROW
@@ -347,7 +353,7 @@ def labelprop_suite(num_instances: int = 10, iters: int = 500) -> VerifyReport:
         aux = aux_from_graph(g)
         iterated = _iterative_label_propagation(aux, y_l, labeled, iters)
         closed = label_prop_closed_form(
-            dense_csr(aux_transition_matrix(aux)), y_l, labeled, unlabeled
+            dense_csc(aux_transition_matrix(aux)), y_l, labeled, unlabeled
         )
         lp_dev = max(lp_dev, float(np.abs(iterated.y[unlabeled] - closed).max()))
 
@@ -395,10 +401,46 @@ sys.stdout.buffer.write(apply_operator(op, m).tobytes())
 """
 
 
+# The benchmark's ``files`` and ``wide`` graphs, about 31 and 12 operator
+# entries a row, and the widths of the sparse-kernel check: a run's and one
+# past _DENSE_MAX_WIDTH.
+_HOST_SPARSE_SPECS = (
+    SyntheticSpec(clusters=3, nodes_per_cluster=500, intra_p=0.05, inter_p=0.005),
+    SyntheticSpec(clusters=3, nodes_per_cluster=1000, intra_p=0.01, inter_p=0.0005),
+)
+_HOST_SPARSE_WIDTHS = (8, 96)
+
+
+def _sparse_kernel_bytes() -> float:
+    """Entries whose bytes differ between ``apply_operator`` (scipy's CSC
+    kernel) and scipy's CSR kernel on the operator's CSR arrays from the same
+    start row, over both operator modes, plain and centred, on
+    ``_HOST_SPARSE_SPECS`` at ``_HOST_SPARSE_WIDTHS``."""
+    differing = 0
+    for spec in _HOST_SPARSE_SPECS:
+        g = gen_gaussian_cluster_graph(spec)
+        rng = np.random.default_rng(0)
+        for mode in ("symmetric", "random_walk"):
+            for centered in (False, True):
+                op = normalized_adjacency(g, mode, centered)
+                indptr, indices, data = csr_arrays(op.matrix)
+                for width in _HOST_SPARSE_WIDTHS:
+                    m = rng.standard_normal((g.n, width))
+                    want = np.empty((g.n, width))
+                    want[...] = 0.0 if op.shift is None else np.einsum("i,ij->j", op.shift, m)
+                    _sparsetools.csr_matvecs(
+                        g.n, g.n, width, indptr, indices, data, m.ravel(), want.ravel()
+                    )
+                    got = apply_operator(op, m)
+                    differing += np.count_nonzero(got.view(np.int64) != want.view(np.int64))
+    return float(differing)
+
+
 def host_suite() -> VerifyReport:
     """The dense centred product at ``_DENSE_MAX_N`` x ``_DENSE_MAX_WIDTH``,
-    in two fresh interpreters at ``OPENBLAS_NUM_THREADS`` 1 and 2: the
-    entries whose bytes differ, of which none may."""
+    in two fresh interpreters at ``OPENBLAS_NUM_THREADS`` 1 and 2, and the
+    sparse product against scipy's CSR kernel (``_sparse_kernel_bytes``):
+    the entries whose bytes differ, of which none may."""
     src = str(Path(__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     one, two = (
@@ -409,7 +451,10 @@ def host_suite() -> VerifyReport:
         for threads in ("1", "2")
     )
     differing = float(np.count_nonzero(one != two))
-    return VerifyReport("host", (VerifyCheck("dense-product-thread-bytes", differing, 0.0),))
+    return VerifyReport("host", (
+        VerifyCheck("dense-product-thread-bytes", differing, 0.0),
+        VerifyCheck("sparse-kernel-bytes", _sparse_kernel_bytes(), 0.0),
+    ))
 
 
 SUITES = {

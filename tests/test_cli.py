@@ -230,11 +230,14 @@ class TestCli:
             # the squared Frobenius norm of rsoft's first product overflows
             ("curriculum", "synthetic.center_spread = 1e160",
              "[stage propagation] layer 1: norm of the centered activation is inf, not finite"),
+            # the same features under sgc, whose plain product is not centred
+            ("curriculum", "synthetic.center_spread = 1e160\npropagation.variant = sgc",
+             "[stage propagation] layer 1: norm of the activation is inf, not finite"),
             # the decay term of the loss overflows once the step has grown w
             ("train", "train.weight_decay = 1e300",
              "[stage teacher] loss diverged at epoch 2"),
         ],
-        ids=["rsoft_norm_overflow", "weight_decay_overflow"],
+        ids=["rsoft_norm_overflow", "sgc_norm_overflow", "weight_decay_overflow"],
     )
     def test_overflow_exits_2_without_a_numpy_warning(
         self, tmp_path, capsys, command, line, expect
@@ -340,7 +343,25 @@ class TestCli:
 
     def test_verify_host_suite_passes_on_this_host(self, capsys):
         assert main(["verify", "--suite", "host"]) == 0
-        assert "PASS host/dense-product-thread-bytes: max 0.000e+00" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS host/dense-product-thread-bytes: max 0.000e+00" in out
+        assert "PASS host/sparse-kernel-bytes: max 0.000e+00" in out
+
+    def test_verify_host_suite_fails_on_a_sparse_product_off_by_one_ulp(
+        self, monkeypatch, capsys
+    ):
+        # a sparse kernel that rounds unlike scipy's CSR kernel, as one
+        # compiled with FMA contraction might, fails the check on every entry
+        from graphain import verify
+
+        real = verify.apply_operator
+        monkeypatch.setattr(
+            verify, "apply_operator", lambda op, m: np.nextafter(real(op, m), np.inf)
+        )
+        assert main(["verify", "--suite", "host"]) == 1
+        out = capsys.readouterr().out
+        assert "PASS host/dense-product-thread-bytes" in out
+        assert "FAIL host/sparse-kernel-bytes: max 1.872e+06" in out
 
     def test_verify_host_suite_fails_on_bytes_that_follow_the_threads(
         self, monkeypatch, capsys

@@ -913,7 +913,7 @@ THREAD_RUNS = {
     "dense": {"synthetic.clusters": "3",
               "synthetic.nodes_per_cluster": str(graph._DENSE_MAX_N // 3),
               "propagation.layers": "64", "propagation.p": "0.5", "propagation.q": "0.5"},
-    # n = 600, past the cap: the CSR kernel
+    # n = 600, past the cap: the sparse kernel
     "csr": {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "200",
             "synthetic.intra_p": "0.05", "synthetic.inter_p": "0.005",
             "propagation.layers": "32"},

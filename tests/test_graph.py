@@ -16,7 +16,7 @@ from graphain.graph import (
     OPERATOR_MODES,
     apply_operator,
     build_graph,
-    csr_matmul,
+    csc_matmul,
     dense_pays,
     normalized_adjacency,
 )
@@ -347,7 +347,7 @@ class TestApplyOperator:
         assert np.abs(apply_operator(op, m) - dense @ m).max() <= 1e-12
 
     def test_dimension_mismatch(self):
-        # a dense operator (n = 3) and one past the dense cap, on the CSR kernel
+        # a dense operator (n = 3) and one past the dense cap, on the sparse kernel
         for n in (3, graph._DENSE_MAX_N + 1):
             op = normalized_adjacency(_complete_graph(n))
             with pytest.raises(DimensionMismatchError, match=f"operator is {n} x {n}"):
@@ -386,8 +386,8 @@ class TestDenseOperator:
         if op.dense is None:
             return
         m = rng.standard_normal((n, d)) * scale
-        got, want = apply_operator(op, m), csr_matmul(op.matrix, m)
-        bound = n * 2.0**-52 * csr_matmul(op.matrix, np.abs(m))
+        got, want = apply_operator(op, m), csc_matmul(op.matrix, m)
+        bound = n * 2.0**-52 * csc_matmul(op.matrix, np.abs(m))
         assert (np.abs(got - want) <= bound).all()
         assert np.array_equal(op.dense, scipy_csr(op.matrix).toarray())
         assert not op.dense.flags.writeable
@@ -421,12 +421,12 @@ class TestDenseOperator:
         assert not dense_pays(n, n * n // graph._DENSE_FILL - 1)
 
     def test_wide_products_take_the_csr_kernel(self, rng):
-        # past _DENSE_MAX_WIDTH columns apply_operator gives the CSR bits
+        # past _DENSE_MAX_WIDTH columns apply_operator gives the sparse kernel's bits
         op = normalized_adjacency(_complete_graph(8))
         assert op.dense is not None
         for d in (graph._DENSE_MAX_WIDTH, graph._DENSE_MAX_WIDTH + 1):
             m = rng.standard_normal((8, d))
-            want = csr_matmul(op.matrix, m) if d > graph._DENSE_MAX_WIDTH else op.dense @ m
+            want = csc_matmul(op.matrix, m) if d > graph._DENSE_MAX_WIDTH else op.dense @ m
             assert apply_operator(op, m).tobytes() == want.tobytes()
 
 
@@ -482,8 +482,8 @@ class TestCentredOperator:
     )
     def test_product_is_the_centred_plain_product(self, seed, n, d, mode, well_filled):
         # The centred operator's product (the dense GEMM on Â - 1 c^T / n, or
-        # the CSR kernel started at -c^T h / n; past 64 columns a dense
-        # operator takes the CSR kernel too) against apply_centering of the
+        # the sparse kernel started at -c^T h / n; past 64 columns a dense
+        # operator takes the sparse kernel too) against apply_centering of the
         # plain product.  Both are T Â h to within (n + 2) u per term, u =
         # 2^-53, counting the rounding of c, of the shift and of the mean;
         # with a factor 4 for the GEMM's fused multiply-adds and for the two
@@ -498,7 +498,7 @@ class TestCentredOperator:
         got = apply_operator(op, h)
         want = apply_centering(apply_operator(plain, h))
         u = 2.0**-53
-        spread = csr_matmul(op.matrix, np.abs(h))
+        spread = csc_matmul(op.matrix, np.abs(h))
         bound = 4 * (n + 2) * u * (spread + (-op.shift) @ np.abs(h) + spread.mean(axis=0))
         assert (np.abs(got - want) <= bound).all()
         sums = np.abs(got.sum(axis=0))

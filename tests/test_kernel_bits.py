@@ -13,9 +13,10 @@ filter as b (V diag(g) V^T) on its ascending output, the gain g indexed by
 the kept positions.  ``straight_forward_pass`` is the deep forward pass of
 every variant written with fresh arrays: ``straight_product`` for the
 operator product (``np.matmul`` on ``op.dense`` where ``apply_operator``
-takes the dense form, elsewhere the CSR entries added row by row in order,
-as scipy's kernel adds them, onto zero or, for a centred operator, onto the
-row ``op.shift @ m``, summed by ``np.einsum``), a skip mix of accumulators
+takes the dense form, elsewhere the entries of each row added to it one by
+one in ascending column order, as scipy's CSR and CSC kernels add them,
+onto zero or, for a centred operator, onto the row ``op.shift @ m``, summed
+by ``np.einsum``), a skip mix of accumulators
 scaled by beta and gamma, the straight filter, and the zero floor on the
 centred product (``straight_centred_norm``) of pairnorm's every layer and
 rsoft's first.  ``straight_shift`` is
@@ -58,11 +59,11 @@ from graphain.graph import (
     OPERATOR_MODES,
     apply_operator,
     build_graph,
-    csr_matmul,
+    csc_matmul,
     normalized_adjacency,
 )
 from graphain.labels import SoftLabelMatrix
-from graphain.oracles import dense_csr
+from graphain.oracles import dense_csc
 from graphain.linalg import (
     EPS_RANK,
     SpectralFilterParams,
@@ -208,7 +209,9 @@ def straight_soft_spectral_filter(b, params):
 
 
 def straight_csr_product(a, m, start):
-    """start + a @ m, each row's entries added to it one by one in order."""
+    """start + a @ m, each row's entries added to it one by one in order,
+    read from scipy's CSR form of a."""
+    a = scipy_csr(a)
     out = np.empty((a.shape[0], m.shape[1]))
     out[...] = start
     counts = np.diff(a.indptr)
@@ -221,7 +224,7 @@ def straight_csr_product(a, m, start):
 
 def straight_shift(a):
     """-c / n, the column sums c of a's dense form added row by row."""
-    return np.add.reduce(dense_csr(a), axis=0) / -a.shape[0]
+    return np.add.reduce(dense_csc(a), axis=0) / -a.shape[0]
 
 
 def straight_product(op, m):
@@ -738,27 +741,33 @@ def test_forward_pass_matches_the_straight_form(
     st.sampled_from(OPERATOR_MODES),
     st.sampled_from(["C", "F", "strided"]),
     st.booleans(),
+    st.booleans(),
 )
-def test_apply_operator_matches_scipy(seed, n, k, mode, layout, centered):
-    # csr_matmul calls scipy's private CSR kernel; a scipy whose kernel or
-    # call convention changes must fail here.  apply_operator gives its bits
+def test_apply_operator_matches_scipy(seed, n, k, mode, layout, centered, complete):
+    # csc_matmul calls scipy's private CSC kernel, which must give the bits
+    # of scipy's CSR kernel on the same matrix, rows of up to 300 entries
+    # (complete graphs) included; a scipy whose kernels, their rounding or
+    # call convention change must fail here.  apply_operator gives its bits
     # on the plain operator and adds the same terms row by row onto the row
     # op.shift @ m on the centred one, or gives the dense GEMM's where the
-    # operator is kept dense (n <= 80 here).
+    # operator is kept dense (n <= 80 here, and complete graphs).
     rng = np.random.default_rng(seed)
-    g = _random_graph(rng, n, np.zeros((n, 1)))
+    if complete:
+        g = build_graph(np.column_stack(np.triu_indices(n, k=1)), n, np.zeros((n, 1)))
+    else:
+        g = _random_graph(rng, n, np.zeros((n, 1)))
     op = normalized_adjacency(g, mode, centered)
     m = rng.standard_normal((n, 2 * k)) * rng.choice(SCALES, size=(n, 1))
     m = m[:, ::2] if layout == "strided" else np.asarray(m[:, :k], order=layout)
     want = scipy_csr(op.matrix) @ m
-    assert _same_bits(csr_matmul(op.matrix, m), want)
+    assert _same_bits(csc_matmul(op.matrix, m), want)
     assert _same_bits(straight_csr_product(op.matrix, m, 0.0), want)
     if centered:
         assert _same_bits(op.shift, straight_shift(op.matrix))
     if op.dense is not None:
-        plain = dense_csr(op.matrix)
+        plain = dense_csc(op.matrix)
         assert _same_bits(op.dense, plain + op.shift if centered else plain)
-    for call, want in ((partial(csr_matmul, op.matrix), want),
+    for call, want in ((partial(csc_matmul, op.matrix), want),
                        (partial(apply_operator, op), straight_product(op, m))):
         out = np.full((n, k), np.nan)
         assert call(m, out) is out
@@ -767,7 +776,7 @@ def test_apply_operator_matches_scipy(seed, n, k, mode, layout, centered):
 
 
 def straight_normalized_adjacency(g, mode):
-    """The operator's COO triples, converted by scipy."""
+    """The operator's COO triples, converted to CSC by scipy."""
     n = g.n
     i, j = g.edges[:, 0], g.edges[:, 1]
     rows = np.concatenate([i, j, np.arange(n, dtype=np.int64)])
@@ -780,11 +789,11 @@ def straight_normalized_adjacency(g, mode):
         vals = inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
     else:
         vals = 1.0 / degrees[rows]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
 def straight_aux_transition_matrix(aux):
-    """The transition matrix's COO triples, converted by scipy."""
+    """The transition matrix's COO triples, converted to CSC by scipy."""
     pos = aux.weights > 0.0
     i, j, w = aux.edges[pos, 0], aux.edges[pos, 1], aux.weights[pos]
     deg = np.zeros(aux.n)
@@ -795,11 +804,11 @@ def straight_aux_transition_matrix(aux):
     cols = np.concatenate([j, i, orphan])
     deg_safe = np.where(deg > 0.0, deg, 1.0)
     vals = np.concatenate([w, w, np.ones(orphan.size)]) / deg_safe[rows]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(aux.n, aux.n)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(aux.n, aux.n)).tocsc()
 
 
-def _same_csr(got, want):
-    """The three arrays of two CSR matrices agree in dtype and bytes."""
+def _same_csc(got, want):
+    """The three arrays of two CSC matrices agree in dtype and bytes."""
     return got.shape == want.shape and all(
         _same_bits(getattr(got, name), getattr(want, name))
         for name in ("indptr", "indices", "data")
@@ -823,26 +832,30 @@ def _graph(seed, n, degree):
 
 @settings(max_examples=200)
 @given(SPARSE_GRAPHS, st.sampled_from(OPERATOR_MODES))
-def test_normalized_adjacency_matches_scipy_csr(graph, mode):
+def test_normalized_adjacency_matches_scipy_csc(graph, mode):
     g, _ = _graph(*graph)
     got = normalized_adjacency(g, mode).matrix
     assert got.indices.dtype == np.int32
-    assert _same_csr(got, straight_normalized_adjacency(g, mode))
+    want = straight_normalized_adjacency(g, mode)
+    assert _same_csc(got, want)
+    if mode == "symmetric":
+        # Â is symmetric, so its CSC arrays are its CSR arrays
+        assert _same_csc(got, want.tocsr())
 
 
 @settings(max_examples=200)
 @given(SPARSE_GRAPHS, st.sampled_from([0.0, 0.5, 1.0]))
-def test_aux_transition_matrix_matches_scipy_csr(graph, zero_share):
+def test_aux_transition_matrix_matches_scipy_csc(graph, zero_share):
     # zero-weight edges are dropped, and a node left with none keeps a
-    # self-loop row; the smoothing product on it and its dense form are
-    # scipy's too
+    # self-loop row; the smoothing product on it has the bits of scipy's
+    # CSR kernel, and its dense form is scipy's too
     g, rng = _graph(*graph)
     weights = rng.uniform(0.1, 2.0, size=g.num_edges) * rng.choice(SCALES, size=g.num_edges)
     weights[rng.random(g.num_edges) < zero_share] = 0.0
     aux = AuxGraph(n=g.n, edges=g.edges, weights=weights)
     got, want = aux_transition_matrix(aux), straight_aux_transition_matrix(aux)
     assert got.indices.dtype == np.int32
-    assert _same_csr(got, want)
+    assert _same_csc(got, want)
     y = rng.dirichlet(np.ones(3), size=g.n)
-    assert _same_bits(csr_matmul(got, y), want @ y)
-    assert _same_bits(dense_csr(got), want.toarray())
+    assert _same_bits(csc_matmul(got, y), want.tocsr() @ y)
+    assert _same_bits(dense_csc(got), want.toarray())

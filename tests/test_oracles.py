@@ -182,7 +182,7 @@ def test_oracles_import_no_pipeline_module():
 
 def test_oracles_take_only_records_and_the_rank_cutoff_from_production():
     # the oracles check the production path, so from its modules they take
-    # the Graph and CsrMatrix records and the rank cutoff EPS_RANK, and no
+    # the Graph and CscMatrix records and the rank cutoff EPS_RANK, and no
     # kernel; errors holds the package's exception types
     taken = set()
     for node in ast.walk(ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))):
@@ -193,7 +193,7 @@ def test_oracles_take_only_records_and_the_rank_cutoff_from_production():
         elif isinstance(node, ast.Import):
             taken.update((alias.name, "*") for alias in node.names
                          if alias.name.startswith("graphain"))
-    assert taken == {("graph", "Graph"), ("graph", "CsrMatrix"), ("linalg", "EPS_RANK")}
+    assert taken == {("graph", "Graph"), ("graph", "CscMatrix"), ("linalg", "EPS_RANK")}
 
 
 def test_reference_routes_live_only_in_oracles():

@@ -396,7 +396,7 @@ class TestRunner:
         # constant feature rows on a path: the exact centred product is
         # zero, and the computed one is rounding noise, which the filter
         # would whiten to an orthonormal output (a = b = 1) or blow up (0.5);
-        # 12 nodes take the dense product, 400 the CSR kernel
+        # 12 nodes take the dense product, 400 the sparse kernel
         g = build_graph([(i, i + 1) for i in range(n - 1)], n, np.tile([0.7, -1.3, 2.1], (n, 1)))
         assert (normalized_adjacency(g, "random_walk").dense is not None) == (n == 12)
         cfg = _cfg(alpha=0.9, beta=0.05, gamma=0.05, operator_mode="random_walk",
@@ -434,7 +434,7 @@ class TestLayerCost:
     ):
         # the centring rides in the product, and the filter's one sym_eig
         # is the layer's only eigensolve; the operator the run builds holds
-        # one n x n array, the centred dense form, or none on the CSR path
+        # one n x n array, the centred dense form, or none on the sparse path
         g = random_connected_graph(n, extra_p, seed=3, feature_dim=4)
         cfg = _cfg(alpha=0.8, beta=0.1, gamma=0.1, layers=6, p=0.5, q=0.5,
                    operator_mode=mode, filter=SpectralFilterParams(a=0.7, b=0.9, d0=4))

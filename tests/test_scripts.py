@@ -192,7 +192,7 @@ def test_bench_appends_each_run_under_its_label(tmp_path):
 
 
 # bench.py loaded as a module, its ``layers`` and ``aux`` shapes cut down to
-# a dense and a CSR graph of 30 and 450 nodes, its ``head`` rows to one
+# a dense and a sparse graph of 30 and 450 nodes, its ``head`` rows to one
 # size and its ``import`` seed to a 30-node, 2-layer run, and one case run
 # as ``bench.py --case <case> --label tiny``
 BENCH_TINY = """\
@@ -203,6 +203,7 @@ spec.loader.exec_module(bench)
 dense = dict(clusters=3, nodes_per_cluster=10, intra_p=0.3, inter_p=0.05)
 csr = dict(clusters=3, nodes_per_cluster=150, intra_p=0.02, inter_p=0.002)
 bench.LAYER_CASES = {"dense": (dense, 3, 0.5), "csr": (csr, 3, 0.0)}
+bench.KERNEL_SPECS = {"csr": csr}
 bench.CROSSOVER_N, bench.CROSSOVER_FILL = (64,), (1 / 8,)
 bench.GENERATOR_SPECS = {"dense": dense}
 bench.KNN_ROWS = (40,)
@@ -263,13 +264,16 @@ def test_bench_import_runs(tmp_path):
 def test_bench_layers_runs_at_tiny_shapes(tmp_path):
     results, _, _ = _bench_tiny(tmp_path, "layers")
     assert [(case["case"], case["product"]) for case in results["cases"]] == [
-        ("dense", "dense"), ("csr", "csr")]
+        ("dense", "dense"), ("csr", "csc")]
     for case in results["cases"]:
         parts = case["parts_us_per_layer"]
         assert set(parts) == {"spmm", "skip_mix", "filter", "eigh", "other", "wrapped"}
         # every wrapped function ran in every pass
         for name in ("spmm", "skip_mix", "filter", "eigh"):
             assert min(parts[name]["samples"]) > 0, (case["case"], name)
+    (kernels,) = results["kernels"]
+    assert (kernels["spec"], kernels["n"]) == ("csr", 450)
+    assert min(kernels["csr_us"]["samples"] + kernels["csc_us"]["samples"]) > 0
     (point,) = results["crossover"]
     assert point["point"] == "n=64 fill=1/8"
 
