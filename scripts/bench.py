@@ -51,6 +51,14 @@ import  a fresh interpreter per repeat: the wall time of ``import
         graphain.experiment`` (ms), ``ru_maxrss`` after it and after one
         ``run_experiment`` seed of the benchmark's ``wide`` spec (MB, 2^20
         bytes, as the benchmark's ``peak_rss_mb``).
+labels  the label path of the benchmark's ``deep``, ``files`` and ``wide``
+        workloads at run seed 0 (us per call): on the propagated embedding,
+        its kNN auxiliary graph and the teacher's filtered pseudo-labels,
+        ``smooth_labels`` at the default n_t = 10, one ``SoftLabelMatrix``
+        of the last snapshot, a scoring-only ``run_curriculum`` (every task
+        at zero epochs, so each is one softmax and its scores) and one
+        ``LayerRecorder`` call on the embedding.  Each repeat makes as many
+        calls as fill about 20 ms (``calls_per_repeat``).
 
 Every timed figure is one untimed call, then 7 timed repeats (3 for the
 kNN scale case): their median, interquartile range and samples; none is
@@ -63,7 +71,7 @@ An IQR measures the spread within one run only, and load on a shared host
 moves whole runs by more than that.  To compare two versions of the code,
 alternate runs of each (with its own ``src`` on ``PYTHONPATH``) under two labels.
 
-Usage: PYTHONPATH=src python scripts/bench.py [--case head|aux|io|layers|import ...] [--label current]
+Usage: PYTHONPATH=src python scripts/bench.py [--case head|aux|io|layers|import|labels ...] [--label current]
 """
 
 import argparse
@@ -85,7 +93,15 @@ import scipy
 from graphain import curriculum, io, linalg, propagation
 from graphain.classifier import TrainConfig, loss_and_grad, make_reducer, train_linear
 from graphain.config import build_experiment_config
-from graphain.curriculum import build_knn_aux_graph
+from graphain.curriculum import (
+    build_knn_aux_graph,
+    entropy_filter,
+    estimate_labels_teacher,
+    run_curriculum,
+    smooth_labels,
+)
+from graphain.diagnostics import LayerRecorder
+from graphain.experiment import compute_embedding, prepare_graph
 from graphain.graph import _sparsetools, build_graph, csc_matmul, dense_pays, normalized_adjacency
 from graphain.io import DATASET_FILES, dataset_digest, load_dataset, save_dataset
 from graphain.labels import SoftLabelMatrix
@@ -142,6 +158,15 @@ CROSSOVER_N, CROSSOVER_FILL, CROSSOVER_WIDTH = (64, 128, 192, 256, 320, 384, 448
 WIDE_SEED = {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "1000",
              "synthetic.intra_p": "0.01", "synthetic.inter_p": "0.0005",
              "propagation.layers": "64", "seeds": "0"}
+# The benchmark's workloads whose label path the labels case times: their
+# config keys, and the spec of the saved graph a dataset workload loads.
+LABEL_CASES = {
+    "deep": ({"synthetic.nodes_per_cluster": "100", "propagation.layers": "256",
+              "propagation.p": "0.5", "propagation.q": "0.5"}, None),
+    "files": ({"dataset.path": "files", "propagation.layers": "64"}, "files"),
+    "wide": ({key: value for key, value in WIDE_SEED.items() if key != "seeds"}, None),
+}
+LABEL_REPEAT_S = 0.02  # a labels repeat makes as many calls as fill this
 IMPORT_CHILD = """\
 import json, resource, sys, time
 start = time.perf_counter()
@@ -443,6 +468,48 @@ def _crossover(n, fill):
             "dense_us": _timed(partial(products, partial(np.matmul, dense)), 1e6 / count)}
 
 
+def _per_call_us(fn):
+    """(calls a repeat, ``_timed`` summary in us per call), with as many
+    calls a repeat as one first, untimed call says fill ``LABEL_REPEAT_S``."""
+    start = time.perf_counter()
+    fn()
+    count = max(1, round(LABEL_REPEAT_S / (time.perf_counter() - start)))
+
+    def calls():
+        for _ in range(count):
+            fn()
+
+    return count, _timed(calls, 1e6 / count)
+
+
+def _label_path(name):
+    """The label path's calls on workload ``name`` of ``LABEL_CASES`` at run
+    seed 0, as ``experiment.run_seed`` makes their inputs."""
+    raw, dataset = LABEL_CASES[name]
+    cfg = build_experiment_config(raw, source=f"bench.py labels {name}")
+    g = prepare_graph(cfg, 0, None if dataset is None else _saved_graph(dataset))
+    h = compute_embedding(cfg, g, 0)
+    teacher = run_curriculum(g, h, [], cfg.train, 0)
+    estimated = estimate_labels_teacher(teacher.probs, g.labels[g.train_mask], g.train_mask)
+    filtered = entropy_filter(estimated, cfg.curriculum.mask_ratio, labeled_set=g.train_mask)
+    aux = build_knn_aux_graph(h, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime)
+    snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
+    last = snapshots[-1]
+    calls = {
+        "smooth_labels": partial(smooth_labels, aux, filtered, cfg.curriculum.n_t),
+        "soft_label_matrix": partial(SoftLabelMatrix, y=last.y, masked=last.masked),
+        "scoring_run_curriculum": partial(
+            run_curriculum, g, h, snapshots, TrainConfig(cfg.train.lr, 0), 0
+        ),
+        "layer_recorder": partial(LayerRecorder(g), cfg.propagation.layers, h),
+    }
+    entry = {"workload": name, "n": g.n, "classes": g.num_classes, "n_t": cfg.curriculum.n_t,
+             "calls_per_repeat": {}}
+    for call, fn in calls.items():
+        entry["calls_per_repeat"][call], entry[f"{call}_us"] = _per_call_us(fn)
+    return entry
+
+
 def _fresh_import():
     """The fields of ``IMPORT_CHILD`` from one new interpreter, which inherits
     this one's environment and so its ``PYTHONPATH``."""
@@ -477,6 +544,7 @@ CASES = {
                         "crossover": [_crossover(n, fill) for n in CROSSOVER_N
                                       for fill in CROSSOVER_FILL]}),
     "import": ({"spec": "wide", "unit": "ms or MB"}, _import_and_seed),
+    "labels": ({"unit": "us"}, lambda: [_label_path(name) for name in LABEL_CASES]),
 }
 
 

@@ -62,8 +62,8 @@ class TaskMetrics:
 class CurriculumResult:
     w: np.ndarray  # (d, C) head weights
     metrics: tuple
-    probs: np.ndarray  # (n, C) softmax rows of h @ w
-    logp: np.ndarray   # (n, C) their logs
+    probs: np.ndarray  # (n, C) softmax rows of h @ w, a view of the class-major array
+    logp: np.ndarray   # (n, C) their logs, likewise
 
 
 def estimate_labels_teacher(
@@ -71,11 +71,15 @@ def estimate_labels_teacher(
 ) -> SoftLabelMatrix:
     """Teacher probabilities everywhere, clamped to one-hot truth on the
     labeled nodes."""
-    probs = np.asarray(teacher_probs, dtype=np.float64)
+    # C-ordered, as a run's teacher gives the (n, C) view of its class-major
+    # softmax: numpy sums a column-major row in class order, and from eight
+    # classes on a C-ordered one pairwise, whose bytes the labels keep
+    probs = np.ascontiguousarray(teacher_probs, dtype=np.float64)
     if probs.ndim != 2:
         raise RowNotStochasticError("teacher output must be an n x C matrix")
-    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
-    if bad.size:
+    finite = np.isfinite(probs)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.all(axis=1))
         raise RowNotStochasticError(f"teacher row {bad[0]} is not finite")
     sums = probs.sum(axis=1)
     if probs.size and (float(probs.min()) < -1e-12 or float(np.abs(sums - 1.0).max()) > 1e-6):
@@ -442,13 +446,20 @@ def build_knn_aux_graph(vectors: np.ndarray, k: int, gamma_prime: float) -> AuxG
 def aux_transition_matrix(aux: AuxGraph) -> CscMatrix:
     """Row-stochastic transition matrix, stored by columns by the one sort
     of ``graph.csc_from_coo``; nodes with no positive-weight neighbor fall
-    back to a self-loop row."""
+    back to a self-loop row.  Raises NonFiniteFeatureError naming the first
+    node whose weighted degree overflows."""
     pos = aux.weights > 0.0
     i = aux.edges[pos, 0]
     j = aux.edges[pos, 1]
     ends = np.concatenate([i, j])
     w = np.concatenate([aux.weights[pos]] * 2)  # each edge weighs on both its ends
     deg = np.bincount(ends, weights=w, minlength=aux.n)
+    bad = np.flatnonzero(~np.isfinite(deg))
+    if bad.size:  # a row of w / inf would drop every label it reaches
+        raise NonFiniteFeatureError(
+            f"auxiliary graph: the weighted degree of node {bad[0]}, the sum of "
+            "its edge weights, is not finite"
+        )
     orphan = np.flatnonzero(deg == 0.0)
     rows = np.concatenate([ends, orphan])
     cols = np.concatenate([j, i, orphan])
@@ -498,7 +509,11 @@ def smooth_labels(aux: AuxGraph | None, y0: SoftLabelMatrix, n_t: int) -> list:
     step is one product with the transition matrix (``graph.csc_matmul``,
     the bytes of scipy's CSR kernel).  Masked rows stay pinned at zero; the
     remaining rows are renormalized after every diffusion step so each
-    snapshot keeps exact unit row sums.
+    snapshot keeps exact unit row sums.  A row's divisor is numpy's row sum,
+    whose bytes reach every snapshot (adding the class columns in order
+    matches it only below eight classes).  A masked row stays masked
+    whatever its sum, so the sums are taken before any row is zeroed, and a
+    step with no masked row divides every row in place.
     """
     if n_t < 0:
         raise ValueError("n_t must be >= 0")
@@ -509,25 +524,66 @@ def smooth_labels(aux: AuxGraph | None, y0: SoftLabelMatrix, n_t: int) -> list:
     y, masked = y0.y, y0.masked
     for _ in range(n_t):  # each step makes a fresh y and mask for its snapshot
         y = csc_matmul(p, y)
-        y[masked] = 0.0
         sums = y.sum(axis=1)
         masked = masked | (sums <= _DEAD_ROW)
-        y[masked] = 0.0
-        np.divide(y, sums[:, None], out=y, where=~masked[:, None])
+        if masked.any():
+            y[masked] = 0.0
+            np.divide(y, sums[:, None], out=y, where=~masked[:, None])
+        else:
+            y /= sums[:, None]
         snaps.append(SoftLabelMatrix(y=y, masked=masked))
     return snaps
 
 
-def split_scores(probs: np.ndarray, logp: np.ndarray, g: Graph, mask) -> tuple:
-    """(accuracy, loss) over the labeled nodes of ``mask`` of the head whose
-    softmax and log-softmax rows on every node are ``probs`` and ``logp``;
-    both NaN when ``mask`` has no labeled node."""
+def _class_argmax(probs: np.ndarray) -> np.ndarray:
+    """``np.argmax(probs, axis=0)`` of the class-major (C, n) ``probs``: each
+    node's first largest class, or its first NaN.  Numpy's argmax over the
+    rows of the (n, C) transpose runs one row at a time; here C - 1
+    comparisons of whole class rows find the first largest, and a NaN,
+    which ``np.maximum`` carries into the running maximum, hands the
+    columns to ``np.argmax``."""
+    pred = np.zeros(probs.shape[1], dtype=np.intp)
+    best = probs[0].copy()
+    for j in range(1, probs.shape[0]):
+        pred[probs[j] > best] = j
+        np.maximum(best, probs[j], out=best)
+    if np.isnan(best).any():
+        return np.argmax(probs, axis=0)
+    return pred
+
+
+def _loss(logp: np.ndarray, y: np.ndarray, rows=None) -> float:
+    """``cross_entropy`` over the nodes ``rows`` (every node when None) of
+    the class-major (C, n) ``logp``, whose (rows, C) C-ordered input is one
+    transposing copy of the gathered class rows."""
+    if rows is not None:
+        logp = np.take(logp, rows, axis=1)
+    return cross_entropy(logp.T.copy(), y)
+
+
+def _labeled(g: Graph, mask) -> tuple:
+    """(nodes, labels, one-hot label rows) of the labeled nodes of ``mask``."""
     labeled = mask[g.labels[mask] >= 0]
+    truth = g.labels[labeled]
+    return labeled, truth, one_hot(truth, g.num_classes)
+
+
+def _scores(logp: np.ndarray, pred: np.ndarray, split: tuple) -> tuple:
+    """(accuracy, loss) over the labeled nodes of a ``_labeled`` split, from
+    every node's predicted class ``pred`` and class-major ``logp``."""
+    labeled, truth, onehot = split
     if not labeled.size:
         return float("nan"), float("nan")
-    truth = g.labels[labeled]
-    pred = probs[labeled].argmax(axis=1)
-    return accuracy(pred, truth), cross_entropy(logp[labeled], one_hot(truth, g.num_classes))
+    return accuracy(pred[labeled], truth), _loss(logp, onehot, labeled)
+
+
+def split_scores(probs: np.ndarray, logp: np.ndarray, g: Graph, mask) -> tuple:
+    """(accuracy, loss) over the labeled nodes of ``mask`` of the head whose
+    softmax and log-softmax rows on every node are the (n, C) ``probs`` and
+    ``logp``; both NaN when ``mask`` has no labeled node.  Both are read
+    through their (C, n) transposes, which are C-ordered for the views a
+    ``CurriculumResult`` holds."""
+    return _scores(logp.T, _class_argmax(probs.T), _labeled(g, mask))
 
 
 def run_curriculum(
@@ -562,6 +618,8 @@ def run_curriculum(
     w = None
     metrics = []
     h_t = np.ascontiguousarray(h.T)  # the logits' operand
+    has_label = g.labels >= 0
+    val = _labeled(g, g.val_mask)
     for index, (labels, cfg) in enumerate(tasks):
         if index < len(snapshots) and labels.masked.all():
             raise EmptyIncludeError(
@@ -572,23 +630,28 @@ def run_curriculum(
         start = time.perf_counter()
         w = train_linear(h, labels, cfg, warm_start=w)
         elapsed = (time.perf_counter() - start) * 1e3
-        # (n, C) views of the class-major softmax: the rows each score
-        # gathers from them are C-ordered copies
-        probs, logp = (a.T for a in softmax_with_log(class_logits(h_t, w)))
-        rows = labels.unmasked_indices()
-        labeled = rows[g.labels[rows] >= 0]
-        val_accuracy, val_loss = split_scores(probs, logp, g, g.val_mask)
+        # every score reads the class-major softmax: one prediction per node
+        # and loss inputs gathered by class row
+        probs, logp = softmax_with_log(class_logits(h_t, w))
+        pred = _class_argmax(probs)
+        if labels.masked.any():
+            rows = labels.unmasked_indices()
+            train_loss = _loss(logp, labels.y[rows], rows)
+        else:
+            train_loss = _loss(logp, labels.y)
+        labeled = np.flatnonzero(has_label & ~labels.masked)
+        val_accuracy, val_loss = _scores(logp, pred, val)
         metrics.append(
             TaskMetrics(
                 index=index,
-                train_loss=cross_entropy(logp[rows], labels.y[rows]),
-                train_accuracy=accuracy(probs[labeled].argmax(axis=1), g.labels[labeled]),
+                train_loss=train_loss,
+                train_accuracy=accuracy(pred[labeled], g.labels[labeled]),
                 val_accuracy=val_accuracy,
                 val_loss=val_loss,
                 wall_ms=elapsed,
             )
         )
-    return CurriculumResult(w=w, metrics=tuple(metrics), probs=probs.copy(), logp=logp.copy())
+    return CurriculumResult(w=w, metrics=tuple(metrics), probs=probs.T, logp=logp.T)
 
 
 def export_snapshots(snapshots, out_dir) -> list:

@@ -31,7 +31,11 @@ class SoftLabelMatrix:
         any_masked = bool(masked.any())
         if any_masked and float(np.abs(y[masked]).max(initial=0.0)) != 0.0:
             raise ValueError("masked rows must be exactly zero")
-        sums = y[~masked].sum(axis=1) if any_masked else y.sum(axis=1)
+        # any summation order will do for a 1e-9 tolerance, and a product
+        # with ones adds whole rows where numpy's row sum runs one at a time
+        sums = y @ np.ones(y.shape[1])
+        if any_masked:
+            sums = sums[~masked]
         if sums.size:
             dev = float(np.abs(sums - 1.0).max())
             if dev > 1e-9:

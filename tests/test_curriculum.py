@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphain import curriculum
-from graphain.classifier import TrainConfig, accuracy, loss_and_grad, train_linear
+from graphain.classifier import (
+    TrainConfig,
+    accuracy,
+    class_logits,
+    cross_entropy,
+    loss_and_grad,
+    softmax_with_log,
+    train_linear,
+)
 from graphain.curriculum import (
     AuxGraph,
     aux_from_graph,
@@ -27,6 +36,7 @@ from graphain.curriculum import (
 from graphain.config import build_experiment_config
 from graphain.errors import EmptyIncludeError, NonFiniteFeatureError, RowNotStochasticError
 from graphain.experiment import _arm_rows
+from graphain.graph import build_graph
 from graphain.labels import SoftLabelMatrix, one_hot, one_hot_matrix
 from graphain.linalg import SpectralFilterParams
 from graphain.oracles import knn_edges_dense
@@ -862,3 +872,185 @@ class TestAuxTransition:
         p = scipy_csr(aux_transition_matrix(aux)).toarray()
         assert p[1, 2] == 0.0
         assert p[2, 2] == 1.0  # orphan fallback
+
+
+    def test_overflowing_degree_is_named(self):
+        # each weight is finite, but node 1's two sum past the largest double
+        aux = AuxGraph(n=3, edges=np.array([[0, 1], [1, 2]]), weights=np.array([1e308, 1e308]))
+        with pytest.raises(NonFiniteFeatureError, match=r"weighted degree of node 1,"):
+            aux_transition_matrix(aux)
+
+
+# The label path's formulas before its scores read the class-major softmax,
+# its checks summed in any order and its smoothing skipped the writes of an
+# unmasked step: the reference the rewritten path keeps byte for byte.
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+def reference_accuracy(pred, truth):
+    return float("nan") if pred.size == 0 else float((pred == truth).mean())
+
+
+def reference_split_scores(probs, logp, g, mask):
+    labeled = mask[g.labels[mask] >= 0]
+    if not labeled.size:
+        return float("nan"), float("nan")
+    truth = g.labels[labeled]
+    pred = probs[labeled].argmax(axis=1)
+    return reference_accuracy(pred, truth), cross_entropy(logp[labeled], one_hot(truth, g.num_classes))
+
+
+def reference_task_scores(g, h, labels, w):
+    """(train loss, train accuracy, val accuracy, val loss) of the head w
+    trained on ``labels``, from the (n, C) views of its class-major softmax,
+    and those views' C-ordered copies."""
+    probs, logp = (a.T for a in softmax_with_log(class_logits(np.ascontiguousarray(h.T), w)))
+    rows = labels.unmasked_indices()
+    labeled = rows[g.labels[rows] >= 0]
+    scores = (
+        cross_entropy(logp[rows], labels.y[rows]),
+        reference_accuracy(probs[labeled].argmax(axis=1), g.labels[labeled]),
+        *reference_split_scores(probs, logp, g, g.val_mask),
+    )
+    return scores, probs.copy(), logp.copy()
+
+
+def reference_smooth_labels(aux, y0, n_t):
+    snaps = [y0]
+    p = aux_transition_matrix(aux)
+    y, masked = y0.y, y0.masked
+    for _ in range(n_t):
+        y = curriculum.csc_matmul(p, y)
+        y[masked] = 0.0
+        sums = y.sum(axis=1)
+        masked = masked | (sums <= curriculum._DEAD_ROW)
+        y[masked] = 0.0
+        np.divide(y, sums[:, None], out=y, where=~masked[:, None])
+        snaps.append(SoftLabelMatrix(y=y, masked=masked))
+    return snaps
+
+
+def reference_teacher_labels(probs, labels, labeled):
+    y = probs / probs.sum(axis=1)[:, None]
+    y[labeled] = one_hot(labels, probs.shape[1])
+    return y
+
+
+# exact ties, NaNs and infinities, with both zeros
+ARGMAX_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf])
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda c: st.lists(st.lists(ARGMAX_VALUES, min_size=c, max_size=c), max_size=20)))
+def test_class_argmax_is_numpys(rows):
+    probs = np.array(rows, dtype=np.float64).reshape(len(rows), -1) if rows else np.zeros((0, 3))
+    got = curriculum._class_argmax(np.ascontiguousarray(probs.T))
+    assert got.dtype == np.intp
+    assert np.array_equal(got, probs.argmax(axis=1))
+
+
+def _scoring_draw(data):
+    """(graph, embedding, snapshots, fine-tune config, pacing epochs) at C in
+    {2, 3, 7, 8, 12}: zero embedding rows on which every class ties, heads of
+    zero epochs on which every node ties, masked snapshot rows, and val and
+    test nodes without a label."""
+    classes = data.draw(st.sampled_from([2, 3, 7, 8, 12]), label="classes")
+    n = data.draw(st.integers(classes, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    h = rng.standard_normal((n, data.draw(st.integers(1, 5), label="d")))
+    h[rng.random(n) < 0.2] = 0.0
+    split = rng.integers(0, 3, size=n)
+    labels = rng.integers(0, classes, size=n)
+    labels[(split > 0) & (rng.random(n) < 0.3)] = -1
+    split[0], labels[0] = 0, classes - 1  # a train node holds the top class
+    masks = [np.flatnonzero(split == part) for part in range(3)]
+    g = build_graph(np.empty((0, 2)), n, h, y=labels, masks=masks)
+    share = data.draw(st.sampled_from([0.0, 0.3]), label="masked share")
+    snaps = []
+    for _ in range(data.draw(st.integers(0, 3), label="snapshots")):
+        y = rng.dirichlet(np.ones(classes), size=n)
+        masked = rng.random(n) < share
+        masked[rng.integers(n)] = False
+        y[masked] = 0.0
+        snaps.append(_soft(y, masked))
+    cfg = TrainConfig(lr=0.5, epochs=data.draw(st.sampled_from([0, 3]), label="epochs"),
+                      weight_decay=data.draw(st.sampled_from([0.0, 5e-4]), label="decay"))
+    return g, h, snaps, cfg, data.draw(st.sampled_from([0, 2]), label="pacing")
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_task_scores_keep_the_row_major_bytes(data):
+    g, h, snaps, cfg, pacing = _scoring_draw(data)
+    out = run_curriculum(g, h, snaps, cfg, pacing)
+    # the chain of heads run_curriculum trains, each scored the old way
+    tasks = [(snap, replace(cfg, epochs=pacing)) for snap in reversed(snaps)]
+    tasks.append((one_hot_matrix(g.labels[g.train_mask], g.train_mask, g.n, g.num_classes), cfg))
+    w = None
+    assert len(out.metrics) == len(tasks)
+    for (labels, task_cfg), m in zip(tasks, out.metrics):
+        w = train_linear(h, labels, task_cfg, warm_start=w)
+        want, probs, logp = reference_task_scores(g, h, labels, w)
+        got = (m.train_loss, m.train_accuracy, m.val_accuracy, m.val_loss)
+        assert _bits(*got) == _bits(*want)
+        assert all(type(value) is float for value in got)  # as a row prints them
+    assert _bits(out.w, out.probs, out.logp) == _bits(w, probs, logp)
+    for mask in (g.val_mask, g.test_mask):
+        got = split_scores(out.probs, out.logp, g, mask)
+        assert _bits(*got) == _bits(*reference_split_scores(probs, logp, g, mask))
+        assert all(type(value) is float for value in got)
+
+
+def _dead_row_aux(rng, n):
+    """An auxiliary graph on n nodes with weights over six decades and one
+    zero: a random graph on the first n - 3, node n - 3 hanging off node
+    n - 2 alone, and node n - 1 with no edge."""
+    g = random_connected_graph(n - 3, 0.3, seed=int(rng.integers(2**31)))
+    edges = np.vstack([g.edges, [[n - 3, n - 2], [0, n - 2]]])
+    weights = 10.0 ** rng.uniform(-3, 3, size=edges.shape[0])
+    weights[0] = 0.0
+    return AuxGraph(n=n, edges=edges, weights=weights)
+
+
+@pytest.mark.parametrize("classes", [8, 12])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_smoothing_keeps_numpys_row_sums(classes, seed):
+    # From eight classes numpy sums a row pairwise, not in order: the divisor
+    # keeps those bytes.  Node n - 2 is masked, so node n - 3 dies at the
+    # first step, and a third of the other rows are masked too.
+    rng = np.random.default_rng(seed)
+    n = 16
+    y = rng.dirichlet(np.ones(classes), size=n) * 10.0 ** rng.uniform(-2, 2, size=(n, classes))
+    y /= y.sum(axis=1)[:, None]
+    masked = rng.random(n) < 0.3
+    masked[n - 2], masked[n - 3] = True, False
+    y[masked] = 0.0
+    aux = _dead_row_aux(rng, n)
+    y0 = _soft(y, masked)
+    got, want = smooth_labels(aux, y0, 6), reference_smooth_labels(aux, y0, 6)
+    assert got[1].masked[n - 3]
+    for a, b in zip(got, want):
+        assert _bits(a.y) == _bits(b.y) and np.array_equal(a.masked, b.masked)
+    # without a masked row, every step divides every row
+    unmasked = _soft(rng.dirichlet(np.ones(classes), size=n))
+    aux = AuxGraph(n=n, edges=aux.edges[:-2], weights=aux.weights[:-2] + 1.0)
+    for a, b in zip(smooth_labels(aux, unmasked, 6), reference_smooth_labels(aux, unmasked, 6)):
+        assert _bits(a.y) == _bits(b.y) and not a.masked.any()
+
+
+@pytest.mark.parametrize("classes", [3, 8, 12])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_teacher_labels_keep_numpys_row_sums(classes, seed):
+    # the teacher's probabilities arrive as the (n, C) view of its class-major
+    # softmax; the normaliser sums each row as numpy's row sum of a C-ordered
+    # copy does, pairwise from eight classes
+    rng = np.random.default_rng(seed)
+    n = 20
+    probs = softmax_with_log(rng.standard_normal((classes, n)) * 4.0)[0].T
+    labeled = np.sort(rng.choice(n, size=5, replace=False))
+    labels = rng.integers(0, classes, size=5)
+    got = estimate_labels_teacher(probs, labels, labeled)
+    assert _bits(got.y) == _bits(reference_teacher_labels(probs.copy(), labels, labeled))

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diagnostics_csv import records_from_csv
 from graphain.diagnostics import (
     DiagnosticsRecord,
     LayerRecorder,
+    _record,
     pairwise_stats,
     records_to_csv,
 )
@@ -193,3 +198,29 @@ class TestReferenceOnDemand:
         assert len(records) == 10
         assert all(r.column_gram_dev <= 1e-6 for r in records)
         assert all(r.subspace_dist is None for r in records)
+
+
+def reference_record(h, layer):
+    """``_record``'s fields with the column sums of ``h.sum(axis=0)``, for a
+    layer whose columns are not orthonormal."""
+    n, d = h.shape
+    frob_sq = float(np.sum(h * h))
+    col_sums = h.sum(axis=0)
+    mean = max(2.0 * n * frob_sq - 2.0 * float(col_sums @ col_sums), 0.0) / n
+    gram_dev = float(np.abs(h.T @ h - np.eye(d)).max())
+    return DiagnosticsRecord(layer, mean, frob_sq, gram_dev, float(np.abs(col_sums).max()), None)
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 33])
+@pytest.mark.parametrize("order", ["C", "F"])
+@given(rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_record_keeps_the_column_sum_bytes(width, order, rows, seed):
+    # a lone column, and a column-major layer, sum pairwise, not row by row
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-3, 3, size=(rows, width))
+    h = np.asarray(h, order=order) + 1.0  # off orthonormal, so no reference is asked for
+    got = _record(h, 3, lambda d: pytest.fail("no reference for a layer off orthonormal"))
+    want = reference_record(h, 3)
+    assert [np.float64(v).tobytes() for v in dataclasses.astuple(got)[1:-1]] == [
+        np.float64(v).tobytes() for v in dataclasses.astuple(want)[1:-1]]
+    assert (got.layer, got.subspace_dist) == (3, None)

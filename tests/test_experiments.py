@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphain.classifier import make_reducer
 from graphain.config import (
     build_experiment_config,
     config_hash,
@@ -24,13 +25,14 @@ from graphain.config import (
     parse_config_text,
     render_config,
 )
-from graphain.curriculum import AUX_MODES
+from graphain.curriculum import AUX_MODES, build_knn_aux_graph
 from graphain.errors import (
     ConfigError,
     EmptyIncludeError,
     GraphainError,
     IndexOutOfRangeError,
     MissingMaskError,
+    NonFiniteFeatureError,
     NonFiniteLossError,
     ParseError,
 )
@@ -1076,6 +1078,84 @@ def test_run_seed_returns_or_names_its_stage():
     print(report)
     for stage, floor in REACH_FLOOR.items():
         assert reach[stage] >= floor * total, report
+
+
+# Draws whose input passes the teacher and then overflows in the
+# feature_knn auxiliary graph or in its smoothing: each kind's stage and
+# the start of its message.
+PAST_TEACHER = {
+    "norm": ("aux-graph", "kNN auxiliary graph: the squared norm of row "),
+    "distance": ("aux-graph", "kNN auxiliary graph: the squared distance between rows "),
+    "weight": ("aux-graph", "kNN auxiliary graph: the weight of edge ("),
+    "degree": ("label-smoothing", "auxiliary graph: the weighted degree of node "),
+}
+
+
+def _draw_past_teacher(draw):
+    """(graph, raw dataset config, kind) of a seed on a labeled path whose
+    raw features overflow only where ``feature_knn`` reads them:
+
+    - norm, distance: features of width f carry a component of about 1e155
+      (norm: a squared norm overflows) or 0.8e154 of either sign (distance:
+      squared norms below 2^1023, but two rows' squared distance overflows)
+      along a direction the seed's reducer maps to rounding, about 1e139,
+      so the propagation sees finite products;
+    - weight, degree: rows of norm about 1e77 and nearly parallel, at a
+      gamma' that takes the largest kept g past the largest double (weight)
+      or to 1e308, so that each node's three or more edges weigh past it
+      (degree)."""
+    n = draw(st.integers(6, 14), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    width = draw(st.integers(2, 5), label="feature width")
+    d = draw(st.integers(1, width - 1), label="embedding_dim")
+    kind = draw(st.sampled_from(sorted(PAST_TEACHER)), label="kind")
+    k = draw(st.integers(3, n - 1), label="k")
+    z = rng.standard_normal((n, width))
+    gamma = 1.0
+    if kind in ("norm", "distance"):
+        reducer = make_reducer(width, d, int(experiment._child_seeds(0)["reducer"]))
+        away = np.linalg.qr(reducer, mode="complete")[0][:, d]  # orthogonal to its columns
+        sign = np.where(rng.random(n) < 0.5, 1.0, -1.0) * (rng.random(n) < 0.5)
+        sign[:2] = 1.0, -1.0  # two rows of opposite signs at least
+        scale = (1e155 if kind == "norm" else 0.8e154) * (1.0 + 0.1 * rng.random(n))
+        x = z + (scale * sign)[:, None] * away
+    else:
+        u = rng.standard_normal(width)
+        x = 1e77 * (u / np.linalg.norm(u) + 0.01 * z)
+        top = math.log(build_knn_aux_graph(x, k, 1.0).weights.max())
+        gamma = (310 if kind == "weight" else 308) * math.log(10) / top
+    nodes = np.arange(n)
+    masks = (nodes[nodes % 3 == 0], nodes[nodes % 3 == 1], nodes[nodes % 3 == 2])
+    g = build_graph(np.column_stack([nodes[:-1], nodes[1:]]), n, x, nodes % 2, masks)
+    variant = draw(st.sampled_from(VARIANTS), label="variant")
+    raw = {
+        "dataset.path": "unused",
+        "propagation.variant": variant,
+        "propagation.embedding_dim": str(d),
+        "propagation.layers": "2",
+        "curriculum.aux_mode": "feature_knn",
+        "curriculum.knn_k": str(k),
+        "curriculum.gamma_prime": repr(gamma),
+        "curriculum.n_t": "2",
+        "curriculum.mask_ratio": draw(st.sampled_from(["0", "0.5"]), label="mask_ratio"),
+        "curriculum.pacing_epochs": "3",
+        "train.epochs": "5",
+    }
+    if variant == "rsoft":
+        raw["propagation.d0"] = str(d)
+    return g, raw, kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_run_seed_past_the_teacher_names_its_stage(data):
+    # Bad values from input that reach the aux graph and the smoothing fail
+    # there, typed and named, with warnings as errors.
+    g, raw, kind = _draw_past_teacher(data.draw)
+    stage, message = PAST_TEACHER[kind]
+    with _fuzz_warnings(), pytest.raises(NonFiniteFeatureError) as err:
+        run_seed(build_experiment_config(raw), 0, inputs=("fuzz", g))
+    assert str(err.value).startswith(f"[stage {stage}] {message}")
 
 
 CLI_ERROR = re.compile(rf"^error: (\[stage ({'|'.join(STAGES)})\]|\S+:\d+:) [^\n]*\n$")

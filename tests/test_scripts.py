@@ -2,9 +2,9 @@
 ``run_grid.py`` runs the README's two grid specs end to end on one seed,
 runs a heterophilous cell and rejects a misspelled key and an axis over a
 key that a cell does not read, ``bench.py`` appends a run to an existing
-report, and its ``head``, ``import``, ``layers`` and ``aux`` cases run end
-to end at tiny shapes, so a rename of a function they wrap by name fails
-here.
+report, and its ``head``, ``import``, ``layers``, ``aux`` and ``labels``
+cases run end to end at tiny shapes, so a rename of a function they wrap by
+name fails here.
 
 Each runs in its own process, with only ``src`` on ``PYTHONPATH``, so a
 program API change that breaks a script's imports, or the way it reads
@@ -58,7 +58,7 @@ def _run(script, *args, cwd=None):
 # ``--case`` is checked against the case list before ``--help`` exits.
 HELP_RUNS = [(path.name, path, ()) for path in SCRIPTS] + [
     (f"bench_{case}.py", ROOT / "scripts" / "bench.py", ("--case", case))
-    for case in ("head", "aux", "io", "layers", "import")
+    for case in ("head", "aux", "io", "layers", "import", "labels")
 ]
 
 
@@ -193,8 +193,9 @@ def test_bench_appends_each_run_under_its_label(tmp_path):
 
 # bench.py loaded as a module, its ``layers`` and ``aux`` shapes cut down to
 # a dense and a sparse graph of 30 and 450 nodes, its ``head`` rows to one
-# size and its ``import`` seed to a 30-node, 2-layer run, and one case run
-# as ``bench.py --case <case> --label tiny``
+# size, its ``import`` seed to a 30-node, 2-layer run and its ``labels``
+# workloads to a generated and a saved 30-node graph, and one case run as
+# ``bench.py --case <case> --label tiny``
 BENCH_TINY = """\
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("bench", sys.argv[1])
@@ -214,6 +215,10 @@ bench.HEAD_ROWS = (300,)
 bench.WIDE_SEED = {"synthetic.clusters": "3", "synthetic.nodes_per_cluster": "10",
                    "propagation.layers": "2", "curriculum.n_t": "1",
                    "curriculum.pacing_epochs": "2", "train.epochs": "5", "seeds": "0"}
+tiny = {"synthetic.nodes_per_cluster": "10", "propagation.layers": "2", "curriculum.n_t": "2"}
+bench.LABEL_CASES = {"generated": (tiny, None),
+                     "saved": ({"dataset.path": "dense", "propagation.layers": "2"}, "dense")}
+bench.LABEL_REPEAT_S = 0.001
 sys.argv[1:] = ["--case", sys.argv[2], "--label", "tiny"]
 bench.main()
 """
@@ -289,3 +294,16 @@ def test_bench_aux_runs_at_tiny_shapes(tmp_path):
     for entry in results["knn"] + results["knn_embedding"] + results["knn_features"]:
         assert entry["knn_products_per_call"] > 0
         assert entry["knn_block_entries_per_call"] > 0
+
+
+def test_bench_labels_runs_at_tiny_shapes(tmp_path):
+    results, repeats, out = _bench_tiny(tmp_path, "labels")
+    assert [(entry["workload"], entry["n"], entry["n_t"]) for entry in results] == [
+        ("generated", 30, 2), ("saved", 30, 10)]
+    calls = ("smooth_labels", "soft_label_matrix", "scoring_run_curriculum", "layer_recorder")
+    for entry in results:
+        assert set(entry["calls_per_repeat"]) == set(calls)
+        for call in calls:
+            assert entry["calls_per_repeat"][call] >= 1
+            assert len(entry[f"{call}_us"]["samples"]) == repeats
+    assert out.splitlines()[0].startswith("labels tiny workload=generated smooth_labels_us: ")
