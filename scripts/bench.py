@@ -38,6 +38,10 @@ layers  the rsoft forward pass (us per layer): n = 300 at the paper's depth of
         ran), the skip mix, the filter and the ``eigh`` inside it
         (``sym_eig``), and the rest of the layer.  The timers add their own
         cost to those passes, whose whole time is reported as ``wrapped``.
+        ``operator_ms`` times one build of the centred operator that rsoft
+        multiplies by (ms per call), the build a dataset config makes once
+        per process: on each case's graph and, in the ``operators`` rows,
+        on 3 x 33,334 nodes at ``wide``'s expected degree.
         The ``kernels`` rows time one product of scipy's CSR kernel
         (``csr_matvecs``, on the CSR arrays of ``oracles.csr_arrays``) and
         of its CSC kernel (``graph.csc_matmul``) on the same operator (us
@@ -149,6 +153,8 @@ LAYER_CASES = {
     ),
     "wide_n3000_L64": (GENERATOR_SPECS["wide"], 64, 0.0),
 }
+# The graphs whose operator build the ``operators`` rows time, with no forward pass.
+OPERATOR_SPECS = {"wide_100k": KNN_EMBEDDINGS["wide_100k"]}
 # The graphs whose operators the kernels rows multiply by.
 KERNEL_SPECS = {name: GENERATOR_SPECS[name] for name in ("wide", "files", "wide_100k")}
 # The crossover sweep: node counts, shares of the n^2 entries filled, width.
@@ -395,6 +401,17 @@ def _dataset_io():
         }
 
 
+def _operator_ms(g):
+    """ms per build of g's centred operator, rsoft's."""
+    return _timed(partial(normalized_adjacency, g, "symmetric", True), 1e3)
+
+
+def _operator(name):
+    g = gen_gaussian_cluster_graph(SyntheticSpec(**OPERATOR_SPECS[name], seed=0))
+    return {"spec": name, "n": g.n, "operator_nnz": normalized_adjacency(g).matrix.nnz,
+            "operator_ms": _operator_ms(g)}
+
+
 def _layer_case(name):
     spec, layers, decay = LAYER_CASES[name]
     g = gen_gaussian_cluster_graph(SyntheticSpec(**spec, seed=0))
@@ -409,6 +426,7 @@ def _layer_case(name):
     return {"case": name, "n": g.n, "operator_nnz": op.matrix.nnz,
             "product": "csc" if op.dense is None else "dense",
             "width": cfg.embedding_dim, "layers": layers, "p_q": decay,
+            "operator_ms": _operator_ms(g),
             "us_per_layer": _timed(run, 1e6 / layers),
             "parts_us_per_layer": _timed_parts(run, 1e6 / layers)}
 
@@ -538,8 +556,9 @@ CASES = {
                                      "knn_features": [_knn_features(name)
                                                       for name in KNN_FEATURES]}),
     "io": ({"spec": "files", "unit": "ms"}, _dataset_io),
-    "layers": ({"unit": "us per layer or product"},
+    "layers": ({"unit": "us per layer or product, ms per operator build"},
                lambda: {"cases": [_layer_case(name) for name in LAYER_CASES],
+                        "operators": [_operator(name) for name in OPERATOR_SPECS],
                         "kernels": [_kernels(name) for name in KERNEL_SPECS],
                         "crossover": [_crossover(n, fill) for n in CROSSOVER_N
                                       for fill in CROSSOVER_FILL]}),

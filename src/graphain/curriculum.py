@@ -97,12 +97,12 @@ def aux_from_graph(g: Graph) -> AuxGraph:
 
 
 def _leaf_product(left: np.ndarray, right: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The stacked products ``left[i] @ right[i].T`` of the (blocks, rows,
-    width) ``left`` and the (blocks, columns, width) ``right``, one block of
+    """The stacked products ``left[i] @ right[i]`` of the (blocks, rows,
+    width) ``left`` and the (blocks, width, columns) ``right``, one block of
     distances each, into the front of the flat ``buf``."""
-    out = buf[: left.shape[0] * left.shape[1] * right.shape[1]]
-    out = out.reshape(left.shape[0], left.shape[1], right.shape[1])
-    return np.matmul(left, right.transpose(0, 2, 1), out=out)
+    out = buf[: left.shape[0] * left.shape[1] * right.shape[2]]
+    out = out.reshape(left.shape[0], left.shape[1], right.shape[2])
+    return np.matmul(left, right, out=out)
 
 
 def _group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -198,9 +198,13 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
     their block distances, each row's bound).  Every pair (p, q) whose
     distance could be among row p's k smallest is a candidate.
 
-    Distances come from products of the rows [x, |x|^2, 1] by the rows
-    [-2 y, 1, |y|^2].  The leaves are padded to the largest one (sizes
-    differ by at most one), and an empty slot's row and column take no part.
+    Distances come from products of the rows [-2 x, |x|^2, 1] by the
+    columns [y, 1, |y|^2]; scaling by -2 is exact, so each term of a product
+    is x_i y_i times -2 either way.  The leaves are padded to the largest one
+    (sizes differ by at most one), and an empty slot's row and column take
+    no part.  Each leaf's columns are one C-contiguous (d + 2, width) block
+    of a (count, d + 2, width) array, whose first d rows are also its
+    coordinates, so every product takes BLAS's no-transpose kernel.
     The search runs over every leaf at once, in array passes:
 
     - Own blocks: every leaf's rows against its own, a stack of leaves a
@@ -229,14 +233,15 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
     count = edge.size - 1
     sizes = np.diff(edge)
     width = int(sizes.max())
-    ones = np.ones((n, 1))
-    left = np.hstack([pts, sq_norms[:, None], ones])
-    right = np.hstack([-2.0 * pts, ones, sq_norms[:, None]])
+    left = np.hstack([-2.0 * pts, sq_norms[:, None], np.ones((n, 1))])
     slot = np.arange(width)
     empty = slot >= sizes[:, None]  # the empty last slot of each shorter leaf
     members = np.minimum(edge[:-1, None] + slot, edge[1:, None] - 1)
     row_slot = np.flatnonzero(~empty)  # each row's flat (leaf, slot) index
-    right_leaf = right[members]
+    block = np.empty((count, d + 2, width))  # each leaf's columns [y, 1, |y|^2]
+    block[:, :d] = pts[members].transpose(0, 2, 1)
+    block[:, d] = 1.0
+    block[:, d + 1] = sq_norms[members]
     size = max(_KNN_CHUNK, width * max(width, d))
     dist_buf, part_buf = np.empty(size), np.empty(size)
     take_buf = np.empty(size, dtype=bool)
@@ -251,7 +256,7 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
     step = size // (width * width)
     for start in range(0, count, step):
         leaves = slice(start, start + step)
-        own = _leaf_product(left[members[leaves]], right_leaf[leaves], dist_buf)
+        own = _leaf_product(left[members[leaves]], block[leaves], dist_buf)
         own[:, slot, slot] = np.inf  # a node is not its own neighbor
         own[empty[leaves]] = np.inf
         own.transpose(0, 2, 1)[empty[leaves]] = np.inf
@@ -273,7 +278,6 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
 
     lo, hi = np.minimum.reduceat(pts, edge[:-1]), np.maximum.reduceat(pts, edge[:-1])
     rows_leaf, searched = _leaf_pairs(lo, hi, np.maximum.reduceat(top_max + slack, edge[:-1]))
-    coords = pts[members].transpose(0, 2, 1).copy()  # each leaf's (d, width) coordinates
     slot_bound = np.full(count * width, -np.inf)  # an empty slot searches nothing
     slot_bound[row_slot] = top_max + slack
     nearest = np.full(n, np.inf)
@@ -281,7 +285,7 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
     step = max(1, size // (d * width))
     for start in range(0, searched.size, step):
         a, b = rows_leaf[start : start + step], searched[start : start + step]
-        x = coords[a]
+        x = block[a, :d]  # each row's leaf's (d, width) coordinates
         # the point of leaf b's box nearest each row of leaf a, less the row
         gap = np.maximum(x, lo[b][:, :, None], out=part_buf[: x.size].reshape(x.shape))
         np.minimum(gap, hi[b][:, :, None], out=gap)
@@ -294,13 +298,13 @@ def _search_leaves(pts, sq_norms, edge, k, slack):
         firsts = np.flatnonzero(np.diff(leaf, prepend=-1))
         found = len(codes)
         for first, end in zip(firsts.tolist(), np.append(firsts[1:], rows.size).tolist()):
-            cols = slice(edge[leaf[first]], edge[leaf[first] + 1])
+            col0, cols = edge[leaf[first]], block[None, leaf[first], :, : sizes[leaf[first]]]
             for piece in range(first, end, size // width):
                 some = rows[piece : min(piece + size // width, end)]
-                dist = _leaf_product(left[None, some], right[None, cols], dist_buf)[0]
+                dist = _leaf_product(left[None, some], cols, dist_buf)[0]
                 cand = within(dist, slot_bound[row_slot[some], None])
                 i, j = np.divmod(cand, dist.shape[1])
-                codes.append(some[i] * n + cols.start + j)
+                codes.append(some[i] * n + col0 + j)
                 dists.append(dist.ravel()[cand])
         # A row's nearest new distance replaces the largest of the k it holds.
         got = np.concatenate(codes[found:]) // n
@@ -496,9 +500,11 @@ def entropy_filter(
         order = np.argsort(-ent, kind="stable")
         masked[candidates[order[:count]]] = True
         y[masked] = 0.0
-    live = ~masked
-    sums = y[live].sum(axis=1)
-    y[live] /= sums[:, None]
+    if masked.any():
+        live = ~masked
+        y[live] /= y[live].sum(axis=1)[:, None]
+    else:  # no masked row: every row in place, with the same sums
+        y /= y.sum(axis=1)[:, None]
     return SoftLabelMatrix(y=y, masked=masked)
 
 

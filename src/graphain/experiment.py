@@ -7,12 +7,21 @@ pass, and the smoothing snapshots are exported from the run that built them.
 The run seed drives the synthetic generation, split, feature noise, and
 reducer through independent child streams, so seed lists compose without
 interaction.
+
+A loaded dataset's operator, one per (operator mode, centring), and its
+auxiliary graph, one per (aux mode, k, gamma'), are built once per dataset
+Graph and kept while it lives, across seeds, runs and grid cells: noise
+leaves the edges, so every seed shares the operator, and the auxiliary
+graph is shared where the seed's graph gives the dataset's (``input_graph``,
+or ``feature_knn`` without noise).  Both are read-only, so no byte moves; a
+synthetic seed builds and frees its own operator.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,10 +42,15 @@ from .curriculum import (
 )
 from .diagnostics import LayerRecorder, records_to_csv
 from .errors import GraphainError, MissingMaskError, TooFewClassesError
-from .graph import Graph
+from .graph import Graph, normalized_adjacency
 from .io import dataset_digest, load_dataset, read_dataset_files, records_csv
-from .propagation import run_fuzzy_r_softgraphain
+from .propagation import operator_spec, run_fuzzy_r_softgraphain
 from .synthetic import add_feature_noise, gen_gaussian_cluster_graph, with_masks
+
+# dataset Graph -> {key: what is built from it alone}; an entry dies with its
+# Graph, once ``io.load_dataset`` drops it and no run holds it
+_KEPT = weakref.WeakKeyDictionary()
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -104,11 +118,20 @@ def prepare_graph(cfg: ExperimentConfig, seed: int, dataset: Graph | None) -> Gr
     return g
 
 
-def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int, observe=None):
+def _kept(dataset: Graph, key: tuple, build):
+    """``build()``, made once for ``dataset`` and ``key`` and kept with it."""
+    kept = _KEPT.setdefault(dataset, {})
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
+
+
+def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int, observe=None, op=None):
     """Embedding of the configured variant.  Features not already
     ``embedding_dim`` wide are first mapped by the seed's reducer.
 
-    ``observe`` is passed to the forward pass, which calls it once per layer.
+    ``observe`` and ``op`` are passed to the forward pass, which calls
+    ``observe`` once per layer and builds the operator when ``op`` is None.
     """
     reducer = None
     if g.feature_dim != cfg.embedding_dim:
@@ -116,16 +139,41 @@ def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int, observe=None):
             g.feature_dim, cfg.embedding_dim, int(_child_seeds(seed)["reducer"])
         )
     return run_fuzzy_r_softgraphain(
-        g, cfg.propagation, reducer=reducer, variant=cfg.variant, observe=observe
+        g, cfg.propagation, reducer=reducer, variant=cfg.variant, observe=observe, op=op
     )
 
 
-def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray):
+def _dataset_operator(cfg: ExperimentConfig, dataset: Graph):
+    """The operator of ``dataset``'s edges that the variant multiplies by."""
+    spec = operator_spec(cfg.propagation, cfg.variant)
+    return _kept(dataset, spec, lambda: normalized_adjacency(dataset, *spec))
+
+
+def _aux_of(cfg: ExperimentConfig, g: Graph, h):
     mode = cfg.curriculum.aux_mode
     if mode == "input_graph":
         return aux_from_graph(g)
     vectors = g.features if mode == "feature_knn" else h
     return build_knn_aux_graph(vectors, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime)
+
+
+def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray, dataset: Graph | None):
+    """The seed's auxiliary graph; the dataset's kept one when the seed's
+    graph gives the same: its edges always, its features unless noisy."""
+    c = cfg.curriculum
+    shared = c.aux_mode == "input_graph" or (
+        c.aux_mode == "feature_knn" and not cfg.noisy_features
+    )
+    if dataset is None or not shared:
+        return _aux_of(cfg, g, h)
+
+    def build():
+        aux = _aux_of(cfg, dataset, None)
+        aux.edges.setflags(write=False)  # shared by every seed
+        aux.weights.setflags(write=False)
+        return aux
+
+    return _kept(dataset, (c.aux_mode, c.knn_k, c.gamma_prime), build)
 
 
 def _arm_rows(cfg: ExperimentConfig, digest: str, seed: int, g: Graph, result):
@@ -157,7 +205,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, diagnostics_path=None, inputs=Non
 
     With ``diagnostics_path``, the per-layer diagnostics of the seed's one
     forward pass are written there as CSV.  ``inputs`` is the run's
-    ``load_inputs(cfg)``, read here when not given.
+    ``load_inputs(cfg)``, read here when not given; either way a loaded
+    dataset's kept operator and auxiliary graph serve the seed.
     """
     digest, dataset = inputs or load_inputs(cfg)
     with _stage("dataset"):
@@ -172,7 +221,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, diagnostics_path=None, inputs=Non
             )
     with _stage("propagation"):
         recorder = None if diagnostics_path is None else LayerRecorder(g)
-        h = compute_embedding(cfg, g, seed, observe=recorder)
+        op = None if dataset is None else _dataset_operator(cfg, dataset)
+        h = compute_embedding(cfg, g, seed, observe=recorder, op=op)
     if recorder is not None:
         records_to_csv(recorder.records, diagnostics_path)
 
@@ -193,7 +243,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, diagnostics_path=None, inputs=Non
         )
     with _stage("aux-graph"):
         # zero smoothing steps never read the auxiliary graph
-        aux = _build_aux(cfg, g, h) if cfg.curriculum.n_t else None
+        aux = _build_aux(cfg, g, h, dataset) if cfg.curriculum.n_t else None
     with _stage("label-smoothing"):
         snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
     with _stage("curriculum"):

@@ -10,6 +10,8 @@ go through it too.  rsoft and pairnorm centre through the operator: theirs
 is Â - 1 c^T / n, c the column sums of Â, whose product is that of the plain
 operator with its column means subtracted, to rounding, in one pass.  The
 separate column-mean subtract is the oracles' (``oracles.apply_centering``).
+An operator reads the edges alone, so ``experiment`` keeps a loaded
+dataset's for every seed, keyed by the Graph, which hashes by identity.
 
 Sparse matrices are ``CscMatrix`` records of numpy arrays, stored by
 columns, and scipy serves only its compiled CSC kernel (``csc_matvecs``),
@@ -102,9 +104,10 @@ def _load_sparsetools():
 _sparsetools = _load_sparsetools()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph with node features and optional partial labels."""
+    """Undirected graph with node features and optional partial labels;
+    it equals only itself."""
 
     n: int
     edges: np.ndarray       # (m, 2) int64, i < j, unique, no self-loops

@@ -128,12 +128,19 @@ def residual_combine(
     return out
 
 
+def operator_spec(cfg: PropagationConfig, variant: str) -> tuple:
+    """(mode, centered), the ``normalized_adjacency`` arguments of the
+    operator ``variant`` multiplies by: rsoft and pairnorm centre, sgc not."""
+    return cfg.operator_mode, variant != "sgc"
+
+
 def run_fuzzy_r_softgraphain(
     g: Graph,
     cfg: PropagationConfig,
     reducer: np.ndarray | None = None,
     variant: str = "rsoft",
     observe: Callable[[int, np.ndarray], None] | None = None,
+    op: NormalizedOperator | None = None,
 ) -> np.ndarray:
     """The deep forward pass of every variant; returns the last layer.
 
@@ -147,7 +154,8 @@ def run_fuzzy_r_softgraphain(
     when the norm of its product is not finite (``_finite_norm``), and
     "pairnorm" the unit-scale centering-and-rescaling step.  ``reducer``
     maps raw features to the working width; without it the feature width
-    is used as-is.
+    is used as-is.  ``op`` is the operator of ``g``'s edges that ``variant``
+    multiplies by (``operator_spec``), built here when None.
     ``observe(t, H_t)`` is called once per layer t = 1..L.  A GraphainError
     raised in a step carries the failing layer index.
 
@@ -160,7 +168,8 @@ def run_fuzzy_r_softgraphain(
     """
     if variant not in VARIANTS:
         raise GraphainError(f"unknown variant {variant!r}")
-    op = normalized_adjacency(g, cfg.operator_mode, centered=variant != "sgc")
+    if op is None:
+        op = normalized_adjacency(g, *operator_spec(cfg, variant))
     x = g.features if reducer is None else g.features @ np.asarray(reducer, float)
     if variant == "rsoft" and cfg.filter.d0 > x.shape[1]:
         raise DimensionMismatchError(

@@ -51,7 +51,7 @@ def leaf_products(monkeypatch):
     real = curriculum._leaf_product
 
     def counting(left, right, buf):
-        calls.append((left.shape[0] * left.shape[1], right.shape[1]))
+        calls.append((left.shape[0] * left.shape[1], right.shape[2]))
         return real(left, right, buf)
 
     monkeypatch.setattr(curriculum, "_leaf_product", counting)

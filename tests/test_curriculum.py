@@ -1054,3 +1054,40 @@ def test_teacher_labels_keep_numpys_row_sums(classes, seed):
     labels = rng.integers(0, classes, size=5)
     got = estimate_labels_teacher(probs, labels, labeled)
     assert _bits(got.y) == _bits(reference_teacher_labels(probs.copy(), labels, labeled))
+
+
+def reference_entropy_filter(labels, mask_ratio, labeled_set=None):
+    """``entropy_filter`` with every live row gathered, divided and scattered
+    back through the boolean mask, masked rows or not."""
+    protected = np.zeros(labels.n, dtype=bool)
+    if labeled_set is not None:
+        protected[np.asarray(labeled_set, dtype=np.int64)] = True
+    candidates = np.flatnonzero(~labels.masked & ~protected)
+    count = math.ceil(mask_ratio * candidates.size)
+    y, masked = labels.y.copy(), labels.masked.copy()
+    if count > 0:
+        order = np.argsort(-curriculum._row_entropies(y[candidates]), kind="stable")
+        masked[candidates[order[:count]]] = True
+        y[masked] = 0.0
+    live = ~masked
+    sums = y[live].sum(axis=1)
+    y[live] /= sums[:, None]
+    return SoftLabelMatrix(y=y, masked=masked)
+
+
+@pytest.mark.parametrize("classes", [3, 8, 12])
+@given(seed=st.integers(0, 2**32 - 1), mask_ratio=st.sampled_from([0.0, 0.3, 1.0]),
+       premasked=st.booleans())
+def test_entropy_filter_keeps_the_gathered_row_sums(classes, seed, mask_ratio, premasked):
+    # rows that sum to one within 1e-10, so the division moves bytes; no
+    # masked row at ratio 0 without premasked rows, some otherwise
+    rng = np.random.default_rng(seed)
+    n = 30
+    y = rng.dirichlet(np.ones(classes), size=n) * (1.0 + 1e-10 * rng.uniform(-1, 1, (n, classes)))
+    masked = (rng.random(n) < 0.3) if premasked else np.zeros(n, dtype=bool)
+    y[masked] = 0.0
+    labels, labeled = _soft(y, masked), np.sort(rng.choice(n, size=4, replace=False))
+    got = entropy_filter(labels, mask_ratio, labeled_set=labeled)
+    want = reference_entropy_filter(labels, mask_ratio, labeled_set=labeled)
+    assert _bits(got.y) == _bits(want.y)
+    assert np.array_equal(got.masked, want.masked)

@@ -1,11 +1,14 @@
+import gc
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -40,7 +43,7 @@ from graphain.experiment import run_experiment, run_seed, rows_to_csv
 from graphain.io import load_dataset, save_dataset
 import graphain.config as config
 import graphain.experiment as experiment
-from graphain import cli, graph, io
+from graphain import cli, graph, io, propagation
 from graphain.graph import build_graph
 from graphain.propagation import VARIANTS
 from graphain.synthetic import (
@@ -902,6 +905,149 @@ class TestRunExperiment:
             r"whose rows are all masked; lower curriculum\.mask_ratio$",
         ):
             run_seed(cfg, 0)
+
+
+def _files_config(directory, seeds=(1, 2, 3)):
+    """A write-mode run shaped as the benchmark's ``files`` workload, at a
+    tenth of its nodes: a saved sparse 3 x 50 graph with 32-wide features."""
+    g = gen_gaussian_cluster_graph(
+        _spec(nodes_per_cluster=50, intra_p=0.1, inter_p=0.01, centers_dim=32)
+    )
+    save_dataset(with_masks(g, 0.1, 0.2, seed=0), directory / "data")
+    kv = {k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")}
+    cfg = build_experiment_config({**kv, "dataset.path": str(directory / "data")})
+    return replace(cfg, seeds=seeds, output_dir=str(directory / "out"))
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """The (mode, centered) of every operator a run builds, through
+    ``experiment`` (a dataset's) or the forward pass (a synthetic seed's)."""
+    calls = []
+    real = graph.normalized_adjacency
+
+    def counting(g, mode="symmetric", centered=False):
+        calls.append((mode, centered))
+        return real(g, mode, centered)
+
+    for module in (experiment, propagation):
+        monkeypatch.setattr(module, "normalized_adjacency", counting)
+    return calls
+
+
+def _built_per_seed(monkeypatch):
+    """Every kept build made afresh for each seed, as before the memo."""
+    monkeypatch.setattr(experiment, "_kept", lambda dataset, key, build: build())
+
+
+def _run_files(cfg):
+    """(rows, written files) of a run into a fresh ``cfg.output_dir``."""
+    out = Path(cfg.output_dir)
+    shutil.rmtree(out, ignore_errors=True)
+    rows = run_experiment(cfg)
+    return rows_to_csv(rows), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestDatasetKeptBuilds:
+    def test_a_dataset_run_builds_its_operator_once(self, tmp_path, operator_builds,
+                                                    monkeypatch):
+        cfg = _files_config(tmp_path)
+        kept = _run_files(cfg)
+        assert operator_builds == [("symmetric", True)]
+        assert {"diagnostics_seed1.csv", "diagnostics_seed3.csv"} <= set(kept[1])
+        operator_builds.clear()
+        _built_per_seed(monkeypatch)
+        per_seed = _run_files(cfg)
+        assert operator_builds == [("symmetric", True)] * 3
+        assert kept == per_seed
+
+    def test_repeated_run_seed_calls_reuse_it(self, tmp_path, operator_builds):
+        # as scripts/run_grid.py calls it: no inputs, so each call loads the
+        # dataset, and gets the Graph io keeps
+        cfg = _files_config(tmp_path)
+        rows = [run_seed(cfg, seed)[0] for seed in (1, 2, 1)]
+        assert operator_builds == [("symmetric", True)]
+        assert rows[0] == rows[2]
+
+    def test_each_mode_and_centring_has_its_own_operator(self, tmp_path, operator_builds):
+        cfg = _files_config(tmp_path, seeds=(1,))
+        prop = cfg.propagation
+        cells = [
+            replace(cfg, variant="rsoft"),
+            replace(cfg, variant="pairnorm"),  # centred too: shares rsoft's
+            replace(cfg, variant="sgc"),
+            replace(cfg, propagation=replace(prop, operator_mode="random_walk")),
+        ]
+        for cell in cells:
+            run_seed(cell, 1)
+        (dataset,) = io._LOADED.values()
+        assert operator_builds == [
+            ("symmetric", True), ("symmetric", False), ("random_walk", True)]
+        ops = {key: value for key, value in experiment._KEPT[dataset].items()}
+        assert list(ops) == operator_builds
+        assert [op.shift is None for op in ops.values()] == [False, True, False]
+        assert len({id(op) for op in ops.values()}) == 3
+
+    def test_noisy_seeds_share_the_operator_not_a_feature_knn_aux_graph(
+        self, tmp_path, operator_builds, monkeypatch
+    ):
+        knn = []
+        real = experiment.build_knn_aux_graph
+        monkeypatch.setattr(
+            experiment, "build_knn_aux_graph",
+            lambda vectors, *args: knn.append(vectors) or real(vectors, *args),
+        )
+        base = _files_config(tmp_path)
+        clean = replace(base, curriculum=replace(base.curriculum, aux_mode="feature_knn"))
+        # a config file forces input_graph under noise; the object need not
+        noisy = replace(clean, noisy_features=True)
+        dataset = load_dataset(base.dataset_path)  # the Graph io keeps for the runs
+        rows = []
+        for cfg, builds in ((clean, 1), (noisy, 3)):
+            knn.clear()
+            rows.append([run_seed(cfg, seed)[0] for seed in cfg.seeds])
+            assert len(knn) == builds
+            assert all(v is dataset.features for v in knn) == (cfg is clean)
+        assert operator_builds == [("symmetric", True)]
+        assert list(experiment._KEPT[dataset]) == [("symmetric", True), ("feature_knn", 7, 1.0)]
+        with monkeypatch.context() as per_seed:
+            _built_per_seed(per_seed)
+            assert rows == [[run_seed(cfg, seed)[0] for seed in cfg.seeds]
+                            for cfg in (clean, noisy)]
+
+    def test_input_graph_aux_is_kept_under_noise(self, tmp_path, monkeypatch):
+        calls = []
+        real = experiment.aux_from_graph
+        monkeypatch.setattr(experiment, "aux_from_graph",
+                            lambda g: calls.append(g) or real(g))
+        base = _files_config(tmp_path)
+        cfg = replace(base, noisy_features=True,
+                      curriculum=replace(base.curriculum, aux_mode="input_graph"))
+        run_experiment(cfg, write_files=False)
+        (dataset,) = io._LOADED.values()
+        assert calls == [dataset]
+        aux = experiment._KEPT[dataset][("input_graph", 7, 1.0)]
+        assert not (aux.edges.flags.writeable or aux.weights.flags.writeable)
+
+    def test_synthetic_seeds_never_enter_it(self, operator_builds):
+        cfg = build_experiment_config({**BASE_KV, "seeds": "1,2"})
+        run_experiment(cfg, write_files=False)
+        assert operator_builds == [("symmetric", True)] * 2
+        assert len(experiment._KEPT) == 0
+
+    def test_an_entry_dies_with_its_graph(self, tmp_path):
+        cfg = _files_config(tmp_path, seeds=(1,))
+        run_experiment(cfg, write_files=False)
+        (dataset,) = io._LOADED.values()
+        (op,) = experiment._KEPT[dataset].values()
+        refs = weakref.ref(dataset), weakref.ref(op)
+        del dataset, op
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # io still keeps the Graph
+        io._LOADED.clear()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert len(experiment._KEPT) == 0
 
 
 _RUN_CHILD = """\
