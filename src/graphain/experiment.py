@@ -8,13 +8,12 @@ The run seed drives the synthetic generation, split, feature noise, and
 reducer through independent child streams, so seed lists compose without
 interaction.
 
-A loaded dataset's operator, one per (operator mode, centring), and its
-auxiliary graph, one per (aux mode, k, gamma'), are built once per dataset
-Graph and kept while it lives, across seeds, runs and grid cells: noise
-leaves the edges, so every seed shares the operator, and the auxiliary
-graph is shared where the seed's graph gives the dataset's (``input_graph``,
-or ``feature_knn`` without noise).  Both are read-only, so no byte moves; a
-synthetic seed builds and frees its own operator.
+A loaded dataset's operator, one per (operator mode, centring), is built
+once per dataset Graph and kept while it lives, so it pays when the same
+dataset is run more than once in a process: the seeds of a run after its
+first, a second run, or ``run_grid.py``'s cells.  Noise leaves the edges,
+so every seed shares it, and the forward pass only reads it, so no byte
+moves.  A synthetic seed builds and frees its own operator.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from .io import dataset_digest, load_dataset, read_dataset_files, records_csv
 from .propagation import operator_spec, run_fuzzy_r_softgraphain
 from .synthetic import add_feature_noise, gen_gaussian_cluster_graph, with_masks
 
-# dataset Graph -> {key: what is built from it alone}; an entry dies with its
+# dataset Graph -> {(mode, centered): its operator}; an entry dies with its
 # Graph, once ``io.load_dataset`` drops it and no run holds it
-_KEPT = weakref.WeakKeyDictionary()
+_OPERATORS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,6 @@ def prepare_graph(cfg: ExperimentConfig, seed: int, dataset: Graph | None) -> Gr
     return g
 
 
-def _kept(dataset: Graph, key: tuple, build):
-    """``build()``, made once for ``dataset`` and ``key`` and kept with it."""
-    kept = _KEPT.setdefault(dataset, {})
-    if key not in kept:
-        kept[key] = build()
-    return kept[key]
-
-
 def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int, observe=None, op=None):
     """Embedding of the configured variant.  Features not already
     ``embedding_dim`` wide are first mapped by the seed's reducer.
@@ -144,36 +135,21 @@ def compute_embedding(cfg: ExperimentConfig, g: Graph, seed: int, observe=None, 
 
 
 def _dataset_operator(cfg: ExperimentConfig, dataset: Graph):
-    """The operator of ``dataset``'s edges that the variant multiplies by."""
+    """The operator of ``dataset``'s edges that the variant multiplies by,
+    built on the first call for its (mode, centring) and kept after it."""
     spec = operator_spec(cfg.propagation, cfg.variant)
-    return _kept(dataset, spec, lambda: normalized_adjacency(dataset, *spec))
+    kept = _OPERATORS.setdefault(dataset, {})
+    if spec not in kept:
+        kept[spec] = normalized_adjacency(dataset, *spec)
+    return kept[spec]
 
 
-def _aux_of(cfg: ExperimentConfig, g: Graph, h):
+def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray):
     mode = cfg.curriculum.aux_mode
     if mode == "input_graph":
         return aux_from_graph(g)
     vectors = g.features if mode == "feature_knn" else h
     return build_knn_aux_graph(vectors, cfg.curriculum.knn_k, cfg.curriculum.gamma_prime)
-
-
-def _build_aux(cfg: ExperimentConfig, g: Graph, h: np.ndarray, dataset: Graph | None):
-    """The seed's auxiliary graph; the dataset's kept one when the seed's
-    graph gives the same: its edges always, its features unless noisy."""
-    c = cfg.curriculum
-    shared = c.aux_mode == "input_graph" or (
-        c.aux_mode == "feature_knn" and not cfg.noisy_features
-    )
-    if dataset is None or not shared:
-        return _aux_of(cfg, g, h)
-
-    def build():
-        aux = _aux_of(cfg, dataset, None)
-        aux.edges.setflags(write=False)  # shared by every seed
-        aux.weights.setflags(write=False)
-        return aux
-
-    return _kept(dataset, (c.aux_mode, c.knn_k, c.gamma_prime), build)
 
 
 def _arm_rows(cfg: ExperimentConfig, digest: str, seed: int, g: Graph, result):
@@ -206,7 +182,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, diagnostics_path=None, inputs=Non
     With ``diagnostics_path``, the per-layer diagnostics of the seed's one
     forward pass are written there as CSV.  ``inputs`` is the run's
     ``load_inputs(cfg)``, read here when not given; either way a loaded
-    dataset's kept operator and auxiliary graph serve the seed.
+    dataset's kept operator serves the seed.
     """
     digest, dataset = inputs or load_inputs(cfg)
     with _stage("dataset"):
@@ -243,7 +219,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, diagnostics_path=None, inputs=Non
         )
     with _stage("aux-graph"):
         # zero smoothing steps never read the auxiliary graph
-        aux = _build_aux(cfg, g, h, dataset) if cfg.curriculum.n_t else None
+        aux = _build_aux(cfg, g, h) if cfg.curriculum.n_t else None
     with _stage("label-smoothing"):
         snapshots = smooth_labels(aux, filtered, cfg.curriculum.n_t)
     with _stage("curriculum"):

@@ -936,8 +936,8 @@ def operator_builds(monkeypatch):
 
 
 def _built_per_seed(monkeypatch):
-    """Every kept build made afresh for each seed, as before the memo."""
-    monkeypatch.setattr(experiment, "_kept", lambda dataset, key, build: build())
+    """Every seed's operator built in its forward pass, as before the memo."""
+    monkeypatch.setattr(experiment, "_dataset_operator", lambda cfg, dataset: None)
 
 
 def _run_files(cfg):
@@ -983,63 +983,50 @@ class TestDatasetKeptBuilds:
         (dataset,) = io._LOADED.values()
         assert operator_builds == [
             ("symmetric", True), ("symmetric", False), ("random_walk", True)]
-        ops = {key: value for key, value in experiment._KEPT[dataset].items()}
+        ops = {key: value for key, value in experiment._OPERATORS[dataset].items()}
         assert list(ops) == operator_builds
         assert [op.shift is None for op in ops.values()] == [False, True, False]
         assert len({id(op) for op in ops.values()}) == 3
 
-    def test_noisy_seeds_share_the_operator_not_a_feature_knn_aux_graph(
-        self, tmp_path, operator_builds, monkeypatch
-    ):
-        knn = []
-        real = experiment.build_knn_aux_graph
-        monkeypatch.setattr(
-            experiment, "build_knn_aux_graph",
-            lambda vectors, *args: knn.append(vectors) or real(vectors, *args),
-        )
+    def test_noisy_seeds_share_the_operator(self, tmp_path, operator_builds, monkeypatch):
         base = _files_config(tmp_path)
-        clean = replace(base, curriculum=replace(base.curriculum, aux_mode="feature_knn"))
-        # a config file forces input_graph under noise; the object need not
-        noisy = replace(clean, noisy_features=True)
-        dataset = load_dataset(base.dataset_path)  # the Graph io keeps for the runs
-        rows = []
-        for cfg, builds in ((clean, 1), (noisy, 3)):
-            knn.clear()
-            rows.append([run_seed(cfg, seed)[0] for seed in cfg.seeds])
-            assert len(knn) == builds
-            assert all(v is dataset.features for v in knn) == (cfg is clean)
+        cfg = build_experiment_config({
+            **{k: v for k, v in BASE_KV.items() if not k.startswith("synthetic.")},
+            "dataset.path": base.dataset_path, "noisy_features": "true"})
+        cfg = replace(cfg, seeds=base.seeds, output_dir=base.output_dir)
+        kept = _run_files(cfg)
         assert operator_builds == [("symmetric", True)]
-        assert list(experiment._KEPT[dataset]) == [("symmetric", True), ("feature_knn", 7, 1.0)]
         with monkeypatch.context() as per_seed:
             _built_per_seed(per_seed)
-            assert rows == [[run_seed(cfg, seed)[0] for seed in cfg.seeds]
-                            for cfg in (clean, noisy)]
+            assert _run_files(cfg) == kept
 
-    def test_input_graph_aux_is_kept_under_noise(self, tmp_path, monkeypatch):
-        calls = []
-        real = experiment.aux_from_graph
-        monkeypatch.setattr(experiment, "aux_from_graph",
-                            lambda g: calls.append(g) or real(g))
-        base = _files_config(tmp_path)
-        cfg = replace(base, noisy_features=True,
-                      curriculum=replace(base.curriculum, aux_mode="input_graph"))
-        run_experiment(cfg, write_files=False)
+    def test_a_grid_keeps_one_operator_per_dataset(self, tmp_path, operator_builds):
+        # cells that differ only past the forward pass, as a run_grid.py
+        # sweep over the auxiliary graph makes them, keep nothing more
+        cfg = _files_config(tmp_path, seeds=(1,))
+        for aux_mode in ("embedding_knn", "feature_knn", "input_graph"):
+            for knn_k in (3, 7):
+                for gamma_prime in (0.5, 1.0):
+                    cell = replace(cfg, curriculum=replace(
+                        cfg.curriculum, aux_mode=aux_mode, knn_k=knn_k,
+                        gamma_prime=gamma_prime))
+                    run_seed(cell, 1)
         (dataset,) = io._LOADED.values()
-        assert calls == [dataset]
-        aux = experiment._KEPT[dataset][("input_graph", 7, 1.0)]
-        assert not (aux.edges.flags.writeable or aux.weights.flags.writeable)
+        assert operator_builds == [("symmetric", True)]
+        assert list(experiment._OPERATORS[dataset]) == operator_builds
+        assert len(experiment._OPERATORS) == 1
 
     def test_synthetic_seeds_never_enter_it(self, operator_builds):
         cfg = build_experiment_config({**BASE_KV, "seeds": "1,2"})
         run_experiment(cfg, write_files=False)
         assert operator_builds == [("symmetric", True)] * 2
-        assert len(experiment._KEPT) == 0
+        assert len(experiment._OPERATORS) == 0
 
     def test_an_entry_dies_with_its_graph(self, tmp_path):
         cfg = _files_config(tmp_path, seeds=(1,))
         run_experiment(cfg, write_files=False)
         (dataset,) = io._LOADED.values()
-        (op,) = experiment._KEPT[dataset].values()
+        (op,) = experiment._OPERATORS[dataset].values()
         refs = weakref.ref(dataset), weakref.ref(op)
         del dataset, op
         gc.collect()
@@ -1047,7 +1034,7 @@ class TestDatasetKeptBuilds:
         io._LOADED.clear()
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
-        assert len(experiment._KEPT) == 0
+        assert len(experiment._OPERATORS) == 0
 
 
 _RUN_CHILD = """\
